@@ -761,7 +761,6 @@ func BenchmarkMultiSource(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			eng.Close()
 		}
 	})
 
@@ -776,7 +775,6 @@ func BenchmarkMultiSource(b *testing.B) {
 				if _, err := eng.Update(base); err != nil {
 					b.Fatal(err)
 				}
-				eng.Close()
 			}
 		}
 	})
@@ -786,7 +784,6 @@ func BenchmarkMultiSource(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer eng.Close()
 		if err := eng.Update(base); err != nil {
 			b.Fatal(err)
 		}
@@ -824,7 +821,6 @@ func BenchmarkMultiSource(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eng.Close()
 			if _, err := eng.Update(base); err != nil {
 				b.Fatal(err)
 			}

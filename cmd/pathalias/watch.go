@@ -54,7 +54,6 @@ func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pathalias: %v\n", err)
 		return 1
 	}
-	defer eng.Close()
 	w := newWatcher(eng, paths, cfg.outPath, cfg.outDB, stderr)
 	// Once resident, the watcher is a daemon: its progress and error
 	// reporting go through structured logging (-log-level), while CLI
@@ -72,23 +71,10 @@ func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
 	return 0
 }
 
-// watchSig is one input file's last observed stat signature.
-type watchSig struct {
-	mtime time.Time
-	size  int64
-}
-
-// staleSettle mirrors routed's same-second-rewrite guard: stat results
-// are trusted only once a file has been quiet for longer than any
-// plausible timestamp granularity; before that, the engine's content
-// hashes decide.
-const staleSettle = 3 * time.Second
-
 // watcher regenerates outPath from paths through one persistent engine.
 type watcher struct {
 	eng     *pathalias.Engine
 	paths   []string
-	sigs    []watchSig
 	outPath string
 	outDB   string
 	pubGen  uint64 // RouteGen of the last published compiled database
@@ -98,8 +84,7 @@ type watcher struct {
 }
 
 func newWatcher(eng *pathalias.Engine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
-	return &watcher{eng: eng, paths: paths, sigs: make([]watchSig, len(paths)),
-		outPath: outPath, outDB: outDB, stderr: stderr,
+	return &watcher{eng: eng, paths: paths, outPath: outPath, outDB: outDB, stderr: stderr,
 		log: slog.New(slog.NewTextHandler(stderr, nil))}
 }
 
@@ -109,13 +94,10 @@ func newWatcher(eng *pathalias.Engine, paths []string, outPath, outDB string, st
 // database — but only when the result's route generation advanced, so
 // edits that cannot change routes (comments, whitespace, a re-touched
 // file) never emit a new image for downstream watchers to reload. It
-// reports whether anything was written.
+// reports whether anything was written; identical inputs (the engine's
+// content hashes match) write nothing, so it is cheap to call on
+// suspicion.
 func (w *watcher) regenerate() (bool, error) {
-	for i, p := range w.paths {
-		if fi, err := os.Stat(p); err == nil {
-			w.sigs[i] = watchSig{mtime: fi.ModTime(), size: fi.Size()}
-		}
-	}
 	unchangedBefore := w.eng.Stats().Unchanged
 	res, err := w.eng.UpdateFiles(w.paths...)
 	if err != nil {
@@ -142,51 +124,15 @@ func (w *watcher) regenerate() (bool, error) {
 	return true, nil
 }
 
-// changed reports whether any input looks different since the last
-// regenerate (see routed's mapWatcher.changed).
-func (w *watcher) changed() bool {
-	for i, p := range w.paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			return true
-		}
-		if !fi.ModTime().Equal(w.sigs[i].mtime) || fi.Size() != w.sigs[i].size {
-			return true
-		}
-		if time.Since(fi.ModTime()) <= staleSettle {
-			return true
-		}
-	}
-	return false
-}
-
-// loop regenerates on change until ctx is done — woken by kernel file
-// events where available (fswatch), by the poll ticker otherwise; the
-// ticker always runs as the portable fallback. Transient errors
-// (mid-edit syntax errors, vanished files) are logged; the last good
-// output file stays in place.
+// loop regenerates whenever fswatch.Watch reports a possible change,
+// until ctx is done. Transient errors (mid-edit syntax errors, vanished
+// files) are logged; the last good output file stays in place.
 func (w *watcher) loop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var kicks <-chan struct{} // nil without event support: never ready
-	if fw, err := fswatch.New(w.paths); err == nil {
-		defer fw.Close()
-		kicks = fw.Kicks()
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		case <-kicks:
-		}
-		if !w.changed() {
-			continue
-		}
+	fswatch.Watch(ctx, w.paths, interval, func() {
 		if wrote, err := w.regenerate(); err != nil {
 			w.log.Warn("regenerate failed, keeping previous output", "err", err)
 		} else if wrote {
 			w.log.Info("regenerated", "out", w.outPath)
 		}
-	}
+	})
 }

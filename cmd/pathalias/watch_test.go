@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,7 +27,6 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	w := newWatcher(eng, []string{mapPath}, outPath, "", io.Discard)
 	if wrote, err := w.regenerate(); err != nil || !wrote {
 		t.Fatalf("initial regenerate: wrote=%v err=%v", wrote, err)
@@ -78,6 +79,80 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	}
 }
 
+// inPlaceMap renders an n-host map rooted at unc (a binary tree of
+// links plus one cross link per host); variant v shifts every cost, and
+// odd variants declare only the first three quarters of the hosts, so
+// consecutive variants alternate between longer and shorter files.
+func inPlaceMap(n, v int) string {
+	decl := n
+	if v%2 == 1 {
+		decl = n * 3 / 4
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "unc\th0(%d)\n", 10+v%7)
+	for i := 0; i < decl; i++ {
+		fmt.Fprintf(&b, "h%d\th%d(%d), h%d(%d), h%d(%d)\n", i,
+			2*i+1, 10+(i+v)%50, 2*i+2, 10+(i*3+v)%50, (i*7+3)%n, 200+(i*v)%90)
+	}
+	return b.String()
+}
+
+// TestWatcherSurvivesInPlaceRewrites: fifty in-place saves (truncate,
+// then write) alternating shorter and longer content while the watch
+// loop re-reads the source through Engine.UpdateFiles. The process must
+// never fault, and the output must end up byte-identical to a batch run
+// over the final content.
+func TestWatcherSurvivesInPlaceRewrites(t *testing.T) {
+	const hosts = 4000
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "live.map")
+	outPath := filepath.Join(dir, "routes.out")
+	if err := os.WriteFile(mapPath, []byte(inPlaceMap(hosts, 0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pathalias.NewEngine(pathalias.Options{LocalHost: "unc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWatcher(eng, []string{mapPath}, outPath, "", io.Discard)
+	if _, err := w.regenerate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); w.loop(ctx, time.Millisecond) }()
+	defer func() { cancel(); <-done }()
+
+	var final string
+	for v := 1; v <= 50; v++ {
+		final = inPlaceMap(hosts, v)
+		if err := os.WriteFile(mapPath, []byte(final), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(v%4) * time.Millisecond)
+	}
+
+	res, err := pathalias.RunString(pathalias.Options{LocalHost: "unc"}, final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.WriteRoutes(&want); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, _ := os.ReadFile(outPath)
+		if bytes.Equal(got, want.Bytes()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("output never converged on the final content (%d vs %d bytes)", len(got), want.Len())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestRunWatchUsage(t *testing.T) {
 	var errw strings.Builder
 	if code := run([]string{"-watch", "1s", "-l", "unc", "x.map"}, io.Discard, &errw); code != 2 {
@@ -109,7 +184,6 @@ func TestWatcherPartialBatchNotSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	w := newWatcher(eng, []string{a, b}, outPath, "", io.Discard)
 	if wrote, err := w.regenerate(); err != nil || !wrote {
 		t.Fatalf("initial regenerate: wrote=%v err=%v", wrote, err)
@@ -154,7 +228,6 @@ func TestWatcherPublishesDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	w := newWatcher(eng, []string{mapPath}, outPath, dbPath, io.Discard)
 	if wrote, err := w.regenerate(); err != nil || !wrote {
 		t.Fatalf("initial regenerate: wrote=%v err=%v", wrote, err)

@@ -104,14 +104,12 @@ func TestBinaryWatchHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.audits.Wait)
 	if _, err := d.store.Resolve("newhost", "u"); err == nil {
 		t.Fatal("newhost resolvable before swap")
 	}
 	old := d.store.DB()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.watch(ctx, 5*time.Millisecond)
+	goWatch(t, func(ctx context.Context) { d.watch(ctx, 5*time.Millisecond) })
 
 	writeBinaryRoutes(t, dir, "routes.rdb", testRoutes+"700\tnewhost\tduke!newhost!%s\n")
 	deadline := time.Now().Add(5 * time.Second)
@@ -143,17 +141,19 @@ func TestBinaryWatchKeepsServingOnCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.audits.Wait)
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt replacement: valid magic, truncated body.
-	if err := os.WriteFile(path, img[:len(img)-20], 0o644); err != nil {
+	// Corrupt replacement (valid magic, truncated body), installed by
+	// rename like every image replacement: the served mapping must
+	// never be truncated under the daemon.
+	if err := os.WriteFile(path+".tmp", img[:len(img)-20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	changed, err := d.changed()
-	if err != nil || !changed {
-		t.Fatalf("changed = %v, %v", changed, err)
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.reload(); err == nil {
 		t.Fatal("reload of corrupt file succeeded")

@@ -93,9 +93,7 @@ type daemon struct {
 	logLvl *slog.LevelVar
 
 	mu       sync.Mutex // guards reloads (watch loop + explicit reload)
-	mtime    time.Time
-	size     int64
-	hash     uint64
+	hash     uint64     // content fingerprint of the last file reload read
 	loadedAt time.Time
 	swaps    atomic.Uint64
 }
@@ -160,23 +158,30 @@ func (d *daemon) noteSlow(surface, req string, dur time.Duration) {
 		"dur", dur.Round(time.Microsecond).String(), "threshold", d.slowThresh.String())
 }
 
-// contentHash fingerprints a route file for the same-second-rewrite
-// check (parser.HashInput's chunked FNV over the raw bytes).
+// contentHash fingerprints a route file (parser.HashInput's chunked FNV
+// over the raw bytes).
 func contentHash(data []byte) uint64 {
 	return parser.HashInput(parser.Input{Src: string(data)})
 }
 
-// reload rebuilds the database from the route file and swaps it in.
-// Lookups proceed against the old database until the swap. The observed
-// (mtime, size, hash) triple is recorded even when parsing fails, so a
-// persistently malformed file is not re-parsed on every watch tick —
-// only when it changes again.
+// unchangedLocked reports whether hash fingerprints the file the last
+// reload already read, so the watcher can call reload on every possible
+// change and only real ones rebuild. d.mu must be held.
+func (d *daemon) unchangedLocked(hash uint64) bool {
+	return d.swaps.Load() > 0 && hash == d.hash
+}
+
+// reload rebuilds the database from the route file and swaps it in,
+// unless the file's content is what the last reload read. Lookups
+// proceed against the old database until the swap. The content hash is
+// recorded even when parsing fails, so a persistently malformed file is
+// not re-parsed on every watch wake-up — only when it changes again.
 //
 // In binary mode no parsing happens at all: the compiled file is
 // mapped, checksummed, and validated, and its own integrity checksum
-// doubles as the content hash for the watcher. A superseded mapping is
-// released by the garbage collector once no in-flight lookup can hold
-// it (routedb ties the munmap to the old DB's reachability).
+// doubles as the content hash. A superseded mapping is released by the
+// garbage collector once no in-flight lookup can hold it (routedb ties
+// the munmap to the old DB's reachability).
 func (d *daemon) reload() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -187,13 +192,11 @@ func (d *daemon) reload() error {
 	if err != nil {
 		return err
 	}
-	fi, err := os.Stat(d.path)
-	if err != nil {
-		return err
+	hash := contentHash(data)
+	if d.unchangedLocked(hash) {
+		return nil
 	}
-	d.mtime = fi.ModTime()
-	d.size = int64(len(data))
-	d.hash = contentHash(data)
+	d.hash = hash
 	db, err := routedb.LoadWith(bytes.NewReader(data), d.opts)
 	if err != nil {
 		return err
@@ -207,36 +210,35 @@ func (d *daemon) reload() error {
 }
 
 // reloadBinaryLocked opens the compiled database and swaps it in;
-// d.mu must be held. The stat triple is recorded even when validation
-// fails, so a persistently corrupt file is re-probed only by its cheap
-// footer checksum until it changes again. The open reuses the served
-// database's already-validated sections where the new image is
-// byte-identical (the continuous-publish common case: one edit moves
-// one corner of the map), and the audit-grade verification the open
-// path defers runs in the background after the swap.
+// d.mu must be held. The image's footer checksum is probed first: an
+// image the daemon already serves (or already rejected) is not
+// re-opened. The open reuses the served database's already-validated
+// sections where the new image is byte-identical (the
+// continuous-publish common case: one edit moves one corner of the
+// map), and the audit-grade verification the open path defers runs in
+// the background after the swap.
 func (d *daemon) reloadBinaryLocked() error {
-	fi, err := os.Stat(d.path)
-	if err != nil {
-		return err
+	// A footer that cannot be read (mid-replace, truncated) is never
+	// "unchanged": the open below reports what is wrong with the file.
+	crc, cerr := rdb.FileChecksum(d.path)
+	if cerr == nil && d.unchangedLocked(uint64(crc)) {
+		return nil
 	}
-	d.mtime = fi.ModTime()
-	d.size = fi.Size()
 	db, err := routedb.OpenBinaryReusing(d.path, d.store.DB())
 	if err != nil {
-		// Memoize what we observed so a persistently corrupt file is
-		// re-probed by its cheap footer checksum, not re-opened, until
+		// Memoize the rejected image's checksum so a persistently
+		// corrupt file is re-probed by its footer, not re-opened, until
 		// it changes again.
-		if crc, cerr := rdb.FileChecksum(d.path); cerr == nil {
+		d.hash = 0
+		if cerr == nil {
 			d.hash = uint64(crc)
-		} else {
-			d.hash = 0
 		}
 		return err
 	}
-	// Record the served image's own checksum — not a separate file
-	// read, which could fingerprint a different image if the file is
+	// Record the served image's own checksum — not the probe above,
+	// which could fingerprint a different image if the file was
 	// replaced between the two opens.
-	crc, _ := db.Binary()
+	crc, _ = db.Binary()
 	d.hash = uint64(crc)
 	if got := db.Options(); got != d.opts {
 		d.logf("note: %s was compiled with FoldCase=%v; the file's setting wins over the -i flag", d.path, got.FoldCase)
@@ -281,81 +283,17 @@ func (d *daemon) auditImage(db, prev *routedb.DB, src string) {
 	}()
 }
 
-// staleSettle is how long after a file's mtime the watcher keeps
-// re-verifying content by hash: a rewrite within the same second leaves
-// the mtime unchanged on coarse-granularity filesystems, so an
-// unchanged (mtime, size) pair is trusted only once the file has been
-// quiet for longer than any plausible timestamp granularity.
-const staleSettle = 3 * time.Second
-
-// changed reports whether the route file differs from what is loaded:
-// any (mtime, size) difference, or — for a file modified recently
-// enough that a same-second rewrite could hide behind an equal mtime —
-// a content hash difference.
-func (d *daemon) changed() (bool, error) {
-	fi, err := os.Stat(d.path)
-	if err != nil {
-		return false, err
-	}
-	d.mu.Lock()
-	sameStat := fi.ModTime().Equal(d.mtime) && fi.Size() == d.size
-	hash := d.hash
-	d.mu.Unlock()
-	if !sameStat {
-		return true, nil
-	}
-	if time.Since(fi.ModTime()) > staleSettle {
-		return false, nil
-	}
-	if d.binary {
-		crc, err := rdb.FileChecksum(d.path)
-		if err != nil {
-			// Mid-replace or corrupt: treat as changed and let reload
-			// decide (it keeps the old database on failure).
-			return true, nil
-		}
-		return uint64(crc) != hash, nil
-	}
-	data, err := os.ReadFile(d.path)
-	if err != nil {
-		return false, err
-	}
-	return contentHash(data) != hash, nil
-}
-
-// watch hot-swaps the store when the route file changes. Where the
-// kernel offers file events (fswatch), an edit is noticed within
-// milliseconds; the poll ticker stays as the portable correctness path
-// either way. A vanished or malformed file is logged and the old
-// database keeps serving.
+// watch hot-swaps the store when the route file changes, until ctx is
+// done. fswatch.Watch decides when the file may have changed (within
+// milliseconds where the kernel offers file events, every interval
+// regardless); reload's content hash decides whether it did. A vanished
+// or malformed file is logged and the old database keeps serving.
 func (d *daemon) watch(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var kicks <-chan struct{} // nil without event support: never ready
-	if fw, err := fswatch.New([]string{d.path}); err == nil {
-		defer fw.Close()
-		kicks = fw.Kicks()
-		d.logf("watching %s via file events (poll every %v as fallback)", d.path, interval)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		case <-kicks:
-		}
-		changed, err := d.changed()
-		if err != nil {
-			d.warnf("watch: %v", err)
-			continue
-		}
-		if !changed {
-			continue
-		}
+	fswatch.Watch(ctx, []string{d.path}, interval, func() {
 		if err := d.reload(); err != nil {
 			d.warnf("reload: %v (still serving previous database)", err)
 		}
-	}
+	})
 }
 
 // handleLine answers one request line of the line-oriented protocol:

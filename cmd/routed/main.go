@@ -145,6 +145,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var d *daemon
 	if *mapMode {
 		d = newMapDaemon(routedb.Options{FoldCase: *fold}, stderr)
+		// No background image audit outlives run: it reads the image file.
+		defer d.audits.Wait()
 		configureTelemetry(d, lvl, *slow, *odb)
 		// Warm start: if a previously published image exists, serve it
 		// immediately — lookups are answered from the mmap within
@@ -189,6 +191,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "routed: %v\n", err)
 			return 1
 		}
+		defer d.audits.Wait()
 		configureTelemetry(d, lvl, *slow, *binPath)
 		if *watch > 0 {
 			go d.watch(ctx, *watch)

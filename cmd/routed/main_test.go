@@ -36,6 +36,23 @@ func writeRoutes(t *testing.T, dir, content string) string {
 
 const testRoutes = "500\tduke\tduke!%s\n10\t.edu\tseismo!%s\n0\tunc\t%s\n"
 
+// goWatch runs a watch loop until the test ends. Its cleanup cancels
+// and joins the loop before earlier-registered cleanups (audit joins,
+// temp-dir removal) run, so no reload outlives the test's files.
+func goWatch(t *testing.T, watch func(ctx context.Context)) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		watch(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+}
+
 func TestStdinProtocol(t *testing.T) {
 	path := writeRoutes(t, t.TempDir(), testRoutes)
 	in := strings.NewReader("duke honey\ncaip.rutgers.edu pleasant\nnowhere u\nstats\nbogus line here\nquit\n")
@@ -164,9 +181,7 @@ func TestWatchHotSwapsOnChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.watch(ctx, 5*time.Millisecond)
+	goWatch(t, func(ctx context.Context) { d.watch(ctx, 5*time.Millisecond) })
 
 	// Rewrite the file with a different route and an mtime guaranteed to
 	// differ even on coarse filesystem clocks.
@@ -202,10 +217,11 @@ func TestWatchHotSwapsOnChange(t *testing.T) {
 	}
 }
 
-// TestWatchSameSecondRewrite is the staleness regression: a rewrite that
-// preserves the file's mtime AND size (the same-second rewrite a
-// coarse-granularity filesystem produces) must still be detected, via
-// the content hash check that backs up the stat comparison.
+// TestWatchSameSecondRewrite is the staleness regression, end to end: a
+// rewrite that preserves the file's mtime AND size (the same-second
+// rewrite a coarse-granularity filesystem produces) must still be
+// served, via fswatch.Watch's settle window and reload's content hash.
+// The detector's own cases live in internal/fswatch.
 func TestWatchSameSecondRewrite(t *testing.T) {
 	dir := t.TempDir()
 	path := writeRoutes(t, dir, testRoutes)
@@ -230,16 +246,7 @@ func TestWatchSameSecondRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	changed, err := d.changed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed {
-		t.Fatal("same-mtime same-size rewrite went undetected")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.watch(ctx, 5*time.Millisecond)
+	goWatch(t, func(ctx context.Context) { d.watch(ctx, 5*time.Millisecond) })
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if e, ok := d.store.Lookup("duke"); ok && e.Route == "DUKE!%s" {
@@ -249,19 +256,6 @@ func TestWatchSameSecondRewrite(t *testing.T) {
 			t.Fatal("watch never picked up the same-second rewrite")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Once the file has settled past the hash window, an unchanged file
-	// must not be reported as changed (no rebuild churn).
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.reload(); err != nil {
-		t.Fatal(err)
-	}
-	if changed, err := d.changed(); err != nil || changed {
-		t.Fatalf("settled unchanged file reported changed=%v err=%v", changed, err)
 	}
 }
 
@@ -281,7 +275,6 @@ func TestMapModeServesAndHotRemaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The watch goroutine owns the engine and closes it when ctx ends.
 	if e, ok := d.store.Lookup("ucbvax"); !ok || e.Route != "duke!research!ucbvax!%s" {
 		t.Fatalf("initial map: ucbvax = %+v, %v", e, ok)
 	}
@@ -293,9 +286,7 @@ func TestMapModeServesAndHotRemaps(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go w.watch(ctx, 5*time.Millisecond)
+	goWatch(t, func(ctx context.Context) { w.watch(ctx, 5*time.Millisecond) })
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if e, ok := d.store.Lookup("duke"); ok && e.Route == "phs!duke!%s" {

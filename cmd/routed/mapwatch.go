@@ -1,11 +1,13 @@
 package main
 
 // Source-watch mode (-map): instead of serving a precompiled routes.db,
-// routed owns the whole pipeline. Map sources are loaded zero-copy
-// (mmap), routes are computed in-process by the incremental multi-source
-// engine, and on every source edit only the changed files are re-scanned
-// and only the affected region of the network is re-mapped, once for the
-// shared graph and then warmly per vantage — every resolver store
+// routed owns the whole pipeline. Map sources are read into the heap
+// (so an editor saving in place can never pull pages out from under the
+// engine's cached fragments), routes are computed in-process by the
+// incremental multi-source engine, and on every source edit only the
+// changed files are re-scanned and only the affected region of the
+// network is re-mapped, once for the shared graph and then warmly per
+// vantage — every resolver store
 // hot-swaps in milliseconds where a batch rebuild took the better part
 // of a second, and a cron'd pathalias|mkdb pipeline took minutes.
 //
@@ -35,12 +37,6 @@ import (
 	"pathalias/internal/whatif"
 )
 
-// fileSig is one watched source's last observed stat signature.
-type fileSig struct {
-	mtime time.Time
-	size  int64
-}
-
 // mapWatcher drives a multi-source remap engine over a set of map
 // source files and swaps the results into the daemon's stores: the
 // default store for the -l vantage, one registered store per from=
@@ -50,7 +46,6 @@ type mapWatcher struct {
 	eng   *remap.Multi
 	local string // folded default vantage name
 	paths []string
-	sigs  []fileSig
 
 	// mu guards stores and is held across a lazy store's compute+register
 	// and across remap's swap pass, so the two cannot interleave: without
@@ -109,7 +104,6 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 		eng:    eng,
 		local:  localHost,
 		paths:  paths,
-		sigs:   make([]fileSig, len(paths)),
 		stores: make(map[string]*routedb.Store),
 		gens:   make(map[string]uint64),
 		odb:    odb,
@@ -217,24 +211,13 @@ func (w *mapWatcher) storeFor(from string) (*routedb.Store, error) {
 // snapshot, map, store swaps, publish — plus the shape of the change.
 func (w *mapWatcher) remap() error {
 	start := time.Now()
-	ins, err := core.ReadInputsMmap(w.paths)
+	ins, err := core.ReadInputs(w.paths)
 	if err != nil {
 		return err
 	}
-	for i, p := range w.paths {
-		if fi, err := os.Stat(p); err == nil {
-			w.sigs[i] = fileSig{mtime: fi.ModTime(), size: fi.Size()}
-		}
-	}
-	rins := make([]remap.Input, len(ins))
-	for i, in := range ins {
-		rins[i] = remap.Input{Name: in.Name, Src: in.Src, Release: in.Release}
-	}
 	readDur := time.Since(start)
-	// Update owns the inputs from here on, success or error (it may
-	// retain some of them in its caches even when it fails).
 	statsBefore := w.eng.Stats()
-	if err := w.eng.Update(rins); err != nil {
+	if err := w.eng.Update(ins); err != nil {
 		return err
 	}
 	stats := w.eng.Stats()
@@ -409,63 +392,22 @@ func (w *mapWatcher) publish(gen uint64) error {
 	return nil
 }
 
-// changed reports whether any watched source looks different: a (mtime,
-// size) change, or a recent-enough mtime that a same-second rewrite
-// could hide behind it (the engine's content hashes resolve those).
-func (w *mapWatcher) changed() bool {
-	for i, p := range w.paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			return true // vanished or unreadable: let remap surface it
-		}
-		if !fi.ModTime().Equal(w.sigs[i].mtime) || fi.Size() != w.sigs[i].size {
-			return true
-		}
-		if time.Since(fi.ModTime()) <= staleSettle {
-			return true // content hash inside the engine decides
-		}
-	}
-	return false
-}
-
-// watch re-maps when a source changes — on a kernel file event when the
-// platform has them (fswatch), at the poll interval otherwise. Errors (a
-// mid-edit syntax error, a vanished file) are logged and the previous
-// databases keep serving — exactly like the -d watcher.
+// watch re-maps whenever fswatch.Watch reports that a source may have
+// changed, until ctx is done; the engine's content hashes make a
+// re-map of identical sources a cheap no-op. Errors (a mid-edit syntax
+// error, a vanished file) are logged and the previous databases keep
+// serving — exactly like the -d watcher.
 func (w *mapWatcher) watch(ctx context.Context, interval time.Duration) {
 	// On a warm start the initial computation is still running in its own
-	// goroutine; it owns the engine until ready closes. Join it before
-	// watching — and before an early shutdown's eng.Close, which must not
-	// race it.
+	// goroutine; it owns the watcher's state until ready closes.
 	select {
 	case <-w.ready:
 	case <-ctx.Done():
-		<-w.ready
-		w.eng.Close()
 		return
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var kicks <-chan struct{} // nil without event support: never ready
-	if fw, err := fswatch.New(w.paths); err == nil {
-		defer fw.Close()
-		kicks = fw.Kicks()
-		w.d.logf("watching %d map sources via file events (poll every %v as fallback)",
-			len(w.paths), interval)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			w.eng.Close()
-			return
-		case <-t.C:
-		case <-kicks:
-		}
-		if !w.changed() {
-			continue
-		}
+	fswatch.Watch(ctx, w.paths, interval, func() {
 		if err := w.remap(); err != nil {
 			w.d.logf("remap: %v (still serving previous database)", err)
 		}
-	}
+	})
 }

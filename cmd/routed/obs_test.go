@@ -202,6 +202,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt image should open (checks are deferred): %v", err)
 	}
+	t.Cleanup(bd.audits.Wait)
 	bd.audits.Wait()
 	if !bd.demoted.Load() {
 		t.Fatal("audit did not demote the corrupt image")
@@ -418,8 +419,6 @@ func TestMetricsOverhead(t *testing.T) {
 		}
 		return d
 	}
-	instr, bare := mk(false), mk(true)
-
 	var batch strings.Builder
 	for i := 0; i < 2000; i++ {
 		batch.WriteString("duke honey\ncaip.rutgers.edu pleasant\nunc lou\n")
@@ -433,26 +432,36 @@ func TestMetricsOverhead(t *testing.T) {
 		return time.Since(start)
 	}
 
-	// Interleave rounds so frequency scaling and background noise hit
-	// both daemons alike; compare medians.
-	const rounds = 9
-	instrTimes := make([]time.Duration, 0, rounds)
-	bareTimes := make([]time.Duration, 0, rounds)
-	run(instr)
-	run(bare) // warm-up
-	for i := 0; i < rounds; i++ {
-		instrTimes = append(instrTimes, run(instr))
-		bareTimes = append(bareTimes, run(bare))
+	// A paired design: each round times the two daemons back to back
+	// (alternating which goes first) and keeps their ratio, so a slow
+	// spell of the machine hits both halves of a pair; the verdict is
+	// the median ratio. A round is ~1ms, so comparing medians or minimums
+	// of the two sides separately swings with whichever side happened to
+	// catch a fast or slow moment. Each round also uses a fresh pair of
+	// daemons, warmed by one pass each, because one instance can run the
+	// same batch tens of percent slower than another for its whole life,
+	// with or without metrics.
+	const rounds = 21
+	ratios := make([]float64, rounds)
+	var ti, tb time.Duration
+	for i := range ratios {
+		instr, bare := mk(false), mk(true)
+		run(instr)
+		run(bare)
+		if i%2 == 0 {
+			ti = run(instr)
+			tb = run(bare)
+		} else {
+			tb = run(bare)
+			ti = run(instr)
+		}
+		ratios[i] = float64(ti) / float64(tb)
 	}
-	median := func(ds []time.Duration) time.Duration {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return ds[len(ds)/2]
-	}
-	mi, mb := median(instrTimes), median(bareTimes)
-	ratio := float64(mi) / float64(mb)
-	t.Logf("instrumented %v vs bare %v: ratio %.3f (target <= 1.05, asserting <= 1.25)", mi, mb, ratio)
+	sort.Float64s(ratios)
+	ratio := ratios[rounds/2]
+	t.Logf("instrumented vs bare: median paired ratio %.3f (target <= 1.05, asserting <= 1.25)", ratio)
 	if ratio > 1.25 {
-		t.Errorf("metrics overhead ratio %.3f: instrumented %v vs bare %v", ratio, mi, mb)
+		t.Errorf("metrics overhead ratio %.3f (paired ratios %.3f)", ratio, ratios)
 	}
 }
 

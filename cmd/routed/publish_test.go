@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +143,7 @@ func TestMapWarmStart(t *testing.T) {
 	// The warm-start sequence main.go runs before the watcher exists.
 	var log strings.Builder
 	d := newMapDaemon(routedb.Options{}, &log)
+	t.Cleanup(d.audits.Wait)
 	db, err := routedb.OpenBinary(odb)
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +268,7 @@ func TestMapAuditDemotesCorruptImage(t *testing.T) {
 
 	var log strings.Builder
 	d := newMapDaemon(routedb.Options{}, &log)
+	t.Cleanup(d.audits.Wait)
 	db, err := routedb.OpenBinary(odb)
 	if err != nil {
 		t.Fatalf("shallow open of the crafted image must succeed: %v", err)
@@ -388,23 +392,8 @@ func TestWarmStartSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	timeIt := func(rounds int, f func()) time.Duration {
-		ds := make([]time.Duration, rounds)
-		for i := range ds {
-			start := time.Now()
-			f()
-			ds[i] = time.Since(start)
-		}
-		for i := range ds { // insertion sort; rounds is tiny
-			for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
-			}
-		}
-		return ds[len(ds)/2]
-	}
-
 	query := probe + " user"
-	textTime := timeIt(3, func() {
+	textBoot := func() {
 		d, err := newDaemon(textPath, false, routedb.Options{}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
@@ -412,8 +401,8 @@ func TestWarmStartSpeedup(t *testing.T) {
 		if got, _ := d.handleLine(query); !strings.HasPrefix(got, "ok ") {
 			t.Fatalf("text answer = %q", got)
 		}
-	})
-	warmTime := timeIt(5, func() {
+	}
+	warmBoot := func() {
 		// The warm-start boot sequence; the deferred audit runs in the
 		// background after serving starts and is deliberately outside
 		// the restart-to-first-answer window.
@@ -427,7 +416,26 @@ func TestWarmStartSpeedup(t *testing.T) {
 		if got, _ := d.handleLine(query); !strings.HasPrefix(got, "ok ") {
 			t.Fatalf("warm answer = %q", got)
 		}
-	})
+	}
+	// Interleaved rounds, so a burst of machine noise lands on both
+	// sides; each side's minimum is its least-disturbed run. Every boot
+	// starts from a collected heap, so neither pays for the garbage the
+	// other left behind, and both run on one P: otherwise the text
+	// side's concurrent GC is free or not depending on whether another
+	// core happens to be idle, and the ratio swings with the machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 9
+	timeIt := func(boot func()) time.Duration {
+		runtime.GC()
+		start := time.Now()
+		boot()
+		return time.Since(start)
+	}
+	textTime, warmTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < rounds; i++ {
+		textTime = min(textTime, timeIt(textBoot))
+		warmTime = min(warmTime, timeIt(warmBoot))
+	}
 
 	ratio := float64(textTime) / float64(warmTime)
 	t.Logf("restart to first answer: text %v, warm %v (%.1fx)", textTime, warmTime, ratio)

@@ -43,6 +43,7 @@ func benchDaemon(b *testing.B, binary bool) *daemon {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(bd.audits.Wait)
 	return bd
 }
 

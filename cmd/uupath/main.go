@@ -310,7 +310,6 @@ func vantageDB(paths []string, from string, fold bool) (*routedb.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
 	ins := make([]remap.Input, 0, len(paths))
 	for _, p := range paths {
 		p = strings.TrimSpace(p)

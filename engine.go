@@ -92,23 +92,16 @@ func (e *Engine) Update(inputs ...Input) (*Result, error) {
 	return e.convert(rres), nil
 }
 
-// UpdateFiles loads the named files (memory-mapped where the platform
-// allows — the engine holds each mapping until that file's content is
-// superseded) and updates from them. Watched files should be updated by
-// rename, not rewritten in place (see remap.Input).
+// UpdateFiles reads the named files into memory and updates from them.
+// Files may be saved in place or replaced by rename: nothing the engine
+// keeps aliases a file, so a save that races the read costs at most one
+// update over torn content, which the next UpdateFiles corrects.
 func (e *Engine) UpdateFiles(paths ...string) (*Result, error) {
-	ins, err := core.ReadInputsMmap(paths)
+	ins, err := core.ReadInputs(paths)
 	if err != nil {
 		return nil, err
 	}
-	rins := make([]remap.Input, len(ins))
-	for i, in := range ins {
-		rins[i] = remap.Input{Name: in.Name, Src: in.Src, Release: in.Release}
-	}
-	// Update owns the inputs from here, success or error: it may have
-	// cached some of them even when it fails (e.g. a missing local
-	// host), so releasing here would leave cached fragments dangling.
-	rres, err := e.eng.Update(rins)
+	rres, err := e.eng.Update(ins)
 	if err != nil {
 		return nil, err
 	}
@@ -137,9 +130,6 @@ type EngineStats struct {
 
 // Stats returns engine activity counters.
 func (e *Engine) Stats() EngineStats { return EngineStats(e.eng.Stats) }
-
-// Close releases cached sources (memory mappings from UpdateFiles).
-func (e *Engine) Close() { e.eng.Close() }
 
 func (e *Engine) convert(r *remap.Result) *Result { return convertResult(e.opts, r) }
 

@@ -21,7 +21,6 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 
 	check := func(label, text string) {
 		t.Helper()
@@ -79,7 +78,6 @@ func TestEngineErrorKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	if _, err := eng.Update(Input{Name: "m", Text: "a\tb(DEMAND)\n"}); err != nil {
 		t.Fatal(err)
 	}

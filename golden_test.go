@@ -45,7 +45,6 @@ func TestGoldenVantageRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer multi.Close()
 	data, err := os.ReadFile(goldenMap)
 	if err != nil {
 		t.Fatal(err)

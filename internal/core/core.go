@@ -11,10 +11,10 @@ import (
 	"io"
 	"os"
 	"time"
+	"unsafe"
 
 	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
-	"pathalias/internal/mmapio"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
 )
@@ -117,11 +117,17 @@ func Run(cfg Config) (*Report, error) {
 
 // ReadInputs loads the named files as parser inputs; "-" means standard
 // input. With no paths, standard input is read.
+//
+// Each source is read into the heap once: the string takes over the
+// freshly read bytes without a second copy. Nothing aliases the file
+// afterwards, so the scanner's zero-copy substrings — which the
+// incremental engine caches across updates — stay valid however the
+// file is later rewritten, truncated, or removed.
 func ReadInputs(paths []string) ([]parser.Input, error) {
 	if len(paths) == 0 {
 		paths = []string{"-"}
 	}
-	var ins []parser.Input
+	ins := make([]parser.Input, 0, len(paths))
 	for _, p := range paths {
 		var (
 			src []byte
@@ -137,58 +143,18 @@ func ReadInputs(paths []string) ([]parser.Input, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading %s: %w", name, err)
 		}
-		ins = append(ins, parser.Input{Name: name, Src: string(src)})
+		ins = append(ins, parser.Input{Name: name, Src: ownString(src)})
 	}
 	return ins, nil
 }
 
-// MappedInput is one map source opened for zero-copy scanning. Release
-// must be called once the input's text — including substrings retained
-// by cached parse fragments — is no longer referenced; it is never nil.
-type MappedInput struct {
-	parser.Input
-	Release func()
-}
-
-// ReadInputsMmap opens the named files as memory-mapped parser inputs
-// ("-" still reads standard input into memory). The zero-copy scanner
-// works directly on the page-cache-backed bytes, so loading a map set
-// costs no per-file copy, and concurrent routed instances share one
-// physical copy of the files. On platforms without mmap the inputs are
-// plain reads and Release is a no-op.
-func ReadInputsMmap(paths []string) ([]MappedInput, error) {
-	if len(paths) == 0 {
-		paths = []string{"-"}
+// ownString converts b to a string without copying. The caller must
+// never touch b again: the string owns the bytes from here on.
+func ownString(b []byte) string {
+	if len(b) == 0 {
+		return ""
 	}
-	ins := make([]MappedInput, 0, len(paths))
-	fail := func(err error) ([]MappedInput, error) {
-		for _, in := range ins {
-			in.Release()
-		}
-		return nil, err
-	}
-	for _, p := range paths {
-		if p == "-" {
-			src, err := io.ReadAll(os.Stdin)
-			if err != nil {
-				return fail(fmt.Errorf("core: reading <stdin>: %w", err))
-			}
-			ins = append(ins, MappedInput{
-				Input:   parser.Input{Name: "<stdin>", Src: string(src)},
-				Release: func() {},
-			})
-			continue
-		}
-		f, err := mmapio.Open(p)
-		if err != nil {
-			return fail(fmt.Errorf("core: reading %s: %w", p, err))
-		}
-		ins = append(ins, MappedInput{
-			Input:   parser.Input{Name: p, Src: f.String()},
-			Release: func() { f.Close() },
-		})
-	}
-	return ins, nil
+	return unsafe.String(&b[0], len(b))
 }
 
 // WriteReportStats renders -v statistics for a completed run.

@@ -1,6 +1,7 @@
 package fswatch
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -186,4 +187,132 @@ func TestMissingDirFails(t *testing.T) {
 	if _, err := New([]string{filepath.Join(t.TempDir(), "no-such-dir", "map")}); err == nil {
 		t.Fatal("New over a missing directory should fail")
 	}
+}
+
+// startWatch runs Watch over paths for the rest of the test and returns
+// a channel that receives one value per fn call, with Watch's initial
+// call already consumed.
+func startWatch(t *testing.T, paths []string, interval time.Duration) <-chan struct{} {
+	t.Helper()
+	calls := make(chan struct{}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Watch(ctx, paths, interval, func() {
+			select {
+			case calls <- struct{}{}:
+			default: // a call is already pending; tests ask "at least one?"
+			}
+		})
+	}()
+	t.Cleanup(func() { cancel(); <-done })
+	expectCall(t, calls, "start")
+	return calls
+}
+
+func expectCall(t *testing.T, calls <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-calls:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("fn not called within 5s after %s", what)
+	}
+}
+
+// drain discards the calls already delivered.
+func drain(calls <-chan struct{}) {
+	for {
+		select {
+		case <-calls:
+		default:
+			return
+		}
+	}
+}
+
+// writeAged writes content to path and backdates its mtime by age.
+func writeAged(t *testing.T, path, content string, age time.Duration) time.Time {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mt := time.Now().Add(-age)
+	if err := os.Chtimes(path, mt, mt); err != nil {
+		t.Fatal(err)
+	}
+	return mt
+}
+
+// TestWatchSettleWindowRewrite: a rewrite that keeps both mtime and
+// size — what a same-second save looks like on a coarse-granularity
+// filesystem — still calls fn while the mtime is inside the settle
+// window.
+func TestWatchSettleWindowRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "map")
+	mt := writeAged(t, path, "a b\n", 0)
+	calls := startWatch(t, []string{path}, 20*time.Millisecond)
+	drain(calls)
+	if err := os.WriteFile(path, []byte("c d\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, mt, mt); err != nil {
+		t.Fatal(err)
+	}
+	expectCall(t, calls, "same-mtime same-size rewrite")
+}
+
+// TestWatchQuietOutsideSettle: an untouched file whose mtime is older
+// than the settle window never calls fn after the initial call — no
+// re-read churn on a quiet map.
+func TestWatchQuietOutsideSettle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "map")
+	writeAged(t, path, "a b\n", time.Minute)
+	calls := startWatch(t, []string{path}, 10*time.Millisecond)
+	select {
+	case <-calls:
+		t.Fatal("fn called for an unchanged, settled file")
+	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// TestWatchStatChange: a size change is seen even when the mtime is old.
+func TestWatchStatChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "map")
+	writeAged(t, path, "a b\n", time.Minute)
+	calls := startWatch(t, []string{path}, 10*time.Millisecond)
+	writeAged(t, path, "a b\nc d\n", time.Minute)
+	expectCall(t, calls, "size change")
+}
+
+// TestWatchVanishedFile: a removed file calls fn, so the caller can
+// report it.
+func TestWatchVanishedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "map")
+	writeAged(t, path, "a b\n", time.Minute)
+	calls := startWatch(t, []string{path}, 10*time.Millisecond)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	expectCall(t, calls, "remove")
+}
+
+// TestWatchRenameReplaceBeatsPoll: with file events, a rename-replace
+// calls fn long before the (hour-long) poll interval would.
+func TestWatchRenameReplaceBeatsPoll(t *testing.T) {
+	if !supported() {
+		t.Skip("no event backend in this build (poll fallback)")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "map")
+	writeAged(t, path, "a b\n", time.Minute)
+	calls := startWatch(t, []string{path}, time.Hour)
+	tmp := filepath.Join(dir, ".map.tmp")
+	if err := os.WriteFile(tmp, []byte("a b\nc d\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	expectCall(t, calls, "rename-replace")
 }

@@ -63,7 +63,7 @@ func readLoop(f *os.File, byWd map[int32]map[string]bool, kicks chan struct{}) {
 	for {
 		n, err := f.Read(buf)
 		if err != nil {
-			return // closed (or the kernel gave up); the poll still runs
+			return // closed (or the kernel gave up); Watch's poll still runs
 		}
 		if relevant(buf[:n], byWd) {
 			select {
@@ -77,7 +77,7 @@ func readLoop(f *os.File, byWd map[int32]map[string]bool, kicks chan struct{}) {
 // relevant reports whether any event in the batch plausibly concerns a
 // watched file. Anything ambiguous — queue overflow, an unknown watch
 // descriptor, a nameless event — counts as relevant: a spurious kick
-// costs one cheap changed() probe, a missed one costs a poll interval.
+// costs one cheap restat in Watch, a missed one costs a poll interval.
 func relevant(buf []byte, byWd map[int32]map[string]bool) bool {
 	for off := 0; off+syscall.SizeofInotifyEvent <= len(buf); {
 		ev := (*syscall.InotifyEvent)(unsafe.Pointer(&buf[off]))

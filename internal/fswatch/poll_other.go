@@ -2,7 +2,7 @@
 
 package fswatch
 
-// No kernel facility on this build: New reports ErrUnsupported and the
-// caller's poll ticker remains the only change detector.
+// No kernel facility on this build: New reports ErrUnsupported and
+// Watch's poll ticker remains the only change detector.
 
 func newPlatform(paths []string) (*Watcher, error) { return nil, ErrUnsupported }

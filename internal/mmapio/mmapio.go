@@ -1,17 +1,20 @@
-// Package mmapio maps files read-only into memory so the zero-copy
-// scanner can work directly on page-cache-backed bytes: no per-file copy
-// on load, and the OS shares the cache across processes (several routed
-// instances serving the same map files touch one physical copy).
+// Package mmapio maps files read-only into memory. It backs the
+// compiled route database (internal/rdb) and nothing else: an rdb image
+// is served straight off its page-cache pages, so a restart answers in
+// milliseconds without reading the file, and several routed processes
+// serving one image share a single physical copy.
+//
+// A mapping faults (SIGBUS) if the file is truncated under it, so a
+// mapped file must only ever be replaced by rename, never rewritten in
+// place. Map sources, which editors do rewrite in place, are read into
+// the heap instead (core.ReadInputs).
 //
 // On platforms without mmap support — or whenever the mapping fails —
 // Open falls back to an ordinary read, so callers never need a second
 // code path. Close is safe to call exactly once per Open.
 package mmapio
 
-import (
-	"os"
-	"unsafe"
-)
+import "os"
 
 // File is one opened input: its bytes and the release hook.
 type File struct {
@@ -21,8 +24,7 @@ type File struct {
 
 // Open returns the file's contents, memory-mapped when the platform
 // allows, read into memory otherwise. The returned File's Close must be
-// called when the bytes are no longer referenced anywhere — including
-// by substrings handed to a zero-copy scanner.
+// called when the bytes are no longer referenced anywhere.
 func Open(path string) (*File, error) {
 	if f, err := openMmap(path); err == nil {
 		return f, nil
@@ -32,16 +34,6 @@ func Open(path string) (*File, error) {
 		return nil, err
 	}
 	return &File{Data: data}, nil
-}
-
-// String returns the contents as a string without copying. The string
-// aliases the mapping: it — and every substring cut from it — must not
-// be used after Close.
-func (f *File) String() string {
-	if len(f.Data) == 0 {
-		return ""
-	}
-	return unsafe.String(&f.Data[0], len(f.Data))
 }
 
 // Close releases the mapping (a no-op for the fallback path).

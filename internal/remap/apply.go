@@ -97,12 +97,11 @@ type journal struct {
 
 // fileState is one current input and its journal.
 type fileState struct {
-	id      int32 // stable id; eng.posOf[id] is its current input position
-	name    string
-	hash    uint64
-	frag    *parser.Fragment
-	release func()
-	j       journal
+	id   int32 // stable id; eng.posOf[id] is its current input position
+	name string
+	hash uint64
+	frag *parser.Fragment
+	j    journal
 
 	// Scope sensitivity, computed once per fragment: private bindings
 	// are positional within a file, so an edited file that declares (or

@@ -75,25 +75,13 @@ type Options struct {
 	MaxVantages int
 }
 
-// Input is one named map source. Update takes ownership of every input
-// it is given, success or error: Release, if non-nil, is called by the
-// engine when it no longer holds Src (superseded, removed, never
-// cached, or cached and later dropped) — the hook that lets mmap-backed
-// sources unmap safely. Callers must not call Release themselves after
-// passing an input to Update.
-//
-// Sources backed by shared mappings must be updated by rename (write a
-// new file, rename over), not by in-place truncate-and-rewrite: the
-// engine's cached fragments alias Src until the content is superseded.
-// A polling watcher that re-opens and re-hashes the files each round
-// (routed -map, pathalias -watch) converges after any in-place edit,
-// but can read torn content in the window where the file is mutated
-// mid-hash.
-type Input struct {
-	Name    string
-	Src     string
-	Release func()
-}
+// Input is one named map source. The engine's cached fragments keep
+// substrings of Src until the content is superseded, so Src must be an
+// ordinary immutable string (core.ReadInputs reads files into the heap
+// for exactly this reason). A watcher that re-reads the files on every
+// possible change (routed -map, pathalias -watch) can read torn content
+// while an in-place save is half written; the next read converges.
+type Input = parser.Input
 
 // Result is one update's complete output for one vantage.
 type Result struct {
@@ -319,16 +307,6 @@ func (e *Engine) foldName(s string) string {
 // Result returns the last successful update's result (nil before one).
 func (e *Engine) Result() *Result { return e.van.last }
 
-// Close releases every cached source (mmap holds etc).
-func (e *Engine) Close() {
-	for _, f := range e.files {
-		if f.release != nil {
-			f.release()
-			f.release = nil
-		}
-	}
-}
-
 // Update brings the engine to the given input set and recomputes routes,
 // incrementally when it can. On error (parse errors, missing local host)
 // the previous Result keeps serving and the engine stays consistent.
@@ -348,7 +326,7 @@ func (e *Engine) Update(inputs []Input) (*Result, error) {
 
 // sync brings the shared pipeline state — fragment cache, journaled
 // graph, CSR snapshot, warnings, change history — to the given input
-// set, without mapping any vantage. It owns the inputs (see Input).
+// set, without mapping any vantage.
 func (e *Engine) sync(inputs []Input) error {
 	if len(inputs) == 0 {
 		return fmt.Errorf("remap: no inputs")
@@ -372,7 +350,7 @@ func (e *Engine) sync(inputs []Input) error {
 			dupNames = true
 		}
 		seen[in.Name] = true
-		h := parser.HashInput(parser.Input{Name: in.Name, Src: in.Src})
+		h := parser.HashInput(in)
 		slots[i] = slot{in: in, hash: h}
 		if old := e.byName[in.Name]; old != nil && old.hash == h {
 			slots[i].reuse = old
@@ -394,11 +372,6 @@ func (e *Engine) sync(inputs []Input) error {
 			}
 		}
 		if same {
-			for _, s := range slots {
-				if s.in.Release != nil {
-					s.in.Release()
-				}
-			}
 			e.Stats.Unchanged++
 			return nil
 		}
@@ -421,16 +394,14 @@ func (e *Engine) sync(inputs []Input) error {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				slots[i].frag = parser.ScanFragment(e.popts, parser.Input{
-					Name: slots[i].in.Name, Src: slots[i].in.Src})
+				slots[i].frag = parser.ScanFragment(e.popts, slots[i].in)
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := range slots {
 			if slots[i].reuse == nil {
-				slots[i].frag = parser.ScanFragment(e.popts, parser.Input{
-					Name: slots[i].in.Name, Src: slots[i].in.Src})
+				slots[i].frag = parser.ScanFragment(e.popts, slots[i].in)
 			}
 		}
 	}
@@ -463,11 +434,6 @@ func (e *Engine) sync(inputs []Input) error {
 			e.timing.Nodes = e.plain.g.Len()
 			e.timing.NodesTouched = e.timing.Nodes
 		}
-		for i := range slots {
-			if slots[i].in.Release != nil {
-				slots[i].in.Release()
-			}
-		}
 		return err
 	}
 
@@ -496,17 +462,13 @@ func (e *Engine) sync(inputs []Input) error {
 	for i, s := range slots {
 		if s.reuse != nil {
 			newStates[i] = s.reuse
-			if s.in.Release != nil {
-				s.in.Release() // identical bytes already cached
-			}
 			continue
 		}
 		newStates[i] = &fileState{
-			id:      e.nextFileID,
-			name:    s.in.Name,
-			hash:    s.hash,
-			frag:    s.frag,
-			release: s.in.Release,
+			id:   e.nextFileID,
+			name: s.in.Name,
+			hash: s.hash,
+			frag: s.frag,
 		}
 		e.nextFileID++
 		newStates[i].scanScopeOps()
@@ -645,18 +607,6 @@ func (e *Engine) eventsSince(jgen uint64) (structural, grown bool, edges []edgeE
 // machine (graphGen) and the retained change history.
 func (e *Engine) rebuildAll(states []*fileState) {
 	e.Stats.Rebuilds++
-	// Release files that are no longer present.
-	current := make(map[*fileState]bool, len(states))
-	for _, f := range states {
-		current[f] = true
-	}
-	for _, f := range e.files {
-		if !current[f] && f.release != nil {
-			f.release()
-			f.release = nil
-		}
-	}
-
 	g := graph.New()
 	g.SetFoldCase(e.opts.FoldCase)
 	total := 0
@@ -742,10 +692,6 @@ func (e *Engine) syncIncremental(states []*fileState) {
 		f := e.files[i]
 		if !current[f] && e.byName[f.name] == f && !inStates(states, f.name) {
 			e.undo(f)
-			if f.release != nil {
-				f.release()
-				f.release = nil
-			}
 			delete(e.byName, f.name)
 		}
 	}
@@ -770,16 +716,12 @@ func (e *Engine) syncIncremental(states []*fileState) {
 				// id, which the prefix's declaration records carry) and
 				// replay only the appended tail. The journal holds no
 				// references into the old source text (names are interned,
-				// pending/private strings cloned), so the old input
-				// releases as usual.
+				// pending/private strings cloned), so the old text is
+				// dropped as usual.
 				e.posOf[old.id] = e.posOf[f.id]
 				f.id = old.id
 				f.j = old.j
 				old.j = journal{}
-				if old.release != nil {
-					old.release()
-					old.release = nil
-				}
 				e.applyFrom(f, f.frag, ps, pp)
 				e.byName[f.name] = f
 				e.Stats.TailApplies++
@@ -788,19 +730,11 @@ func (e *Engine) syncIncremental(states []*fileState) {
 		}
 		if old != nil && (old.hasPrivate || f.hasPrivate) {
 			e.undo(old)
-			if old.release != nil {
-				old.release()
-				old.release = nil
-			}
 			old = nil
 		}
 		e.apply(f, f.frag)
 		if old != nil {
 			e.undo(old)
-			if old.release != nil {
-				old.release()
-				old.release = nil
-			}
 		}
 		e.byName[f.name] = f
 	}

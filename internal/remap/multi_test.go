@@ -83,7 +83,6 @@ func TestMultiEveryVantagePaperMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	inputs := []Input{{Name: "paper1981.map", Src: src}}
 	if err := m.Update(inputs); err != nil {
 		t.Fatal(err)
@@ -143,7 +142,6 @@ func TestMultiRandomizedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer m.Close()
 			vantages := []string{local, "host0", "host1", "host7"}
 
 			inputs := toInputs(pins)
@@ -198,7 +196,6 @@ func TestMultiLazyCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 
 	inputs := toInputs(pins)
 	if err := m.Update(inputs); err != nil {
@@ -233,7 +230,6 @@ func TestMultiPlainMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	base := []Input{{Name: "m", Src: "a\tb(10)\nb\tc(10)\n"}}
 	if err := m.Update(base); err != nil {
 		t.Fatal(err)
@@ -268,7 +264,6 @@ func TestMultiEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	inputs := toInputs(pins)
 	if err := m.Update(inputs); err != nil {
 		t.Fatal(err)

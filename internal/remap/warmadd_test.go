@@ -93,7 +93,6 @@ func TestMultiHostAddWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	vantages := []string{local, "host0", "host3"}
 
 	inputs := toInputs(pins)

@@ -74,23 +74,15 @@ func (e *MultiEngine) Update(inputs ...Input) error {
 	return e.eng.Update(rins)
 }
 
-// UpdateFiles loads the named files (memory-mapped where the platform
-// allows — the engine holds each mapping until that file's content is
-// superseded) and updates from them. Watched files should be updated by
-// rename, not rewritten in place (see remap.Input).
+// UpdateFiles reads the named files into memory and updates from them.
+// Files may be saved in place or replaced by rename (see
+// Engine.UpdateFiles).
 func (e *MultiEngine) UpdateFiles(paths ...string) error {
-	ins, err := core.ReadInputsMmap(paths)
+	ins, err := core.ReadInputs(paths)
 	if err != nil {
 		return err
 	}
-	rins := make([]remap.Input, len(ins))
-	for i, in := range ins {
-		rins[i] = remap.Input{Name: in.Name, Src: in.Src, Release: in.Release}
-	}
-	// Update owns the inputs from here, success or error: it may have
-	// cached some of them even when it fails, so releasing here would
-	// leave cached fragments dangling.
-	return e.eng.Update(rins)
+	return e.eng.Update(ins)
 }
 
 // ResultFrom returns the routes originating at the given vantage host,
@@ -200,6 +192,3 @@ func (e *MultiEngine) Vantages() []string { return e.eng.Vantages() }
 // Stats returns engine activity counters. Incremental and FullRemaps
 // count per-vantage mapping runs.
 func (e *MultiEngine) Stats() EngineStats { return EngineStats(e.eng.Stats()) }
-
-// Close releases cached sources (memory mappings from UpdateFiles).
-func (e *MultiEngine) Close() { e.eng.Close() }

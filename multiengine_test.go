@@ -23,7 +23,6 @@ func TestMultiEngineMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 
 	vantages := []string{"unc", "duke", "ucbvax", "mit-ai", "phs"}
 	check := func(label, text string) {
@@ -87,7 +86,6 @@ func TestMultiEngineResolvePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	if err := eng.Update(Input{Name: "m.map", Text: multiTestMap}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,6 @@ func TestMultiEngineNoDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	if err := eng.Update(Input{Name: "m.map", Text: multiTestMap}); err != nil {
 		t.Fatal(err)
 	}
