@@ -308,7 +308,7 @@ func (w *mapWatcher) remap() error {
 	wall := time.Since(start)
 	w.d.logf("mapped %d routes from %d files (+%d vantage stores, %d unchanged; %d warm/%d full re-maps) in %v",
 		routes, len(w.paths), swapped, skipped, warm, full, wall.Round(time.Millisecond))
-	w.recordTrace(start, wall, readDur, storeDur, pubDur, published, warm, full, routes)
+	w.recordTrace(start, wall, readDur, storeDur, pubDur, published, warm, full, routes, skipped)
 	return defErr
 }
 
@@ -318,7 +318,7 @@ func (w *mapWatcher) remap() error {
 // named stages do not account for — scheduling, logging, bookkeeping —
 // is closed out as an explicit "other" stage, so the stages always sum
 // to the generation's wall time.
-func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDur time.Duration, published bool, warm, full, routes int) {
+func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDur time.Duration, published bool, warm, full, routes, storesUnchanged int) {
 	if w.d.traces == nil {
 		return
 	}
@@ -341,19 +341,21 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDu
 		stages = append(stages, obs.Stage{Name: "other", Dur: other})
 	}
 	tr := &obs.Trace{
-		Gen:          w.eng.Generation(),
-		Start:        start,
-		Wall:         wall,
-		Path:         timing.Path,
-		Warm:         warm,
-		Full:         full,
-		Nodes:        timing.Nodes,
-		NodesTouched: timing.NodesTouched,
-		LinksTouched: timing.LinksTouched,
-		Rescanned:    timing.Rescanned,
-		Routes:       routes,
-		Published:    published,
-		Stages:       stages,
+		Gen:             w.eng.Generation(),
+		Start:           start,
+		Wall:            wall,
+		Path:            timing.Path,
+		Warm:            warm,
+		Full:            full,
+		Nodes:           timing.Nodes,
+		NodesTouched:    timing.NodesTouched,
+		LinksTouched:    timing.LinksTouched,
+		Rescanned:       timing.Rescanned,
+		Routes:          routes,
+		Published:       published,
+		LabelsChanged:   timing.LabelsChanged,
+		StoresUnchanged: storesUnchanged,
+		Stages:          stages,
 	}
 	w.d.traces.Add(tr)
 	w.d.log.Debug("remap trace", "trace", tr.Line())

@@ -8,6 +8,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -300,6 +301,12 @@ func TestTraceLifecycle(t *testing.T) {
 	// The constructor's initial map is generation 1.
 	checkTrace(d.traces.Last(), 1)
 
+	// A resident from= vantage whose routes the edit below leaves alone:
+	// ucbvax reaches unc through duke and never uses unc's own links.
+	if _, err := w.storeFor("ucbvax"); err != nil {
+		t.Fatal(err)
+	}
+
 	// A route-changing edit records generation 2.
 	edited := strings.Replace(testMapSrc, "unc\tduke(HOURLY)", "unc\tduke(WEEKLY*10)", 1)
 	if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
@@ -312,6 +319,12 @@ func TestTraceLifecycle(t *testing.T) {
 	checkTrace(tr, 2)
 	if tr.Seq != 2 {
 		t.Errorf("second trace seq = %d, want 2", tr.Seq)
+	}
+	// The trace says how large the re-map was: the default vantage's
+	// labels moved, the ucbvax store was kept.
+	if tr.LabelsChanged == 0 || tr.StoresUnchanged != 1 {
+		t.Errorf("trace labels_changed=%d stores_unchanged=%d, want >0 and 1",
+			tr.LabelsChanged, tr.StoresUnchanged)
 	}
 
 	// Re-mapping unchanged inputs is a no-op: no new trace.
@@ -327,7 +340,8 @@ func TestTraceLifecycle(t *testing.T) {
 	if closing || !strings.HasPrefix(reply, "ok gen=2 ") {
 		t.Errorf("trace command = %q, %v", reply, closing)
 	}
-	for _, field := range []string{"path=", "wall=", "scan=", "routes="} {
+	for _, field := range []string{"path=", "wall=", "scan=", "routes=",
+		fmt.Sprintf("labels_changed=%d", tr.LabelsChanged), "stores_unchanged=1"} {
 		if !strings.Contains(reply, field) {
 			t.Errorf("trace line %q missing %q", reply, field)
 		}
@@ -345,8 +359,9 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got.Gen != 2 || len(got.Stages) == 0 {
-		t.Errorf("/lastmap = gen %d, %d stages; want gen 2 with stages", got.Gen, len(got.Stages))
+	if got.Gen != 2 || len(got.Stages) == 0 || got.LabelsChanged != tr.LabelsChanged || got.StoresUnchanged != 1 {
+		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d; want gen 2 with stages, %d, 1",
+			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, tr.LabelsChanged)
 	}
 	resp, err = srv.Client().Get(srv.URL + "/lastmap?n=5")
 	if err != nil {

@@ -8,10 +8,12 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"pathalias"
+	"pathalias/internal/core"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
@@ -122,6 +125,124 @@ func TestMapPublishesImage(t *testing.T) {
 	if e, ok := db.Lookup("duke"); !ok || e.Route != "phs!duke!%s" {
 		t.Errorf("published image serves duke = %+v, %v", e, ok)
 	}
+}
+
+// TestMapRouteNeutralEditKeepsStores: an effective edit that moves none
+// of the resident vantages' routes rebuilds no store and rewrites no
+// image, although every warm re-map sweeps and re-invents the invented
+// back links the map's passive hosts need.
+func TestMapRouteNeutralEditKeepsStores(t *testing.T) {
+	dir := t.TempDir()
+	pins, local := mapgen.Generate(mapgen.Small())
+	const from = "host7"
+	var paths []string
+	for _, in := range pins {
+		p := filepath.Join(dir, in.Name)
+		if err := os.WriteFile(p, []byte(in.Src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	file, edited := routeNeutralEdit(t, pins, []string{local, from})
+
+	odb := filepath.Join(dir, "routes.rdb")
+	d := newMapDaemon(routedb.Options{}, io.Discard)
+	w, err := newMapWatcher(d, local, 8, paths, odb, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.storeFor(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defDB, fromDB := d.store.DB(), st.DB()
+	before, err := os.Stat(odb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := d.traces.Last().Gen
+
+	if err := os.WriteFile(paths[file], []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.remap(); err != nil {
+		t.Fatal(err)
+	}
+	if tr := d.traces.Last(); tr.Gen == gen || tr.Warm != 2 || tr.Full != 0 {
+		t.Fatalf("edit left trace gen %d (was %d), %d warm/%d full re-maps; want a new generation, 2 warm",
+			tr.Gen, gen, tr.Warm, tr.Full)
+	}
+	if d.store.DB() != defDB || st.DB() != fromDB {
+		t.Error("a store was rebuilt although its vantage's routes did not move")
+	}
+	after, err := os.Stat(odb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Error("the image was rewritten although the default vantage's routes did not move")
+	}
+
+	srv := httptest.NewServer(d.handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/lastmap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tr struct {
+		Published       bool `json:"published"`
+		StoresUnchanged int  `json:"stores_unchanged"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Published || tr.StoresUnchanged != 2 {
+		t.Errorf("/lastmap published=%v stores_unchanged=%d; want false, 2", tr.Published, tr.StoresUnchanged)
+	}
+}
+
+// routeNeutralEdit finds one link cost to raise (HOURLY to WEEKLY) so
+// that batch runs from every vantage print byte-identical routes before
+// and after, and returns the edited file's index and new text. The map
+// must need back links from each vantage, or the edit would not
+// exercise their sweep.
+func routeNeutralEdit(t *testing.T, pins []parser.Input, vantages []string) (int, string) {
+	t.Helper()
+	routes := func(in []parser.Input) string {
+		var sb strings.Builder
+		for _, h := range vantages {
+			rep, err := core.Run(core.Config{Inputs: in, LocalHost: h})
+			if err != nil {
+				t.Fatalf("batch run from %s: %v", h, err)
+			}
+			if rep.MapResult.BackLinked == 0 {
+				t.Fatalf("batch run from %s reaches no host through a back link", h)
+			}
+			for _, e := range rep.Entries {
+				fmt.Fprintf(&sb, "%d\t%s\t%s\n", int64(e.Cost), e.Host, e.Route)
+			}
+		}
+		return sb.String()
+	}
+	want := routes(pins)
+	for i, in := range pins {
+		for off := 0; ; {
+			k := strings.Index(in.Src[off:], "(HOURLY)")
+			if k < 0 {
+				break
+			}
+			off += k + 1
+			src := in.Src[:off] + "WEEKLY" + in.Src[off+len("HOURLY"):]
+			edited := append([]parser.Input(nil), pins...)
+			edited[i].Src = src
+			if routes(edited) == want {
+				return i, src
+			}
+		}
+	}
+	t.Fatal("no route-neutral cost edit found")
+	return 0, ""
 }
 
 // TestMapWarmStart: with a published image on disk, a restarting daemon

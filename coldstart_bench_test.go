@@ -12,8 +12,10 @@ package pathalias
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -182,8 +184,8 @@ func TestColdStartEquivalence(t *testing.T) {
 // performs exactly what routed's reload does — text: read the file,
 // stat it, fingerprint the content for the watcher, parse, index,
 // look up; binary: stat, read the footer checksum, open (mmap +
-// checksum + validate), look up. Medians over several rounds keep
-// scheduler noise out; the real ratio is recorded in BENCH_map.json.
+// checksum + validate), look up. The real ratio is recorded in
+// BENCH_map.json.
 func TestColdStartSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock assertion")
@@ -192,22 +194,7 @@ func TestColdStartSpeedup(t *testing.T) {
 	textPath := coldStartTextFile(t)
 	rdbPath := coldStartFile(t)
 
-	timeIt := func(rounds int, f func()) time.Duration {
-		ds := make([]time.Duration, rounds)
-		for i := range ds {
-			start := time.Now()
-			f()
-			ds[i] = time.Since(start)
-		}
-		for i := range ds { // insertion sort; rounds is tiny
-			for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
-			}
-		}
-		return ds[len(ds)/2]
-	}
-
-	textTime := timeIt(3, func() {
+	textStart := func() {
 		data, err := os.ReadFile(textPath)
 		if err != nil {
 			t.Fatal(err)
@@ -225,8 +212,8 @@ func TestColdStartSpeedup(t *testing.T) {
 		if _, ok := db.Lookup(probe); !ok {
 			t.Fatal("probe host missing")
 		}
-	})
-	rdbTime := timeIt(5, func() {
+	}
+	rdbStart := func() {
 		if _, err := os.Stat(rdbPath); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +228,26 @@ func TestColdStartSpeedup(t *testing.T) {
 			t.Fatal("probe host missing")
 		}
 		db.Close()
-	})
+	}
+	// Interleaved rounds, so a burst of machine noise lands on both
+	// sides; each side's minimum is its least-disturbed run. Every start
+	// begins from a collected heap, so neither pays for the garbage the
+	// other left behind, and both run on one P: otherwise the text
+	// side's concurrent GC is free or not depending on whether another
+	// core happens to be idle, and the ratio swings with the machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 7
+	timeIt := func(start func()) time.Duration {
+		runtime.GC()
+		mark := time.Now()
+		start()
+		return time.Since(mark)
+	}
+	textTime, rdbTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < rounds; i++ {
+		textTime = min(textTime, timeIt(textStart))
+		rdbTime = min(rdbTime, timeIt(rdbStart))
+	}
 
 	ratio := float64(textTime) / float64(rdbTime)
 	t.Logf("cold start: text %v, rdb %v (%.1fx)", textTime, rdbTime, ratio)

@@ -3,6 +3,7 @@ package graph
 import (
 	"slices"
 	"strings"
+	"sync"
 
 	"pathalias/internal/cost"
 )
@@ -53,6 +54,11 @@ type Snapshot struct {
 	gateways map[int32][]int32 // node ID -> declared gateway IDs
 	gwEpoch  uint64            // graph gateway-set version the map was built at
 	extra    map[int32][]SpillEdge
+
+	// Reverse adjacency, built on first use by Reverse.
+	revOnce sync.Once
+	revRow  []int32
+	revFrom []int32
 }
 
 // SpillEdge is an edge added after the CSR arrays were built (a back link).
@@ -239,6 +245,42 @@ func (s *Snapshot) Extra(u int32) []SpillEdge {
 		return nil
 	}
 	return s.extra[u]
+}
+
+// Reverse returns the reverse CSR adjacency: the in-neighbors of node v
+// are from[row[v]:row[v+1]], in ascending node-ID order. Spill edges are
+// not included. Only warm mapping runs need it, so it is built on the
+// first call — once per snapshot, however many machines map over it —
+// and shared read-only afterwards; safe for concurrent use.
+func (s *Snapshot) Reverse() (row, from []int32) {
+	s.revOnce.Do(s.buildReverse)
+	return s.revRow, s.revFrom
+}
+
+// buildReverse derives the reverse adjacency by counting sort over the
+// edge targets, reusing the buffers of a recycled snapshot.
+func (s *Snapshot) buildReverse() {
+	n := len(s.Row) - 1
+	row := resize(s.revRow, n+1)
+	clear(row)
+	for _, v := range s.To {
+		row[v+1]++
+	}
+	for i := 1; i <= n; i++ {
+		row[i] += row[i-1]
+	}
+	from := resize(s.revFrom, len(s.To))
+	// row[v] is v's window start; use it as v's fill cursor, which
+	// leaves it at the next window's start, then shift back.
+	for u := 0; u < n; u++ {
+		for e := s.Row[u]; e < s.Row[u+1]; e++ {
+			from[row[s.To[e]]] = int32(u)
+			row[s.To[e]]++
+		}
+	}
+	copy(row[1:], row[:n])
+	row[0] = 0
+	s.revRow, s.revFrom = row, from
 }
 
 // IsGateway reports whether host is a declared gateway of net, by ID.

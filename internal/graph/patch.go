@@ -9,7 +9,11 @@ package graph
 // SnapshotPatched then rebuilds it cheaply by reusing the previous
 // snapshot's rows for nodes whose adjacency did not change.
 
-import "pathalias/internal/cost"
+import (
+	"sync"
+
+	"pathalias/internal/cost"
+)
 
 // RemoveLink physically removes l from its From node's adjacency list
 // and, for dedup-indexed links (ordinary declarations and invented back
@@ -247,6 +251,7 @@ func (g *Graph) SnapshotPatched(old *Snapshot, touched []bool) *Snapshot {
 		s = &Snapshot{}
 	}
 	s.Nodes = nodes
+	s.revOnce = sync.Once{} // the reverse buffers are reused on demand
 	s.Row = resize(s.Row, n+1)
 	s.NodeFlags = resize(s.NodeFlags, n)
 	s.Adjust = resize(s.Adjust, n)

@@ -9,20 +9,43 @@ package mapper
 // changed:
 //
 //	snap := g.SnapshotPatched(old, touched)   // or g.Snapshot()
+//	mc.UseSnapshot(snap)
 //	mc.BeginWarm()
+//	mc.SweepInvented()                        // the previous run's back links
 //	mc.InvalidateSubtree(v)                   // per worsened/removed path
 //	mc.Seed(u)                                // per possible improvement source
 //	res, changed := mc.FinishWarm()
 //
 // InvalidateSubtree resets every label in the current tree below a node
-// (inclusive) to unmapped; Seed re-queues an untouched mapped label so
-// its out-edges are re-relaxed. FinishWarm drains the queue under the
-// confluent acceptance rule (see machine.better), re-runs the back-link
-// pass, and publishes results. Because the acceptance order is a total
-// order — (cost, hops, parent extraction key) — the final labeling is
-// the unique relaxation fixpoint, so a warm run that invalidates enough
-// (every label whose final value differs must be invalidated or
-// improvable) lands on exactly the labels a full run would compute.
+// (inclusive) to unmapped and re-queues each reset node's mapped
+// in-neighbors, found through the snapshot's reverse adjacency
+// (graph.Snapshot.Reverse: built at most once per snapshot, on the
+// first warm run over it, and shared read-only by every machine); Seed
+// re-queues an untouched mapped label so its out-edges are re-relaxed.
+// FinishWarm drains the queue under the confluent acceptance rule (see
+// machine.better), re-runs the back-link pass, and publishes results.
+// Because the acceptance order is a total order — (cost, hops, parent
+// extraction key) — the final labeling is the unique relaxation
+// fixpoint, so a warm run that invalidates enough (every label whose
+// final value differs must be invalidated or improvable) lands on
+// exactly the labels a full run would compute.
+//
+// A warm run's cost follows what changed, not the size of the graph.
+// The back-link pass walks only its candidates — nodes without a mapped
+// label when the previous run ended, nodes whose labels changed in this
+// one, and appended nodes — in node-ID order, which finds exactly the
+// hosts a full scan would. FinishWarm reports a label as changed only
+// if its value differs from the one it had when the run began, with
+// tree edges compared by (From, To, Cost, Op, Flags), not by pointer:
+// the sweep re-invents most of the previous run's back links as fresh
+// *graph.Link values (and a re-applied network declaration re-creates
+// its member edges), which leaves those paths as they were. The tree's
+// child lists are kept exact through the run, one O(1) relink per
+// parent change, instead of being rebuilt from every label at its end.
+// That also lets a label whose value got worse by re-derivation reset
+// the subtree below it at once: left standing, a stale descendant could
+// hand the old, better value back up its own path and close a parent
+// cycle.
 //
 // Warm runs do not support SecondBest (two labels per node) — the engine
 // falls back to FullRun for that mode. The graph's node set may GROW
@@ -41,16 +64,22 @@ import (
 )
 
 // Machine wraps the run state that Run builds afresh per call into a
-// reusable object. Not safe for concurrent use.
+// reusable object. It treats the graph and its snapshot as read-only
+// shared state, so any number of machines — one per vantage point — can
+// map the same graph, concurrently if the caller guarantees no graph
+// mutation while runs are in flight: a Machine never calls
+// ResetMapping, never writes Node.M or LTree marks, and invents back
+// links into a private overlay instead of the graph. Not safe for
+// concurrent use.
 type Machine struct {
 	mach     machine
 	g        *graph.Graph
 	sourceID int32
 	ran      bool
 
-	// extSnap is the snapshot a detached machine runs over, supplied by
-	// the engine through UseSnapshot (a detached machine never builds or
-	// memoizes snapshots itself — the graph is shared).
+	// extSnap is the snapshot the machine runs over, supplied by the
+	// engine through UseSnapshot (the machine never builds or memoizes
+	// snapshots itself — the graph is shared).
 	extSnap *graph.Snapshot
 }
 
@@ -69,35 +98,23 @@ type LabelView struct {
 	InDomain bool
 }
 
-// NewMachine returns a machine for g. The label array is sized on the
-// first run.
-func NewMachine(g *graph.Graph, opts Options) *Machine {
-	return &Machine{g: g, mach: machine{g: g, opts: opts, persistWB: true, wbGrownFrom: -1},
-		sourceID: -1}
-}
-
-// NewDetachedMachine returns a machine that treats g and its snapshot as
-// read-only shared state, so any number of detached machines — one per
-// vantage point — can map the same graph, concurrently if the caller
-// guarantees no graph mutation while runs are in flight. A detached
-// machine never calls ResetMapping, never writes Node.M or LTree marks,
-// and invents back links into a private overlay instead of the graph;
-// the caller must supply the current snapshot through UseSnapshot before
-// every run.
+// NewDetachedMachine returns a machine over g. The label array is sized
+// on the first run; the caller must supply the current snapshot through
+// UseSnapshot before every run.
 func NewDetachedMachine(g *graph.Graph, opts Options) *Machine {
 	mc := &Machine{g: g, mach: machine{g: g, opts: opts, detached: true,
-		persistWB: true, wbGrownFrom: -1}, sourceID: -1}
+		wbGrownFrom: -1}, sourceID: -1}
 	mc.mach.overlay = make(map[int32][]graph.SpillEdge)
 	mc.mach.overlayIdx = make(map[uint64]*graph.Link)
 	return mc
 }
 
-// UseSnapshot hands a detached machine the graph's current CSR snapshot.
-// It must be called before FullRun or BeginWarm, every time the graph
-// may have changed since the previous run.
+// UseSnapshot hands the machine the graph's current CSR snapshot. It
+// must be called before FullRun or BeginWarm, every time the graph may
+// have changed since the previous run.
 func (mc *Machine) UseSnapshot(s *graph.Snapshot) { mc.extSnap = s }
 
-// UseEdits gives a detached machine a what-if overlay of link edits
+// UseEdits gives the machine a what-if overlay of link edits
 // (internal/whatif). The caller is responsible for running the machine
 // against a snapshot patched with the same overlay (UseSnapshot of
 // ov.PatchSnapshot); UseEdits only makes the back-link pass — which
@@ -105,16 +122,12 @@ func (mc *Machine) UseSnapshot(s *graph.Snapshot) { mc.extSnap = s }
 // identical edited view. Pass nil to clear.
 func (mc *Machine) UseEdits(ov *graph.Overlay) { mc.mach.edits = ov }
 
-// snapshot resolves the snapshot for a run: the externally supplied one
-// for detached machines, the graph's memoized one otherwise.
+// snapshot returns the snapshot supplied through UseSnapshot.
 func (mc *Machine) snapshot() *graph.Snapshot {
-	if mc.mach.detached {
-		if mc.extSnap == nil {
-			panic("mapper: detached machine run without UseSnapshot")
-		}
-		return mc.extSnap
+	if mc.extSnap == nil {
+		panic("mapper: machine run without UseSnapshot")
 	}
-	return mc.g.Snapshot()
+	return mc.extSnap
 }
 
 // Options returns the options the machine runs with.
@@ -152,14 +165,10 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	}
 	m := &mc.mach
 	m.warm = false // a warm run abandoned mid-invalidation lands here
-	if !m.detached {
-		mc.g.ResetMapping()
-	} else {
-		// A fresh run starts from declared links only.
-		clear(m.overlay)
-		clear(m.overlayIdx)
-		m.invented = m.invented[:0]
-	}
+	// A fresh run starts from declared links only.
+	clear(m.overlay)
+	clear(m.overlayIdx)
+	m.invented = m.invented[:0]
 	m.snap = mc.snapshot()
 
 	want := 2 * mc.g.Len()
@@ -186,7 +195,7 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	m.push(src)
 	m.drain()
 	if m.opts.BackLinks {
-		m.backLinkPass()
+		m.unmapped = m.backLinkPass(allNodes(m.unmapped, len(m.snap.Nodes)))
 	}
 	m.writeBack()
 	mc.rebuildChildren()
@@ -239,6 +248,14 @@ func (mc *Machine) RebaseGrow() error {
 	if old < want {
 		m.labels = growClear(m.labels, want)
 		m.changedMark = growClear(m.changedMark, want)
+		m.kin = growClear(m.kin, want)
+		if m.opts.BackLinks {
+			// The new nodes have no mapped label yet: back-link
+			// candidates, appended in ID order.
+			for id := int32(old / 2); id < int32(want/2); id++ {
+				m.unmapped = append(m.unmapped, id)
+			}
+		}
 		if m.wbValid {
 			m.wbNodeMark = growClear(m.wbNodeMark, mc.g.Len())
 			m.wbState = growClear(m.wbState, mc.g.Len())
@@ -297,10 +314,16 @@ func (mc *Machine) BeginWarm() error {
 	m.warm = true
 	m.changedEpoch++
 	m.changed = m.changed[:0]
+	m.changedOld = m.changedOld[:0]
 	m.res = &Result{Source: m.snap.Nodes[mc.sourceID]}
 	m.res.NameRank = m.snap.Rank
 	mc.newQueue()
-	m.buildReverse()
+	m.revRow, m.revFrom = m.snap.Reverse()
+	if m.revExtra == nil {
+		m.revExtra = make(map[int32][]int32)
+	} else {
+		clear(m.revExtra)
+	}
 	return nil
 }
 
@@ -330,17 +353,18 @@ func (mc *Machine) Seed(id int32) {
 
 // FinishWarm drains the warm queue, re-runs the back-link pass, and
 // publishes results. It returns the run Result (Tree is nil) and the
-// indices of every label whose value changed — invalidated or rewritten
-// — for the engine's incremental route patching. The returned slice is
-// reused by the next warm run.
+// indices of every label whose value changed — compared with its value
+// when the run began, so a label invalidated and re-derived to the same
+// path is not reported — for the engine's incremental route patching.
+// The returned slice is reused by the next warm run.
 func (mc *Machine) FinishWarm() (*Result, []int32) {
 	m := &mc.mach
 	m.drain()
 	if m.opts.BackLinks {
-		m.backLinkPass()
+		m.unmapped = m.backLinkPass(m.backLinkCandidates())
 	}
+	m.dropUnchanged()
 	m.writeBack()
-	mc.rebuildChildren()
 	m.warm = false
 	return m.res, m.changed
 }
@@ -348,7 +372,7 @@ func (mc *Machine) FinishWarm() (*Result, []int32) {
 // SweepInvented drops the previous run's invented back links from the
 // machine's private overlay and invalidates every label whose path still
 // rides one — a fresh parse starts from declared links only, so a warm
-// run must too. Call between BeginWarm (which builds the reverse
+// run must too. Call between BeginWarm (which fetches the reverse
 // adjacency the invalidation seeds from) and FinishWarm. It returns how
 // many labels were reset and whether the run's source was among them,
 // like InvalidateSubtree.
@@ -393,56 +417,31 @@ func (mc *Machine) Label(li int32) LabelView {
 	}
 }
 
-// Children returns the label indices of li's children in the current
-// shortest-path tree. The slice aliases machine state; callers must not
-// hold it across runs.
-func (mc *Machine) Children(li int32) []int32 { return mc.children(li) }
-
-func (mc *Machine) children(li int32) []int32 {
-	m := &mc.mach
-	if m.childStart == nil {
-		return nil
+// AppendChildren appends the label indices of li's children in the
+// current shortest-path tree to dst and returns the extended slice.
+func (mc *Machine) AppendChildren(dst []int32, li int32) []int32 {
+	k := mc.mach.kin
+	for c := k[li].first; c != 0; c = k[c-1].next {
+		dst = append(dst, c-1)
 	}
-	return m.childList[m.childStart[li]:m.childStart[li+1]]
+	return dst
 }
 
-// rebuildChildren derives the CSR child lists from the label parents.
-// Two counting passes over the label array, no per-node allocation.
+// rebuildChildren derives the child lists from the label parents, one
+// pass over the label array. Walking it backwards and linking at the
+// head leaves every list in ascending label order.
 func (mc *Machine) rebuildChildren() {
 	m := &mc.mach
 	nl := len(m.labels)
-	if cap(m.childStart) >= nl+1 {
-		m.childStart = m.childStart[:nl+1]
-		clear(m.childStart)
+	if cap(m.kin) >= nl {
+		m.kin = m.kin[:nl]
+		clear(m.kin)
 	} else {
-		m.childStart = make([]int32, nl+1)
+		m.kin = make([]kin, nl)
 	}
-	total := int32(0)
-	for i := range m.labels {
-		lb := &m.labels[i]
-		if lb.node != nil && lb.state == graph.Mapped && lb.parent >= 0 {
-			m.childStart[lb.parent+1]++
-			total++
+	for i := nl - 1; i >= 0; i-- {
+		if p := treeParent(&m.labels[i]); p >= 0 {
+			m.linkChild(int32(i), p)
 		}
 	}
-	for i := 1; i <= nl; i++ {
-		m.childStart[i] += m.childStart[i-1]
-	}
-	if cap(m.childList) >= int(total) {
-		m.childList = m.childList[:total]
-	} else {
-		m.childList = make([]int32, total)
-	}
-	// childStart now holds each label's window start; fill and restore.
-	fill := m.childStart
-	for i := range m.labels {
-		lb := &m.labels[i]
-		if lb.node != nil && lb.state == graph.Mapped && lb.parent >= 0 {
-			m.childList[fill[lb.parent]] = int32(i)
-			fill[lb.parent]++
-		}
-	}
-	// fill advanced each start to the next window's start; shift back.
-	copy(m.childStart[1:], m.childStart[:nl])
-	m.childStart[0] = 0
 }

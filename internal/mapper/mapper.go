@@ -92,6 +92,9 @@ type label struct {
 // index returns the label's slot in machine.labels.
 func (lb *label) index() int32 { return lb.id*2 + int32(lb.taint) }
 
+// hasPath reports whether lb holds a path, mapped or queued.
+func (lb *label) hasPath() bool { return lb.node != nil && lb.state != graph.Unmapped }
+
 // Result reports a mapping run.
 type Result struct {
 	Source *graph.Node
@@ -146,7 +149,8 @@ type machine struct {
 
 	// Warm-run bookkeeping (machine.go). warm enables label re-opening
 	// bookkeeping and changed-label tracking; both are inert in one-shot
-	// runs. backlink marks the back-link phase, where BOTH modes run the
+	// runs. Warm runs are Machine runs, so warm implies detached.
+	// backlink marks the back-link phase, where BOTH modes run the
 	// paper's committed-label rule (no re-opening): invented links break
 	// cost monotonicity, so a better late path through a back link CAN
 	// appear — and the production algorithm ignores it. The warm run must
@@ -157,14 +161,25 @@ type machine struct {
 	// sweep them out of the graph before the next update.
 	warm         bool
 	backlink     bool
-	changed      []int32  // label indices whose value changed this warm run
+	changed      []int32  // label indices mutated this warm run; FinishWarm keeps the changed ones
+	changedOld   []label  // changed[i]'s value when the run began, until dropUnchanged filters changed
 	changedMark  []uint32 // per-label epoch stamp backing changed
 	changedEpoch uint32
 	invented     []*graph.Link
 
-	// Detached mode (machine.go): the machine treats the graph and the
-	// snapshot as read-only shared state, so many machines — one per
-	// vantage point — can map the same graph, even concurrently. Mapping
+	// unmapped lists, in ascending order, the nodes left without a
+	// mapped label when the last Machine run ended (plus nodes appended
+	// since): with the changed labels' nodes, every node a warm run's
+	// back-link pass can find unmapped. Maintained with BackLinks only.
+	// cands is the candidate buffer, ping-ponged with unmapped.
+	unmapped []int32
+	cands    []int32
+
+	// Detached mode (every Machine, machine.go): the machine treats the
+	// graph and the snapshot as read-only shared state, so many machines
+	// — one per vantage point — can map the same graph, even
+	// concurrently. Detached machines also persist their write-back
+	// state across runs (see below); one-shot runs do neither. Mapping
 	// state is not written back to Node.M, tree marks are not maintained
 	// on shared *Link values, and invented back links live in a private
 	// overlay (relaxed after the snapshot's own edges) instead of being
@@ -184,14 +199,15 @@ type machine struct {
 	// any other. Detached machines only.
 	edits *graph.Overlay
 
-	// children is the shortest-path tree in CSR child-list form, rebuilt
-	// after every Machine run: the children of label li are
-	// childList[childStart[li]:childStart[li+1]]. One-shot runs skip it.
-	childStart []int32
-	childList  []int32
+	// kin holds the shortest-path tree as intrusive child lists, one
+	// entry per label: rebuilt by a full Machine run, kept exact through
+	// every parent change of a warm one (setLabel, invalidateTree).
+	// One-shot runs skip it.
+	kin []kin
 
-	// Reverse adjacency (by node ID), built per warm run: when a label
-	// is invalidated — before the drain or in its midst — every mapped
+	// Reverse adjacency (by node ID), the snapshot's shared one
+	// (graph.Snapshot.Reverse), fetched per warm run: when a label is
+	// invalidated — before the drain or in its midst — every mapped
 	// in-neighbor is re-queued so the reset label receives all its
 	// offers again. revExtra holds back links invented mid-run.
 	revRow   []int32
@@ -199,7 +215,8 @@ type machine struct {
 	revExtra map[int32][]int32
 	invStack []int32 // scratch for invalidateTree
 
-	// Batched write-back (persistent across Machine runs): each node's
+	// Batched write-back (persistent across Machine runs; one-shot runs
+	// skip the bookkeeping): each node's
 	// result contribution as of the last write-back, so a warm run
 	// reconsiders only the dirty nodes instead of walking every node
 	// once per vantage per update — the O(V·N) term that dominated when
@@ -207,7 +224,6 @@ type machine struct {
 	// wbUnreach keeps the unreachable node IDs in (rank, id) order;
 	// wbDirty collects node-level dirt (MarkNodeDirty, RebaseGrow)
 	// stamped per run through wbNodeMark.
-	persistWB   bool    // Machine runs persist; one-shot runs skip the bookkeeping
 	wbValid     bool    // persistent state matches the labels (set by a full write-back)
 	wbState     []uint8 // per node: wbReachedBit | wbBackBit | wbPenalBit | wbUnreachBit
 	wbUnreach   []int32
@@ -240,13 +256,46 @@ func (m *machine) markNodeDirty(id int32) {
 	}
 }
 
-// childrenOf returns the label indices whose parent was li when the
-// child lists were last rebuilt (callers re-check parent linkage).
-func (m *machine) childrenOf(li int32) []int32 {
-	if m.childStart == nil {
-		return nil
+// kin links a label into its parent's child list. Fields hold label
+// index + 1, so the zero value is an empty, unlinked entry.
+type kin struct {
+	first      int32 // first child
+	next, prev int32 // siblings
+}
+
+// treeParent returns the parent whose child list holds lb: its parent
+// when lb has a path (mapped or queued) below the root, else -1.
+func treeParent(lb *label) int32 {
+	if !lb.hasPath() {
+		return -1
 	}
-	return m.childList[m.childStart[li]:m.childStart[li+1]]
+	return lb.parent
+}
+
+// linkChild adds label c at the head of parent p's child list.
+func (m *machine) linkChild(c, p int32) {
+	k := m.kin
+	head := k[p].first
+	k[c].next, k[c].prev = head, 0
+	if head != 0 {
+		k[head-1].prev = c + 1
+	}
+	k[p].first = c + 1
+}
+
+// unlinkChild removes label c from parent p's child list.
+func (m *machine) unlinkChild(c, p int32) {
+	k := m.kin
+	next, prev := k[c].next, k[c].prev
+	if prev != 0 {
+		k[prev-1].next = next
+	} else {
+		k[p].first = next
+	}
+	if next != 0 {
+		k[next-1].prev = prev
+	}
+	k[c].next, k[c].prev = 0, 0
 }
 
 // seedInNeighbors re-queues every mapped in-neighbor of node id (except
@@ -269,11 +318,11 @@ func (m *machine) seedInNeighbors(id int32, exclude int32) {
 	}
 }
 
-// invalidateTree resets the label li and every label still deriving its
-// value from it (children whose parent pointer is intact, recursively)
-// to unmapped, pulls queued ones out of the queue, and re-queues each
-// reset node's in-neighbors. It reports how many labels were reset and
-// whether the run's root was among them.
+// invalidateTree resets the label li and every label deriving its value
+// from it (its subtree in the child lists) to unmapped, pulls queued
+// ones out of the queue, and re-queues each reset node's in-neighbors.
+// It reports how many labels were reset and whether the run's root was
+// among them.
 func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bool) {
 	if m.labels[li].node == nil {
 		return 0, false
@@ -286,18 +335,15 @@ func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bo
 		if lb.node == nil || lb.state == graph.Unmapped {
 			continue
 		}
-		for _, ci := range m.childrenOf(cur) {
-			if m.labels[ci].parent == cur {
-				stack = append(stack, ci)
-			}
+		for c := m.kin[cur].first; c != 0; c = m.kin[c-1].next {
+			stack = append(stack, c-1)
 		}
 		if lb.parent < 0 {
 			hitRoot = true
+		} else {
+			m.unlinkChild(cur, lb.parent)
 		}
 		m.markChanged(cur)
-		if lb.via != nil && !m.detached {
-			lb.via.Flags &^= graph.LTree
-		}
 		if lb.state == graph.Queued {
 			m.queue.Remove(int(lb.qb), int(lb.qi))
 		}
@@ -318,47 +364,56 @@ func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bo
 	return count, hitRoot
 }
 
-// buildReverse derives the reverse adjacency (in-neighbor node IDs per
-// node) from the snapshot, reusing buffers across runs.
-func (m *machine) buildReverse() {
-	s := m.snap
-	n := len(s.Nodes)
-	if cap(m.revRow) >= n+1 {
-		m.revRow = m.revRow[:n+1]
-		clear(m.revRow)
-	} else {
-		m.revRow = make([]int32, n+1)
-	}
-	ne := len(s.To)
-	for _, v := range s.To {
-		m.revRow[v+1]++
-	}
-	for i := 1; i <= n; i++ {
-		m.revRow[i] += m.revRow[i-1]
-	}
-	if cap(m.revFrom) >= ne {
-		m.revFrom = m.revFrom[:ne]
-	} else {
-		m.revFrom = make([]int32, ne)
-	}
-	fill := m.revRow
-	for u := 0; u < n; u++ {
-		for e := s.Row[u]; e < s.Row[u+1]; e++ {
-			m.revFrom[fill[s.To[e]]] = int32(u)
-			fill[s.To[e]]++
-		}
-	}
-	copy(m.revRow[1:], m.revRow[:n])
-	m.revRow[0] = 0
-	m.revExtra = make(map[int32][]int32)
-}
-
-// markChanged records a warm-run label mutation, once per label per run.
+// markChanged records a warm-run label mutation, once per label per
+// run, saving the label's value from before the run for dropUnchanged.
+// Callers mark before they mutate, and a label leaves Unmapped only
+// through setLabel, so the saved copy of a label that had no path is
+// Unmapped; a saved Queued copy was re-queued for re-relaxation and
+// still holds its mapped value.
 func (m *machine) markChanged(li int32) {
 	if m.changedMark[li] != m.changedEpoch {
 		m.changedMark[li] = m.changedEpoch
 		m.changed = append(m.changed, li)
+		m.changedOld = append(m.changedOld, m.labels[li])
 	}
+}
+
+// dropUnchanged filters the warm run's mutated labels down to those
+// whose value differs from the one saved when the run began.
+func (m *machine) dropUnchanged() {
+	k := 0
+	for i, li := range m.changed {
+		if !sameValue(&m.changedOld[i], &m.labels[li]) {
+			m.changed[k] = li
+			k++
+		}
+	}
+	m.changed = m.changed[:k]
+}
+
+// sameValue reports whether two copies of a label (saved at its first
+// mutation in a warm run, and final) carry the same value: both without
+// a mapped path, or the same path.
+func sameValue(a, b *label) bool {
+	if !a.hasPath() || !b.hasPath() {
+		return a.hasPath() == b.hasPath()
+	}
+	return a.cost == b.cost && a.hops == b.hops && a.parent == b.parent &&
+		a.viaOp == b.viaOp && a.lastDir == b.lastDir && a.mixes == b.mixes &&
+		a.inDomain == b.inDomain && sameLink(a.via, b.via)
+}
+
+// sameLink compares tree edges by value, (From, To, Cost, Op, Flags):
+// a warm run sweeps the previous run's invented back links and
+// re-invents them as fresh *graph.Link values, and the engine re-applies
+// a changed file's network declarations as fresh member edges, so an
+// unchanged path often arrives over a new pointer.
+func sameLink(a, b *graph.Link) bool {
+	if a == b {
+		return true
+	}
+	return a != nil && b != nil && a.From == b.From && a.To == b.To &&
+		a.Cost == b.Cost && a.Op == b.Op && a.Flags == b.Flags
 }
 
 // Run maps the graph from source with the given options and returns the
@@ -403,7 +458,7 @@ func run(g *graph.Graph, source *graph.Node, opts Options, useArray bool) (*Resu
 
 	m.drain()
 	if opts.BackLinks {
-		m.backLinkPass()
+		m.backLinkPass(allNodes(nil, g.Len()))
 	}
 	m.writeBack()
 	m.buildTree()
@@ -564,6 +619,15 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 			m.fix(target)
 		}
 		if worse {
+			// The labels below target took their values from its old,
+			// better one. Left standing, one of them could be extracted
+			// before target and offer that stale value back up its own
+			// path — a parent cycle that re-derives itself forever over
+			// zero-cost alias edges. Reset them; their in-neighbors
+			// offer again.
+			for c := m.kin[target.index()].first; c != 0; c = m.kin[target.index()].first {
+				m.invalidateTree(c-1, -1)
+			}
 			// Offers previously beaten by the old, better value may win
 			// now: re-queue every other in-neighbor.
 			m.seedInNeighbors(target.id, lb.index())
@@ -573,8 +637,9 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 
 	switch target.state {
 	case graph.Unmapped:
-		target.state = graph.Queued
+		// setLabel first: markChanged must save the label as Unmapped.
 		m.setLabel(target, lb, el, effOp, cand, newDir, newMixes, newInDomain)
+		target.state = graph.Queued
 		m.push(target)
 	case graph.Queued:
 		if m.better(lb, cand, target) {
@@ -629,11 +694,14 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 	cand cost.Cost, dir, mixes uint8, inDomain bool) {
 	if m.warm {
 		// Track the mutation for the engine's incremental route patching,
-		// and clear the stale tree mark of the path being replaced (a
-		// one-shot run starts from ResetMapping, which cleared them all).
-		m.markChanged(target.index())
-		if target.via != nil && !m.detached {
-			target.via.Flags &^= graph.LTree
+		// and move target to its new parent's child list.
+		li := target.index()
+		m.markChanged(li)
+		if p := treeParent(target); p != lb.index() {
+			if p >= 0 {
+				m.unlinkChild(li, p)
+			}
+			m.linkChild(li, lb.index())
 		}
 		// Labels deriving their value from target's old state (its tree
 		// children) are repaired when target re-relaxes: the committed
@@ -654,17 +722,32 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 
 // backLinkPass invents reverse links for unreachable hosts and continues
 // mapping, iterating until no further host becomes reachable. Invented
-// links are appended to the snapshot's spill area so the relax loop sees
-// them without a CSR rebuild.
-func (m *machine) backLinkPass() {
+// links are appended to the snapshot's spill area (or, for detached
+// machines, the private overlay) so the relax loop sees them without a
+// CSR rebuild.
+//
+// The pass walks cands, node IDs in ascending order that must include
+// every node without a mapped label: all nodes for a full run, the
+// candidates of backLinkCandidates for a warm one. Nodes that are
+// mapped (or deleted) are skipped exactly as a scan of every node
+// would skip them, so both find the same hosts in the same order. Each
+// sweep compacts cands in place to the nodes it found unmapped — a
+// node maps only in the drain between sweeps, never unmaps — so the
+// slice returned, a prefix of cands, holds the nodes still unmapped
+// when the pass ends.
+func (m *machine) backLinkPass(cands []int32) []int32 {
 	m.backlink = true
 	defer func() { m.backlink = false }()
 	for {
 		invented := false
-		for _, n := range m.g.Nodes() {
+		k := 0
+		for _, id := range cands {
+			n := m.snap.Nodes[id]
 			if n.IsDeleted() || m.nodeMapped(n) {
 				continue
 			}
+			cands[k] = id
+			k++
 			// Examine the connections out of the unreachable host.
 			for l := n.FirstLink(); l != nil; l = l.Next {
 				if !l.Usable() || l.Flags&(graph.LAlias|graph.LBack) != 0 {
@@ -694,11 +777,41 @@ func (m *machine) backLinkPass() {
 				}
 			}
 		}
+		cands = cands[:k]
 		if !invented {
-			break
+			return cands
 		}
 		m.drain()
 	}
+}
+
+// allNodes fills buf with every node ID 0..n-1, the candidates of a
+// full run's back-link pass.
+func allNodes(buf []int32, n int) []int32 {
+	buf = buf[:0]
+	for id := int32(0); id < int32(n); id++ {
+		buf = append(buf, id)
+	}
+	return buf
+}
+
+// backLinkCandidates returns, in ascending order and without
+// duplicates, the nodes unmapped when the previous run ended (and nodes
+// appended since) together with the now-unmapped nodes of labels
+// mutated in this run: any other node had a mapped label then, and only
+// a mutation can have unmapped it. The candidates fill the cands
+// buffer, which swaps roles with unmapped once the pass returns.
+func (m *machine) backLinkCandidates() []int32 {
+	fresh := m.cands[:0]
+	for _, li := range m.changed {
+		if n := m.labels[li].node; n != nil && !m.nodeMapped(n) {
+			fresh = append(fresh, li/2)
+		}
+	}
+	fresh = append(fresh, m.unmapped...)
+	slices.Sort(fresh)
+	m.cands = m.unmapped
+	return slices.Compact(fresh)
 }
 
 // inventBack invents the reverse of template link l (a usable, ordinary
@@ -778,7 +891,7 @@ func (m *machine) winner(n *graph.Node) *label {
 // valid persistent contribution state take the batched delta path; full
 // runs walk every node (and, for Machines, repopulate that state).
 func (m *machine) writeBack() {
-	if m.warm && m.persistWB && m.wbValid {
+	if m.warm && m.wbValid {
 		m.writeBackDelta()
 		return
 	}
@@ -841,7 +954,7 @@ func (m *machine) nodeContribution(n *graph.Node) uint8 {
 // relative order is arbitrary but unobservable, since they print as
 // identical lines.)
 func (m *machine) writeBackFull() {
-	persist := m.persistWB
+	persist := m.detached
 	if persist {
 		n := len(m.snap.Nodes)
 		if cap(m.wbState) >= n {

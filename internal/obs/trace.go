@@ -39,6 +39,13 @@ type Trace struct {
 	Routes       int  `json:"routes"`          // default vantage's served routes
 	Published    bool `json:"published"`       // a new rdb image was written
 
+	// LabelsChanged sums, over the re-mapped vantages, the labels whose
+	// value changed (a full re-map counts every labeled node);
+	// StoresUnchanged counts resident stores kept as they were because
+	// their vantage's routes did not move.
+	LabelsChanged   int `json:"labels_changed"`
+	StoresUnchanged int `json:"stores_unchanged"`
+
 	Stages []Stage `json:"stages"`
 }
 
@@ -53,15 +60,16 @@ func (t *Trace) SumStages() time.Duration {
 
 // Line renders the trace as one line for the `trace` protocol command:
 //
-//	gen=7 path=incremental wall=1.8ms scan=0.3ms patch=0.2ms ... nodes=5019 touched=3 routes=5000
+//	gen=7 path=incremental wall=1.8ms scan=0.3ms patch=0.2ms ... nodes=5019 touched=3 routes=5000 ... stores_unchanged=2
 func (t *Trace) Line() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gen=%d path=%s wall=%s", t.Gen, t.Path, fmtDur(t.Wall))
 	for _, s := range t.Stages {
 		fmt.Fprintf(&b, " %s=%s", s.Name, fmtDur(s.Dur))
 	}
-	fmt.Fprintf(&b, " warm=%d full=%d nodes=%d touched=%d links=%d rescanned=%d routes=%d published=%v",
-		t.Warm, t.Full, t.Nodes, t.NodesTouched, t.LinksTouched, t.Rescanned, t.Routes, t.Published)
+	fmt.Fprintf(&b, " warm=%d full=%d nodes=%d touched=%d links=%d rescanned=%d routes=%d published=%v labels_changed=%d stores_unchanged=%d",
+		t.Warm, t.Full, t.Nodes, t.NodesTouched, t.LinksTouched, t.Rescanned, t.Routes, t.Published,
+		t.LabelsChanged, t.StoresUnchanged)
 	return b.String()
 }
 

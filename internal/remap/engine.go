@@ -110,6 +110,11 @@ type Result struct {
 	// Incremental reports whether this update took the warm path (false
 	// for full re-maps and plain rebuilds) — observability only.
 	Incremental bool
+	// LabelsChanged counts the labels whose value this recompute changed:
+	// on the warm path only those that differ from the previous run; a
+	// full re-map counts every labeled node (Reached) — observability
+	// only.
+	LabelsChanged int
 	// RouteGen is the vantage's route-set generation: it advances only
 	// when a recompute changed (or may have changed) Entries, so a
 	// consumer holding the previous Result's RouteGen can skip rebuilding
@@ -243,6 +248,10 @@ type UpdateTiming struct {
 	MapSum   time.Duration
 	RouteSum time.Duration
 
+	// LabelsChanged sums Result.LabelsChanged across the recomputed
+	// vantages: how large the mapping work really was.
+	LabelsChanged int
+
 	// Path is how the graph reached the new input set: "incremental",
 	// "rebuild", "plain", or "unchanged".
 	Path string
@@ -320,6 +329,7 @@ func (e *Engine) Update(inputs []Input) (*Result, error) {
 	if res != nil && e.timing.Path != "unchanged" {
 		e.timing.MapSum += res.MapDur
 		e.timing.RouteSum += res.RouteDur
+		e.timing.LabelsChanged += res.LabelsChanged
 	}
 	return res, err
 }

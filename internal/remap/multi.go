@@ -126,6 +126,7 @@ func (m *Multi) countRun(res *Result, recomputed bool, err error) {
 	}
 	m.e.timing.MapSum += res.MapDur
 	m.e.timing.RouteSum += res.RouteDur
+	m.e.timing.LabelsChanged += res.LabelsChanged
 	if m.e.plain != nil {
 		return
 	}

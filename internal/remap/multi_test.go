@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,4 +290,139 @@ func TestMultiEviction(t *testing.T) {
 	}
 	// An evicted vantage comes back cold but correct.
 	checkVantage(t, m, opts, inputs, "host0", "revived")
+}
+
+// routeNeutralEdit returns a copy of inputs with one link's cost raised
+// (HOURLY to WEEKLY), chosen so that fresh runs from every vantage
+// produce byte-identical routes before and after: an effective edit
+// that moves none of their routes.
+func routeNeutralEdit(t *testing.T, inputs []Input, vantages []string) []Input {
+	t.Helper()
+	routes := func(in []Input) string {
+		var sb strings.Builder
+		for _, h := range vantages {
+			res, err := freshRun(t, Options{LocalHost: h}, in)
+			if err != nil {
+				t.Fatalf("fresh run from %s: %v", h, err)
+			}
+			sb.WriteString(renderEntries(res.Entries))
+		}
+		return sb.String()
+	}
+	want := routes(inputs)
+	for i := range inputs {
+		src := inputs[i].Src
+		for off := 0; ; {
+			k := strings.Index(src[off:], "(HOURLY)")
+			if k < 0 {
+				break
+			}
+			off += k + 1
+			edited := append([]Input(nil), inputs...)
+			edited[i].Src = src[:off] + "WEEKLY" + src[off+len("HOURLY"):]
+			if routes(edited) == want {
+				return edited
+			}
+		}
+	}
+	t.Fatal("no route-neutral cost edit found")
+	return nil
+}
+
+// TestRouteGenChurnFree: an edit that moves none of a vantage's routes
+// leaves its RouteGen where it was, so serving layers keep their
+// stores. The map has passive hosts, so every warm run sweeps invented
+// back links and re-invents them as fresh *graph.Link values; the
+// labels riding them come back to the same value and must not count as
+// changed.
+func TestRouteGenChurnFree(t *testing.T) {
+	pins, local := mapgen.Generate(mapgen.Small())
+	inputs := toInputs(pins)
+	vantages := []string{local, "host7", "host19"}
+	edited := routeNeutralEdit(t, inputs, vantages)
+
+	opts := Options{LocalHost: local}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	gens := make(map[string]uint64)
+	for _, h := range vantages {
+		res, err := m.ResultFor(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BackLinked == 0 {
+			t.Fatalf("vantage %s reaches no host through a back link; the test needs some", h)
+		}
+		gens[h] = res.RouteGen
+	}
+
+	if err := m.Update(edited); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range vantages {
+		res, err := m.ResultFor(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Incremental {
+			t.Fatalf("vantage %s re-mapped fully; the edit must take the warm path", h)
+		}
+		if res.RouteGen != gens[h] || res.LabelsChanged != 0 {
+			t.Errorf("vantage %s: RouteGen %d -> %d, %d labels changed; want unchanged, 0",
+				h, gens[h], res.RouteGen, res.LabelsChanged)
+		}
+		checkVantage(t, m, opts, edited, h, "route-neutral edit")
+	}
+	if got := m.Timing().LabelsChanged; got != 0 {
+		t.Errorf("UpdateTiming.LabelsChanged = %d, want 0", got)
+	}
+}
+
+// FuzzMultiEdits is the differential fuzzer over the shared engine: a
+// seed draws a map and a sequence of steps random edits (mutateMap),
+// applied to a Multi with the default vantage and two from= vantages
+// resident; after every step each vantage must be byte-identical to a
+// fresh single-source run — the oracle of TestMultiRandomizedEquivalence.
+//
+//	go test -run '^$' -fuzz FuzzMultiEdits -fuzztime 60s ./internal/remap/
+func FuzzMultiEdits(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := mapgen.Small()
+		cfg.Seed = seed
+		cfg.CoreFiles = 3
+		pins, local := mapgen.Generate(cfg)
+		opts := Options{LocalHost: local}
+		m, err := NewMulti(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := toInputs(pins)
+		if err := m.Update(inputs); err != nil {
+			t.Fatal(err)
+		}
+		vantages := []string{local, "host3", "host11"}
+		check := func(label string) {
+			for _, h := range vantages {
+				checkVantage(t, m, opts, inputs, h, label)
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+		check("initial")
+		nextID := 0
+		for step := 0; step < int(steps%32); step++ {
+			inputs, _ = mutateMap(rng, inputs, &nextID)
+			if err := m.Update(inputs); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			check(fmt.Sprintf("step %d", step))
+		}
+	})
 }

@@ -166,7 +166,7 @@ func (v *vantage) rebuildRoutes(e *Engine) {
 		if en, ok := v.entryFor(e, li, &v.frames[li]); ok {
 			v.rows = append(v.rows, entryRow{e: en, label: li, odd: en.Host != lv.Node.Name})
 		}
-		stack = append(stack, v.mc.Children(li)...)
+		stack = v.mc.AppendChildren(stack, li)
 	}
 	sort.Slice(v.rows, func(i, j int) bool { return v.rowLess(rank, v.rows[i], v.rows[j]) })
 }
@@ -211,11 +211,15 @@ func (v *vantage) patchRoutes(e *Engine, changed []int32, netFlips []int32) bool
 	for len(stack) > 0 {
 		li := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range v.mc.Children(li) {
+		n := len(stack)
+		stack = v.mc.AppendChildren(stack, li)
+		kept := stack[:n]
+		for _, c := range stack[n:] {
 			if mark(c) {
-				stack = append(stack, c)
+				kept = append(kept, c)
 			}
 		}
+		stack = kept
 	}
 
 	if len(dirty) == 0 {

@@ -203,6 +203,7 @@ func (v *vantage) recompute(e *Engine) (*Result, error) {
 	out := &Result{Incremental: warm, MapDur: routeMark.Sub(start)}
 	fillMapStats(out, res)
 	if warm {
+		out.LabelsChanged = len(changed)
 		if v.patchRoutes(e, changed, netFlips) {
 			v.routeGen++
 		}
@@ -259,8 +260,11 @@ func (v *vantage) recomputePlain(e *Engine) (*Result, error) {
 	return out, nil
 }
 
+// fillMapStats copies the mapping counters; a full run's LabelsChanged
+// is every labeled node (the warm path overrides it).
 func fillMapStats(out *Result, res *mapper.Result) {
 	out.Reached = res.Reached
+	out.LabelsChanged = res.Reached
 	out.BackLinked = res.BackLinked
 	out.Penalized = res.Penalized
 	out.Extractions = res.Extractions
