@@ -209,7 +209,7 @@ func TestMapRouteNeutralEditKeepsStores(t *testing.T) {
 // exercise their sweep.
 func routeNeutralEdit(t *testing.T, pins []parser.Input, vantages []string) (int, string) {
 	t.Helper()
-	routes := func(in []parser.Input) string {
+	i, src, ok := mapgen.RouteNeutralEdit(pins, func(in []parser.Input) string {
 		var sb strings.Builder
 		for _, h := range vantages {
 			rep, err := core.Run(core.Config{Inputs: in, LocalHost: h})
@@ -224,25 +224,11 @@ func routeNeutralEdit(t *testing.T, pins []parser.Input, vantages []string) (int
 			}
 		}
 		return sb.String()
+	})
+	if !ok {
+		t.Fatal("no route-neutral cost edit found")
 	}
-	want := routes(pins)
-	for i, in := range pins {
-		for off := 0; ; {
-			k := strings.Index(in.Src[off:], "(HOURLY)")
-			if k < 0 {
-				break
-			}
-			off += k + 1
-			src := in.Src[:off] + "WEEKLY" + in.Src[off+len("HOURLY"):]
-			edited := append([]parser.Input(nil), pins...)
-			edited[i].Src = src
-			if routes(edited) == want {
-				return i, src
-			}
-		}
-	}
-	t.Fatal("no route-neutral cost edit found")
-	return 0, ""
+	return i, src
 }
 
 // TestMapWarmStart: with a published image on disk, a restarting daemon

@@ -303,3 +303,29 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+// RouteNeutralEdit looks for one link cost to raise from HOURLY to
+// WEEKLY that leaves routes — the caller's rendering of every route it
+// cares about, such as each vantage's table from a fresh run —
+// byte-identical: an effective edit that moves none of those routes. It
+// returns the edited input's index and its new source, or ok false if
+// no such edit exists.
+func RouteNeutralEdit(inputs []parser.Input, routes func([]parser.Input) string) (file int, src string, ok bool) {
+	want := routes(inputs)
+	for i, in := range inputs {
+		for off := 0; ; {
+			k := strings.Index(in.Src[off:], "(HOURLY)")
+			if k < 0 {
+				break
+			}
+			off += k + 1
+			src := in.Src[:off] + "WEEKLY" + in.Src[off+len("HOURLY"):]
+			edited := append([]parser.Input(nil), inputs...)
+			edited[i].Src = src
+			if routes(edited) == want {
+				return i, src, true
+			}
+		}
+	}
+	return 0, "", false
+}

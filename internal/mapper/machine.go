@@ -32,9 +32,10 @@ package mapper
 //
 // A warm run's cost follows what changed, not the size of the graph.
 // The back-link pass walks only its candidates — nodes without a mapped
-// label when the previous run ended, nodes whose labels changed in this
-// one, and appended nodes — in node-ID order, which finds exactly the
-// hosts a full scan would. FinishWarm reports a label as changed only
+// label when the previous run ended (deleted ones too: a ghost can be
+// restored without touching its label), nodes whose labels changed in
+// this one, and appended nodes — in node-ID order, which finds exactly
+// the hosts a full scan would. FinishWarm reports a label as changed only
 // if its value differs from the one it had when the run began, with
 // tree edges compared by (From, To, Cost, Op, Flags), not by pointer:
 // the sweep re-invents most of the previous run's back links as fresh

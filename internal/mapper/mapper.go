@@ -734,7 +734,9 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 // sweep compacts cands in place to the nodes it found unmapped — a
 // node maps only in the drain between sweeps, never unmaps — so the
 // slice returned, a prefix of cands, holds the nodes still unmapped
-// when the pass ends.
+// when the pass ends. Deleted nodes stay in it: a later generation can
+// restore a ghost without touching its label, and the restored host
+// must then be a candidate.
 func (m *machine) backLinkPass(cands []int32) []int32 {
 	m.backlink = true
 	defer func() { m.backlink = false }()
@@ -743,11 +745,14 @@ func (m *machine) backLinkPass(cands []int32) []int32 {
 		k := 0
 		for _, id := range cands {
 			n := m.snap.Nodes[id]
-			if n.IsDeleted() || m.nodeMapped(n) {
+			if m.nodeMapped(n) {
 				continue
 			}
 			cands[k] = id
 			k++
+			if n.IsDeleted() {
+				continue
+			}
 			// Examine the connections out of the unreachable host.
 			for l := n.FirstLink(); l != nil; l = l.Next {
 				if !l.Usable() || l.Flags&(graph.LAlias|graph.LBack) != 0 {
@@ -906,17 +911,14 @@ func (m *machine) writeBack() {
 // ("unmark the 'old' edge, mark the 'new' edge"); deriving the marks
 // here from the winning labels is observationally identical — nothing
 // reads LTree mid-run — and keeps two flag writes out of the hot loop.
-// Links start clean in a full run (ResetMapping cleared every mark);
-// warm runs keep stale marks cleared inside setLabel/invalidateTree.
+// Only one-shot (attached) runs write Node.M and LTree; they start from
+// ResetMapping, so no stale mark or mapping survives.
 func (m *machine) nodeContribution(n *graph.Node) uint8 {
 	if n.IsDeleted() {
 		return 0
 	}
 	w := m.winner(n)
 	if w == nil {
-		if !m.detached {
-			n.M = graph.Mapping{} // drop stale state from a previous warm run
-		}
 		if !n.IsNet() {
 			return wbUnreachBit
 		}

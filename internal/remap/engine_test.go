@@ -257,11 +257,26 @@ func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
 	checkEquivalent(t, opts, base, res, "revert after plain run")
 }
 
+// mutator carries mutateMap's state between steps: the counter naming
+// brand-new hosts and files, and the inputs a remove-then-restore edit
+// puts back on the following step.
+type mutator struct {
+	nextID  int
+	restore []Input
+}
+
 // mutateMap applies one random edit to a copy of the inputs: cost
-// change, line removal, line addition, file removal, file addition.
+// change, line removal, removal of a lone host's only line (put back on
+// the next step, so the host turns into a ghost and returns), line
+// addition, file removal, file addition.
 // addHost reports that the edit only introduced a brand-new host (plus
 // its link) — an edit the engine must keep on the warm path.
-func mutateMap(rng *rand.Rand, inputs []Input, nextID *int) (_ []Input, addHost bool) {
+func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost bool) {
+	if mu.restore != nil {
+		out := mu.restore
+		mu.restore = nil
+		return out, false
+	}
 	out := make([]Input, len(inputs))
 	copy(out, inputs)
 	costs := []string{"DEMAND", "HOURLY", "DAILY", "WEEKLY", "EVENING", "DIRECT", "POLLED"}
@@ -277,6 +292,8 @@ func mutateMap(rng *rand.Rand, inputs []Input, nextID *int) (_ []Input, addHost 
 			}
 		}
 		out[i].Src = strings.Join(lines, "\n")
+	case k < 5 && removeLoneHost(rng, out): // a ghost, restored next step
+		mu.restore = inputs
 	case k < 6: // remove a random line
 		i := rng.Intn(len(out))
 		lines := strings.Split(out[i].Src, "\n")
@@ -287,8 +304,8 @@ func mutateMap(rng *rand.Rand, inputs []Input, nextID *int) (_ []Input, addHost 
 		}
 	case k < 8: // add a line (new host, new links, maybe dead/adjust)
 		i := rng.Intn(len(out))
-		id := *nextID
-		*nextID++
+		id := mu.nextID
+		mu.nextID++
 		var add string
 		switch rng.Intn(4) {
 		case 0:
@@ -310,14 +327,53 @@ func mutateMap(rng *rand.Rand, inputs []Input, nextID *int) (_ []Input, addHost 
 		j := 1 + rng.Intn(len(out)-1)
 		out[i], out[j] = out[j], out[i]
 	default: // add a whole new file
-		id := *nextID
-		*nextID++
+		id := mu.nextID
+		mu.nextID++
 		out = append(out, Input{
 			Name: fmt.Sprintf("extra%d.map", id),
 			Src:  fmt.Sprintf("exhost%d\thost%d(%s)\n", id, rng.Intn(40), costs[rng.Intn(len(costs))]),
 		})
 	}
 	return out, addHost
+}
+
+// removeLoneHost removes, from a random file of out, a random line
+// declaring a host that no other line names, and reports whether it
+// found one. Such a host has no other declaration, so the removal
+// leaves it a ghost.
+func removeLoneHost(rng *rand.Rand, out []Input) bool {
+	isName := func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' ||
+			r == '-' || r == '.' || r == '_')
+	}
+	lines := make(map[string]int) // name -> number of lines naming it
+	for _, in := range out {
+		for _, l := range strings.Split(in.Src, "\n") {
+			seen := make(map[string]bool)
+			for _, f := range strings.FieldsFunc(l, isName) {
+				if !seen[f] {
+					seen[f] = true
+					lines[f]++
+				}
+			}
+		}
+	}
+	type loc struct{ file, line int }
+	var lone []loc
+	for i, in := range out {
+		for ln, l := range strings.Split(in.Src, "\n") {
+			if h, _, ok := strings.Cut(l, "\t"); ok && lines[h] == 1 {
+				lone = append(lone, loc{i, ln})
+			}
+		}
+	}
+	if len(lone) == 0 {
+		return false
+	}
+	at := lone[rng.Intn(len(lone))]
+	src := strings.Split(out[at.file].Src, "\n")
+	out[at.file].Src = strings.Join(append(src[:at.line], src[at.line+1:]...), "\n")
+	return true
 }
 
 // TestEngineRandomizedEquivalence drives the engine through random edit
@@ -350,11 +406,11 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 			}
 			checkEquivalent(t, opts, inputs, res, "initial")
 
-			nextID := 0
+			var mu mutator
 			warm := 0
 			for step := 0; step < steps; step++ {
 				var addHost bool
-				inputs, addHost = mutateMap(rng, inputs, &nextID)
+				inputs, addHost = mutateMap(rng, inputs, &mu)
 				fullBefore := e.Stats.FullRemaps
 				res, err = e.Update(inputs)
 				if err != nil {

@@ -162,10 +162,10 @@ func TestMultiRandomizedEquivalence(t *testing.T) {
 			}
 			check("initial")
 
-			nextID := 0
+			var mu mutator
 			for step := 0; step < steps; step++ {
 				var addHost bool
-				inputs, addHost = mutateMap(rng, inputs, &nextID)
+				inputs, addHost = mutateMap(rng, inputs, &mu)
 				fullBefore := m.Stats().FullRemaps
 				if err := m.Update(inputs); err != nil {
 					t.Fatalf("step %d: %v", step, err)
@@ -206,9 +206,9 @@ func TestMultiLazyCatchUp(t *testing.T) {
 	checkVantage(t, m, opts, inputs, "host3", "initial")
 
 	rng := rand.New(rand.NewSource(99))
-	nextID := 0
+	var mu mutator
 	for step := 0; step < 12; step++ {
-		inputs, _ = mutateMap(rng, inputs, &nextID)
+		inputs, _ = mutateMap(rng, inputs, &mu)
 		if err := m.Update(inputs); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -298,7 +298,7 @@ func TestMultiEviction(t *testing.T) {
 // that moves none of their routes.
 func routeNeutralEdit(t *testing.T, inputs []Input, vantages []string) []Input {
 	t.Helper()
-	routes := func(in []Input) string {
+	i, src, ok := mapgen.RouteNeutralEdit(inputs, func(in []Input) string {
 		var sb strings.Builder
 		for _, h := range vantages {
 			res, err := freshRun(t, Options{LocalHost: h}, in)
@@ -308,25 +308,13 @@ func routeNeutralEdit(t *testing.T, inputs []Input, vantages []string) []Input {
 			sb.WriteString(renderEntries(res.Entries))
 		}
 		return sb.String()
+	})
+	if !ok {
+		t.Fatal("no route-neutral cost edit found")
 	}
-	want := routes(inputs)
-	for i := range inputs {
-		src := inputs[i].Src
-		for off := 0; ; {
-			k := strings.Index(src[off:], "(HOURLY)")
-			if k < 0 {
-				break
-			}
-			off += k + 1
-			edited := append([]Input(nil), inputs...)
-			edited[i].Src = src[:off] + "WEEKLY" + src[off+len("HOURLY"):]
-			if routes(edited) == want {
-				return edited
-			}
-		}
-	}
-	t.Fatal("no route-neutral cost edit found")
-	return nil
+	edited := append([]Input(nil), inputs...)
+	edited[i].Src = src
+	return edited
 }
 
 // TestRouteGenChurnFree: an edit that moves none of a vantage's routes
@@ -416,13 +404,62 @@ func FuzzMultiEdits(f *testing.F) {
 			}
 		}
 		check("initial")
-		nextID := 0
+		var mu mutator
 		for step := 0; step < int(steps%32); step++ {
-			inputs, _ = mutateMap(rng, inputs, &nextID)
+			inputs, _ = mutateMap(rng, inputs, &mu)
 			if err := m.Update(inputs); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			check(fmt.Sprintf("step %d", step))
 		}
 	})
+}
+
+// TestMultiGhostPassiveHostRestored removes the only line declaring a
+// passive host — the node stays as a ghost, unmapped — and then puts
+// the line back. The restored host has no inbound link, so a fresh run
+// reaches it only through an invented back link; a warm run must still
+// consider it in its back-link pass although its label never changed.
+func TestMultiGhostPassiveHostRestored(t *testing.T) {
+	cfg := mapgen.Small()
+	pins, local := mapgen.Generate(cfg)
+	inputs := toInputs(pins)
+	passive := fmt.Sprintf("host%d", cfg.Hosts-1)
+	removed := append([]Input(nil), inputs...)
+	found := false
+	for i := range removed {
+		lines := strings.Split(removed[i].Src, "\n")
+		for ln, l := range lines {
+			if strings.HasPrefix(l, passive+"\t") {
+				lines = append(lines[:ln], lines[ln+1:]...)
+				removed[i].Src = strings.Join(lines, "\n")
+				found = true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no line declares %s", passive)
+	}
+
+	opts := Options{LocalHost: local}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vantages := []string{local, "host7", "host19"}
+	for _, step := range []struct {
+		label  string
+		inputs []Input
+	}{{"initial", inputs}, {"line removed", removed}, {"line restored", inputs}} {
+		if err := m.Update(step.inputs); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range vantages {
+			checkVantage(t, m, opts, step.inputs, h, step.label)
+		}
+	}
+	if res, err := m.ResultFor(local); err != nil || !res.Incremental {
+		t.Fatalf("restore re-mapped fully (err %v); the test needs the warm path", err)
+	}
 }
