@@ -179,12 +179,6 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	} else {
 		m.labels = make([]label, want)
 	}
-	if cap(m.changedMark) >= want {
-		m.changedMark = m.changedMark[:want]
-	} else {
-		m.changedMark = make([]uint32, want)
-		m.changedEpoch = 0
-	}
 	m.res = &Result{Source: source}
 	m.res.NameRank = m.snap.Rank
 	mc.newQueue()
@@ -196,7 +190,7 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	m.push(src)
 	m.drain()
 	if m.opts.BackLinks {
-		m.unmapped = m.backLinkPass(allNodes(m.unmapped, len(m.snap.Nodes)))
+		m.unmapped = m.backLinkPass(m.unmappedNodes(m.unmapped))
 	}
 	m.writeBack()
 	mc.rebuildChildren()
@@ -248,7 +242,6 @@ func (mc *Machine) RebaseGrow() error {
 	}
 	if old < want {
 		m.labels = growClear(m.labels, want)
-		m.changedMark = growClear(m.changedMark, want)
 		m.kin = growClear(m.kin, want)
 		if m.opts.BackLinks {
 			// The new nodes have no mapped label yet: back-link
@@ -313,6 +306,11 @@ func (mc *Machine) BeginWarm() error {
 	}
 	m.snap = mc.snapshot()
 	m.warm = true
+	// The stamps are sized here, not by FullRun, so machines that never
+	// run warm (what-if overlays) never hold them. Stale stamps need no
+	// clearing: changedEpoch only grows.
+	n := len(m.labels)
+	m.changedMark = growClear(m.changedMark[:min(len(m.changedMark), n)], n)
 	m.changedEpoch++
 	m.changed = m.changed[:0]
 	m.changedOld = m.changedOld[:0]

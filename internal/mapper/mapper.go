@@ -458,7 +458,7 @@ func run(g *graph.Graph, source *graph.Node, opts Options, useArray bool) (*Resu
 
 	m.drain()
 	if opts.BackLinks {
-		m.backLinkPass(allNodes(nil, g.Len()))
+		m.backLinkPass(m.unmappedNodes(nil))
 	}
 	m.writeBack()
 	m.buildTree()
@@ -727,7 +727,7 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 // CSR rebuild.
 //
 // The pass walks cands, node IDs in ascending order that must include
-// every node without a mapped label: all nodes for a full run, the
+// every node without a mapped label: unmappedNodes for a full run, the
 // candidates of backLinkCandidates for a warm one. Nodes that are
 // mapped (or deleted) are skipped exactly as a scan of every node
 // would skip them, so both find the same hosts in the same order. Each
@@ -790,12 +790,14 @@ func (m *machine) backLinkPass(cands []int32) []int32 {
 	}
 }
 
-// allNodes fills buf with every node ID 0..n-1, the candidates of a
-// full run's back-link pass.
-func allNodes(buf []int32, n int) []int32 {
+// unmappedNodes fills buf with the IDs of the nodes without a mapped
+// label, in ascending order: a full run's back-link candidates.
+func (m *machine) unmappedNodes(buf []int32) []int32 {
 	buf = buf[:0]
-	for id := int32(0); id < int32(n); id++ {
-		buf = append(buf, id)
+	for id, n := range m.snap.Nodes {
+		if !m.nodeMapped(n) {
+			buf = append(buf, int32(id))
+		}
 	}
 	return buf
 }
@@ -965,16 +967,8 @@ func (m *machine) writeBackFull() {
 		} else {
 			m.wbState = make([]uint8, n)
 		}
-		// The mark stamps must restart with the state they dedup against:
-		// a FullRun that reallocated the label array also rewound
-		// changedEpoch, and a stale stamp equal to a future epoch would
-		// silently swallow that run's dirt.
-		if cap(m.wbNodeMark) >= n {
-			m.wbNodeMark = m.wbNodeMark[:n]
-		} else {
-			m.wbNodeMark = make([]uint32, n)
-		}
-		clear(m.wbNodeMark)
+		// Stale mark stamps need no clearing: changedEpoch only grows.
+		m.wbNodeMark = growClear(m.wbNodeMark[:min(len(m.wbNodeMark), n)], n)
 		m.wbUnreach = m.wbUnreach[:0]
 	}
 	for _, id := range m.snap.ByRank {
