@@ -426,6 +426,15 @@ func (mc *Machine) AppendChildren(dst []int32, li int32) []int32 {
 	return dst
 }
 
+// ReleaseChildren frees the child lists of a machine whose callers now
+// read only its labels, such as a cached what-if run once its routes
+// are derived. AppendChildren and warm runs are unavailable until the
+// next FullRun.
+func (mc *Machine) ReleaseChildren() {
+	mc.mach.kin = nil
+	mc.ran = false
+}
+
 // rebuildChildren derives the child lists from the label parents, one
 // pass over the label array. Walking it backwards and linking at the
 // head leaves every list in ascending label order.

@@ -123,6 +123,7 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	v := newVantage(hostName)
 	v.mc = mc
 	v.rebuildRoutes(e)
+	mc.ReleaseChildren() // explain reads only labels; cached runs stay small
 	run := &OverlayRun{
 		Gen:         e.updGen,
 		Host:        hostName,
