@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"pathalias/internal/fswatch"
 	"pathalias/internal/obs"
@@ -296,87 +298,6 @@ func (d *daemon) watch(ctx context.Context, interval time.Duration) {
 	})
 }
 
-// handleLine answers one request line of the line-oriented protocol:
-//
-//	[from=host] [overlay=spec] dest [user]
-//	                          resolve a destination (user defaults to
-//	                          the %s marker), optionally from another
-//	                          vantage host, optionally under a what-if
-//	                          overlay (both -map mode only)
-//	explain [from=host] [overlay=spec] dest
-//	                          explain the route hop by hop — and, with
-//	                          an overlay, how it changes (-map mode)
-//	impact [from=host] overlay=spec
-//	                          report every host whose route changes
-//	                          under the overlay (-map mode)
-//	stats                     one-line counter dump
-//	trace                     the newest re-map generation's stage
-//	                          trace, one line (-map mode only)
-//	quit                      close the connection
-//
-// An overlay spec is the what-if edit language with commas for
-// whitespace so it fits one token: "dead,a,b;cost,a,c,DEMAND".
-//
-// Replies are "ok <payload>" or "err <message>" — a malformed or
-// rejected what-if query is always answered, never dropped. The command
-// words shadow hosts literally named
-// "stats"/"quit"/"trace"/"explain"/"impact", but only in the first
-// field: resolve those with an explicit user argument ("stats
-// someuser") or a leading vantage ("from=unc explain").
-func (d *daemon) handleLine(line string) (reply string, closing bool) {
-	fields := strings.Fields(line)
-	if len(fields) > 0 && (fields[0] == "explain" || fields[0] == "impact") {
-		return d.whatifLine(fields[0], fields[1:]), false
-	}
-	from := ""
-	if len(fields) > 0 && strings.HasPrefix(fields[0], "from=") {
-		from = strings.TrimPrefix(fields[0], "from=")
-		fields = fields[1:]
-	}
-	overlay, hasOverlay := "", false
-	if len(fields) > 0 && strings.HasPrefix(fields[0], "overlay=") {
-		overlay = strings.TrimPrefix(fields[0], "overlay=")
-		hasOverlay = true
-		fields = fields[1:]
-	}
-	switch {
-	case len(fields) == 0:
-		return "err empty request", false
-	case len(fields) == 1 && fields[0] == "quit" && from == "" && !hasOverlay:
-		return "ok bye", true
-	case len(fields) == 1 && fields[0] == "stats" && from == "" && !hasOverlay:
-		return "ok " + d.statsLine(), false
-	case len(fields) == 1 && fields[0] == "trace" && from == "" && !hasOverlay:
-		return d.traceReply(), false
-	case len(fields) > 2:
-		return "err want: [from=host] [overlay=spec] dest [user]", false
-	}
-	user := "%s"
-	if len(fields) == 2 {
-		user = fields[1]
-	}
-	if hasOverlay {
-		wf, err := d.whatifEval()
-		if err != nil {
-			return "err " + err.Error(), false
-		}
-		addr, err := wf.Resolve(d.whatifFrom(from), overlay, fields[0], user)
-		if err != nil {
-			return "err " + err.Error(), false
-		}
-		return "ok " + addr, false
-	}
-	store, err := d.storeFor(from)
-	if err != nil {
-		return "err " + err.Error(), false
-	}
-	res, err := store.Resolve(fields[0], user)
-	if err != nil {
-		return "err " + err.Error(), false
-	}
-	return "ok " + res.Address(), false
-}
-
 // traceReply answers the `trace` protocol command with the newest
 // re-map generation's stage trace.
 func (d *daemon) traceReply() string {
@@ -443,6 +364,44 @@ func (d *daemon) whatifLine(cmd string, fields []string) string {
 		}
 		return "ok " + impactLine(imp)
 	}
+}
+
+// overlayResolve answers "[from=host] overlay=spec dest [user]"; fields
+// start at the overlay= token.
+func (d *daemon) overlayResolve(from string, fields []string) string {
+	spec, args := strings.TrimPrefix(fields[0], "overlay="), fields[1:]
+	switch {
+	case len(args) == 0:
+		return errEmptyRequest
+	case len(args) > 2:
+		return errWantResolve
+	}
+	user := "%s"
+	if len(args) == 2 {
+		user = args[1]
+	}
+	wf, err := d.whatifEval()
+	if err != nil {
+		return "err " + err.Error()
+	}
+	addr, err := wf.Resolve(d.whatifFrom(from), spec, args[0], user)
+	if err != nil {
+		return "err " + err.Error()
+	}
+	return "ok " + addr
+}
+
+// observeWhatif records one what-if line's latency. What-if evaluation
+// maps a graph; one clock read per request is nothing next to that, so
+// this is where per-request latency (and the slow-query check) lives on
+// the line protocol.
+func (d *daemon) observeWhatif(line []byte, start time.Time) {
+	if d.metrics == nil {
+		return
+	}
+	dur := time.Since(start)
+	d.metrics.whatifReq.Observe(dur)
+	d.noteSlow("line", string(line), dur)
 }
 
 // impactLineMax caps how many per-host changes the one-line impact reply
@@ -541,14 +500,18 @@ func dropEOL(line []byte) []byte {
 	return line
 }
 
-// readLine reads the next newline-terminated request. The returned
-// slice aliases the reader's buffer (or st.long) and is valid until the
-// next read. A line longer than maxLineLen is consumed to its newline
-// and reported tooLong with no line. err is io.EOF at end of input —
-// possibly alongside a final unterminated line.
+// readLine reads the next request line. The returned slice aliases the
+// reader's buffer (or st.long) and is valid until the next read. A line
+// longer than maxLineLen is consumed to its newline and reported tooLong
+// with no line. A final line with no newline is returned with a nil
+// error, even when it is empty once its \r is dropped; err is io.EOF
+// only once no input is left.
 func readLine(br *bufio.Reader, st *lineState) (line []byte, tooLong bool, err error) {
 	chunk, err := br.ReadSlice('\n')
 	if err != bufio.ErrBufferFull {
+		if err == io.EOF && len(chunk) > 0 {
+			err = nil // the next read reports the EOF
+		}
 		return dropEOL(chunk), false, err
 	}
 	// Slow path: the line overflows the read buffer. Accumulate chunks
@@ -567,6 +530,9 @@ func readLine(br *bufio.Reader, st *lineState) (line []byte, tooLong bool, err e
 	st.long = long
 	if tooLong {
 		return nil, true, err
+	}
+	if err == io.EOF {
+		err = nil
 	}
 	return dropEOL(long), false, err
 }
@@ -618,9 +584,9 @@ func (d *daemon) serveConn(r io.Reader, w io.Writer) error {
 			if _, werr := bw.WriteString("err line too long\n"); werr != nil {
 				return werr
 			}
-		case err == nil || (err == io.EOF && len(line) > 0):
+		case err == nil:
 			var closing bool
-			st.out, closing = d.handleLineBytes(st.out[:0], line, st, true)
+			st.out, closing = d.handleLine(st.out[:0], line, st, true)
 			if hist != nil {
 				batchN++
 			}
@@ -650,112 +616,132 @@ func (d *daemon) serveConn(r io.Reader, w io.Writer) error {
 	}
 }
 
-// isSpaceByte matches unicode.IsSpace over the ASCII range — the only
-// range handleLineBytes parses; anything else falls back to the string
-// path.
-func isSpaceByte(c byte) bool {
-	switch c {
-	case '\t', '\n', '\v', '\f', '\r', ' ':
-		return true
-	}
-	return false
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// runeSpace reports whether b starts with a rune strings.Fields splits
+// on (unicode.IsSpace), and that rune's width. Invalid UTF-8 decodes to
+// a one-byte RuneError, which is not a space, exactly as in
+// strings.Fields.
+func runeSpace(b []byte) (space bool, width int) {
+	r, n := utf8.DecodeRune(b)
+	return unicode.IsSpace(r), n
 }
 
-func asciiLine(b []byte) bool {
-	for _, c := range b {
-		if c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-// appendFields splits line into whitespace-separated fields, reusing
-// dst; the fields alias line.
+// appendFields splits line into fields exactly where strings.Fields
+// would, reusing dst; the fields alias line. Only a byte >= 0x80 is
+// decoded as UTF-8, so an ASCII line costs a table lookup per byte.
 func appendFields(dst [][]byte, line []byte) [][]byte {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && isSpaceByte(line[i]) {
-			i++
+	start := -1
+	for i := 0; i < len(line); {
+		space, n := false, 1
+		if c := line[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			space, n = runeSpace(line[i:])
 		}
-		if i == len(line) {
-			break
+		switch {
+		case space && start >= 0:
+			dst = append(dst, line[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
 		}
-		j := i + 1
-		for j < len(line) && !isSpaceByte(line[j]) {
-			j++
-		}
-		dst = append(dst, line[i:j])
-		i = j
+		i += n
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
 	}
 	return dst
 }
 
-var (
-	fromPrefix  = []byte("from=")
-	quitWord    = []byte("quit")
-	statsWord   = []byte("stats")
-	traceWord   = []byte("trace")
-	defaultUser = []byte("%s")
-	overlayTok  = []byte("overlay=")
-	explainWord = []byte("explain")
-	impactWord  = []byte("impact")
-)
-
-// whatifRequestBytes reports whether a request line is a what-if form —
-// an overlay= token anywhere, or an explain/impact command word first —
-// which the byte path hands to the string handler: what-if evaluation
-// maps a graph, so shaving the line parse is beside the point.
-func whatifRequestBytes(line []byte) bool {
-	if bytes.Contains(line, overlayTok) {
-		return true
+// fieldStrings converts fields for the what-if forms, which work on
+// strings.
+func fieldStrings(fields [][]byte) []string {
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = string(f)
 	}
-	i := 0
-	for i < len(line) && isSpaceByte(line[i]) {
-		i++
-	}
-	rest := line[i:]
-	for _, w := range [][]byte{explainWord, impactWord} {
-		if bytes.HasPrefix(rest, w) && (len(rest) == len(w) || isSpaceByte(rest[len(w)])) {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
-// handleLineBytes is handleLine on the pipelined hot path: it appends
-// the reply for one request line to dst (no trailing newline) instead
-// of building strings. With commands false (the HTTP bulk endpoint),
-// the single-token stats/quit commands are not recognized and every
-// line is a resolve. Replies are byte-identical to handleLine's for
-// every input; a line with non-ASCII bytes is delegated to it outright
-// (case folding is not byte-local there).
-func (d *daemon) handleLineBytes(dst, line []byte, st *lineState, commands bool) (out []byte, closing bool) {
-	if wf := whatifRequestBytes(line); wf || !asciiLine(line) {
-		// What-if evaluation maps a graph; one clock read per request
-		// is nothing next to that, so this is where per-request latency
-		// (and the slow-query check) lives on the line protocol.
-		if wf && d.metrics != nil {
-			start := time.Now()
-			reply, closing := d.handleLine(string(line))
-			dur := time.Since(start)
-			d.metrics.whatifReq.Observe(dur)
-			d.noteSlow("line", string(line), dur)
-			return append(dst, reply...), closing
-		}
-		reply, closing := d.handleLine(string(line))
-		return append(dst, reply...), closing
-	}
+var (
+	fromPrefix    = []byte("from=")
+	overlayPrefix = []byte("overlay=")
+	quitWord      = []byte("quit")
+	statsWord     = []byte("stats")
+	traceWord     = []byte("trace")
+	explainWord   = []byte("explain")
+	impactWord    = []byte("impact")
+	defaultUser   = []byte("%s")
+)
+
+const (
+	errEmptyRequest = "err empty request"
+	errWantResolve  = "err want: [from=host] [overlay=spec] dest [user]"
+)
+
+// handleLine answers one request line of the line-oriented protocol,
+// appending the reply to dst (no trailing newline):
+//
+//	[from=host] [overlay=spec] dest [user]
+//	                          resolve a destination (user defaults to
+//	                          the %s marker), optionally from another
+//	                          vantage host, optionally under a what-if
+//	                          overlay (both -map mode only)
+//	explain [from=host] [overlay=spec] dest
+//	                          explain the route hop by hop — and, with
+//	                          an overlay, how it changes (-map mode)
+//	impact [from=host] overlay=spec
+//	                          report every host whose route changes
+//	                          under the overlay (-map mode)
+//	stats                     one-line counter dump
+//	trace                     the newest re-map generation's stage
+//	                          trace, one line (-map mode only)
+//	quit                      close the connection
+//
+// An overlay spec is the what-if edit language with commas for
+// whitespace so it fits one token: "dead,a,b;cost,a,c,DEMAND".
+//
+// Replies are "ok <payload>" or "err <message>" — a malformed or
+// rejected what-if query is always answered, never dropped. The command
+// words shadow hosts literally named
+// "stats"/"quit"/"trace"/"explain"/"impact", but only in the first
+// field: resolve those with an explicit user argument ("stats
+// someuser") or a leading vantage ("from=unc explain").
+//
+// With commands false (the HTTP bulk endpoint) stats, trace and quit are
+// not commands: those lines are resolves. The what-if forms are
+// answered either way.
+//
+// Fields split where strings.Fields splits. A resolve never becomes a
+// string: it is answered through the allocation-free AppendResolve
+// path, which copies the route straight into dst. The what-if forms
+// convert their fields to strings; they map a graph, so the conversion
+// is beside the point.
+func (d *daemon) handleLine(dst, line []byte, st *lineState, commands bool) (out []byte, closing bool) {
 	st.fields = appendFields(st.fields[:0], line)
 	fields := st.fields
+	if len(fields) > 0 && (bytes.Equal(fields[0], explainWord) || bytes.Equal(fields[0], impactWord)) {
+		start := time.Now()
+		dst = append(dst, d.whatifLine(string(fields[0]), fieldStrings(fields[1:]))...)
+		d.observeWhatif(line, start)
+		return dst, false
+	}
 	var from []byte
 	if len(fields) > 0 && bytes.HasPrefix(fields[0], fromPrefix) {
 		from = fields[0][len(fromPrefix):]
 		fields = fields[1:]
 	}
+	if len(fields) > 0 && bytes.HasPrefix(fields[0], overlayPrefix) {
+		start := time.Now()
+		dst = append(dst, d.overlayResolve(string(from), fieldStrings(fields))...)
+		d.observeWhatif(line, start)
+		return dst, false
+	}
 	switch {
 	case len(fields) == 0:
-		return append(dst, "err empty request"...), false
+		return append(dst, errEmptyRequest...), false
 	case commands && len(fields) == 1 && len(from) == 0 && bytes.Equal(fields[0], quitWord):
 		return append(dst, "ok bye"...), true
 	case commands && len(fields) == 1 && len(from) == 0 && bytes.Equal(fields[0], statsWord):
@@ -764,7 +750,7 @@ func (d *daemon) handleLineBytes(dst, line []byte, st *lineState, commands bool)
 	case commands && len(fields) == 1 && len(from) == 0 && bytes.Equal(fields[0], traceWord):
 		return append(dst, d.traceReply()...), false
 	case len(fields) > 2:
-		return append(dst, "err want: [from=host] [overlay=spec] dest [user]"...), false
+		return append(dst, errWantResolve...), false
 	}
 	user := defaultUser
 	if len(fields) == 2 {
@@ -784,8 +770,8 @@ func (d *daemon) handleLineBytes(dst, line []byte, st *lineState, commands bool)
 	dst = append(dst, "ok "...)
 	out, ok := store.AppendResolve(dst, dest, user, &st.sc)
 	if !ok {
-		// The string path's miss error, rebuilt byte-compatibly:
-		// "routedb: no route to" + %q of the raw destination.
+		// store.Resolve's miss error, byte for byte: "routedb: no route
+		// to " + %q of the raw destination.
 		out = append(out[:mark], "err routedb: no route to "...)
 		out = strconv.AppendQuote(out, string(dest))
 	}
@@ -1034,8 +1020,9 @@ func (d *daemon) handler() http.Handler {
 	// line protocol's resolve form — and the response carries one
 	// "ok ..."/"err ..." line per request, in order. One HTTP round
 	// trip resolves the whole batch through the same zero-copy path as
-	// the pipelined line protocol. The single-token stats/quit commands
-	// are not special here: every line is a resolve.
+	// the pipelined line protocol. The stats, trace and quit commands are
+	// not special here: those lines are resolves, whatever whitespace
+	// separates their fields.
 	mux.HandleFunc("POST /routes", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		nreq := 0
@@ -1049,8 +1036,8 @@ func (d *daemon) handler() http.Handler {
 			switch {
 			case tooLong:
 				bw.WriteString("err line too long\n")
-			case err == nil || (err == io.EOF && len(line) > 0):
-				st.out, _ = d.handleLineBytes(st.out[:0], line, st, false)
+			case err == nil:
+				st.out, _ = d.handleLine(st.out[:0], line, st, false)
 				nreq++
 				bw.Write(st.out)
 				bw.WriteByte('\n')

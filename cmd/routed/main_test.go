@@ -365,7 +365,7 @@ func TestVantageProtocol(t *testing.T) {
 		{"from=duke a b c", "err want: [from=host] [overlay=spec] dest [user]"},
 	}
 	for _, c := range cases {
-		if got, _ := d.handleLine(c.line); got != c.want {
+		if got, _ := askLine(d, c.line); got != c.want {
 			t.Errorf("handleLine(%q) = %q, want %q", c.line, got, c.want)
 		}
 	}
@@ -399,10 +399,10 @@ func TestVantageProtocol(t *testing.T) {
 	if err := w.remap(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := d.handleLine("duke honey"); got != "ok phs!duke!honey" {
+	if got, _ := askLine(d, "duke honey"); got != "ok phs!duke!honey" {
 		t.Errorf("default vantage after edit = %q", got)
 	}
-	if got, _ := d.handleLine("from=duke ucbvax honey"); got != "ok research!ucbvax!honey" {
+	if got, _ := askLine(d, "from=duke ucbvax honey"); got != "ok research!ucbvax!honey" {
 		t.Errorf("duke vantage after edit = %q", got)
 	}
 
@@ -411,7 +411,7 @@ func TestVantageProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := pd.handleLine("from=duke unc honey"); !strings.Contains(got, "require -map mode") {
+	if got, _ := askLine(pd, "from=duke unc honey"); !strings.Contains(got, "require -map mode") {
 		t.Errorf("precompiled from= = %q", got)
 	}
 }
@@ -431,7 +431,7 @@ func TestVantageSwapSurvivesDefaultFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := d.handleLine("from=b c honey"); got != "ok c!honey" {
+	if got, _ := askLine(d, "from=b c honey"); got != "ok c!honey" {
 		t.Fatalf("initial b vantage = %q", got)
 	}
 
@@ -444,11 +444,11 @@ func TestVantageSwapSurvivesDefaultFailure(t *testing.T) {
 		t.Fatal("remap with vanished default host should report the default vantage error")
 	}
 	// Default store: previous database still serving.
-	if got, _ := d.handleLine("b honey"); got != "ok b!honey" {
+	if got, _ := askLine(d, "b honey"); got != "ok b!honey" {
 		t.Errorf("default store after failed default re-map = %q", got)
 	}
 	// b's vantage store: swapped to the new map (d is now reachable).
-	if got, _ := d.handleLine("from=b d honey"); got != "ok c!d!honey" {
+	if got, _ := askLine(d, "from=b d honey"); got != "ok c!d!honey" {
 		t.Errorf("b vantage after edit = %q", got)
 	}
 }

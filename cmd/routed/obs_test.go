@@ -336,7 +336,7 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 
 	// The `trace` line command renders the newest trace.
-	reply, closing := d.handleLine("trace")
+	reply, closing := askLine(d, "trace")
 	if closing || !strings.HasPrefix(reply, "ok gen=2 ") {
 		t.Errorf("trace command = %q, %v", reply, closing)
 	}
@@ -381,7 +381,7 @@ func TestTraceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply, _ := pd.handleLine("trace"); reply != "err re-map traces require -map mode" {
+	if reply, _ := askLine(pd, "trace"); reply != "err re-map traces require -map mode" {
 		t.Errorf("-d mode trace command = %q", reply)
 	}
 }

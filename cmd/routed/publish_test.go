@@ -258,7 +258,7 @@ func TestMapWarmStart(t *testing.T) {
 	d.store.Swap(db)
 	d.swaps.Add(1)
 	d.auditImage(db, nil, odb)
-	if got, _ := d.handleLine("ucbvax honey"); got != "ok duke!research!ucbvax!honey" {
+	if got, _ := askLine(d, "ucbvax honey"); got != "ok duke!research!ucbvax!honey" {
 		t.Fatalf("image-served answer = %q", got)
 	}
 	stat1, err := os.Stat(odb)
@@ -275,7 +275,7 @@ func TestMapWarmStart(t *testing.T) {
 	ready := d.mapReady
 	d.mapReady = func() bool { return false }
 	for _, line := range []string{"from=duke ucbvax honey", "explain ucbvax", "overlay=dead,duke,phs ucbvax"} {
-		if got, _ := d.handleLine(line); !strings.Contains(got, "warming up") {
+		if got, _ := askLine(d, line); !strings.Contains(got, "warming up") {
 			t.Errorf("not-ready %q = %q, want a warming-up error", line, got)
 		}
 	}
@@ -292,8 +292,8 @@ func TestMapWarmStart(t *testing.T) {
 		"ucbvax honey", "duke honey", "phs u", "research", "nowhere u",
 		"from=duke ucbvax honey", "explain ucbvax",
 	} {
-		warmReply, _ := d.handleLine(line)
-		coldReply, _ := cold.handleLine(line)
+		warmReply, _ := askLine(d, line)
+		coldReply, _ := askLine(cold, line)
 		if warmReply != coldReply {
 			t.Errorf("%q: warm %q != cold %q", line, warmReply, coldReply)
 		}
@@ -505,7 +505,7 @@ func TestWarmStartSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := d.handleLine(query); !strings.HasPrefix(got, "ok ") {
+		if got, _ := askLine(d, query); !strings.HasPrefix(got, "ok ") {
 			t.Fatalf("text answer = %q", got)
 		}
 	}
@@ -520,7 +520,7 @@ func TestWarmStartSpeedup(t *testing.T) {
 		}
 		d.store.Swap(db)
 		d.swaps.Add(1)
-		if got, _ := d.handleLine(query); !strings.HasPrefix(got, "ok ") {
+		if got, _ := askLine(d, query); !strings.HasPrefix(got, "ok ") {
 			t.Fatalf("warm answer = %q", got)
 		}
 	}

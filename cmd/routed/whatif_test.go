@@ -69,7 +69,7 @@ func TestWhatIfProtocol(t *testing.T) {
 		{"impact overlay=dead,a,a", "err whatif: self-link a a"},
 	}
 	for _, c := range cases {
-		got, closing := d.handleLine(c.line)
+		got, closing := askLine(d, c.line)
 		if c.want == "ok err" {
 			// from=duke with duke!research dead: ucbvax is unreachable
 			// (no other path in testMapSrc), so the resolve errors — but
@@ -85,7 +85,7 @@ func TestWhatIfProtocol(t *testing.T) {
 	}
 
 	// The overlaid explain carries both sides.
-	got, _ := d.handleLine("explain overlay=dead,unc,duke research")
+	got, _ := askLine(d, "explain overlay=dead,unc,duke research")
 	if !strings.HasPrefix(got, "ok base: route duke!research!%s cost 3000") ||
 		!strings.Contains(got, "|| overlay: route phs!duke!research!%s cost 5000") {
 		t.Errorf("overlaid explain = %q", got)
@@ -119,7 +119,7 @@ func TestWhatIfProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{"overlay=dead,a,b duke", "explain duke", "impact overlay=dead,a,b"} {
-		if got, closing := pd.handleLine(line); got != "err what-if queries require -map mode" || closing {
+		if got, closing := askLine(pd, line); got != "err what-if queries require -map mode" || closing {
 			t.Errorf("-d mode handleLine(%q) = %q (closing=%v)", line, got, closing)
 		}
 	}
