@@ -642,15 +642,24 @@ func remapDeltaInputs(b *testing.B) ([]remap.Input, []remap.Input, string) {
 	return base, edited, local
 }
 
+// remapUpdate brings a single-source engine to inputs and returns the
+// result from its LocalHost.
+func remapUpdate(m *remap.Multi, local string, inputs []remap.Input) (*remap.Result, error) {
+	if err := m.Update(inputs); err != nil {
+		return nil, err
+	}
+	return m.ResultFor(local)
+}
+
 func BenchmarkRemapDelta(b *testing.B) {
 	base, edited, local := remapDeltaInputs(b)
 
 	b.Run("incremental", func(b *testing.B) {
-		eng, err := remap.NewEngine(remap.Options{LocalHost: local})
+		eng, err := remap.NewMulti(remap.Options{LocalHost: local})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Update(base); err != nil {
+		if _, err := remapUpdate(eng, local, base); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -660,7 +669,7 @@ func BenchmarkRemapDelta(b *testing.B) {
 			if i%2 == 0 {
 				in = edited
 			}
-			res, err := eng.Update(in)
+			res, err := remapUpdate(eng, local, in)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -768,11 +777,11 @@ func BenchmarkMultiSource(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, v := range vantages {
-				eng, err := remap.NewEngine(remap.Options{LocalHost: v})
+				eng, err := remap.NewMulti(remap.Options{LocalHost: v})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Update(base); err != nil {
+				if _, err := remapUpdate(eng, v, base); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -815,13 +824,13 @@ func BenchmarkMultiSource(b *testing.B) {
 	})
 
 	b.Run("update8/independent", func(b *testing.B) {
-		engines := make([]*remap.Engine, len(vantages))
+		engines := make([]*remap.Multi, len(vantages))
 		for j, v := range vantages {
-			eng, err := remap.NewEngine(remap.Options{LocalHost: v})
+			eng, err := remap.NewMulti(remap.Options{LocalHost: v})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Update(base); err != nil {
+			if _, err := remapUpdate(eng, v, base); err != nil {
 				b.Fatal(err)
 			}
 			engines[j] = eng
@@ -834,7 +843,7 @@ func BenchmarkMultiSource(b *testing.B) {
 				in = edited
 			}
 			for j := range engines {
-				res, err := engines[j].Update(in)
+				res, err := remapUpdate(engines[j], vantages[j], in)
 				if err != nil {
 					b.Fatal(err)
 				}

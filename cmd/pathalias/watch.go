@@ -49,7 +49,7 @@ func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pathalias: -watch requires map files (stdin cannot be watched)")
 		return 2
 	}
-	eng, err := pathalias.NewEngine(cfg.opts)
+	eng, err := pathalias.NewMultiEngine(cfg.opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: %v\n", err)
 		return 1
@@ -73,7 +73,7 @@ func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
 
 // watcher regenerates outPath from paths through one persistent engine.
 type watcher struct {
-	eng     *pathalias.Engine
+	eng     *pathalias.MultiEngine
 	paths   []string
 	outPath string
 	outDB   string
@@ -83,7 +83,7 @@ type watcher struct {
 	log     *slog.Logger
 }
 
-func newWatcher(eng *pathalias.Engine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
+func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
 	return &watcher{eng: eng, paths: paths, outPath: outPath, outDB: outDB, stderr: stderr,
 		log: slog.New(slog.NewTextHandler(stderr, nil))}
 }
@@ -99,7 +99,10 @@ func newWatcher(eng *pathalias.Engine, paths []string, outPath, outDB string, st
 // suspicion.
 func (w *watcher) regenerate() (bool, error) {
 	unchangedBefore := w.eng.Stats().Unchanged
-	res, err := w.eng.UpdateFiles(w.paths...)
+	if err := w.eng.UpdateFiles(w.paths...); err != nil {
+		return false, err
+	}
+	res, err := w.eng.Result()
 	if err != nil {
 		return false, err
 	}

@@ -23,7 +23,7 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewEngine(pathalias.Options{LocalHost: "unc"})
+	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 		t.Errorf("broken edit clobbered output (err %v):\n%s", err, out)
 	}
 
-	// Join the loop before touching engine state: Engine (and its Stats)
-	// is single-goroutine by contract, and the loop owns it while running.
+	// Join the loop before reading the engine's stats, so they cover
+	// every regeneration.
 	cancel()
 	<-done
 	if got := eng.Stats(); got.Incremental == 0 {
@@ -99,7 +99,7 @@ func inPlaceMap(n, v int) string {
 
 // TestWatcherSurvivesInPlaceRewrites: fifty in-place saves (truncate,
 // then write) alternating shorter and longer content while the watch
-// loop re-reads the source through Engine.UpdateFiles. The process must
+// loop re-reads the source through MultiEngine.UpdateFiles. The process must
 // never fault, and the output must end up byte-identical to a batch run
 // over the final content.
 func TestWatcherSurvivesInPlaceRewrites(t *testing.T) {
@@ -110,7 +110,7 @@ func TestWatcherSurvivesInPlaceRewrites(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(inPlaceMap(hosts, 0)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewEngine(pathalias.Options{LocalHost: "unc"})
+	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestWatcherPartialBatchNotSkipped(t *testing.T) {
 	if err := os.WriteFile(b, []byte("duke\tresearch(DAILY)\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewEngine(pathalias.Options{LocalHost: "unc"})
+	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestWatcherPublishesDB(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewEngine(pathalias.Options{LocalHost: "unc"})
+	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
 	if err != nil {
 		t.Fatal(err)
 	}

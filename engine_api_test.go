@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestEngineMatchesRun holds the public Engine to its contract: after
-// any Update, the result is identical to a fresh Run over the same
-// inputs.
+// TestEngineMatchesRun holds a single-source MultiEngine to its
+// contract: after any Update, the result is identical to a fresh Run
+// over the same inputs.
 func TestEngineMatchesRun(t *testing.T) {
 	const src = `unc	duke(HOURLY), phs(HOURLY*4)
 duke	unc(DEMAND), research(DAILY/2), phs(DEMAND)
@@ -17,16 +17,19 @@ ucbvax	research(DAILY)
 ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 `
 	opts := Options{LocalHost: "unc", PrintCosts: true}
-	eng, err := NewEngine(opts)
+	eng, err := NewMultiEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	check := func(label, text string) {
 		t.Helper()
-		got, err := eng.Update(Input{Name: "m.map", Text: text})
-		if err != nil {
+		if err := eng.Update(Input{Name: "m.map", Text: text}); err != nil {
 			t.Fatalf("%s: Update: %v", label, err)
+		}
+		got, err := eng.Result()
+		if err != nil {
+			t.Fatalf("%s: Result: %v", label, err)
 		}
 		want, err := RunString(opts, text)
 		if err != nil {
@@ -56,9 +59,9 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 		t.Errorf("expected incremental updates, stats %+v", s)
 	}
 	// Result() returns the latest snapshot; Lookup works on it.
-	res := eng.Result()
-	if res == nil {
-		t.Fatal("Result() nil after updates")
+	res, err := eng.Result()
+	if err != nil {
+		t.Fatalf("Result() after updates: %v", err)
 	}
 	if r, ok := res.Lookup("duke"); !ok || !strings.Contains(r.Format, "%s") {
 		t.Fatalf("Lookup(duke) = %+v, %v", r, ok)
@@ -74,19 +77,22 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 // TestEngineErrorKeepsServing: a syntax error leaves the previous
 // result intact.
 func TestEngineErrorKeepsServing(t *testing.T) {
-	eng, err := NewEngine(Options{LocalHost: "a"})
+	eng, err := NewMultiEngine(Options{LocalHost: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Update(Input{Name: "m", Text: "a\tb(DEMAND)\n"}); err != nil {
+	if err := eng.Update(Input{Name: "m", Text: "a\tb(DEMAND)\n"}); err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Result()
-	if _, err := eng.Update(Input{Name: "m", Text: "a\tb(((\n"}); err == nil {
+	before, err := eng.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Update(Input{Name: "m", Text: "a\tb(((\n"}); err == nil {
 		t.Fatal("expected parse error")
 	}
-	after := eng.Result()
-	if after == nil || len(after.Routes) != len(before.Routes) {
-		t.Fatalf("error update disturbed the serving result: %+v", after)
+	after, err := eng.Result()
+	if err != nil || len(after.Routes) != len(before.Routes) {
+		t.Fatalf("error update disturbed the serving result: %+v, %v", after, err)
 	}
 }

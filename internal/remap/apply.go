@@ -173,11 +173,11 @@ func pairKey(a, b int32) uint64 {
 }
 
 // node returns the node with the given ID.
-func (e *Engine) node(id int32) *graph.Node { return e.g.Nodes()[id] }
+func (e *core) node(id int32) *graph.Node { return e.g.Nodes()[id] }
 
 // nstate returns the ledger entry for n, growing the table as nodes are
 // created.
-func (e *Engine) nstate(n *graph.Node) *nodeState {
+func (e *core) nstate(n *graph.Node) *nodeState {
 	for n.ID >= len(e.nstates) {
 		e.nstates = append(e.nstates, nodeState{})
 		e.stamp = append(e.stamp, 0)
@@ -189,7 +189,7 @@ func (e *Engine) nstate(n *graph.Node) *nodeState {
 
 // captureLink records l's current state the first time an update touches
 // it. present=false marks links created by this update.
-func (e *Engine) captureLink(l *graph.Link, present bool) {
+func (e *core) captureLink(l *graph.Link, present bool) {
 	if !e.capturing {
 		return
 	}
@@ -201,7 +201,7 @@ func (e *Engine) captureLink(l *graph.Link, present bool) {
 }
 
 // captureAttr records n's current attribute state on first touch.
-func (e *Engine) captureAttr(n *graph.Node) {
+func (e *core) captureAttr(n *graph.Node) {
 	if !e.capturing {
 		return
 	}
@@ -219,32 +219,32 @@ func (e *Engine) captureAttr(n *graph.Node) {
 	e.beforeAttrs[id] = sig
 }
 
-func (e *Engine) trackNewLink(l *graph.Link) {
+func (e *core) trackNewLink(l *graph.Link) {
 	if l != nil {
 		e.captureLink(l, false)
 	}
 }
 
-func (e *Engine) removeLinkTracked(l *graph.Link) {
+func (e *core) removeLinkTracked(l *graph.Link) {
 	e.captureLink(l, true)
 	if e.g.RemoveLink(l) && e.capturing {
 		e.removedNow[l] = true
 	}
 }
 
-func (e *Engine) setLinkCostTracked(l *graph.Link, c cost.Cost, op graph.Op) {
+func (e *core) setLinkCostTracked(l *graph.Link, c cost.Cost, op graph.Op) {
 	e.captureLink(l, true)
 	e.g.SetLinkCost(l, c, op)
 }
 
-func (e *Engine) setLinkFlagsTracked(l *graph.Link, fl graph.LinkFlags) {
+func (e *core) setLinkFlagsTracked(l *graph.Link, fl graph.LinkFlags) {
 	e.captureLink(l, true)
 	e.g.SetLinkFlags(l, fl)
 }
 
 // deriveEvents turns the captured before-states into the update's change
 // events by comparing them with the final graph.
-func (e *Engine) deriveEvents() {
+func (e *core) deriveEvents() {
 	for l, sig := range e.beforeLinks {
 		if e.removedNow[l] {
 			if sig.present {
@@ -290,7 +290,7 @@ func gwsEqual(n *graph.Node, want []int32) bool {
 
 // recomputeNode derives n's flag word and adjustment from the ledger,
 // capturing its prior state first.
-func (e *Engine) recomputeNode(n *graph.Node) {
+func (e *core) recomputeNode(n *graph.Node) {
 	e.captureAttr(n)
 	ns := e.nstate(n)
 	fl := n.Flags & (graph.FDomain | graph.FPrivate)
@@ -327,7 +327,7 @@ func (e *Engine) recomputeNode(n *graph.Node) {
 
 // note journals a node reference for f: refcount, ghost resurrection,
 // and new-node (grown) detection. Idempotent per (file, node).
-func (e *Engine) note(f *fileState, n *graph.Node) {
+func (e *core) note(f *fileState, n *graph.Node) {
 	ns := e.nstate(n)
 	if e.stamp[n.ID] != e.stampGen {
 		e.stamp[n.ID] = e.stampGen
@@ -355,7 +355,7 @@ func (e *Engine) note(f *fileState, n *graph.Node) {
 
 // ref resolves name in the graph's current file scope, journaling the
 // reference for f and resurrecting ghosts.
-func (e *Engine) ref(f *fileState, name string) *graph.Node {
+func (e *core) ref(f *fileState, name string) *graph.Node {
 	n := e.g.Ref(name)
 	e.note(f, n)
 	return n
@@ -364,7 +364,7 @@ func (e *Engine) ref(f *fileState, name string) *graph.Node {
 // refFast is ref through a one-entry cache: consecutive operations
 // overwhelmingly name the same left-hand host (one opRef plus one opLink
 // per declared link), exactly like the merger's cache.
-func (e *Engine) refFast(f *fileState, name string) *graph.Node {
+func (e *core) refFast(f *fileState, name string) *graph.Node {
 	if name == e.refName && e.refNode != nil {
 		e.note(f, e.refNode)
 		return e.refNode
@@ -377,7 +377,7 @@ func (e *Engine) refFast(f *fileState, name string) *graph.Node {
 
 // refDest resolves a link destination through a small direct-mapped
 // cache (real maps concentrate destinations on hub nodes).
-func (e *Engine) refDest(f *fileState, name string) *graph.Node {
+func (e *core) refDest(f *fileState, name string) *graph.Node {
 	s := &e.refDests[destSlot(name)]
 	if s.name == name && s.node != nil {
 		e.note(f, s.node)
@@ -399,13 +399,13 @@ func destSlot(name string) int {
 
 // clearRefCaches drops both resolution caches; required whenever the
 // private scope changes, since bindings may differ across scopes.
-func (e *Engine) clearRefCaches() {
+func (e *core) clearRefCaches() {
 	e.refName, e.refNode = "", nil
 	clear(e.refDests[:])
 }
 
 // addGateway journals one gateway contribution (net, host).
-func (e *Engine) addGateway(f *fileState, net, host *graph.Node) {
+func (e *core) addGateway(f *fileState, net, host *graph.Node) {
 	key := pairKey(int32(net.ID), int32(host.ID))
 	f.j.gwKeys = append(f.j.gwKeys, key)
 	e.gwPairs[key]++
@@ -418,7 +418,7 @@ func (e *Engine) addGateway(f *fileState, net, host *graph.Node) {
 
 // declare journals one ordinary link declaration and reconciles the
 // surviving link with the declaration index.
-func (e *Engine) declare(f *fileState, from, to *graph.Node, c cost.Cost, op graph.Op) {
+func (e *core) declare(f *fileState, from, to *graph.Node, c cost.Cost, op graph.Op) {
 	if from == to {
 		e.g.CountSelfLink()
 		return
@@ -447,7 +447,7 @@ func (e *Engine) declare(f *fileState, from, to *graph.Node, c cost.Cost, op gra
 }
 
 // declAfter reports whether a comes after b in global declaration order.
-func (e *Engine) declAfter(a, b declRec) bool {
+func (e *core) declAfter(a, b declRec) bool {
 	pa, pb := e.posOf[a.file], e.posOf[b.file]
 	if pa != pb {
 		return pa > pb
@@ -470,7 +470,7 @@ func declWinner(recs []declRec) (cost.Cost, graph.Op) {
 
 // reconcileLink makes the graph's link for (from, to) match the
 // declaration index: created, retargeted to a new winner, or removed.
-func (e *Engine) reconcileLink(key uint64, from, to *graph.Node) {
+func (e *core) reconcileLink(key uint64, from, to *graph.Node) {
 	recs := e.declIdx[key]
 	l := e.g.FindLink(from, to)
 	if len(recs) == 0 {
@@ -505,7 +505,7 @@ func (f *fileState) scanScopeOps() {
 
 // apply replays frag into the graph under f's journal. The fragment must
 // be error-free (the engine falls back to a plain merge otherwise).
-func (e *Engine) apply(f *fileState, frag *parser.Fragment) {
+func (e *core) apply(f *fileState, frag *parser.Fragment) {
 	e.applyFrom(f, frag, 0, 0)
 }
 
@@ -516,7 +516,7 @@ func (e *Engine) apply(f *fileState, frag *parser.Fragment) {
 // the appended tail replays. Statement sequence numbers (f.j.seq) and
 // private-scope state carry over from the prefix's apply, so the tail
 // lands exactly as a full replay would.
-func (e *Engine) applyFrom(f *fileState, frag *parser.Fragment, fromStmt, fromPending int) {
+func (e *core) applyFrom(f *fileState, frag *parser.Fragment, fromStmt, fromPending int) {
 	e.stampGen++
 	g := e.g
 	g.BeginFile(f.name)
@@ -659,7 +659,7 @@ func (e *Engine) applyFrom(f *fileState, frag *parser.Fragment, fromStmt, fromPe
 func privKey(name, file string) string { return file + "\x00" + name }
 
 // undo reverses every effect of f's journal.
-func (e *Engine) undo(f *fileState) {
+func (e *core) undo(f *fileState) {
 	g := e.g
 	for _, d := range f.j.decls {
 		recs := e.declIdx[d.key]

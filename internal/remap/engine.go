@@ -20,11 +20,13 @@
 //     rather than re-derived for every host.
 //
 // The shared half of that state — fragment cache, journaled graph, CSR
-// snapshot, per-update change history — is one copy regardless of how
-// many vantage points are being mapped. The per-source half — a detached
-// mapper.Machine, route frames, the latest Result — lives in a vantage
-// (vantage.go). Engine is the single-vantage view the original API
-// exposes; Multi (multi.go) serves any number of vantages over one core.
+// snapshot, per-update change history — is the core, one copy
+// regardless of how many vantage points are being mapped. The
+// per-source half — a detached mapper.Machine, route frames, the latest
+// Result — lives in a vantage (vantage.go). Multi (multi.go) is the
+// engine: any number of vantages over one core. A single-source engine
+// is a Multi with Options.LocalHost set, read through
+// ResultFor(LocalHost).
 //
 // The engine's contract is byte-identical output: after any sequence of
 // Updates, each vantage's Result equals what a from-scratch run with
@@ -49,11 +51,11 @@ import (
 	"pathalias/internal/printer"
 )
 
-// Options configure an engine. LocalHost is required for NewEngine; a
-// Multi accepts an empty LocalHost (vantages are named per query).
+// Options configure an engine.
 type Options struct {
-	// LocalHost is the host routes originate from (required for
-	// NewEngine; the default vantage for NewMulti, optional there).
+	// LocalHost names the default vantage: created eagerly, recomputed
+	// on every Update, never evicted. Optional; other vantages are named
+	// per query.
 	LocalHost string
 	// Mapper options; nil means mapper.DefaultOptions().
 	Mapper *mapper.Options
@@ -71,7 +73,7 @@ type Options struct {
 	MaxDirtyFrac float64
 	// MaxVantages caps how many vantage machines a Multi keeps resident
 	// (least-recently-used eviction; the LocalHost vantage is never
-	// evicted). 0 means 64. Ignored by NewEngine.
+	// evicted). 0 means 64.
 	MaxVantages int
 }
 
@@ -132,7 +134,7 @@ type Result struct {
 // represent (syntax errors, duplicate input names): a from-scratch merge
 // whose graph serves every vantage until a clean update arrives. Runs
 // over it use the one-shot mapper (which owns Node.M), so they are
-// serialized by the engine/Multi lock.
+// serialized by the Multi lock.
 type plainState struct {
 	g *graph.Graph
 }
@@ -156,12 +158,10 @@ const (
 	maxHistEvents = 1 << 14
 )
 
-// Engine owns the shared pipeline state plus, when built by NewEngine,
-// one default vantage. Not safe for concurrent use; callers serialize
-// Update and consume each Result before the next Update. Multi wraps an
-// Engine core with the locking and vantage management for concurrent
-// multi-source serving.
-type Engine struct {
+// core owns the shared pipeline state. Not safe for concurrent use:
+// Multi wraps it with the locking and vantage management for
+// concurrent multi-source serving.
+type core struct {
 	opts  Options
 	mopts mapper.Options
 	popts parser.Options
@@ -222,10 +222,6 @@ type Engine struct {
 
 	touchedBuf []bool
 
-	// van is the default vantage (NewEngine's LocalHost); nil for a bare
-	// Multi core with no default.
-	van *vantage
-
 	// Stats counts engine activity for observability.
 	Stats EngineStats
 
@@ -236,7 +232,7 @@ type Engine struct {
 
 // UpdateTiming is the per-phase breakdown of the last effective Update
 // — the raw material of the serving layer's re-map stage traces.
-// Observability only; consumed via Engine.Timing / Multi.Timing.
+// Observability only; consumed via Multi.Timing.
 type UpdateTiming struct {
 	Scan     time.Duration // hash, diff, and (re-)parse changed inputs
 	Patch    time.Duration // journal patch / rebuild / plain merge
@@ -262,8 +258,8 @@ type UpdateTiming struct {
 	LinksTouched int // link events in the change set
 }
 
-// EngineStats count engine activity across updates. For a Multi,
-// Incremental and FullRemaps count per-vantage mapping runs.
+// EngineStats count engine activity across updates. Incremental and
+// FullRemaps count per-vantage mapping runs.
 type EngineStats struct {
 	Updates     int // Update calls that did work
 	Unchanged   int // Update calls with identical inputs
@@ -274,18 +270,8 @@ type EngineStats struct {
 	TailApplies int // changed files journaled by replaying only an appended tail
 }
 
-// NewEngine returns a single-vantage engine for the given options.
-func NewEngine(opts Options) (*Engine, error) {
-	if opts.LocalHost == "" {
-		return nil, fmt.Errorf("remap: Options.LocalHost is required")
-	}
-	e := newCore(opts)
-	e.van = newVantage(e.foldName(opts.LocalHost))
-	return e, nil
-}
-
 // newCore builds the shared pipeline state with no vantages.
-func newCore(opts Options) *Engine {
+func newCore(opts Options) *core {
 	mopts := mapper.DefaultOptions()
 	if opts.Mapper != nil {
 		mopts = *opts.Mapper
@@ -293,7 +279,7 @@ func newCore(opts Options) *Engine {
 	if opts.MaxDirtyFrac == 0 {
 		opts.MaxDirtyFrac = 0.25
 	}
-	e := &Engine{
+	e := &core{
 		opts:   opts,
 		mopts:  mopts,
 		popts:  parser.Options{FoldCase: opts.FoldCase, Workers: opts.Workers},
@@ -306,38 +292,17 @@ func newCore(opts Options) *Engine {
 	return e
 }
 
-func (e *Engine) foldName(s string) string {
+func (e *core) foldName(s string) string {
 	if !e.opts.FoldCase {
 		return s
 	}
 	return strings.ToLower(s)
 }
 
-// Result returns the last successful update's result (nil before one).
-func (e *Engine) Result() *Result { return e.van.last }
-
-// Update brings the engine to the given input set and recomputes routes,
-// incrementally when it can. On error (parse errors, missing local host)
-// the previous Result keeps serving and the engine stays consistent.
-func (e *Engine) Update(inputs []Input) (*Result, error) {
-	if err := e.sync(inputs); err != nil {
-		return nil, err
-	}
-	mark := time.Now()
-	res, err := e.van.result(e)
-	e.timing.Map = time.Since(mark)
-	if res != nil && e.timing.Path != "unchanged" {
-		e.timing.MapSum += res.MapDur
-		e.timing.RouteSum += res.RouteDur
-		e.timing.LabelsChanged += res.LabelsChanged
-	}
-	return res, err
-}
-
 // sync brings the shared pipeline state — fragment cache, journaled
 // graph, CSR snapshot, warnings, change history — to the given input
 // set, without mapping any vantage.
-func (e *Engine) sync(inputs []Input) error {
+func (e *core) sync(inputs []Input) error {
 	if len(inputs) == 0 {
 		return fmt.Errorf("remap: no inputs")
 	}
@@ -549,12 +514,9 @@ func (e *Engine) sync(inputs []Input) error {
 	return nil
 }
 
-// Timing returns the per-phase breakdown of the last effective update.
-func (e *Engine) Timing() UpdateTiming { return e.timing }
-
 // recordHistory appends this journal generation's change set to the
 // retained history, pruning from the oldest end when over budget.
-func (e *Engine) recordHistory() {
+func (e *core) recordHistory() {
 	gc := genChange{jgen: e.jgen, structural: e.ch.structural, grown: e.ch.grown}
 	if !gc.structural {
 		// Structural generations force a full re-map for every vantage
@@ -582,7 +544,7 @@ func (e *Engine) recordHistory() {
 // a full re-map and the event lists are meaningless. grown reports that
 // the range added nodes: the events are still usable, but the vantage
 // must re-base its machine's ranks (mapper.RebaseGrow) before warming.
-func (e *Engine) eventsSince(jgen uint64) (structural, grown bool, edges []edgeEvent, attrs, netFlips []int32) {
+func (e *core) eventsSince(jgen uint64) (structural, grown bool, edges []edgeEvent, attrs, netFlips []int32) {
 	if jgen == e.jgen {
 		return false, false, nil, nil, nil
 	}
@@ -615,7 +577,7 @@ func (e *Engine) eventsSince(jgen uint64) (structural, grown bool, edges []edgeE
 // (cached) fragments — the cold path: first update, input reorder, or
 // recovery after a plain run. The fresh graph obsoletes every vantage
 // machine (graphGen) and the retained change history.
-func (e *Engine) rebuildAll(states []*fileState) {
+func (e *core) rebuildAll(states []*fileState) {
 	e.Stats.Rebuilds++
 	g := graph.New()
 	g.SetFoldCase(e.opts.FoldCase)
@@ -661,7 +623,7 @@ func (e *Engine) rebuildAll(states []*fileState) {
 // syncIncremental patches the journaled graph from the current file set
 // to states: undo removed/changed files, redo changed/added ones, then
 // re-resolve the deferred link operations.
-func (e *Engine) syncIncremental(states []*fileState) {
+func (e *core) syncIncremental(states []*fileState) {
 	e.ch.reset()
 	e.firstNewNode = int32(e.g.Len())
 	e.capturing = true
@@ -767,7 +729,7 @@ func inStates(states []*fileState, name string) bool {
 // applyPendings re-resolves every file's deferred dead/delete link items
 // against the patched graph, collecting the no-such-link warnings. Mark
 // changes surface through the capture layer's before/after diff.
-func (e *Engine) applyPendings() {
+func (e *core) applyPendings() {
 	e.pendingWarns = e.pendingWarns[:0]
 	e.pendingMarks = e.pendingMarks[:0]
 	for _, f := range e.files {
@@ -803,7 +765,7 @@ func (e *Engine) applyPendings() {
 // localNodeFor resolves a vantage host in the current graph; a ghost
 // (no current file references it) counts as absent, as it would be in a
 // fresh parse. The name must already be case-folded.
-func (e *Engine) localNodeFor(host string) (*graph.Node, error) {
+func (e *core) localNodeFor(host string) (*graph.Node, error) {
 	n, ok := e.g.Lookup(host)
 	if ok && e.nstate(n).ghost {
 		ok = false
@@ -818,7 +780,7 @@ func (e *Engine) localNodeFor(host string) (*graph.Node, error) {
 // current inputs would produce: per-file scan warnings in input order,
 // then the pending-link warnings, then avoid-resolution warnings. The
 // list is vantage-independent.
-func (e *Engine) computeWarnings() []string {
+func (e *core) computeWarnings() []string {
 	var out []string
 	for _, f := range e.files {
 		out = append(out, f.frag.WarningTexts()...)
@@ -837,7 +799,7 @@ func (e *Engine) computeWarnings() []string {
 // errors, duplicate input names) with a from-scratch merge over the
 // scanned fragments, leaving the journaled state untouched. Vantage
 // results are then one-shot mapper runs over the merged graph.
-func (e *Engine) plainSync(frags []*parser.Fragment) error {
+func (e *core) plainSync(frags []*parser.Fragment) error {
 	pres, err := parser.MergeFragments(e.popts, frags)
 	if err != nil {
 		return err

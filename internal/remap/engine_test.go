@@ -102,6 +102,15 @@ func firstDiff(g, w string) string {
 	return "(no line diff?)"
 }
 
+// update brings m to inputs and returns its default vantage's result:
+// the single-source use of a Multi.
+func update(m *Multi, inputs []Input) (*Result, error) {
+	if err := m.Update(inputs); err != nil {
+		return nil, err
+	}
+	return m.ResultFor(m.def)
+}
+
 func toInputs(pins []parser.Input) []Input {
 	out := make([]Input, len(pins))
 	for i, in := range pins {
@@ -119,12 +128,12 @@ ucbvax	research(DAILY)
 ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 `
 	opts := Options{LocalHost: "unc"}
-	e, err := NewEngine(opts)
+	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := []Input{{Name: "paper.map", Src: src}}
-	res, err := e.Update(inputs)
+	res, err := update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +142,14 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 	// A cost edit: the warm path must produce the same bytes as fresh.
 	edited := strings.Replace(src, "duke(HOURLY)", "duke(WEEKLY)", 1)
 	inputs2 := []Input{{Name: "paper.map", Src: edited}}
-	res, err = e.Update(inputs2)
+	res, err = update(m, inputs2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEquivalent(t, opts, inputs2, res, "cost edit")
 
 	// Revert.
-	res, err = e.Update(inputs)
+	res, err = update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +159,12 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 func TestEngineSmallMapgen(t *testing.T) {
 	pins, local := mapgen.Generate(mapgen.Small())
 	opts := Options{LocalHost: local}
-	e, err := NewEngine(opts)
+	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := toInputs(pins)
-	res, err := e.Update(inputs)
+	res, err := update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestEngineSmallMapgen(t *testing.T) {
 	}
 
 	// Identical update: served from cache.
-	res2, err := e.Update(inputs)
+	res2, err := update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestEngineSmallMapgen(t *testing.T) {
 	}
 	in3 := toInputs(pins)
 	in3[0].Src = edited
-	res3, err := e.Update(in3)
+	res3, err := update(m, in3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +204,13 @@ func TestEngineSmallMapgen(t *testing.T) {
 // and the unknown-host warning must track the current input set.
 func TestEngineAvoid(t *testing.T) {
 	opts := Options{LocalHost: "a", Avoid: []string{"b", "nosuch"}}
-	e, err := NewEngine(opts)
+	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "a\tb(10), c(100)\nb\tc(10)\nc\td(10)\n"
 	in := []Input{{Name: "m", Src: base}}
-	res, err := e.Update(in)
+	res, err := update(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +218,14 @@ func TestEngineAvoid(t *testing.T) {
 
 	// Drop b entirely; the avoided name becomes unknown.
 	in2 := []Input{{Name: "m", Src: "a\tc(100)\nc\td(10)\n"}}
-	res, err = e.Update(in2)
+	res, err = update(m, in2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEquivalent(t, opts, in2, res, "avoid removed")
 
 	// Reintroduce b (resurrection must restore the penalty).
-	res, err = e.Update(in)
+	res, err = update(m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +237,12 @@ func TestEngineAvoid(t *testing.T) {
 // input set must recompute, not serve the plain run's cached result.
 func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
 	opts := Options{LocalHost: "a"}
-	e, err := NewEngine(opts)
+	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := []Input{{Name: "m", Src: "a\tb(10)\n"}}
-	res, err := e.Update(base)
+	res, err := update(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
 	}
 	// Duplicate input name: plain-run path, extra host c.
 	dup := []Input{{Name: "m", Src: "a\tb(10)\n"}, {Name: "m", Src: "b\tc(10)\n"}}
-	res, err = e.Update(dup)
+	res, err = update(m, dup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +259,7 @@ func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
 		t.Fatalf("dup entries = %d", len(res.Entries))
 	}
 	// Revert: must match a fresh run over base, not the dup result.
-	res, err = e.Update(base)
+	res, err = update(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,12 +404,12 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 			// Workers > 1 exercises the parallel fragment re-scan under
 			// the race detector.
 			opts := Options{LocalHost: local, Workers: 4}
-			e, err := NewEngine(opts)
+			m, err := NewMulti(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			inputs := toInputs(pins)
-			res, err := e.Update(inputs)
+			res, err := update(m, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,8 +420,8 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				var addHost bool
 				inputs, addHost = mutateMap(rng, inputs, &mu)
-				fullBefore := e.Stats.FullRemaps
-				res, err = e.Update(inputs)
+				fullBefore := m.Stats().FullRemaps
+				res, err = update(m, inputs)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -421,13 +430,13 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 				}
 				// Host-add edits must stay on the warm path: growth is a
 				// rank re-base, not a rebuild.
-				if addHost && (!res.Incremental || e.Stats.FullRemaps != fullBefore) {
+				if addHost && (!res.Incremental || m.Stats().FullRemaps != fullBefore) {
 					t.Fatalf("step %d (seed %d): host-add edit re-mapped fully (stats %+v)",
-						step, seed, e.Stats)
+						step, seed, m.Stats())
 				}
 				checkEquivalent(t, opts, inputs, res, fmt.Sprintf("step %d (seed %d)", step, seed))
 			}
-			t.Logf("seed %d: %d/%d steps warm (stats %+v)", seed, warm, steps, e.Stats)
+			t.Logf("seed %d: %d/%d steps warm (stats %+v)", seed, warm, steps, m.Stats())
 		})
 	}
 }

@@ -3,11 +3,11 @@ package remap
 // Multi serves many vantage points over one shared pipeline: one
 // fragment cache, one journaled graph, one patched CSR snapshot, N
 // detached mapper machines with per-source result caches. Where N
-// single-vantage Engines would re-scan and re-patch the world N times,
-// a Multi pays the parse/graph/snapshot cost once per update and only
-// the mapping cost per vantage — and vantages touched rarely pay
-// nothing until queried (results are recomputed lazily, catching up
-// across the retained change history).
+// independent engines would re-scan and re-patch the world N times, a
+// Multi pays the parse/graph/snapshot cost once per update and only the
+// mapping cost per vantage — and vantages touched rarely pay nothing
+// until queried (results are recomputed lazily, catching up across the
+// retained change history).
 
 import (
 	"runtime"
@@ -25,7 +25,7 @@ import (
 // vantage (see Result.Entries).
 type Multi struct {
 	mu   sync.RWMutex
-	e    *Engine
+	e    *core
 	vans map[string]*vantage
 	def  string // pinned default vantage ("" if none)
 	tick atomic.Uint64

@@ -28,7 +28,7 @@ var ErrOverlayUnavailable = errors.New("remap: what-if overlays unavailable (no 
 
 // OverlayCtx is the read-only graph view handed to an overlay builder.
 // All lookups fold names the way the engine does.
-type OverlayCtx struct{ e *Engine }
+type OverlayCtx struct{ e *core }
 
 // Lookup resolves a host name to its live node. Ghosts — names that only
 // survive as deleted placeholders — do not resolve.

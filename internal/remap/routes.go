@@ -107,7 +107,7 @@ func extendFrame(parent, c mapper.LabelView, pf *frame) frame {
 }
 
 // entryFor applies printer.emit's rules to one label/frame pair.
-func (v *vantage) entryFor(e *Engine, li int32, f *frame) (printer.Entry, bool) {
+func (v *vantage) entryFor(e *core, li int32, f *frame) (printer.Entry, bool) {
 	lv := v.mc.Label(li)
 	n := lv.Node
 	if lv.State != graph.Mapped || n.IsPrivate() || n.IsDeleted() {
@@ -131,7 +131,7 @@ func (v *vantage) entryFor(e *Engine, li int32, f *frame) (printer.Entry, bool) 
 
 // rebuildRoutes derives every frame and entry from scratch (full-re-map
 // path): a DFS over the machine's shortest-path tree.
-func (v *vantage) rebuildRoutes(e *Engine) {
+func (v *vantage) rebuildRoutes(e *core) {
 	nl := v.mc.NumLabels()
 	if cap(v.frames) >= nl {
 		v.frames = v.frames[:nl]
@@ -176,7 +176,7 @@ func (v *vantage) rebuildRoutes(e *Engine) {
 // flag flipped across the replayed generations (a print-only effect the
 // label diff cannot see). It reports whether any entry may have changed
 // (false = the previous rows are provably still exact).
-func (v *vantage) patchRoutes(e *Engine, changed []int32, netFlips []int32) bool {
+func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 	if nl := v.mc.NumLabels(); len(v.frames) < nl {
 		// The label array grew (rank re-basing): fresh labels start with
 		// no frame and clean dirty stamps. Existing frames stay valid —
@@ -282,7 +282,7 @@ func (v *vantage) patchRoutes(e *Engine, changed []int32, netFlips []int32) bool
 // Result is reused for the next-but-one recompute, which is why a
 // Result's Entries are documented as valid only until the second
 // recompute of its vantage.
-func (v *vantage) assembleEntries(e *Engine) []printer.Entry {
+func (v *vantage) assembleEntries(e *core) []printer.Entry {
 	out := v.entriesSpare[:0]
 	if cap(out) < len(v.rows) {
 		out = make([]printer.Entry, 0, len(v.rows)+len(v.rows)/4)

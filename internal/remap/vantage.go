@@ -10,7 +10,7 @@ package remap
 //
 // A vantage may fall behind the core by several updates (a Multi
 // recomputes lazily on query): recompute then replays the union of the
-// change sets in between (Engine.eventsSince), which preserves the
+// change sets in between (core.eventsSince), which preserves the
 // warm-start invariant — every label whose final value differs from the
 // machine's current labeling is either invalidated or reachable from a
 // seeded improvement source — because invalidation is keyed off the
@@ -70,7 +70,7 @@ func newVantage(host string) *vantage {
 // generation, recomputing when stale. recomputed reports that a mapping
 // run happened (false when served from cache). Callers hold whatever
 // lock guards the core; the recompute itself writes only vantage state.
-func (v *vantage) resolve(e *Engine) (res *Result, recomputed bool, err error) {
+func (v *vantage) resolve(e *core) (res *Result, recomputed bool, err error) {
 	if e.updGen > 0 && v.resGen == e.updGen {
 		if v.err != nil {
 			return nil, false, v.err
@@ -90,23 +90,10 @@ func (v *vantage) resolve(e *Engine) (res *Result, recomputed bool, err error) {
 	return res, true, err
 }
 
-// result is resolve plus the single-engine stats accounting.
-func (v *vantage) result(e *Engine) (*Result, error) {
-	res, recomputed, err := v.resolve(e)
-	if recomputed && err == nil && e.plain == nil {
-		if res.Incremental {
-			e.Stats.Incremental++
-		} else {
-			e.Stats.FullRemaps++
-		}
-	}
-	return res, err
-}
-
 // fail records a recompute failure for the current generation. The
-// previous result keeps serving through v.last (Result()); the cached
+// previous result stays in v.last; the cached
 // error stops identical queries from re-running a doomed mapping.
-func (v *vantage) fail(e *Engine, err error) (*Result, error) {
+func (v *vantage) fail(e *core, err error) (*Result, error) {
 	v.err = err
 	v.resGen = e.updGen
 	return nil, err
@@ -115,7 +102,7 @@ func (v *vantage) fail(e *Engine, err error) (*Result, error) {
 // recompute maps the vantage over the core's journaled graph — warm
 // when the machine's labeling is close enough to the current journal
 // generation, cold otherwise — and refreshes the route state.
-func (v *vantage) recompute(e *Engine) (*Result, error) {
+func (v *vantage) recompute(e *core) (*Result, error) {
 	start := time.Now()
 	local, err := e.localNodeFor(v.host)
 	if err != nil {
@@ -231,7 +218,7 @@ func (v *vantage) recompute(e *Engine) (*Result, error) {
 // is left untouched, so warm mapping resumes when a clean update
 // arrives. One-shot runs own the plain graph's Node.M; the core lock
 // serializes them.
-func (v *vantage) recomputePlain(e *Engine) (*Result, error) {
+func (v *vantage) recomputePlain(e *core) (*Result, error) {
 	start := time.Now()
 	local, ok := e.plain.g.Lookup(v.host)
 	if !ok {

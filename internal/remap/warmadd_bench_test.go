@@ -26,11 +26,11 @@ func hostAdd50k(tb testing.TB) ([]Input, string) {
 
 func benchRemapHostAdd(b *testing.B, forceFull bool) {
 	inputs, local := hostAdd50k(b)
-	e, err := NewEngine(Options{LocalHost: local})
+	m, err := NewMulti(Options{LocalHost: local})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Update(inputs); err != nil {
+	if _, err := update(m, inputs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -38,9 +38,9 @@ func benchRemapHostAdd(b *testing.B, forceFull bool) {
 	for i := 0; i < b.N; i++ {
 		inputs = appendToFirst(inputs, fmt.Sprintf("\nbenchadd%d\thost7(DAILY)\n", i))
 		if forceFull {
-			e.van.needFull = true
+			m.vans[m.def].needFull = true
 		}
-		res, err := e.Update(inputs)
+		res, err := update(m, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestHostAddSpeedup(t *testing.T) {
 		t.Skip("timing test; race instrumentation distorts the warm/full ratio")
 	}
 	inputs, local := hostAdd50k(t)
-	e, err := NewEngine(Options{LocalHost: local})
+	m, err := NewMulti(Options{LocalHost: local})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Update(inputs); err != nil {
+	if _, err := update(m, inputs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestHostAddSpeedup(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		inputs = appendToFirst(inputs, fmt.Sprintf("\nspeedadd%dw\thost7(DAILY)\n", r))
 		start := time.Now()
-		res, err := e.Update(inputs)
+		res, err := update(m, inputs)
 		warm := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
@@ -93,9 +93,9 @@ func TestHostAddSpeedup(t *testing.T) {
 		warmNs = append(warmNs, float64(warm.Nanoseconds()))
 
 		inputs = appendToFirst(inputs, fmt.Sprintf("\nspeedadd%df\thost7(DAILY)\n", r))
-		e.van.needFull = true
+		m.vans[m.def].needFull = true
 		start = time.Now()
-		res, err = e.Update(inputs)
+		res, err = update(m, inputs)
 		full := time.Since(start)
 		if err != nil {
 			t.Fatal(err)

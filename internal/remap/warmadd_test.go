@@ -40,33 +40,33 @@ func TestEngineHostAddWarm(t *testing.T) {
 	cfg.CoreFiles = 3
 	pins, local := mapgen.Generate(cfg)
 	opts := Options{LocalHost: local, Workers: 2}
-	e, err := NewEngine(opts)
+	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := toInputs(pins)
-	res, err := e.Update(inputs)
+	res, err := update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEquivalent(t, opts, inputs, res, "initial")
-	fullRemaps := e.Stats.FullRemaps
+	fullRemaps := m.Stats().FullRemaps
 
 	for i, add := range addHostEdits {
 		inputs = appendToFirst(inputs, add)
-		res, err = e.Update(inputs)
+		res, err = update(m, inputs)
 		if err != nil {
 			t.Fatalf("edit %d: %v", i, err)
 		}
 		if !res.Incremental {
 			t.Fatalf("edit %d (%q): host add took the full re-map path", i, add)
 		}
-		if e.Stats.FullRemaps != fullRemaps {
-			t.Fatalf("edit %d (%q): FullRemaps bumped %d -> %d", i, add, fullRemaps, e.Stats.FullRemaps)
+		if m.Stats().FullRemaps != fullRemaps {
+			t.Fatalf("edit %d (%q): FullRemaps bumped %d -> %d", i, add, fullRemaps, m.Stats().FullRemaps)
 		}
-		if e.Stats.TailApplies != i+1 {
+		if m.Stats().TailApplies != i+1 {
 			t.Fatalf("edit %d (%q): appended edit did not tail-apply (TailApplies=%d, want %d)",
-				i, add, e.Stats.TailApplies, i+1)
+				i, add, m.Stats().TailApplies, i+1)
 		}
 		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("add edit %d", i))
 	}
@@ -74,7 +74,7 @@ func TestEngineHostAddWarm(t *testing.T) {
 	// A host REMOVAL flips deletions or rebuilds the journal: the next
 	// update must fall back to a full re-map and still match.
 	inputs = appendToFirst(inputs, "\ndelete {warmadd0}\n")
-	res, err = e.Update(inputs)
+	res, err = update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestTailApplyPrivateScope(t *testing.T) {
 		{Name: "b.map", Src: "beta\tgamma(WEEKLY)\ndelta\talpha(DAILY), gamma(POLLED)\n"},
 	}
 	opts := Options{LocalHost: "alpha"}
-	e, err := NewEngine(opts)
+	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Update(inputs)
+	res, err := update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,20 +164,20 @@ func TestTailApplyPrivateScope(t *testing.T) {
 	}
 	for i, add := range tailEdits {
 		inputs = appendToFirst(inputs, add)
-		res, err = e.Update(inputs)
+		res, err = update(m, inputs)
 		if err != nil {
 			t.Fatalf("tail edit %d: %v", i, err)
 		}
 		if !res.Incremental {
 			t.Fatalf("tail edit %d (%q): add-only edit took the full re-map path", i, add)
 		}
-		if e.Stats.TailApplies != i+1 {
+		if m.Stats().TailApplies != i+1 {
 			t.Fatalf("tail edit %d (%q): did not tail-apply (TailApplies=%d, want %d)",
-				i, add, e.Stats.TailApplies, i+1)
+				i, add, m.Stats().TailApplies, i+1)
 		}
 		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("tail edit %d", i))
 	}
-	tails := e.Stats.TailApplies
+	tails := m.Stats().TailApplies
 
 	// A mid-file modification is not an extension: the engine must fall
 	// back to undo-and-reapply (file a.map has privates, so the undo-first
@@ -186,12 +186,12 @@ func TestTailApplyPrivateScope(t *testing.T) {
 	copy(mod, inputs)
 	mod[0].Src = strings.Replace(mod[0].Src, "beta(DAILY)", "beta(WEEKLY)", 1)
 	inputs = mod
-	res, err = e.Update(inputs)
+	res, err = update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats.TailApplies != tails {
-		t.Fatalf("modified prefix tail-applied (TailApplies=%d, want %d)", e.Stats.TailApplies, tails)
+	if m.Stats().TailApplies != tails {
+		t.Fatalf("modified prefix tail-applied (TailApplies=%d, want %d)", m.Stats().TailApplies, tails)
 	}
 	checkEquivalent(t, opts, inputs, res, "prefix modification")
 
@@ -200,12 +200,12 @@ func TestTailApplyPrivateScope(t *testing.T) {
 	copy(trunc, inputs)
 	trunc[0].Src = strings.TrimSuffix(trunc[0].Src, "beta\teta(HOURLY)\n")
 	inputs = trunc
-	res, err = e.Update(inputs)
+	res, err = update(m, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats.TailApplies != tails {
-		t.Fatalf("truncated file tail-applied (TailApplies=%d, want %d)", e.Stats.TailApplies, tails)
+	if m.Stats().TailApplies != tails {
+		t.Fatalf("truncated file tail-applied (TailApplies=%d, want %d)", m.Stats().TailApplies, tails)
 	}
 	checkEquivalent(t, opts, inputs, res, "truncation")
 }

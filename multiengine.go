@@ -1,15 +1,22 @@
 package pathalias
 
-// Multi-source mapping: one shared incremental pipeline serving routes
-// from many vantage points. The paper's mailrouter scenario wants the
-// route between arbitrary host pairs, not just from one LocalHost; a
-// MultiEngine answers it by keeping ONE fragment cache, ONE journaled
-// graph, and ONE CSR snapshot, shared by per-vantage mapping machines
-// with per-source result caches. Each vantage's output is byte-identical
-// to a fresh single-source Run with that LocalHost (the cross-vantage
-// equivalence suite in internal/remap holds this), and a source edit
-// costs one delta parse plus one warm re-map per resident vantage —
-// where N independent Engines would re-scan and re-patch N times.
+// The incremental engine: the library's live-service mode. Run and
+// RunFiles are batch one-shots; a MultiEngine keeps the
+// parse→graph→map pipeline resident so successive Update calls over a
+// slowly-mutating map set cost only the delta (see internal/remap). A
+// routed deployment tracks map edits in milliseconds instead of
+// re-mapping the world.
+//
+// One engine answers from any number of vantage points. The paper's
+// mailrouter scenario wants the route between arbitrary host pairs, not
+// just from one LocalHost; a MultiEngine answers it by keeping ONE
+// fragment cache, ONE journaled graph, and ONE CSR snapshot, shared by
+// per-vantage mapping machines with per-source result caches. Each
+// vantage's output is byte-identical to a fresh single-source Run with
+// that LocalHost (the cross-vantage equivalence suite in internal/remap
+// holds this), and a source edit costs one delta parse plus one warm
+// re-map per resident vantage. A single-source engine is a MultiEngine
+// with Options.LocalHost set, read through Result.
 
 import (
 	"fmt"
@@ -17,6 +24,9 @@ import (
 	"sync"
 
 	"pathalias/internal/core"
+	"pathalias/internal/cost"
+	"pathalias/internal/mapper"
+	"pathalias/internal/printer"
 	"pathalias/internal/remap"
 )
 
@@ -49,11 +59,24 @@ type convCache struct {
 	res *Result
 }
 
-// NewMultiEngine returns a multi-vantage engine. Unlike Run and
-// NewEngine, opts.LocalHost is optional: when set it names a default
-// vantage that is computed eagerly on every Update and never evicted;
-// other vantages spin up lazily on first query and are evicted
-// least-recently-used beyond opts.MaxVantages.
+// NewMultiEngine returns a multi-vantage engine. Unlike Run,
+// opts.LocalHost is optional: when set it names a default vantage that
+// is computed eagerly on every Update and never evicted; other vantages
+// spin up lazily on first query and are evicted least-recently-used
+// beyond opts.MaxVantages.
+//
+// The first Update is a full build; later Updates re-scan only changed
+// inputs and re-map only the affected part of the network. Routes,
+// Warnings, and Unreachable are byte-identical to a from-scratch Run
+// over the same inputs after every Update.
+//
+// Of a Result's Stats fields, the mapping-side counters are populated:
+// Reached, BackLinked, and Penalized always describe the full current
+// map, while Extractions and Relaxations count only the work the
+// vantage's last recompute actually performed (a warm update re-relaxes
+// just the dirty region, which is the point). The parse-side counters —
+// Hosts, Nets, Domains, Links — stay zero: restating the whole graph is
+// exactly the work a warm update avoids; use Run for a one-shot census.
 func NewMultiEngine(opts Options) (*MultiEngine, error) {
 	eng, err := remap.NewMulti(remapOptions(opts))
 	if err != nil {
@@ -75,8 +98,9 @@ func (e *MultiEngine) Update(inputs ...Input) error {
 }
 
 // UpdateFiles reads the named files into memory and updates from them.
-// Files may be saved in place or replaced by rename (see
-// Engine.UpdateFiles).
+// Files may be saved in place or replaced by rename: nothing the engine
+// keeps aliases a file, so a save that races the read costs at most one
+// update over torn content, which the next UpdateFiles corrects.
 func (e *MultiEngine) UpdateFiles(paths ...string) error {
 	ins, err := core.ReadInputs(paths)
 	if err != nil {
@@ -192,3 +216,68 @@ func (e *MultiEngine) Vantages() []string { return e.eng.Vantages() }
 // Stats returns engine activity counters. Incremental and FullRemaps
 // count per-vantage mapping runs.
 func (e *MultiEngine) Stats() EngineStats { return EngineStats(e.eng.Stats()) }
+
+// EngineStats count engine activity across updates.
+type EngineStats struct {
+	Updates     int // Update calls that did work
+	Unchanged   int // Update calls with identical inputs
+	Incremental int // warm-path vantage re-maps
+	FullRemaps  int // full vantage re-maps over the patched graph
+	Rebuilds    int // full rebuilds (first run, reorders, parse errors)
+	Rescanned   int // inputs re-scanned
+	TailApplies int // changed files journaled by replaying only an appended tail
+}
+
+// remapOptions translates public Options into the incremental engine's
+// option set.
+func remapOptions(opts Options) remap.Options {
+	mopts := mapper.DefaultOptions()
+	mopts.SecondBest = opts.SecondBest
+	mopts.BackLinks = !opts.NoBackLinks
+	if opts.MixedPenalty != 0 {
+		mopts.MixedPenalty = cost.Cost(opts.MixedPenalty)
+	}
+	if opts.GatewayPenalty != 0 {
+		mopts.GatewayPenalty = cost.Cost(opts.GatewayPenalty)
+	}
+	if opts.DomainRelayPenalty != 0 {
+		mopts.DomainRelayPenalty = cost.Cost(opts.DomainRelayPenalty)
+	}
+	if opts.DeadPenalty != 0 {
+		mopts.DeadPenalty = cost.Cost(opts.DeadPenalty)
+	}
+	return remap.Options{
+		LocalHost: opts.LocalHost,
+		Mapper:    &mopts,
+		Printer: printer.Options{
+			Costs:        opts.PrintCosts,
+			SortByCost:   opts.SortByCost,
+			DomainsOnly:  opts.DomainsOnly,
+			FirstHopCost: opts.FirstHopCost,
+		},
+		Avoid:       opts.Avoid,
+		FoldCase:    opts.IgnoreCase,
+		MaxVantages: opts.MaxVantages,
+	}
+}
+
+// convertResult translates an incremental-engine result into the public
+// shape.
+func convertResult(opts Options, r *remap.Result) *Result {
+	res := &Result{
+		Warnings:    r.Warnings,
+		Unreachable: r.Unreachable,
+		RouteGen:    r.RouteGen,
+		opts:        opts,
+	}
+	res.Routes = make([]Route, len(r.Entries))
+	for i, en := range r.Entries {
+		res.Routes[i] = Route{Host: en.Host, Format: en.Route, Cost: int64(en.Cost)}
+	}
+	res.Stats.Reached = r.Reached
+	res.Stats.BackLinked = r.BackLinked
+	res.Stats.Penalized = r.Penalized
+	res.Stats.Extractions = r.Extractions
+	res.Stats.Relaxations = r.Relaxations
+	return res
+}

@@ -123,9 +123,9 @@ type Result struct {
 	Unreachable []string
 	Stats       Stats
 
-	// RouteGen is the route-set generation counter from an incremental
-	// Engine: it advances only when a recomputation may have changed the
-	// routes, so a consumer holding the previous Result's RouteGen — a
+	// RouteGen is the vantage's route-set generation counter from a
+	// MultiEngine: it advances only when a recomputation may have changed
+	// the routes, so a consumer holding the previous Result's RouteGen — a
 	// watcher deciding whether to republish a compiled database — can
 	// skip identical outputs without diffing them. Zero for results from
 	// the batch Run, which has no generation to compare against.
