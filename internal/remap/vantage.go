@@ -90,9 +90,9 @@ func (v *vantage) resolve(e *core) (res *Result, recomputed bool, err error) {
 	return res, true, err
 }
 
-// fail records a recompute failure for the current generation. The
-// previous result stays in v.last; the cached
-// error stops identical queries from re-running a doomed mapping.
+// fail records a recompute failure for the current generation; the
+// cached error stops identical queries from re-running a doomed
+// mapping.
 func (v *vantage) fail(e *core, err error) (*Result, error) {
 	v.err = err
 	v.resGen = e.updGen
