@@ -60,7 +60,7 @@ func TestVerboseStats(t *testing.T) {
 	if code := run([]string{"-l", "unc", "-v", p}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, want := range []string{"nodes", "hash table", "extractions"} {
+	for _, want := range []string{"nodes", "hash table", "extractions", "stmts_replayed="} {
 		if !strings.Contains(errb.String(), want) {
 			t.Errorf("stderr missing %q:\n%s", want, errb.String())
 		}

@@ -79,8 +79,11 @@ type watcher struct {
 	outDB   string
 	pubGen  uint64 // RouteGen of the last published compiled database
 	pubOK   bool   // outDB has been published at least once
-	stderr  io.Writer
-	log     *slog.Logger
+	// replayed is the last regeneration's stmts_replayed: statements
+	// the engine applied plus undid to bring its graph to the sources.
+	replayed int
+	stderr   io.Writer
+	log      *slog.Logger
 }
 
 func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
@@ -98,15 +101,16 @@ func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB strin
 // content hashes match) write nothing, so it is cheap to call on
 // suspicion.
 func (w *watcher) regenerate() (bool, error) {
-	unchangedBefore := w.eng.Stats().Unchanged
+	before := w.eng.Stats()
 	if err := w.eng.UpdateFiles(w.paths...); err != nil {
 		return false, err
 	}
+	w.replayed = w.eng.Stats().StmtsReplayed - before.StmtsReplayed
 	res, err := w.eng.Result()
 	if err != nil {
 		return false, err
 	}
-	if w.eng.Stats().Unchanged > unchangedBefore && w.eng.Stats().Updates > 0 {
+	if w.eng.Stats().Unchanged > before.Unchanged && w.eng.Stats().Updates > 0 {
 		return false, nil // identical inputs: keep the existing output
 	}
 	for _, warn := range res.Warnings {
@@ -135,7 +139,7 @@ func (w *watcher) loop(ctx context.Context, interval time.Duration) {
 		if wrote, err := w.regenerate(); err != nil {
 			w.log.Warn("regenerate failed, keeping previous output", "err", err)
 		} else if wrote {
-			w.log.Info("regenerated", "out", w.outPath)
+			w.log.Info("regenerated", "out", w.outPath, "stmts_replayed", w.replayed)
 		}
 	})
 }

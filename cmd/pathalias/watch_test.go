@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,8 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newWatcher(eng, []string{mapPath}, outPath, "", io.Discard)
+	var logBuf bytes.Buffer // read only after the loop has been joined
+	w.log = slog.New(slog.NewTextHandler(&logBuf, nil))
 	if wrote, err := w.regenerate(); err != nil || !wrote {
 		t.Fatalf("initial regenerate: wrote=%v err=%v", wrote, err)
 	}
@@ -76,6 +79,10 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	<-done
 	if got := eng.Stats(); got.Incremental == 0 {
 		t.Errorf("expected at least one incremental regeneration, stats %+v", got)
+	}
+	// The cost edit replayed one link declaration: applied once, undone once.
+	if !strings.Contains(logBuf.String(), "msg=regenerated") || !strings.Contains(logBuf.String(), "stmts_replayed=2") {
+		t.Errorf("regeneration log lacks stmts_replayed=2:\n%s", logBuf.String())
 	}
 }
 

@@ -350,6 +350,7 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDu
 		Nodes:           timing.Nodes,
 		NodesTouched:    timing.NodesTouched,
 		LinksTouched:    timing.LinksTouched,
+		Replayed:        timing.StmtsReplayed,
 		Rescanned:       timing.Rescanned,
 		Routes:          routes,
 		Published:       published,

@@ -321,10 +321,11 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Errorf("second trace seq = %d, want 2", tr.Seq)
 	}
 	// The trace says how large the re-map was: the default vantage's
-	// labels moved, the ucbvax store was kept.
-	if tr.LabelsChanged == 0 || tr.StoresUnchanged != 1 {
-		t.Errorf("trace labels_changed=%d stores_unchanged=%d, want >0 and 1",
-			tr.LabelsChanged, tr.StoresUnchanged)
+	// labels moved, the ucbvax store was kept, and the patch replayed
+	// the one edited link declaration (applied once, undone once).
+	if tr.LabelsChanged == 0 || tr.StoresUnchanged != 1 || tr.Replayed != 2 {
+		t.Errorf("trace labels_changed=%d stores_unchanged=%d stmts_replayed=%d, want >0, 1 and 2",
+			tr.LabelsChanged, tr.StoresUnchanged, tr.Replayed)
 	}
 
 	// Re-mapping unchanged inputs is a no-op: no new trace.
@@ -341,7 +342,7 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Errorf("trace command = %q, %v", reply, closing)
 	}
 	for _, field := range []string{"path=", "wall=", "scan=", "routes=",
-		fmt.Sprintf("labels_changed=%d", tr.LabelsChanged), "stores_unchanged=1"} {
+		fmt.Sprintf("labels_changed=%d", tr.LabelsChanged), "stores_unchanged=1", "stmts_replayed=2"} {
 		if !strings.Contains(reply, field) {
 			t.Errorf("trace line %q missing %q", reply, field)
 		}
@@ -359,9 +360,9 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got.Gen != 2 || len(got.Stages) == 0 || got.LabelsChanged != tr.LabelsChanged || got.StoresUnchanged != 1 {
-		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d; want gen 2 with stages, %d, 1",
-			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, tr.LabelsChanged)
+	if got.Gen != 2 || len(got.Stages) == 0 || got.LabelsChanged != tr.LabelsChanged || got.StoresUnchanged != 1 || got.Replayed != 2 {
+		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d, stmts_replayed %d; want gen 2 with stages, %d, 1, 2",
+			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, got.Replayed, tr.LabelsChanged)
 	}
 	resp, err = srv.Client().Get(srv.URL + "/lastmap?n=5")
 	if err != nil {

@@ -58,6 +58,10 @@ type Report struct {
 	Graph     *graph.Graph
 	MapResult *mapper.Result
 	Times     PhaseTimes
+	// StmtsReplayed counts the statements the parse merged into the
+	// graph — the batch counterpart of the incremental engine's
+	// per-generation count.
+	StmtsReplayed int
 }
 
 // Run executes the pipeline.
@@ -76,6 +80,7 @@ func Run(cfg Config) (*Report, error) {
 	if pres != nil {
 		rep.Graph = pres.Graph
 		rep.Warnings = pres.Warnings
+		rep.StmtsReplayed = pres.StmtsReplayed
 	}
 	if err != nil {
 		return rep, err
@@ -175,6 +180,7 @@ func WriteReportStats(w io.Writer, rep *Report) {
 		fmt.Fprintf(w, "pathalias: %d extractions, %d relaxations, queue high-water %d\n",
 			mr.Extractions, mr.Relaxations, mr.MaxQueue)
 	}
+	fmt.Fprintf(w, "pathalias: stmts_replayed=%d\n", rep.StmtsReplayed)
 	fmt.Fprintf(w, "pathalias: parse %v, map %v, print %v\n",
 		rep.Times.Parse.Round(time.Microsecond),
 		rep.Times.Map.Round(time.Microsecond),

@@ -35,6 +35,7 @@ type Trace struct {
 	Nodes        int  `json:"nodes"`           // graph size after the update
 	NodesTouched int  `json:"nodes_touched"`   // nodes the journal patch touched
 	LinksTouched int  `json:"links_touched"`   // link events in the change set
+	Replayed     int  `json:"stmts_replayed"`  // statements the patch applied plus undid
 	Rescanned    int  `json:"files_rescanned"` // inputs re-parsed
 	Routes       int  `json:"routes"`          // default vantage's served routes
 	Published    bool `json:"published"`       // a new rdb image was written
@@ -60,15 +61,15 @@ func (t *Trace) SumStages() time.Duration {
 
 // Line renders the trace as one line for the `trace` protocol command:
 //
-//	gen=7 path=incremental wall=1.8ms scan=0.3ms patch=0.2ms ... nodes=5019 touched=3 routes=5000 ... stores_unchanged=2
+//	gen=7 path=incremental wall=1.8ms scan=0.3ms patch=0.2ms ... nodes=5019 touched=3 links=2 stmts_replayed=2 ... stores_unchanged=2
 func (t *Trace) Line() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gen=%d path=%s wall=%s", t.Gen, t.Path, fmtDur(t.Wall))
 	for _, s := range t.Stages {
 		fmt.Fprintf(&b, " %s=%s", s.Name, fmtDur(s.Dur))
 	}
-	fmt.Fprintf(&b, " warm=%d full=%d nodes=%d touched=%d links=%d rescanned=%d routes=%d published=%v labels_changed=%d stores_unchanged=%d",
-		t.Warm, t.Full, t.Nodes, t.NodesTouched, t.LinksTouched, t.Rescanned, t.Routes, t.Published,
+	fmt.Fprintf(&b, " warm=%d full=%d nodes=%d touched=%d links=%d stmts_replayed=%d rescanned=%d routes=%d published=%v labels_changed=%d stores_unchanged=%d",
+		t.Warm, t.Full, t.Nodes, t.NodesTouched, t.LinksTouched, t.Replayed, t.Rescanned, t.Routes, t.Published,
 		t.LabelsChanged, t.StoresUnchanged)
 	return b.String()
 }

@@ -4,6 +4,7 @@ package parser
 //
 import (
 	"runtime"
+	"slices"
 
 	"pathalias/internal/cost"
 	"pathalias/internal/graph"
@@ -100,7 +101,7 @@ func MergeFragments(opts Options, frags []*Fragment) (*Result, error) {
 		m.merge(f.frag)
 	}
 	m.finish()
-	res := &Result{Graph: g, Warnings: m.warnings}
+	res := &Result{Graph: g, Warnings: m.warnings, StmtsReplayed: m.stmts}
 	if len(m.errors) > 0 {
 		return res, &ParseError{Errors: m.errors}
 	}
@@ -137,63 +138,76 @@ type ReplayOp struct {
 	Members []string // ReplayNet: member names (view into fragment storage)
 }
 
-// Extends reports whether f's replay log strictly extends old's: old's
-// statements, net-member lists, and pending links are an
-// element-for-element prefix of f's (compared by content — the two
-// fragments alias different source buffers). On success it returns the
-// prefix lengths — the statement and pending-link counts already
-// covered by old — so a journaling engine can replay only the appended
-// tail (OpsFrom) on top of old's journal instead of undoing and redoing
-// the whole file.
+// Common returns the lengths of the longest common statement prefix and
+// suffix of old's and f's replay logs, compared by content (the two
+// fragments alias different source buffers; net-member lists compare by
+// their names, not their offsets). The two never overlap: prefix+suffix
+// is at most the shorter log's length. A journaling engine replays only
+// f's statements between them and undoes only old's, instead of undoing
+// and redoing the whole file; an append is the case "old's middle and
+// the suffix are empty".
 //
-// The contract only holds when replaying the tail starts from the state
-// a full replay reaches at the cut: both fragments must be error-free
-// (the budget couples statements), share name and case folding, and
-// old must not switch file{} scope mid-stream (the tail would begin in
-// the wrong private scope). Private declarations in the prefix are fine:
-// bindings are (name, file)-keyed and persist, so a tail replayed under
-// the file's own scope resolves exactly as the full replay would.
-func (f *Fragment) Extends(old *Fragment) (stmts, pendings int, ok bool) {
+// old and f must be error-free scans of one input under one case
+// folding (the error budget couples statements). The caller owns the
+// scope rules: a private or file{} statement at or after the prefix
+// changes how the other statements resolve names (see LastPrivate and
+// SwitchesFile).
+func (f *Fragment) Common(old *Fragment) (prefix, suffix int) {
 	a, b := old.frag, f.frag
-	if a.name != b.name || old.foldCase != f.foldCase ||
-		len(a.errors) > 0 || len(b.errors) > 0 || a.sawFile ||
-		len(a.stmts) > len(b.stmts) || len(a.members) > len(b.members) ||
-		len(a.pending) > len(b.pending) {
-		return 0, 0, false
+	n := min(len(a.stmts), len(b.stmts))
+	for prefix < n && sameStmt(a, b, &a.stmts[prefix], &b.stmts[prefix]) {
+		prefix++
 	}
-	for i := range a.stmts {
-		if a.stmts[i] != b.stmts[i] {
-			return 0, 0, false
-		}
+	for suffix < n-prefix &&
+		sameStmt(a, b, &a.stmts[len(a.stmts)-1-suffix], &b.stmts[len(b.stmts)-1-suffix]) {
+		suffix++
 	}
-	for i := range a.members {
-		if a.members[i] != b.members[i] {
-			return 0, 0, false
-		}
-	}
-	for i := range a.pending {
-		if a.pending[i] != b.pending[i] {
-			return 0, 0, false
-		}
-	}
-	return len(a.stmts), len(a.pending), true
+	return prefix, suffix
 }
 
-// Ops calls yield for each replay operation in order, reusing one
-// ReplayOp buffer across calls; the callback must not retain it. It
-// stops early if yield returns false.
-//
-// Ops exposes the budget-free view: callers that need the sequential
-// parser's MaxErrors truncation (fragments with errors) must use
-// MergeFragments instead — the engine only journals error-free
-// fragments, where the two agree.
-func (f *Fragment) Ops(yield func(*ReplayOp) bool) { f.OpsFrom(0, yield) }
+// sameStmt reports whether statement x of a and y of b replay the same
+// operation.
+func sameStmt(a, b *fragment, x, y *stmt) bool {
+	if x.op != opNet || y.op != opNet {
+		return *x == *y
+	}
+	return x.a == y.a && x.cost == y.cost && x.linkOp == y.linkOp &&
+		slices.Equal(a.members[x.mlo:x.mhi], b.members[y.mlo:y.mhi])
+}
 
-// OpsFrom is Ops starting at statement index from (0 = all), the replay
-// companion of Extends.
-func (f *Fragment) OpsFrom(from int, yield func(*ReplayOp) bool) {
+// SamePending reports whether f defers exactly old's dead/delete link
+// items, positions included.
+func (f *Fragment) SamePending(old *Fragment) bool {
+	return slices.Equal(old.frag.pending, f.frag.pending)
+}
+
+// LastPrivate returns the index of the fragment's last private
+// statement, or -1 if it declares none.
+func (f *Fragment) LastPrivate() int {
+	for i := len(f.frag.stmts) - 1; i >= 0; i-- {
+		if f.frag.stmts[i].op == opPrivate {
+			return i
+		}
+	}
+	return -1
+}
+
+// SwitchesFile reports whether the fragment contains a file{} scope
+// switch.
+func (f *Fragment) SwitchesFile() bool { return f.frag.sawFile }
+
+// OpsRange calls yield for each replay operation of statements [lo, hi)
+// in order, reusing one ReplayOp buffer across calls; the callback must
+// not retain it. It stops early if yield returns false. Common tells a
+// journaling engine which range to replay.
+//
+// OpsRange exposes the budget-free view: callers that need the
+// sequential parser's MaxErrors truncation (fragments with errors) must
+// use MergeFragments instead — the engine only journals error-free
+// fragments, where the two agree.
+func (f *Fragment) OpsRange(lo, hi int, yield func(*ReplayOp) bool) {
 	var op ReplayOp
-	for i := from; i < len(f.frag.stmts); i++ {
+	for i := lo; i < hi; i++ {
 		st := &f.frag.stmts[i]
 		op = ReplayOp{
 			Kind:   ReplayKind(st.op),

@@ -71,6 +71,9 @@ func (e *ParseError) Error() string {
 type Result struct {
 	Graph    *graph.Graph
 	Warnings []string
+	// StmtsReplayed counts the statements merged into the graph: every
+	// statement once, since a batch parse replays each input whole.
+	StmtsReplayed int
 }
 
 // Options adjust parsing behavior.
@@ -156,7 +159,7 @@ func ParseWith(opts Options, inputs ...Input) (*Result, error) {
 	}
 
 	m.finish()
-	res := &Result{Graph: g, Warnings: m.warnings}
+	res := &Result{Graph: g, Warnings: m.warnings, StmtsReplayed: m.stmts}
 	if len(m.errors) > 0 {
 		return res, &ParseError{Errors: m.errors}
 	}
@@ -175,6 +178,7 @@ type merger struct {
 	warnings []string
 	pending  []pendingLinkOp
 	nodes    []*graph.Node // scratch for network member lists
+	stmts    int           // statements applied
 
 	// One-entry reference cache: consecutive operations overwhelmingly
 	// name the same host (a declaration line emits one opRef plus one
@@ -271,6 +275,7 @@ func (m *merger) merge(f *fragment) {
 // exactly.
 func (m *merger) apply(st *stmt, members []string) {
 	g := m.g
+	m.stmts++
 	switch st.op {
 	case opRef:
 		m.ref(st.a)

@@ -5,8 +5,8 @@ package remap
 // graph exactly as the parser's merge phase would, while journaling
 // enough to take every effect back out again when the file changes:
 //
-//   - node references are refcounted per file, so a node disappears
-//     (soft-deletes) exactly when no current file mentions it;
+//   - node references are counted per occurrence, so a node disappears
+//     (soft-deletes) exactly when no current statement names it;
 //   - ordinary link declarations go through a global declaration index
 //     keyed by (from, to), so undoing one contribution can recompute the
 //     surviving winner (first declaration achieving the minimum cost —
@@ -17,17 +17,30 @@ package remap
 //     counters/sums per node, and the node's flag word is recomputed
 //     from them.
 //
+// A file's journal is one entry per effect, in statement order, plus one
+// offset per statement, so the effects of any statement range can be
+// undone and spliced out. An edited file is patched at statement
+// granularity (patch): only the statements between the common prefix
+// and suffix of its old and new fragments are replayed and undone. Link
+// declarations carry gapped 64-bit sequence keys, so the replayed
+// statements take keys inside the gap their predecessors left and
+// declaration order stays exact without renumbering the rest of the
+// file; when a gap runs out, the file is applied whole, which re-spaces
+// its keys.
+//
 // Change detection is by before/after comparison, not by mutation: the
 // first time an update touches a link or a node's attributes, their
 // prior state is captured; after all files are patched, deriveEvents
-// compares captured state against the final graph. An edited file is
-// applied *before* its old journal is undone, so contributions present
-// in both versions never transit through zero — the surviving links keep
-// their identity (and the labels pointing at them stay valid), and the
-// derived change set is the true semantic delta of the edit, not the
-// file's whole contents.
+// compares captured state against the final graph. Replacement
+// statements are applied *before* the statements they replace are
+// undone, so contributions present in both versions never transit
+// through zero — the surviving links keep their identity (and the labels
+// pointing at them stay valid), and the derived change set is the true
+// semantic delta of the edit, not the file's whole contents.
 
 import (
+	"math"
+	"slices"
 	"strings"
 
 	"pathalias/internal/cost"
@@ -39,7 +52,7 @@ import (
 // nodeState is the engine's per-node contribution ledger, indexed by
 // node ID.
 type nodeState struct {
-	refs   int32     // current files referencing the node
+	refs   int32     // current statements referencing the node
 	dead   int32     // dead{host} declarations
 	del    int32     // delete{host} declarations
 	gwReq  int32     // gatewayed{net} declarations
@@ -50,11 +63,21 @@ type nodeState struct {
 
 // declRec is one ordinary link declaration in the declaration index.
 type declRec struct {
-	file int32 // stable file id; priority is posOf[file]
-	seq  int32 // declaration order within the file
+	seq  uint64 // declaration order within the file (a gapped key)
 	cost cost.Cost
+	file int32 // stable file id; priority is posOf[file]
 	op   graph.Op
 }
+
+// maxPatchBuf caps the entries of scratch space a statement-range
+// patch keeps for the next one: edits are usually a few lines, and a
+// rare wholesale rewrite should not pin its buffers.
+const maxPatchBuf = 1 << 14
+
+// seqGap spaces the sequence keys of a file applied whole: 2^32 keys
+// between neighbouring declarations leave room for decades of edits
+// replayed in place before the file must be re-spaced.
+const seqGap = 1 << 32
 
 // aliasState tracks one alias pair's declarations and its edge pair.
 type aliasState struct {
@@ -62,37 +85,81 @@ type aliasState struct {
 	ab, ba *graph.Link
 }
 
-// declJournal locates one ordinary link declaration for undo.
-type declJournal struct {
-	key uint64 // pairKey(from, to)
-	seq int32
+// jkind tags one journal entry.
+type jkind uint8
+
+const (
+	jRef       jkind = iota // references only
+	jDecl                   // ordinary link declaration a→b; x is its sequence key
+	jGateway                // gateway contribution: a the net, b the host
+	jNet                    // net = {...} declaration targeting a
+	jNetEdge                // the edge pair between member a and network b; x is its ext slot
+	jAlias                  // alias pair a = b
+	jPrivate                // private binding of a; x is its ext slot
+	jDead                   // dead{a}
+	jDelete                 // delete{a}
+	jGatewayed              // gatewayed{a}
+	jAdjust                 // adjust{a}; x is the cost delta
+)
+
+// jent is one journaled effect. refs says which of its nodes it holds a
+// reference on: 0 none, 1 a, 2 a and b (a self link holds a twice).
+type jent struct {
+	a, b int32
+	x    uint64
+	kind jkind
+	refs uint8
 }
 
-type adjJournal struct {
-	node  int32
-	delta cost.Cost
+// jext is an entry's pointer payload, kept out of jent so the entry
+// array stays pointer-free.
+type jext struct {
+	entry, member *graph.Link // jNetEdge
+	file          string      // jPrivate: the scope the binding lives in
 }
 
-type privJournal struct {
-	name string
-	file string
+// pendJournal is one deferred dead/delete link item, cloned out of the
+// fragment's backing text, and the nodes its names referenced.
+type pendJournal struct {
+	parser.PendingLink
+	from, to int32
 }
 
 // journal is everything one file contributed to the graph.
 type journal struct {
-	refs      []int32
-	decls     []declJournal
-	netLinks  []*graph.Link // entry/member edge pairs created by net declarations
-	netFlags  []int32       // nodes whose net-declaration count we incremented
-	aliasKeys []uint64
-	gwKeys    []uint64 // packed (net, host) gateway contributions
-	dead      []int32
-	del       []int32
-	gwReq     []int32
-	adjusts   []adjJournal
-	privates  []privJournal
-	pendings  []parser.PendingLink
-	seq       int32 // next link-declaration sequence number
+	ents     []jent
+	ends     []int32 // ends[i]: len(ents) once statement i was applied
+	ext      []jext  // slots named by jNetEdge and jPrivate entries
+	extFree  []int32 // unused ext slots
+	pendings []pendJournal
+}
+
+// span returns the entry range [lo, hi) of statements [from, to).
+func (j *journal) span(from, to int) (lo, hi int) {
+	if from > 0 {
+		lo = int(j.ends[from-1])
+	}
+	hi = lo
+	if to > from {
+		hi = int(j.ends[to-1])
+	}
+	return lo, hi
+}
+
+func (j *journal) addExt(x jext) uint64 {
+	if n := len(j.extFree); n > 0 {
+		i := j.extFree[n-1]
+		j.extFree = j.extFree[:n-1]
+		j.ext[i] = x
+		return uint64(i)
+	}
+	j.ext = append(j.ext, x)
+	return uint64(len(j.ext) - 1)
+}
+
+func (j *journal) freeExt(i uint64) {
+	j.ext[i] = jext{}
+	j.extFree = append(j.extFree, int32(i))
 }
 
 // fileState is one current input and its journal.
@@ -104,11 +171,12 @@ type fileState struct {
 	j    journal
 
 	// Scope sensitivity, computed once per fragment: private bindings
-	// are positional within a file, so an edited file that declares (or
-	// declared) privates must be undone before its replacement applies;
-	// mid-stream file{} scope switches can rebind names for *other*
-	// files and force a full journal rebuild.
-	hasPrivate    bool
+	// are positional within a file, so a private declared at or after
+	// an edit rebinds names the replayed statements resolve (lastPrivate
+	// is the index of the last one, -1 if none); mid-stream file{}
+	// scope switches can rebind names for *other* files and force a
+	// full journal rebuild.
+	lastPrivate   int
 	hasFileSwitch bool
 }
 
@@ -180,7 +248,6 @@ func (e *core) node(id int32) *graph.Node { return e.g.Nodes()[id] }
 func (e *core) nstate(n *graph.Node) *nodeState {
 	for n.ID >= len(e.nstates) {
 		e.nstates = append(e.nstates, nodeState{})
-		e.stamp = append(e.stamp, 0)
 	}
 	return &e.nstates[n.ID]
 }
@@ -325,15 +392,12 @@ func (e *core) recomputeNode(n *graph.Node) {
 
 // --- apply -------------------------------------------------------------
 
-// note journals a node reference for f: refcount, ghost resurrection,
-// and new-node (grown) detection. Idempotent per (file, node).
-func (e *core) note(f *fileState, n *graph.Node) {
+// note counts one reference occurrence of n: refcount, ghost
+// resurrection, and new-node (grown) detection. The caller journals it
+// through the refs of the entry it records.
+func (e *core) note(n *graph.Node) {
 	ns := e.nstate(n)
-	if e.stamp[n.ID] != e.stampGen {
-		e.stamp[n.ID] = e.stampGen
-		f.j.refs = append(f.j.refs, int32(n.ID))
-		ns.refs++
-	}
+	ns.refs++
 	if ns.ghost {
 		ns.ghost = false
 		e.recomputeNode(n)
@@ -353,39 +417,50 @@ func (e *core) note(f *fileState, n *graph.Node) {
 	}
 }
 
-// ref resolves name in the graph's current file scope, journaling the
-// reference for f and resurrecting ghosts.
-func (e *core) ref(f *fileState, name string) *graph.Node {
+// unref drops one reference occurrence of node id; the node turns into
+// a ghost when no current statement names it.
+func (e *core) unref(id int32) {
+	ns := &e.nstates[id]
+	ns.refs--
+	if ns.refs == 0 {
+		ns.ghost = true
+		e.recomputeNode(e.node(id))
+	}
+}
+
+// ref resolves name in the graph's current file scope and counts the
+// reference, resurrecting ghosts.
+func (e *core) ref(name string) *graph.Node {
 	n := e.g.Ref(name)
-	e.note(f, n)
+	e.note(n)
 	return n
 }
 
 // refFast is ref through a one-entry cache: consecutive operations
 // overwhelmingly name the same left-hand host (one opRef plus one opLink
 // per declared link), exactly like the merger's cache.
-func (e *core) refFast(f *fileState, name string) *graph.Node {
+func (e *core) refFast(name string) *graph.Node {
 	if name == e.refName && e.refNode != nil {
-		e.note(f, e.refNode)
+		e.note(e.refNode)
 		return e.refNode
 	}
 	n := e.g.Ref(name)
 	e.refName, e.refNode = name, n
-	e.note(f, n)
+	e.note(n)
 	return n
 }
 
 // refDest resolves a link destination through a small direct-mapped
 // cache (real maps concentrate destinations on hub nodes).
-func (e *core) refDest(f *fileState, name string) *graph.Node {
+func (e *core) refDest(name string) *graph.Node {
 	s := &e.refDests[destSlot(name)]
 	if s.name == name && s.node != nil {
-		e.note(f, s.node)
+		e.note(s.node)
 		return s.node
 	}
 	n := e.g.Ref(name)
 	s.name, s.node = name, n
-	e.note(f, n)
+	e.note(n)
 	return n
 }
 
@@ -404,10 +479,16 @@ func (e *core) clearRefCaches() {
 	clear(e.refDests[:])
 }
 
-// addGateway journals one gateway contribution (net, host).
-func (e *core) addGateway(f *fileState, net, host *graph.Node) {
-	key := pairKey(int32(net.ID), int32(host.ID))
-	f.j.gwKeys = append(f.j.gwKeys, key)
+// rec journals one effect of the statement being replayed.
+func (e *core) rec(en jent) { e.jw = append(e.jw, en) }
+
+func id32(n *graph.Node) int32 { return int32(n.ID) }
+
+// addGateway journals one gateway contribution (net, host), holding
+// refs references on the pair.
+func (e *core) addGateway(net, host *graph.Node, refs uint8) {
+	e.rec(jent{kind: jGateway, a: id32(net), b: id32(host), refs: refs})
+	key := pairKey(id32(net), id32(host))
 	e.gwPairs[key]++
 	if e.gwPairs[key] == 1 {
 		e.captureAttr(net)
@@ -416,18 +497,20 @@ func (e *core) addGateway(f *fileState, net, host *graph.Node) {
 	}
 }
 
-// declare journals one ordinary link declaration and reconciles the
-// surviving link with the declaration index.
+// declare journals one ordinary link declaration under the next
+// sequence key and reconciles the surviving link with the declaration
+// index.
 func (e *core) declare(f *fileState, from, to *graph.Node, c cost.Cost, op graph.Op) {
 	if from == to {
 		e.g.CountSelfLink()
+		e.rec(jent{kind: jRef, a: id32(from), b: id32(to), refs: 2})
 		return
 	}
-	key := pairKey(int32(from.ID), int32(to.ID))
-	seq := f.j.seq
-	f.j.seq++
-	f.j.decls = append(f.j.decls, declJournal{key: key, seq: seq})
+	seq := e.nextSeq
+	e.nextSeq += e.seqStep
+	e.rec(jent{kind: jDecl, a: id32(from), b: id32(to), x: seq, refs: 2})
 
+	key := pairKey(id32(from), id32(to))
 	recs := e.declIdx[key]
 	rec := declRec{file: f.id, seq: seq, cost: c, op: op}
 	// Insert preserving global declaration order (file position, seq).
@@ -490,60 +573,168 @@ func (e *core) reconcileLink(key uint64, from, to *graph.Node) {
 	}
 }
 
-// scanScopeOps fills the fragment-level scope-sensitivity flags.
-func (f *fileState) scanScopeOps() {
-	f.frag.Ops(func(op *parser.ReplayOp) bool {
-		switch op.Kind {
-		case parser.ReplayPrivate:
-			f.hasPrivate = true
-		case parser.ReplayFile:
-			f.hasFileSwitch = true
+// apply replays f's whole fragment into the graph under a fresh
+// journal, its declarations keyed seqGap apart. The fragment must be
+// error-free (the engine falls back to a plain merge otherwise).
+func (e *core) apply(f *fileState) {
+	n := f.frag.Stmts()
+	e.jw, e.jends = make([]jent, 0, n+n/8), make([]int32, 0, n)
+	e.nextSeq, e.seqStep = seqGap, seqGap
+	f.j = journal{}
+	e.replay(f, 0, n)
+	f.j.ents, f.j.ends = e.jw, e.jends
+	e.jw, e.jends = nil, nil
+	e.refPendings(f)
+}
+
+// patch brings the graph from old's fragment to f's, both versions of
+// one file, at statement granularity: only the statements between the
+// fragments' common prefix and suffix are replayed and undone, the new
+// ones first. f adopts old's file id and journal, with the replayed
+// statements' entries spliced in place of the undone ones. An append
+// is the case "old middle and suffix empty".
+//
+// patch reports false, having changed nothing, when the whole-file path
+// must run instead: no room left between the sequence keys around the
+// replaced statements, or a private declaration that changes how
+// statements outside the replayed range resolve names. A binding
+// applies to every later reference in the file, so only the whole-file
+// undo-first order reproduces a fresh parse when a private sits in the
+// old middle (its binding must go before anything resolves), in the
+// suffix (the replayed statements come before it), or in the new middle
+// with a suffix after it (the suffix is not replayed). A new middle
+// that ends the file may declare privates, as an appended tail does.
+func (e *core) patch(old, f *fileState) bool {
+	p, s := f.frag.Common(old.frag)
+	if old.lastPrivate >= p || (f.lastPrivate >= p && s > 0) {
+		return false
+	}
+	oldHi, newHi := len(old.j.ends)-s, f.frag.Stmts()-s
+	lo, hi := old.j.span(p, oldHi)
+	if !e.placeSeqs(old.j.ents, lo, hi, newHi-p) {
+		return false
+	}
+	f.id, f.j = old.id, old.j
+	old.j = journal{}
+	j := &f.j
+
+	e.jw, e.jends = e.jwBuf[:0], e.jendsBuf[:0]
+	e.replay(f, p, newHi)
+	e.undoEnts(f, j.ents[lo:hi])
+	e.timing.StmtsReplayed += oldHi - p
+
+	// Splice: the replayed entries replace the undone ones, and the
+	// statement offsets after them shift by the difference.
+	shift := int32(len(e.jw) - (hi - lo))
+	for i := range e.jends {
+		e.jends[i] += int32(lo)
+	}
+	j.ents = slices.Replace(j.ents, lo, hi, e.jw...)
+	j.ends = slices.Replace(j.ends, p, oldHi, e.jends...)
+	if shift != 0 {
+		for i := p + len(e.jends); i < len(j.ends); i++ {
+			j.ends[i] += shift
 		}
-		return !(f.hasPrivate && f.hasFileSwitch)
-	})
+	}
+	if cap(e.jw) <= maxPatchBuf {
+		e.jwBuf, e.jendsBuf = e.jw[:0], e.jends[:0]
+	}
+	e.jw, e.jends = nil, nil
+
+	// Pending items resolve their names after the whole file; a binding
+	// the middle declared can change what they name.
+	if f.lastPrivate >= p || !f.frag.SamePending(old.frag) {
+		stale := j.pendings
+		e.refPendings(f)
+		e.unrefPendings(stale)
+	}
+	return true
 }
 
-// apply replays frag into the graph under f's journal. The fragment must
-// be error-free (the engine falls back to a plain merge otherwise).
-func (e *core) apply(f *fileState, frag *parser.Fragment) {
-	e.applyFrom(f, frag, 0, 0)
+// placeSeqs picks the sequence keys for n statements replayed in place
+// of ents[lo:hi]: evenly spaced in the gap between the last declaration
+// before lo and the first one from hi on. The replaced declarations keep
+// their keys until they are undone, so when there are any the new keys
+// go to the wider side of them. It reports false when the gap is too
+// narrow.
+func (e *core) placeSeqs(ents []jent, lo, hi, n int) bool {
+	var below, above, first, last uint64
+	for i := lo - 1; i >= 0; i-- {
+		if ents[i].kind == jDecl {
+			below = ents[i].x
+			break
+		}
+	}
+	bounded := false
+	for i := hi; i < len(ents); i++ {
+		if ents[i].kind == jDecl {
+			above, bounded = ents[i].x, true
+			break
+		}
+	}
+	held := false
+	for i := lo; i < hi; i++ {
+		if ents[i].kind == jDecl {
+			if !held {
+				first, held = ents[i].x, true
+			}
+			last = ents[i].x
+		}
+	}
+	if held {
+		if !bounded || above-last >= first-below {
+			below = last
+		} else {
+			above, bounded = first, true
+		}
+	}
+	if !bounded {
+		if below > math.MaxUint64-uint64(n+1)*seqGap {
+			return false
+		}
+		e.nextSeq, e.seqStep = below+seqGap, seqGap
+		return true
+	}
+	step := (above - below) / uint64(n+1)
+	if step == 0 {
+		return false
+	}
+	e.nextSeq, e.seqStep = below+step, step
+	return true
 }
 
-// applyFrom replays frag into the graph under f's journal, starting at
-// statement fromStmt and pending-link fromPending — the append fast
-// path (syncIncremental): when an edited file Extends its cached
-// predecessor, the journaled prefix is already in the graph and only
-// the appended tail replays. Statement sequence numbers (f.j.seq) and
-// private-scope state carry over from the prefix's apply, so the tail
-// lands exactly as a full replay would.
-func (e *core) applyFrom(f *fileState, frag *parser.Fragment, fromStmt, fromPending int) {
-	e.stampGen++
+// replay applies statements [lo, hi) of f's fragment to the graph,
+// journaling their effects to e.jw and each statement's end offset (in
+// e.jw) to e.jends. Declarations take keys from e.nextSeq on.
+func (e *core) replay(f *fileState, lo, hi int) {
+	e.timing.StmtsReplayed += hi - lo
 	g := e.g
 	g.BeginFile(f.name)
 	e.clearRefCaches()
-	frag.OpsFrom(fromStmt, func(op *parser.ReplayOp) bool {
+	f.frag.OpsRange(lo, hi, func(op *parser.ReplayOp) bool {
 		switch op.Kind {
 		case parser.ReplayRef:
-			e.refFast(f, op.A)
+			e.rec(jent{kind: jRef, a: id32(e.refFast(op.A)), refs: 1})
 		case parser.ReplayLink:
-			from := e.refFast(f, op.A)
-			to := e.refDest(f, op.B)
+			from := e.refFast(op.A)
+			to := e.refDest(op.B)
 			if op.Dom {
-				e.addGateway(f, to, from)
+				e.addGateway(to, from, 0)
 			}
 			e.declare(f, from, to, op.Cost, op.LinkOp)
 		case parser.ReplayNet:
-			net := e.ref(f, op.A)
+			net := e.ref(op.A)
+			e.rec(jent{kind: jNet, a: id32(net), refs: 1})
 			ns := e.nstate(net)
 			ns.net++
-			f.j.netFlags = append(f.j.netFlags, int32(net.ID))
 			if ns.net == 1 {
 				e.recomputeNode(net)
 			}
 			for _, name := range op.Members {
-				m := e.ref(f, name)
+				m := e.ref(name)
 				if m == net {
 					g.CountSelfLink()
+					e.rec(jent{kind: jRef, a: id32(m), refs: 1})
 					continue
 				}
 				entryCost := op.Cost
@@ -551,22 +742,24 @@ func (e *core) applyFrom(f *fileState, frag *parser.Fragment, fromStmt, fromPend
 					entryCost = cost.Infinity
 				}
 				entry, member := g.AddNetEdges(net, m, entryCost, op.LinkOp)
-				f.j.netLinks = append(f.j.netLinks, entry, member)
+				slot := f.j.addExt(jext{entry: entry, member: member})
+				e.rec(jent{kind: jNetEdge, a: id32(m), b: id32(net), x: slot, refs: 1})
 				e.trackNewLink(entry)
 				e.trackNewLink(member)
 				if net.IsDomain() && !m.IsDomain() {
-					e.addGateway(f, net, m)
+					e.addGateway(net, m, 0)
 				}
 			}
 		case parser.ReplayAlias:
-			a := e.ref(f, op.A)
-			b := e.ref(f, op.B)
+			a := e.ref(op.A)
+			b := e.ref(op.B)
 			if a == b {
 				g.CountSelfLink()
+				e.rec(jent{kind: jRef, a: id32(a), b: id32(b), refs: 2})
 				break
 			}
-			key := pairKey(min(int32(a.ID), int32(b.ID)), max(int32(a.ID), int32(b.ID)))
-			f.j.aliasKeys = append(f.j.aliasKeys, key)
+			e.rec(jent{kind: jAlias, a: id32(a), b: id32(b), refs: 2})
+			key := aliasKey(a, b)
 			st := e.aliases[key]
 			if st == nil {
 				ab, ba, created := g.AddAliasEdges(a, b)
@@ -581,179 +774,192 @@ func (e *core) applyFrom(f *fileState, frag *parser.Fragment, fromStmt, fromPend
 		case parser.ReplayPrivate:
 			e.clearRefCaches() // the private declaration rebinds its name
 			p := g.DeclarePrivate(op.A)
-			pn := e.nstate(p)
-			if e.stamp[p.ID] != e.stampGen {
-				e.stamp[p.ID] = e.stampGen
-				f.j.refs = append(f.j.refs, int32(p.ID))
-				pn.refs++
-			}
-			if pn.ghost {
-				pn.ghost = false
-				e.recomputeNode(p)
-			}
-			if int32(p.ID) >= e.firstNewNode {
-				e.ch.grown = true
-			}
-			name := strings.Clone(op.A)
+			e.note(p)
 			file := g.CurrentFile()
-			e.privCount[privKey(name, file)]++
-			f.j.privates = append(f.j.privates, privJournal{name: name, file: file})
+			e.rec(jent{kind: jPrivate, a: id32(p), x: f.j.addExt(jext{file: file}), refs: 1})
+			e.privCount[privKey(p.Name, file)]++
 		case parser.ReplayDeadHost:
-			n := e.ref(f, op.A)
+			n := e.ref(op.A)
+			e.rec(jent{kind: jDead, a: id32(n), refs: 1})
 			ns := e.nstate(n)
 			ns.dead++
-			f.j.dead = append(f.j.dead, int32(n.ID))
 			if ns.dead == 1 {
 				e.recomputeNode(n)
 			}
 		case parser.ReplayDeleteHost:
-			n := e.ref(f, op.A)
+			n := e.ref(op.A)
+			e.rec(jent{kind: jDelete, a: id32(n), refs: 1})
 			ns := e.nstate(n)
 			ns.del++
-			f.j.del = append(f.j.del, int32(n.ID))
 			if ns.del == 1 {
 				e.recomputeNode(n)
 				// Edges into n vanish from other nodes' snapshot rows.
 				e.ch.structural = true
 			}
 		case parser.ReplayGatewayed:
-			n := e.ref(f, op.A)
+			n := e.ref(op.A)
+			e.rec(jent{kind: jGatewayed, a: id32(n), refs: 1})
 			ns := e.nstate(n)
 			ns.gwReq++
-			f.j.gwReq = append(f.j.gwReq, int32(n.ID))
 			if ns.gwReq == 1 {
 				e.recomputeNode(n)
 			}
 		case parser.ReplayGateway:
-			net := e.ref(f, op.A)
-			host := e.ref(f, op.B)
-			e.addGateway(f, net, host)
+			net := e.ref(op.A)
+			host := e.ref(op.B)
+			e.addGateway(net, host, 2)
 		case parser.ReplayAdjust:
-			n := e.ref(f, op.A)
+			n := e.ref(op.A)
+			e.rec(jent{kind: jAdjust, a: id32(n), x: uint64(op.Cost), refs: 1})
 			e.nstate(n).adjust += op.Cost
-			f.j.adjusts = append(f.j.adjusts, adjJournal{node: int32(n.ID), delta: op.Cost})
 			e.recomputeNode(n)
 		case parser.ReplayFile:
 			e.clearRefCaches() // private bindings differ across scopes
 			g.BeginFile(op.A)
 		}
+		e.jends = append(e.jends, int32(len(e.jw)))
 		return true
 	})
 	e.clearRefCaches()
+}
 
-	// Pending dead/delete link items: journal them (cloned out of the
-	// fragment's backing text) and reference their names now, in the
-	// scope they will resolve in, so the refcounts cover them.
-	for _, p := range frag.PendingLinks()[fromPending:] {
-		p.From = strings.Clone(p.From)
-		p.To = strings.Clone(p.To)
-		p.File = strings.Clone(p.File)
-		p.Pos = strings.Clone(p.Pos)
-		g.BeginFile(p.File)
-		e.ref(f, p.From)
-		e.ref(f, p.To)
-		f.j.pendings = append(f.j.pendings, p)
-	}
+func aliasKey(a, b *graph.Node) uint64 {
+	return pairKey(min(id32(a), id32(b)), max(id32(a), id32(b)))
 }
 
 func privKey(name, file string) string { return file + "\x00" + name }
 
+// refPendings journals f's deferred dead/delete link items and
+// references their names now, in the scope they will resolve in, so
+// the refcounts cover them.
+func (e *core) refPendings(f *fileState) {
+	ps := f.frag.PendingLinks()
+	if len(ps) == 0 {
+		f.j.pendings = nil
+		return
+	}
+	f.j.pendings = make([]pendJournal, len(ps))
+	for i, p := range ps {
+		p.From = strings.Clone(p.From)
+		p.To = strings.Clone(p.To)
+		p.File = strings.Clone(p.File)
+		p.Pos = strings.Clone(p.Pos)
+		e.g.BeginFile(p.File)
+		from, to := e.ref(p.From), e.ref(p.To)
+		f.j.pendings[i] = pendJournal{PendingLink: p, from: id32(from), to: id32(to)}
+	}
+}
+
+func (e *core) unrefPendings(ps []pendJournal) {
+	for _, p := range ps {
+		e.unref(p.from)
+		e.unref(p.to)
+	}
+}
+
 // undo reverses every effect of f's journal.
 func (e *core) undo(f *fileState) {
-	g := e.g
-	for _, d := range f.j.decls {
-		recs := e.declIdx[d.key]
-		for i, r := range recs {
-			if r.file == f.id && r.seq == d.seq {
-				recs = append(recs[:i], recs[i+1:]...)
-				break
-			}
-		}
-		e.declIdx[d.key] = recs
-		from := e.node(int32(d.key >> 32))
-		to := e.node(int32(uint32(d.key)))
-		e.reconcileLink(d.key, from, to)
-	}
-	for _, l := range f.j.netLinks {
-		e.removeLinkTracked(l)
-	}
-	for _, id := range f.j.netFlags {
-		n := e.node(id)
-		ns := e.nstate(n)
-		ns.net--
-		if ns.net == 0 {
-			e.recomputeNode(n)
-		}
-	}
-	for _, key := range f.j.aliasKeys {
-		st := e.aliases[key]
-		st.count--
-		if st.count == 0 {
-			delete(e.aliases, key)
-			if st.ab != nil {
-				e.removeLinkTracked(st.ab)
-			}
-			if st.ba != nil {
-				e.removeLinkTracked(st.ba)
-			}
-		}
-	}
-	for _, key := range f.j.gwKeys {
-		e.gwPairs[key]--
-		if e.gwPairs[key] == 0 {
-			delete(e.gwPairs, key)
-			net := e.node(int32(key >> 32))
-			host := e.node(int32(uint32(key)))
-			e.captureAttr(net)
-			g.RemoveGateway(net, host)
-			e.recomputeNode(net)
-		}
-	}
-	for _, id := range f.j.dead {
-		n := e.node(id)
-		ns := e.nstate(n)
-		ns.dead--
-		if ns.dead == 0 {
-			e.recomputeNode(n)
-		}
-	}
-	for _, id := range f.j.del {
-		n := e.node(id)
-		ns := e.nstate(n)
-		ns.del--
-		if ns.del == 0 {
-			e.recomputeNode(n)
-			e.ch.structural = true
-		}
-	}
-	for _, id := range f.j.gwReq {
-		n := e.node(id)
-		ns := e.nstate(n)
-		ns.gwReq--
-		if ns.gwReq == 0 {
-			e.recomputeNode(n)
-		}
-	}
-	for _, a := range f.j.adjusts {
-		n := e.node(a.node)
-		e.nstate(n).adjust -= a.delta
-		e.recomputeNode(n)
-	}
-	for _, p := range f.j.privates {
-		k := privKey(p.name, p.file)
-		e.privCount[k]--
-		if e.privCount[k] == 0 {
-			delete(e.privCount, k)
-			g.UndeclarePrivate(p.name, p.file)
-		}
-	}
-	for _, id := range f.j.refs {
-		ns := &e.nstates[id]
-		ns.refs--
-		if ns.refs == 0 {
-			ns.ghost = true
-			e.recomputeNode(e.node(id))
-		}
-	}
+	e.timing.StmtsReplayed += len(f.j.ends)
+	e.undoEnts(f, f.j.ents)
+	e.unrefPendings(f.j.pendings)
 	f.j = journal{}
+}
+
+// undoEnts reverses the effects of ents, a range of f's journal, last
+// first.
+func (e *core) undoEnts(f *fileState, ents []jent) {
+	g := e.g
+	for i := len(ents) - 1; i >= 0; i-- {
+		en := &ents[i]
+		switch en.kind {
+		case jDecl:
+			key := pairKey(en.a, en.b)
+			recs := e.declIdx[key]
+			for k, r := range recs {
+				if r.file == f.id && r.seq == en.x {
+					recs = append(recs[:k], recs[k+1:]...)
+					break
+				}
+			}
+			e.declIdx[key] = recs
+			e.reconcileLink(key, e.node(en.a), e.node(en.b))
+		case jGateway:
+			key := pairKey(en.a, en.b)
+			e.gwPairs[key]--
+			if e.gwPairs[key] == 0 {
+				delete(e.gwPairs, key)
+				net := e.node(en.a)
+				e.captureAttr(net)
+				g.RemoveGateway(net, e.node(en.b))
+				e.recomputeNode(net)
+			}
+		case jNet:
+			n := e.node(en.a)
+			ns := e.nstate(n)
+			ns.net--
+			if ns.net == 0 {
+				e.recomputeNode(n)
+			}
+		case jNetEdge:
+			x := f.j.ext[en.x]
+			e.removeLinkTracked(x.entry)
+			e.removeLinkTracked(x.member)
+			f.j.freeExt(en.x)
+		case jAlias:
+			key := aliasKey(e.node(en.a), e.node(en.b))
+			st := e.aliases[key]
+			st.count--
+			if st.count == 0 {
+				delete(e.aliases, key)
+				if st.ab != nil {
+					e.removeLinkTracked(st.ab)
+				}
+				if st.ba != nil {
+					e.removeLinkTracked(st.ba)
+				}
+			}
+		case jPrivate:
+			name, file := e.node(en.a).Name, f.j.ext[en.x].file
+			k := privKey(name, file)
+			e.privCount[k]--
+			if e.privCount[k] == 0 {
+				delete(e.privCount, k)
+				g.UndeclarePrivate(name, file)
+			}
+			f.j.freeExt(en.x)
+		case jDead:
+			n := e.node(en.a)
+			ns := e.nstate(n)
+			ns.dead--
+			if ns.dead == 0 {
+				e.recomputeNode(n)
+			}
+		case jDelete:
+			n := e.node(en.a)
+			ns := e.nstate(n)
+			ns.del--
+			if ns.del == 0 {
+				e.recomputeNode(n)
+				e.ch.structural = true
+			}
+		case jGatewayed:
+			n := e.node(en.a)
+			ns := e.nstate(n)
+			ns.gwReq--
+			if ns.gwReq == 0 {
+				e.recomputeNode(n)
+			}
+		case jAdjust:
+			n := e.node(en.a)
+			e.nstate(n).adjust -= cost.Cost(en.x)
+			e.recomputeNode(n)
+		}
+		switch en.refs {
+		case 2:
+			e.unref(en.b)
+			e.unref(en.a)
+		case 1:
+			e.unref(en.a)
+		}
+	}
 }

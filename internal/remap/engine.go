@@ -9,7 +9,9 @@
 //   - per-input parsed fragments are cached by content hash, so an
 //     Update re-scans only inputs whose bytes changed (delta parsing);
 //   - the connectivity graph persists and is patched in place through
-//     per-file journals (apply.go) instead of being rebuilt;
+//     per-file journals (apply.go) instead of being rebuilt — an edited
+//     file replays and undoes only the statements between the common
+//     prefix and suffix of its old and new fragments;
 //   - the CSR snapshot is rebuilt by block-copying the rows of untouched
 //     nodes (graph.SnapshotPatched);
 //   - the mapper warm-starts (mapper.Machine): labels of nodes whose
@@ -178,8 +180,6 @@ type core struct {
 	g            *graph.Graph
 	snap         *graph.Snapshot
 	nstates      []nodeState
-	stamp        []uint32
-	stampGen     uint32
 	firstNewNode int32
 	declIdx      map[uint64][]declRec
 	aliases      map[uint64]*aliasState
@@ -188,6 +188,16 @@ type core struct {
 	ch           changes
 	pendingWarns []string
 	pendingMarks []*graph.Link
+
+	// Journal writer (apply.go): replay appends each statement's effects
+	// to jw and its end offset to jends, and keys link declarations from
+	// nextSeq in steps of seqStep. jwBuf and jendsBuf keep the scratch
+	// arrays of statement-range patches for reuse.
+	jw               []jent
+	jends            []int32
+	nextSeq, seqStep uint64
+	jwBuf            []jent
+	jendsBuf         []int32
 
 	// Change capture (apply.go): prior state of everything this update
 	// touched, compared after patching to derive the semantic delta.
@@ -248,6 +258,11 @@ type UpdateTiming struct {
 	// vantages: how large the mapping work really was.
 	LabelsChanged int
 
+	// StmtsReplayed counts the statements the patch applied plus those
+	// it undid: a changed file's middle statements on the incremental
+	// path, every statement on a rebuild or plain merge.
+	StmtsReplayed int
+
 	// Path is how the graph reached the new input set: "incremental",
 	// "rebuild", "plain", or "unchanged".
 	Path string
@@ -261,13 +276,15 @@ type UpdateTiming struct {
 // EngineStats count engine activity across updates. Incremental and
 // FullRemaps count per-vantage mapping runs.
 type EngineStats struct {
-	Updates     int // Update calls that did work
-	Unchanged   int // Update calls with identical inputs
-	Incremental int // warm-path vantage re-maps
-	FullRemaps  int // full vantage re-maps over the patched graph
-	Rebuilds    int // full journal rebuilds (first run, reorders, errors)
-	Rescanned   int // inputs re-scanned
-	TailApplies int // changed files journaled by replaying only an appended tail
+	Updates      int // Update calls that did work
+	Unchanged    int // Update calls with identical inputs
+	Incremental  int // warm-path vantage re-maps
+	FullRemaps   int // full vantage re-maps over the patched graph
+	Rebuilds     int // full journal rebuilds (first run, reorders, errors)
+	Rescanned    int // inputs re-scanned
+	RangePatches int // changed files patched by statement range
+	// StmtsReplayed sums UpdateTiming.StmtsReplayed over the updates.
+	StmtsReplayed int
 }
 
 // newCore builds the shared pipeline state with no vantages.
@@ -440,13 +457,14 @@ func (e *core) sync(inputs []Input) error {
 			continue
 		}
 		newStates[i] = &fileState{
-			id:   e.nextFileID,
-			name: s.in.Name,
-			hash: s.hash,
-			frag: s.frag,
+			id:            e.nextFileID,
+			name:          s.in.Name,
+			hash:          s.hash,
+			frag:          s.frag,
+			lastPrivate:   s.frag.LastPrivate(),
+			hasFileSwitch: s.frag.SwitchesFile(),
 		}
 		e.nextFileID++
-		newStates[i].scanScopeOps()
 		if newStates[i].hasFileSwitch {
 			// A mid-stream file{} scope switch can rebind names for
 			// other inputs; replaying just this file cannot reproduce
@@ -477,6 +495,7 @@ func (e *core) sync(inputs []Input) error {
 		e.timing.Path = "incremental"
 	}
 	e.timing.Patch = time.Since(mark)
+	e.Stats.StmtsReplayed += e.timing.StmtsReplayed
 	mark = time.Now()
 
 	// Phase 4: new generation — snapshot, change history, warnings.
@@ -593,8 +612,6 @@ func (e *core) rebuildAll(states []*fileState) {
 	e.hist = e.hist[:0]
 	e.snap = nil
 	e.nstates = e.nstates[:0]
-	e.stamp = e.stamp[:0]
-	e.stampGen = 0
 	e.declIdx = make(map[uint64][]declRec)
 	e.aliases = make(map[uint64]*aliasState)
 	e.gwPairs = make(map[uint64]int32)
@@ -614,7 +631,7 @@ func (e *core) rebuildAll(states []*fileState) {
 		e.posOf[f.id] = int32(i)
 	}
 	for _, f := range states {
-		e.apply(f, f.frag)
+		e.apply(f)
 	}
 	e.applyPendings()
 	e.journaled = true
@@ -653,6 +670,9 @@ func (e *core) syncIncremental(states []*fileState) {
 	}
 	for i, f := range states {
 		e.posOf[f.id] = int32(i)
+		if old := e.byName[f.name]; old != nil && old != f {
+			e.posOf[old.id] = int32(i) // its records share the position until undone
+		}
 	}
 
 	current := make(map[*fileState]bool, len(states))
@@ -667,44 +687,35 @@ func (e *core) syncIncremental(states []*fileState) {
 			delete(e.byName, f.name)
 		}
 	}
-	// Changed and added files, in input order. A changed file's new
-	// fragment is applied BEFORE its old journal is undone, so shared
+	// Changed and added files, in input order. A changed file is
+	// patched by statement range (patch): only the statements between
+	// the common prefix and suffix of its old and new fragments replay,
+	// the new ones BEFORE the old ones are undone, so shared
 	// contributions never transit through zero: surviving links keep
-	// their identity and labels pointing at them stay valid. The
-	// exception is files that declare privates — bindings are positional
-	// within the file, so the old binding must be gone before the new
-	// fragment resolves names — where the conservative undo-first order
-	// is used (at the price of a larger dirty region).
+	// their identity and labels pointing at them stay valid. The journal
+	// holds no references into the old source text (names are interned,
+	// pending/private strings cloned), so the old text is dropped as
+	// usual. Where patch declines, the whole file is applied, then its
+	// old journal undone — except for files that declare privates:
+	// bindings are positional within the file, so the old binding must
+	// be gone before the new fragment resolves names, and the
+	// conservative undo-first order is used (at the price of a larger
+	// dirty region).
 	for _, f := range states {
 		old := e.byName[f.name]
 		if old == f {
 			continue // unchanged, journal intact
 		}
-		if old != nil {
-			if ps, pp, ok := f.frag.Extends(old.frag); ok {
-				// Append fast path: the edited file strictly extends its
-				// cached predecessor, so the journaled prefix is already
-				// in the graph — adopt the old journal (and the old file
-				// id, which the prefix's declaration records carry) and
-				// replay only the appended tail. The journal holds no
-				// references into the old source text (names are interned,
-				// pending/private strings cloned), so the old text is
-				// dropped as usual.
-				e.posOf[old.id] = e.posOf[f.id]
-				f.id = old.id
-				f.j = old.j
-				old.j = journal{}
-				e.applyFrom(f, f.frag, ps, pp)
-				e.byName[f.name] = f
-				e.Stats.TailApplies++
-				continue
-			}
+		if old != nil && e.patch(old, f) {
+			e.byName[f.name] = f
+			e.Stats.RangePatches++
+			continue
 		}
-		if old != nil && (old.hasPrivate || f.hasPrivate) {
+		if old != nil && (old.lastPrivate >= 0 || f.lastPrivate >= 0) {
 			e.undo(old)
 			old = nil
 		}
-		e.apply(f, f.frag)
+		e.apply(f)
 		if old != nil {
 			e.undo(old)
 		}
@@ -801,6 +812,8 @@ func (e *core) computeWarnings() []string {
 // results are then one-shot mapper runs over the merged graph.
 func (e *core) plainSync(frags []*parser.Fragment) error {
 	pres, err := parser.MergeFragments(e.popts, frags)
+	e.timing.StmtsReplayed = pres.StmtsReplayed
+	e.Stats.StmtsReplayed += pres.StmtsReplayed
 	if err != nil {
 		return err
 	}

@@ -276,8 +276,13 @@ type mutator struct {
 
 // mutateMap applies one random edit to a copy of the inputs: cost
 // change, line removal, removal of a lone host's only line (put back on
-// the next step, so the host turns into a ghost and returns), line
-// addition, file removal, file addition.
+// the next step, so the host turns into a ghost and returns), a new
+// statement appended to a file or inserted mid-file, a link line
+// duplicated elsewhere in its own file, file removal, file reorder, file
+// addition. The new statements cover every journal kind: links (new
+// host or between existing ones), adjust, alias, network, dead and
+// delete (host and link) and gateway declarations, so the edits reach
+// both statement-range patches and the whole-file path.
 // addHost reports that the edit only introduced a brand-new host (plus
 // its link) — an edit the engine must keep on the warm path.
 func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost bool) {
@@ -289,14 +294,18 @@ func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost 
 	out := make([]Input, len(inputs))
 	copy(out, inputs)
 	costs := []string{"DEMAND", "HOURLY", "DAILY", "WEEKLY", "EVENING", "DIRECT", "POLLED"}
-	switch k := rng.Intn(10); {
+	cost := func() string { return costs[rng.Intn(len(costs))] }
+	// Hosts below 40 serve as vantages and local hosts; dead and delete
+	// declarations pick from the others.
+	far := func() int { return 40 + rng.Intn(260) }
+	switch k := rng.Intn(12); {
 	case k < 4: // cost edit on a random line
 		i := rng.Intn(len(out))
 		lines := strings.Split(out[i].Src, "\n")
 		for try := 0; try < 10; try++ {
 			ln := rng.Intn(len(lines))
 			if o := strings.LastIndexByte(lines[ln], '('); o > 0 && strings.HasSuffix(lines[ln], ")") {
-				lines[ln] = lines[ln][:o] + "(" + costs[rng.Intn(len(costs))] + ")"
+				lines[ln] = lines[ln][:o] + "(" + cost() + ")"
 				break
 			}
 		}
@@ -311,27 +320,69 @@ func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost 
 			lines = append(lines[:ln], lines[ln+1:]...)
 			out[i].Src = strings.Join(lines, "\n")
 		}
-	case k < 8: // add a line (new host, new links, maybe dead/adjust)
+	case k < 9: // a new statement, appended or inserted mid-file
 		i := rng.Intn(len(out))
 		id := mu.nextID
 		mu.nextID++
 		var add string
-		switch rng.Intn(4) {
+		switch rng.Intn(10) {
 		case 0:
-			add = fmt.Sprintf("\nnewhost%d\thost%d(%s)\n", id, rng.Intn(40), costs[rng.Intn(len(costs))])
+			add = fmt.Sprintf("newhost%d\thost%d(%s)", id, rng.Intn(40), cost())
 			addHost = true
 		case 1:
-			add = fmt.Sprintf("\nhost%d\thost%d(%s)\n", rng.Intn(40), rng.Intn(300), costs[rng.Intn(len(costs))])
+			add = fmt.Sprintf("host%d\thost%d(%s)", rng.Intn(40), rng.Intn(300), cost())
 		case 2:
-			add = fmt.Sprintf("\nadjust {host%d(+%d)}\n", rng.Intn(40), 5+rng.Intn(50))
+			add = fmt.Sprintf("adjust {host%d(+%d)}", rng.Intn(40), 5+rng.Intn(50))
+		case 3:
+			add = fmt.Sprintf("dead {host%d}", rng.Intn(300))
+		case 4:
+			add = fmt.Sprintf("host%d\t= aka%d", rng.Intn(300), id)
+		case 5:
+			add = fmt.Sprintf("fnet%d = {host%d, host%d, host%d}(%s)",
+				rng.Intn(4), rng.Intn(300), rng.Intn(300), rng.Intn(300), cost())
+		case 6:
+			if from, to, ok := randomLink(rng, out[i].Src); ok {
+				add = fmt.Sprintf("dead {%s!%s}", from, to)
+			} else {
+				add = fmt.Sprintf("dead {host%d!host%d}", far(), far())
+			}
+		case 7:
+			if from, to, ok := randomLink(rng, out[i].Src); ok && rng.Intn(2) == 0 {
+				add = fmt.Sprintf("delete {%s!%s}", from, to)
+			} else {
+				add = fmt.Sprintf("delete {host%d}", far())
+			}
+		case 8:
+			add = fmt.Sprintf("gateway {%s!host%d}", []string{"ARPANET", "CSNET"}[rng.Intn(2)], rng.Intn(300))
 		default:
-			add = fmt.Sprintf("\ndead {host%d}\n", rng.Intn(300))
+			add = fmt.Sprintf("gatewayed {fnet%d}", rng.Intn(4))
 		}
-		out[i].Src += add
-	case k < 9 && len(out) > 2: // drop a whole file (never the first: it holds the local host)
+		lines := strings.Split(out[i].Src, "\n")
+		ln := len(lines)
+		if rng.Intn(2) == 0 {
+			ln = rng.Intn(len(lines))
+		}
+		lines = append(lines[:ln], append([]string{add}, lines[ln:]...)...)
+		out[i].Src = strings.Join(lines, "\n")
+	case k < 10: // duplicate a link line elsewhere in its own file
+		i := rng.Intn(len(out))
+		lines := strings.Split(out[i].Src, "\n")
+		for try := 0; try < 10; try++ {
+			l := lines[rng.Intn(len(lines))]
+			if o := strings.LastIndexByte(l, '('); o > 0 && strings.HasSuffix(l, ")") && strings.Contains(l, "\t") {
+				if rng.Intn(2) == 0 {
+					l = l[:o] + "(" + cost() + ")" // a duplicate that may win on cost
+				}
+				ln := rng.Intn(len(lines) + 1)
+				lines = append(lines[:ln], append([]string{l}, lines[ln:]...)...)
+				break
+			}
+		}
+		out[i].Src = strings.Join(lines, "\n")
+	case k < 11 && len(out) > 2: // drop a whole file (never the first: it holds the local host)
 		i := 1 + rng.Intn(len(out)-1)
 		out = append(out[:i], out[i+1:]...)
-	case k < 10 && len(out) > 2 && rng.Intn(2) == 0: // shuffle file order
+	case k < 12 && len(out) > 2 && rng.Intn(2) == 0: // shuffle file order
 		i := 1 + rng.Intn(len(out)-1)
 		j := 1 + rng.Intn(len(out)-1)
 		out[i], out[j] = out[j], out[i]
@@ -340,10 +391,26 @@ func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost 
 		mu.nextID++
 		out = append(out, Input{
 			Name: fmt.Sprintf("extra%d.map", id),
-			Src:  fmt.Sprintf("exhost%d\thost%d(%s)\n", id, rng.Intn(40), costs[rng.Intn(len(costs))]),
+			Src:  fmt.Sprintf("exhost%d\thost%d(%s)\n", id, rng.Intn(40), cost()),
 		})
 	}
 	return out, addHost
+}
+
+// randomLink returns the endpoints of a random single-link declaration
+// line ("from<TAB>to(cost)") of src.
+func randomLink(rng *rand.Rand, src string) (from, to string, ok bool) {
+	lines := strings.Split(src, "\n")
+	for try := 0; try < 10; try++ {
+		l := lines[rng.Intn(len(lines))]
+		from, rest, found := strings.Cut(l, "\t")
+		o := strings.IndexByte(rest, '(')
+		if !found || o <= 0 || strings.ContainsAny(rest[:o], ",!@%:= {") || strings.ContainsAny(from, " {") {
+			continue
+		}
+		return from, rest[:o], true
+	}
+	return "", "", false
 }
 
 // removeLoneHost removes, from a random file of out, a random line

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pathalias/internal/mapgen"
+	"pathalias/internal/parser"
 )
 
 // addHostEdits is a sequence of add-only edits, each appended to the
@@ -30,6 +31,25 @@ func appendToFirst(inputs []Input, add string) []Input {
 	copy(out, inputs)
 	out[0].Src += add
 	return out
+}
+
+// stmtCount returns the number of replayable statements in src.
+func stmtCount(src string) int {
+	return parser.ScanFragment(parser.Options{}, parser.Input{Name: "count", Src: src}).Stmts()
+}
+
+// checkTailPatched asserts that the last update patched exactly one
+// file by statement range, replaying only the appended statements of
+// add: nothing of the cached prefix was undone or re-applied.
+func checkTailPatched(t *testing.T, m *Multi, patchesBefore int, add, label string) {
+	t.Helper()
+	if got := m.Stats().RangePatches; got != patchesBefore+1 {
+		t.Fatalf("%s (%q): appended edit was not range-patched (RangePatches=%d, want %d)",
+			label, add, got, patchesBefore+1)
+	}
+	if got, want := m.Timing().StmtsReplayed, stmtCount(add); got != want {
+		t.Fatalf("%s (%q): StmtsReplayed=%d, want only the %d appended statements", label, add, got, want)
+	}
 }
 
 // TestEngineHostAddWarm asserts the single-vantage warm path: a
@@ -54,6 +74,7 @@ func TestEngineHostAddWarm(t *testing.T) {
 
 	for i, add := range addHostEdits {
 		inputs = appendToFirst(inputs, add)
+		patches := m.Stats().RangePatches
 		res, err = update(m, inputs)
 		if err != nil {
 			t.Fatalf("edit %d: %v", i, err)
@@ -64,10 +85,7 @@ func TestEngineHostAddWarm(t *testing.T) {
 		if m.Stats().FullRemaps != fullRemaps {
 			t.Fatalf("edit %d (%q): FullRemaps bumped %d -> %d", i, add, fullRemaps, m.Stats().FullRemaps)
 		}
-		if m.Stats().TailApplies != i+1 {
-			t.Fatalf("edit %d (%q): appended edit did not tail-apply (TailApplies=%d, want %d)",
-				i, add, m.Stats().TailApplies, i+1)
-		}
+		checkTailPatched(t, m, patches, add, fmt.Sprintf("edit %d", i))
 		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("add edit %d", i))
 	}
 
@@ -106,6 +124,7 @@ func TestMultiHostAddWarm(t *testing.T) {
 
 	for i, add := range addHostEdits {
 		inputs = appendToFirst(inputs, add)
+		patches := m.Stats().RangePatches
 		if err := m.Update(inputs); err != nil {
 			t.Fatalf("edit %d: %v", i, err)
 		}
@@ -122,20 +141,19 @@ func TestMultiHostAddWarm(t *testing.T) {
 		if got := m.Stats().FullRemaps; got != fullRemaps {
 			t.Fatalf("edit %d (%q): FullRemaps bumped %d -> %d", i, add, fullRemaps, got)
 		}
-		if got := m.Stats().TailApplies; got != i+1 {
-			t.Fatalf("edit %d (%q): appended edit did not tail-apply (TailApplies=%d, want %d)",
-				i, add, got, i+1)
-		}
+		checkTailPatched(t, m, patches, add, fmt.Sprintf("edit %d", i))
 	}
 }
 
-// TestTailApplyPrivateScope locks down the subtlest part of the append
-// fast path: private bindings. A tail replayed on top of the cached
-// prefix's journal must resolve names in exactly the scope a full
-// replay reaches at the cut — references after a prefix `private`
+// TestTailApplyPrivateScope locks down the subtlest part of statement
+// range patching: private bindings. A tail replayed on top of the
+// cached prefix's journal must resolve names in exactly the scope a
+// full replay reaches at the cut — references after a prefix `private`
 // bind to the file's private node, and a `private` declared IN the
 // tail affects only subsequent references, both byte-identical to a
-// fresh run.
+// fresh run. An edit before a private must take the whole-file
+// undo-first path; removing statements after the last private is a
+// range patch again.
 func TestTailApplyPrivateScope(t *testing.T) {
 	inputs := []Input{
 		{Name: "a.map", Src: "alpha\tbeta(DAILY), gamma(HOURLY)\nprivate {gamma}\ngamma\tdelta(DEMAND)\n"},
@@ -164,6 +182,7 @@ func TestTailApplyPrivateScope(t *testing.T) {
 	}
 	for i, add := range tailEdits {
 		inputs = appendToFirst(inputs, add)
+		patches := m.Stats().RangePatches
 		res, err = update(m, inputs)
 		if err != nil {
 			t.Fatalf("tail edit %d: %v", i, err)
@@ -171,17 +190,15 @@ func TestTailApplyPrivateScope(t *testing.T) {
 		if !res.Incremental {
 			t.Fatalf("tail edit %d (%q): add-only edit took the full re-map path", i, add)
 		}
-		if m.Stats().TailApplies != i+1 {
-			t.Fatalf("tail edit %d (%q): did not tail-apply (TailApplies=%d, want %d)",
-				i, add, m.Stats().TailApplies, i+1)
-		}
+		checkTailPatched(t, m, patches, add, fmt.Sprintf("tail edit %d", i))
 		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("tail edit %d", i))
 	}
-	tails := m.Stats().TailApplies
+	tails := m.Stats().RangePatches
 
-	// A mid-file modification is not an extension: the engine must fall
-	// back to undo-and-reapply (file a.map has privates, so the undo-first
-	// ordering applies) and still match a fresh run.
+	// A modification before a private declaration changes what that
+	// private's later references mean relative to the edit: the engine
+	// must fall back to whole-file undo-and-reapply (undo-first, as a.map
+	// has privates) and still match a fresh run.
 	mod := make([]Input, len(inputs))
 	copy(mod, inputs)
 	mod[0].Src = strings.Replace(mod[0].Src, "beta(DAILY)", "beta(WEEKLY)", 1)
@@ -190,12 +207,16 @@ func TestTailApplyPrivateScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().TailApplies != tails {
-		t.Fatalf("modified prefix tail-applied (TailApplies=%d, want %d)", m.Stats().TailApplies, tails)
+	if m.Stats().RangePatches != tails {
+		t.Fatalf("edit before a private was range-patched (RangePatches=%d, want %d)", m.Stats().RangePatches, tails)
+	}
+	if got, want := m.Timing().StmtsReplayed, 2*stmtCount(inputs[0].Src); got != want {
+		t.Fatalf("edit before a private: StmtsReplayed=%d, want the whole file undone and re-applied (%d)", got, want)
 	}
 	checkEquivalent(t, opts, inputs, res, "prefix modification")
 
-	// Truncation is not an extension either.
+	// Truncating the statement after the last private is a range patch
+	// that only undoes it.
 	trunc := make([]Input, len(inputs))
 	copy(trunc, inputs)
 	trunc[0].Src = strings.TrimSuffix(trunc[0].Src, "beta\teta(HOURLY)\n")
@@ -204,8 +225,11 @@ func TestTailApplyPrivateScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().TailApplies != tails {
-		t.Fatalf("truncated file tail-applied (TailApplies=%d, want %d)", m.Stats().TailApplies, tails)
+	if m.Stats().RangePatches != tails+1 {
+		t.Fatalf("truncation was not range-patched (RangePatches=%d, want %d)", m.Stats().RangePatches, tails+1)
+	}
+	if got, want := m.Timing().StmtsReplayed, stmtCount("beta\teta(HOURLY)\n"); got != want {
+		t.Fatalf("truncation: StmtsReplayed=%d, want %d", got, want)
 	}
 	checkEquivalent(t, opts, inputs, res, "truncation")
 }

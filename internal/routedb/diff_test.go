@@ -1,5 +1,9 @@
 package routedb
 
+// Route-database diffs: cmd/routediff loads two databases and compares
+// their entries with whatif/diff, which requires host order — the order
+// DB.Entries yields. These tests pin that pairing.
+
 import (
 	"fmt"
 	"strings"
@@ -7,7 +11,11 @@ import (
 	"testing/quick"
 
 	"pathalias/internal/printer"
+	"pathalias/internal/whatif/diff"
 )
+
+// diffDBs reports the changes from old to new, ordered by host name.
+func diffDBs(old, new *DB) []diff.Change { return diff.Diff(old.Entries(), new.Entries()) }
 
 func db(t *testing.T, lines string) *DB {
 	t.Helper()
@@ -20,7 +28,7 @@ func db(t *testing.T, lines string) *DB {
 
 func TestDiffEmpty(t *testing.T) {
 	a := db(t, "100\tduke\tduke!%s\n")
-	if changes := Diff(a, a); len(changes) != 0 {
+	if changes := diffDBs(a, a); len(changes) != 0 {
 		t.Errorf("self-diff = %v", changes)
 	}
 }
@@ -36,12 +44,12 @@ func TestDiffKinds(t *testing.T) {
 500	pricier	p!%s
 50	fresh	fresh!%s
 `)
-	changes := Diff(old, new)
-	want := map[string]ChangeKind{
-		"fresh":   Added,
-		"gone":    Removed,
-		"moved":   Rerouted,
-		"pricier": Recosted,
+	changes := diffDBs(old, new)
+	want := map[string]diff.ChangeKind{
+		"fresh":   diff.Added,
+		"gone":    diff.Removed,
+		"moved":   diff.Rerouted,
+		"pricier": diff.Recosted,
 	}
 	if len(changes) != len(want) {
 		t.Fatalf("changes = %v", changes)
@@ -51,7 +59,7 @@ func TestDiffKinds(t *testing.T) {
 			t.Errorf("%s: kind %v want %v", c.Host, c.Kind, want[c.Host])
 		}
 	}
-	st := Summarize(changes)
+	st := diff.Summarize(changes)
 	if st.Added != 1 || st.Removed != 1 || st.Rerouted != 1 || st.Recosted != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -60,7 +68,7 @@ func TestDiffKinds(t *testing.T) {
 func TestDiffOrdering(t *testing.T) {
 	old := db(t, "1\tzed\tz!%s\n1\talpha\ta!%s\n")
 	new := db(t, "1\tmid\tm!%s\n")
-	changes := Diff(old, new)
+	changes := diffDBs(old, new)
 	var hosts []string
 	for _, c := range changes {
 		hosts = append(hosts, c.Host)
@@ -74,7 +82,7 @@ func TestWriteChanges(t *testing.T) {
 	old := db(t, "100\tduke\tduke!%s\n")
 	new := db(t, "100\tduke\tphs!duke!%s\n1\tnewbie\tn!%s\n")
 	var sb strings.Builder
-	if err := WriteChanges(&sb, Diff(old, new)); err != nil {
+	if err := diff.WriteChanges(&sb, diffDBs(old, new)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -87,8 +95,8 @@ func TestWriteChanges(t *testing.T) {
 }
 
 func TestChangeKindString(t *testing.T) {
-	kinds := map[ChangeKind]string{Added: "added", Removed: "removed",
-		Rerouted: "rerouted", Recosted: "recosted"}
+	kinds := map[diff.ChangeKind]string{diff.Added: "added", diff.Removed: "removed",
+		diff.Rerouted: "rerouted", diff.Recosted: "recosted"}
 	for k, want := range kinds {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
@@ -110,17 +118,17 @@ func TestDiffProperties(t *testing.T) {
 			})
 		}
 		d := Build(es)
-		adds := Diff(empty, d)
-		rems := Diff(d, empty)
+		adds := diffDBs(empty, d)
+		rems := diffDBs(d, empty)
 		if len(adds) != d.Len() || len(rems) != d.Len() {
 			return false
 		}
 		for i := range adds {
-			if adds[i].Kind != Added || rems[i].Kind != Removed {
+			if adds[i].Kind != diff.Added || rems[i].Kind != diff.Removed {
 				return false
 			}
 		}
-		return len(Diff(d, d)) == 0
+		return len(diffDBs(d, d)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -219,13 +219,16 @@ func (e *MultiEngine) Stats() EngineStats { return EngineStats(e.eng.Stats()) }
 
 // EngineStats count engine activity across updates.
 type EngineStats struct {
-	Updates     int // Update calls that did work
-	Unchanged   int // Update calls with identical inputs
-	Incremental int // warm-path vantage re-maps
-	FullRemaps  int // full vantage re-maps over the patched graph
-	Rebuilds    int // full rebuilds (first run, reorders, parse errors)
-	Rescanned   int // inputs re-scanned
-	TailApplies int // changed files journaled by replaying only an appended tail
+	Updates      int // Update calls that did work
+	Unchanged    int // Update calls with identical inputs
+	Incremental  int // warm-path vantage re-maps
+	FullRemaps   int // full vantage re-maps over the patched graph
+	Rebuilds     int // full rebuilds (first run, reorders, parse errors)
+	Rescanned    int // inputs re-scanned
+	RangePatches int // changed files patched by statement range
+	// StmtsReplayed counts the statements the engine applied plus those
+	// it undid, summed over the updates.
+	StmtsReplayed int
 }
 
 // remapOptions translates public Options into the incremental engine's
