@@ -233,7 +233,7 @@ func (w *mapWatcher) remap() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	storeMark := time.Now()
-	var pubDur time.Duration
+	var pubDur, compileDur time.Duration
 	published := false
 	routes := 0
 	skipped := 0
@@ -261,9 +261,11 @@ func (w *mapWatcher) remap() error {
 	} else {
 		w.d.warnf("vantage %s (default): %v (still serving previous database)", w.local, defErr)
 	}
+	defDur := time.Since(storeMark)
 	if w.odb != "" && defErr == nil && (!w.pubOK || res.RouteGen != w.pubGen) {
 		pubMark := time.Now()
-		if err := w.publish(res.RouteGen); err != nil {
+		var err error
+		if compileDur, err = w.publish(res.RouteGen); err != nil {
 			w.d.warnf("publish %s: %v (previous image still intact)", w.odb, err)
 		} else {
 			published = true
@@ -271,6 +273,7 @@ func (w *mapWatcher) remap() error {
 		pubDur = time.Since(pubMark)
 	}
 
+	vantMark := time.Now()
 	resident := w.eng.Vantages()
 	live := make(map[string]bool, len(resident))
 	swapped := 0
@@ -293,6 +296,7 @@ func (w *mapWatcher) remap() error {
 		w.gens[from] = vres.RouteGen
 		swapped++
 	}
+	vantDur := time.Since(vantMark)
 	// Stores of evicted vantages are dropped; a later query re-creates
 	// both the vantage and its store.
 	for name := range w.stores {
@@ -308,7 +312,14 @@ func (w *mapWatcher) remap() error {
 	wall := time.Since(start)
 	w.d.logf("mapped %d routes from %d files (+%d vantage stores, %d unchanged; %d warm/%d full re-maps) in %v",
 		routes, len(w.paths), swapped, skipped, warm, full, wall.Round(time.Millisecond))
-	w.recordTrace(start, wall, readDur, storeDur, pubDur, published, warm, full, routes, skipped)
+	storeStage := obs.Stage{Name: "store", Dur: storeDur, Note: fmt.Sprintf("default %v + %d vantage stores %v",
+		defDur.Round(time.Microsecond), swapped, vantDur.Round(time.Microsecond))}
+	pubStage := obs.Stage{Name: "publish", Dur: pubDur}
+	if pubDur > 0 {
+		pubStage.Note = fmt.Sprintf("compile %v + write/fsync %v",
+			compileDur.Round(time.Microsecond), (pubDur - compileDur).Round(time.Microsecond))
+	}
+	w.recordTrace(start, wall, readDur, storeStage, pubStage, published, warm, full, routes, skipped)
 	return defErr
 }
 
@@ -317,8 +328,9 @@ func (w *mapWatcher) remap() error {
 // pass so lazy vantage catch-ups count into the map sums; whatever the
 // named stages do not account for — scheduling, logging, bookkeeping —
 // is closed out as an explicit "other" stage, so the stages always sum
-// to the generation's wall time.
-func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDur time.Duration, published bool, warm, full, routes, storesUnchanged int) {
+// to the generation's wall time. store and publish are timed (and
+// annotated) by the caller.
+func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, store, publish obs.Stage, published bool, warm, full, routes, storesUnchanged int) {
 	if w.d.traces == nil {
 		return
 	}
@@ -330,8 +342,8 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDu
 		{Name: "snapshot", Dur: timing.Snapshot},
 		{Name: "map", Dur: timing.Map, Note: fmt.Sprintf("across vantages: mapping %v + route derivation %v",
 			timing.MapSum.Round(time.Microsecond), timing.RouteSum.Round(time.Microsecond))},
-		{Name: "store", Dur: storeDur},
-		{Name: "publish", Dur: pubDur},
+		store,
+		publish,
 	}
 	var accounted time.Duration
 	for _, s := range stages {
@@ -371,28 +383,31 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur, storeDur, pubDu
 // except the first after a warm start, where the image on disk usually
 // IS the current routes: that case is detected by byte comparison and
 // adopted without a write, so a restart alone never churns the file.
-// w.mu must be held (pubGen/pubOK are guarded by it).
-func (w *mapWatcher) publish(gen uint64) error {
+// w.mu must be held (pubGen/pubOK are guarded by it). It returns how
+// long compiling the image took, for the trace.
+func (w *mapWatcher) publish(gen uint64) (compile time.Duration, err error) {
+	mark := time.Now()
 	db := w.d.store.DB()
 	var buf bytes.Buffer
 	if _, err := db.WriteBinary(&buf); err != nil {
-		return err
+		return time.Since(mark), err
 	}
+	compile = time.Since(mark)
 	if !w.pubOK {
 		if old, err := os.ReadFile(w.odb); err == nil && bytes.Equal(old, buf.Bytes()) {
 			w.pubGen, w.pubOK = gen, true
-			return nil // warm restart: the on-disk image is already exact
+			return compile, nil // warm restart: the on-disk image is already exact
 		}
 	}
 	if err := atomicfile.Publish(w.odb, func(out io.Writer) error {
 		_, err := out.Write(buf.Bytes())
 		return err
 	}); err != nil {
-		return err
+		return compile, err
 	}
 	w.pubGen, w.pubOK = gen, true
 	w.d.logf("published %s (%d routes)", w.odb, db.Len())
-	return nil
+	return compile, nil
 }
 
 // watch re-maps whenever fswatch.Watch reports that a source may have

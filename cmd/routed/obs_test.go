@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -241,6 +242,53 @@ func TestReadyzLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("after good swap: /readyz = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestTraceStageNotes checks that the store and publish stages say
+// where their time went: the default store build against the vantage
+// store builds, and the image compile against the write and fsync.
+func TestTraceStageNotes(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "test.map")
+	if err := os.WriteFile(mapPath, []byte(testMapSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newMapDaemon(routedb.Options{}, io.Discard)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, filepath.Join(dir, "routes.rdb"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A resident vantage whose routes the edit changes along with the
+	// default's: both reach ucbvax over the edited research link.
+	if _, err := w.storeFor("duke"); err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(testMapSrc, "ucbvax(DEMAND)", "ucbvax(WEEKLY)", 1)
+	if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.remap(); err != nil {
+		t.Fatal(err)
+	}
+	tr := d.traces.Last()
+	if !tr.Published {
+		t.Fatal("edit published no image")
+	}
+	notes := map[string]*regexp.Regexp{
+		"store":   regexp.MustCompile(`^default \S+ \+ 1 vantage stores \S+$`),
+		"publish": regexp.MustCompile(`^compile \S+ \+ write/fsync \S+$`),
+	}
+	for _, s := range tr.Stages {
+		if re := notes[s.Name]; re != nil {
+			if !re.MatchString(s.Note) {
+				t.Errorf("%s stage note %q does not match %v", s.Name, s.Note, re)
+			}
+			delete(notes, s.Name)
+		}
+	}
+	for name := range notes {
+		t.Errorf("trace has no %s stage", name)
 	}
 }
 

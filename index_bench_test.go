@@ -1,0 +1,71 @@
+package pathalias
+
+import (
+	"bytes"
+	"io"
+	"sync"
+	"testing"
+
+	"pathalias/internal/mapgen"
+	"pathalias/internal/mapper"
+	"pathalias/internal/parser"
+	"pathalias/internal/printer"
+	"pathalias/internal/routedb"
+)
+
+// editMapRoutes are the default-vantage routes of the 50k-core-host map
+// the edit benchmark serves (mapgen.Scaled(50000, 1), ~77k routes),
+// computed once per test binary.
+var editMapRoutes = sync.OnceValues(func() ([]printer.Entry, error) {
+	inputs, local := mapgen.Generate(mapgen.Scaled(50000, 1))
+	res, err := parser.Parse(inputs...)
+	if err != nil {
+		return nil, err
+	}
+	src, _ := res.Graph.Lookup(local)
+	mres, err := mapper.Run(res.Graph, src, mapper.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	return printer.Routes(mres, printer.Options{}), nil
+})
+
+// BenchmarkRouteIndex measures what one re-map costs per route table
+// after the routes are computed: indexing them into a serving store
+// (routedb.BuildWith), compiling that store into an rdb image
+// (DB.WriteBinary), and validating the image at open
+// (routedb.OpenBinaryBytes). Recorded in BENCH_map.json.
+func BenchmarkRouteIndex(b *testing.B) {
+	entries, err := editMapRoutes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := routedb.BuildWith(entries, routedb.Options{})
+	var img bytes.Buffer
+	if _, err := db.WriteBinary(&img); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("BuildWith", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			routedb.BuildWith(entries, routedb.Options{})
+		}
+	})
+	b.Run("WriteBinary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.WriteBinary(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("OpenBinaryBytes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := routedb.OpenBinaryBytes(img.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -34,12 +34,12 @@
 //	         starts, the route where the next entry's host starts (or
 //	         the section ends) — which is also what makes bounds
 //	         validation a single monotonicity pass
-//	hash     open-addressed exact-match table: power-of-two u32 slots,
-//	         keyed on the host bytes by chunked FNV-1a (8-byte
-//	         little-endian chunks, a length-tagged tail, and a
-//	         Murmur-style finalizer for low-bit avalanche — byte-serial
-//	         FNV would dominate open-time validation at scale), linear
-//	         probing, slot value entry index + 1 (0 = empty)
+//	hash     open-addressed exact-match table: power-of-two u32 slots
+//	         (at least 4, load ≤ 0.5), keyed on the host bytes by
+//	         resolver.KeyHash (chunked FNV-1a: 8-byte little-endian
+//	         chunks, a length-tagged tail, and a Murmur-style finalizer
+//	         for low-bit avalanche), linear probing, filled in entry
+//	         order, slot value entry index + 1 (0 = empty)
 //	trie     the reversed-label domain-suffix trie, serialized
 //	         post-order: each node is entry index (u32, ~0 = none),
 //	         child count, then children {label off/len, node offset}
@@ -52,8 +52,11 @@
 // Entry names are stored normalized exactly as package resolver
 // normalizes them (one trailing dot dropped, case folded when the
 // fold-case flag is set), sorted and deduplicated keeping the cheapest
-// route — the Writer runs them through resolver.New, so a compiled file
-// and the text-built index answer every query identically.
+// route. The writer lays out a resolver's own built index — its
+// canonical entries and its exact-match slot table, which has the hash
+// section's layout and the same key function (resolver.KeyHash) — so a
+// compiled file and the in-memory index answer every query identically,
+// and compiling a store that is already indexed indexes nothing again.
 //
 // The Writer is deterministic: the same entries and options produce the
 // same bytes, so compiled databases can be compared, cached, and
@@ -63,10 +66,13 @@
 // structurally validates every section — bounds, sortedness, hash
 // table shape, and a full trie walk — before any lookup is served, so
 // a truncated, bit-flipped, or hostile file yields an error, never a
-// panic or an out-of-bounds read. The validation passes are designed
-// to read sequentially; the one check that inherently needs scattered
-// joins (probe reachability, see Reader.VerifyReachable) is deferred
-// off the cold path, where it buys no adversarial protection anyway.
+// panic or an out-of-bounds read. Each byte is checksummed once: every
+// section's CRC is computed in one pass, and the footer's whole-body
+// CRC is derived from them by CRC-32C combination. The validation
+// passes are designed to read sequentially; the one check that
+// inherently needs scattered joins (probe reachability, see
+// Reader.VerifyReachable) is deferred off the cold path, where it buys
+// no adversarial protection anyway.
 //
 // The writer emits version 2; the reader accepts both versions. The
 // per-section checksums exist for the continuous-publish pipeline: a
@@ -135,52 +141,72 @@ func IsMagic(data []byte) bool {
 	return len(data) >= len(magic) && string(data[:len(magic)]) == string(magic[:])
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// span is one section's (offset, length) within the file.
+type span struct{ off, len uint64 }
 
-// keyHash is the exact-match table's key function: FNV-1a over 8-byte
-// little-endian chunks of the host name, the tail bytes packed with
-// the tail length, and a Murmur-style finalizer (plain FNV mixes the
-// last bytes poorly into the low bits, which are exactly the ones the
-// power-of-two table uses). Chunking matters: open-time validation
-// hashes every host, and byte-serial FNV would be the slowest pass.
-func keyHash(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for len(s) >= 8 {
-		c := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-		h = (h ^ c) * fnvPrime64
-		s = s[8:]
+// bodyChecksum derives the footer checksum — CRC-32C over the whole
+// body — from the four section CRCs, hashing only the bytes outside the
+// sections (the header and alignment padding, a few hundred bytes), so
+// no section byte is hashed twice. spans must be layout-valid:
+// ascending and inside body.
+func bodyChecksum(body []byte, spans [numSections]span, secCRC [numSections]uint32) uint32 {
+	crc, cur := uint32(0), uint64(0)
+	for i, sp := range spans {
+		crc = crc32.Update(crc, crcTable, body[cur:sp.off])
+		crc = crcCombine(crc, secCRC[i], sp.len)
+		cur = sp.off + sp.len
 	}
-	var tail uint64
-	for i := 0; i < len(s); i++ {
-		tail |= uint64(s[i]) << (8 * i)
-	}
-	h = (h ^ tail ^ uint64(len(s))<<56) * fnvPrime64
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
+	return crc32.Update(crc, crcTable, body[cur:])
 }
 
-// keyHashBytes is keyHash for a []byte key (the validation pass).
-func keyHashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for len(b) >= 8 {
-		h = (h ^ le.Uint64(b)) * fnvPrime64
-		b = b[8:]
+// crcCombine returns the CRC-32C of a‖b from crcA = CRC(a), crcB =
+// CRC(b) and lenB = len(b): crcA carried over lenB more bytes — a
+// multiplication by x^(8·lenB) modulo the Castagnoli polynomial — xor
+// crcB, as zlib's crc32_combine does for its polynomial. Costs
+// O(log lenB) polynomial products, independent of the data.
+func crcCombine(crcA, crcB uint32, lenB uint64) uint32 {
+	return gfMul(xPow8n(lenB), crcA) ^ crcB
+}
+
+// gfMul multiplies two polynomials modulo the Castagnoli polynomial,
+// in CRC-32C's reflected bit order (bit 31 is x^0).
+func gfMul(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				break
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.Castagnoli
+		} else {
+			b >>= 1
+		}
 	}
-	var tail uint64
-	for i := 0; i < len(b); i++ {
-		tail |= uint64(b[i]) << (8 * i)
+	return p
+}
+
+// x2n[k] is x^(2^k) modulo the Castagnoli polynomial.
+var x2n = func() (t [64]uint32) {
+	p := uint32(1) << 30 // x^1
+	for k := range t {
+		t[k] = p
+		p = gfMul(p, p)
 	}
-	h = (h ^ tail ^ uint64(len(b))<<56) * fnvPrime64
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
+	return t
+}()
+
+// xPow8n returns x^(8n) modulo the Castagnoli polynomial.
+func xPow8n(n uint64) uint32 {
+	p := uint32(1) << 31 // x^0
+	for k := 3; n != 0; n, k = n>>1, k+1 {
+		if n&1 != 0 {
+			p = gfMul(x2n[k], p)
+		}
+	}
+	return p
 }
 
 // align8 rounds n up to the next multiple of 8.

@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -256,6 +257,49 @@ func TestHostileImages(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+
+	// Hash tables whose every slot value is in range, so only the
+	// pigeonhole counts (n non-empty slots marking n distinct entries)
+	// can catch them; the error must still name the first bad slot.
+	n := le.Uint64(base[16:])
+	hashOff := le.Uint64(base[64:])
+	nslots := le.Uint64(base[24:])
+	slot := func(img []byte, s uint64) uint32 { return le.Uint32(img[hashOff+s*4:]) }
+	var full []uint64 // the non-empty slots, ascending
+	for s := uint64(0); s < nslots; s++ {
+		if slot(base, s) != 0 {
+			full = append(full, s)
+		}
+	}
+	s1, s2 := full[0], full[1]
+	dup := slot(base, s1)
+	exact := []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"one entry in two slots, another missing",
+			mutate(func(img []byte) { le.PutUint32(img[hashOff+s2*4:], dup) }),
+			fmt.Sprintf("entry %d in two hash slots", dup-1)},
+		{"slot value n+1",
+			mutate(func(img []byte) { le.PutUint32(img[hashOff+s2*4:], uint32(n+1)) }),
+			fmt.Sprintf("hash slot %d: entry %d out of range", s2, n)},
+		{"no empty slot",
+			mutate(func(img []byte) {
+				for s := uint64(0); s < nslots; s++ {
+					if slot(img, s) == 0 {
+						le.PutUint32(img[hashOff+s*4:], 1)
+					}
+				}
+			}),
+			"entry 0 in two hash slots"},
+	}
+	for _, c := range exact {
+		_, err := OpenBytes(c.img)
+		if want := "rdb: corrupt database: " + c.want; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", c.name, err, want)
+		}
+	}
 }
 
 // TestVerifyReachable pins the validation split: an image whose hash
@@ -286,7 +330,7 @@ func TestVerifyReachable(t *testing.T) {
 			continue
 		}
 		host := resolver.New(testEntries(), resolver.Options{}).Entries()[v-1].Host
-		home := keyHash(host) & (slots - 1)
+		home := resolver.KeyHash(host) & (slots - 1)
 		for tgt := uint64(0); tgt < slots; tgt++ {
 			prev := (tgt - 1 + slots) % slots
 			if tgt != home && slot(tgt) == 0 && slot(prev) == 0 && prev != s {
@@ -369,7 +413,9 @@ func resealT(img []byte) []byte {
 // format bump.
 func compileV1(t *testing.T, es []resolver.Entry, opts resolver.Options) []byte {
 	t.Helper()
-	img, err := marshal(resolver.New(es, opts).Entries(), opts, version1)
+	r := resolver.New(es, opts)
+	entries, slots := r.Index()
+	img, err := marshal(entries, slots, opts, version1)
 	if err != nil {
 		t.Fatalf("marshal v1: %v", err)
 	}
@@ -510,8 +556,25 @@ func TestOpenBytesReusing(t *testing.T) {
 		t.Errorf("v2→v1 reuse: %d sections, want %d", down.ReusedSections(), numSections)
 	}
 
+	// A header edit outside every section under a stale footer: with
+	// the FoldCase flag flipped, all four sections still equal prev's,
+	// but the footer vouches for the old header. Reuse must reject it
+	// exactly as a plain open does — accepting it would serve the
+	// database folded, silently missing MixedCase.
+	mixedEs := append(testEntries(), resolver.Entry{Host: "MixedCase", Route: "mc!%s", Cost: 7})
+	mixed := compileT(t, mixedEs, opts)
+	mixedPrev := openT(t, mixed)
+	flag := bytes.Clone(mixed)
+	flag[12] ^= flagFoldCase
+	if _, err := OpenBytes(flag); err == nil {
+		t.Error("flipped FoldCase flag under a stale footer accepted")
+	}
+	if _, err := OpenBytesReusing(flag, mixedPrev); err == nil {
+		t.Error("flipped FoldCase flag under a stale footer accepted under reuse")
+	}
+
 	// A truncated or bit-flipped image stays rejected under reuse: the
-	// v1 fallback still verifies the whole-body CRC.
+	// footer CRC is verified on every open.
 	flip := bytes.Clone(v1img)
 	flip[len(flip)/2] ^= 1
 	if _, err := OpenBytesReusing(flip, v1prev); err == nil {
@@ -556,6 +619,23 @@ func TestAppendResolveMapped(t *testing.T) {
 			dst, _ = got.AppendResolve(dst[:0], exactQ, user, &s)
 		}); n != 0 {
 			t.Errorf("fold=%v: mapped AppendResolve allocates %.1f per 2 queries, want 0", fold, n)
+		}
+	}
+}
+
+// TestCRCCombine pins the CRC-32C combination the footer check is
+// derived with: CRC(a‖b) from CRC(a), CRC(b) and len(b), for lengths
+// around the power-of-two boundaries the combination walks.
+func TestCRCCombine(t *testing.T) {
+	buf := make([]byte, 5000)
+	for i := range buf {
+		buf[i] = byte(i*131 + i>>7)
+	}
+	for _, split := range [][2]int{{0, 0}, {0, 7}, {7, 0}, {1, 1}, {3, 8}, {64, 63}, {100, 1024}, {1000, 4000}, {4999, 1}} {
+		a, b := buf[:split[0]], buf[split[0]:split[0]+split[1]]
+		want := crcChecksum(buf[:split[0]+split[1]])
+		if got := crcCombine(crcChecksum(a), crcChecksum(b), uint64(len(b))); got != want {
+			t.Errorf("combine(%d, %d) = %08x, want %08x", len(a), len(b), got, want)
 		}
 	}
 }

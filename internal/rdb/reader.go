@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync/atomic"
 
 	"pathalias/internal/cost"
@@ -103,12 +104,12 @@ func OpenBytes(data []byte) (*Reader, error) {
 // their stored checksum; cross-section structural dependencies are
 // respected (e.g. the trie walk re-runs if the strings section moved
 // under it, and hash-table conclusions are only carried over when the
-// entry count is unchanged). For a version-1 image, which stores no
-// per-section checksums, the whole-body footer CRC is verified
-// instead; for version 2 the verified per-section checksums plus the
-// structural header validation already cover every semantic byte, and
-// the footer CRC is carried as a fingerprint without a second pass
-// over the body.
+// entry count is unchanged). The whole-body footer CRC is verified as
+// on every open: section checksums do not cover the header (flags,
+// counts, the trie root), so the footer is what catches a corrupted
+// header over unchanged sections. It costs no pass over the body — an
+// identical section contributes its adopted CRC, combined with the
+// others (see bodyChecksum).
 //
 // prev must not be Closed before this returns. The guarantees after a
 // nil error are identical to OpenBytes's.
@@ -327,10 +328,14 @@ func (r *Reader) verify(prev *Reader) error {
 		}
 	}
 
-	// Checksum phase. identical[i] records that section i is
-	// byte-identical to prev's already-validated section — the proof
-	// that licenses every skip below. The stored v2 CRCs serve only as
-	// the cheap pre-filter in front of the byte comparison.
+	// Checksum phase: each section's CRC is computed once — or adopted
+	// from prev where the section is byte-identical to prev's already
+	// validated one, which is also what licenses every structural skip
+	// below (the stored v2 CRCs serve only as the cheap pre-filter in
+	// front of the byte comparison) — and the footer's whole-body CRC
+	// is derived from them, so the footer is checked exactly on every
+	// open, reusing or not, without a second pass over the body.
+	spans := [numSections]span{{strOff, strLen}, {entOff, entLen}, {hashOff, hashLen}, {trieOff, trieLen}}
 	secs := [numSections][]byte{r.strs, r.ents, r.hash, r.trie}
 	var stored [numSections]uint32
 	if version >= version2 {
@@ -348,55 +353,42 @@ func (r *Reader) verify(prev *Reader) error {
 			identical[i] = bytes.Equal(secs[i], psecs[i])
 		}
 	}
-	if prev != nil && version >= version2 {
-		// Reuse fast path: adopt identical sections' checksums, verify
-		// changed ones against the header. Together with the structural
-		// header/padding checks above this covers every semantic byte,
-		// so the whole-body footer pass is skipped; the footer value is
-		// carried as the change-detection fingerprint only.
-		for i, sec := range secs {
-			if identical[i] {
-				r.secCRC[i] = prev.secCRC[i]
-				continue
-			}
-			if got := crc32.Checksum(sec, crcTable); got != stored[i] {
+	// verifyEntries hashes the strings and entries sections as it
+	// validates them; its conclusions carry over only if both are
+	// unchanged, since it reads both.
+	var entErr error
+	if !(identical[0] && identical[1]) {
+		r.secCRC[0], r.secCRC[1], entErr = r.verifyEntries()
+	}
+	for i, sec := range secs {
+		switch {
+		case identical[i]:
+			r.secCRC[i] = prev.secCRC[i]
+		case i >= 2:
+			r.secCRC[i] = crc32.Checksum(sec, crcTable)
+		}
+	}
+	if want, got := le.Uint32(foot[0:]), bodyChecksum(body, spans, r.secCRC); got != want {
+		return corrupt("checksum mismatch (file %08x, computed %08x)", want, got)
+	}
+	if version >= version2 {
+		for i, got := range r.secCRC {
+			if got != stored[i] {
 				return corrupt("%s section checksum mismatch (header %08x, computed %08x)",
 					sectionNames[i], stored[i], got)
-			} else {
-				r.secCRC[i] = got
 			}
 		}
-	} else {
-		// Full pass: the body CRC against the footer and, in the same
-		// sweep over the bytes, each section's CRC (verified against
-		// the header for v2, recorded for later reuse either way).
-		bodyCRC, secCRC := checksumBody(body, [numSections][2]uint64{
-			{strOff, strLen}, {entOff, entLen}, {hashOff, hashLen}, {trieOff, trieLen},
-		})
-		if want := le.Uint32(foot[0:]); bodyCRC != want {
-			return corrupt("checksum mismatch (file %08x, computed %08x)", want, bodyCRC)
-		}
-		if version >= version2 {
-			for i, got := range secCRC {
-				if got != stored[i] {
-					return corrupt("%s section checksum mismatch (header %08x, computed %08x)",
-						sectionNames[i], stored[i], got)
-				}
-			}
-		}
-		r.secCRC = secCRC
 	}
 	r.reused = identical
 
 	// Structural phase, honoring cross-section dependencies: a
 	// validator's conclusions carry over only if every input it reads
-	// is unchanged. verifyEntries reads entries AND strings; verifyHash
-	// reads the hash section and the entry count; verifyTrie reads the
-	// trie, the strings (label bytes), the count, and the root offset.
-	if !(identical[0] && identical[1]) {
-		if err := r.verifyEntries(); err != nil {
-			return err
-		}
+	// is unchanged. verifyEntries (run above) reads entries AND
+	// strings; verifyHash reads the hash section and the entry count;
+	// verifyTrie reads the trie, the strings (label bytes), the count,
+	// and the root offset.
+	if entErr != nil {
+		return entErr
 	}
 	if !(identical[2] && r.n == prev.n) {
 		if err := r.verifyHash(); err != nil {
@@ -409,74 +401,74 @@ func (r *Reader) verify(prev *Reader) error {
 	return r.verifyTrie()
 }
 
-// crcBlock is the interleaving granularity of checksumBody: small
-// enough that a block hashed for the body is still cache-resident when
-// re-hashed for its section, so the double hash costs compute, not a
-// second pass of memory traffic.
-const crcBlock = 256 << 10
-
-// checksumBody computes the whole-body CRC-32C and all four section
-// CRCs in one interleaved sweep. offs holds each section's (offset,
-// length) within body, already layout-validated: ascending, in-bounds,
-// separated only by padding.
-func checksumBody(body []byte, offs [numSections][2]uint64) (bodyCRC uint32, secCRC [numSections]uint32) {
-	cur := uint64(0)
-	for i, ol := range offs {
-		off, length := ol[0], ol[1]
-		bodyCRC = crc32.Update(bodyCRC, crcTable, body[cur:off]) // header or padding
-		for p := off; p < off+length; {
-			end := min(p+crcBlock, off+length)
-			bodyCRC = crc32.Update(bodyCRC, crcTable, body[p:end])
-			secCRC[i] = crc32.Update(secCRC[i], crcTable, body[p:end])
-			p = end
-		}
-		cur = off + length
-	}
-	bodyCRC = crc32.Update(bodyCRC, crcTable, body[cur:]) // trailing padding
-	return bodyCRC, secCRC
-}
-
 // verifyEntries checks the entry records against the strings section.
 // Bounds come almost for free from the contiguous layout: offsets must
 // be strictly interleaved (host start < route start, route start ≤
 // next host start) starting at 0 and ending inside the section — one
 // monotonicity pass, no per-entry slicing of string data. Hosts must
 // additionally be strictly ascending (so the file is deduplicated and
-// every name distinct, which the hash validation relies on); that is
-// the only pass that touches host bytes, and they are read in layout
-// order. Route bytes are never touched at open — on a 200k-host file
-// they are the bulk of the image, and skipping them is a large part of
-// why the compiled cold start is fast.
-func (r *Reader) verifyEntries() error {
+// every name distinct, which the hash validation relies on).
+//
+// The same sweep computes the CRC-32C of both sections it reads: each
+// block of entry records, and the strings up to the block's last host,
+// is hashed just before the block is validated, so the host names are
+// compared while the checksum pass has them in cache. On a cold open
+// that saves a second trip to memory for most of the image. A
+// structural error stops validation but not hashing, so the caller can
+// still report a checksum mismatch first.
+func (r *Reader) verifyEntries() (strCRC, entCRC uint32, err error) {
 	end := uint32(len(r.strs))
-	if r.n == 0 {
-		if end != 0 {
-			return corrupt("string data without entries")
-		}
-		return nil
+	if r.n == 0 && end != 0 {
+		err = corrupt("string data without entries")
 	}
 	// Interleaved monotonicity: host(i) is [hOff, rOff), route(i) is
 	// [rOff, next hOff) — so hOff(0) = 0, hOff < rOff (hosts are never
 	// empty), and each hOff is at or after the previous rOff. Coverage
 	// of the section is exact by construction; no byte escapes
 	// validation.
+	hashed := uint32(0) // strings bytes hashed so far
 	prevRouteOff := uint32(0)
-	for i := 0; i < r.n; i++ {
-		p := r.ents[i*entrySize:]
-		hOff, rOff := le.Uint32(p[0:]), le.Uint32(p[4:])
-		if i == 0 && hOff != 0 {
-			return corrupt("string data does not start at the first host")
+	var prevHost []byte
+	for i := 0; i < r.n; i += entriesPerBlock {
+		blk := r.ents[i*entrySize : min(i+entriesPerBlock, r.n)*entrySize]
+		entCRC = crc32.Update(entCRC, crcTable, blk)
+		if err != nil {
+			continue
 		}
-		if hOff < prevRouteOff || rOff <= hOff || rOff > end {
-			return corrupt("entry %d: string data not contiguous", i)
+		// The block's last route offset — clamped, since it is not
+		// validated yet — bounds how far ahead the strings are hashed.
+		if upto := min(le.Uint32(blk[len(blk)-entrySize+4:]), end); upto > hashed {
+			strCRC = crc32.Update(strCRC, crcTable, r.strs[hashed:upto])
+			hashed = upto
 		}
-		prevRouteOff = rOff
-		if i > 0 && bytes.Compare(r.hostBytes(i-1), r.hostBytes(i)) >= 0 {
-			return corrupt("entry %d: hosts not strictly sorted", i)
+		for k := i; len(blk) >= entrySize; k++ {
+			hOff, rOff := le.Uint32(blk[0:]), le.Uint32(blk[4:])
+			blk = blk[entrySize:]
+			if k == 0 && hOff != 0 {
+				err = corrupt("string data does not start at the first host")
+				break
+			}
+			if hOff < prevRouteOff || rOff <= hOff || rOff > end {
+				err = corrupt("entry %d: string data not contiguous", k)
+				break
+			}
+			host := r.strs[hOff:rOff]
+			if k > 0 && bytes.Compare(prevHost, host) >= 0 {
+				err = corrupt("entry %d: hosts not strictly sorted", k)
+				break
+			}
+			prevHost, prevRouteOff = host, rOff
 		}
 	}
-	return nil
+	strCRC = crc32.Update(strCRC, crcTable, r.strs[hashed:])
+	return strCRC, entCRC, err
 }
+
+// entriesPerBlock is verifyEntries' hashing granularity: 32 KiB of
+// entry records and the strings they point into (about 150 KiB for
+// typical routes) stay cache-resident between the checksum and the
+// comparisons.
+const entriesPerBlock = 2048
 
 // verifyHash checks that every slot points at a real entry, that every
 // entry sits in exactly one slot, and that every entry is reachable by
@@ -497,12 +489,20 @@ func (r *Reader) verifyHash() error {
 		return nil
 	}
 	// One sequential scan: every slot value in range, every entry index
-	// at most once (the bitmap is small enough to stay cache-resident),
-	// exactly n entries present, and at least one empty slot so probe
-	// loops terminate. With the strict host ordering from verifyEntries
-	// (all names distinct) this makes every lookup outcome safe and
-	// honest: no out-of-bounds access, no unterminated probe, and no
-	// false positive, since a hit requires a byte-identical host.
+	// at most once, exactly n entries present, and at least one empty
+	// slot so probe loops terminate. With the strict host ordering from
+	// verifyEntries (all names distinct) this makes every lookup
+	// outcome safe and honest: no out-of-bounds access, no unterminated
+	// probe, and no false positive, since a hit requires a
+	// byte-identical host.
+	//
+	// The scan only stores: marks[v] = 1 for each slot value v (the
+	// empty slots all land on marks[0]), with no read-modify-write of a
+	// bitmap. Uniqueness then follows by pigeonhole: n non-empty slots
+	// whose values mark n distinct entries hold each entry exactly
+	// once. An empty slot exists because the header check guarantees
+	// n < slots. Any failure re-runs the precise scan, so the error
+	// names the first bad slot exactly as it always has.
 	//
 	// What this pass deliberately does NOT prove is probe
 	// *reachability* — that no entry hides behind an empty slot its
@@ -515,6 +515,41 @@ func (r *Reader) verifyHash() error {
 	// Against accidental corruption the footer CRC already vouches for
 	// every byte. Callers that want the full proof anyway — mkdb when
 	// converting a database, the fuzz harness — run VerifyReachable.
+	n := uint32(r.n)
+	marks := make([]byte, n+1)
+	used := uint32(0)
+	for h := r.hash; len(h) >= 8; h = h[8:] { // slots come in pairs: at least 4, a power of two
+		w := le.Uint64(h)
+		lo, hi := uint32(w), uint32(w>>32)
+		if max(lo, hi) > n {
+			return r.verifyHashPrecise()
+		}
+		marks[lo], marks[hi] = 1, 1
+		used += (lo|-lo)>>31 + (hi|-hi)>>31 // one per non-empty slot
+	}
+	if used != n || countOnes(marks[1:]) != r.n {
+		return r.verifyHashPrecise()
+	}
+	return nil
+}
+
+// countOnes counts the bytes of b that are 1, given every byte is 0 or
+// 1: eight bytes per step, as set bits of a word.
+func countOnes(b []byte) int {
+	c := 0
+	for ; len(b) >= 8; b = b[8:] {
+		c += bits.OnesCount64(le.Uint64(b))
+	}
+	for _, x := range b {
+		c += int(x)
+	}
+	return c
+}
+
+// verifyHashPrecise is verifyHash's slot-by-slot check, which names
+// the first slot at fault; verifyHash runs it only once its pigeonhole
+// counts have found one.
+func (r *Reader) verifyHashPrecise() error {
 	seen := make([]uint64, (r.n+63)/64)
 	found := 0
 	hasEmpty := false
@@ -558,7 +593,7 @@ func (r *Reader) VerifyReachable() error {
 	// strings section, so this pass reads sequentially.
 	homes := make([]uint32, r.n)
 	for i := 0; i < r.n; i++ {
-		homes[i] = uint32(keyHashBytes(r.hostBytes(i))) & mask
+		homes[i] = uint32(resolver.KeyHash(r.hostBytes(i))) & mask
 	}
 	// Walk the table circularly from an empty anchor. `run` counts the
 	// consecutive nonzero slots ending at s; the probe distance from an
@@ -688,7 +723,7 @@ func (r *Reader) LookupExact(key string) (int, bool) {
 		return 0, false
 	}
 	mask := r.slots - 1
-	for s := uint32(keyHash(key)) & mask; ; s = (s + 1) & mask {
+	for s := uint32(resolver.KeyHash(key)) & mask; ; s = (s + 1) & mask {
 		v := le.Uint32(r.hash[s*4:])
 		if v == 0 {
 			return 0, false
@@ -729,7 +764,7 @@ func (r *Reader) LookupExactBytes(key []byte) (int, bool) {
 		return 0, false
 	}
 	mask := r.slots - 1
-	for s := uint32(keyHashBytes(key)) & mask; ; s = (s + 1) & mask {
+	for s := uint32(resolver.KeyHash(key)) & mask; ; s = (s + 1) & mask {
 		v := le.Uint32(r.hash[s*4:])
 		if v == 0 {
 			return 0, false

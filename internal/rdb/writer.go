@@ -3,7 +3,6 @@ package rdb
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -13,42 +12,37 @@ import (
 
 // Compile serializes routes into a version-2 rdb file image (the
 // current format; readers back to version 1 cannot open it, but this
-// reader opens both). The entries are normalized, sorted, and
-// deduplicated through resolver.New first — the compiled file indexes
-// exactly what an in-memory resolver built from the same entries and
-// options would — and the output is deterministic: same entries, same
-// options, same bytes.
+// reader opens both). The entries are indexed by resolver.New and the
+// image is laid out from that index (see CompileResolver), so the
+// compiled file indexes exactly what an in-memory resolver built from
+// the same entries and options would; the output is deterministic:
+// same entries, same options, same bytes.
 func Compile(entries []resolver.Entry, opts resolver.Options) ([]byte, error) {
-	return marshal(resolver.New(entries, opts).Entries(), opts, version2)
+	return CompileResolver(resolver.New(entries, opts))
 }
 
-// Write compiles routes (see Compile) and writes the image to w.
-func Write(w io.Writer, entries []resolver.Entry, opts resolver.Options) (int64, error) {
-	img, err := Compile(entries, opts)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(img)
-	return int64(n), err
-}
-
-// entryRec is one fixed-size entry record before encoding. Lengths are
-// implicit: the strings section is contiguous in entry order.
-type entryRec struct {
-	hostOff, routeOff uint32
-	cost              uint64
+// CompileResolver serializes an already built index into a version-2
+// rdb file image: the resolver's canonical entries and its exact-match
+// slot table (resolver.Index, which has the hash section's layout) are
+// written as they are, with no second indexing pass. The bytes equal
+// Compile's over the same entries and options.
+func CompileResolver(r *resolver.Resolver) ([]byte, error) {
+	es, slots := r.Index()
+	return marshal(es, slots, r.Options(), version2)
 }
 
 // marshal lays out canonical (normalized, strictly sorted, deduplicated)
-// entries as a complete file image. version selects the header layout
-// (Compile always writes version2; tests exercise the version1
+// entries and their exact-match slot table as a complete file image,
+// in one buffer allocated at its final size. version selects the header
+// layout (Compile always writes version2; tests exercise the version1
 // compatibility path).
-func marshal(es []resolver.Entry, opts resolver.Options, version uint32) ([]byte, error) {
-	// Strings section: hosts and routes, concatenated. Suffix-trie
-	// labels are substrings of their entry's host, so they get offsets
-	// into the same section for free.
-	var strs []byte
-	recs := make([]entryRec, len(es))
+func marshal(es []resolver.Entry, slots []uint32, opts resolver.Options, version uint32) ([]byte, error) {
+	// Sizing pass: the strings section holds hosts and routes,
+	// concatenated in entry order. Suffix-trie labels are substrings of
+	// their entry's host, so they get offsets into the same section for
+	// free, and the trie is built here, where host offsets are known.
+	var strLen uint64
+	var tb trieBuilder
 	for i, e := range es {
 		if e.Host == "" {
 			return nil, fmt.Errorf("rdb: entry %d: empty host", i)
@@ -56,49 +50,32 @@ func marshal(es []resolver.Entry, opts resolver.Options, version uint32) ([]byte
 		if !strings.Contains(e.Route, "%s") {
 			return nil, fmt.Errorf("rdb: entry %q: route %q has no %%s marker", e.Host, e.Route)
 		}
-		recs[i] = entryRec{
-			hostOff:  uint32(len(strs)),
-			routeOff: uint32(len(strs) + len(e.Host)),
-			cost:     uint64(int64(e.Cost)),
+		if strings.HasPrefix(e.Host, ".") {
+			if err := tb.insert(e.Host, uint32(i), uint32(strLen)); err != nil {
+				return nil, err
+			}
 		}
-		strs = append(strs, e.Host...)
-		strs = append(strs, e.Route...)
-		if len(strs) > math.MaxUint32 {
+		strLen += uint64(len(e.Host) + len(e.Route))
+		if strLen > math.MaxUint32 {
 			return nil, fmt.Errorf("rdb: string data exceeds 4 GiB")
 		}
 	}
-
-	// Exact-match hash table: power-of-two slots at ≤ 0.5 load, so
-	// probing always terminates at an empty slot. Filled in entry order
-	// for determinism.
-	var slots uint64
-	if len(es) > 0 {
-		slots = 4
-		for slots < uint64(len(es))*2 {
-			slots <<= 1
-		}
-	}
-	table := make([]uint32, slots)
-	for i, e := range es {
-		for s := keyHash(e.Host) & (slots - 1); ; s = (s + 1) & (slots - 1) {
-			if table[s] == 0 {
-				table[s] = uint32(i + 1)
-				break
-			}
-		}
-	}
-
-	trie, trieRoot, err := marshalTrie(es, recs)
+	trie, trieRoot, err := tb.serialize()
 	if err != nil {
 		return nil, err
 	}
 
 	// Section layout: fixed order, 8-byte aligned, nothing in between.
+	n := uint64(len(es))
+	nslots := uint64(len(slots))
 	strOff := uint64(headerSizeOf(version))
-	entOff := align8(strOff + uint64(len(strs)))
-	hashOff := align8(entOff + uint64(len(es))*entrySize)
-	trieOff := align8(hashOff + slots*4)
+	entOff := align8(strOff + strLen)
+	hashOff := align8(entOff + n*entrySize)
+	trieOff := align8(hashOff + nslots*4)
 	bodyEnd := align8(trieOff + uint64(len(trie)))
+	spans := [numSections]span{
+		{strOff, strLen}, {entOff, n * entrySize}, {hashOff, nslots * 4}, {trieOff, uint64(len(trie))},
+	}
 
 	img := make([]byte, bodyEnd+footerSize)
 	copy(img[0:], magic[:])
@@ -108,46 +85,43 @@ func marshal(es []resolver.Entry, opts resolver.Options, version uint32) ([]byte
 		flags |= flagFoldCase
 	}
 	le.PutUint32(img[12:], flags)
-	le.PutUint64(img[16:], uint64(len(es)))
-	le.PutUint64(img[24:], slots)
-	le.PutUint64(img[32:], strOff)
-	le.PutUint64(img[40:], uint64(len(strs)))
-	le.PutUint64(img[48:], entOff)
-	le.PutUint64(img[56:], uint64(len(es))*entrySize)
-	le.PutUint64(img[64:], hashOff)
-	le.PutUint64(img[72:], slots*4)
-	le.PutUint64(img[80:], trieOff)
-	le.PutUint64(img[88:], uint64(len(trie)))
+	le.PutUint64(img[16:], n)
+	le.PutUint64(img[24:], nslots)
+	for i, sp := range spans {
+		le.PutUint64(img[32+16*i:], sp.off)
+		le.PutUint64(img[40+16*i:], sp.len)
+	}
 	le.PutUint64(img[96:], uint64(trieRoot))
 	// v1: img[104:112] reserved, zero.
 	// v2: img[104:120] per-section CRCs (filled below), img[120:128]
 	// reserved, zero.
 
-	copy(img[strOff:], strs)
-	for i, r := range recs {
-		p := img[entOff+uint64(i)*entrySize:]
-		le.PutUint32(p[0:], r.hostOff)
-		le.PutUint32(p[4:], r.routeOff)
-		le.PutUint64(p[8:], r.cost)
+	strs := img[strOff : strOff+strLen]
+	ents := img[entOff : entOff+n*entrySize]
+	p := 0
+	for i, e := range es {
+		rec := ents[i*entrySize : (i+1)*entrySize]
+		le.PutUint32(rec[0:], uint32(p))
+		p += copy(strs[p:], e.Host)
+		le.PutUint32(rec[4:], uint32(p))
+		p += copy(strs[p:], e.Route)
+		le.PutUint64(rec[8:], uint64(int64(e.Cost)))
 	}
-	for i, v := range table {
-		le.PutUint32(img[hashOff+uint64(i)*4:], v)
+	hash := img[hashOff : hashOff+nslots*4]
+	for i, v := range slots {
+		le.PutUint32(hash[4*i:], v)
 	}
 	copy(img[trieOff:], trie)
 
-	if version >= version2 {
-		for i, sec := range [numSections][]byte{
-			img[strOff : strOff+uint64(len(strs))],
-			img[entOff : entOff+uint64(len(es))*entrySize],
-			img[hashOff : hashOff+slots*4],
-			img[trieOff : trieOff+uint64(len(trie))],
-		} {
-			le.PutUint32(img[secCRCOff+4*i:], crc32.Checksum(sec, crcTable))
+	var secCRC [numSections]uint32
+	for i, sp := range spans {
+		secCRC[i] = crc32.Checksum(img[sp.off:sp.off+sp.len], crcTable)
+		if version >= version2 {
+			le.PutUint32(img[secCRCOff+4*i:], secCRC[i])
 		}
 	}
-
 	foot := img[bodyEnd:]
-	le.PutUint32(foot[0:], crc32.Checksum(img[:bodyEnd], crcTable))
+	le.PutUint32(foot[0:], bodyChecksum(img[:bodyEnd], spans, secCRC))
 	copy(foot[8:], tailMagic[:])
 	return img, nil
 }
@@ -165,54 +139,59 @@ type wchild struct {
 	labelOff, labelLen uint32
 }
 
-// marshalTrie builds and serializes the reversed-label suffix trie over
-// the leading-dot entries. Nodes are emitted post-order with children
-// sorted by label, so every child offset is strictly smaller than its
-// parent's and the serialized form is acyclic by construction; the
-// returned root offset is the last node written. An empty trie
-// serializes to zero bytes.
-func marshalTrie(es []resolver.Entry, recs []entryRec) (trie []byte, root uint32, err error) {
-	rootNode := &wnode{entry: noEntry}
-	any := false
-	for i, e := range es {
-		if !strings.HasPrefix(e.Host, ".") {
-			continue
-		}
-		any = true
-		labels := strings.Split(e.Host[1:], ".")
-		// Byte position of each label within the host string: host is
-		// "." + join(labels, ".").
-		pos := make([]uint32, len(labels))
-		p := uint32(1)
-		for j, l := range labels {
-			pos[j] = p
-			p += uint32(len(l)) + 1
-		}
-		n := rootNode
-		for j := len(labels) - 1; j >= 0; j-- {
-			if n.children == nil {
-				n.children = make(map[string]*wchild)
-			}
-			c := n.children[labels[j]]
-			if c == nil {
-				c = &wchild{
-					node:     &wnode{entry: noEntry},
-					labelOff: recs[i].hostOff + pos[j],
-					labelLen: uint32(len(labels[j])),
-				}
-				n.children[labels[j]] = c
-			}
-			n = c.node
-		}
-		if n.entry != noEntry {
-			return nil, 0, fmt.Errorf("rdb: duplicate suffix entry %q", e.Host)
-		}
-		n.entry = uint32(i)
+// trieBuilder collects the reversed-label suffix trie over the
+// leading-dot entries, in entry order.
+type trieBuilder struct {
+	root *wnode
+}
+
+// insert threads the leading-dot entry idx, whose host starts at byte
+// hostOff of the strings section, into the trie by its labels, last
+// label first.
+func (tb *trieBuilder) insert(host string, idx, hostOff uint32) error {
+	if tb.root == nil {
+		tb.root = &wnode{entry: noEntry}
 	}
-	if !any {
+	labels := strings.Split(host[1:], ".")
+	// Byte position of each label within the host string: host is
+	// "." + join(labels, ".").
+	pos := make([]uint32, len(labels))
+	p := uint32(1)
+	for j, l := range labels {
+		pos[j] = p
+		p += uint32(len(l)) + 1
+	}
+	n := tb.root
+	for j := len(labels) - 1; j >= 0; j-- {
+		if n.children == nil {
+			n.children = make(map[string]*wchild)
+		}
+		c := n.children[labels[j]]
+		if c == nil {
+			c = &wchild{
+				node:     &wnode{entry: noEntry},
+				labelOff: hostOff + pos[j],
+				labelLen: uint32(len(labels[j])),
+			}
+			n.children[labels[j]] = c
+		}
+		n = c.node
+	}
+	if n.entry != noEntry {
+		return fmt.Errorf("rdb: duplicate suffix entry %q", host)
+	}
+	n.entry = idx
+	return nil
+}
+
+// serialize emits the trie post-order with children sorted by label,
+// so every child offset is strictly smaller than its parent's and the
+// serialized form is acyclic by construction; the returned root offset
+// is the last node written. An empty trie serializes to zero bytes.
+func (tb *trieBuilder) serialize() (trie []byte, root uint32, err error) {
+	if tb.root == nil {
 		return nil, 0, nil
 	}
-
 	var emit func(n *wnode) (uint32, error)
 	emit = func(n *wnode) (uint32, error) {
 		labels := make([]string, 0, len(n.children))
@@ -246,7 +225,7 @@ func marshalTrie(es []resolver.Entry, recs []entryRec) (trie []byte, root uint32
 		}
 		return uint32(off), nil
 	}
-	root, err = emit(rootNode)
+	root, err = emit(tb.root)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -130,12 +130,12 @@ func (r *Resolver) AppendResolve(dst []byte, dest, user []byte, s *Scratch) ([]b
 	return dst, false
 }
 
-// memBacking's byte-keyed operations: the map and trie lookups compile
-// to zero-allocation string conversions (the map-index special case).
+// memBacking's byte-keyed operations: the slot probe compares hosts
+// against string(key) and the trie indexes its maps with string(label),
+// both zero-allocation conversions.
 
 func (m *memBacking) LookupExactBytes(key []byte) (int, bool) {
-	i, ok := m.exact[string(key)]
-	return i, ok
+	return lookupSlots(m, key)
 }
 
 func (m *memBacking) SuffixBestBytes(labels [][]byte, maxDepth int) (entry, depth int) {

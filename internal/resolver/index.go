@@ -1,0 +1,116 @@
+package resolver
+
+import (
+	"sort"
+	"strings"
+)
+
+// This file builds the in-memory index in one linear pass over entries
+// that are already canonical — which is what every producer in the
+// pipeline emits (the engine, the batch printer, and the text file it
+// writes are all sorted by name) — and lays the exact-match table out
+// exactly as package rdb's hash section, so compiling a built index
+// into an image is a copy, not a second build.
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// KeyHash is the exact-match table's key function, the one definition
+// shared by the in-memory index and package rdb's hash section:
+// FNV-1a over 8-byte little-endian chunks of the host name, the tail
+// bytes packed with the tail length, and a Murmur-style finalizer
+// (plain FNV mixes the last bytes poorly into the low bits, which are
+// exactly the ones a power-of-two table uses). Chunking matters:
+// open-time validation hashes every host, and byte-serial FNV would be
+// its slowest pass.
+func KeyHash[K string | []byte](k K) uint64 {
+	h := uint64(fnvOffset64)
+	for len(k) >= 8 {
+		c := uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24 |
+			uint64(k[4])<<32 | uint64(k[5])<<40 | uint64(k[6])<<48 | uint64(k[7])<<56
+		h = (h ^ c) * fnvPrime64
+		k = k[8:]
+	}
+	var tail uint64
+	for i := 0; i < len(k); i++ {
+		tail |= uint64(k[i]) << (8 * i)
+	}
+	h = (h ^ tail ^ uint64(len(k))<<56) * fnvPrime64
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// hashSlots builds the open-addressed exact-match table over canonical
+// entries: power-of-two slots (at least 4) at load ≤ 0.5, so probing
+// always terminates at an empty slot; linear probing from
+// KeyHash(host); filled in entry order; slot value entry index + 1,
+// 0 = empty. No entries, no slots.
+func hashSlots(es []Entry) []uint32 {
+	if len(es) == 0 {
+		return nil
+	}
+	n := 4
+	for n < len(es)*2 {
+		n <<= 1
+	}
+	slots := make([]uint32, n)
+	mask := uint64(n - 1)
+	for i := range es {
+		s := KeyHash(es[i].Host) & mask
+		for slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		slots[s] = uint32(i + 1)
+	}
+	return slots
+}
+
+// canonicalize normalizes entry names in place (see normalizeKey) and
+// returns them sorted strictly ascending with duplicates removed,
+// keeping the cheapest route per name (ties keep the first seen). Input
+// that is already canonical — one pass decides — is returned as is,
+// with no sort and no dedupe.
+func canonicalize(es []Entry, fold bool) []Entry {
+	sorted := true
+	for i := range es {
+		h := es[i].Host
+		if n := normalizeKey(h, fold); n != h {
+			es[i].Host, sorted = n, false
+		} else if sorted && i > 0 && es[i-1].Host >= h {
+			sorted = false
+		}
+	}
+	if sorted {
+		return es
+	}
+	sort.SliceStable(es, func(i, j int) bool {
+		if es[i].Host != es[j].Host {
+			return es[i].Host < es[j].Host
+		}
+		return es[i].Cost < es[j].Cost
+	})
+	out := es[:0]
+	for _, e := range es {
+		if len(out) > 0 && out[len(out)-1].Host == e.Host {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// newMemBacking indexes canonical entries: the exact-match slot table
+// and the reversed-label trie over the leading-dot entries.
+func newMemBacking(es []Entry) *memBacking {
+	m := &memBacking{entries: es, slots: hashSlots(es), suffix: newTrieNode()}
+	for i, e := range es {
+		if strings.HasPrefix(e.Host, ".") {
+			m.insertSuffix(e.Host, i)
+		}
+	}
+	return m
+}

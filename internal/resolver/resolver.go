@@ -12,8 +12,13 @@
 // per candidate suffix, this package indexes the leading-dot entries in a
 // reversed-label suffix trie, so the whole ".rutgers.edu → .edu" cascade
 // is a single trie descent over the destination's labels. Exact matches
-// use a hash index; the sorted entry slice is kept for ordered iteration
-// (WriteTo, Diff) and as the canonical storage.
+// use an open-addressed hash table of entry indices laid out exactly as
+// package rdb's hash section (KeyHash, power-of-two slots at ≤ 0.5 load,
+// linear probing, filled in entry order), so a built index compiles into
+// an image without being indexed again (Index). The sorted entry slice
+// is kept for ordered iteration (WriteTo) and as the canonical storage.
+// Entries that arrive already normalized and sorted — as every producer
+// in the pipeline emits them — are indexed in one linear pass.
 //
 // A Resolver is immutable after New and safe for any number of concurrent
 // readers with no locking. Per-resolver counters (see Stats) are updated
@@ -22,7 +27,6 @@ package resolver
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -69,7 +73,7 @@ type Stats struct {
 }
 
 // Backing is the index a Resolver serves from. Two implementations
-// exist: the in-memory arrays New builds (hash map + pointer trie), and
+// exist: the in-memory arrays New builds (slot table + pointer trie), and
 // package rdb's reader over the mapped sections of a compiled route
 // database file — the resolution procedure on top is identical.
 //
@@ -117,12 +121,13 @@ type Resolver struct {
 	nMisses     obs.Counter
 }
 
-// memBacking is the built-in-memory index: sorted entries, a hash map
-// for exact matches, and a reversed-label pointer trie for suffixes.
+// memBacking is the built-in-memory index: sorted entries, an
+// open-addressed exact-match table in rdb's hash-section layout, and a
+// reversed-label pointer trie for suffixes.
 type memBacking struct {
-	entries []Entry        // sorted by Host, unique
-	exact   map[string]int // Host -> index into entries
-	suffix  *trieNode      // reversed-label trie over leading-dot entries
+	entries []Entry   // sorted by Host, unique
+	slots   []uint32  // exact-match table: entry index + 1, 0 = empty (see hashSlots)
+	suffix  *trieNode // reversed-label trie over leading-dot entries
 }
 
 // trieNode is one level of the reversed-label suffix trie. The entry
@@ -140,40 +145,18 @@ func newTrieNode() *trieNode {
 // names are normalized like query keys (one trailing dot dropped, case
 // folded under FoldCase), then sorted and deduplicated keeping the
 // cheapest route per name (ties keep the first seen, matching the
-// classic sort order).
+// classic sort order). Entries that are already normalized and strictly
+// ascending — what the pipeline's producers emit — are indexed in one
+// linear pass with no sort.
 func New(entries []Entry, opts Options) *Resolver {
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-	for i := range es {
-		es[i].Host = normalizeKey(es[i].Host, opts.FoldCase)
-	}
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].Host != es[j].Host {
-			return es[i].Host < es[j].Host
-		}
-		return es[i].Cost < es[j].Cost
-	})
-	out := es[:0]
-	for _, e := range es {
-		if len(out) > 0 && out[len(out)-1].Host == e.Host {
-			continue
-		}
-		out = append(out, e)
-	}
-	es = out
+	return Adopt(append([]Entry(nil), entries...), opts)
+}
 
-	m := &memBacking{
-		entries: es,
-		exact:   make(map[string]int, len(es)),
-		suffix:  newTrieNode(),
-	}
-	for i, e := range es {
-		m.exact[e.Host] = i
-		if strings.HasPrefix(e.Host, ".") {
-			m.insertSuffix(e.Host, i)
-		}
-	}
-	return NewBacked(m, opts)
+// Adopt is New for a caller that hands its entries over: the slice is
+// retained as the index's storage instead of copied, and may be
+// reordered and modified. The caller must not use it afterwards.
+func Adopt(entries []Entry, opts Options) *Resolver {
+	return NewBacked(newMemBacking(canonicalize(entries, opts.FoldCase)), opts)
 }
 
 // NewBacked wraps an existing index — typically a mapped route database
@@ -208,9 +191,28 @@ func (m *memBacking) insertSuffix(name string, idx int) {
 func (m *memBacking) Len() int            { return len(m.entries) }
 func (m *memBacking) EntryAt(i int) Entry { return m.entries[i] }
 
+// LookupExact probes the slot table linearly from the key's home slot
+// to the first empty slot.
 func (m *memBacking) LookupExact(key string) (int, bool) {
-	i, ok := m.exact[key]
-	return i, ok
+	return lookupSlots(m, key)
+}
+
+// lookupSlots is LookupExact for either key type; the string(key)
+// comparison compiles to an allocation-free compare for []byte keys.
+func lookupSlots[K string | []byte](m *memBacking, key K) (int, bool) {
+	if len(m.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(m.slots) - 1)
+	for s := KeyHash(key) & mask; ; s = (s + 1) & mask {
+		v := m.slots[s]
+		if v == 0 {
+			return 0, false
+		}
+		if m.entries[v-1].Host == string(key) {
+			return int(v - 1), true
+		}
+	}
 }
 
 // SuffixBest walks the pointer trie by labels from the right; the
@@ -249,6 +251,19 @@ func (r *Resolver) Entries() []Entry {
 		r.entries = es
 	})
 	return r.entries
+}
+
+// Index returns the canonical entries and the exact-match slot table
+// (package rdb's hash-section layout; see hashSlots) — everything an
+// image compiler needs besides the suffix trie. For an index built by
+// New or Adopt both come straight from it; for any other backing the
+// slot table is built from Entries. Callers must not modify either.
+func (r *Resolver) Index() (entries []Entry, slots []uint32) {
+	if m, ok := r.b.(*memBacking); ok {
+		return m.entries, m.slots
+	}
+	es := r.Entries()
+	return es, hashSlots(es)
 }
 
 // Backing returns the index the resolver serves from.

@@ -24,7 +24,12 @@ import (
 // database's options (FoldCase) in its header, so OpenBinary
 // reconstructs an equivalent database with no flags to remember.
 func (db *DB) WriteBinary(w io.Writer) (int64, error) {
-	return rdb.Write(w, db.r.Entries(), db.r.Options())
+	img, err := rdb.CompileResolver(db.r)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(img)
+	return int64(n), err
 }
 
 // OpenBinary opens a compiled route database file, memory-mapped where

@@ -65,13 +65,14 @@ func Build(entries []printer.Entry) *DB {
 func BuildWith(entries []printer.Entry, opts Options) *DB {
 	es := make([]Entry, len(entries))
 	for i, e := range entries {
-		es[i] = Entry{Host: e.Host, Route: e.Route, Cost: e.Cost}
+		es[i] = Entry(e)
 	}
-	return &DB{r: resolver.New(es, opts)}
+	return fromEntries(es, opts)
 }
 
+// fromEntries indexes es, which the DB takes over (resolver.Adopt).
 func fromEntries(es []Entry, opts Options) *DB {
-	return &DB{r: resolver.New(es, opts)}
+	return &DB{r: resolver.Adopt(es, opts)}
 }
 
 // Load reads a linear route file: either "host\troute" or
