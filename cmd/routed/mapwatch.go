@@ -388,19 +388,19 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, s
 func (w *mapWatcher) publish(gen uint64) (compile time.Duration, err error) {
 	mark := time.Now()
 	db := w.d.store.DB()
-	var buf bytes.Buffer
-	if _, err := db.WriteBinary(&buf); err != nil {
+	img, err := db.MarshalBinary()
+	if err != nil {
 		return time.Since(mark), err
 	}
 	compile = time.Since(mark)
 	if !w.pubOK {
-		if old, err := os.ReadFile(w.odb); err == nil && bytes.Equal(old, buf.Bytes()) {
+		if old, err := os.ReadFile(w.odb); err == nil && bytes.Equal(old, img) {
 			w.pubGen, w.pubOK = gen, true
 			return compile, nil // warm restart: the on-disk image is already exact
 		}
 	}
 	if err := atomicfile.Publish(w.odb, func(out io.Writer) error {
-		_, err := out.Write(buf.Bytes())
+		_, err := out.Write(img)
 		return err
 	}); err != nil {
 		return compile, err

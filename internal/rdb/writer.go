@@ -47,7 +47,9 @@ func marshal(es []resolver.Entry, slots []uint32, opts resolver.Options, version
 		if e.Host == "" {
 			return nil, fmt.Errorf("rdb: entry %d: empty host", i)
 		}
-		if !strings.Contains(e.Route, "%s") {
+		// Routes almost always end in the marker; the suffix test
+		// spares the scan.
+		if !strings.HasSuffix(e.Route, "%s") && !strings.Contains(e.Route, "%s") {
 			return nil, fmt.Errorf("rdb: entry %q: route %q has no %%s marker", e.Host, e.Route)
 		}
 		if strings.HasPrefix(e.Host, ".") {

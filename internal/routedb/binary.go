@@ -24,12 +24,21 @@ import (
 // database's options (FoldCase) in its header, so OpenBinary
 // reconstructs an equivalent database with no flags to remember.
 func (db *DB) WriteBinary(w io.Writer) (int64, error) {
-	img, err := rdb.CompileResolver(db.r)
+	img, err := db.MarshalBinary()
 	if err != nil {
 		return 0, err
 	}
 	n, err := w.Write(img)
 	return int64(n), err
+}
+
+// MarshalBinary returns the image WriteBinary writes. The database's
+// own index is laid out as it is (rdb.CompileResolver), so this costs
+// one pass over the routes, not a second index build.
+func (db *DB) MarshalBinary() ([]byte, error) {
+	img, err := rdb.CompileResolver(db.r)
+	runtime.KeepAlive(db)
+	return img, err
 }
 
 // OpenBinary opens a compiled route database file, memory-mapped where
