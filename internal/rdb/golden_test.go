@@ -87,9 +87,7 @@ func nonCanonicalEntries() []resolver.Entry {
 // TestCompileGolden pins Compile's output bytes by SHA-256 for fixed
 // inputs, so a change to how images are laid out (or to which index
 // they are laid out from) cannot alter a published image unnoticed.
-// The digests were recorded before the compile path was rebuilt on
-// the resolver's own index, and must never change without a format
-// version bump.
+// The digests must never change without a format version bump.
 func TestCompileGolden(t *testing.T) {
 	unc, duke := goldenRoutes(t, "unc"), goldenRoutes(t, "duke")
 	small := smallMapRoutes(t)

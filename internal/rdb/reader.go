@@ -502,7 +502,7 @@ func (r *Reader) verifyHash() error {
 	// whose values mark n distinct entries hold each entry exactly
 	// once. An empty slot exists because the header check guarantees
 	// n < slots. Any failure re-runs the precise scan, so the error
-	// names the first bad slot exactly as it always has.
+	// names the first bad slot.
 	//
 	// What this pass deliberately does NOT prove is probe
 	// *reachability* — that no entry hides behind an empty slot its
