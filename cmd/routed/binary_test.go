@@ -130,6 +130,21 @@ func TestBinaryWatchHotSwap(t *testing.T) {
 	if res, err := old.Resolve("duke", "honey"); err != nil || res.Address() != "duke!honey" {
 		t.Errorf("old snapshot broken after swap: %v, %v", res, err)
 	}
+
+	// A cost-only edit changes the entries section alone — same size,
+	// same strings, hash and trie — and must still be swapped in.
+	writeBinaryRoutes(t, dir, "routes.rdb", testRoutes+"900\tnewhost\tduke!newhost!%s\n")
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		if e, ok := d.store.Lookup("newhost"); ok && e.Cost == 900 {
+			break
+		}
+		if time.Now().After(deadline) {
+			e, _ := d.store.Lookup("newhost")
+			t.Fatalf("cost-only replacement never served: newhost cost %d", e.Cost)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestBinaryWatchKeepsServingOnCorruption: a truncated replacement is

@@ -214,11 +214,9 @@ func (d *daemon) reload() error {
 // reloadBinaryLocked opens the compiled database and swaps it in;
 // d.mu must be held. The image's footer checksum is probed first: an
 // image the daemon already serves (or already rejected) is not
-// re-opened. The open reuses the served database's already-validated
-// sections where the new image is byte-identical (the
-// continuous-publish common case: one edit moves one corner of the
-// map), and the audit-grade verification the open path defers runs in
-// the background after the swap.
+// re-opened. Every open validates the whole image, and the audit-grade
+// verification the open path defers runs in the background after the
+// swap.
 func (d *daemon) reloadBinaryLocked() error {
 	// A footer that cannot be read (mid-replace, truncated) is never
 	// "unchanged": the open below reports what is wrong with the file.
@@ -226,7 +224,7 @@ func (d *daemon) reloadBinaryLocked() error {
 	if cerr == nil && d.unchangedLocked(uint64(crc)) {
 		return nil
 	}
-	db, err := routedb.OpenBinaryReusing(d.path, d.store.DB())
+	db, err := routedb.OpenBinary(d.path)
 	if err != nil {
 		// Memoize the rejected image's checksum so a persistently
 		// corrupt file is re-probed by its footer, not re-opened, until
@@ -249,11 +247,7 @@ func (d *daemon) reloadBinaryLocked() error {
 	d.loadedAt = time.Now()
 	d.swaps.Add(1)
 	d.demoted.Store(false)
-	if n := db.ReusedSections(); n > 0 {
-		d.logf("mapped %d routes from %s (no parse, %d/4 sections reused from the previous image)", db.Len(), d.path, n)
-	} else {
-		d.logf("mapped %d routes from %s (no parse)", db.Len(), d.path)
-	}
+	d.logf("mapped %d routes from %s (no parse)", db.Len(), d.path)
 	d.auditImage(db, prev, d.path)
 	return nil
 }

@@ -74,18 +74,13 @@
 // Reader.VerifyReachable) is deferred off the cold path, where it buys
 // no adversarial protection anyway.
 //
-// The writer emits version 2; the reader accepts both versions. The
-// per-section checksums exist for the continuous-publish pipeline: a
-// watcher replacing its mapping with the next published image of the
-// same map uses OpenReusing to skip re-validating sections that are
-// byte-identical to the already-validated previous image. The stored
-// CRCs are a change *pre-filter*, not the proof — CRC-32C is trivially
-// forgeable, so equality of the actual bytes against the validated
-// image (bytes.Equal) is what licenses the skip; see OpenBytesReusing.
-// Like the footer checksum, section CRCs are integrity against
-// accidental corruption, not authentication: an attacker who can write
-// the file can write matching checksums. Authenticating images is the
-// transport's job.
+// The writer emits version 2; the reader accepts both versions. Every
+// open checks the v2 per-section checksums against the section CRCs it
+// computes anyway to derive the footer check, so they cost nothing
+// extra and name the damaged section. Like the footer checksum, section CRCs are
+// integrity against accidental corruption, not authentication: an
+// attacker who can write the file can write matching checksums.
+// Authenticating images is the transport's job.
 package rdb
 
 import (
@@ -212,8 +207,7 @@ func xPow8n(n uint64) uint32 {
 // align8 rounds n up to the next multiple of 8.
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// sectionNames label the four sections in file order, for diagnostics
-// and reuse logging.
+// sectionNames label the four sections in file order, for diagnostics.
 var sectionNames = [numSections]string{"strings", "entries", "hash", "trie"}
 
 // headerSizeOf returns the header size of a supported format version.

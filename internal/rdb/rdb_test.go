@@ -111,10 +111,10 @@ func TestEmpty(t *testing.T) {
 	if r.Len() != 0 {
 		t.Errorf("Len = %d", r.Len())
 	}
-	if _, ok := r.LookupExact("x"); ok {
+	if _, ok := r.LookupExact([]byte("x")); ok {
 		t.Error("lookup hit in empty db")
 	}
-	if e, d := r.SuffixBest([]string{"a", "b"}, 1); e != -1 || d != 0 {
+	if e, d := r.SuffixBest([][]byte{[]byte("a"), []byte("b")}, 1); e != -1 || d != 0 {
 		t.Errorf("SuffixBest = %d,%d", e, d)
 	}
 }
@@ -141,7 +141,7 @@ func TestOpenFile(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	if i, ok := r.LookupExact("duke"); !ok || r.EntryAt(i).Route != "duke!%s" {
+	if i, ok := r.LookupExact([]byte("duke")); !ok || r.EntryAt(i).Route != "duke!%s" {
 		t.Errorf("lookup duke failed")
 	}
 	crc, err := FileChecksum(path)
@@ -252,6 +252,13 @@ func TestHostileImages(t *testing.T) {
 			le.PutUint32(img[trieOff+root+trieNodeFixed+8:], uint32(root))
 		}),
 	}
+	// A header edit outside every section under a stale footer: the
+	// section checksums still match, so only the footer catches it —
+	// accepting it would serve a map built case-sensitively as folded,
+	// silently missing MixedCase.
+	mixed := compileT(t, append(testEntries(), resolver.Entry{Host: "MixedCase", Route: "mc!%s", Cost: 7}), resolver.Options{})
+	mixed[12] ^= flagFoldCase
+	cases["fold flag flipped, stale footer"] = mixed
 	for name, img := range cases {
 		if _, err := OpenBytes(img); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -351,7 +358,7 @@ func TestVerifyReachable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-shaped-but-unreachable image rejected at open: %v", err)
 	}
-	if _, ok := r2.LookupExact(movedHost); ok {
+	if _, ok := r2.LookupExact([]byte(movedHost)); ok {
 		t.Errorf("hidden entry %q still found", movedHost)
 	}
 	if err := r2.VerifyReachable(); err == nil {
@@ -368,7 +375,7 @@ func TestCostRoundTrip(t *testing.T) {
 	}
 	r := openT(t, compileT(t, es, resolver.Options{}))
 	for _, e := range es {
-		i, ok := r.LookupExact(e.Host)
+		i, ok := r.LookupExact([]byte(e.Host))
 		if !ok || r.EntryAt(i).Cost != e.Cost {
 			t.Errorf("cost for %q: got %v want %v", e.Host, r.EntryAt(i).Cost, e.Cost)
 		}
@@ -429,8 +436,8 @@ func TestVersionCompat(t *testing.T) {
 	es := testEntries()
 	opts := resolver.Options{}
 	v2 := openT(t, compileT(t, es, opts))
-	if v2.Version() != version2 {
-		t.Errorf("Compile emits version %d, want %d", v2.Version(), version2)
+	if v2.version != version2 {
+		t.Errorf("Compile emits version %d, want %d", v2.version, version2)
 	}
 
 	v1img := compileV1(t, es, opts)
@@ -441,8 +448,8 @@ func TestVersionCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("version-1 image rejected: %v", err)
 	}
-	if v1.Version() != version1 {
-		t.Errorf("Version = %d, want %d", v1.Version(), version1)
+	if v1.version != version1 {
+		t.Errorf("version = %d, want %d", v1.version, version1)
 	}
 	if v1.Len() != v2.Len() {
 		t.Fatalf("v1 Len = %d, v2 Len = %d", v1.Len(), v2.Len())
@@ -454,131 +461,8 @@ func TestVersionCompat(t *testing.T) {
 	}
 	// Section contents are version-independent (only the header grew),
 	// so the computed v1 section checksums match v2's stored ones.
-	if v1.SectionChecksums() != v2.SectionChecksums() {
-		t.Errorf("section checksums differ across versions: %08x vs %08x",
-			v1.SectionChecksums(), v2.SectionChecksums())
-	}
-}
-
-// TestOpenBytesReusing covers the continuous-publish validation
-// shortcut: identical sections are adopted from the validated previous
-// image, changed sections are re-validated in full, and neither a
-// stale stored checksum nor a forged one can smuggle bad bytes past
-// the validators.
-func TestOpenBytesReusing(t *testing.T) {
-	es := testEntries()
-	opts := resolver.Options{}
-	img := compileT(t, es, opts)
-	prev := openT(t, img)
-
-	// Identical republished image: all four sections reused, answers intact.
-	same, err := OpenBytesReusing(bytes.Clone(img), prev)
-	if err != nil {
-		t.Fatalf("identical image rejected: %v", err)
-	}
-	if same.ReusedSections() != numSections {
-		t.Errorf("identical image reused %d sections, want %d", same.ReusedSections(), numSections)
-	}
-	if i, ok := same.LookupExact("duke"); !ok || same.EntryAt(i).Route != "duke!%s" {
-		t.Error("lookup through reused sections failed")
-	}
-
-	// A genuinely changed map: one more route. Everything must
-	// re-validate cleanly and answer like a fresh open.
-	es2 := append(testEntries(), resolver.Entry{Host: "newhost", Route: "via!newhost!%s", Cost: 300})
-	img2 := compileT(t, es2, opts)
-	r2, err := OpenBytesReusing(img2, prev)
-	if err != nil {
-		t.Fatalf("changed image rejected: %v", err)
-	}
-	if i, ok := r2.LookupExact("newhost"); !ok || r2.EntryAt(i).Route != "via!newhost!%s" {
-		t.Error("new entry not found after reusing open")
-	}
-	// Strings, entries, and hash all shift; the trie happens to survive
-	// byte-identical (the leading-dot entries sort before "newhost", so
-	// their indices and label offsets are untouched) and may be reused.
-	if r2.ReusedSections() >= numSections {
-		t.Errorf("changed image reused all %d sections", r2.ReusedSections())
-	}
-
-	// Hostile: structurally corrupt the hash section and reseal every
-	// checksum. The stored CRC differs from prev's, so no reuse — the
-	// structural validators must run and reject it.
-	bad := bytes.Clone(img)
-	hashOff := le.Uint64(bad[64:])
-	hashLen := le.Uint64(bad[72:])
-	for s := uint64(0); s < hashLen/4; s++ {
-		if le.Uint32(bad[hashOff+s*4:]) != 0 {
-			le.PutUint32(bad[hashOff+s*4:], 1<<20) // dangling entry index
-			break
-		}
-	}
-	resealT(bad)
-	if _, err := OpenBytesReusing(bad, prev); err == nil {
-		t.Error("resealed hostile image accepted under reuse")
-	}
-
-	// Hostile: same corruption, but the stored hash CRC is copied from
-	// prev so the cheap pre-filter says "unchanged". The byte comparison
-	// must still refuse the skip, and the CRC check then catches the
-	// stale stored value.
-	bad2 := bytes.Clone(img)
-	for s := uint64(0); s < hashLen/4; s++ {
-		if le.Uint32(bad2[hashOff+s*4:]) != 0 {
-			le.PutUint32(bad2[hashOff+s*4:], 1<<20)
-			break
-		}
-	}
-	le.PutUint32(bad2[len(bad2)-footerSize:], crcChecksum(bad2[:len(bad2)-footerSize]))
-	if _, err := OpenBytesReusing(bad2, prev); err == nil {
-		t.Error("hostile image with stale stored checksum accepted under reuse")
-	}
-
-	// Cross-version reuse: section bytes are version-independent, so a
-	// v1 predecessor licenses skips in a v2 successor and vice versa.
-	v1img := compileV1(t, es, opts)
-	v1prev, err := OpenBytes(v1img)
-	if err != nil {
-		t.Fatalf("v1 open: %v", err)
-	}
-	up, err := OpenBytesReusing(bytes.Clone(img), v1prev)
-	if err != nil {
-		t.Fatalf("v2 image with v1 prev rejected: %v", err)
-	}
-	if up.ReusedSections() != numSections {
-		t.Errorf("v1→v2 reuse: %d sections, want %d", up.ReusedSections(), numSections)
-	}
-	down, err := OpenBytesReusing(bytes.Clone(v1img), prev)
-	if err != nil {
-		t.Fatalf("v1 image with v2 prev rejected: %v", err)
-	}
-	if down.ReusedSections() != numSections {
-		t.Errorf("v2→v1 reuse: %d sections, want %d", down.ReusedSections(), numSections)
-	}
-
-	// A header edit outside every section under a stale footer: with
-	// the FoldCase flag flipped, all four sections still equal prev's,
-	// but the footer vouches for the old header. Reuse must reject it
-	// exactly as a plain open does — accepting it would serve the
-	// database folded, silently missing MixedCase.
-	mixedEs := append(testEntries(), resolver.Entry{Host: "MixedCase", Route: "mc!%s", Cost: 7})
-	mixed := compileT(t, mixedEs, opts)
-	mixedPrev := openT(t, mixed)
-	flag := bytes.Clone(mixed)
-	flag[12] ^= flagFoldCase
-	if _, err := OpenBytes(flag); err == nil {
-		t.Error("flipped FoldCase flag under a stale footer accepted")
-	}
-	if _, err := OpenBytesReusing(flag, mixedPrev); err == nil {
-		t.Error("flipped FoldCase flag under a stale footer accepted under reuse")
-	}
-
-	// A truncated or bit-flipped image stays rejected under reuse: the
-	// footer CRC is verified on every open.
-	flip := bytes.Clone(v1img)
-	flip[len(flip)/2] ^= 1
-	if _, err := OpenBytesReusing(flip, v1prev); err == nil {
-		t.Error("bit-flipped v1 image accepted under reuse")
+	if v1.secCRC != v2.secCRC {
+		t.Errorf("section checksums differ across versions: %08x vs %08x", v1.secCRC, v2.secCRC)
 	}
 }
 

@@ -40,12 +40,9 @@ type Reader struct {
 	trieRoot uint32
 	crc      uint32 // footer checksum
 
-	// secCRC is each section's CRC-32C in file order: computed during
-	// validation for v1 images, checked against the stored header
-	// values for v2. reused marks sections adopted byte-identical from
-	// a previous Reader (OpenReusing).
+	// secCRC is each section's CRC-32C in file order, computed during
+	// validation (and checked against the stored header values for v2).
 	secCRC [numSections]uint32
-	reused [numSections]bool
 
 	closed atomic.Bool
 }
@@ -54,20 +51,11 @@ type Reader struct {
 // unavailable) and validates it; see OpenBytes for what validation
 // guarantees. The returned Reader owns the mapping: Close releases it.
 func Open(path string) (*Reader, error) {
-	return OpenReusing(path, nil)
-}
-
-// OpenReusing is Open with the continuous-publish validation shortcut:
-// sections of the new image that are byte-identical to the already
-// validated prev Reader's sections (see OpenBytesReusing) skip their
-// re-validation. prev must not be Closed before OpenReusing returns;
-// a nil prev makes this exactly Open.
-func OpenReusing(path string, prev *Reader) (*Reader, error) {
 	f, err := mmapio.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := OpenBytesReusing(f.Data, prev)
+	r, err := OpenBytes(f.Data)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("rdb: %s: %w", path, err)
@@ -78,44 +66,17 @@ func OpenReusing(path string, prev *Reader) (*Reader, error) {
 
 // OpenBytes validates a complete rdb image and returns a Reader over
 // it; data is aliased, not copied, and must stay valid until Close.
-// Validation covers magic, version, the whole-file checksum, the
-// section table, every entry record (bounds via the contiguous
-// layout, strict host ordering), the hash table's shape (slot ranges,
-// entry uniqueness and presence, an empty slot), and a full walk of
-// the suffix trie. After a nil error no lookup can read outside data,
-// probe forever, or return a false positive; see VerifyReachable for
-// the one deliberately deferred proof.
+// Validation covers magic, version, the whole-file checksum (and for
+// v2 each stored section checksum), the section table, every entry
+// record (bounds via the contiguous layout, strict host ordering), the
+// hash table's shape (slot ranges, entry uniqueness and presence, an
+// empty slot), and a full walk of the suffix trie. After a nil error no
+// lookup can read outside data, probe forever, or return a false
+// positive; see VerifyReachable for the one deliberately deferred
+// proof.
 func OpenBytes(data []byte) (*Reader, error) {
-	return OpenBytesReusing(data, nil)
-}
-
-// OpenBytesReusing is OpenBytes with a validation shortcut for the
-// continuous-publish pipeline, where successive images of the same map
-// share most of their bytes: a section of data that is byte-identical
-// to the corresponding section of prev — a Reader that already passed
-// full validation — skips its checksum and structural re-validation,
-// because identity to validated bytes is a strictly stronger proof
-// than re-running the validators. The stored v2 per-section CRCs act
-// only as the cheap "did this section change" pre-filter before the
-// byte comparison; they are never themselves grounds for skipping
-// (CRC-32C equality is trivially forgeable, byte equality is not).
-//
-// Changed sections are validated exactly as by OpenBytes, including
-// their stored checksum; cross-section structural dependencies are
-// respected (e.g. the trie walk re-runs if the strings section moved
-// under it, and hash-table conclusions are only carried over when the
-// entry count is unchanged). The whole-body footer CRC is verified as
-// on every open: section checksums do not cover the header (flags,
-// counts, the trie root), so the footer is what catches a corrupted
-// header over unchanged sections. It costs no pass over the body — an
-// identical section contributes its adopted CRC, combined with the
-// others (see bodyChecksum).
-//
-// prev must not be Closed before this returns. The guarantees after a
-// nil error are identical to OpenBytes's.
-func OpenBytesReusing(data []byte, prev *Reader) (*Reader, error) {
 	r := &Reader{data: data}
-	if err := r.verify(prev); err != nil {
+	if err := r.verify(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -140,31 +101,6 @@ func (r *Reader) Options() resolver.Options { return r.opts }
 // Checksum returns the file's CRC-32C integrity checksum from the
 // footer — a content fingerprint for change detection.
 func (r *Reader) Checksum() uint32 { return r.crc }
-
-// Size returns the image size in bytes.
-func (r *Reader) Size() int { return len(r.data) }
-
-// Version returns the image's format version (1 or 2).
-func (r *Reader) Version() uint32 { return r.version }
-
-// SectionChecksums returns each section's CRC-32C in file order
-// (strings, entries, hash, trie): computed during validation for a v1
-// image, verified against the stored header values for v2.
-func (r *Reader) SectionChecksums() [4]uint32 { return r.secCRC }
-
-// ReusedSections reports how many of the four sections were adopted
-// byte-identical from the previous image by OpenReusing — 4 means the
-// new image carried the same database and validation was pure
-// comparison; 0 after a plain Open.
-func (r *Reader) ReusedSections() int {
-	n := 0
-	for _, ok := range r.reused {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
 
 // FileChecksum reads just the integrity footer of an rdb file and
 // returns its checksum — the cheap "did the file change" probe for
@@ -195,9 +131,8 @@ func corrupt(format string, args ...any) error {
 // OpenBytes, populating the Reader's section views as it goes. Every
 // offset computation is overflow-checked before it is used to slice,
 // so a hostile header can only produce an error, never a panic or an
-// out-of-bounds read. With a non-nil prev (OpenBytesReusing), sections
-// byte-identical to prev's validated ones skip re-validation.
-func (r *Reader) verify(prev *Reader) error {
+// out-of-bounds read.
+func (r *Reader) verify() error {
 	data := r.data
 	if len(data) < headerMin+footerSize {
 		return corrupt("file too short (%d bytes)", len(data))
@@ -328,75 +263,32 @@ func (r *Reader) verify(prev *Reader) error {
 		}
 	}
 
-	// Checksum phase: each section's CRC is computed once — or adopted
-	// from prev where the section is byte-identical to prev's already
-	// validated one, which is also what licenses every structural skip
-	// below (the stored v2 CRCs serve only as the cheap pre-filter in
-	// front of the byte comparison) — and the footer's whole-body CRC
-	// is derived from them, so the footer is checked exactly on every
-	// open, reusing or not, without a second pass over the body.
-	spans := [numSections]span{{strOff, strLen}, {entOff, entLen}, {hashOff, hashLen}, {trieOff, trieLen}}
-	secs := [numSections][]byte{r.strs, r.ents, r.hash, r.trie}
-	var stored [numSections]uint32
-	if version >= version2 {
-		for i := range stored {
-			stored[i] = le.Uint32(data[secCRCOff+4*i:])
-		}
-	}
-	var identical [numSections]bool
-	if prev != nil {
-		psecs := [numSections][]byte{prev.strs, prev.ents, prev.hash, prev.trie}
-		for i := range secs {
-			if version >= version2 && stored[i] != prev.secCRC[i] {
-				continue // cheap pre-filter: a changed checksum cannot be identical bytes
-			}
-			identical[i] = bytes.Equal(secs[i], psecs[i])
-		}
-	}
-	// verifyEntries hashes the strings and entries sections as it
-	// validates them; its conclusions carry over only if both are
-	// unchanged, since it reads both.
+	// Checksum phase: each section's CRC is computed once — the strings
+	// and entries inside verifyEntries' validation sweep — and the
+	// footer's whole-body CRC is derived from them, so no byte of the
+	// body is hashed twice. A structural error from verifyEntries is
+	// reported only after the checksums, so corruption reads as such.
 	var entErr error
-	if !(identical[0] && identical[1]) {
-		r.secCRC[0], r.secCRC[1], entErr = r.verifyEntries()
-	}
-	for i, sec := range secs {
-		switch {
-		case identical[i]:
-			r.secCRC[i] = prev.secCRC[i]
-		case i >= 2:
-			r.secCRC[i] = crc32.Checksum(sec, crcTable)
-		}
-	}
+	r.secCRC[0], r.secCRC[1], entErr = r.verifyEntries()
+	r.secCRC[2] = crc32.Checksum(r.hash, crcTable)
+	r.secCRC[3] = crc32.Checksum(r.trie, crcTable)
+	spans := [numSections]span{{strOff, strLen}, {entOff, entLen}, {hashOff, hashLen}, {trieOff, trieLen}}
 	if want, got := le.Uint32(foot[0:]), bodyChecksum(body, spans, r.secCRC); got != want {
 		return corrupt("checksum mismatch (file %08x, computed %08x)", want, got)
 	}
 	if version >= version2 {
 		for i, got := range r.secCRC {
-			if got != stored[i] {
+			if stored := le.Uint32(data[secCRCOff+4*i:]); got != stored {
 				return corrupt("%s section checksum mismatch (header %08x, computed %08x)",
-					sectionNames[i], stored[i], got)
+					sectionNames[i], stored, got)
 			}
 		}
 	}
-	r.reused = identical
-
-	// Structural phase, honoring cross-section dependencies: a
-	// validator's conclusions carry over only if every input it reads
-	// is unchanged. verifyEntries (run above) reads entries AND
-	// strings; verifyHash reads the hash section and the entry count;
-	// verifyTrie reads the trie, the strings (label bytes), the count,
-	// and the root offset.
 	if entErr != nil {
 		return entErr
 	}
-	if !(identical[2] && r.n == prev.n) {
-		if err := r.verifyHash(); err != nil {
-			return err
-		}
-	}
-	if identical[3] && identical[0] && r.n == prev.n && r.trieRoot == prev.trieRoot {
-		return nil
+	if err := r.verifyHash(); err != nil {
+		return err
 	}
 	return r.verifyTrie()
 }
@@ -718,7 +610,7 @@ func (r *Reader) EntryAt(i int) resolver.Entry {
 // LookupExact probes the open-addressed table for key
 // (resolver.Backing). Comparisons run against the mapped bytes; no
 // allocation on hit or miss.
-func (r *Reader) LookupExact(key string) (int, bool) {
+func (r *Reader) LookupExact(key []byte) (int, bool) {
 	if r.slots == 0 {
 		return 0, false
 	}
@@ -729,7 +621,7 @@ func (r *Reader) LookupExact(key string) (int, bool) {
 			return 0, false
 		}
 		i := int(v - 1)
-		if string(r.hostBytes(i)) == key { // compiler-optimized, no alloc
+		if bytes.Equal(r.hostBytes(i), key) {
 			return i, true
 		}
 	}
@@ -738,7 +630,7 @@ func (r *Reader) LookupExact(key string) (int, bool) {
 // SuffixBest descends the serialized trie by labels from the right
 // (resolver.Backing): binary search among each node's children, the
 // deepest node with an entry wins.
-func (r *Reader) SuffixBest(labels []string, maxDepth int) (entry, depth int) {
+func (r *Reader) SuffixBest(labels [][]byte, maxDepth int) (entry, depth int) {
 	if len(r.trie) == 0 {
 		return -1, 0
 	}
@@ -757,48 +649,8 @@ func (r *Reader) SuffixBest(labels []string, maxDepth int) (entry, depth int) {
 	return best, bestDepth
 }
 
-// LookupExactBytes is LookupExact with a byte key
-// (resolver.AppendBacking): the same probe, no conversions.
-func (r *Reader) LookupExactBytes(key []byte) (int, bool) {
-	if r.slots == 0 {
-		return 0, false
-	}
-	mask := r.slots - 1
-	for s := uint32(resolver.KeyHash(key)) & mask; ; s = (s + 1) & mask {
-		v := le.Uint32(r.hash[s*4:])
-		if v == 0 {
-			return 0, false
-		}
-		i := int(v - 1)
-		if bytes.Equal(r.hostBytes(i), key) {
-			return i, true
-		}
-	}
-}
-
-// SuffixBestBytes is SuffixBest with byte labels
-// (resolver.AppendBacking).
-func (r *Reader) SuffixBestBytes(labels [][]byte, maxDepth int) (entry, depth int) {
-	if len(r.trie) == 0 {
-		return -1, 0
-	}
-	best, bestDepth := -1, 0
-	off := r.trieRoot
-	for d := 1; d <= maxDepth; d++ {
-		child, ok := r.childOfBytes(off, labels[len(labels)-d])
-		if !ok {
-			break
-		}
-		off = child
-		if e := le.Uint32(r.trie[off:]); e != noEntry {
-			best, bestDepth = int(e), d
-		}
-	}
-	return best, bestDepth
-}
-
 // AppendRoute appends entry i's route to dst with arg spliced in place
-// of the first %s marker (resolver.AppendBacking). The route bytes are
+// of the first %s marker (resolver.Backing). The route bytes are
 // copied straight off the mapped pages into dst — the zero-copy answer
 // path; callers wrapping a mapped Reader must keep the mapping alive
 // until this returns (routedb does, via its KeepAlive discipline).
@@ -816,8 +668,9 @@ func (r *Reader) AppendRoute(dst []byte, i int, arg []byte) []byte {
 // routeMarker is the %s splice point in a route template.
 var routeMarker = []byte("%s")
 
-// childOfBytes is childOf with a byte label.
-func (r *Reader) childOfBytes(off uint32, label []byte) (uint32, bool) {
+// childOf binary-searches the node at off for the child whose label is
+// label. Label bytes are compared in place; no allocation.
+func (r *Reader) childOf(off uint32, label []byte) (uint32, bool) {
 	nchild := le.Uint32(r.trie[off+4:])
 	lo, hi := uint32(0), nchild
 	for lo < hi {
@@ -835,47 +688,4 @@ func (r *Reader) childOfBytes(off uint32, label []byte) (uint32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// childOf binary-searches the node at off for the child whose label is
-// label. Label bytes are compared in place; no allocation.
-func (r *Reader) childOf(off uint32, label string) (uint32, bool) {
-	nchild := le.Uint32(r.trie[off+4:])
-	lo, hi := uint32(0), nchild
-	for lo < hi {
-		mid := (lo + hi) / 2
-		p := r.trie[uint64(off)+trieNodeFixed+uint64(mid)*trieChildSize:]
-		lOff, lLen := le.Uint32(p[0:]), le.Uint32(p[4:])
-		cand := r.strs[uint64(lOff) : uint64(lOff)+uint64(lLen)]
-		switch c := compareBytesString(cand, label); {
-		case c < 0:
-			lo = mid + 1
-		case c > 0:
-			hi = mid
-		default:
-			return le.Uint32(p[8:]), true
-		}
-	}
-	return 0, false
-}
-
-// compareBytesString is bytes.Compare with a string on the right,
-// avoiding a conversion allocation on the lookup hot path.
-func compareBytesString(b []byte, s string) int {
-	n := min(len(b), len(s))
-	for i := 0; i < n; i++ {
-		switch {
-		case b[i] < s[i]:
-			return -1
-		case b[i] > s[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
 }

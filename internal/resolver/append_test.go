@@ -92,36 +92,6 @@ func TestAppendResolveCounters(t *testing.T) {
 	}
 }
 
-// stringOnlyBacking hides the AppendBacking fast path, forcing the
-// fallback through the allocating string resolution.
-type stringOnlyBacking struct{ m Backing }
-
-func (b stringOnlyBacking) Len() int                           { return b.m.Len() }
-func (b stringOnlyBacking) EntryAt(i int) Entry                { return b.m.EntryAt(i) }
-func (b stringOnlyBacking) LookupExact(key string) (int, bool) { return b.m.LookupExact(key) }
-func (b stringOnlyBacking) SuffixBest(l []string, d int) (int, int) {
-	return b.m.SuffixBest(l, d)
-}
-
-// TestAppendResolveFallback: a backing without the byte fast path still
-// answers identically through the string path.
-func TestAppendResolveFallback(t *testing.T) {
-	ref := New(appendTestEntries, Options{})
-	r := NewBacked(stringOnlyBacking{m: ref.Backing()}, Options{})
-	var s Scratch
-	for _, q := range appendTestQueries {
-		res, err := ref.Resolve(q.dest, q.user)
-		out, ok := r.AppendResolve(nil, []byte(q.dest), []byte(q.user), &s)
-		if ok != (err == nil) {
-			t.Errorf("fallback ok mismatch for %q", q.dest)
-			continue
-		}
-		if ok && string(out) != res.Address() {
-			t.Errorf("fallback AppendResolve(%q) = %q, want %q", q.dest, out, res.Address())
-		}
-	}
-}
-
 // TestAppendResolveNoAllocs locks down the point of the API: steady-
 // state hits (exact and suffix) and misses allocate nothing.
 func TestAppendResolveNoAllocs(t *testing.T) {

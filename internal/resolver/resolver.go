@@ -20,12 +20,18 @@
 // Entries that arrive already normalized and sorted — as every producer
 // in the pipeline emits them — are indexed in one linear pass.
 //
+// The procedure is written once, over byte keys: Lookup, Resolve and
+// the serving path's allocation-free AppendResolve all run it, against
+// either Backing — the in-memory index or a compiled image (package
+// rdb) — so every query answers the same through every entry point.
+//
 // A Resolver is immutable after New and safe for any number of concurrent
 // readers with no locking. Per-resolver counters (see Stats) are updated
 // atomically and are the only mutable state.
 package resolver
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -80,8 +86,10 @@ type Stats struct {
 // Entry names visible through a Backing are already normalized (one
 // trailing dot dropped, case folded when the index was built with
 // FoldCase) and strictly sorted ascending by name with no duplicates;
-// indices are positions in that order. A Backing must be safe for
-// concurrent readers.
+// indices are positions in that order. Keys and labels are bytes, so
+// the serving path probes without converting. A Backing must be safe
+// for concurrent readers and must not retain the key or label slices
+// it is handed.
 type Backing interface {
 	// Len returns the number of entries.
 	Len() int
@@ -91,20 +99,24 @@ type Backing interface {
 	EntryAt(i int) Entry
 	// LookupExact finds the entry whose (already normalized) name is
 	// key.
-	LookupExact(key string) (int, bool)
+	LookupExact(key []byte) (int, bool)
 	// SuffixBest descends the reversed-label suffix trie: labels are a
 	// destination's dot-separated labels, and depths 1..maxDepth are
 	// considered, where depth d means the suffix formed by the last d
 	// labels (with a leading dot). It returns the deepest entry found
 	// and its depth, or (-1, 0).
-	SuffixBest(labels []string, maxDepth int) (entry, depth int)
+	SuffixBest(labels [][]byte, maxDepth int) (entry, depth int)
+	// AppendRoute appends entry i's route to dst with arg spliced in
+	// place of the first %s marker (the whole route when there is no
+	// marker), returning the extended buffer. The appended bytes must
+	// not alias the backing's storage.
+	AppendRoute(dst []byte, i int, arg []byte) []byte
 }
 
 // Resolver is an immutable route index.
 type Resolver struct {
 	opts Options
 	b    Backing
-	ab   AppendBacking // b's byte-keyed fast path, nil if unimplemented
 
 	// entries materializes the sorted entry slice on first use, for
 	// backings (mapped files) that don't hold one natively.
@@ -164,9 +176,7 @@ func Adopt(entries []Entry, opts Options) *Resolver {
 // names were normalized when it was built (FoldCase in particular), so
 // query keys fold the same way.
 func NewBacked(b Backing, opts Options) *Resolver {
-	r := &Resolver{opts: opts, b: b}
-	r.ab, _ = b.(AppendBacking)
-	return r
+	return &Resolver{opts: opts, b: b}
 }
 
 // insertSuffix threads a leading-dot entry into the trie by its labels,
@@ -192,14 +202,9 @@ func (m *memBacking) Len() int            { return len(m.entries) }
 func (m *memBacking) EntryAt(i int) Entry { return m.entries[i] }
 
 // LookupExact probes the slot table linearly from the key's home slot
-// to the first empty slot.
-func (m *memBacking) LookupExact(key string) (int, bool) {
-	return lookupSlots(m, key)
-}
-
-// lookupSlots is LookupExact for either key type; the string(key)
-// comparison compiles to an allocation-free compare for []byte keys.
-func lookupSlots[K string | []byte](m *memBacking, key K) (int, bool) {
+// to the first empty slot. The string(key) comparison compiles to an
+// allocation-free compare.
+func (m *memBacking) LookupExact(key []byte) (int, bool) {
 	if len(m.slots) == 0 {
 		return 0, false
 	}
@@ -216,12 +221,13 @@ func lookupSlots[K string | []byte](m *memBacking, key K) (int, bool) {
 }
 
 // SuffixBest walks the pointer trie by labels from the right; the
-// deepest node with an entry wins.
-func (m *memBacking) SuffixBest(labels []string, maxDepth int) (entry, depth int) {
+// deepest node with an entry wins. Indexing the maps with
+// string(label) does not allocate.
+func (m *memBacking) SuffixBest(labels [][]byte, maxDepth int) (entry, depth int) {
 	best, bestDepth := -1, 0
 	n := m.suffix
 	for d := 1; d <= maxDepth; d++ {
-		n = n.children[labels[len(labels)-d]]
+		n = n.children[string(labels[len(labels)-d])]
 		if n == nil {
 			break
 		}
@@ -230,6 +236,19 @@ func (m *memBacking) SuffixBest(labels []string, maxDepth int) (entry, depth int
 		}
 	}
 	return best, bestDepth
+}
+
+// AppendRoute splices arg into entry i's route exactly as
+// Resolution.Address's strings.Replace(route, "%s", arg, 1) does.
+func (m *memBacking) AppendRoute(dst []byte, i int, arg []byte) []byte {
+	route := m.entries[i].Route
+	j := strings.Index(route, "%s")
+	if j < 0 {
+		return append(dst, route...)
+	}
+	dst = append(dst, route[:j]...)
+	dst = append(dst, arg...)
+	return append(dst, route[j+2:]...)
 }
 
 // Len returns the number of routes.
@@ -266,9 +285,6 @@ func (r *Resolver) Index() (entries []Entry, slots []uint32) {
 	return es, hashSlots(es)
 }
 
-// Backing returns the index the resolver serves from.
-func (r *Resolver) Backing() Backing { return r.b }
-
 // Options returns the options the resolver was built with.
 func (r *Resolver) Options() Options { return r.opts }
 
@@ -286,36 +302,79 @@ func normalizeKey(name string, fold bool) string {
 	return name
 }
 
-func (r *Resolver) normalize(name string) string {
-	return normalizeKey(name, r.opts.FoldCase)
+// find is the paper's retrieval procedure, the one behind Lookup,
+// Resolve and AppendResolve. dest is normalized like an entry name
+// (normalizeKey) into s.key: one trailing dot dropped, and under
+// FoldCase ASCII folded byte by byte — strings.ToLower only for
+// non-ASCII, where folding is not byte-local. The key is then looked
+// up exactly and, when resolve is set and that misses, the longest
+// proper domain suffix with a route is searched for: for
+// "caip.rutgers.edu" that is ".rutgers.edu" then ".edu", never
+// ".caip.rutgers.edu" — the whole name is the exact match's job, hence
+// maxDepth = len(labels)-1. One leading dot is ignored for label
+// splitting, matching the classic walk.
+//
+// find returns the normalized key (aliasing dest or s.key), the entry
+// found or -1, and the matched suffix's depth in labels (0 for an
+// exact match), and bumps the one counter the outcome names.
+func (r *Resolver) find(dest []byte, s *Scratch, resolve bool) (key []byte, entry, depth int) {
+	key = dest
+	if n := len(key); n > 1 && key[n-1] == '.' {
+		key = key[:n-1]
+	}
+	if r.opts.FoldCase {
+		if isASCII(key) {
+			s.key = appendFoldASCII(s.key[:0], key)
+		} else {
+			s.key = append(s.key[:0], strings.ToLower(string(key))...)
+		}
+		key = s.key
+	}
+
+	i, ok := r.b.LookupExact(key)
+	switch {
+	case !resolve:
+		r.nLookups.Inc()
+		if !ok {
+			i = -1
+		}
+		return key, i, 0
+	case ok:
+		r.nHits.Inc()
+		return key, i, 0
+	}
+	name := key
+	if len(name) > 0 && name[0] == '.' {
+		name = name[1:]
+	}
+	s.labels = appendLabels(s.labels[:0], name)
+	if len(s.labels) >= 2 {
+		if best, d := r.b.SuffixBest(s.labels, len(s.labels)-1); best >= 0 {
+			r.nSuffixHits.Inc()
+			return key, best, d
+		}
+	}
+	r.nMisses.Inc()
+	return key, -1, 0
+}
+
+// suffixOf returns the last depth labels of key with their leading
+// dot: the name of the domain-suffix entry a depth-deep match found.
+func suffixOf(key []byte, depth int) []byte {
+	i := len(key)
+	for ; depth > 0; depth-- {
+		i = bytes.LastIndexByte(key[:i], '.')
+	}
+	return key[i:]
 }
 
 // Lookup finds the route for an exact name.
 func (r *Resolver) Lookup(host string) (Entry, bool) {
-	r.nLookups.Inc()
-	i, ok := r.b.LookupExact(r.normalize(host))
-	if !ok {
-		return Entry{}, false
+	var s Scratch
+	if _, i, _ := r.find([]byte(host), &s, false); i >= 0 {
+		return r.b.EntryAt(i), true
 	}
-	return r.b.EntryAt(i), true
-}
-
-// lookupSuffix finds the longest proper domain suffix of dest with a
-// route: for "caip.rutgers.edu" it considers ".rutgers.edu" then ".edu"
-// (never ".caip.rutgers.edu" — the whole name is the exact match's job,
-// hence maxDepth = len(labels)-1). dest must already be normalized; a
-// leading dot is ignored for label splitting, matching the classic walk.
-func (r *Resolver) lookupSuffix(dest string) (Entry, string, bool) {
-	name := strings.TrimPrefix(dest, ".")
-	labels := strings.Split(name, ".")
-	if len(labels) < 2 {
-		return Entry{}, "", false
-	}
-	best, bestDepth := r.b.SuffixBest(labels, len(labels)-1)
-	if best < 0 {
-		return Entry{}, "", false
-	}
-	return r.b.EntryAt(best), "." + strings.Join(labels[len(labels)-bestDepth:], "."), true
+	return Entry{}, false
 }
 
 // Resolve routes user mail to dest: exact match first, then the domain
@@ -324,22 +383,20 @@ func (r *Resolver) lookupSuffix(dest string) (Entry, string, bool) {
 // same way as Lookup keys, and the normalized form is what appears in the
 // suffix argument.
 func (r *Resolver) Resolve(dest, user string) (Resolution, error) {
-	key := r.normalize(dest)
-	if i, ok := r.b.LookupExact(key); ok {
-		r.nHits.Inc()
-		return Resolution{Entry: r.b.EntryAt(i), Matched: key, Argument: user}, nil
+	var s Scratch
+	key, i, depth := r.find([]byte(dest), &s, true)
+	if i < 0 {
+		return Resolution{}, fmt.Errorf("routedb: no route to %q", dest)
 	}
-	if e, matched, ok := r.lookupSuffix(key); ok {
-		r.nSuffixHits.Inc()
-		return Resolution{
-			Entry:     e,
-			Matched:   matched,
-			Argument:  key + "!" + user,
-			ViaSuffix: true,
-		}, nil
+	if depth == 0 {
+		return Resolution{Entry: r.b.EntryAt(i), Matched: string(key), Argument: user}, nil
 	}
-	r.nMisses.Inc()
-	return Resolution{}, fmt.Errorf("routedb: no route to %q", dest)
+	return Resolution{
+		Entry:     r.b.EntryAt(i),
+		Matched:   string(suffixOf(key, depth)),
+		Argument:  string(key) + "!" + user,
+		ViaSuffix: true,
+	}, nil
 }
 
 // Stats returns a snapshot of the query counters. Resolves is derived

@@ -67,39 +67,6 @@ func OpenBinaryBytes(data []byte) (*DB, error) {
 	return wrapReader(r), nil
 }
 
-// OpenBinaryReusing is OpenBinary for the continuous-publish reload
-// path: sections of the new file that are byte-identical to prev — a
-// binary database that already passed full validation — skip their
-// re-validation (see rdb.OpenBytesReusing for the exact guarantees,
-// which end up identical to OpenBinary's). prev may be nil or a
-// text-built database, making this plain OpenBinary; it must not be
-// Closed before this returns, which its KeepAlive below guarantees for
-// callers that keep prev reachable.
-func OpenBinaryReusing(path string, prev *DB) (*DB, error) {
-	var pr *rdb.Reader
-	if prev != nil {
-		pr = prev.rdr
-	}
-	r, err := rdb.OpenReusing(path, pr)
-	// The comparison reads prev's mapped pages; keep prev's cleanup
-	// from unmapping them until the open is done with them.
-	runtime.KeepAlive(prev)
-	if err != nil {
-		return nil, err
-	}
-	return wrapReader(r), nil
-}
-
-// ReusedSections reports how many of the binary image's four sections
-// were adopted from the previous database by OpenBinaryReusing (0–4;
-// 0 for text-built databases and plain opens).
-func (db *DB) ReusedSections() int {
-	if db.rdr == nil {
-		return 0
-	}
-	return db.rdr.ReusedSections()
-}
-
 func wrapReader(r *rdb.Reader) *DB {
 	db := &DB{r: resolver.NewBacked(r, r.Options()), rdr: r}
 	// Lookup results copy out of the mapping, and every query method

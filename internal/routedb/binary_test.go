@@ -168,14 +168,30 @@ func TestBinaryInStore(t *testing.T) {
 }
 
 // TestOpenBinaryRejectsText: pointing OpenBinary at a linear text file
-// fails with a useful error instead of garbage.
+// fails with a useful error instead of garbage, and so does a compiled
+// image with one bit flipped.
 func TestOpenBinaryRejectsText(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "routes.db")
+	dir := t.TempDir()
+	p := filepath.Join(dir, "routes.db")
 	if err := os.WriteFile(p, []byte(binTestRoutes), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenBinary(p); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("OpenBinary(text) = %v", err)
+	}
+
+	_, bin := buildBoth(t, binTestRoutes, Options{})
+	img, err := bin.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 1
+	bad := filepath.Join(dir, "bad.rdb")
+	if err := os.WriteFile(bad, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenBinary(bad); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("OpenBinary(bit-flipped image) = %v", err)
 	}
 }
 
@@ -206,94 +222,5 @@ func TestAppendResolveBothFormats(t *testing.T) {
 				t.Errorf("Store.AppendResolve(%q) = %q,%v want %q,%v", q, sout, sok, out, ok)
 			}
 		}
-	}
-}
-
-// TestOpenBinaryReusing covers the continuous-publish reload seam: a
-// republished identical image reuses all four validated sections, a
-// changed image re-validates and answers correctly, and a text-built
-// (or nil) predecessor degrades to a plain open.
-func TestOpenBinaryReusing(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, routes string) string {
-		t.Helper()
-		db, err := LoadWith(strings.NewReader(routes), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := db.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	p1 := write("r1.rdb", binTestRoutes)
-	prev, err := OpenBinary(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prev.Close()
-	if prev.ReusedSections() != 0 {
-		t.Errorf("plain open reused %d sections", prev.ReusedSections())
-	}
-
-	// Identical republish.
-	p2 := write("r2.rdb", binTestRoutes)
-	same, err := OpenBinaryReusing(p2, prev)
-	if err != nil {
-		t.Fatalf("OpenBinaryReusing(identical): %v", err)
-	}
-	defer same.Close()
-	if same.ReusedSections() != 4 {
-		t.Errorf("identical image reused %d sections, want 4", same.ReusedSections())
-	}
-	if r, err := same.Resolve("caip.rutgers.edu", "pleasant"); err != nil || r.Address() != "seismo!ru!caip.rutgers.edu!pleasant" {
-		t.Errorf("resolve through reused image: %+v, %v", r, err)
-	}
-
-	// A changed map re-validates and serves the new route.
-	p3 := write("r3.rdb", binTestRoutes+"300\tzot\tduke!zot!%s\n")
-	next, err := OpenBinaryReusing(p3, prev)
-	if err != nil {
-		t.Fatalf("OpenBinaryReusing(changed): %v", err)
-	}
-	defer next.Close()
-	if e, ok := next.Lookup("zot"); !ok || e.Route != "duke!zot!%s" {
-		t.Errorf("changed image Lookup(zot) = %+v,%v", e, ok)
-	}
-
-	// Text-built and nil predecessors mean a plain validated open.
-	text, err := LoadWith(strings.NewReader(binTestRoutes), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*DB{text, nil} {
-		db, err := OpenBinaryReusing(p1, p)
-		if err != nil {
-			t.Fatalf("OpenBinaryReusing(prev=%v): %v", p != nil, err)
-		}
-		if db.ReusedSections() != 0 {
-			t.Errorf("non-binary prev reused %d sections", db.ReusedSections())
-		}
-		db.Close()
-	}
-
-	// Corruption in the republished file is still rejected.
-	img, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img[len(img)/2] ^= 1
-	bad := filepath.Join(dir, "bad.rdb")
-	if err := os.WriteFile(bad, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenBinaryReusing(bad, prev); err == nil {
-		t.Error("corrupted republish accepted under reuse")
 	}
 }

@@ -108,6 +108,9 @@ func LoadWith(r io.Reader, opts Options) (*DB, error) {
 		default:
 			return nil, fmt.Errorf("routedb: line %d: want 2 or 3 tab-separated fields, got %d", lineno, len(fields))
 		}
+		if e.Host == "" {
+			return nil, fmt.Errorf("routedb: line %d: empty host", lineno)
+		}
 		if !strings.Contains(e.Route, "%s") {
 			return nil, fmt.Errorf("routedb: line %d: route %q has no %%s marker", lineno, e.Route)
 		}

@@ -58,6 +58,14 @@ func TestLoadErrors(t *testing.T) {
 			t.Errorf("Load(%q) succeeded, want error", src)
 		}
 	}
+	// An empty host is refused with its line number, in both formats,
+	// as compiling it to an image would be.
+	for _, src := range []string{"duke\tduke!%s\n\tx!%s\n", "duke\tduke!%s\n5\t\tx!%s\n"} {
+		_, err := Load(strings.NewReader(src))
+		if want := "routedb: line 2: empty host"; err == nil || err.Error() != want {
+			t.Errorf("Load(%q) = %v, want %q", src, err, want)
+		}
+	}
 }
 
 func TestLookupMissing(t *testing.T) {
