@@ -809,7 +809,8 @@ type statsSnapshot struct {
 	SuffixHits uint64    `json:"suffix_hits"`
 	Misses     uint64    `json:"misses"`
 	// WhatIf carries the overlay cache counters: hits, misses,
-	// evictions, and resident overlay machines.
+	// evictions, resident overlay machines, and the mapping runs by how
+	// they started (warm_runs, full_runs).
 	WhatIf *whatif.Stats `json:"whatif,omitempty"`
 	// Vantages maps each resident vantage to its route count.
 	Vantages map[string]int `json:"vantages,omitempty"`
@@ -881,8 +882,9 @@ func (d *daemon) statsLine() string {
 	line := fmt.Sprintf("routes=%d swaps=%d lookups=%d resolves=%d hits=%d suffix_hits=%d misses=%d",
 		s.Routes, s.Swaps, s.Lookups, s.Resolves, s.Hits, s.SuffixHits, s.Misses)
 	if s.WhatIf != nil {
-		line += fmt.Sprintf(" whatif_hits=%d whatif_misses=%d whatif_evictions=%d whatif_resident=%d vantages=%d",
-			s.WhatIf.Hits, s.WhatIf.Misses, s.WhatIf.Evictions, s.WhatIf.Resident, len(s.Vantages))
+		line += fmt.Sprintf(" whatif_hits=%d whatif_misses=%d whatif_evictions=%d whatif_resident=%d whatif_warm_runs=%d whatif_full_runs=%d vantages=%d",
+			s.WhatIf.Hits, s.WhatIf.Misses, s.WhatIf.Evictions, s.WhatIf.Resident,
+			s.WhatIf.WarmRuns, s.WhatIf.FullRuns, len(s.Vantages))
 	}
 	// Latency joins the line only once sampled, keeping the historical
 	// exact line shape for fresh daemons (and the tests that pin it).

@@ -121,6 +121,11 @@ func (m *serverMetrics) registerMapMetrics(eng *remap.Multi, ev *whatif.Evaluato
 		func() float64 { return float64(ev.Stats().Misses) })
 	m.reg.CounterFunc(`routed_whatif_cache_total{event="eviction"}`, wfHelp,
 		func() float64 { return float64(ev.Stats().Evictions) })
+	const runHelp = "What-if mapping runs, by start: warm from the resident vantage's solved tree, full from scratch."
+	m.reg.CounterFunc(`routed_whatif_runs_total{start="warm"}`, runHelp,
+		func() float64 { return float64(ev.Stats().WarmRuns) })
+	m.reg.CounterFunc(`routed_whatif_runs_total{start="full"}`, runHelp,
+		func() float64 { return float64(ev.Stats().FullRuns) })
 	m.reg.GaugeFunc("routed_whatif_resident", "Cached overlay machines resident in the what-if LRU.",
 		func() float64 { return float64(ev.Stats().Resident) })
 }

@@ -114,6 +114,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(t, samples, "routed_whatif_cache_total", map[string]string{"event": "miss"}); got < 1 {
 		t.Errorf("whatif cache misses = %v, want >= 1 after an overlay eval", got)
 	}
+	ws := d.whatif.Stats()
+	warm := metricValue(t, samples, "routed_whatif_runs_total", map[string]string{"start": "warm"})
+	full := metricValue(t, samples, "routed_whatif_runs_total", map[string]string{"start": "full"})
+	if warm != float64(ws.WarmRuns) || full != float64(ws.FullRuns) || warm+full != float64(ws.Misses) {
+		t.Errorf("whatif runs warm=%v full=%v, evaluator says %+v", warm, full, ws)
+	}
 	if got := metricValue(t, samples, "routed_routes", nil); got != float64(d.store.Len()) {
 		t.Errorf("routed_routes = %v, store has %d", got, d.store.Len())
 	}

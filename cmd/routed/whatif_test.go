@@ -126,15 +126,16 @@ func TestWhatIfProtocol(t *testing.T) {
 }
 
 // TestWhatIfStatsShape checks the /stats JSON: -map mode carries the
-// overlay cache counters and per-vantage resident route counts; -d mode's
-// JSON shape is unchanged.
+// overlay cache counters, the mapping runs by start, and per-vantage
+// resident route counts; -d mode's JSON shape is unchanged.
 func TestWhatIfStatsShape(t *testing.T) {
 	d := newTestMapDaemon(t)
-	// Prime: one miss, one hit, one extra vantage.
-	if _, err := d.whatif.Resolve("unc", "dead unc duke", "research", "h"); err != nil {
+	// Prime: one miss, one hit, one extra vantage. The miss starts warm
+	// from the resident unc vantage: unc!phs carries no route of unc's.
+	if _, err := d.whatif.Resolve("unc", "cost unc phs 100", "research", "h"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.whatif.Resolve("unc", "dead unc duke", "research", "h"); err != nil {
+	if _, err := d.whatif.Resolve("unc", "cost unc phs 100", "research", "h"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.storeFor("duke"); err != nil {
@@ -155,13 +156,16 @@ func TestWhatIfStatsShape(t *testing.T) {
 			Misses    uint64 `json:"misses"`
 			Evictions uint64 `json:"evictions"`
 			Resident  int    `json:"resident"`
+			WarmRuns  uint64 `json:"warm_runs"`
+			FullRuns  uint64 `json:"full_runs"`
 		} `json:"whatif"`
 		Vantages map[string]int `json:"vantages"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.WhatIf == nil || snap.WhatIf.Hits != 1 || snap.WhatIf.Misses != 1 || snap.WhatIf.Resident != 1 {
+	if snap.WhatIf == nil || snap.WhatIf.Hits != 1 || snap.WhatIf.Misses != 1 || snap.WhatIf.Resident != 1 ||
+		snap.WhatIf.WarmRuns != 1 || snap.WhatIf.FullRuns != 0 {
 		t.Errorf("whatif stats = %+v", snap.WhatIf)
 	}
 	if snap.Vantages["unc"] != 5 || snap.Vantages["duke"] != 5 || len(snap.Vantages) != 2 {
@@ -169,7 +173,7 @@ func TestWhatIfStatsShape(t *testing.T) {
 	}
 	line := d.statsLine()
 	if !strings.Contains(line, "whatif_hits=1") || !strings.Contains(line, "whatif_resident=1") ||
-		!strings.Contains(line, "vantages=2") {
+		!strings.Contains(line, "whatif_warm_runs=1 whatif_full_runs=0") || !strings.Contains(line, "vantages=2") {
 		t.Errorf("stats line = %q", line)
 	}
 

@@ -1,6 +1,11 @@
 package graph
 
-import "pathalias/internal/cost"
+import (
+	"iter"
+	"slices"
+
+	"pathalias/internal/cost"
+)
 
 // Overlay is a query-scoped set of hypothetical link edits — the "what
 // if link X died / cost Y / existed" questions the paper answers by
@@ -23,7 +28,18 @@ type Overlay struct {
 	added    map[int32][]*Link // from-node ID -> private added links, in add order
 	addedIdx map[uint64]*Link  // linkKey(from, to) -> added link
 	touched  map[int32]bool    // from-node IDs whose CSR rows need a rebuild
-	edits    int
+	log      []OverlayEdit     // every edit, in the order it was made
+}
+
+// OverlayEdit is one recorded edit in the terms a warm mapping run
+// consumes (mapper.Machine.InvalidateSubtree, Seed): the edited edge's
+// endpoints, the link it names — the base link for a removal or a cost
+// override, which labels of the unedited map ride; the private link for
+// an addition — and whether the edge is gone from the patched view.
+type OverlayEdit struct {
+	From, To int32
+	Link     *Link
+	Removed  bool
 }
 
 // NewOverlay returns an empty overlay.
@@ -37,14 +53,18 @@ func NewOverlay() *Overlay {
 	}
 }
 
-// Edits returns the number of recorded edits.
-func (ov *Overlay) Edits() int { return ov.edits }
+// Edits iterates over the recorded edits in the order they were made.
+func (ov *Overlay) Edits() iter.Seq[OverlayEdit] { return slices.Values(ov.log) }
+
+func (ov *Overlay) record(l *Link, removed bool) {
+	ov.log = append(ov.log, OverlayEdit{From: int32(l.From.ID), To: int32(l.To.ID), Link: l, Removed: removed})
+}
 
 // RemoveLink hides l (a link of the base graph) from the patched view.
 func (ov *Overlay) RemoveLink(l *Link) {
 	ov.removed[l] = true
 	ov.touched[int32(l.From.ID)] = true
-	ov.edits++
+	ov.record(l, true)
 }
 
 // OverrideCost gives l the cost c in the patched view.
@@ -52,7 +72,7 @@ func (ov *Overlay) OverrideCost(l *Link, c cost.Cost) {
 	shadow := &Link{From: l.From, To: l.To, Cost: c, Op: l.Op, Flags: l.Flags}
 	ov.override[l] = shadow
 	ov.touched[int32(l.From.ID)] = true
-	ov.edits++
+	ov.record(l, false)
 }
 
 // AddLink adds a hypothetical from->to link with the given cost and
@@ -63,7 +83,7 @@ func (ov *Overlay) AddLink(from, to *Node, c cost.Cost, op Op) *Link {
 	ov.added[id] = append(ov.added[id], l)
 	ov.addedIdx[linkKey(from, to)] = l
 	ov.touched[id] = true
-	ov.edits++
+	ov.record(l, false)
 	return l
 }
 

@@ -58,6 +58,8 @@ package mapper
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"pathalias/internal/cost"
 	"pathalias/internal/graph"
@@ -307,8 +309,8 @@ func (mc *Machine) BeginWarm() error {
 	m.snap = mc.snapshot()
 	m.warm = true
 	// The stamps are sized here, not by FullRun, so machines that never
-	// run warm (what-if overlays) never hold them. Stale stamps need no
-	// clearing: changedEpoch only grows.
+	// run warm never hold them. Stale stamps need no clearing:
+	// changedEpoch only grows.
 	n := len(m.labels)
 	m.changedMark = growClear(m.changedMark[:min(len(m.changedMark), n)], n)
 	m.changedEpoch++
@@ -426,12 +428,60 @@ func (mc *Machine) AppendChildren(dst []int32, li int32) []int32 {
 	return dst
 }
 
-// ReleaseChildren frees the child lists of a machine whose callers now
-// read only its labels, such as a cached what-if run once its routes
-// are derived. AppendChildren and warm runs are unavailable until the
-// next FullRun.
-func (mc *Machine) ReleaseChildren() {
-	mc.mach.kin = nil
+// Clone returns a copy of the machine that can run on from the same
+// labeling — warm, under its own snapshot and edits — while the
+// original is read or run: labels, child lists, invented back links,
+// the unmapped list and the batched write-back state are copied, down
+// to the epoch stamps, so the two share no slice or map that either
+// side writes. Per-run scratch (queue, changed lists, mid-run reverse
+// links) is left for the copy's next run to allocate. Only immutable
+// data is shared: the graph, the snapshot pointers and the *graph.Link
+// values labels ride.
+func (mc *Machine) Clone() *Machine {
+	src := &mc.mach
+	c := &Machine{g: mc.g, sourceID: mc.sourceID, ran: mc.ran, extSnap: mc.extSnap}
+	c.mach = machine{
+		g:            src.g,
+		snap:         src.snap,
+		opts:         src.opts,
+		labels:       slices.Clone(src.labels),
+		changedMark:  slices.Clone(src.changedMark),
+		changedEpoch: src.changedEpoch,
+		invented:     slices.Clone(src.invented),
+		unmapped:     slices.Clone(src.unmapped),
+		detached:     src.detached,
+		overlay:      make(map[int32][]graph.SpillEdge, len(src.overlay)),
+		overlayIdx:   maps.Clone(src.overlayIdx),
+		edits:        src.edits,
+		kin:          slices.Clone(src.kin),
+		wbValid:      src.wbValid,
+		wbState:      slices.Clone(src.wbState),
+		wbUnreach:    slices.Clone(src.wbUnreach),
+		wbReached:    src.wbReached,
+		wbBack:       src.wbBack,
+		wbPenal:      src.wbPenal,
+		wbNodeMark:   slices.Clone(src.wbNodeMark),
+		wbGrownFrom:  src.wbGrownFrom,
+	}
+	for id, sp := range src.overlay {
+		c.mach.overlay[id] = slices.Clone(sp)
+	}
+	return c
+}
+
+// ReleaseRunState frees everything but the labels of a machine whose
+// callers now read only those, such as a cached what-if run once its
+// routes are derived: child lists, queue, warm-run stamps and the
+// write-back bookkeeping. AppendChildren and warm runs are unavailable
+// until the next FullRun.
+func (mc *Machine) ReleaseRunState() {
+	m := &mc.mach
+	m.kin = nil
+	m.queue = nil
+	m.changed, m.changedOld, m.changedMark = nil, nil, nil
+	m.revExtra, m.invStack, m.cands = nil, nil, nil
+	m.wbValid = false
+	m.wbState, m.wbUnreach, m.wbUnreachSp, m.wbDirty, m.wbNodeMark = nil, nil, nil, nil, nil
 	mc.ran = false
 }
 

@@ -557,39 +557,53 @@ func (e *core) recordHistory() {
 	}
 }
 
+// mapEvents is what changed under a machine's labeling since it was
+// computed, in the terms vantage.remap consumes: a span of the journal
+// (core.eventsSince) or the edits of a what-if overlay (overlayEvents).
+// structural means the events cannot be replayed and the run must be
+// full; grown that nodes were appended, so the machine must re-base
+// (mapper.RebaseGrow) before warming. edits is the overlay itself, which
+// the machine's back-link pass consults (mapper.Machine.UseEdits); nil
+// for journal events.
+type mapEvents struct {
+	structural, grown bool
+	edges             []edgeEvent
+	attrs, netFlips   []int32
+	edits             *graph.Overlay
+}
+
 // eventsSince merges the change sets of every journal generation after
-// jgen. structural reports that the range contains a structural change
-// or reaches beyond the retained history — either way the vantage needs
-// a full re-map and the event lists are meaningless. grown reports that
-// the range added nodes: the events are still usable, but the vantage
-// must re-base its machine's ranks (mapper.RebaseGrow) before warming.
-func (e *core) eventsSince(jgen uint64) (structural, grown bool, edges []edgeEvent, attrs, netFlips []int32) {
+// jgen. The result is structural when the range contains a structural
+// change or reaches beyond the retained history.
+func (e *core) eventsSince(jgen uint64) mapEvents {
 	if jgen == e.jgen {
-		return false, false, nil, nil, nil
+		return mapEvents{}
 	}
 	if len(e.hist) == 0 || e.hist[0].jgen > jgen+1 {
-		return true, false, nil, nil, nil
+		return mapEvents{structural: true}
 	}
 	lo := 0
 	for lo < len(e.hist) && e.hist[lo].jgen <= jgen {
 		lo++
 	}
 	span := e.hist[lo:]
+	var ev mapEvents
 	for _, h := range span {
 		if h.structural {
-			return true, false, nil, nil, nil
+			return mapEvents{structural: true}
 		}
-		grown = grown || h.grown
+		ev.grown = ev.grown || h.grown
 	}
 	if len(span) == 1 {
-		return false, grown, span[0].edges, span[0].attrs, span[0].netFlips
+		ev.edges, ev.attrs, ev.netFlips = span[0].edges, span[0].attrs, span[0].netFlips
+		return ev
 	}
 	for _, h := range span {
-		edges = append(edges, h.edges...)
-		attrs = append(attrs, h.attrs...)
-		netFlips = append(netFlips, h.netFlips...)
+		ev.edges = append(ev.edges, h.edges...)
+		ev.attrs = append(ev.attrs, h.attrs...)
+		ev.netFlips = append(ev.netFlips, h.netFlips...)
 	}
-	return false, grown, edges, attrs, netFlips
+	return ev
 }
 
 // rebuildAll reconstructs the journaled graph from scratch over the

@@ -3,6 +3,7 @@ package remap
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
@@ -12,10 +13,19 @@ import (
 // What-if overlay evaluation: map a hypothetical edit set against the
 // engine's shared graph and snapshot without touching either. The whole
 // evaluation happens under the Multi read lock — build the overlay
-// against the live graph, patch a private snapshot view, run a throwaway
-// detached machine, derive entries — so it can run concurrently with
-// other overlays and with serving reads, while updates (which take the
-// write lock) are simply held off for the few milliseconds a run takes.
+// against the live graph, patch a private snapshot view, copy the
+// vantage, run it over the view — so it can run concurrently with other
+// overlays and with serving reads, while updates (which take the write
+// lock) are simply held off for the few milliseconds a run takes.
+//
+// A resident vantage already holds the solved tree for the current
+// generation, so the copy starts from it and maps only what the edits
+// disturb, by the same warm procedure a source edit takes
+// (vantage.remap): labels riding a removed or re-costed link are
+// invalidated, sources of added or re-costed links seeded. A vantage
+// that is not resident is mapped in full on a fresh machine, through
+// the same procedure, and stays non-resident — making it resident would
+// add its re-map to every later source edit.
 //
 // The returned OverlayRun is self-contained: its entries, label table,
 // and snapshot stay valid (and race-free) after the base map moves on,
@@ -62,7 +72,12 @@ type OverlayRun struct {
 	Unreachable []string        // hosts with no route even after back links
 	LabelByHost map[string]int32
 
-	Machine *mapper.Machine // the throwaway machine; labels index explain
+	// Warm reports that the run started from the resident vantage's
+	// solved tree; Relaxations counts the edge relaxations it took.
+	Warm        bool
+	Relaxations int64
+
+	Machine *mapper.Machine // the run's private machine; labels index explain
 	Snap    *graph.Snapshot // the private patched view the machine ran on
 	Overlay *graph.Overlay  // nil for a base (no-edit) evaluation
 }
@@ -108,41 +123,58 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	} else {
 		snap = graph.NewOverlay().PatchSnapshot(e.snap)
 	}
-	mc := mapper.NewDetachedMachine(e.g, e.mopts)
-	if ov != nil {
-		mc.UseEdits(ov)
+	v := m.vans[hostName].scratch(e)
+	if v == nil {
+		v = newVantage(hostName)
 	}
-	mc.UseSnapshot(snap)
-	mres, err := mc.FullRun(local)
+	r, err := v.remap(e, local, snap, overlayEvents(ov))
 	if err != nil {
 		return nil, fmt.Errorf("remap: overlay map run: %w", err)
 	}
-
-	// Derive the routing table exactly the way a vantage does, through a
-	// throwaway vantage whose buffers are private to this run.
-	v := newVantage(hostName)
-	v.mc = mc
-	v.rebuildRoutes(e)
-	mc.ReleaseChildren() // explain reads only labels; cached runs stay small
+	v.mc.ReleaseRunState() // explain reads only labels; cached runs stay small
 	run := &OverlayRun{
 		Gen:         e.updGen,
 		Host:        hostName,
 		Entries:     v.assembleEntries(e),
 		LabelByHost: make(map[string]int32, len(v.rows)),
-		Machine:     mc,
+		Warm:        r.warm,
+		Relaxations: r.res.Relaxations,
+		Machine:     v.mc,
 		Snap:        snap,
 		Overlay:     ov,
 	}
-	for _, r := range v.rows {
-		if _, dup := run.LabelByHost[r.e.Host]; !dup {
-			run.LabelByHost[r.e.Host] = r.label
+	for _, row := range v.rows {
+		if _, dup := run.LabelByHost[row.e.Host]; !dup {
+			run.LabelByHost[row.e.Host] = row.label
 		}
 	}
-	if len(mres.Unreachable) > 0 {
-		run.Unreachable = make([]string, len(mres.Unreachable))
-		for i, n := range mres.Unreachable {
+	if len(r.res.Unreachable) > 0 {
+		run.Unreachable = make([]string, len(r.res.Unreachable))
+		for i, n := range r.res.Unreachable {
 			run.Unreachable[i] = n.Name
 		}
 	}
 	return run, nil
+}
+
+// scratch returns a private copy of v — machine and route state — to
+// run a what-if overlay on, or nil when v is nil or does not hold the
+// solved tree for the core's current journal generation. The copy
+// shares no buffer either side writes (route strings are immutable), so
+// it may run under the read lock while v serves.
+func (v *vantage) scratch(e *core) *vantage {
+	if v == nil || v.mc == nil || v.needFull || v.err != nil ||
+		v.graphGen != e.graphGen || v.jgen != e.jgen || v.resGen != e.updGen {
+		return nil
+	}
+	return &vantage{
+		host:       v.host,
+		mc:         v.mc.Clone(),
+		graphGen:   v.graphGen,
+		jgen:       v.jgen,
+		frames:     slices.Clone(v.frames),
+		frameDirty: slices.Clone(v.frameDirty),
+		frameEpoch: v.frameEpoch,
+		rows:       slices.Clone(v.rows),
+	}
 }

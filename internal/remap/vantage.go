@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
 	"pathalias/internal/printer"
 )
@@ -108,20 +109,62 @@ func (v *vantage) recompute(e *core) (*Result, error) {
 	if err != nil {
 		return v.fail(e, err)
 	}
-	if v.mc == nil || v.graphGen != e.graphGen {
-		v.mc = mapper.NewDetachedMachine(e.g, e.mopts)
+	if v.graphGen != e.graphGen {
+		v.mc = nil // bound to a graph the journal has since rebuilt
 		v.graphGen = e.graphGen
+	}
+	run, err := v.remap(e, local, e.snap, e.eventsSince(v.jgen))
+	if err != nil {
+		return v.fail(e, err)
+	}
+	out := &Result{Incremental: run.warm, MapDur: run.mapDur}
+	fillMapStats(out, run.res)
+	if run.warm {
+		out.LabelsChanged = run.changed
+	}
+	out.RouteGen = v.routeGen
+	out.Entries = v.assembleEntries(e)
+	out.Warnings = e.warnings
+	for _, n := range run.res.Unreachable {
+		out.Unreachable = append(out.Unreachable, n.Name)
+	}
+	out.RouteDur = time.Since(start) - run.mapDur
+	v.jgen = e.jgen
+	v.resGen = e.updGen
+	v.err = nil
+	v.last = out
+	return out, nil
+}
+
+// remapRun reports one vantage.remap run.
+type remapRun struct {
+	res     *mapper.Result
+	warm    bool          // started from the machine's previous labeling
+	changed int           // labels whose value changed (warm runs)
+	mapDur  time.Duration // the mapping run, route derivation excluded
+}
+
+// remap brings v's machine and route state to snap: warm from the
+// machine's current labeling when ev allows it, full otherwise. It is
+// the one mapping procedure for both event sources — a source edit
+// replays a journal span (recompute), a what-if question its overlay's
+// edits on a copy of the vantage (Multi.EvalOverlay). A vantage without
+// a machine gets a fresh one and a full run.
+func (v *vantage) remap(e *core, local *graph.Node, snap *graph.Snapshot, ev mapEvents) (remapRun, error) {
+	start := time.Now()
+	if v.mc == nil {
+		v.mc = mapper.NewDetachedMachine(e.g, e.mopts)
 		v.needFull = true
 	}
-	v.mc.UseSnapshot(e.snap)
+	v.mc.UseSnapshot(snap)
+	v.mc.UseEdits(ev.edits)
 
-	structural, grown, edges, attrs, netFlips := e.eventsSince(v.jgen)
-	warm := !structural && !v.needFull && v.mc.SourceID() == int32(local.ID)
-	if warm && grown {
-		// The replayed generations added nodes (removed none): re-base
-		// the machine's cached tie ranks onto the new snapshot and grow
-		// its label array; the new nodes then warm-map as ordinary
-		// never-reached labels.
+	warm := !ev.structural && !v.needFull && v.mc.SourceID() == int32(local.ID)
+	if warm && ev.grown {
+		// The events added nodes (removed none): re-base the machine's
+		// cached tie ranks onto the new snapshot and grow its label
+		// array; the new nodes then warm-map as ordinary never-reached
+		// labels.
 		warm = v.mc.RebaseGrow() == nil
 	}
 	if warm {
@@ -136,15 +179,15 @@ func (v *vantage) recompute(e *core) (*Result, error) {
 		// edges covers possible improvements into still-mapped territory.
 		invalidated, rootHit := v.mc.SweepInvented()
 		maxDirty := int(float64(v.mc.NumLabels()) * e.opts.MaxDirtyFrac)
-		for _, ev := range edges {
-			lv := v.mc.Label(2 * ev.to)
-			if lv.Node != nil && lv.Via == ev.link {
-				n, hit := v.mc.InvalidateSubtree(ev.to)
+		for _, ed := range ev.edges {
+			lv := v.mc.Label(2 * ed.to)
+			if lv.Node != nil && lv.Via == ed.link {
+				n, hit := v.mc.InvalidateSubtree(ed.to)
 				invalidated += n
 				rootHit = rootHit || hit
 			}
 		}
-		for _, id := range attrs {
+		for _, id := range ev.attrs {
 			n, hit := v.mc.InvalidateSubtree(id)
 			invalidated += n
 			rootHit = rootHit || hit
@@ -155,62 +198,61 @@ func (v *vantage) recompute(e *core) (*Result, error) {
 		if rootHit || invalidated > maxDirty {
 			warm = false
 		} else {
-			for _, ev := range edges {
-				if !ev.removed {
-					v.mc.Seed(ev.from)
+			for _, ed := range ev.edges {
+				if !ed.removed {
+					v.mc.Seed(ed.from)
 				}
 			}
 			// Node-level effects the label diff cannot see — attribute
 			// and IsNet flips change a node's write-back contribution
 			// (unreachable membership, penalty counting) even when its
 			// labels end up identical.
-			for _, id := range attrs {
+			for _, id := range ev.attrs {
 				v.mc.MarkNodeDirty(id)
 			}
-			for _, id := range netFlips {
+			for _, id := range ev.netFlips {
 				v.mc.MarkNodeDirty(id)
 			}
 		}
 	}
 
-	var res *mapper.Result
+	run := remapRun{warm: warm}
 	var changed []int32
 	if warm {
-		res, changed = v.mc.FinishWarm()
+		run.res, changed = v.mc.FinishWarm()
+		run.changed = len(changed)
 	} else {
 		var err error
-		res, err = v.mc.FullRun(local)
-		if err != nil {
+		if run.res, err = v.mc.FullRun(local); err != nil {
 			v.needFull = true
-			return v.fail(e, err)
+			return run, err
 		}
 	}
-
-	routeMark := time.Now()
-	out := &Result{Incremental: warm, MapDur: routeMark.Sub(start)}
-	fillMapStats(out, res)
+	v.needFull = false
+	run.mapDur = time.Since(start)
 	if warm {
-		out.LabelsChanged = len(changed)
-		if v.patchRoutes(e, changed, netFlips) {
+		if v.patchRoutes(e, changed, ev.netFlips) {
 			v.routeGen++
 		}
 	} else {
 		v.rebuildRoutes(e)
 		v.routeGen++
 	}
-	out.RouteGen = v.routeGen
-	out.Entries = v.assembleEntries(e)
-	out.Warnings = e.warnings
-	for _, n := range res.Unreachable {
-		out.Unreachable = append(out.Unreachable, n.Name)
+	return run, nil
+}
+
+// overlayEvents turns a what-if overlay's edits into mapping events: a
+// removed or re-costed link invalidates the labels riding it, and an
+// added or re-costed one seeds its source.
+func overlayEvents(ov *graph.Overlay) mapEvents {
+	ev := mapEvents{edits: ov}
+	if ov == nil {
+		return ev
 	}
-	out.RouteDur = time.Since(routeMark)
-	v.jgen = e.jgen
-	v.resGen = e.updGen
-	v.needFull = false
-	v.err = nil
-	v.last = out
-	return out, nil
+	for ed := range ov.Edits() {
+		ev.edges = append(ev.edges, edgeEvent{from: ed.From, to: ed.To, link: ed.Link, removed: ed.Removed})
+	}
+	return ev
 }
 
 // recomputePlain serves the vantage from the core's plain-merge world: a

@@ -95,9 +95,12 @@ func entryMap(es []printer.Entry) map[string]printer.Entry {
 }
 
 // BenchmarkWhatIf measures one overlay evaluation cold (distinct spec
-// every iteration — full patch + map + index build) against cached
-// (identical spec — one LRU lookup), on the paper map and a synthetic
-// 5000-host map.
+// every iteration — patch + map + index build) against cached
+// (identical spec — one LRU lookup), on the paper map, the paper-scale
+// synthetic map (mapgen.Default1986) and a synthetic 5000-host map.
+// "cold" asks from a vantage that is not resident, so every run is
+// full; "resident" asks the same questions from a resident vantage, so
+// runs start warm from its solved tree.
 func BenchmarkWhatIf(b *testing.B) {
 	type size struct {
 		name   string
@@ -106,8 +109,10 @@ func BenchmarkWhatIf(b *testing.B) {
 	}
 	sizes := []size{{name: "paper", inputs: paperInputs(b), local: "unc"}}
 	if !testing.Short() {
+		inputs, local := default1986Inputs()
+		sizes = append(sizes, size{name: "default1986", inputs: inputs, local: local})
 		pins, local := mapgen.Generate(mapgen.Scaled(5000, 7))
-		inputs := make([]remap.Input, len(pins))
+		inputs = make([]remap.Input, len(pins))
 		for i, in := range pins {
 			inputs[i] = remap.Input{Name: in.Name, Src: in.Src}
 		}
@@ -116,17 +121,24 @@ func BenchmarkWhatIf(b *testing.B) {
 	for _, sz := range sizes {
 		links := simnet.OrdinaryLinks(parseFresh(b, sz.inputs))
 		dest := links[len(links)/2].To
-		b.Run(sz.name+"/cold", func(b *testing.B) {
-			_, ev := newEval(b, sz.inputs, Options{MaxCached: 8})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := links[i%len(links)]
-				spec := fmt.Sprintf("cost %s %s %d", l.From, l.To, 1000+i)
-				if _, err := ev.Resolve(sz.local, spec, dest, "u"); err != nil {
-					b.Fatal(err)
-				}
+		for _, resident := range []bool{false, true} {
+			name, res := sz.name+"/cold", []string(nil)
+			if resident {
+				name, res = sz.name+"/resident", []string{sz.local}
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				_, ev := newEvalWith(b, sz.inputs, remap.Options{}, Options{MaxCached: 8}, res...)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l := links[i%len(links)]
+					spec := fmt.Sprintf("cost %s %s %d", l.From, l.To, 1000+i)
+					if _, err := ev.Resolve(sz.local, spec, dest, "u"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 		b.Run(sz.name+"/cached", func(b *testing.B) {
 			_, ev := newEval(b, sz.inputs, Options{MaxCached: 8})
 			spec := fmt.Sprintf("dead %s %s", links[0].From, links[0].To)

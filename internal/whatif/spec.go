@@ -4,9 +4,10 @@
 // its length to feeding the map — tuning costs, marking links DEAD,
 // hunting bogus routes — and each such question classically costs a
 // source edit plus a full re-run. Here an overlay spec is compiled into
-// a patched snapshot view, mapped by a throwaway detached machine under
-// the engine's read lock, and cached by (generation, vantage, canonical
-// spec) so repeating a what-if is a lookup, not a mapping run.
+// a patched snapshot view and mapped under the engine's read lock —
+// warm, on a copy of the vantage's solved tree when the vantage is
+// resident — and cached by (generation, vantage, canonical spec) so
+// repeating a what-if is a lookup, not a mapping run.
 package whatif
 
 import (

@@ -1,0 +1,305 @@
+package whatif
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"pathalias/internal/cost"
+	"pathalias/internal/graph"
+	"pathalias/internal/mapgen"
+	"pathalias/internal/mapper"
+	"pathalias/internal/remap"
+	"pathalias/internal/simnet"
+)
+
+// Overlay runs from a resident vantage start warm from its solved tree;
+// these tests pin when they must not, what a warm start saves, and —
+// by fuzzing — that either start answers exactly like a fresh run over
+// an identically edited map.
+
+// overlayEdit is one hypothetical edit, kept in both forms: the spec
+// text the evaluator parses and the edit the fresh-run oracle applies.
+type overlayEdit struct {
+	op       EditOp
+	from, to string
+	cost     cost.Cost
+}
+
+func (ed overlayEdit) spec() string {
+	if ed.op == OpDead {
+		return fmt.Sprintf("dead %s %s", ed.from, ed.to)
+	}
+	return fmt.Sprintf("%s %s %s %d", ed.op, ed.from, ed.to, int64(ed.cost))
+}
+
+func specOf(eds []overlayEdit) string {
+	parts := make([]string, len(eds))
+	for i, ed := range eds {
+		parts[i] = ed.spec()
+	}
+	return strings.Join(parts, "; ")
+}
+
+// applyEdits applies the edits to a freshly parsed graph: the source
+// edits the overlay hypothesizes.
+func applyEdits(eds []overlayEdit) func(tt testing.TB, g *graph.Graph) {
+	return func(tt testing.TB, g *graph.Graph) {
+		for _, ed := range eds {
+			a, _ := g.Lookup(ed.from)
+			b, _ := g.Lookup(ed.to)
+			switch ed.op {
+			case OpDead:
+				if !g.DeleteLink(a, b) {
+					tt.Fatalf("fresh graph has no link %s!%s", ed.from, ed.to)
+				}
+			case OpCost:
+				l := mustLink(tt, g, ed.from, ed.to)
+				g.SetLinkCost(l, ed.cost, l.Op)
+			case OpLink:
+				g.AddLink(a, b, ed.cost, graph.DefaultOp, 0)
+			}
+		}
+	}
+}
+
+// TestOverlayForcedFullRuns: from a resident vantage an overlay run
+// starts warm unless the procedure source edits take would also give
+// up — the edits invalidate more than MaxDirtyFrac of the labels, or
+// the engine maps SecondBest, which has no warm runs. (An overlay edit
+// cannot invalidate the root: edge events only reset labels riding the
+// edited link, and the root rides none.) Each case must still answer
+// like a fresh run.
+func TestOverlayForcedFullRuns(t *testing.T) {
+	inputs := paperInputs(t)
+	sb := mapper.DefaultOptions()
+	sb.SecondBest = true
+	cases := []struct {
+		name     string
+		ropts    remap.Options
+		mopts    mapper.Options
+		edits    []overlayEdit
+		wantWarm bool
+	}{
+		// unc!phs carries none of unc's routes: nothing to invalidate.
+		{"warm control", remap.Options{}, mapper.DefaultOptions(),
+			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, true},
+		// Every route from unc but phs's rides unc!duke.
+		{"past MaxDirtyFrac", remap.Options{}, mapper.DefaultOptions(),
+			[]overlayEdit{{op: OpDead, from: "unc", to: "duke"}}, false},
+		// Any invalidation at all crosses a near-zero threshold.
+		{"tiny MaxDirtyFrac", remap.Options{MaxDirtyFrac: 1e-9}, mapper.DefaultOptions(),
+			[]overlayEdit{{op: OpDead, from: "duke", to: "research"}}, false},
+		{"SecondBest", remap.Options{Mapper: &sb}, sb,
+			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ev := newEvalWith(t, inputs, tc.ropts, Options{}, "unc")
+			got := render(overlayEntries(t, ev, "unc", specOf(tc.edits)))
+			st := ev.Stats()
+			if warm := st.WarmRuns == 1; warm != tc.wantWarm || st.WarmRuns+st.FullRuns != 1 {
+				t.Errorf("runs = %d warm, %d full; want warm=%v", st.WarmRuns, st.FullRuns, tc.wantWarm)
+			}
+			want, _ := freshRun(t, inputs, "unc", tc.mopts, applyEdits(tc.edits))
+			if got != render(want) {
+				t.Errorf("overlay diverges from fresh run\ngot:\n%s\nwant:\n%s", got, render(want))
+			}
+		})
+	}
+}
+
+// mixedEdits draws n single-edit overlays over real links, a third each
+// dead, cost and link — the what-if benchmark's mix — deterministically
+// from rng. Added links go from a host with links to one it has none to.
+func mixedEdits(rng *rand.Rand, g *graph.Graph, links []simnet.LinkRef, n int) [][]overlayEdit {
+	seen := make(map[string]bool)
+	var out [][]overlayEdit
+	for len(out) < n {
+		l := links[rng.Intn(len(links))]
+		ed := overlayEdit{from: l.From, to: l.To}
+		switch rng.Intn(3) {
+		case 0:
+			ed.op = OpDead
+		case 1:
+			ed.op, ed.cost = OpCost, []cost.Cost{5000, 10000, 25000, 36000}[rng.Intn(4)]
+		default:
+			ed.op, ed.cost = OpLink, []cost.Cost{10, 25, 100}[rng.Intn(3)]
+			ed.to = links[rng.Intn(len(links))].From
+			a, _ := g.Lookup(ed.from)
+			b, _ := g.Lookup(ed.to)
+			if a == b || g.FindLink(a, b) != nil {
+				continue
+			}
+		}
+		if s := ed.spec(); !seen[s] {
+			seen[s] = true
+			out = append(out, []overlayEdit{ed})
+		}
+	}
+	return out
+}
+
+func default1986Inputs() ([]remap.Input, string) {
+	pins, local := mapgen.Generate(mapgen.Default1986())
+	inputs := make([]remap.Input, len(pins))
+	for i, in := range pins {
+		inputs[i] = remap.Input{Name: in.Name, Src: in.Src}
+	}
+	return inputs, local
+}
+
+// TestWarmOverlayRelaxesLess guards the point of warm overlay runs on
+// the paper-scale map: the median run that starts warm from a resident
+// vantage relaxes at most a tenth of the edges a full run relaxes. It
+// counts work, not time, so a loaded machine cannot flake it. The two
+// starts must also agree entry for entry.
+func TestWarmOverlayRelaxesLess(t *testing.T) {
+	inputs, local := default1986Inputs()
+	_, fresh := newEvalWith(t, inputs, remap.Options{}, Options{})
+	_, warm := newEvalWith(t, inputs, remap.Options{}, Options{}, local)
+	n := 30
+	if testing.Short() {
+		n = 9
+	}
+	g := parseFresh(t, inputs)
+	specs := mixedEdits(rand.New(rand.NewSource(1986)), g, simnet.OrdinaryLinks(g), n)
+	var warmRelax, fullRelax []int64
+	for _, eds := range specs {
+		spec := specOf(eds)
+		sp, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fresh.eval(local, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		w, err := warm.eval(local, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if f.run.Warm {
+			t.Fatalf("%s: a vantage that is not resident started warm", spec)
+		}
+		if render(f.run.Entries) != render(w.run.Entries) {
+			t.Fatalf("%s: warm and full starts disagree", spec)
+		}
+		fullRelax = append(fullRelax, f.run.Relaxations)
+		if w.run.Warm {
+			warmRelax = append(warmRelax, w.run.Relaxations)
+		}
+	}
+	if len(warmRelax) < len(specs)/2 {
+		t.Fatalf("only %d of %d overlay runs started warm", len(warmRelax), len(specs))
+	}
+	slices.Sort(warmRelax)
+	slices.Sort(fullRelax)
+	mw, mf := warmRelax[len(warmRelax)/2], fullRelax[len(fullRelax)/2]
+	t.Logf("%d of %d runs warm; median relaxations: warm %d, full %d", len(warmRelax), len(specs), mw, mf)
+	if mw*10 > mf {
+		t.Errorf("median warm run relaxes %d edges, more than a tenth of a full run's %d", mw, mf)
+	}
+}
+
+// fuzzCosts are the costs fuzzed edits draw from: zero, the symbolic
+// grades, and the far end of the legal range.
+var fuzzCosts = []cost.Cost{0, 1, 10, 300, 500, 3000, 5000, 30000, 40000000}
+
+// decodeEdits turns fuzz bytes into 1–4 valid edits over the map, four
+// bytes each: operation, link (two bytes), then cost and, for an added
+// link, its target. Edits that would repeat a pair or add an existing
+// link are dropped.
+func decodeEdits(data []byte, g *graph.Graph, links []simnet.LinkRef) []overlayEdit {
+	var eds []overlayEdit
+	pairs := make(map[[2]string]bool)
+	for len(data) >= 4 && len(eds) < 4 {
+		b := data[:4]
+		data = data[4:]
+		l := links[(int(b[1])<<8|int(b[2]))%len(links)]
+		ed := overlayEdit{op: EditOp(b[0] % 3), from: l.From, to: l.To, cost: fuzzCosts[int(b[3])%len(fuzzCosts)]}
+		if ed.op == OpLink {
+			ed.to = links[int(b[3])*7%len(links)].To
+			a, _ := g.Lookup(ed.from)
+			x, _ := g.Lookup(ed.to)
+			if a == x || g.FindLink(a, x) != nil {
+				continue
+			}
+		}
+		if pairs[[2]string{ed.from, ed.to}] {
+			continue
+		}
+		pairs[[2]string{ed.from, ed.to}] = true
+		eds = append(eds, ed)
+	}
+	return eds
+}
+
+// FuzzOverlayEquivalence: 1–4 dead/cost/link edits over a small
+// generated map, asked from a resident or a non-resident vantage, must
+// answer exactly like a fresh run over the identically edited source —
+// entries and unreachable hosts — and every overlaid route's explained
+// hops must sum to its cost.
+func FuzzOverlayEquivalence(f *testing.F) {
+	f.Add(int64(1), true, uint8(0), []byte{0, 0, 1, 0})
+	f.Add(int64(2), false, uint8(1), []byte{1, 0, 7, 3, 2, 1, 2, 5})
+	f.Add(int64(3), true, uint8(1), []byte{2, 0, 9, 2, 0, 3, 1, 0, 1, 4, 4, 8})
+	f.Fuzz(func(t *testing.T, seed int64, resident bool, vantage uint8, script []byte) {
+		cfg := mapgen.Scaled(40, seed)
+		cfg.CoreFiles = 2
+		pins, local := mapgen.Generate(cfg)
+		inputs := make([]remap.Input, len(pins))
+		for i, in := range pins {
+			inputs[i] = remap.Input{Name: in.Name, Src: in.Src}
+		}
+		g := parseFresh(t, inputs)
+		links := simnet.OrdinaryLinks(g)
+		if len(links) == 0 {
+			t.Skip("map has no ordinary links")
+		}
+		eds := decodeEdits(script, g, links)
+		if len(eds) == 0 {
+			t.Skip("no valid edit")
+		}
+		from := local
+		if vantage%2 == 1 {
+			from = links[int(vantage)%len(links)].From
+		}
+		var res []string
+		if resident {
+			res = []string{from}
+		}
+		_, ev := newEvalWith(t, inputs, remap.Options{}, Options{}, res...)
+		spec := specOf(eds)
+		sp, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		ent, err := ev.eval(from, sp)
+		if err != nil {
+			t.Fatalf("%s from %s: %v", spec, from, err)
+		}
+		if ent.run.Warm && !resident {
+			t.Errorf("%s from %s: a vantage that is not resident started warm", spec, from)
+		}
+		wantEntries, wantUnreach := freshRun(t, inputs, from, mapper.DefaultOptions(), applyEdits(eds))
+		if got, want := render(ent.run.Entries), render(wantEntries); got != want {
+			t.Fatalf("%s from %s (warm=%v) diverges from fresh run\ngot:\n%s\nwant:\n%s", spec, from, ent.run.Warm, got, want)
+		}
+		if got, want := strings.Join(ent.run.Unreachable, " "), strings.Join(wantUnreach, " "); got != want {
+			t.Fatalf("%s from %s (warm=%v): unreachable %q, fresh run %q", spec, from, ent.run.Warm, got, want)
+		}
+		for i, e := range ent.run.Entries {
+			if i == 50 {
+				break
+			}
+			x, err := ev.Explain(from, spec, e.Host)
+			if err != nil {
+				t.Fatalf("explain %s under %s: %v", e.Host, spec, err)
+			}
+			checkExplanation(t, x.Under, int64(e.Cost))
+		}
+	})
+}

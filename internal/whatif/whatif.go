@@ -52,6 +52,7 @@ type Evaluator struct {
 	flight map[evalKey]*flightCall
 
 	hits, misses, evictions atomic.Uint64
+	warmRuns, fullRuns      atomic.Uint64
 }
 
 type evalKey struct {
@@ -73,11 +74,17 @@ type flightCall struct {
 }
 
 // Stats is a point-in-time snapshot of the evaluator's counters.
+// WarmRuns and FullRuns split the mapping runs (cache misses that
+// mapped) by how they started: from the resident vantage's solved tree,
+// or from scratch — a vantage that is not resident, or edits that
+// disturb too much of the tree for a warm run to pay.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Resident  int    `json:"resident"` // cached overlay machines
+	WarmRuns  uint64 `json:"warm_runs"`
+	FullRuns  uint64 `json:"full_runs"`
 }
 
 // New returns an evaluator over eng.
@@ -104,6 +111,8 @@ func (ev *Evaluator) Stats() Stats {
 		Misses:    ev.misses.Load(),
 		Evictions: ev.evictions.Load(),
 		Resident:  resident,
+		WarmRuns:  ev.warmRuns.Load(),
+		FullRuns:  ev.fullRuns.Load(),
 	}
 }
 
@@ -140,6 +149,12 @@ func compile(sp *Spec, ctx remap.OverlayCtx) (*graph.Overlay, error) {
 			return nil, fmt.Errorf("whatif: unknown host %q", ed.To)
 		}
 		l := ctx.FindLink(from, to)
+		if l != nil && l.Flags&graph.LDeleted != 0 && ed.Op != OpDead {
+			// The map's own delete{} keeps the declaration registered but
+			// out of every snapshot: an override would never apply, and a
+			// new link would shadow the map's deletion.
+			return nil, fmt.Errorf("whatif: link %s!%s is deleted in the map", ed.From, ed.To)
+		}
 		switch ed.Op {
 		case OpDead, OpCost:
 			if l == nil {
@@ -242,6 +257,11 @@ func (ev *Evaluator) evalMiss(probe evalKey, from string, sp *Spec) (*cacheEntry
 	run, err := ev.eng.EvalOverlay(from, build)
 	if err != nil {
 		return nil, err
+	}
+	if run.Warm {
+		ev.warmRuns.Add(1)
+	} else {
+		ev.fullRuns.Add(1)
 	}
 	ent := &cacheEntry{
 		key: evalKey{gen: run.Gen, from: run.Host, spec: probe.spec},

@@ -30,7 +30,16 @@ func paperInputs(t testing.TB) []remap.Input {
 
 func newEval(t testing.TB, inputs []remap.Input, opts Options) (*remap.Multi, *Evaluator) {
 	t.Helper()
-	m, err := remap.NewMulti(remap.Options{})
+	return newEvalWith(t, inputs, remap.Options{}, opts)
+}
+
+// newEvalWith builds an engine with ropts over inputs and an evaluator
+// over it. Vantages named in resident are made resident (their solved
+// trees are what warm overlay runs start from); any other vantage is
+// mapped from scratch per overlay.
+func newEvalWith(t testing.TB, inputs []remap.Input, ropts remap.Options, opts Options, resident ...string) (*remap.Multi, *Evaluator) {
+	t.Helper()
+	m, err := remap.NewMulti(ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,42 @@ func newEval(t testing.TB, inputs []remap.Input, opts Options) (*remap.Multi, *E
 	if err := m.Update(inputs); err != nil {
 		t.Fatal(err)
 	}
+	for _, v := range resident {
+		if _, err := m.ResultFor(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return m, New(m, opts)
+}
+
+// forEachStart runs fn twice, as subtests: with the vantages resident
+// (overlay runs start warm from their solved trees, unless the edits
+// force a full run) and with none resident (every run is full). It then
+// checks which start the runs took: none warm without residents, and
+// some warm with them.
+func forEachStart(t *testing.T, inputs []remap.Input, vantages []string, fn func(t *testing.T, ev *Evaluator, resident bool)) {
+	t.Helper()
+	for _, resident := range []bool{false, true} {
+		name, res := "fresh", []string(nil)
+		if resident {
+			name, res = "resident", vantages
+		}
+		t.Run(name, func(t *testing.T) {
+			_, ev := newEvalWith(t, inputs, remap.Options{}, Options{}, res...)
+			fn(t, ev, resident)
+			st := ev.Stats()
+			t.Logf("overlay runs: %d warm, %d full", st.WarmRuns, st.FullRuns)
+			if st.WarmRuns+st.FullRuns != st.Misses {
+				t.Errorf("runs by start do not add up to the misses: %+v", st)
+			}
+			if resident && st.WarmRuns == 0 {
+				t.Errorf("no overlay run started warm from a resident vantage: %+v", st)
+			}
+			if !resident && st.WarmRuns != 0 {
+				t.Errorf("overlay runs started warm without a resident vantage: %+v", st)
+			}
+		})
+	}
 }
 
 // parseFresh parses the inputs into a brand-new graph.
@@ -60,6 +104,14 @@ func parseFresh(t testing.TB, inputs []remap.Input) *graph.Graph {
 // and run the classic one-shot pipeline.
 func freshEntries(t testing.TB, inputs []remap.Input, local string, edit func(tt testing.TB, g *graph.Graph)) []printer.Entry {
 	t.Helper()
+	es, _ := freshRun(t, inputs, local, mapper.DefaultOptions(), edit)
+	return es
+}
+
+// freshRun is freshEntries under the given mapper options, also
+// returning the unreachable host names in the mapper's order.
+func freshRun(t testing.TB, inputs []remap.Input, local string, mopts mapper.Options, edit func(tt testing.TB, g *graph.Graph)) ([]printer.Entry, []string) {
+	t.Helper()
 	g := parseFresh(t, inputs)
 	if edit != nil {
 		edit(t, g)
@@ -68,11 +120,15 @@ func freshEntries(t testing.TB, inputs []remap.Input, local string, edit func(tt
 	if !ok {
 		t.Fatalf("local host %q not in fresh graph", local)
 	}
-	res, err := mapper.Run(g, n, mapper.DefaultOptions())
+	res, err := mapper.Run(g, n, mopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return printer.Routes(res, printer.Options{})
+	var unreachable []string
+	for _, u := range res.Unreachable {
+		unreachable = append(unreachable, u.Name)
+	}
+	return printer.Routes(res, printer.Options{}), unreachable
 }
 
 func render(es []printer.Entry) string {
@@ -116,11 +172,23 @@ func mustLink(t testing.TB, g *graph.Graph, from, to string) *graph.Link {
 
 // checkEquivalence asserts that every overlay edit answers byte-identical
 // to a fresh run over an identically edited source graph, across the
-// given vantages.
-func checkEquivalence(t *testing.T, inputs []remap.Input, ev *Evaluator, vantages []string, spec string, edit func(tt testing.TB, g *graph.Graph)) {
+// given vantages. A spec made only of added links invalidates nothing,
+// so from a resident vantage its run must start warm.
+func checkEquivalence(t *testing.T, inputs []remap.Input, ev *Evaluator, resident bool, vantages []string, spec string, edit func(tt testing.TB, g *graph.Graph)) {
 	t.Helper()
+	onlyAdds := true
+	if sp, err := ParseSpec(spec); err == nil {
+		for _, ed := range sp.Edits {
+			onlyAdds = onlyAdds && ed.Op == OpLink
+		}
+	}
 	for _, v := range vantages {
+		before := ev.Stats()
 		got := render(overlayEntries(t, ev, v, spec))
+		after := ev.Stats()
+		if resident && onlyAdds && after.FullRuns != before.FullRuns {
+			t.Errorf("[%s] overlay %q of added links ran full from a resident vantage", v, spec)
+		}
 		want := render(freshEntries(t, inputs, v, edit))
 		if got != want {
 			t.Errorf("[%s] overlay %q diverges from fresh run\ngot:\n%s\nwant:\n%s", v, spec, got, want)
@@ -133,8 +201,13 @@ func checkEquivalence(t *testing.T, inputs []remap.Input, ev *Evaluator, vantage
 // across two vantages.
 func TestEquivalencePaperRandomized(t *testing.T) {
 	inputs := paperInputs(t)
-	_, ev := newEval(t, inputs, Options{})
 	vantages := []string{"unc", "research"}
+	forEachStart(t, inputs, vantages, func(t *testing.T, ev *Evaluator, resident bool) {
+		equivalencePaperRandomized(t, inputs, ev, resident, vantages)
+	})
+}
+
+func equivalencePaperRandomized(t *testing.T, inputs []remap.Input, ev *Evaluator, resident bool, vantages []string) {
 	links := simnet.OrdinaryLinks(parseFresh(t, inputs))
 	if len(links) < 5 {
 		t.Fatalf("too few ordinary links: %v", links)
@@ -144,7 +217,7 @@ func TestEquivalencePaperRandomized(t *testing.T) {
 	// Every single dead link (the map is small enough to be exhaustive).
 	for _, l := range links {
 		l := l
-		checkEquivalence(t, inputs, ev, vantages, fmt.Sprintf("dead %s %s", l.From, l.To),
+		checkEquivalence(t, inputs, ev, resident, vantages, fmt.Sprintf("dead %s %s", l.From, l.To),
 			func(tt testing.TB, g *graph.Graph) {
 				a, _ := g.Lookup(l.From)
 				b, _ := g.Lookup(l.To)
@@ -158,7 +231,7 @@ func TestEquivalencePaperRandomized(t *testing.T) {
 	for _, c := range []string{"0", "1", "DEMAND", "HOURLY*4", "40000000"} {
 		l := links[rng.Intn(len(links))]
 		cv := parseCostForTest(t, c)
-		checkEquivalence(t, inputs, ev, vantages, fmt.Sprintf("cost %s %s %s", l.From, l.To, c),
+		checkEquivalence(t, inputs, ev, resident, vantages, fmt.Sprintf("cost %s %s %s", l.From, l.To, c),
 			func(tt testing.TB, g *graph.Graph) {
 				gl := mustLink(tt, g, l.From, l.To)
 				g.SetLinkCost(gl, cv, gl.Op)
@@ -177,7 +250,7 @@ func TestEquivalencePaperRandomized(t *testing.T) {
 			continue
 		}
 		added++
-		checkEquivalence(t, inputs, ev, vantages, fmt.Sprintf("link %s %s 77", a, b),
+		checkEquivalence(t, inputs, ev, resident, vantages, fmt.Sprintf("link %s %s 77", a, b),
 			func(tt testing.TB, g *graph.Graph) {
 				x, _ := g.Lookup(a)
 				y, _ := g.Lookup(b)
@@ -189,7 +262,7 @@ func TestEquivalencePaperRandomized(t *testing.T) {
 	}
 
 	// Compound overlay: several edits at once.
-	checkEquivalence(t, inputs, ev, vantages,
+	checkEquivalence(t, inputs, ev, resident, vantages,
 		"dead unc duke; cost duke research WEEKLY; link ucbvax phs 123",
 		func(tt testing.TB, g *graph.Graph) {
 			a, _ := g.Lookup("unc")
@@ -217,9 +290,13 @@ func parseCostForTest(t testing.TB, s string) cost.Cost {
 // overlay equals a source tree with the link declared.
 func TestEquivalenceSourceLevel(t *testing.T) {
 	inputs := paperInputs(t)
-	_, ev := newEval(t, inputs, Options{})
 	vantages := []string{"unc", "research"}
+	forEachStart(t, inputs, vantages, func(t *testing.T, ev *Evaluator, _ bool) {
+		equivalenceSourceLevel(t, inputs, ev, vantages)
+	})
+}
 
+func equivalenceSourceLevel(t *testing.T, inputs []remap.Input, ev *Evaluator, vantages []string) {
 	for _, v := range vantages {
 		got := render(overlayEntries(t, ev, v, "dead duke research"))
 		edited := append(append([]remap.Input(nil), inputs...),
@@ -251,14 +328,19 @@ func TestEquivalenceMapgen5k(t *testing.T) {
 	for i, in := range pins {
 		inputs[i] = remap.Input{Name: in.Name, Src: in.Src}
 	}
-	_, ev := newEval(t, inputs, Options{})
 	vantages := []string{local, "host1"}
+	forEachStart(t, inputs, vantages, func(t *testing.T, ev *Evaluator, resident bool) {
+		equivalenceMapgen5k(t, inputs, ev, resident, vantages)
+	})
+}
+
+func equivalenceMapgen5k(t *testing.T, inputs []remap.Input, ev *Evaluator, resident bool, vantages []string) {
 	links := simnet.OrdinaryLinks(parseFresh(t, inputs))
 	rng := rand.New(rand.NewSource(5000))
 
 	for trial := 0; trial < 2; trial++ {
 		l := links[rng.Intn(len(links))]
-		checkEquivalence(t, inputs, ev, vantages, fmt.Sprintf("dead %s %s", l.From, l.To),
+		checkEquivalence(t, inputs, ev, resident, vantages, fmt.Sprintf("dead %s %s", l.From, l.To),
 			func(tt testing.TB, g *graph.Graph) {
 				a, _ := g.Lookup(l.From)
 				b, _ := g.Lookup(l.To)
@@ -266,7 +348,7 @@ func TestEquivalenceMapgen5k(t *testing.T) {
 			})
 	}
 	l := links[rng.Intn(len(links))]
-	checkEquivalence(t, inputs, ev, vantages, fmt.Sprintf("cost %s %s 12345", l.From, l.To),
+	checkEquivalence(t, inputs, ev, resident, vantages, fmt.Sprintf("cost %s %s 12345", l.From, l.To),
 		func(tt testing.TB, g *graph.Graph) {
 			gl := mustLink(tt, g, l.From, l.To)
 			g.SetLinkCost(gl, 12345, gl.Op)
@@ -298,40 +380,42 @@ func TestExplainLineMatchedMarker(t *testing.T) {
 	}
 }
 
+// checkExplanation asserts that an explanation found the route and that
+// its per-hop steps telescope exactly to the route cost.
+func checkExplanation(t testing.TB, x *Explanation, wantCost int64) {
+	t.Helper()
+	if !x.Found {
+		t.Fatalf("no route for %s: %s", x.Dest, x.Reason)
+	}
+	if int64(x.Cost) != wantCost {
+		t.Errorf("%s: explain cost %d != route cost %d", x.Dest, int64(x.Cost), wantCost)
+	}
+	prev := int64(0)
+	for i, h := range x.Hops {
+		// Total must telescope: previous total + step, saturating.
+		want := prev + int64(h.Step)
+		if prev+int64(h.Step) >= int64(1)<<40 {
+			// Matches cost.Add's saturation only loosely; the real
+			// assertion is the final sum below.
+			want = int64(h.Total)
+		}
+		if int64(h.Total) != want {
+			t.Errorf("%s hop %d (%s->%s): total %d != prev %d + step %d",
+				x.Dest, i, h.From, h.To, int64(h.Total), prev, int64(h.Step))
+		}
+		prev = int64(h.Total)
+	}
+	if prev != int64(x.Cost) {
+		t.Errorf("%s: hop totals end at %d, route cost %d", x.Dest, prev, int64(x.Cost))
+	}
+}
+
 // TestExplainSumsToRouteCost: for every route the base map serves and
 // for overlaid routes, the per-hop steps must telescope exactly to the
 // mapper's route cost.
 func TestExplainSumsToRouteCost(t *testing.T) {
 	inputs := paperInputs(t)
 	_, ev := newEval(t, inputs, Options{})
-
-	checkExplanation := func(t *testing.T, x *Explanation, wantCost int64) {
-		t.Helper()
-		if !x.Found {
-			t.Fatalf("no route for %s: %s", x.Dest, x.Reason)
-		}
-		if int64(x.Cost) != wantCost {
-			t.Errorf("%s: explain cost %d != route cost %d", x.Dest, int64(x.Cost), wantCost)
-		}
-		prev := int64(0)
-		for i, h := range x.Hops {
-			// Total must telescope: previous total + step, saturating.
-			want := prev + int64(h.Step)
-			if prev+int64(h.Step) >= int64(1)<<40 {
-				// Matches cost.Add's saturation only loosely; the real
-				// assertion is the final sum below.
-				want = int64(h.Total)
-			}
-			if int64(h.Total) != want {
-				t.Errorf("%s hop %d (%s->%s): total %d != prev %d + step %d",
-					x.Dest, i, h.From, h.To, int64(h.Total), prev, int64(h.Step))
-			}
-			prev = int64(h.Total)
-		}
-		if prev != int64(x.Cost) {
-			t.Errorf("%s: hop totals end at %d, route cost %d", x.Dest, prev, int64(x.Cost))
-		}
-	}
 
 	base, err := ev.eval("unc", nil)
 	if err != nil {
@@ -497,13 +581,34 @@ func TestHostileOverlayQueries(t *testing.T) {
 	if _, err := ev.Resolve("nosuch", "dead unc duke", "research", "honey"); err == nil {
 		t.Error("unknown vantage should error")
 	}
+
+	// A link the map deletes keeps its declaration but leaves every
+	// snapshot: overriding its cost would silently answer the base
+	// route, and adding it would undo the map's own delete.
+	deleted := []remap.Input{{Name: "deleted.map", Src: "a\tb(10), c(100)\nc\tb(10)\ndelete {a!b}\n"}}
+	_, dev := newEval(t, deleted, Options{})
+	for _, spec := range []string{"cost a b 1", "link a b 1"} {
+		if addr, err := dev.Resolve("a", spec, "b", "u"); err == nil {
+			t.Errorf("Resolve(%q) on a deleted link = %q, want an error", spec, addr)
+		} else if !strings.Contains(err.Error(), "a!b is deleted in the map") {
+			t.Errorf("Resolve(%q) = %v, want \"deleted in the map\"", spec, err)
+		}
+	}
+	if addr, err := dev.Resolve("a", "dead a b", "b", "u"); err != nil || addr != "c!b!u" {
+		t.Errorf("dead on a deleted link = %q, %v; want the base route c!b!u", addr, err)
+	}
 }
 
 // TestImpactMatchesRebuildDiff: the impact report's changed-host set must
 // match a diff of two fresh rebuilds.
 func TestImpactMatchesRebuildDiff(t *testing.T) {
 	inputs := paperInputs(t)
-	_, ev := newEval(t, inputs, Options{})
+	forEachStart(t, inputs, []string{"unc"}, func(t *testing.T, ev *Evaluator, _ bool) {
+		impactMatchesRebuildDiff(t, inputs, ev)
+	})
+}
+
+func impactMatchesRebuildDiff(t *testing.T, inputs []remap.Input, ev *Evaluator) {
 	imp, err := ev.ImpactOf("unc", "dead unc duke")
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +658,10 @@ func TestImpactMatchesRebuildDiff(t *testing.T) {
 // TestIsolationUnderHotSwap: overlay queries never mutate shared state —
 // the base engine keeps serving byte-identical tables before, during,
 // and after what-if traffic, with concurrent overlays, hot swaps, and
-// stats probes all running under the race detector.
+// stats probes all running under the race detector. unc is resident
+// (the swapper reads its table), so its overlay runs copy its machine
+// while updates re-map it; research and duke are not, so theirs are
+// full runs on fresh machines. Both starts must have been taken.
 func TestIsolationUnderHotSwap(t *testing.T) {
 	inputs := paperInputs(t)
 	edited := []remap.Input{{Name: inputs[0].Name, Src: inputs[0].Src + "unc\tresearch(DEMAND)\n"}}
@@ -672,5 +780,8 @@ func TestIsolationUnderHotSwap(t *testing.T) {
 	}
 	if got := resultFor("unc"); got != wantA {
 		t.Error("base table changed after what-if traffic")
+	}
+	if st := ev.Stats(); st.WarmRuns == 0 || st.FullRuns == 0 {
+		t.Errorf("overlay runs took one start only: %+v", st)
 	}
 }
