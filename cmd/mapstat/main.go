@@ -10,8 +10,9 @@
 //
 // Without -l, only the graph structure is reported. With -l, routes are
 // computed from that host and route statistics are included. With -dot,
-// the graph (or, with -tree, the shortest-path tree) is written in
-// Graphviz format.
+// the graph is written in Graphviz format; with -l its tree edges are
+// drawn bold and the run's invented back links dotted, and -tree writes
+// the shortest-path tree instead.
 package main
 
 import (
@@ -37,11 +38,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		local  = fs.String("l", "", "local host: also compute and analyze routes")
 		topN   = fs.Int("top", 10, "how many busiest relays to list")
 		dotOut = fs.String("dot", "", "write Graphviz DOT to this file")
-		tree   = fs.Bool("tree", false, "DOT output shows the shortest-path tree only")
+		tree   = fs.Bool("tree", false, "DOT output shows the shortest-path tree only (needs -l)")
 		maxDot = fs.Int("dotmax", 500, "maximum nodes in DOT output (0 = unlimited)")
 	)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *tree && *local == "" {
+		fmt.Fprintln(stderr, "mapstat: -tree needs -l: there is no tree without a mapping run")
 		return 2
 	}
 
@@ -83,10 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		if *tree && mres != nil {
+		if *tree {
 			err = dot.WriteTree(f, mres)
 		} else {
-			err = dot.WriteGraph(f, g, dot.Options{MaxNodes: *maxDot, TreeOnly: *tree, Costs: true})
+			err = dot.WriteGraph(f, g, mres, dot.Options{MaxNodes: *maxDot, Costs: true})
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "mapstat: %v\n", err)

@@ -90,4 +90,26 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{bad}, &out, &errb); code != 1 {
 		t.Errorf("syntax error: exit %d want 1", code)
 	}
+	dotPath := filepath.Join(t.TempDir(), "t.dot")
+	if code := run([]string{"-tree", "-dot", dotPath, p}, &out, &errb); code != 2 {
+		t.Errorf("-tree without -l: exit %d want 2", code)
+	}
+}
+
+// TestStatsIgnoreVantage: the graph statistics describe the map, so
+// mapping from a vantage, which invents back links for leaf, must not
+// change them.
+func TestStatsIgnoreVantage(t *testing.T) {
+	p := writeMap(t, "a b(10)\nleaf b(25)\n")
+	for _, args := range [][]string{{p}, {"-l", "a", p}, {"-l", "b", p}} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		}
+		for _, want := range []string{"links: 2 ", "strongly connected components: 3 "} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%v: output missing %q:\n%s", args, want, out.String())
+			}
+		}
+	}
 }

@@ -67,6 +67,21 @@ func TestVerboseStats(t *testing.T) {
 	}
 }
 
+// TestVerboseLinksIgnoreVantage: -v counts the map's links, whichever
+// host the run invented back links from.
+func TestVerboseLinksIgnoreVantage(t *testing.T) {
+	p := writeMap(t, "a\tb(10)\nleaf\tb(25)\n")
+	for _, local := range []string{"a", "b"} {
+		var out, errb strings.Builder
+		if code := run([]string{"-l", local, "-v", p}, &out, &errb); code != 0 {
+			t.Fatalf("-l %s: exit %d", local, code)
+		}
+		if !strings.Contains(errb.String(), "3 nodes (3 hosts, 0 nets, 0 domains, 0 private), 2 links (0 alias edges)") {
+			t.Errorf("-l %s: stderr:\n%s", local, errb.String())
+		}
+	}
+}
+
 func TestUnknownLocalHost(t *testing.T) {
 	p := writeMap(t, "a b(10)\n")
 	var out, errb strings.Builder
@@ -185,6 +200,43 @@ func TestTraceFlag(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), `no host "ghost"`) {
 		t.Errorf("stderr = %q", errb.String())
+	}
+}
+
+// TestTraceBackLinkedHost pins the trace of a run's invented back links:
+// each node's declared links come first, then its invented ones, and
+// the winning path's edges are marked.
+func TestTraceBackLinkedHost(t *testing.T) {
+	p := writeMap(t, "a\tb(10)\nleaf\tb(25)\n")
+	for _, tc := range []struct {
+		host string
+		want string
+	}{
+		{"leaf", `trace: leaf (id 2, file "` + p + `")
+trace:   out-links (1):
+trace:     -> b cost 25 op !/LEFT
+trace:   in-links:
+trace:     <- b cost 25 op !/LEFT [invented,tree]
+trace:   mapped at cost 35, 2 hops
+trace:   path: a -> b -> leaf
+`},
+		{"b", `trace: b (id 1, file "` + p + `")
+trace:   out-links (1):
+trace:     -> leaf cost 25 op !/LEFT [invented,tree]
+trace:   in-links:
+trace:     <- a cost 10 op !/LEFT [tree]
+trace:     <- leaf cost 25 op !/LEFT
+trace:   mapped at cost 10, 1 hops
+trace:   path: a -> b
+`},
+	} {
+		var out, errb strings.Builder
+		if code := run([]string{"-l", "a", "-t", tc.host, p}, &out, &errb); code != 0 {
+			t.Fatalf("-t %s: exit %d", tc.host, code)
+		}
+		if errb.String() != tc.want {
+			t.Errorf("-t %s:\n%s\nwant:\n%s", tc.host, errb.String(), tc.want)
+		}
 	}
 }
 

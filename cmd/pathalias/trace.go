@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"pathalias/internal/core"
@@ -11,9 +12,12 @@ import (
 
 // traceHost reports everything known about one host after a run — the C
 // tool's -t debugging aid: declared attributes, adjacency in both
-// directions, mapping state, and the full path from the local host.
+// directions, mapping state, and the full path from the local host. The
+// run's invented back links follow each node's declared links, and links
+// on the winning paths are marked "tree".
 func traceHost(w io.Writer, rep *core.Report, name string) {
 	g := rep.Graph
+	res := rep.MapResult
 	n, ok := g.Lookup(name)
 	if !ok {
 		fmt.Fprintf(w, "pathalias: trace: no host %q\n", name)
@@ -31,49 +35,52 @@ func traceHost(w io.Writer, rep *core.Report, name string) {
 		fmt.Fprintf(w, "trace:   gateways: %s\n", strings.Join(names, ", "))
 	}
 
-	fmt.Fprintf(w, "trace:   out-links (%d):\n", n.Degree())
-	n.Links(func(l *graph.Link) bool {
-		fmt.Fprintf(w, "trace:     -> %s cost %v op %v%s\n",
-			l.To.Name, l.Cost, l.Op, linkFlagText(l.Flags))
-		return true
-	})
+	flags := func(l *graph.Link) string {
+		tn := res.Winner(l.To)
+		return linkFlagText(l.Flags, tn != nil && tn.Via == l)
+	}
+
+	out := slices.Collect(res.Links(n))
+	fmt.Fprintf(w, "trace:   out-links (%d):\n", len(out))
+	for _, l := range out {
+		fmt.Fprintf(w, "trace:     -> %s cost %v op %v%s\n", l.To.Name, l.Cost, l.Op, flags(l))
+	}
 
 	in := 0
 	for _, other := range g.Nodes() {
-		other.Links(func(l *graph.Link) bool {
-			if l.To == n {
-				if in == 0 {
-					fmt.Fprintf(w, "trace:   in-links:\n")
-				}
-				in++
-				fmt.Fprintf(w, "trace:     <- %s cost %v op %v%s\n",
-					l.From.Name, l.Cost, l.Op, linkFlagText(l.Flags))
+		for l := range res.Links(other) {
+			if l.To != n {
+				continue
 			}
-			return true
-		})
+			if in == 0 {
+				fmt.Fprintf(w, "trace:   in-links:\n")
+			}
+			in++
+			fmt.Fprintf(w, "trace:     <- %s cost %v op %v%s\n", l.From.Name, l.Cost, l.Op, flags(l))
+		}
 	}
 	if in == 0 {
 		fmt.Fprintf(w, "trace:   in-links: none\n")
 	}
 
-	switch n.M.State {
-	case graph.Mapped:
-		fmt.Fprintf(w, "trace:   mapped at cost %v, %d hops\n", n.M.Cost, n.M.Hops)
-		var path []string
-		for cur := n; cur != nil; {
-			path = append([]string{cur.Name}, path...)
-			if cur.M.Parent == nil {
-				break
-			}
-			cur = cur.M.Parent.From
-		}
-		fmt.Fprintf(w, "trace:   path: %s\n", strings.Join(path, " -> "))
-	default:
-		fmt.Fprintf(w, "trace:   not mapped (%v)\n", n.M.State)
+	tn := res.Winner(n)
+	if tn == nil {
+		fmt.Fprintf(w, "trace:   not mapped (unmapped)\n")
+		return
 	}
+	fmt.Fprintf(w, "trace:   mapped at cost %v, %d hops\n", tn.Cost, tn.Hops)
+	var path []string
+	for cur := tn; cur != nil; {
+		path = append([]string{cur.Node.Name}, path...)
+		if cur.Via == nil {
+			break
+		}
+		cur = res.Winner(cur.Via.From)
+	}
+	fmt.Fprintf(w, "trace:   path: %s\n", strings.Join(path, " -> "))
 }
 
-func linkFlagText(f graph.LinkFlags) string {
+func linkFlagText(f graph.LinkFlags, tree bool) string {
 	var parts []string
 	if f&graph.LAlias != 0 {
 		parts = append(parts, "alias")
@@ -93,7 +100,7 @@ func linkFlagText(f graph.LinkFlags) string {
 	if f&graph.LBack != 0 {
 		parts = append(parts, "invented")
 	}
-	if f&graph.LTree != 0 {
+	if tree {
 		parts = append(parts, "tree")
 	}
 	if len(parts) == 0 {

@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"pathalias/internal/cost"
+	"pathalias/internal/graph"
 	"pathalias/internal/lexer"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/mapper"
@@ -39,7 +40,7 @@ func TestEveryRouteDeliversAt1986Scale(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := printer.Routes(mres, printer.Options{})
-	net := simnet.New(pres.Graph)
+	net := simnet.New(pres.Graph, mres)
 	failures := 0
 	for _, e := range entries {
 		if _, err := net.VerifyRoute(local, e.Route, e.Host); err != nil {
@@ -172,22 +173,27 @@ func TestTriangleInequalityWithoutHeuristics(t *testing.T) {
 	g := pres.Graph
 	src, _ := g.Lookup(local)
 	opts := mapper.Options{BackLinks: true} // all penalties zero
-	if _, err := mapper.Run(g, src, opts); err != nil {
+	mres, err := mapper.Run(g, src, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(l *graph.Link) {
+		wu, wv := mres.Winner(l.From), mres.Winner(l.To)
+		if !l.Usable() || wu == nil || wv == nil {
+			return
+		}
+		if wv.Cost > wu.Cost.Add(l.Cost) {
+			t.Fatalf("triangle violated: cost(%s)=%v > cost(%s)=%v + w=%v",
+				l.To.Name, wv.Cost, l.From.Name, wu.Cost, l.Cost)
+		}
+	}
 	for _, u := range g.Nodes() {
-		if u.M.State != 2 { // graph.Mapped
-			continue
-		}
 		for l := u.FirstLink(); l != nil; l = l.Next {
-			if !l.Usable() || l.To.M.State != 2 {
-				continue
-			}
-			if l.To.M.Cost > u.M.Cost.Add(l.Cost) {
-				t.Fatalf("triangle violated: cost(%s)=%v > cost(%s)=%v + w=%v",
-					l.To.Name, l.To.M.Cost, u.Name, u.M.Cost, l.Cost)
-			}
+			check(l)
 		}
+	}
+	for _, l := range mres.Invented {
+		check(l)
 	}
 }
 

@@ -19,8 +19,6 @@ type Options struct {
 	// MaxNodes truncates enormous graphs (0 = no limit). Truncation adds
 	// a comment node so the cut is visible.
 	MaxNodes int
-	// TreeOnly renders only edges in the shortest-path tree.
-	TreeOnly bool
 	// Costs labels edges with their costs.
 	Costs bool
 }
@@ -30,8 +28,11 @@ func quote(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `\"`) + `"`
 }
 
-// WriteGraph renders the connectivity graph.
-func WriteGraph(w io.Writer, g *graph.Graph, opts Options) error {
+// WriteGraph renders the connectivity graph. With a mapping result (res
+// may be nil), each node's links are followed by the back links the run
+// invented out of it, drawn dotted, and the winning tree edges are drawn
+// bold.
+func WriteGraph(w io.Writer, g *graph.Graph, res *mapper.Result, opts Options) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "digraph pathalias {")
 	fmt.Fprintln(bw, "\trankdir=LR;")
@@ -51,11 +52,8 @@ func WriteGraph(w io.Writer, g *graph.Graph, opts Options) error {
 		count++
 		attrs := nodeAttrs(n)
 		fmt.Fprintf(bw, "\t%s%s;\n", quote(n.Name), attrs)
-		for l := n.FirstLink(); l != nil; l = l.Next {
+		for l := range res.Links(n) {
 			if l.Flags&graph.LDeleted != 0 || l.To.IsDeleted() {
-				continue
-			}
-			if opts.TreeOnly && l.Flags&graph.LTree == 0 {
 				continue
 			}
 			if l.Flags&graph.LAlias != 0 {
@@ -70,7 +68,7 @@ func WriteGraph(w io.Writer, g *graph.Graph, opts Options) error {
 			if opts.Costs {
 				eattrs = append(eattrs, fmt.Sprintf("label=\"%v\"", l.Cost))
 			}
-			if l.Flags&graph.LTree != 0 {
+			if tn := res.Winner(l.To); tn != nil && tn.Via == l {
 				eattrs = append(eattrs, "penwidth=2")
 			}
 			if l.Flags&graph.LBack != 0 {

@@ -33,7 +33,7 @@ NET = {a, b}(5)
 dead {a!b}
 `, "a")
 	var sb strings.Builder
-	if err := WriteGraph(&sb, pres.Graph, Options{Costs: true}); err != nil {
+	if err := WriteGraph(&sb, pres.Graph, nil, Options{Costs: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -57,18 +57,33 @@ dead {a!b}
 	}
 }
 
-func TestWriteGraphTreeOnly(t *testing.T) {
-	pres, _ := setup(t, "a b(10), c(100)\nb c(10)\n", "a")
+func TestWriteGraphMarksRun(t *testing.T) {
+	// leaf is reached over the invented b->leaf: the winners' tree edges
+	// are bold, the invented link dotted, the unused a->c plain.
+	pres, mres := setup(t, "a b(10), c(100)\nb c(10)\nleaf b(25)\n", "a")
 	var sb strings.Builder
-	if err := WriteGraph(&sb, pres.Graph, Options{TreeOnly: true}); err != nil {
+	if err := WriteGraph(&sb, pres.Graph, mres, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `"a" -> "b"`) || !strings.Contains(out, `"b" -> "c"`) {
-		t.Errorf("tree edges missing:\n%s", out)
+	for _, want := range []string{
+		`"a" -> "b" [penwidth=2];`,
+		`"b" -> "c" [penwidth=2];`,
+		`"a" -> "c";`,
+		`"leaf" -> "b";`,
+		`"b" -> "leaf" [penwidth=2, style=dotted];`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("graph DOT missing %q:\n%s", want, out)
+		}
 	}
-	if strings.Contains(out, `"a" -> "c"`) {
-		t.Errorf("non-tree edge rendered:\n%s", out)
+	// Without a result, nothing is marked and nothing is invented.
+	sb.Reset()
+	if err := WriteGraph(&sb, pres.Graph, nil, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); strings.Contains(out, "penwidth") || strings.Contains(out, `"b" -> "leaf"`) {
+		t.Errorf("graph DOT without a run marks edges:\n%s", out)
 	}
 }
 
@@ -85,7 +100,7 @@ func TestWriteGraphTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteGraph(&sb, pres.Graph, Options{MaxNodes: 10}); err != nil {
+	if err := WriteGraph(&sb, pres.Graph, nil, Options{MaxNodes: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "more nodes") {

@@ -17,14 +17,12 @@ import (
 // consulted per relaxation (flags, adjustments, gateway sets) are flat
 // arrays indexed by node ID as well.
 //
-// The snapshot is a read-only mirror: tree marking and result write-back
-// still go through the original *Link values (EdgeLink), so everything
-// downstream of the mapper is unchanged. Unusable edges (deleted links,
-// links touching deleted nodes) are filtered out at build time; the mapper
-// must not consult the snapshot for usability.
-//
-// Back-link invention adds edges mid-run; those go into a small per-node
-// spill area (AddEdge/Extra) rather than forcing a CSR rebuild.
+// The snapshot is a read-only mirror: EdgeLink keeps each edge's original
+// *Link, which mapping results name as tree edges. Unusable edges
+// (deleted links, links touching deleted nodes) are filtered out at build
+// time; the mapper must not consult the snapshot for usability. Nothing
+// writes a snapshot once built, so any number of mapping runs can share
+// one: a run's invented back links stay private to the run.
 type Snapshot struct {
 	Nodes []*Node // node ID -> node, aliasing Graph.Nodes()
 
@@ -53,21 +51,11 @@ type Snapshot struct {
 
 	gateways map[int32][]int32 // node ID -> declared gateway IDs
 	gwEpoch  uint64            // graph gateway-set version the map was built at
-	extra    map[int32][]SpillEdge
 
 	// Reverse adjacency, built on first use by Reverse.
 	revOnce sync.Once
 	revRow  []int32
 	revFrom []int32
-}
-
-// SpillEdge is an edge added after the CSR arrays were built (a back link).
-type SpillEdge struct {
-	To    int32
-	Cost  cost.Cost
-	Flags LinkFlags
-	Op    Op
-	Link  *Link
 }
 
 // Snapshot returns a CSR snapshot of the graph's current usable edges.
@@ -223,35 +211,11 @@ func (g *Graph) ranks() (rank, byRank []int32) {
 	return rank, byRank
 }
 
-// AddEdge records a link created after the snapshot was built (the
-// mapper's invented back links), so the relax loop sees it without a CSR
-// rebuild.
-func (s *Snapshot) AddEdge(from int32, l *Link) {
-	if s.extra == nil {
-		s.extra = make(map[int32][]SpillEdge)
-	}
-	s.extra[from] = append(s.extra[from], SpillEdge{
-		To:    int32(l.To.ID),
-		Cost:  l.Cost,
-		Flags: l.Flags,
-		Op:    l.Op,
-		Link:  l,
-	})
-}
-
-// Extra returns the spill edges of node u (usually none).
-func (s *Snapshot) Extra(u int32) []SpillEdge {
-	if s.extra == nil {
-		return nil
-	}
-	return s.extra[u]
-}
-
 // Reverse returns the reverse CSR adjacency: the in-neighbors of node v
-// are from[row[v]:row[v+1]], in ascending node-ID order. Spill edges are
-// not included. Only warm mapping runs need it, so it is built on the
-// first call — once per snapshot, however many machines map over it —
-// and shared read-only afterwards; safe for concurrent use.
+// are from[row[v]:row[v+1]], in ascending node-ID order. Only warm
+// mapping runs need it, so it is built on the first call — once per
+// snapshot, however many machines map over it — and shared read-only
+// afterwards; safe for concurrent use.
 func (s *Snapshot) Reverse() (row, from []int32) {
 	s.revOnce.Do(s.buildReverse)
 	return s.revRow, s.revFrom
@@ -291,9 +255,4 @@ func (s *Snapshot) IsGateway(net, host int32) bool {
 		}
 	}
 	return false
-}
-
-// Degree returns the number of snapshot edges out of u, including spills.
-func (s *Snapshot) Degree(u int32) int {
-	return int(s.Row[u+1]-s.Row[u]) + len(s.Extra(u))
 }

@@ -108,12 +108,9 @@ const (
 	// LDeleted removes a link from consideration entirely.
 	LDeleted
 	// LBack is an invented reverse link (the back-link pass for
-	// unreachable hosts).
+	// unreachable hosts). Invented links live on the mapper's Result,
+	// never in the graph.
 	LBack
-	// LTree marks a link as part of the shortest-path tree (set by the
-	// mapper: "the edges that brought us these neighbors are marked as
-	// participating in optimal paths").
-	LTree
 )
 
 // MapState is the mapper's three-set classification of a node:
@@ -139,22 +136,6 @@ func (s MapState) String() string {
 	}
 }
 
-// Mapping is the per-node working state of the shortest-path computation.
-// The C original kept these fields in the node structure; so do we, both
-// for fidelity and because the mapper is the node's only concurrent user.
-type Mapping struct {
-	State  MapState
-	Cost   cost.Cost
-	Parent *Link // tree edge whose To is this node; nil at the root
-	Hops   int32 // path length in edges, for deterministic tie-breaking
-
-	// Path-dependent heuristic state (the paper: "this sullies our
-	// weighted graph model" — costs depend on how a path got here).
-	LastChar byte  // routing char of the last syntax-bearing edge
-	Switches uint8 // number of !/@ style alternations so far
-	InDomain bool  // path has entered a domain (ARPANET relay restriction)
-}
-
 // Node represents a host, network, or domain.
 type Node struct {
 	Name  string
@@ -173,9 +154,6 @@ type Node struct {
 
 	// gateways lists declared gateways when FGatewayed is set.
 	gateways []*Node
-
-	// M is the mapper's working state.
-	M Mapping
 }
 
 // Link is one directed edge in the adjacency list.
@@ -634,17 +612,6 @@ func (g *Graph) DeleteLink(from, to *Node) bool {
 func (g *Graph) AdjustNode(n *Node, delta cost.Cost) {
 	g.snapCache = nil
 	n.Adjust += delta
-}
-
-// ResetMapping clears all mapper working state, so a graph can be mapped
-// repeatedly (e.g. from different source hosts).
-func (g *Graph) ResetMapping() {
-	for _, n := range g.nodes {
-		n.M = Mapping{}
-		for l := n.links; l != nil; l = l.Next {
-			l.Flags &^= LTree
-		}
-	}
 }
 
 // Stats summarizes the graph.

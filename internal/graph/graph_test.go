@@ -379,22 +379,6 @@ func TestAdjust(t *testing.T) {
 	}
 }
 
-func TestResetMapping(t *testing.T) {
-	g := New()
-	a, b := g.Ref("a"), g.Ref("b")
-	l := g.AddLink(a, b, 10, DefaultOp, 0)
-	a.M = Mapping{State: Mapped, Cost: 42, Hops: 3, InDomain: true}
-	l.Flags |= LTree
-
-	g.ResetMapping()
-	if a.M.State != Unmapped || a.M.Cost != 0 || a.M.InDomain {
-		t.Errorf("mapping not reset: %+v", a.M)
-	}
-	if l.Flags&LTree != 0 {
-		t.Error("LTree not cleared")
-	}
-}
-
 func TestLookupDoesNotCreate(t *testing.T) {
 	g := New()
 	if _, ok := g.Lookup("ghost"); ok {

@@ -220,14 +220,5 @@ func (ov *Overlay) PatchSnapshot(base *Snapshot) *Snapshot {
 		id++
 	}
 	s.Row[n] = e
-
-	// Base spill edges are normally absent (detached machines keep their
-	// invented links private); copy defensively if present.
-	if base.extra != nil {
-		s.extra = make(map[int32][]SpillEdge, len(base.extra))
-		for id, sp := range base.extra {
-			s.extra[id] = append([]SpillEdge(nil), sp...)
-		}
-	}
 	return s
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // RemoveLink physically removes l from its From node's adjacency list
-// and, for dedup-indexed links (ordinary declarations and invented back
-// links), from the duplicate-link index. It reports whether the link was
+// and, for dedup-indexed links (ordinary declarations), from the
+// duplicate-link index. It reports whether the link was
 // found. The *Link value itself stays valid — labels may still point at
 // it until the caller invalidates them — but it is detached from every
 // graph structure.
@@ -44,50 +44,6 @@ func (g *Graph) RemoveLink(l *Link) bool {
 		prev = cur
 	}
 	return false
-}
-
-// RemoveLinks removes a batch of links, walking each affected node's
-// adjacency list once — the back-link sweep can hold a thousand links
-// concentrated on a handful of hub nodes, where per-link removal would
-// rescan the same long lists over and over.
-func (g *Graph) RemoveLinks(links []*Link) {
-	if len(links) == 0 {
-		return
-	}
-	g.snapCache = nil
-	doomed := make(map[*Link]bool, len(links))
-	for _, l := range links {
-		doomed[l] = true
-	}
-	seen := make(map[*Node]bool)
-	for _, l := range links {
-		from := l.From
-		if seen[from] {
-			continue
-		}
-		seen[from] = true
-		var prev *Link
-		for cur := from.links; cur != nil; {
-			next := cur.Next
-			if doomed[cur] {
-				if prev == nil {
-					from.links = next
-				} else {
-					prev.Next = next
-				}
-				if from.linkTail == cur {
-					from.linkTail = prev
-				}
-				cur.Next = nil
-				if cur.Flags&(LAlias|LNetMember|LNetEntry) == 0 {
-					g.linkIdx.del(linkKey(cur.From, cur.To))
-				}
-			} else {
-				prev = cur
-			}
-			cur = next
-		}
-	}
 }
 
 // SetLinkCost overwrites a link's cost and operator, leaving its flags
@@ -255,7 +211,6 @@ func (g *Graph) SnapshotPatched(old *Snapshot, touched []bool) *Snapshot {
 	s.Row = resize(s.Row, n+1)
 	s.NodeFlags = resize(s.NodeFlags, n)
 	s.Adjust = resize(s.Adjust, n)
-	s.extra = nil
 	// Gateway sets rarely change between updates; share the old map when
 	// its version still matches.
 	rebuildGws := old.gwEpoch != g.gwEpoch
@@ -317,7 +272,7 @@ func (g *Graph) SnapshotPatched(old *Snapshot, touched []bool) *Snapshot {
 			}
 			s.To[e] = int32(l.To.ID)
 			s.EdgeCost[e] = l.Cost
-			s.EdgeFlags[e] = l.Flags &^ LTree // tree marks are mapper output, not graph input
+			s.EdgeFlags[e] = l.Flags
 			s.EdgeOp[e] = l.Op
 			s.EdgeLink[e] = l
 			e++

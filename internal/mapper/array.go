@@ -16,7 +16,9 @@ import "pathalias/internal/graph"
 // RunArray maps the graph with the O(v²) baseline extraction strategy.
 // Results are identical to Run's; only the running time differs.
 func RunArray(g *graph.Graph, source *graph.Node, opts Options) (*Result, error) {
-	return run(g, source, opts, true)
+	mc := NewMachine(g, opts)
+	mc.mach.useArray = true
+	return run(mc, source)
 }
 
 // queueLen returns the number of queued labels.

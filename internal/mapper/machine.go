@@ -66,13 +66,12 @@ import (
 	"pathalias/internal/pqueue"
 )
 
-// Machine wraps the run state that Run builds afresh per call into a
-// reusable object. It treats the graph and its snapshot as read-only
-// shared state, so any number of machines — one per vantage point — can
-// map the same graph, concurrently if the caller guarantees no graph
-// mutation while runs are in flight: a Machine never calls
-// ResetMapping, never writes Node.M or LTree marks, and invents back
-// links into a private overlay instead of the graph. Not safe for
+// Machine wraps a mapping run's state into a reusable object; Run is a
+// fresh Machine's FullRun. It treats the graph and its snapshot as
+// read-only shared state, so any number of machines — one per vantage
+// point — can map the same graph, concurrently if the caller guarantees
+// no graph mutation while runs are in flight: a Machine never writes the
+// graph and invents back links into a private overlay. Not safe for
 // concurrent use.
 type Machine struct {
 	mach     machine
@@ -101,13 +100,12 @@ type LabelView struct {
 	InDomain bool
 }
 
-// NewDetachedMachine returns a machine over g. The label array is sized
-// on the first run; the caller must supply the current snapshot through
+// NewMachine returns a machine over g. The label array is sized on the
+// first run; the caller must supply the current snapshot through
 // UseSnapshot before every run.
-func NewDetachedMachine(g *graph.Graph, opts Options) *Machine {
-	mc := &Machine{g: g, mach: machine{g: g, opts: opts, detached: true,
-		wbGrownFrom: -1}, sourceID: -1}
-	mc.mach.overlay = make(map[int32][]graph.SpillEdge)
+func NewMachine(g *graph.Graph, opts Options) *Machine {
+	mc := &Machine{g: g, mach: machine{g: g, opts: opts, wbGrownFrom: -1}, sourceID: -1}
+	mc.mach.overlay = make(map[int32][]*graph.Link)
 	mc.mach.overlayIdx = make(map[uint64]*graph.Link)
 	return mc
 }
@@ -138,9 +136,14 @@ func (mc *Machine) Options() Options { return mc.mach.opts }
 
 // newQueue builds (or recycles) a bucket queue sized for the current
 // graph. The queue drains completely every run, so between runs only
-// the monotone cursor needs rewinding.
+// the monotone cursor needs rewinding. The array baseline (RunArray)
+// scans a plain slice instead.
 func (mc *Machine) newQueue() {
 	m := &mc.mach
+	if m.useArray {
+		m.scanQueue = m.scanQueue[:0]
+		return
+	}
 	buckets, shift := bucketGeometry(mc.g.Len())
 	// An abandoned warm run (root hit, delta too large) can leave seeded
 	// labels behind; recycling is only for cleanly drained queues.
@@ -157,8 +160,8 @@ func (mc *Machine) newQueue() {
 
 // FullRun recomputes the complete shortest-path tree from source,
 // resetting all persistent state. Unlike Run it does not build the
-// Result's TreeNode tree (the engine reads labels directly); Result.Tree
-// is nil.
+// Result's TreeNode tree (the engine reads labels directly): Result.Tree
+// is nil, and so are Result.Invented and every Winner.
 func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	if source == nil {
 		return nil, fmt.Errorf("mapper: nil source")
@@ -449,8 +452,7 @@ func (mc *Machine) Clone() *Machine {
 		changedEpoch: src.changedEpoch,
 		invented:     slices.Clone(src.invented),
 		unmapped:     slices.Clone(src.unmapped),
-		detached:     src.detached,
-		overlay:      make(map[int32][]graph.SpillEdge, len(src.overlay)),
+		overlay:      make(map[int32][]*graph.Link, len(src.overlay)),
 		overlayIdx:   maps.Clone(src.overlayIdx),
 		edits:        src.edits,
 		kin:          slices.Clone(src.kin),

@@ -34,10 +34,17 @@
 // invented reverse links ("back links") and mapping continues, so their
 // routes are "generated by implication, rather than by explicit
 // declaration".
+//
+// Mapping never writes the graph. The C original kept each node's mapping
+// state in the node and added its back links to the graph, because one
+// run owned the graph; here many runs — one per vantage point, plus
+// what-if questions — map one shared graph and one shared CSR snapshot.
+// Every run, one-shot (Run) or engine-driven (Machine), keeps its labels
+// and invented links private, and its output lives only on the Result.
 package mapper
 
 import (
-	"fmt"
+	"iter"
 	"slices"
 
 	"pathalias/internal/cost"
@@ -113,6 +120,50 @@ type Result struct {
 	// order (graph.Snapshot.Rank, shared read-only). The printer uses it
 	// to order output by integer compares instead of string compares.
 	NameRank []int32
+
+	// Invented lists the back links the run invented, in invention
+	// order (set by Run and RunArray). They exist only here: the graph
+	// holds declared links alone.
+	Invented []*graph.Link
+
+	// inventedFrom indexes Invented by source node ID (the machine's
+	// overlay). tree backs Tree; winAt[node ID] is the slot of the
+	// node's winning TreeNode in tree, plus one (0 when the node is not
+	// mapped).
+	inventedFrom map[int32][]*graph.Link
+	tree         []TreeNode
+	winAt        []int32
+}
+
+// Links yields n's declared links, then the back links the run invented
+// out of n. A nil Result, like the Result of a Machine run, yields the
+// declared links alone.
+func (r *Result) Links(n *graph.Node) iter.Seq[*graph.Link] {
+	return func(yield func(*graph.Link) bool) {
+		for l := n.FirstLink(); l != nil; l = l.Next {
+			if !yield(l) {
+				return
+			}
+		}
+		if r == nil {
+			return
+		}
+		for _, l := range r.inventedFrom[int32(n.ID)] {
+			if !yield(l) {
+				return
+			}
+		}
+	}
+}
+
+// Winner returns n's winning appearance in the route tree — the one
+// whose cost is reported for n — or nil when n was not mapped. Only the
+// results of Run and RunArray carry a tree; a nil Result maps nothing.
+func (r *Result) Winner(n *graph.Node) *TreeNode {
+	if r == nil || n.ID >= len(r.winAt) || r.winAt[n.ID] == 0 {
+		return nil
+	}
+	return &r.tree[r.winAt[n.ID]-1]
 }
 
 // TreeNode is one vertex of the produced route tree. In second-best mode a
@@ -130,10 +181,14 @@ type TreeNode struct {
 	Children []*TreeNode
 }
 
-// machine is the in-flight state of one mapping run. A Machine (see
-// machine.go) keeps one alive across runs so the incremental re-map
-// engine can warm-start it; the one-shot Run/RunArray entry points build
-// a fresh one per call.
+// machine is the state of a mapping run. A Machine (see machine.go) keeps
+// one alive across runs so the incremental re-map engine can warm-start
+// it; the one-shot Run/RunArray entry points full-run a fresh one.
+//
+// The machine treats the graph and the snapshot as read-only shared
+// state, so many machines can map the same graph, even concurrently:
+// invented back links live in a private overlay (relaxed after the
+// snapshot's own edges), and results are read from the labels.
 type machine struct {
 	g      *graph.Graph
 	snap   *graph.Snapshot
@@ -148,17 +203,17 @@ type machine struct {
 	queueGeom [2]int // geometry of the current queue, for Machine reuse
 
 	// Warm-run bookkeeping (machine.go). warm enables label re-opening
-	// bookkeeping and changed-label tracking; both are inert in one-shot
-	// runs. Warm runs are Machine runs, so warm implies detached.
-	// backlink marks the back-link phase, where BOTH modes run the
-	// paper's committed-label rule (no re-opening): invented links break
-	// cost monotonicity, so a better late path through a back link CAN
-	// appear — and the production algorithm ignores it. The warm run must
+	// bookkeeping and changed-label tracking; both are inert in full
+	// runs. backlink marks the back-link phase, where full and warm runs
+	// alike keep the paper's committed-label rule (no re-opening):
+	// invented links break cost monotonicity, so a better late path
+	// through a back link CAN appear — and the production algorithm
+	// ignores it. The warm run must
 	// reproduce exactly that, staleness included; it can, because every
 	// label derived from a previous update's back links is invalidated
 	// up front (their subtrees hang below swept links). invented
 	// accumulates back links created by backLinkPass so the engine can
-	// sweep them out of the graph before the next update.
+	// sweep them out of the overlay before the next update.
 	warm         bool
 	backlink     bool
 	changed      []int32  // label indices mutated this warm run; FinishWarm keeps the changed ones
@@ -175,19 +230,10 @@ type machine struct {
 	unmapped []int32
 	cands    []int32
 
-	// Detached mode (every Machine, machine.go): the machine treats the
-	// graph and the snapshot as read-only shared state, so many machines
-	// — one per vantage point — can map the same graph, even
-	// concurrently. Detached machines also persist their write-back
-	// state across runs (see below); one-shot runs do neither. Mapping
-	// state is not written back to Node.M, tree marks are not maintained
-	// on shared *Link values, and invented back links live in a private
-	// overlay (relaxed after the snapshot's own edges) instead of being
-	// added to the graph and the snapshot's spill area. overlayIdx mirrors
-	// the graph link index for the invented pairs, preserving the
-	// FindLink check a fresh run performs before inventing.
-	detached   bool
-	overlay    map[int32][]graph.SpillEdge
+	// overlay holds the invented back links by source node ID. overlayIdx
+	// indexes them by (from, to) pair: with the graph's FindLink, the
+	// check that no link from a neighbor back to the host exists yet.
+	overlay    map[int32][]*graph.Link
 	overlayIdx map[uint64]*graph.Link
 
 	// edits is a what-if overlay of hypothetical link edits (Machine.
@@ -196,13 +242,12 @@ type machine struct {
 	// back-link pass walks the live adjacency lists, so it must see the
 	// same edited view: removed links don't donate back links, cost
 	// overrides carry into invented costs, and added links donate like
-	// any other. Detached machines only.
+	// any other.
 	edits *graph.Overlay
 
 	// kin holds the shortest-path tree as intrusive child lists, one
-	// entry per label: rebuilt by a full Machine run, kept exact through
-	// every parent change of a warm one (setLabel, invalidateTree).
-	// One-shot runs skip it.
+	// entry per label: rebuilt by a full run, kept exact through every
+	// parent change of a warm one (setLabel, invalidateTree).
 	kin []kin
 
 	// Reverse adjacency (by node ID), the snapshot's shared one
@@ -215,9 +260,8 @@ type machine struct {
 	revExtra map[int32][]int32
 	invStack []int32 // scratch for invalidateTree
 
-	// Batched write-back (persistent across Machine runs; one-shot runs
-	// skip the bookkeeping): each node's
-	// result contribution as of the last write-back, so a warm run
+	// Batched write-back (persistent across runs): each node's result
+	// contribution as of the last write-back, so a warm run
 	// reconsiders only the dirty nodes instead of walking every node
 	// once per vantage per update — the O(V·N) term that dominated when
 	// remap.Multi fanned an update out to hundreds of vantages.
@@ -417,52 +461,24 @@ func sameLink(a, b *graph.Link) bool {
 }
 
 // Run maps the graph from source with the given options and returns the
-// route tree. The graph's per-node mapping state (Node.M) is reset and
-// then left holding each node's winning label, and winning tree edges are
-// flagged LTree, so callers can inspect results either through the tree or
-// through the graph.
+// route tree: a fresh Machine's full run over the graph's snapshot, the
+// procedure every engine full run takes, plus the TreeNode tree. The
+// graph is left as it was, apart from the snapshot it memoizes.
 func Run(g *graph.Graph, source *graph.Node, opts Options) (*Result, error) {
-	return run(g, source, opts, false)
+	return run(NewMachine(g, opts), source)
 }
 
-func run(g *graph.Graph, source *graph.Node, opts Options, useArray bool) (*Result, error) {
-	if source == nil {
-		return nil, fmt.Errorf("mapper: nil source")
+// run full-runs mc from source over the graph's snapshot and completes
+// the Result with the tree and the invented links; mc is not run again.
+func run(mc *Machine, source *graph.Node) (*Result, error) {
+	mc.UseSnapshot(mc.g.Snapshot())
+	res, err := mc.FullRun(source)
+	if err != nil {
+		return nil, err
 	}
-	if source.IsDeleted() {
-		return nil, fmt.Errorf("mapper: source %q is deleted", source.Name)
-	}
-	g.ResetMapping()
-
-	m := &machine{
-		g:        g,
-		snap:     g.Snapshot(),
-		opts:     opts,
-		labels:   make([]label, 2*g.Len()),
-		res:      &Result{Source: source},
-		useArray: useArray,
-	}
-	m.res.NameRank = m.snap.Rank
-	if !useArray {
-		buckets, shift := bucketGeometry(g.Len())
-		m.queue = pqueue.NewBucketQueue[*label](buckets, shift,
-			m.less,
-			func(lb *label) int64 { return int64(lb.cost) },
-			func(lb *label, b, i int) { lb.qb, lb.qi = int32(b), int32(i) })
-	}
-
-	src := m.labelFor(int32(source.ID), false)
-	src.state = graph.Queued
-	src.tie = m.tieKey(0, src.id, src.taint)
-	m.push(src)
-
-	m.drain()
-	if opts.BackLinks {
-		m.backLinkPass(m.unmappedNodes(nil))
-	}
-	m.writeBack()
-	m.buildTree()
-	return m.res, nil
+	mc.mach.buildTree()
+	res.Invented, res.inventedFrom = mc.mach.invented, mc.mach.overlay
+	return res, nil
 }
 
 // less orders the priority queue: cost, then the packed tie key — which
@@ -519,19 +535,16 @@ func (m *machine) drain() {
 }
 
 // relaxFrom relaxes every out-edge of lb's node from lb's state, streaming
-// through the CSR arrays (plus any spilled back links).
+// through the CSR arrays (plus any invented back links).
 func (m *machine) relaxFrom(lb *label) {
 	s := m.snap
 	u := lb.id
 	for e := s.Row[u]; e < s.Row[u+1]; e++ {
 		m.relax(lb, s.To[e], s.EdgeCost[e], s.EdgeFlags[e], s.EdgeOp[e], s.EdgeLink[e])
 	}
-	for _, sp := range s.Extra(u) {
-		m.relax(lb, sp.To, sp.Cost, sp.Flags, sp.Op, sp.Link)
-	}
-	if m.overlay != nil {
-		for _, sp := range m.overlay[u] {
-			m.relax(lb, sp.To, sp.Cost, sp.Flags, sp.Op, sp.Link)
+	if len(m.overlay) > 0 {
+		for _, l := range m.overlay[u] {
+			m.relax(lb, int32(l.To.ID), l.Cost, l.Flags, l.Op, l)
 		}
 	}
 }
@@ -601,7 +614,7 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 		// if lb has changed since, target must track it exactly — the
 		// strict-improvement rule below would wrongly keep a stale value
 		// when the parent's path got worse (or changed syntax state).
-		// Never fires in a one-shot run: a label relaxes its edges once,
+		// Never fires in a full run: a label relaxes its edges once,
 		// and its children's values already match that single offer.
 		if cand == target.cost && lb.hops+1 == target.hops && target.viaOp == effOp &&
 			newDir == target.lastDir && newMixes == target.mixes &&
@@ -648,7 +661,7 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 		}
 	case graph.Mapped:
 		// Re-opening: a mapped label accepts a strictly better offer and
-		// goes back on the queue. In the main phase of a one-shot run
+		// goes back on the queue. In the main phase of a full run
 		// this never fires — extraction order is monotone in (cost,
 		// tie), so no later offer can beat a mapped label — but in a
 		// warm run an improvement entering through a changed edge must
@@ -668,7 +681,7 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 // tie — the extraction order of the offering parent, (parent cost,
 // parent tie). The third key makes the final labeling confluent: it is
 // the unique fixpoint of the relaxation relation, independent of the
-// order relaxations run in. In a one-shot run the parent-order key
+// order relaxations run in. In a full run the parent-order key
 // changes nothing (offers arrive in parent extraction order, so the
 // first best offer already has the minimal key); for warm runs it is
 // what lets a partial re-relaxation land on byte-identical routes.
@@ -722,9 +735,8 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 
 // backLinkPass invents reverse links for unreachable hosts and continues
 // mapping, iterating until no further host becomes reachable. Invented
-// links are appended to the snapshot's spill area (or, for detached
-// machines, the private overlay) so the relax loop sees them without a
-// CSR rebuild.
+// links go into the machine's private overlay, so the relax loop sees
+// them without a CSR rebuild.
 //
 // The pass walks cands, node IDs in ascending order that must include
 // every node without a mapped label: unmappedNodes for a full run, the
@@ -837,27 +849,13 @@ func (m *machine) inventBack(n *graph.Node, l *graph.Link) bool {
 	} else if m.g.FindLink(nb, n) != nil {
 		return false // a forward link exists; nothing to invent
 	}
-	var back *graph.Link
-	if m.detached {
-		// The graph is shared: invent into the private overlay.
-		// The overlay index stands in for the FindLink check
-		// above on links invented earlier in this run, the one
-		// way a fresh run's graph differs from the shared one.
-		key := uint64(uint32(nb.ID))<<32 | uint64(uint32(n.ID))
-		if m.overlayIdx[key] != nil {
-			return false
-		}
-		back = &graph.Link{From: nb, To: n, Cost: l.Cost, Op: l.Op, Flags: graph.LBack}
-		m.overlayIdx[key] = back
-		m.overlay[int32(nb.ID)] = append(m.overlay[int32(nb.ID)], graph.SpillEdge{
-			To: int32(n.ID), Cost: back.Cost, Flags: back.Flags, Op: back.Op, Link: back})
-	} else {
-		back = m.g.AddLink(nb, n, l.Cost, l.Op, graph.LBack)
-		if back == nil {
-			return false
-		}
-		m.snap.AddEdge(int32(nb.ID), back)
+	key := uint64(uint32(nb.ID))<<32 | uint64(uint32(n.ID))
+	if m.overlayIdx[key] != nil {
+		return false // invented earlier in this run
 	}
+	back := &graph.Link{From: nb, To: n, Cost: l.Cost, Op: l.Op, Flags: graph.LBack}
+	m.overlayIdx[key] = back
+	m.overlay[int32(nb.ID)] = append(m.overlay[int32(nb.ID)], back)
 	m.invented = append(m.invented, back)
 	if m.warm {
 		m.revExtra[int32(n.ID)] = append(m.revExtra[int32(n.ID)], int32(nb.ID))
@@ -893,10 +891,9 @@ func (m *machine) winner(n *graph.Node) *label {
 	return best
 }
 
-// writeBack publishes winning labels into Node.M, derives LTree flags from
-// winning parents, and fills the Result counters. Warm Machine runs with
-// valid persistent contribution state take the batched delta path; full
-// runs walk every node (and, for Machines, repopulate that state).
+// writeBack fills the Result counters from the winning labels. Warm runs
+// with valid persistent contribution state take the batched delta path;
+// full runs walk every node and repopulate that state.
 func (m *machine) writeBack() {
 	if m.warm && m.wbValid {
 		m.writeBackDelta()
@@ -905,16 +902,8 @@ func (m *machine) writeBack() {
 	m.writeBackFull()
 }
 
-// nodeContribution computes node id's result contribution bits from its
-// winning label and flags, and (for attached machines) publishes the
-// winner into Node.M and the LTree marks.
-//
-// The paper marks and unmarks tree edges inside the relaxation step
-// ("unmark the 'old' edge, mark the 'new' edge"); deriving the marks
-// here from the winning labels is observationally identical — nothing
-// reads LTree mid-run — and keeps two flag writes out of the hot loop.
-// Only one-shot (attached) runs write Node.M and LTree; they start from
-// ResetMapping, so no stale mark or mapping survives.
+// nodeContribution computes node n's result contribution bits from its
+// winning label and flags.
 func (m *machine) nodeContribution(n *graph.Node) uint8 {
 	if n.IsDeleted() {
 		return 0
@@ -927,24 +916,8 @@ func (m *machine) nodeContribution(n *graph.Node) uint8 {
 		return 0
 	}
 	bits := wbReachedBit
-	if !m.detached {
-		// Detached machines share the graph with other vantages and
-		// leave Node.M and the LTree marks alone; the engine reads
-		// labels directly.
-		n.M.State = graph.Mapped
-		n.M.Cost = w.cost
-		n.M.Hops = w.hops
-		n.M.InDomain = w.inDomain
-		n.M.Switches = w.mixes
-	}
-	if w.via != nil {
-		if !m.detached {
-			w.via.Flags |= graph.LTree
-			n.M.Parent = w.via
-		}
-		if w.via.Flags&graph.LBack != 0 {
-			bits |= wbBackBit
-		}
+	if w.via != nil && w.via.Flags&graph.LBack != 0 {
+		bits |= wbBackBit
 	}
 	if w.mixes > 0 && !n.IsNet() {
 		bits |= wbPenalBit
@@ -958,19 +931,16 @@ func (m *machine) nodeContribution(n *graph.Node) uint8 {
 // relative order is arbitrary but unobservable, since they print as
 // identical lines.)
 func (m *machine) writeBackFull() {
-	persist := m.detached
-	if persist {
-		n := len(m.snap.Nodes)
-		if cap(m.wbState) >= n {
-			m.wbState = m.wbState[:n]
-			clear(m.wbState)
-		} else {
-			m.wbState = make([]uint8, n)
-		}
-		// Stale mark stamps need no clearing: changedEpoch only grows.
-		m.wbNodeMark = growClear(m.wbNodeMark[:min(len(m.wbNodeMark), n)], n)
-		m.wbUnreach = m.wbUnreach[:0]
+	n := len(m.snap.Nodes)
+	if cap(m.wbState) >= n {
+		m.wbState = m.wbState[:n]
+		clear(m.wbState)
+	} else {
+		m.wbState = make([]uint8, n)
 	}
+	// Stale mark stamps need no clearing: changedEpoch only grows.
+	m.wbNodeMark = growClear(m.wbNodeMark[:min(len(m.wbNodeMark), n)], n)
+	m.wbUnreach = m.wbUnreach[:0]
 	for _, id := range m.snap.ByRank {
 		bits := m.nodeContribution(m.snap.Nodes[id])
 		if bits&wbUnreachBit != 0 {
@@ -986,19 +956,15 @@ func (m *machine) writeBackFull() {
 				m.res.Penalized++
 			}
 		}
-		if persist {
-			m.wbState[id] = bits
-			if bits&wbUnreachBit != 0 {
-				m.wbUnreach = append(m.wbUnreach, id)
-			}
+		m.wbState[id] = bits
+		if bits&wbUnreachBit != 0 {
+			m.wbUnreach = append(m.wbUnreach, id)
 		}
 	}
-	if persist {
-		m.wbReached, m.wbBack, m.wbPenal = m.res.Reached, m.res.BackLinked, m.res.Penalized
-		m.wbDirty = m.wbDirty[:0]
-		m.wbGrownFrom = -1
-		m.wbValid = true
-	}
+	m.wbReached, m.wbBack, m.wbPenal = m.res.Reached, m.res.BackLinked, m.res.Penalized
+	m.wbDirty = m.wbDirty[:0]
+	m.wbGrownFrom = -1
+	m.wbValid = true
 }
 
 // unreachLess orders unreachable node IDs by (name rank, id) — the
@@ -1100,7 +1066,8 @@ func (m *machine) writeBackDelta() {
 // traverses. Children are ordered by (name rank, taint) for deterministic
 // output. The tree is built flat: one TreeNode backing array, one shared
 // children backing array carved into per-parent windows — a handful of
-// allocations total instead of one per node.
+// allocations total instead of one per node. The label→TreeNode table
+// is then recycled as the per-node winner table behind Result.Winner.
 func (m *machine) buildTree() {
 	// Collect mapped label indices in (rank, taint) order by walking the
 	// snapshot's rank-ordered node list — no sort needed here.
@@ -1167,6 +1134,14 @@ func (m *machine) buildTree() {
 		backing[fill[p-1]] = &tns[k]
 		fill[p-1]++
 	}
+	winAt := tnAt[:len(m.snap.Nodes)]
+	clear(winAt)
+	for k := range tns {
+		if tns[k].Winning {
+			winAt[tns[k].Node.ID] = int32(k) + 1
+		}
+	}
+	m.res.tree, m.res.winAt = tns, winAt
 	for k := range tns {
 		start := int32(0)
 		if k > 0 {

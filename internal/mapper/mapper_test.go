@@ -3,6 +3,7 @@ package mapper
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,34 +41,47 @@ func mapFromOpts(t *testing.T, g *graph.Graph, source string, opts Options) *Res
 	return res
 }
 
-// nodeCost returns the mapped cost of a node.
-func nodeCost(t *testing.T, g *graph.Graph, name string) cost.Cost {
+// winnerNamed returns the winning tree node of the named node, failing
+// the test if the run did not map it.
+func winnerNamed(t *testing.T, res *Result, name string) *TreeNode {
 	t.Helper()
-	n, ok := g.Lookup(name)
-	if !ok {
-		t.Fatalf("no node %q", name)
+	var found *TreeNode
+	var walk func(tn *TreeNode)
+	walk = func(tn *TreeNode) {
+		if tn.Node.Name == name && tn.Winning {
+			found = tn
+		}
+		for _, c := range tn.Children {
+			walk(c)
+		}
 	}
-	if n.M.State != graph.Mapped {
+	walk(res.Tree)
+	if found == nil {
 		t.Fatalf("node %q not mapped", name)
 	}
-	return n.M.Cost
+	if res.Winner(found.Node) != found {
+		t.Fatalf("Winner(%s) disagrees with the tree", name)
+	}
+	return found
+}
+
+// nodeCost returns the mapped cost of a node.
+func nodeCost(t *testing.T, res *Result, name string) cost.Cost {
+	t.Helper()
+	return winnerNamed(t, res, name).Cost
 }
 
 // pathTo reconstructs the node-name path from the source by following
-// Parent links.
-func pathTo(t *testing.T, g *graph.Graph, name string) []string {
+// each winner's tree edge back to its sender's winner.
+func pathTo(t *testing.T, res *Result, name string) []string {
 	t.Helper()
-	n, ok := g.Lookup(name)
-	if !ok {
-		t.Fatalf("no node %q", name)
-	}
 	var rev []string
-	for n != nil {
-		rev = append(rev, n.Name)
-		if n.M.Parent == nil {
+	for tn := winnerNamed(t, res, name); tn != nil; {
+		rev = append(rev, tn.Node.Name)
+		if tn.Via == nil {
 			break
 		}
-		n = n.M.Parent.From
+		tn = res.Winner(tn.Via.From)
 	}
 	out := make([]string, len(rev))
 	for i, s := range rev {
@@ -89,7 +103,7 @@ func TestPaper1981Costs(t *testing.T) {
 	//   0 unc, 500 duke, 800 phs, 3000 research, 3300 ucbvax,
 	//   3395 mit-ai, 3395 stanford.
 	g := buildGraph(t, paper1981Map)
-	mapFrom(t, g, "unc")
+	res := mapFrom(t, g, "unc")
 
 	want := map[string]cost.Cost{
 		"unc":      0,
@@ -101,7 +115,7 @@ func TestPaper1981Costs(t *testing.T) {
 		"stanford": 3395,
 	}
 	for name, w := range want {
-		if got := nodeCost(t, g, name); got != w {
+		if got := nodeCost(t, res, name); got != w {
 			t.Errorf("cost(%s) = %v, want %v", name, got, w)
 		}
 	}
@@ -111,28 +125,31 @@ func TestPaper1981Paths(t *testing.T) {
 	// "all generated paths route mail through duke, despite the presence
 	// of a direct connection to phs from unc."
 	g := buildGraph(t, paper1981Map)
-	mapFrom(t, g, "unc")
+	res := mapFrom(t, g, "unc")
 
-	if got := pathTo(t, g, "phs"); strings.Join(got, " ") != "unc duke phs" {
+	if got := pathTo(t, res, "phs"); strings.Join(got, " ") != "unc duke phs" {
 		t.Errorf("path to phs = %v, want through duke", got)
 	}
-	if got := pathTo(t, g, "mit-ai"); strings.Join(got, " ") != "unc duke research ucbvax ARPA mit-ai" {
+	if got := pathTo(t, res, "mit-ai"); strings.Join(got, " ") != "unc duke research ucbvax ARPA mit-ai" {
 		t.Errorf("path to mit-ai = %v", got)
 	}
 }
 
 func TestTreeEdgesMarked(t *testing.T) {
 	g := buildGraph(t, paper1981Map)
-	mapFrom(t, g, "unc")
+	res := mapFrom(t, g, "unc")
 	duke, _ := g.Lookup("duke")
 	unc, _ := g.Lookup("unc")
-	if l := g.FindLink(unc, duke); l == nil || l.Flags&graph.LTree == 0 {
-		t.Error("unc->duke not marked as tree edge")
+	if l := g.FindLink(unc, duke); l == nil || res.Winner(duke).Via != l {
+		t.Error("unc->duke is not duke's tree edge")
 	}
-	// The unused direct unc->phs link must not be marked.
+	// The unused direct unc->phs link must not be a tree edge.
 	phs, _ := g.Lookup("phs")
-	if l := g.FindLink(unc, phs); l == nil || l.Flags&graph.LTree != 0 {
-		t.Error("unc->phs wrongly marked as tree edge")
+	if l := g.FindLink(unc, phs); l == nil || res.Winner(phs).Via == l {
+		t.Error("unc->phs wrongly taken as phs's tree edge")
+	}
+	if w := res.Winner(unc); w != res.Tree || w.Via != nil {
+		t.Errorf("Winner(unc) = %+v, want the root", w)
 	}
 }
 
@@ -185,10 +202,26 @@ func TestBackLinks(t *testing.T) {
 		t.Errorf("BackLinked = %d want 1", res.BackLinked)
 	}
 	// Invented link carries the declared cost of the reverse direction.
-	if got := nodeCost(t, g, "leaf"); got != 35 {
+	if got := nodeCost(t, res, "leaf"); got != 35 {
 		t.Errorf("cost(leaf) = %v want 35 (10 + invented 25)", got)
 	}
-	if got := pathTo(t, g, "leaf"); strings.Join(got, " ") != "a b leaf" {
+	// The invented b->leaf lives on the Result, not in the graph.
+	if len(res.Invented) != 1 || res.Invented[0].From.Name != "b" ||
+		res.Invented[0].To.Name != "leaf" || res.Invented[0].Flags != graph.LBack {
+		t.Errorf("Invented = %v", res.Invented)
+	}
+	if w := winnerNamed(t, res, "leaf"); w.Via != res.Invented[0] {
+		t.Errorf("leaf's tree edge = %v, want the invented link", w.Via)
+	}
+	b, _ := g.Lookup("b")
+	leaf, _ := g.Lookup("leaf")
+	if g.FindLink(b, leaf) != nil || g.Stats().Links != 2 {
+		t.Errorf("mapping wrote the graph: %d links", g.Stats().Links)
+	}
+	if got := slices.Collect(res.Links(b)); len(got) != 1 || got[0] != res.Invented[0] {
+		t.Errorf("Links(b) = %v, want the invented link", got)
+	}
+	if got := pathTo(t, res, "leaf"); strings.Join(got, " ") != "a b leaf" {
 		t.Errorf("path to leaf = %v", got)
 	}
 }
@@ -201,7 +234,7 @@ func TestBackLinksChained(t *testing.T) {
 	if len(res.Unreachable) != 0 {
 		t.Fatalf("Unreachable = %v", res.Unreachable)
 	}
-	if got := nodeCost(t, g, "y"); got != 20 {
+	if got := nodeCost(t, res, "y"); got != 20 {
 		t.Errorf("cost(y) = %v want 20", got)
 	}
 }
@@ -218,8 +251,8 @@ func TestBackLinksDisabled(t *testing.T) {
 
 func TestAliasZeroCost(t *testing.T) {
 	g := buildGraph(t, "a princeton(100)\nprinceton = fun\n")
-	mapFrom(t, g, "a")
-	if got := nodeCost(t, g, "fun"); got != 100 {
+	res := mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "fun"); got != 100 {
 		t.Errorf("cost(fun) = %v want 100 (alias edges are free)", got)
 	}
 }
@@ -229,8 +262,8 @@ func TestNetworkTollModel(t *testing.T) {
 	g := buildGraph(t, "a NET(0)\nNET = {m1, m2}(50)\na m3(10)\nm3 NET(0)\n")
 	// Hmm: a direct link into NET would be a gateway declaration only for
 	// domains; NET is not gatewayed so entry is unpenalized anyway.
-	mapFrom(t, g, "a")
-	if got := nodeCost(t, g, "m1"); got != 0 {
+	res := mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "m1"); got != 0 {
 		t.Errorf("cost(m1) = %v want 0 (free exit from NET)", got)
 	}
 }
@@ -238,11 +271,11 @@ func TestNetworkTollModel(t *testing.T) {
 func TestNetworkEntryPaid(t *testing.T) {
 	// a->m1 (10), then m1 enters NET for 50, exits free to m2: total 60.
 	g := buildGraph(t, "a m1(10)\nNET = {m1, m2}(50)\n")
-	mapFrom(t, g, "a")
-	if got := nodeCost(t, g, "m2"); got != 60 {
+	res := mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "m2"); got != 60 {
 		t.Errorf("cost(m2) = %v want 60 (10 + entry 50 + exit 0)", got)
 	}
-	if got := pathTo(t, g, "m2"); strings.Join(got, " ") != "a m1 NET m2" {
+	if got := pathTo(t, res, "m2"); strings.Join(got, " ") != "a m1 NET m2" {
 		t.Errorf("path = %v", got)
 	}
 }
@@ -251,14 +284,12 @@ func TestCliqueVersusHub(t *testing.T) {
 	// The hub representation must give the same member-to-member costs as
 	// the explicit clique it compresses (E5): clique edge cost = entry
 	// cost, since exit is free.
-	hub := buildGraph(t, "a m1(10)\nNET = {m1, m2, m3}(50)\n")
-	mapFrom(t, hub, "a")
-	clique := buildGraph(t, `a m1(10)
+	hub := mapFrom(t, buildGraph(t, "a m1(10)\nNET = {m1, m2, m3}(50)\n"), "a")
+	clique := mapFrom(t, buildGraph(t, `a m1(10)
 m1 m2(50), m3(50)
 m2 m1(50), m3(50)
 m3 m1(50), m2(50)
-`)
-	mapFrom(t, clique, "a")
+`), "a")
 	for _, m := range []string{"m2", "m3"} {
 		h := nodeCost(t, hub, m)
 		c := nodeCost(t, clique, m)
@@ -277,12 +308,12 @@ gatewayed {ARPA}
 gateway {ARPA!seismo}
 `
 	g := buildGraph(t, src)
-	mapFrom(t, g, "local")
+	res := mapFrom(t, g, "local")
 	// Via seismo: 300 + 95 = 395. Via ucbvax: 100 + 95 + penalty.
-	if got := nodeCost(t, g, "mit-ai"); got != 395 {
+	if got := nodeCost(t, res, "mit-ai"); got != 395 {
 		t.Errorf("cost(mit-ai) = %v want 395 (through the declared gateway)", got)
 	}
-	if got := pathTo(t, g, "mit-ai"); strings.Join(got, " ") != "local seismo ARPA mit-ai" {
+	if got := pathTo(t, res, "mit-ai"); strings.Join(got, " ") != "local seismo ARPA mit-ai" {
 		t.Errorf("path = %v", got)
 	}
 }
@@ -299,7 +330,7 @@ gatewayed {ARPA}
 	if len(res.Unreachable) != 0 {
 		t.Fatalf("Unreachable = %v", res.Unreachable)
 	}
-	if got := nodeCost(t, g, "mit-ai"); got < DefaultGatewayPenalty {
+	if got := nodeCost(t, res, "mit-ai"); got < DefaultGatewayPenalty {
 		t.Errorf("cost(mit-ai) = %v, want >= gateway penalty", got)
 	}
 }
@@ -308,25 +339,25 @@ func TestDeadLinkAvoided(t *testing.T) {
 	// Two routes to c; the cheap one is dead, so the expensive one wins,
 	// but the dead one still works if it is the only route.
 	g := buildGraph(t, "a b(10), c(10)\nb c(10)\ndead {a!c}\n")
-	mapFrom(t, g, "a")
-	if got := pathTo(t, g, "c"); strings.Join(got, " ") != "a b c" {
+	res := mapFrom(t, g, "a")
+	if got := pathTo(t, res, "c"); strings.Join(got, " ") != "a b c" {
 		t.Errorf("path to c = %v, want detour around dead link", got)
 	}
 
 	g2 := buildGraph(t, "a c(10)\ndead {a!c}\n")
-	res := mapFrom(t, g2, "a")
+	res = mapFrom(t, g2, "a")
 	if len(res.Unreachable) != 0 {
 		t.Error("dead link should still be usable as last resort")
 	}
-	if got := nodeCost(t, g2, "c"); got < DefaultDeadPenalty {
+	if got := nodeCost(t, res, "c"); got < DefaultDeadPenalty {
 		t.Errorf("cost over dead link = %v, want >= penalty", got)
 	}
 }
 
 func TestDeadHostAvoidedAsRelay(t *testing.T) {
 	g := buildGraph(t, "a b(10), d(10)\nd c(10)\nb c(100)\ndead {d}\n")
-	mapFrom(t, g, "a")
-	if got := pathTo(t, g, "c"); strings.Join(got, " ") != "a b c" {
+	res := mapFrom(t, g, "a")
+	if got := pathTo(t, res, "c"); strings.Join(got, " ") != "a b c" {
 		t.Errorf("path to c = %v, want around dead host d", got)
 	}
 }
@@ -342,7 +373,7 @@ func TestDeletedHostExcluded(t *testing.T) {
 		t.Errorf("c should be unreachable with b deleted; unreachable = %v", res.Unreachable)
 	}
 	b, _ := g.Lookup("b")
-	if b.M.State == graph.Mapped {
+	if res.Winner(b) != nil {
 		t.Error("deleted host was mapped")
 	}
 }
@@ -350,15 +381,15 @@ func TestDeletedHostExcluded(t *testing.T) {
 func TestAdjustBiasesRelay(t *testing.T) {
 	// Equal-cost relays b and c; adjust makes b worse, so c wins.
 	g := buildGraph(t, "a b(10), c(10)\nb d(10)\nc d(10)\nadjust {b(+50)}\n")
-	mapFrom(t, g, "a")
-	if got := pathTo(t, g, "d"); strings.Join(got, " ") != "a c d" {
+	res := mapFrom(t, g, "a")
+	if got := pathTo(t, res, "d"); strings.Join(got, " ") != "a c d" {
 		t.Errorf("path to d = %v, want via c", got)
 	}
-	if got := nodeCost(t, g, "d"); got != 20 {
+	if got := nodeCost(t, res, "d"); got != 20 {
 		t.Errorf("cost(d) = %v want 20", got)
 	}
 	// Terminating at b is NOT adjusted — only transit is.
-	if got := nodeCost(t, g, "b"); got != 10 {
+	if got := nodeCost(t, res, "b"); got != 10 {
 		t.Errorf("cost(b) = %v want 10 (adjustment is per-transit)", got)
 	}
 }
@@ -367,16 +398,16 @@ func TestMixedSyntaxPenalty(t *testing.T) {
 	// Benign direction: bang path ending in @host — no penalty (this is
 	// the paper's own example output form).
 	g := buildGraph(t, "a b(10)\nb @c(10)\n")
-	mapFrom(t, g, "a")
-	if got := nodeCost(t, g, "c"); got != 20 {
+	res := mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "c"); got != 20 {
 		t.Errorf("cost(c) = %v want 20 (LEFT then RIGHT is benign)", got)
 	}
 
 	// Ambiguous direction: RIGHT then LEFT (user@gw then gw!x) — the
 	// form mailers split differently. Penalized.
 	g2 := buildGraph(t, "a @b(10)\nb c(10)\n")
-	res := mapFrom(t, g2, "a")
-	if got := nodeCost(t, g2, "c"); got != cost.Cost(20)+DefaultMixedPenalty {
+	res = mapFrom(t, g2, "a")
+	if got := nodeCost(t, res, "c"); got != cost.Cost(20)+DefaultMixedPenalty {
 		t.Errorf("cost(c) = %v want 20+penalty", got)
 	}
 	if res.Penalized != 1 {
@@ -392,11 +423,11 @@ b c(10)
 d c(30)
 `
 	g := buildGraph(t, src)
-	mapFrom(t, g, "a")
-	if got := pathTo(t, g, "c"); strings.Join(got, " ") != "a d c" {
+	res := mapFrom(t, g, "a")
+	if got := pathTo(t, res, "c"); strings.Join(got, " ") != "a d c" {
 		t.Errorf("path to c = %v, want the clean detour", got)
 	}
-	if got := nodeCost(t, g, "c"); got != 60 {
+	if got := nodeCost(t, res, "c"); got != 60 {
 		t.Errorf("cost(c) = %v want 60", got)
 	}
 }
@@ -413,22 +444,22 @@ func TestDomainRelayPenalty(t *testing.T) {
 topaz	motown(200)
 `
 	g := buildGraph(t, src)
-	mapFrom(t, g, "princeton")
-	if got := pathTo(t, g, "motown"); strings.Join(got, " ") != "princeton topaz motown" {
+	res := mapFrom(t, g, "princeton")
+	if got := pathTo(t, res, "motown"); strings.Join(got, " ") != "princeton topaz motown" {
 		t.Errorf("path to motown = %v, want via topaz", got)
 	}
-	if got := nodeCost(t, g, "motown"); got != 500 {
+	if got := nodeCost(t, res, "motown"); got != 500 {
 		t.Errorf("cost(motown) = %v want 500", got)
 	}
 	// Without the heuristic, the left branch (425) would win — verify the
 	// naive cost is exactly the paper's 425.
 	opts := DefaultOptions()
 	opts.DomainRelayPenalty = 0
-	mapFromOpts(t, g, "princeton", opts)
-	if got := nodeCost(t, g, "motown"); got != 425 {
+	res = mapFromOpts(t, g, "princeton", opts)
+	if got := nodeCost(t, res, "motown"); got != 425 {
 		t.Errorf("unpenalized cost(motown) = %v want 425", got)
 	}
-	if got := pathTo(t, g, "motown"); strings.Join(got, " ") != "princeton caip .rutgers.edu motown" {
+	if got := pathTo(t, res, "motown"); strings.Join(got, " ") != "princeton caip .rutgers.edu motown" {
 		t.Errorf("unpenalized path = %v", got)
 	}
 }
@@ -445,7 +476,7 @@ func TestDomainDescentNotPenalized(t *testing.T) {
 	if len(res.Unreachable) != 0 {
 		t.Fatalf("Unreachable = %v", res.Unreachable)
 	}
-	if got := nodeCost(t, g, "caip"); got != cost.Dedicated {
+	if got := nodeCost(t, res, "caip"); got != cost.Dedicated {
 		t.Errorf("cost(caip) = %v want DEDICATED (domain descent is free)", got)
 	}
 }
@@ -460,10 +491,10 @@ x	.edu(10)
 x	b(10)
 `
 	g := buildGraph(t, src)
-	mapFrom(t, g, "a")
+	res := mapFrom(t, g, "a")
 	// Reaching b requires a->caip->.rutgers->.edu->x->b: the
 	// .rutgers->.edu hop is the subdomain->parent edge.
-	if got := nodeCost(t, g, "b"); !got.IsInfinite() {
+	if got := nodeCost(t, res, "b"); !got.IsInfinite() {
 		t.Errorf("cost(b) = %v, want infinite via subdomain->parent", got)
 	}
 }
@@ -483,22 +514,22 @@ caip	motown(25)
 	g := buildGraph(t, src)
 
 	// Production behavior: committed tree, motown pays the penalty.
-	mapFrom(t, g, "a")
-	if got := nodeCost(t, g, "caip"); got != 50 {
+	res := mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "caip"); got != 50 {
 		t.Errorf("cost(caip) = %v want 50", got)
 	}
-	if got := nodeCost(t, g, "motown"); !got.IsInfinite() {
+	if got := nodeCost(t, res, "motown"); !got.IsInfinite() {
 		t.Errorf("committed-tree cost(motown) = %v, want infinite", got)
 	}
 
 	// Second-best: caip keeps a clean label at 150; motown = 175.
 	opts := DefaultOptions()
 	opts.SecondBest = true
-	res := mapFromOpts(t, g, "a", opts)
-	if got := nodeCost(t, g, "caip"); got != 50 {
+	res = mapFromOpts(t, g, "a", opts)
+	if got := nodeCost(t, res, "caip"); got != 50 {
 		t.Errorf("second-best cost(caip) = %v want 50 (still the domain route)", got)
 	}
-	if got := nodeCost(t, g, "motown"); got != 175 {
+	if got := nodeCost(t, res, "motown"); got != 175 {
 		t.Errorf("second-best cost(motown) = %v want 175", got)
 	}
 	// The tree must contain caip twice — the winning (tainted) label and
@@ -543,16 +574,37 @@ func TestRunErrors(t *testing.T) {
 
 func TestRemapDifferentSources(t *testing.T) {
 	g := buildGraph(t, "a b(10)\nb a(10), c(10)\nc b(10)\n")
-	mapFrom(t, g, "a")
-	if got := nodeCost(t, g, "c"); got != 20 {
+	res := mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "c"); got != 20 {
 		t.Errorf("from a: cost(c) = %v", got)
 	}
-	mapFrom(t, g, "c")
-	if got := nodeCost(t, g, "a"); got != 20 {
+	res = mapFrom(t, g, "c")
+	if got := nodeCost(t, res, "a"); got != 20 {
 		t.Errorf("from c: cost(a) = %v", got)
 	}
-	if got := nodeCost(t, g, "c"); got != 0 {
+	if got := nodeCost(t, res, "c"); got != 0 {
 		t.Errorf("from c: cost(c) = %v", got)
+	}
+
+	// A run's invented back links must not outlive it. Mapped from y,
+	// z is reachable only through an invented y->z; mapped from a
+	// afterwards, z must cost what a fresh run gives (a q r z), not
+	// ride the earlier run's y->z.
+	g = buildGraph(t, "a y(10), q(10)\nq r(1000)\nr z(1000)\nz y(10)\n")
+	links := g.Stats().Links
+	res = mapFrom(t, g, "y")
+	if len(res.Invented) == 0 {
+		t.Fatal("from y: no back links invented")
+	}
+	if got := g.Stats().Links; got != links {
+		t.Errorf("from y: graph links %d -> %d", links, got)
+	}
+	res = mapFrom(t, g, "a")
+	if got := nodeCost(t, res, "z"); got != 2010 {
+		t.Errorf("from a after y: cost(z) = %v, want 2010", got)
+	}
+	if got := g.Stats().Links; got != links {
+		t.Errorf("from a: graph links %d -> %d", links, got)
 	}
 }
 
@@ -596,35 +648,24 @@ func TestHeapMatchesArrayBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		heapCosts := map[string]cost.Cost{}
-		heapParents := map[string]string{}
-		for _, n := range g.Nodes() {
-			if n.M.State == graph.Mapped {
-				heapCosts[n.Name] = n.M.Cost
-				if n.M.Parent != nil {
-					heapParents[n.Name] = n.M.Parent.From.Name
-				}
-			}
-		}
-
 		arrRes, err := RunArray(g, src, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range g.Nodes() {
-			if n.M.State != graph.Mapped {
-				if _, ok := heapCosts[n.Name]; ok {
-					t.Errorf("seed %d: %s mapped by heap but not array", seed, n.Name)
-				}
+			hw, aw := heapRes.Winner(n), arrRes.Winner(n)
+			if (hw == nil) != (aw == nil) {
+				t.Errorf("seed %d: %s mapped by heap %v, by array %v", seed, n.Name, hw != nil, aw != nil)
 				continue
 			}
-			if heapCosts[n.Name] != n.M.Cost {
-				t.Errorf("seed %d: cost(%s) heap %v != array %v",
-					seed, n.Name, heapCosts[n.Name], n.M.Cost)
+			if hw == nil {
+				continue
 			}
-			if n.M.Parent != nil && heapParents[n.Name] != n.M.Parent.From.Name {
-				t.Errorf("seed %d: parent(%s) heap %q != array %q",
-					seed, n.Name, heapParents[n.Name], n.M.Parent.From.Name)
+			if hw.Cost != aw.Cost {
+				t.Errorf("seed %d: cost(%s) heap %v != array %v", seed, n.Name, hw.Cost, aw.Cost)
+			}
+			if hw.Via != aw.Via {
+				t.Errorf("seed %d: tree edge(%s) heap %v != array %v", seed, n.Name, hw.Via, aw.Via)
 			}
 		}
 		if heapRes.Reached != arrRes.Reached {
@@ -640,23 +681,32 @@ func TestDeterminism(t *testing.T) {
 	g2 := randomGraph(t, 7, 80)
 	s1, _ := g1.Lookup("h0")
 	s2, _ := g2.Lookup("h0")
-	if _, err := Run(g1, s1, DefaultOptions()); err != nil {
+	r1, err := Run(g1, s1, DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g2, s2, DefaultOptions()); err != nil {
+	r2, err := Run(g2, s2, DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range g1.Nodes() {
 		n2 := g2.Nodes()[i]
-		if n.Name != n2.Name || n.M.Cost != n2.M.Cost || n.M.Hops != n2.M.Hops {
+		w1, w2 := r1.Winner(n), r2.Winner(n2)
+		if n.Name != n2.Name || (w1 == nil) != (w2 == nil) {
+			t.Fatalf("nondeterministic mapping at %s", n.Name)
+		}
+		if w1 == nil {
+			continue
+		}
+		if w1.Cost != w2.Cost || w1.Hops != w2.Hops {
 			t.Fatalf("nondeterministic mapping at %s", n.Name)
 		}
 		p1, p2 := "", ""
-		if n.M.Parent != nil {
-			p1 = n.M.Parent.From.Name
+		if w1.Via != nil {
+			p1 = w1.Via.From.Name
 		}
-		if n2.M.Parent != nil {
-			p2 = n2.M.Parent.From.Name
+		if w2.Via != nil {
+			p2 = w2.Via.From.Name
 		}
 		if p1 != p2 {
 			t.Fatalf("nondeterministic parent at %s: %q vs %q", n.Name, p1, p2)

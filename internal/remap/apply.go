@@ -181,8 +181,6 @@ type fileState struct {
 }
 
 // linkSig is a link's captured prior state for change derivation.
-// sigFlagMask selects the semantic bits: LTree is mapper output noise.
-const sigFlagMask = ^graph.LTree
 
 type linkSig struct {
 	present bool
@@ -264,7 +262,7 @@ func (e *core) captureLink(l *graph.Link, present bool) {
 		return
 	}
 	e.beforeLinks[l] = linkSig{present: present, cost: l.Cost, op: l.Op,
-		flags: l.Flags & sigFlagMask}
+		flags: l.Flags}
 }
 
 // captureAttr records n's current attribute state on first touch.
@@ -323,7 +321,7 @@ func (e *core) deriveEvents() {
 			e.ch.edge(l, false)
 			continue
 		}
-		if l.Cost != sig.cost || l.Op != sig.op || l.Flags&sigFlagMask != sig.flags {
+		if l.Cost != sig.cost || l.Op != sig.op || l.Flags != sig.flags {
 			e.ch.edge(l, false)
 		}
 	}

@@ -24,7 +24,7 @@
 // The shared half of that state — fragment cache, journaled graph, CSR
 // snapshot, per-update change history — is the core, one copy
 // regardless of how many vantage points are being mapped. The
-// per-source half — a detached mapper.Machine, route frames, the latest
+// per-source half — a mapper.Machine, route frames, the latest
 // Result — lives in a vantage (vantage.go). Multi (multi.go) is the
 // engine: any number of vantages over one core. A single-source engine
 // is a Multi with Options.LocalHost set, read through
@@ -135,8 +135,8 @@ type Result struct {
 // plainState is the fallback world for input sets the journal cannot
 // represent (syntax errors, duplicate input names): a from-scratch merge
 // whose graph serves every vantage until a clean update arrives. Runs
-// over it use the one-shot mapper (which owns Node.M), so they are
-// serialized by the Multi lock.
+// over it use the one-shot mapper.Run, which memoizes the graph's
+// snapshot on first use, so they are serialized by the Multi lock.
 type plainState struct {
 	g *graph.Graph
 }

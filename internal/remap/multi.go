@@ -2,7 +2,7 @@ package remap
 
 // Multi serves many vantage points over one shared pipeline: one
 // fragment cache, one journaled graph, one patched CSR snapshot, N
-// detached mapper machines with per-source result caches. Where N
+// mapper machines with per-source result caches. Where N
 // independent engines would re-scan and re-patch the world N times, a
 // Multi pays the parse/graph/snapshot cost once per update and only the
 // mapping cost per vantage — and vantages touched rarely pay nothing
@@ -65,10 +65,10 @@ func (m *Multi) Update(inputs []Input) error {
 	return nil
 }
 
-// recomputeAllLocked refreshes every stale resident vantage. Detached
-// machines only read the shared graph and snapshot, so on the journaled
-// path the vantages recompute in parallel; plain-mode runs share the
-// merged graph's Node.M and stay sequential.
+// recomputeAllLocked refreshes every stale resident vantage. Machines
+// only read the shared graph and snapshot, so on the journaled path the
+// vantages recompute in parallel; plain-mode runs stay sequential,
+// because mapper.Run memoizes the merged graph's snapshot on the graph.
 func (m *Multi) recomputeAllLocked() {
 	var stale []*vantage
 	for _, v := range m.vans {

@@ -253,6 +253,22 @@ func TestMultiPlainMode(t *testing.T) {
 	for _, h := range []string{"a", "b", "c"} {
 		checkVantage(t, m, opts, base, h, "revert")
 	}
+
+	// Plain-mode vantages map one merged graph, so one run's invented
+	// back links must not reach the next: from y, z is reached over an
+	// invented y->z; from a, queried after y in the same generation, a
+	// fresh run reaches z over q!r!z at 2010.
+	m, err = NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leak := []Input{{Name: "m", Src: "a\ty(10), q(10)\nq\tr(1000)\n"}, {Name: "m", Src: "r\tz(1000)\nz\ty(10)\n"}}
+	if err := m.Update(leak); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{"y", "a"} {
+		checkVantage(t, m, opts, leak, h, "plain back links")
+	}
 }
 
 // TestMultiEviction: the vantage cap evicts least-recently-used

@@ -1,7 +1,7 @@
 package remap
 
 // A vantage is the per-source half of the engine: everything that
-// depends on which LocalHost routes originate from. It owns a detached
+// depends on which LocalHost routes originate from. It owns a
 // mapper.Machine (private labels, queue, back-link overlay) over the
 // core's shared graph and CSR snapshot, the persistent route frames
 // (routes.go), and the latest Result. N vantages share one fragment
@@ -153,7 +153,7 @@ type remapRun struct {
 func (v *vantage) remap(e *core, local *graph.Node, snap *graph.Snapshot, ev mapEvents) (remapRun, error) {
 	start := time.Now()
 	if v.mc == nil {
-		v.mc = mapper.NewDetachedMachine(e.g, e.mopts)
+		v.mc = mapper.NewMachine(e.g, e.mopts)
 		v.needFull = true
 	}
 	v.mc.UseSnapshot(snap)
@@ -258,8 +258,8 @@ func overlayEvents(ov *graph.Overlay) mapEvents {
 // recomputePlain serves the vantage from the core's plain-merge world: a
 // one-shot mapper run over the merged graph. The journaled machine state
 // is left untouched, so warm mapping resumes when a clean update
-// arrives. One-shot runs own the plain graph's Node.M; the core lock
-// serializes them.
+// arrives. mapper.Run memoizes the merged graph's snapshot on the graph,
+// so the core lock serializes these runs.
 func (v *vantage) recomputePlain(e *core) (*Result, error) {
 	start := time.Now()
 	local, ok := e.plain.g.Lookup(v.host)

@@ -17,6 +17,11 @@
 //     domain that suffixes it, descending the domain tree by accreted
 //     name, or if the current host is itself a member of that domain tree.
 //
+// A declared link carries mail one way only. The one exception is the
+// back links a mapping run invents for hosts nobody declared a link to:
+// the routes to those hosts assume them, so the simulator is told which
+// links the run invented and treats each as declared by its sender.
+//
 // The integration suite uses Deliver to verify that every route pathalias
 // prints really delivers, on both the paper's maps and synthetic
 // 1986-scale data.
@@ -27,6 +32,7 @@ import (
 	"strings"
 
 	"pathalias/internal/graph"
+	"pathalias/internal/mapper"
 )
 
 // MaxHops bounds a delivery walk; a longer trace means a loop.
@@ -34,12 +40,14 @@ const MaxHops = 64
 
 // Network wraps a graph for delivery simulation.
 type Network struct {
-	g *graph.Graph
+	g   *graph.Graph
+	run *mapper.Result
 }
 
-// New returns a simulator over the graph.
-func New(g *graph.Graph) *Network {
-	return &Network{g: g}
+// New returns a simulator over the graph that also assumes the back
+// links run invented (run.Invented). With a nil run it assumes none.
+func New(g *graph.Graph, run *mapper.Result) *Network {
+	return &Network{g: g, run: run}
 }
 
 // A DeliveryError explains a failed hop.
@@ -123,7 +131,7 @@ func (n *Network) forward(cur *graph.Node, name string) (*graph.Node, string) {
 	// 1. Direct link (or link to an alias of the target bearing exactly
 	// the name used in the address).
 	for _, m := range machines {
-		for l := m.FirstLink(); l != nil; l = l.Next {
+		for l := range n.run.Links(m) {
 			if !l.Usable() || l.Flags&graph.LNetMember != 0 {
 				continue
 			}
@@ -154,7 +162,7 @@ func (n *Network) forward(cur *graph.Node, name string) (*graph.Node, string) {
 	// .rutgers.edu), then descend by accreted names.
 	if strings.Contains(name, ".") {
 		for _, m := range machines {
-			for l := m.FirstLink(); l != nil; l = l.Next {
+			for l := range n.run.Links(m) {
 				if !l.Usable() || l.Flags&(graph.LAlias|graph.LNetMember) != 0 {
 					continue
 				}

@@ -22,7 +22,7 @@ func build(t *testing.T, src string) *graph.Graph {
 
 func TestDeliverDirectChain(t *testing.T) {
 	g := build(t, "a b(10)\nb c(10)\n")
-	net := New(g)
+	net := New(g, nil)
 	trace, err := net.Deliver("a", "b!c!user")
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestDeliverDirectChain(t *testing.T) {
 
 func TestDeliverLocal(t *testing.T) {
 	g := build(t, "a b(10)\n")
-	net := New(g)
+	net := New(g, nil)
 	trace, err := net.Deliver("a", "user")
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestDeliverLocal(t *testing.T) {
 
 func TestDeliverFailsWithoutLink(t *testing.T) {
 	g := build(t, "a b(10)\nc d(10)\n")
-	net := New(g)
+	net := New(g, nil)
 	_, err := net.Deliver("a", "c!user")
 	if err == nil {
 		t.Fatal("delivery without a link succeeded")
@@ -63,7 +63,7 @@ func TestDeliverFailsWithoutLink(t *testing.T) {
 func TestDeliverDirectionalLink(t *testing.T) {
 	// Links are directed: b has no link back to a.
 	g := build(t, "a b(10)\n")
-	net := New(g)
+	net := New(g, nil)
 	if _, err := net.Deliver("b", "a!user"); err == nil {
 		t.Error("reverse delivery over a one-way link succeeded")
 	}
@@ -71,7 +71,7 @@ func TestDeliverDirectionalLink(t *testing.T) {
 
 func TestDeliverThroughNetwork(t *testing.T) {
 	g := build(t, "a m1(10)\nNET = {m1, m2}(50)\n")
-	net := New(g)
+	net := New(g, nil)
 	trace, err := net.Deliver("a", "m1!m2!user")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ duke	research(DAILY/2)
 research	ucbvax(DEMAND)
 ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 `)
-	net := New(g)
+	net := New(g, nil)
 	trace, err := net.Deliver("unc", "duke!research!ucbvax!user@mit-ai")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestDeliverViaAliasName(t *testing.T) {
 	// b knows the machine as "fun"; the machine's canonical name is
 	// princeton. Address says fun; delivery lands on the machine.
 	g := build(t, "a b(10)\nb fun(10)\nprinceton = fun\nprinceton x(10)\n")
-	net := New(g)
+	net := New(g, nil)
 	trace, err := net.Deliver("a", "b!fun!x!user")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ seismo	.edu(DEDICATED)
 .edu	= {.rutgers}
 .rutgers	= {caip}
 `)
-	net := New(g)
+	net := New(g, nil)
 	trace, err := net.Deliver("local", "seismo!caip.rutgers.edu!user")
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ seismo	.edu(DEDICATED)
 
 func TestDeliverLoopDetected(t *testing.T) {
 	g := build(t, "a b(10)\nb a(10)\n")
-	net := New(g)
+	net := New(g, nil)
 	long := strings.Repeat("b!a!", 40) + "user"
 	if _, err := net.Deliver("a", long); err == nil {
 		t.Error("hop-limit loop not detected")
@@ -141,14 +141,14 @@ func TestDeliverLoopDetected(t *testing.T) {
 
 func TestDeliverUnknownOrigin(t *testing.T) {
 	g := build(t, "a b(10)\n")
-	if _, err := New(g).Deliver("ghost", "b!user"); err == nil {
+	if _, err := New(g, nil).Deliver("ghost", "b!user"); err == nil {
 		t.Error("unknown origin accepted")
 	}
 }
 
 func TestDeliverRespectsDeleted(t *testing.T) {
 	g := build(t, "a b(10)\nb c(10)\ndelete {a!b}\n")
-	if _, err := New(g).Deliver("a", "b!c!user"); err == nil {
+	if _, err := New(g, nil).Deliver("a", "b!c!user"); err == nil {
 		t.Error("delivery over deleted link succeeded")
 	}
 }
@@ -165,7 +165,7 @@ func verifyAll(t *testing.T, g *graph.Graph, local string) {
 		t.Fatal(err)
 	}
 	entries := printer.Routes(mres, printer.Options{})
-	net := New(g)
+	net := New(g, mres)
 	failures := 0
 	for _, e := range entries {
 		if _, err := net.VerifyRoute(local, e.Route, e.Host); err != nil {

@@ -62,6 +62,22 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsLinksIgnoreVantage: Stats.Links counts the map's links. The
+// back links a run invents (for leaf from a, for a and leaf from b) are
+// the run's own and must not be counted.
+func TestStatsLinksIgnoreVantage(t *testing.T) {
+	src := "a b(10)\nleaf b(25)\n"
+	for _, local := range []string{"a", "b"} {
+		res, err := RunString(Options{LocalHost: local}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Links != 2 || res.Stats.BackLinked == 0 {
+			t.Errorf("from %s: Stats = %+v, want 2 links and back-linked hosts", local, res.Stats)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	if _, err := RunString(Options{}, paperMap); err == nil {
 		t.Error("missing LocalHost accepted")
