@@ -82,8 +82,10 @@ type watcher struct {
 	// replayed is the last regeneration's stmts_replayed: statements
 	// the engine applied plus undid to bring its graph to the sources.
 	replayed int
-	stderr   io.Writer
-	log      *slog.Logger
+	// rescanned is its bytes_rescanned: the source bytes it re-scanned.
+	rescanned int
+	stderr    io.Writer
+	log       *slog.Logger
 }
 
 func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
@@ -97,15 +99,16 @@ func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB strin
 // database — but only when the result's route generation advanced, so
 // edits that cannot change routes (comments, whitespace, a re-touched
 // file) never emit a new image for downstream watchers to reload. It
-// reports whether anything was written; identical inputs (the engine's
-// content hashes match) write nothing, so it is cheap to call on
-// suspicion.
+// reports whether anything was written; identical inputs (byte for byte
+// the sources the engine last scanned) write nothing, so it is cheap to
+// call on suspicion.
 func (w *watcher) regenerate() (bool, error) {
 	before := w.eng.Stats()
 	if err := w.eng.UpdateFiles(w.paths...); err != nil {
 		return false, err
 	}
 	w.replayed = w.eng.Stats().StmtsReplayed - before.StmtsReplayed
+	w.rescanned = w.eng.Stats().BytesRescanned - before.BytesRescanned
 	res, err := w.eng.Result()
 	if err != nil {
 		return false, err
@@ -139,7 +142,8 @@ func (w *watcher) loop(ctx context.Context, interval time.Duration) {
 		if wrote, err := w.regenerate(); err != nil {
 			w.log.Warn("regenerate failed, keeping previous output", "err", err)
 		} else if wrote {
-			w.log.Info("regenerated", "out", w.outPath, "stmts_replayed", w.replayed)
+			w.log.Info("regenerated", "out", w.outPath, "stmts_replayed", w.replayed,
+				"bytes_rescanned", w.rescanned)
 		}
 	})
 }

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +85,15 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	// The cost edit replayed one link declaration: applied once, undone once.
 	if !strings.Contains(logBuf.String(), "msg=regenerated") || !strings.Contains(logBuf.String(), "stmts_replayed=2") {
 		t.Errorf("regeneration log lacks stmts_replayed=2:\n%s", logBuf.String())
+	}
+	// ... after re-scanning only the edited statement's stretch of the file.
+	n := 0
+	if m := regexp.MustCompile(`stmts_replayed=2 bytes_rescanned=(\d+)`).FindStringSubmatch(logBuf.String()); m != nil {
+		n, _ = strconv.Atoi(m[1])
+	}
+	if n == 0 || n > 64 {
+		t.Errorf("regeneration log lacks a small bytes_rescanned for a one-link edit of a %d-byte map:\n%s",
+			len(edited), logBuf.String())
 	}
 }
 

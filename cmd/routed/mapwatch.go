@@ -204,11 +204,12 @@ func (w *mapWatcher) storeFor(from string) (*routedb.Store, error) {
 }
 
 // remap runs the engine over the current file contents and swaps every
-// resident vantage's store. Unchanged files are deduplicated inside the
-// engine by content hash, so calling this on suspicion is cheap. Every
-// effective generation records a stage trace (obs.Trace) in the
-// daemon's ring: where the wall time went — read, scan, patch,
-// snapshot, map, store swaps, publish — plus the shape of the change.
+// resident vantage's store. The engine compares each file with the
+// source it last scanned and rescans only the changed statements, so
+// calling this on suspicion is cheap. Every effective generation
+// records a stage trace (obs.Trace) in the daemon's ring: where the
+// wall time went — read, scan, patch, snapshot, map, store swaps,
+// publish — plus the shape of the change.
 func (w *mapWatcher) remap() error {
 	start := time.Now()
 	ins, err := core.ReadInputs(w.paths)
@@ -319,7 +320,11 @@ func (w *mapWatcher) remap() error {
 		pubStage.Note = fmt.Sprintf("compile %v + write/fsync %v",
 			compileDur.Round(time.Microsecond), (pubDur - compileDur).Round(time.Microsecond))
 	}
-	w.recordTrace(start, wall, readDur, storeStage, pubStage, published, warm, full, routes, skipped)
+	srcBytes := 0
+	for _, in := range ins {
+		srcBytes += len(in.Src)
+	}
+	w.recordTrace(start, wall, readDur, srcBytes, storeStage, pubStage, published, warm, full, routes, skipped)
 	return defErr
 }
 
@@ -329,15 +334,15 @@ func (w *mapWatcher) remap() error {
 // named stages do not account for — scheduling, logging, bookkeeping —
 // is closed out as an explicit "other" stage, so the stages always sum
 // to the generation's wall time. store and publish are timed (and
-// annotated) by the caller.
-func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, store, publish obs.Stage, published bool, warm, full, routes, storesUnchanged int) {
+// annotated) by the caller; srcBytes is the size of all sources read.
+func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, srcBytes int, store, publish obs.Stage, published bool, warm, full, routes, storesUnchanged int) {
 	if w.d.traces == nil {
 		return
 	}
 	timing := w.eng.Timing()
 	stages := []obs.Stage{
 		{Name: "read", Dur: readDur},
-		{Name: "scan", Dur: timing.Scan},
+		{Name: "scan", Dur: timing.Scan, Note: fmt.Sprintf("rescanned %d of %d bytes", timing.BytesRescanned, srcBytes)},
 		{Name: "patch", Dur: timing.Patch},
 		{Name: "snapshot", Dur: timing.Snapshot},
 		{Name: "map", Dur: timing.Map, Note: fmt.Sprintf("across vantages: mapping %v + route derivation %v",
@@ -364,6 +369,7 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, s
 		LinksTouched:    timing.LinksTouched,
 		Replayed:        timing.StmtsReplayed,
 		Rescanned:       timing.Rescanned,
+		BytesRescanned:  timing.BytesRescanned,
 		Routes:          routes,
 		Published:       published,
 		LabelsChanged:   timing.LabelsChanged,
@@ -411,10 +417,11 @@ func (w *mapWatcher) publish(gen uint64) (compile time.Duration, err error) {
 }
 
 // watch re-maps whenever fswatch.Watch reports that a source may have
-// changed, until ctx is done; the engine's content hashes make a
-// re-map of identical sources a cheap no-op. Errors (a mid-edit syntax
-// error, a vanished file) are logged and the previous databases keep
-// serving — exactly like the -d watcher.
+// changed, until ctx is done; the engine's byte compare against the
+// sources it last scanned makes a re-map of identical sources a cheap
+// no-op. Errors (a mid-edit syntax error, a vanished file) are logged
+// and the previous databases keep serving — exactly like the -d
+// watcher.
 func (w *mapWatcher) watch(ctx context.Context, interval time.Duration) {
 	// On a warm start the initial computation is still running in its own
 	// goroutine; it owns the watcher's state until ready closes.

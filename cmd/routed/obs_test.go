@@ -381,6 +381,15 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Errorf("trace labels_changed=%d stores_unchanged=%d stmts_replayed=%d, want >0, 1 and 2",
 			tr.LabelsChanged, tr.StoresUnchanged, tr.Replayed)
 	}
+	// The scan re-read only the edited statement's stretch of the file.
+	if tr.BytesRescanned == 0 || tr.BytesRescanned > 64 {
+		t.Errorf("trace bytes_rescanned=%d for a one-link edit of a %d-byte map", tr.BytesRescanned, len(edited))
+	}
+	for _, st := range tr.Stages {
+		if want := fmt.Sprintf("rescanned %d of %d bytes", tr.BytesRescanned, len(edited)); st.Name == "scan" && st.Note != want {
+			t.Errorf("scan stage note %q, want %q", st.Note, want)
+		}
+	}
 
 	// Re-mapping unchanged inputs is a no-op: no new trace.
 	if err := w.remap(); err != nil {
@@ -396,7 +405,8 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Errorf("trace command = %q, %v", reply, closing)
 	}
 	for _, field := range []string{"path=", "wall=", "scan=", "routes=",
-		fmt.Sprintf("labels_changed=%d", tr.LabelsChanged), "stores_unchanged=1", "stmts_replayed=2"} {
+		fmt.Sprintf("labels_changed=%d", tr.LabelsChanged), "stores_unchanged=1", "stmts_replayed=2",
+		fmt.Sprintf("bytes_rescanned=%d", tr.BytesRescanned)} {
 		if !strings.Contains(reply, field) {
 			t.Errorf("trace line %q missing %q", reply, field)
 		}
@@ -414,9 +424,11 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got.Gen != 2 || len(got.Stages) == 0 || got.LabelsChanged != tr.LabelsChanged || got.StoresUnchanged != 1 || got.Replayed != 2 {
-		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d, stmts_replayed %d; want gen 2 with stages, %d, 1, 2",
-			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, got.Replayed, tr.LabelsChanged)
+	if got.Gen != 2 || len(got.Stages) == 0 || got.LabelsChanged != tr.LabelsChanged || got.StoresUnchanged != 1 || got.Replayed != 2 ||
+		got.BytesRescanned != tr.BytesRescanned {
+		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d, stmts_replayed %d, bytes_rescanned %d; want gen 2 with stages, %d, 1, 2, %d",
+			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, got.Replayed, got.BytesRescanned,
+			tr.LabelsChanged, tr.BytesRescanned)
 	}
 	resp, err = srv.Client().Get(srv.URL + "/lastmap?n=5")
 	if err != nil {

@@ -6,6 +6,11 @@ package pathalias
 
 import (
 	"fmt"
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -610,6 +615,50 @@ mcvax	seismo(DAILY)
 	}
 	if addr != "seismo!mcvax!piet" {
 		t.Errorf("route to mcvax = %q", addr)
+	}
+}
+
+// TestExperimentIndex keeps DESIGN.md §5 and this file in step: every
+// TestExperimentN has an index entry **EN**, and every entry a test.
+func TestExperimentIndex(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(design), "\n## §5 Experiments index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no §5 Experiments index")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	indexed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^- \*\*E(\d+)\*\*`).FindAllStringSubmatch(sec, -1) {
+		indexed[m[1]] = true
+	}
+	file, err := goparser.ParseFile(token.NewFileSet(), "experiments_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tested := map[string]bool{}
+	testName := regexp.MustCompile(`^TestExperiment(\d+)`)
+	for _, d := range file.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			if m := testName.FindStringSubmatch(fn.Name.Name); m != nil {
+				tested[m[1]] = true
+			}
+		}
+	}
+	if len(tested) == 0 {
+		t.Fatal("no TestExperimentN functions found")
+	}
+	for n := range tested {
+		if !indexed[n] {
+			t.Errorf("TestExperiment%s has no E%s entry in DESIGN.md §5", n, n)
+		}
+	}
+	for n := range indexed {
+		if !tested[n] {
+			t.Errorf("DESIGN.md §5 lists E%s, but there is no TestExperiment%s", n, n)
+		}
 	}
 }
 

@@ -5,7 +5,8 @@
 // where the platform has them, on a poll ticker everywhere.
 //
 // Watch only says "maybe": the caller decides whether the bytes really
-// changed, by the content hash it already keeps. New and Kicks are the
+// changed, by what it already keeps (a content hash or checksum, or the
+// remap engine's last-scanned sources). New and Kicks are the
 // event layer underneath — a kick is a hint that collapses any
 // plausibly relevant activity into a single buffered tick. The watcher
 // watches the files' parent directories, so it survives the

@@ -61,6 +61,10 @@ func NewScannerStringAt(file string, src string, line int) *Scanner {
 	return &Scanner{src: src, file: file, line: line}
 }
 
+// Offset returns the byte offset just past the last token returned: for
+// a Newline token, the first byte of the next line.
+func (s *Scanner) Offset() int { return s.pos }
+
 // col returns the 1-based column of the current position.
 func (s *Scanner) col() int { return s.pos - s.lineStart + 1 }
 

@@ -12,41 +12,35 @@ import (
 
 // ParseWith scans and merges in one shot; the engine needs the two phases
 // separately so it can cache the expensive one. A Fragment is one scanned
-// file — the flat replay log of fragment.go — keyed by a content hash, so
-// an engine re-scans only inputs whose bytes actually changed and replays
-// cached fragments for the rest. MergeFragments then rebuilds a graph from
-// any fragment sequence exactly as a serial parse of the same files would.
+// file — the flat replay log of fragment.go — together with the source it
+// was scanned from, so an engine can tell an unchanged input by comparing
+// bytes, replay cached fragments for those, and re-scan only the changed
+// statements of the rest (Rescan). MergeFragments then rebuilds a graph
+// from any fragment sequence exactly as a serial parse of the same files
+// would.
 
 // Fragment is one scanned input, reusable across merges. It is immutable
-// after ScanFragment returns and safe to merge any number of times, into
-// any number of graphs, from one goroutine at a time per merge target.
+// after ScanFragment or Rescan returns and safe to merge any number of
+// times, into any number of graphs, from one goroutine at a time per
+// merge target. It keeps no source but its own alive.
 type Fragment struct {
 	frag     *fragment
 	foldCase bool
-	srcLen   int
-	hash     uint64
 }
 
 // Name returns the input name the fragment was scanned from.
 func (f *Fragment) Name() string { return f.frag.name }
 
-// Hash returns the content hash of (name, source) the fragment was built
-// from, the engine's cache key.
-func (f *Fragment) Hash() uint64 { return f.hash }
-
-// SrcLen returns the length of the scanned source, preserved for the
-// merge-time graph sizing hints.
-func (f *Fragment) SrcLen() int { return f.srcLen }
+// Src returns the source the fragment was scanned from.
+func (f *Fragment) Src() string { return f.frag.src }
 
 // Stmts returns the number of replayable operations in the fragment.
 func (f *Fragment) Stmts() int { return len(f.frag.stmts) }
 
-// HashInput computes the fragment cache key for an input: a 64-bit
-// FNV-1a-style fingerprint over the name, a separator, and the source
-// text, folding eight bytes per multiply so hashing is not the
-// bottleneck of a no-op engine update (it runs over every input on
-// every watch poll). The name participates because it is semantic —
-// private declarations scope to the file name.
+// HashInput computes a 64-bit FNV-1a-style fingerprint over an input's
+// name, a separator, and its source text, folding eight bytes per
+// multiply. routed -d uses it to tell whether a route file it reloads
+// changed.
 func HashInput(in Input) uint64 {
 	const offset64 = 14695981039346656037
 	h := hashChunk(offset64, in.Name)
@@ -81,8 +75,6 @@ func ScanFragment(opts Options, in Input) *Fragment {
 	return &Fragment{
 		frag:     scanFileParallel(opts, in, workers),
 		foldCase: opts.FoldCase,
-		srcLen:   len(in.Src),
-		hash:     HashInput(in),
 	}
 }
 
@@ -135,44 +127,51 @@ type ReplayOp struct {
 	Cost    cost.Cost
 	LinkOp  graph.Op
 	Dom     bool     // ReplayLink: B names a domain (gateway side effect)
-	Members []string // ReplayNet: member names (view into fragment storage)
+	Members []string // ReplayNet: member names (reused by the next operation)
 }
 
 // Common returns the lengths of the longest common statement prefix and
-// suffix of old's and f's replay logs, compared by content (the two
-// fragments alias different source buffers; net-member lists compare by
-// their names, not their offsets). The two never overlap: prefix+suffix
-// is at most the shorter log's length. A journaling engine replays only
-// f's statements between them and undoes only old's, instead of undoing
-// and redoing the whole file; an append is the case "old's middle and
-// the suffix are empty".
+// suffix of old's and f's replay logs, looking only inside the window w
+// that Rescan reported when it made f from old: outside it the two logs
+// agree by construction. Inside, statements compare by content: names
+// and net members by their text, wherever in the two sources they sit.
+// The two never overlap: prefix+suffix is at most the shorter log's
+// length. A journaling engine replays only f's statements between them
+// and undoes only old's, instead of undoing and redoing the whole file;
+// an append is the case "old's middle and the suffix are empty". For a
+// Whole window this is the common prefix and suffix of the whole logs.
 //
 // old and f must be error-free scans of one input under one case
 // folding (the error budget couples statements). The caller owns the
 // scope rules: a private or file{} statement at or after the prefix
 // changes how the other statements resolve names (see LastPrivate and
 // SwitchesFile).
-func (f *Fragment) Common(old *Fragment) (prefix, suffix int) {
+func (f *Fragment) Common(old *Fragment, w Window) (prefix, suffix int) {
 	a, b := old.frag, f.frag
-	n := min(len(a.stmts), len(b.stmts))
-	for prefix < n && sameStmt(a, b, &a.stmts[prefix], &b.stmts[prefix]) {
-		prefix++
+	n := min(w.OldHi, w.NewHi) - w.Lo
+	p, s := 0, 0
+	for p < n && sameStmt(a, b, &a.stmts[w.Lo+p], &b.stmts[w.Lo+p]) {
+		p++
 	}
-	for suffix < n-prefix &&
-		sameStmt(a, b, &a.stmts[len(a.stmts)-1-suffix], &b.stmts[len(b.stmts)-1-suffix]) {
-		suffix++
+	for s < n-p && sameStmt(a, b, &a.stmts[w.OldHi-1-s], &b.stmts[w.NewHi-1-s]) {
+		s++
 	}
-	return prefix, suffix
+	return w.Lo + p, len(a.stmts) - w.OldHi + s
 }
 
 // sameStmt reports whether statement x of a and y of b replay the same
-// operation.
+// operation, wherever in their sources they sit.
 func sameStmt(a, b *fragment, x, y *stmt) bool {
-	if x.op != opNet || y.op != opNet {
-		return *x == *y
+	if x.op != y.op || x.dom != y.dom || x.linkOp != y.linkOp || x.errs != y.errs || x.cost != y.cost ||
+		a.str(x, x.a) != b.str(y, y.a) || a.str(x, x.b) != b.str(y, y.b) || x.mhi-x.mlo != y.mhi-y.mlo {
+		return false
 	}
-	return x.a == y.a && x.cost == y.cost && x.linkOp == y.linkOp &&
-		slices.Equal(a.members[x.mlo:x.mhi], b.members[y.mlo:y.mhi])
+	for i := range x.mhi - x.mlo {
+		if a.str(x, a.members[x.mlo+i]) != b.str(y, b.members[y.mlo+i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SamePending reports whether f defers exactly old's dead/delete link
@@ -206,19 +205,18 @@ func (f *Fragment) SwitchesFile() bool { return f.frag.sawFile }
 // use MergeFragments instead — the engine only journals error-free
 // fragments, where the two agree.
 func (f *Fragment) OpsRange(lo, hi int, yield func(*ReplayOp) bool) {
+	var a action
 	var op ReplayOp
 	for i := lo; i < hi; i++ {
-		st := &f.frag.stmts[i]
+		f.frag.action(&f.frag.stmts[i], &a)
 		op = ReplayOp{
-			Kind:   ReplayKind(st.op),
-			A:      st.a,
-			B:      st.b,
-			Cost:   st.cost,
-			LinkOp: st.linkOp,
-			Dom:    st.dom,
-		}
-		if st.op == opNet {
-			op.Members = f.frag.members[st.mlo:st.mhi]
+			Kind:    ReplayKind(a.op),
+			A:       a.a,
+			B:       a.b,
+			Cost:    a.cost,
+			LinkOp:  a.linkOp,
+			Dom:     a.dom,
+			Members: a.members,
 		}
 		if !yield(&op) {
 			return
@@ -274,7 +272,7 @@ func graphForMerge(opts Options, frags []*Fragment) *graph.Graph {
 	g.SetFoldCase(opts.FoldCase)
 	total := 0
 	for _, f := range frags {
-		total += f.srcLen
+		total += len(f.frag.src)
 	}
 	g.ReserveLinks(total / 30)
 	g.ReserveNames(total / 75)

@@ -15,6 +15,7 @@ package parser
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"pathalias/internal/cost"
 	"pathalias/internal/graph"
@@ -41,24 +42,49 @@ const (
 	opFile                     // file {a}: switch private scope
 )
 
-// stmt is one entry of the replay log. errs is the file-local error count
-// when the enclosing statement began; the merger uses it to reproduce the
-// sequential parser's MaxErrors cutoff across files. dom precomputes "b
-// names a domain" (opLink), so the merge loop need not consult node flags.
+// action is one replay operation with its names spelled out: what the
+// scanner emits and the merger applies. dom precomputes "b names a
+// domain" (opLink), so the merge loop need not consult node flags.
+type action struct {
+	op      stmtOp
+	dom     bool
+	linkOp  graph.Op
+	a, b    string
+	cost    cost.Cost
+	members []string // opNet
+}
+
+// name is a name token of a fragment's source: n bytes from at bytes
+// past the start of the statement that holds it. Fragments keep offsets,
+// not strings, so their logs hold no pointers: splicing one (Rescan,
+// split.go's chunks) copies flat memory, and moving a statement in the
+// source changes its offset alone.
+type name struct{ at, n int32 }
+
+// stmt is one entry of the replay log, an action as a fragment stores
+// it. errs is the file-local error count when the enclosing statement
+// began; the merger uses it to reproduce the sequential parser's
+// MaxErrors cutoff across files. off is the byte offset of the source
+// statement that emitted it — the first byte after the Newline token
+// ending the statement before — where a fresh scanner behaves exactly
+// like the serial one; Rescan restarts there.
 type stmt struct {
 	op       stmtOp
 	dom      bool
-	errs     int32
 	linkOp   graph.Op
-	a, b     string
+	errs     int32
+	off      int32
+	a, b     name
 	cost     cost.Cost
 	mlo, mhi int32 // opNet: member range in fragment.members
 }
 
-// note is a diagnostic tagged with the same budget counter as stmt.errs.
+// note is a diagnostic tagged with the same budget counter and
+// statement offset as stmt.errs and stmt.off.
 type note struct {
 	text string
 	errs int32
+	off  int32
 }
 
 // pendingLinkOp is a dead/delete on a link that may not exist yet; they
@@ -69,17 +95,35 @@ type pendingLinkOp struct {
 	pos      string
 	deadNot  bool // true = delete, false = dead
 	errs     int32
+	off      int32
 }
 
 // fragment is one scanned file, ready to merge.
 type fragment struct {
 	name     string
+	src      string // the scanned source, which stmts and members name bytes of
 	stmts    []stmt
-	members  []string
+	members  []name // relative to the opNet statement holding them
 	errors   []note
 	warnings []note
 	pending  []pendingLinkOp
 	sawFile  bool // a file{} scope switch appeared (chunk-merge guard)
+}
+
+// str returns the name n of statement st.
+func (f *fragment) str(st *stmt, n name) string {
+	at := int(st.off + n.at)
+	return f.src[at : at+int(n.n)]
+}
+
+// action spells statement st out into a, reusing a's member slice.
+func (f *fragment) action(st *stmt, a *action) {
+	a.op, a.dom, a.linkOp, a.cost = st.op, st.dom, st.linkOp, st.cost
+	a.a, a.b = f.str(st, st.a), f.str(st, st.b)
+	a.members = a.members[:0]
+	for _, m := range f.members[st.mlo:st.mhi] {
+		a.members = append(a.members, f.str(st, m))
+	}
 }
 
 // fileScanner drives the lexer over one file. It has two sinks: in
@@ -93,10 +137,20 @@ type fileScanner struct {
 	m        *merger // non-nil: streaming mode
 	opts     Options
 	sc       *lexer.Scanner
+	src      string // what sc scans
 	tok      lexer.Token
 	curFile  string   // active private scope, switched by file{} commands
 	stmtErrs int32    // error count at the current statement's start
-	members  []string // backing store for opNet member ranges
+	members  []string // the network declaration's members, being scanned
+
+	// bound is the offset just past the last Newline token consumed: at
+	// the top of the statement loop, where the current statement began.
+	// stmtOff holds it for the statement being scanned.
+	bound, stmtOff int32
+	// until, if set, is asked at every statement start whether to stop
+	// there (Rescan's window end); stopped records that it said yes.
+	until   func(off int) bool
+	stopped bool
 }
 
 // scanFile scans one input into a fragment (parallel phase one).
@@ -104,15 +158,15 @@ func scanFile(opts Options, in Input) *fragment {
 	// Preallocate the replay log from the source size. Real map files run
 	// one statement per ~15-25 bytes; overshooting slightly beats paying
 	// the append-growth churn on a multi-hundred-thousand-entry log.
-	f := &fragment{name: in.Name, stmts: make([]stmt, 0, len(in.Src)/14+16)}
+	f := &fragment{name: in.Name, src: in.Src, stmts: make([]stmt, 0, len(in.Src)/14+16)}
 	s := &fileScanner{
 		frag:    f,
 		opts:    opts,
 		sc:      lexer.NewScannerString(in.Name, in.Src),
+		src:     in.Src,
 		curFile: in.Name,
 	}
 	s.run()
-	f.members = s.members
 	return f
 }
 
@@ -124,6 +178,7 @@ func scanStream(opts Options, in Input, m *merger) {
 		m:       m,
 		opts:    opts,
 		sc:      lexer.NewScannerString(in.Name, in.Src),
+		src:     in.Src,
 		curFile: in.Name,
 	}
 	m.clearRefCache() // new file, new private scope
@@ -134,7 +189,12 @@ func scanStream(opts Options, in Input, m *merger) {
 func (s *fileScanner) run() {
 	s.next()
 	for s.tok.Kind != lexer.EOF && s.errCount() < MaxErrors {
+		if s.until != nil && s.until(int(s.bound)) {
+			s.stopped = true
+			return
+		}
 		s.stmtErrs = int32(s.errCount())
+		s.stmtOff = s.bound
 		switch s.tok.Kind {
 		case lexer.Newline:
 			s.next() // empty statement
@@ -156,13 +216,33 @@ func (s *fileScanner) errCount() int {
 	return len(s.frag.errors)
 }
 
-func (s *fileScanner) emit(st *stmt) {
+func (s *fileScanner) emit(a *action) {
 	if s.m != nil {
-		s.m.apply(st, s.members)
+		s.m.apply(a)
 		return
 	}
-	st.errs = s.stmtErrs
-	s.frag.stmts = append(s.frag.stmts, *st)
+	f := s.frag
+	st := stmt{op: a.op, dom: a.dom, linkOp: a.linkOp, errs: s.stmtErrs, off: s.stmtOff,
+		a: s.name(a.a), b: s.name(a.b), cost: a.cost}
+	if a.op == opNet {
+		st.mlo = int32(len(f.members))
+		for _, m := range a.members {
+			f.members = append(f.members, s.name(m))
+		}
+		st.mhi = int32(len(f.members))
+	}
+	f.stmts = append(f.stmts, st)
+}
+
+// name locates t, the text of a name token (a substring of the source,
+// as every token text of the zero-copy scanner is), relative to the
+// current statement's start.
+func (s *fileScanner) name(t string) name {
+	if t == "" {
+		return name{}
+	}
+	at := uintptr(unsafe.Pointer(unsafe.StringData(t))) - uintptr(unsafe.Pointer(unsafe.StringData(s.src)))
+	return name{at: int32(at) - s.stmtOff, n: int32(len(t))}
 }
 
 func (s *fileScanner) errorf(format string, args ...any) {
@@ -171,7 +251,7 @@ func (s *fileScanner) errorf(format string, args ...any) {
 		s.m.errors = append(s.m.errors, text)
 		return
 	}
-	s.frag.errors = append(s.frag.errors, note{text: text, errs: s.stmtErrs})
+	s.frag.errors = append(s.frag.errors, note{text: text, errs: s.stmtErrs, off: s.stmtOff})
 }
 
 func (s *fileScanner) warnf(format string, args ...any) {
@@ -180,7 +260,7 @@ func (s *fileScanner) warnf(format string, args ...any) {
 		s.m.warnings = append(s.m.warnings, text)
 		return
 	}
-	s.frag.warnings = append(s.frag.warnings, note{text: text, errs: s.stmtErrs})
+	s.frag.warnings = append(s.frag.warnings, note{text: text, errs: s.stmtErrs, off: s.stmtOff})
 }
 
 // addPending records a deferred dead/delete link item through the active
@@ -190,7 +270,7 @@ func (s *fileScanner) addPending(p pendingLinkOp) {
 		s.m.pending = append(s.m.pending, p)
 		return
 	}
-	p.errs = s.stmtErrs
+	p.errs, p.off = s.stmtErrs, s.stmtOff
 	s.frag.pending = append(s.frag.pending, p)
 }
 
@@ -212,12 +292,15 @@ func (s *fileScanner) foldEq(a, b string) bool {
 // a synthetic EOF so scanning stops cleanly, carrying the pre-error
 // position as the sequential parser did.
 func (s *fileScanner) next() {
+	if s.tok.Kind == lexer.Newline {
+		s.bound = int32(s.sc.Offset())
+	}
 	file, line, col := s.tok.File, s.tok.Line, s.tok.Col
 	if err := s.sc.NextTok(&s.tok); err != nil {
 		if s.m != nil {
 			s.m.errors = append(s.m.errors, err.Error())
 		} else {
-			s.frag.errors = append(s.frag.errors, note{text: err.Error(), errs: s.stmtErrs})
+			s.frag.errors = append(s.frag.errors, note{text: err.Error(), errs: s.stmtErrs, off: s.stmtOff})
 		}
 		s.tok = lexer.Token{Kind: lexer.EOF, File: file, Line: line, Col: col}
 	}
@@ -261,7 +344,7 @@ func (s *fileScanner) scanStatement() {
 	case lexer.Newline:
 		// A bare name declares the host with no links; harmless and
 		// present in real map data.
-		s.emit(&stmt{op: opRef, a: name})
+		s.emit(&action{op: opRef, a: name})
 		s.next()
 	default:
 		s.errorf("expected links, '=', or end of statement after %q, got %s", name, s.tok)
@@ -297,7 +380,7 @@ func (s *fileScanner) scanEqualsRest(name string) {
 
 // scanHostDecl scans "host link, link, ...".
 func (s *fileScanner) scanHostDecl(name string) {
-	s.emit(&stmt{op: opRef, a: name}) // the declaring host is created first
+	s.emit(&action{op: opRef, a: name}) // the declaring host is created first
 	for {
 		if !s.scanLink(name) {
 			s.skipStatement()
@@ -356,7 +439,7 @@ func (s *fileScanner) scanLink(from string) bool {
 		s.warnf("ignoring self link %q", toName)
 		return true
 	}
-	s.emit(&stmt{op: opLink, a: from, b: toName, cost: linkCost, linkOp: op,
+	s.emit(&action{op: opLink, a: from, b: toName, cost: linkCost, linkOp: op,
 		dom: toName[0] == '.'})
 	return true
 }
@@ -364,11 +447,10 @@ func (s *fileScanner) scanLink(from string) bool {
 // scanNetDecl scans "{member, ...}[(cost)]" after "name = [netchar]".
 func (s *fileScanner) scanNetDecl(name string, op graph.Op) {
 	s.next() // consume '{'
-	mlo := int32(len(s.members))
+	s.members = s.members[:0]
 	for {
 		if s.tok.Kind != lexer.Name {
 			s.errorf("expected network member name, got %s", s.tok)
-			s.members = s.members[:mlo]
 			s.skipStatement()
 			s.expectNewline()
 			return
@@ -383,7 +465,6 @@ func (s *fileScanner) scanNetDecl(name string, op graph.Op) {
 	}
 	if s.tok.Kind != lexer.RBrace {
 		s.errorf("expected '}' to close network %q, got %s", name, s.tok)
-		s.members = s.members[:mlo]
 		s.skipStatement()
 		s.expectNewline()
 		return
@@ -395,7 +476,6 @@ func (s *fileScanner) scanNetDecl(name string, op graph.Op) {
 		c, err := cost.Eval(s.tok.Text)
 		if err != nil {
 			s.errorf("bad cost for network %q: %v", name, err)
-			s.members = s.members[:mlo]
 			s.skipStatement()
 			s.expectNewline()
 			return
@@ -404,14 +484,13 @@ func (s *fileScanner) scanNetDecl(name string, op graph.Op) {
 		s.next()
 	}
 
-	s.emit(&stmt{op: opNet, a: name, cost: netCost, linkOp: op,
-		mlo: mlo, mhi: int32(len(s.members))})
+	s.emit(&action{op: opNet, a: name, cost: netCost, linkOp: op, members: s.members})
 	s.expectNewline()
 }
 
 // scanAliasDecl scans "host = alias, alias, ...".
 func (s *fileScanner) scanAliasDecl(name string) {
-	s.emit(&stmt{op: opRef, a: name}) // the primary is created first
+	s.emit(&action{op: opRef, a: name}) // the primary is created first
 	for {
 		if s.tok.Kind != lexer.Name {
 			s.errorf("expected alias name, got %s", s.tok)
@@ -422,7 +501,7 @@ func (s *fileScanner) scanAliasDecl(name string) {
 		if s.foldEq(alias, name) {
 			s.warnf("ignoring self alias %q", alias)
 		} else {
-			s.emit(&stmt{op: opAlias, a: name, b: alias})
+			s.emit(&action{op: opAlias, a: name, b: alias})
 		}
 		s.next()
 		if s.tok.Kind == lexer.Comma {
@@ -488,7 +567,7 @@ func (s *fileScanner) scanCommandItem(word string) bool {
 			s.addPending(pendingLinkOp{
 				from: first, to: second, file: s.curFile, pos: pos, deadNot: true})
 		case "gateway":
-			s.emit(&stmt{op: opGateway, a: first, b: second})
+			s.emit(&action{op: opGateway, a: first, b: second})
 		default:
 			s.errorf("%s{...} does not accept link items", word)
 			return false
@@ -508,20 +587,20 @@ func (s *fileScanner) scanCommandItem(word string) bool {
 			return false
 		}
 		s.next()
-		s.emit(&stmt{op: opAdjust, a: first, cost: delta})
+		s.emit(&action{op: opAdjust, a: first, cost: delta})
 		return true
 	}
 
 	// Bare name form.
 	switch word {
 	case "private":
-		s.emit(&stmt{op: opPrivate, a: first})
+		s.emit(&action{op: opPrivate, a: first})
 	case "dead":
-		s.emit(&stmt{op: opDeadHost, a: first})
+		s.emit(&action{op: opDeadHost, a: first})
 	case "delete":
-		s.emit(&stmt{op: opDeleteHost, a: first})
+		s.emit(&action{op: opDeleteHost, a: first})
 	case "gatewayed":
-		s.emit(&stmt{op: opGatewayed, a: first})
+		s.emit(&action{op: opGatewayed, a: first})
 	case "adjust":
 		s.errorf("adjust item %q needs a (cost) adjustment", first)
 		return false
@@ -532,7 +611,7 @@ func (s *fileScanner) scanCommandItem(word string) bool {
 		// Switch the private-scoping file boundary mid-stream, for
 		// concatenated input on stdin. The scanner tracks the scope too,
 		// so pending dead/delete items resolve in the right file.
-		s.emit(&stmt{op: opFile, a: first})
+		s.emit(&action{op: opFile, a: first})
 		s.curFile = first
 		if s.frag != nil {
 			s.frag.sawFile = true

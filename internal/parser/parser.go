@@ -243,12 +243,14 @@ func (m *merger) merge(f *fragment) {
 	budget := int32(MaxErrors - base)
 	m.clearRefCache()
 	m.g.BeginFile(f.name)
+	var a action
 	for i := range f.stmts {
 		st := &f.stmts[i]
 		if st.errs >= budget {
 			break
 		}
-		m.apply(st, f.members)
+		f.action(st, &a)
+		m.apply(&a)
 	}
 	for _, n := range f.errors {
 		if n.errs >= budget {
@@ -270,10 +272,9 @@ func (m *merger) merge(f *fragment) {
 	}
 }
 
-// apply performs one replay-log operation. members backs opNet ranges.
-// The graph calls and their order mirror the sequential parser's actions
-// exactly.
-func (m *merger) apply(st *stmt, members []string) {
+// apply performs one replay-log operation. The graph calls and their
+// order mirror the sequential parser's actions exactly.
+func (m *merger) apply(st *action) {
 	g := m.g
 	m.stmts++
 	switch st.op {
@@ -295,7 +296,7 @@ func (m *merger) apply(st *stmt, members []string) {
 	case opNet:
 		net := m.ref(st.a)
 		m.nodes = m.nodes[:0]
-		for _, name := range members[st.mlo:st.mhi] {
+		for _, name := range st.members {
 			m.nodes = append(m.nodes, g.Ref(name))
 		}
 		g.AddNet(net, m.nodes, st.cost, st.linkOp)

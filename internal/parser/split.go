@@ -91,9 +91,9 @@ func scanFileChunks(opts Options, in Input, chunks int) *fragment {
 		pend += len(f.pending)
 	}
 
-	out := &fragment{name: in.Name, stmts: make([]stmt, 0, stmts)}
+	out := &fragment{name: in.Name, src: in.Src, stmts: make([]stmt, 0, stmts)}
 	if members > 0 {
-		out.members = make([]string, 0, members)
+		out.members = make([]name, 0, members)
 	}
 	if warns > 0 {
 		out.warnings = make([]note, 0, warns)
@@ -101,37 +101,68 @@ func scanFileChunks(opts Options, in Input, chunks int) *fragment {
 	if pend > 0 {
 		out.pending = make([]pendingLinkOp, 0, pend)
 	}
-	for _, f := range frags {
-		base := int32(len(out.members))
-		start := len(out.stmts)
-		out.stmts = append(out.stmts, f.stmts...)
-		if base != 0 {
-			for j := start; j < len(out.stmts); j++ {
-				if out.stmts[j].op == opNet {
-					out.stmts[j].mlo += base
-					out.stmts[j].mhi += base
-				}
-			}
-		}
-		out.members = append(out.members, f.members...)
-		out.warnings = append(out.warnings, f.warnings...)
-		out.pending = append(out.pending, f.pending...)
-		out.sawFile = out.sawFile || f.sawFile
+	for i, f := range frags {
+		appendFragment(out, f, int32(offs[i]), 0)
 	}
 	return out
 }
 
+// appendFragment concatenates f, scanned from a piece of out's source
+// that begins at byte off, onto out: statement, warning and pending
+// offsets shift by off, and opNet member ranges, which index f's member
+// array from mlo on, re-base onto out's.
+func appendFragment(out, f *fragment, off, mlo int32) {
+	start := len(out.stmts)
+	out.stmts = append(out.stmts, f.stmts...)
+	if base := int32(len(out.members)) - mlo; off != 0 || base != 0 {
+		for j := start; j < len(out.stmts); j++ {
+			st := &out.stmts[j]
+			st.off += off
+			if st.op == opNet {
+				st.mlo += base
+				st.mhi += base
+			}
+		}
+	}
+	out.members = append(out.members, f.members...)
+	start = len(out.warnings)
+	out.warnings = append(out.warnings, f.warnings...)
+	for j := start; j < len(out.warnings); j++ {
+		out.warnings[j].off += off
+	}
+	start = len(out.pending)
+	out.pending = append(out.pending, f.pending...)
+	for j := start; j < len(out.pending); j++ {
+		out.pending[j].off += off
+	}
+	out.sawFile = out.sawFile || f.sawFile
+}
+
 // scanChunk scans one chunk of a larger source into its own fragment,
-// with token positions reported from the chunk's true starting line.
+// with token positions reported from the chunk's true starting line and
+// offsets relative to the chunk.
 func scanChunk(opts Options, name, src string, line int) *fragment {
-	f := &fragment{name: name, stmts: make([]stmt, 0, len(src)/14+16)}
+	f, _ := scanChunkUntil(opts, name, src, line, len(src), nil)
+	return f
+}
+
+// scanChunkUntil is scanChunk stopping at the first statement start
+// until accepts, if any; it reports that offset, or len(src) when the
+// scan ran to the end. hint is the expected scanned length, for sizing
+// the replay log.
+func scanChunkUntil(opts Options, name, src string, line, hint int, until func(off int) bool) (*fragment, int) {
+	f := &fragment{name: name, src: src, stmts: make([]stmt, 0, hint/14+16)}
 	s := &fileScanner{
 		frag:    f,
 		opts:    opts,
 		sc:      lexer.NewScannerStringAt(name, src, line),
+		src:     src,
 		curFile: name,
+		until:   until,
 	}
 	s.run()
-	f.members = s.members
-	return f
+	if s.stopped {
+		return f, int(s.bound)
+	}
+	return f, len(src)
 }

@@ -166,8 +166,8 @@ func (j *journal) freeExt(i uint64) {
 type fileState struct {
 	id   int32 // stable id; eng.posOf[id] is its current input position
 	name string
-	hash uint64
 	frag *parser.Fragment
+	win  parser.Window // what Rescan scanned anew against the previous version
 	j    journal
 
 	// Scope sensitivity, computed once per fragment: private bindings
@@ -603,7 +603,7 @@ func (e *core) apply(f *fileState) {
 // with a suffix after it (the suffix is not replayed). A new middle
 // that ends the file may declare privates, as an appended tail does.
 func (e *core) patch(old, f *fileState) bool {
-	p, s := f.frag.Common(old.frag)
+	p, s := f.frag.Common(old.frag, f.win)
 	if old.lastPrivate >= p || (f.lastPrivate >= p && s > 0) {
 		return false
 	}

@@ -6,8 +6,10 @@
 // re-mapped weekly because every run re-parsed and re-mapped the world.
 // The engine turns the pipeline into a live service:
 //
-//   - per-input parsed fragments are cached by content hash, so an
-//     Update re-scans only inputs whose bytes changed (delta parsing);
+//   - per-input parsed fragments are cached with the source they were
+//     scanned from, so an Update tells unchanged inputs by comparing
+//     bytes and re-scans only the changed statements of the others
+//     (parser.Rescan: a window around the edit, the rest reused);
 //   - the connectivity graph persists and is patched in place through
 //     per-file journals (apply.go) instead of being rebuilt — an edited
 //     file replays and undoes only the statements between the common
@@ -244,7 +246,7 @@ type core struct {
 // — the raw material of the serving layer's re-map stage traces.
 // Observability only; consumed via Multi.Timing.
 type UpdateTiming struct {
-	Scan     time.Duration // hash, diff, and (re-)parse changed inputs
+	Scan     time.Duration // diff inputs, rescan the changed ones
 	Patch    time.Duration // journal patch / rebuild / plain merge
 	Snapshot time.Duration // CSR snapshot + change history + warnings
 	Map      time.Duration // vantage mapping + route derivation, wall
@@ -267,10 +269,11 @@ type UpdateTiming struct {
 	// "rebuild", "plain", or "unchanged".
 	Path string
 
-	Rescanned    int // inputs re-parsed
-	Nodes        int // graph size after the update
-	NodesTouched int // nodes the patch touched (== Nodes after a rebuild)
-	LinksTouched int // link events in the change set
+	Rescanned      int // inputs re-parsed
+	BytesRescanned int // source bytes the rescans scanned (parser.Window)
+	Nodes          int // graph size after the update
+	NodesTouched   int // nodes the patch touched (== Nodes after a rebuild)
+	LinksTouched   int // link events in the change set
 }
 
 // EngineStats count engine activity across updates. Incremental and
@@ -283,6 +286,8 @@ type EngineStats struct {
 	Rebuilds     int // full journal rebuilds (first run, reorders, errors)
 	Rescanned    int // inputs re-scanned
 	RangePatches int // changed files patched by statement range
+	// BytesRescanned sums UpdateTiming.BytesRescanned over the updates.
+	BytesRescanned int
 	// StmtsReplayed sums UpdateTiming.StmtsReplayed over the updates.
 	StmtsReplayed int
 }
@@ -326,12 +331,14 @@ func (e *core) sync(inputs []Input) error {
 	start := time.Now()
 	e.timing = UpdateTiming{Path: "unchanged"}
 
-	// Phase 1: hash, diff, and scan changed inputs.
+	// Phase 1: diff inputs against the sources their cached fragments
+	// were scanned from, and rescan the changed ones.
 	type slot struct {
 		in    Input
-		hash  uint64
 		reuse *fileState
+		old   *parser.Fragment // the input's previous fragment, nil if new
 		frag  *parser.Fragment
+		win   parser.Window
 	}
 	slots := make([]slot, len(inputs))
 	seen := make(map[string]bool, len(inputs))
@@ -342,11 +349,13 @@ func (e *core) sync(inputs []Input) error {
 			dupNames = true
 		}
 		seen[in.Name] = true
-		h := parser.HashInput(in)
-		slots[i] = slot{in: in, hash: h}
-		if old := e.byName[in.Name]; old != nil && old.hash == h {
+		slots[i] = slot{in: in}
+		if old := e.byName[in.Name]; old != nil && old.frag.Src() == in.Src {
 			slots[i].reuse = old
 		} else {
+			if old != nil {
+				slots[i].old = old.frag
+			}
 			toScan++
 		}
 	}
@@ -386,18 +395,22 @@ func (e *core) sync(inputs []Input) error {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				slots[i].frag = parser.ScanFragment(e.popts, slots[i].in)
+				slots[i].frag, slots[i].win = parser.Rescan(e.popts, slots[i].old, slots[i].in)
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := range slots {
 			if slots[i].reuse == nil {
-				slots[i].frag = parser.ScanFragment(e.popts, slots[i].in)
+				slots[i].frag, slots[i].win = parser.Rescan(e.popts, slots[i].old, slots[i].in)
 			}
 		}
 	}
+	for _, s := range slots {
+		e.timing.BytesRescanned += s.win.Bytes
+	}
 	e.Stats.Rescanned += toScan
+	e.Stats.BytesRescanned += e.timing.BytesRescanned
 	e.Stats.Updates++
 	e.timing.Scan = time.Since(start)
 	e.timing.Rescanned = toScan
@@ -459,8 +472,8 @@ func (e *core) sync(inputs []Input) error {
 		newStates[i] = &fileState{
 			id:            e.nextFileID,
 			name:          s.in.Name,
-			hash:          s.hash,
 			frag:          s.frag,
+			win:           s.win,
 			lastPrivate:   s.frag.LastPrivate(),
 			hasFileSwitch: s.frag.SwitchesFile(),
 		}
@@ -616,7 +629,7 @@ func (e *core) rebuildAll(states []*fileState) {
 	g.SetFoldCase(e.opts.FoldCase)
 	total := 0
 	for _, f := range states {
-		total += f.frag.SrcLen()
+		total += len(f.frag.Src())
 	}
 	g.ReserveLinks(total / 30)
 	g.ReserveNames(total / 75)

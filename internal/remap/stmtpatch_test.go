@@ -187,7 +187,9 @@ func midFileCostEdit(src, cost string) (string, int) {
 // BenchmarkStmtPatchMidFile times the journal patch of a one-link cost
 // change in the middle of a 50k-host map's core file, alternating two
 // costs so every iteration is an effective edit; patch-ms/op is the
-// engine's patch stage alone (UpdateTiming.Patch).
+// engine's patch stage alone (UpdateTiming.Patch), scan-ms/op its scan
+// stage (UpdateTiming.Scan: the byte compare of every input and the
+// edited file's window rescan).
 //
 //	go test -run '^$' -bench StmtPatchMidFile -benchtime 40x ./internal/remap/
 func BenchmarkStmtPatchMidFile(b *testing.B) {
@@ -207,7 +209,7 @@ func BenchmarkStmtPatchMidFile(b *testing.B) {
 			b.Fatal("no mid-file link to edit")
 		}
 	}
-	var patch time.Duration
+	var patch, scan time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inputs[file].Src = srcs[i%2]
@@ -215,8 +217,10 @@ func BenchmarkStmtPatchMidFile(b *testing.B) {
 			b.Fatal(err)
 		}
 		patch += m.Timing().Patch
+		scan += m.Timing().Scan
 	}
 	b.ReportMetric(float64(patch.Microseconds())/1e3/float64(b.N), "patch-ms/op")
+	b.ReportMetric(float64(scan.Microseconds())/1e3/float64(b.N), "scan-ms/op")
 }
 
 // TestStmtPatchSeqGapExhausted inserts a duplicate declaration of c→d

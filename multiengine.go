@@ -226,6 +226,10 @@ type EngineStats struct {
 	Rebuilds     int // full rebuilds (first run, reorders, parse errors)
 	Rescanned    int // inputs re-scanned
 	RangePatches int // changed files patched by statement range
+	// BytesRescanned counts the source bytes the re-scans scanned: the
+	// window around each edit, or the whole input where one was new or
+	// could not be re-scanned in part.
+	BytesRescanned int
 	// StmtsReplayed counts the statements the engine applied plus those
 	// it undid, summed over the updates.
 	StmtsReplayed int
