@@ -84,8 +84,11 @@ type watcher struct {
 	replayed int
 	// rescanned is its bytes_rescanned: the source bytes it re-scanned.
 	rescanned int
-	stderr    io.Writer
-	log       *slog.Logger
+	// rowsRebuilt is its rows_rebuilt: the CSR snapshot rows it rebuilt
+	// from the graph rather than copied.
+	rowsRebuilt int
+	stderr      io.Writer
+	log         *slog.Logger
 }
 
 func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
@@ -109,6 +112,7 @@ func (w *watcher) regenerate() (bool, error) {
 	}
 	w.replayed = w.eng.Stats().StmtsReplayed - before.StmtsReplayed
 	w.rescanned = w.eng.Stats().BytesRescanned - before.BytesRescanned
+	w.rowsRebuilt = w.eng.Stats().RowsRebuilt - before.RowsRebuilt
 	res, err := w.eng.Result()
 	if err != nil {
 		return false, err
@@ -143,7 +147,7 @@ func (w *watcher) loop(ctx context.Context, interval time.Duration) {
 			w.log.Warn("regenerate failed, keeping previous output", "err", err)
 		} else if wrote {
 			w.log.Info("regenerated", "out", w.outPath, "stmts_replayed", w.replayed,
-				"bytes_rescanned", w.rescanned)
+				"bytes_rescanned", w.rescanned, "rows_rebuilt", w.rowsRebuilt)
 		}
 	})
 }

@@ -95,6 +95,14 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 		t.Errorf("regeneration log lacks a small bytes_rescanned for a one-link edit of a %d-byte map:\n%s",
 			len(edited), logBuf.String())
 	}
+	// ... and after rebuilding only the edited link's snapshot row.
+	rows := 0
+	if m := regexp.MustCompile(`stmts_replayed=2 bytes_rescanned=\d+ rows_rebuilt=(\d+)`).FindStringSubmatch(logBuf.String()); m != nil {
+		rows, _ = strconv.Atoi(m[1])
+	}
+	if rows == 0 || rows > 4 {
+		t.Errorf("regeneration log lacks a small rows_rebuilt for a one-link edit:\n%s", logBuf.String())
+	}
 }
 
 // inPlaceMap renders an n-host map rooted at unc (a binary tree of

@@ -344,7 +344,7 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, s
 		{Name: "read", Dur: readDur},
 		{Name: "scan", Dur: timing.Scan, Note: fmt.Sprintf("rescanned %d of %d bytes", timing.BytesRescanned, srcBytes)},
 		{Name: "patch", Dur: timing.Patch},
-		{Name: "snapshot", Dur: timing.Snapshot},
+		{Name: "snapshot", Dur: timing.Snapshot, Note: snapshotNote(timing)},
 		{Name: "map", Dur: timing.Map, Note: fmt.Sprintf("across vantages: mapping %v + route derivation %v",
 			timing.MapSum.Round(time.Microsecond), timing.RouteSum.Round(time.Microsecond))},
 		store,
@@ -370,6 +370,7 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, s
 		Replayed:        timing.StmtsReplayed,
 		Rescanned:       timing.Rescanned,
 		BytesRescanned:  timing.BytesRescanned,
+		RowsRebuilt:     timing.RowsRebuilt,
 		Routes:          routes,
 		Published:       published,
 		LabelsChanged:   timing.LabelsChanged,
@@ -378,6 +379,16 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, s
 	}
 	w.d.traces.Add(tr)
 	w.d.log.Debug("remap trace", "trace", tr.Line())
+}
+
+// snapshotNote annotates the snapshot stage: how much of the CSR
+// snapshot was rebuilt, and how its reverse adjacency was made.
+func snapshotNote(t remap.UpdateTiming) string {
+	rev := "built"
+	if t.ReversePatched {
+		rev = "patched"
+	}
+	return fmt.Sprintf("rebuilt %d of %d rows, reverse %s", t.RowsRebuilt, t.Nodes, rev)
 }
 
 // publish writes the default store's database — which at this point

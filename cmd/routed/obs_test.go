@@ -385,9 +385,16 @@ func TestTraceLifecycle(t *testing.T) {
 	if tr.BytesRescanned == 0 || tr.BytesRescanned > 64 {
 		t.Errorf("trace bytes_rescanned=%d for a one-link edit of a %d-byte map", tr.BytesRescanned, len(edited))
 	}
+	// The snapshot copied every row but the edited link's.
+	if tr.RowsRebuilt == 0 || tr.RowsRebuilt > 4 {
+		t.Errorf("trace rows_rebuilt=%d for a one-link edit", tr.RowsRebuilt)
+	}
 	for _, st := range tr.Stages {
 		if want := fmt.Sprintf("rescanned %d of %d bytes", tr.BytesRescanned, len(edited)); st.Name == "scan" && st.Note != want {
 			t.Errorf("scan stage note %q, want %q", st.Note, want)
+		}
+		if want := fmt.Sprintf("rebuilt %d of %d rows, reverse ", tr.RowsRebuilt, tr.Nodes); st.Name == "snapshot" && !strings.HasPrefix(st.Note, want) {
+			t.Errorf("snapshot stage note %q, want prefix %q", st.Note, want)
 		}
 	}
 
@@ -406,7 +413,7 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	for _, field := range []string{"path=", "wall=", "scan=", "routes=",
 		fmt.Sprintf("labels_changed=%d", tr.LabelsChanged), "stores_unchanged=1", "stmts_replayed=2",
-		fmt.Sprintf("bytes_rescanned=%d", tr.BytesRescanned)} {
+		fmt.Sprintf("bytes_rescanned=%d", tr.BytesRescanned), fmt.Sprintf("rows_rebuilt=%d", tr.RowsRebuilt)} {
 		if !strings.Contains(reply, field) {
 			t.Errorf("trace line %q missing %q", reply, field)
 		}
@@ -425,10 +432,10 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	resp.Body.Close()
 	if got.Gen != 2 || len(got.Stages) == 0 || got.LabelsChanged != tr.LabelsChanged || got.StoresUnchanged != 1 || got.Replayed != 2 ||
-		got.BytesRescanned != tr.BytesRescanned {
-		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d, stmts_replayed %d, bytes_rescanned %d; want gen 2 with stages, %d, 1, 2, %d",
-			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, got.Replayed, got.BytesRescanned,
-			tr.LabelsChanged, tr.BytesRescanned)
+		got.BytesRescanned != tr.BytesRescanned || got.RowsRebuilt != tr.RowsRebuilt {
+		t.Errorf("/lastmap = gen %d, %d stages, labels_changed %d, stores_unchanged %d, stmts_replayed %d, bytes_rescanned %d, rows_rebuilt %d; want gen 2 with stages, %d, 1, 2, %d, %d",
+			got.Gen, len(got.Stages), got.LabelsChanged, got.StoresUnchanged, got.Replayed, got.BytesRescanned, got.RowsRebuilt,
+			tr.LabelsChanged, tr.BytesRescanned, tr.RowsRebuilt)
 	}
 	resp, err = srv.Client().Get(srv.URL + "/lastmap?n=5")
 	if err != nil {

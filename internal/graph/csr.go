@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pathalias/internal/cost"
 )
@@ -52,10 +55,18 @@ type Snapshot struct {
 	gateways map[int32][]int32 // node ID -> declared gateway IDs
 	gwEpoch  uint64            // graph gateway-set version the map was built at
 
-	// Reverse adjacency, built on first use by Reverse.
-	revOnce sync.Once
-	revRow  []int32
-	revFrom []int32
+	// Reverse adjacency (see Reverse): patched from the base snapshot's
+	// when a patch finds that one built, else built on first use.
+	// revReady is set once revRow/revFrom are complete, so a patch can
+	// tell without waiting on revOnce.
+	revOnce  sync.Once
+	revReady atomic.Bool
+	revRow   []int32
+	revFrom  []int32
+
+	// What building the snapshot took (see Rebuilt).
+	rowsRebuilt int
+	revPatched  bool
 }
 
 // Snapshot returns a CSR snapshot of the graph's current usable edges.
@@ -68,15 +79,24 @@ func (g *Graph) Snapshot() *Snapshot {
 	if g.snapCache != nil {
 		return g.snapCache
 	}
+	s := g.buildSnapshot()
+	g.install(s)
+	return s
+}
+
+// buildSnapshot builds a snapshot of the current graph from scratch,
+// installing it nowhere.
+func (g *Graph) buildSnapshot() *Snapshot {
 	nodes := g.nodes
 	n := len(nodes)
 	s := &Snapshot{
-		Nodes:     nodes,
-		Row:       make([]int32, n+1),
-		NodeFlags: make([]NodeFlags, n),
-		Adjust:    make([]cost.Cost, n),
-		gateways:  make(map[int32][]int32),
-		gwEpoch:   g.gwEpoch,
+		Nodes:       nodes,
+		Row:         make([]int32, n+1),
+		NodeFlags:   make([]NodeFlags, n),
+		Adjust:      make([]cost.Cost, n),
+		gateways:    gatewayMap(nodes),
+		gwEpoch:     g.gwEpoch,
+		rowsRebuilt: n,
 	}
 
 	// Count usable edges per node, then fill — two passes, no growth.
@@ -84,18 +104,11 @@ func (g *Graph) Snapshot() *Snapshot {
 	for id, nd := range nodes {
 		s.NodeFlags[id] = nd.Flags
 		s.Adjust[id] = nd.Adjust
-		if len(nd.gateways) > 0 {
-			gw := make([]int32, len(nd.gateways))
-			for i, h := range nd.gateways {
-				gw[i] = int32(h.ID)
-			}
-			s.gateways[int32(id)] = gw
-		}
 		if nd.IsDeleted() {
 			continue
 		}
 		for l := nd.links; l != nil; l = l.Next {
-			if l.Flags&LDeleted == 0 && l.To.Flags&FDeleted == 0 {
+			if l.usable() {
 				edges++
 			}
 		}
@@ -112,7 +125,7 @@ func (g *Graph) Snapshot() *Snapshot {
 			continue
 		}
 		for l := nd.links; l != nil; l = l.Next {
-			if l.Flags&LDeleted != 0 || l.To.Flags&FDeleted != 0 {
+			if !l.usable() {
 				continue
 			}
 			s.To[e] = int32(l.To.ID)
@@ -126,8 +139,29 @@ func (g *Graph) Snapshot() *Snapshot {
 	s.Row[n] = e
 
 	s.Rank, s.ByRank = g.ranks()
-	g.snapCache = s
 	return s
+}
+
+// usable reports whether l belongs in a snapshot row of its (undeleted)
+// From node.
+func (l *Link) usable() bool {
+	return l.Flags&LDeleted == 0 && l.To.Flags&FDeleted == 0
+}
+
+// gatewayMap maps each node with declared gateways to their IDs.
+func gatewayMap(nodes []*Node) map[int32][]int32 {
+	m := make(map[int32][]int32)
+	for id, nd := range nodes {
+		if len(nd.gateways) == 0 {
+			continue
+		}
+		gw := make([]int32, len(nd.gateways))
+		for i, h := range nd.gateways {
+			gw[i] = int32(h.ID)
+		}
+		m[int32(id)] = gw
+	}
+	return m
 }
 
 type nameID struct {
@@ -212,13 +246,24 @@ func (g *Graph) ranks() (rank, byRank []int32) {
 }
 
 // Reverse returns the reverse CSR adjacency: the in-neighbors of node v
-// are from[row[v]:row[v+1]], in ascending node-ID order. Only warm
-// mapping runs need it, so it is built on the first call — once per
+// are from[row[v]:row[v+1]], in ascending node-ID order, a source
+// repeated once per parallel edge. Only warm mapping runs need it. A
+// patched snapshot derives it from its base's when that one was built
+// (patchReverse); otherwise it is built on the first call — once per
 // snapshot, however many machines map over it — and shared read-only
 // afterwards; safe for concurrent use.
 func (s *Snapshot) Reverse() (row, from []int32) {
 	s.revOnce.Do(s.buildReverse)
 	return s.revRow, s.revFrom
+}
+
+// Rebuilt reports what building s took: how many CSR rows were built
+// from the live adjacency lists (or, for an overlay, from its edits)
+// rather than copied — every row for a full build — and whether the
+// reverse adjacency was patched from the base snapshot's instead of
+// being left to a full build on first use.
+func (s *Snapshot) Rebuilt() (rows int, reversePatched bool) {
+	return s.rowsRebuilt, s.revPatched
 }
 
 // buildReverse derives the reverse adjacency by counting sort over the
@@ -245,6 +290,7 @@ func (s *Snapshot) buildReverse() {
 	copy(row[1:], row[:n])
 	row[0] = 0
 	s.revRow, s.revFrom = row, from
+	s.revReady.Store(true)
 }
 
 // IsGateway reports whether host is a declared gateway of net, by ID.
@@ -255,4 +301,55 @@ func (s *Snapshot) IsGateway(net, host int32) bool {
 		}
 	}
 	return false
+}
+
+// VerifySnapshot compares s with a snapshot built from scratch from the
+// graph as it is now — every CSR array, the node attributes, the
+// gateway sets and the ranks, and, when s's reverse adjacency is built,
+// buildReverse's arrays — and describes the first difference, or returns
+// nil. It costs a full build; tests use it to hold patched snapshots to
+// the from-scratch ones.
+func (g *Graph) VerifySnapshot(s *Snapshot) error {
+	want := g.buildSnapshot()
+	if len(s.Nodes) != len(want.Nodes) {
+		return fmt.Errorf("graph: snapshot has %d nodes, graph %d", len(s.Nodes), len(want.Nodes))
+	}
+	for _, err := range []error{
+		firstDiff("Row", s.Row, want.Row),
+		firstDiff("To", s.To, want.To),
+		firstDiff("EdgeCost", s.EdgeCost, want.EdgeCost),
+		firstDiff("EdgeFlags", s.EdgeFlags, want.EdgeFlags),
+		firstDiff("EdgeOp", s.EdgeOp, want.EdgeOp),
+		firstDiff("EdgeLink", s.EdgeLink, want.EdgeLink),
+		firstDiff("NodeFlags", s.NodeFlags, want.NodeFlags),
+		firstDiff("Adjust", s.Adjust, want.Adjust),
+		firstDiff("Rank", s.Rank, want.Rank),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if !maps.EqualFunc(s.gateways, want.gateways, slices.Equal) {
+		return fmt.Errorf("graph: snapshot gateways %v, want %v", s.gateways, want.gateways)
+	}
+	if !s.revReady.Load() {
+		return nil
+	}
+	want.buildReverse()
+	if err := firstDiff("reverse row", s.revRow, want.revRow); err != nil {
+		return err
+	}
+	return firstDiff("reverse from", s.revFrom, want.revFrom)
+}
+
+func firstDiff[T comparable](what string, got, want []T) error {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Errorf("graph: snapshot %s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("graph: snapshot %s has %d elements, want %d", what, len(got), len(want))
+	}
+	return nil
 }

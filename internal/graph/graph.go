@@ -290,9 +290,17 @@ type Graph struct {
 
 	// snapCache is the memoized CSR snapshot, dropped by any mutating
 	// method (see Snapshot). snapSpare parks a displaced snapshot's
-	// buffers for SnapshotPatched to recycle.
+	// buffers for SnapshotPatched to recycle, and rowBuf holds the rows
+	// it rebuilds.
 	snapCache *Snapshot
 	snapSpare *Snapshot
+	rowBuf    rowPatch
+
+	// attrDirty lists the nodes whose flags, adjustment or gateway set
+	// a method wrote since attrBase, the latest snapshot built, was
+	// built (nil attrBase: not recorded); see markAttr.
+	attrBase  *Snapshot
+	attrDirty []int32
 
 	// gwEpoch versions the union of all gateway sets, letting a patched
 	// snapshot reuse the previous gateway map when nothing changed.
@@ -539,6 +547,7 @@ func (g *Graph) AddAlias(a, b *Node) {
 // .rutgers.edu masquerade: "This makes caip a gateway for .rutgers.edu").
 func (g *Graph) AddNet(net *Node, members []*Node, c cost.Cost, op Op) {
 	g.snapCache = nil
+	g.markAttr(net)
 	net.Flags |= FNet
 	for _, m := range members {
 		if m == net {
@@ -561,12 +570,14 @@ func (g *Graph) AddNet(net *Node, members []*Node, c cost.Cost, op Op) {
 // paths entering it through a non-gateway member are severely penalized.
 func (g *Graph) MarkGatewayed(net *Node) {
 	g.snapCache = nil
+	g.markAttr(net)
 	net.Flags |= FGatewayed
 }
 
 // AddGateway declares host a gateway of network net.
 func (g *Graph) AddGateway(net, host *Node) {
 	g.snapCache = nil
+	g.markAttr(net)
 	if !net.IsGateway(host) {
 		net.gateways = append(net.gateways, host)
 		g.gwEpoch++
@@ -577,6 +588,7 @@ func (g *Graph) AddGateway(net, host *Node) {
 // MarkDead marks a host dead: paths to or through it are penalized.
 func (g *Graph) MarkDead(n *Node) {
 	g.snapCache = nil
+	g.markAttr(n)
 	n.Flags |= FDead
 }
 
@@ -594,6 +606,7 @@ func (g *Graph) MarkDeadLink(from, to *Node) bool {
 // Delete removes a host from consideration.
 func (g *Graph) Delete(n *Node) {
 	g.snapCache = nil
+	g.markAttr(n)
 	n.Flags |= FDeleted
 }
 
@@ -611,6 +624,7 @@ func (g *Graph) DeleteLink(from, to *Node) bool {
 // AdjustNode accumulates a per-transit cost bias for a host.
 func (g *Graph) AdjustNode(n *Node, delta cost.Cost) {
 	g.snapCache = nil
+	g.markAttr(n)
 	n.Adjust += delta
 }
 

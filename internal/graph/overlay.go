@@ -2,6 +2,7 @@ package graph
 
 import (
 	"iter"
+	"maps"
 	"slices"
 
 	"pathalias/internal/cost"
@@ -118,107 +119,53 @@ func (ov *Overlay) FindLink(g *Graph, from, to *Node) *Link {
 	return ov.Shadow(l)
 }
 
-// PatchSnapshot builds a private snapshot applying the overlay to base.
-// Untouched adjacency rows are block-copied; touched rows are rebuilt
-// with removed edges dropped, overridden edges re-costed (EdgeLink
-// pointing at the private shadow), and added edges appended at the end
-// of their row — the same position a link appended to the source would
-// occupy in a fresh parse.
+// PatchSnapshot builds a private snapshot applying the overlay to base,
+// through the same run-copying patch as Graph.SnapshotPatched: untouched
+// adjacency rows are block-copied; touched rows are rebuilt with removed
+// edges dropped, overridden edges re-costed (EdgeLink pointing at the
+// private shadow), and added edges appended at the end of their row —
+// the same position a link appended to the source would occupy in a
+// fresh parse. When base's reverse adjacency is built, the view's is
+// patched from it; otherwise the view builds its own on first use.
 //
 // Unlike Graph.Snapshot/SnapshotPatched this is a pure function: it
 // installs nothing in any cache and never reads the graph, so it is safe
 // under a read lock with concurrent overlay evaluations. Every array the
 // mapper or an explainer will index — Row, To, EdgeCost, EdgeFlags,
-// EdgeOp, EdgeLink, NodeFlags, Adjust — is freshly allocated even for a
-// zero-edit overlay, because the engine recycles displaced snapshot
-// buffers across updates and a cached overlay evaluation must stay
-// readable after the base map moves on. Only immutable-after-build data
-// is shared: Nodes (names and IDs never change), the rank arrays
-// (replaced, never edited in place), and the gateway map.
+// EdgeOp, EdgeLink, NodeFlags, Adjust and the reverse adjacency — is
+// freshly allocated even for a zero-edit overlay, because the engine
+// recycles displaced snapshot buffers across updates and a cached
+// overlay evaluation must stay readable after the base map moves on.
+// Only immutable-after-build data is shared: Nodes (names and IDs never
+// change), the rank arrays (replaced, never edited in place), and the
+// gateway map.
 func (ov *Overlay) PatchSnapshot(base *Snapshot) *Snapshot {
-	n := len(base.Row) - 1
-	s := &Snapshot{
-		Nodes:     base.Nodes,
-		Row:       make([]int32, n+1),
-		NodeFlags: make([]NodeFlags, n),
-		Adjust:    make([]cost.Cost, n),
-		Rank:      base.Rank,
-		ByRank:    base.ByRank,
-		gateways:  base.gateways,
-		gwEpoch:   base.gwEpoch,
-	}
-	copy(s.NodeFlags, base.NodeFlags)
-	copy(s.Adjust, base.Adjust)
-
-	edges := int32(len(base.To))
-	for id := range ov.touched {
-		lo, hi := base.Row[id], base.Row[id+1]
-		kept := int32(0)
-		for e := lo; e < hi; e++ {
-			if !ov.removed[base.EdgeLink[e]] {
-				kept++
-			}
-		}
-		edges += kept + int32(len(ov.added[id])) - (hi - lo)
-	}
-	s.To = make([]int32, edges)
-	s.EdgeCost = make([]cost.Cost, edges)
-	s.EdgeFlags = make([]LinkFlags, edges)
-	s.EdgeOp = make([]Op, edges)
-	s.EdgeLink = make([]*Link, edges)
-
-	e := int32(0)
-	for id := 0; id < n; {
-		if !ov.touched[int32(id)] {
-			// Copy the maximal run of untouched rows as one block.
-			start := id
-			for id < n && !ov.touched[int32(id)] {
-				id++
-			}
-			lo, hi := base.Row[start], base.Row[id]
-			delta := e - lo
-			copy(s.To[e:], base.To[lo:hi])
-			copy(s.EdgeCost[e:], base.EdgeCost[lo:hi])
-			copy(s.EdgeFlags[e:], base.EdgeFlags[lo:hi])
-			copy(s.EdgeOp[e:], base.EdgeOp[lo:hi])
-			copy(s.EdgeLink[e:], base.EdgeLink[lo:hi])
-			for k := start; k < id; k++ {
-				s.Row[k] = base.Row[k] + delta
-			}
-			e += hi - lo
-			continue
-		}
-		s.Row[id] = e
+	ids := slices.Sorted(maps.Keys(ov.touched))
+	var p rowPatch
+	for _, id := range ids {
+		p.begin(id)
 		for x := base.Row[id]; x < base.Row[id+1]; x++ {
 			l := base.EdgeLink[x]
 			if ov.removed[l] {
 				continue
 			}
+			c := base.EdgeCost[x]
 			if sh := ov.override[l]; sh != nil {
-				s.To[e] = base.To[x]
-				s.EdgeCost[e] = sh.Cost
-				s.EdgeFlags[e] = base.EdgeFlags[x]
-				s.EdgeOp[e] = base.EdgeOp[x]
-				s.EdgeLink[e] = sh
-			} else {
-				s.To[e] = base.To[x]
-				s.EdgeCost[e] = base.EdgeCost[x]
-				s.EdgeFlags[e] = base.EdgeFlags[x]
-				s.EdgeOp[e] = base.EdgeOp[x]
-				s.EdgeLink[e] = l
+				c, l = sh.Cost, sh
 			}
-			e++
+			p.add(base.To[x], c, base.EdgeFlags[x], base.EdgeOp[x], l)
 		}
-		for _, l := range ov.added[int32(id)] {
-			s.To[e] = int32(l.To.ID)
-			s.EdgeCost[e] = l.Cost
-			s.EdgeFlags[e] = l.Flags
-			s.EdgeOp[e] = l.Op
-			s.EdgeLink[e] = l
-			e++
+		for _, l := range ov.added[id] {
+			p.add(int32(l.To.ID), l.Cost, l.Flags, l.Op, l)
 		}
-		id++
 	}
-	s.Row[n] = e
+	s := &Snapshot{
+		Nodes:    base.Nodes,
+		Rank:     base.Rank,
+		ByRank:   base.ByRank,
+		gateways: base.gateways,
+		gwEpoch:  base.gwEpoch,
+	}
+	s.patchFrom(base, len(base.Row)-1, &p)
 	return s
 }

@@ -38,6 +38,7 @@ type Trace struct {
 	Replayed       int  `json:"stmts_replayed"`  // statements the patch applied plus undid
 	Rescanned      int  `json:"files_rescanned"` // inputs re-parsed
 	BytesRescanned int  `json:"bytes_rescanned"` // source bytes those re-parses scanned
+	RowsRebuilt    int  `json:"rows_rebuilt"`    // CSR snapshot rows rebuilt from the graph, not copied
 	Routes         int  `json:"routes"`          // default vantage's served routes
 	Published      bool `json:"published"`       // a new rdb image was written
 
@@ -62,16 +63,16 @@ func (t *Trace) SumStages() time.Duration {
 
 // Line renders the trace as one line for the `trace` protocol command:
 //
-//	gen=7 path=incremental wall=1.8ms scan=0.3ms patch=0.2ms ... nodes=5019 touched=3 links=2 stmts_replayed=2 rescanned=1 bytes_rescanned=31 ... stores_unchanged=2
+//	gen=7 path=incremental wall=1.8ms scan=0.3ms patch=0.2ms ... nodes=5019 touched=3 links=2 stmts_replayed=2 rescanned=1 bytes_rescanned=31 rows_rebuilt=1 ... stores_unchanged=2
 func (t *Trace) Line() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gen=%d path=%s wall=%s", t.Gen, t.Path, fmtDur(t.Wall))
 	for _, s := range t.Stages {
 		fmt.Fprintf(&b, " %s=%s", s.Name, fmtDur(s.Dur))
 	}
-	fmt.Fprintf(&b, " warm=%d full=%d nodes=%d touched=%d links=%d stmts_replayed=%d rescanned=%d bytes_rescanned=%d routes=%d published=%v labels_changed=%d stores_unchanged=%d",
+	fmt.Fprintf(&b, " warm=%d full=%d nodes=%d touched=%d links=%d stmts_replayed=%d rescanned=%d bytes_rescanned=%d rows_rebuilt=%d routes=%d published=%v labels_changed=%d stores_unchanged=%d",
 		t.Warm, t.Full, t.Nodes, t.NodesTouched, t.LinksTouched, t.Replayed, t.Rescanned, t.BytesRescanned,
-		t.Routes, t.Published, t.LabelsChanged, t.StoresUnchanged)
+		t.RowsRebuilt, t.Routes, t.Published, t.LabelsChanged, t.StoresUnchanged)
 	return b.String()
 }
 

@@ -14,14 +14,16 @@
 //     per-file journals (apply.go) instead of being rebuilt — an edited
 //     file replays and undoes only the statements between the common
 //     prefix and suffix of its old and new fragments;
-//   - the CSR snapshot is rebuilt by block-copying the rows of untouched
-//     nodes (graph.SnapshotPatched);
+//   - the CSR snapshot and its reverse adjacency are patched from the
+//     previous ones by block-copying the rows of untouched nodes
+//     (graph.SnapshotPatched);
 //   - the mapper warm-starts (mapper.Machine): labels of nodes whose
 //     cost frontier is untouched survive, only the dirty region is
 //     re-relaxed, and the whole run falls back to a full re-map when the
 //     delta is too large, touches the root, or changes the node set;
 //   - route format strings are patched per changed subtree (routes.go)
-//     rather than re-derived for every host.
+//     rather than re-derived for every host, and merged into the row
+//     array a Result hands out without a further copy.
 //
 // The shared half of that state — fragment cache, journaled graph, CSR
 // snapshot, per-update change history — is the core, one copy
@@ -92,10 +94,12 @@ type Input = parser.Input
 // Result is one update's complete output for one vantage.
 type Result struct {
 	// Entries are the routes, ordered exactly as printer.Routes would
-	// order them under the engine's printer options. The backing array
-	// is recycled: it stays valid until the second recompute of the same
-	// vantage after this Result was returned; callers that keep entries
-	// longer must copy them.
+	// order them under the engine's printer options. The slice is the
+	// vantage's own row array, not a copy, and its backing array is
+	// recycled: it stays valid until the second recompute of the same
+	// vantage after this Result was returned that changes a row (one
+	// that changes none hands out the same slice again); callers that
+	// keep entries longer must copy them.
 	Entries []printer.Entry
 	// Warnings in parse order, then pending-link and avoid warnings, as
 	// a fresh run would emit them. Warnings are vantage-independent; all
@@ -128,7 +132,7 @@ type Result struct {
 	// update was a no-op for this vantage.
 	RouteGen uint64
 	// MapDur and RouteDur split this recompute's wall time between the
-	// mapping run and route derivation/assembly — observability only,
+	// mapping run and route derivation — observability only,
 	// zero when the result was served from cache.
 	MapDur   time.Duration
 	RouteDur time.Duration
@@ -232,7 +236,7 @@ type core struct {
 	warnings []string    // current update's warnings, shared by vantages
 	plain    *plainState // non-nil while the last update took the plain path
 
-	touchedBuf []bool
+	touchedBuf []int32 // ch.touched as a list, for SnapshotPatched
 
 	// Stats counts engine activity for observability.
 	Stats EngineStats
@@ -248,7 +252,7 @@ type core struct {
 type UpdateTiming struct {
 	Scan     time.Duration // diff inputs, rescan the changed ones
 	Patch    time.Duration // journal patch / rebuild / plain merge
-	Snapshot time.Duration // CSR snapshot + change history + warnings
+	Snapshot time.Duration // CSR snapshot (with its reverse adjacency, when patched) + change history + warnings
 	Map      time.Duration // vantage mapping + route derivation, wall
 
 	// MapSum and RouteSum split Map by work kind, summed across
@@ -274,6 +278,13 @@ type UpdateTiming struct {
 	Nodes          int // graph size after the update
 	NodesTouched   int // nodes the patch touched (== Nodes after a rebuild)
 	LinksTouched   int // link events in the change set
+
+	// RowsRebuilt counts the CSR rows the snapshot rebuilt from the live
+	// adjacency lists (every row on a full build; graph.Snapshot.Rebuilt),
+	// and ReversePatched whether its reverse adjacency was patched from
+	// the previous snapshot's rather than left to a full build.
+	RowsRebuilt    int
+	ReversePatched bool
 }
 
 // EngineStats count engine activity across updates. Incremental and
@@ -290,6 +301,8 @@ type EngineStats struct {
 	BytesRescanned int
 	// StmtsReplayed sums UpdateTiming.StmtsReplayed over the updates.
 	StmtsReplayed int
+	// RowsRebuilt sums UpdateTiming.RowsRebuilt over the updates.
+	RowsRebuilt int
 }
 
 // newCore builds the shared pipeline state with no vantages.
@@ -522,18 +535,14 @@ func (e *core) sync(inputs []Input) error {
 		// Grown generations patch too: SnapshotPatched treats appended
 		// nodes as touched and merge-ranks the new names, so a host add
 		// pays O(changed) + O(nodes), not a full CSR rebuild and re-sort.
-		n := e.g.Len()
-		if cap(e.touchedBuf) >= n {
-			e.touchedBuf = e.touchedBuf[:n]
-			clear(e.touchedBuf)
-		} else {
-			e.touchedBuf = make([]bool, n)
-		}
+		e.touchedBuf = e.touchedBuf[:0]
 		for id := range e.ch.touched {
-			e.touchedBuf[id] = true
+			e.touchedBuf = append(e.touchedBuf, id)
 		}
 		e.snap = e.g.SnapshotPatched(e.snap, e.touchedBuf)
 	}
+	e.timing.RowsRebuilt, e.timing.ReversePatched = e.snap.Rebuilt()
+	e.Stats.RowsRebuilt += e.timing.RowsRebuilt
 	e.warnings = e.computeWarnings()
 	e.timing.Snapshot = time.Since(mark)
 	e.timing.Nodes = e.g.Len()

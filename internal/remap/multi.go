@@ -21,8 +21,8 @@ import (
 // concurrent use: queries (ResultFor) may run from any number of
 // goroutines concurrently with each other; Update excludes them while
 // the shared state moves. A Result is immutable once returned, but its
-// Entries backing array is recycled after two recomputes of the same
-// vantage (see Result.Entries).
+// Entries backing array is recycled by the second recompute of the same
+// vantage that changes a row (see Result.Entries).
 type Multi struct {
 	mu   sync.RWMutex
 	e    *core

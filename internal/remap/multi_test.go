@@ -390,8 +390,10 @@ func TestRouteGenChurnFree(t *testing.T) {
 // FuzzMultiEdits is the differential fuzzer over the shared engine: a
 // seed draws a map and a sequence of steps random edits (mutateMap),
 // applied to a Multi with the default vantage and two from= vantages
-// resident; after every step each vantage must be byte-identical to a
-// fresh single-source run — the oracle of TestMultiRandomizedEquivalence.
+// resident; after every step the patched CSR snapshot must equal a
+// fresh graph.Snapshot (graph.VerifySnapshot), and each vantage must be
+// byte-identical to a fresh single-source run — the oracle of
+// TestMultiRandomizedEquivalence.
 //
 //	go test -run '^$' -fuzz FuzzMultiEdits -fuzztime 60s ./internal/remap/
 func FuzzMultiEdits(f *testing.F) {
@@ -412,6 +414,13 @@ func FuzzMultiEdits(f *testing.F) {
 		}
 		vantages := []string{local, "host3", "host11"}
 		check := func(label string) {
+			// The patched snapshot (and its reverse adjacency, when
+			// patched) first, before the vantages' runs build anything.
+			if m.e.plain == nil && m.e.snap != nil {
+				if err := m.e.g.VerifySnapshot(m.e.snap); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
 			for _, h := range vantages {
 				checkVantage(t, m, opts, inputs, h, label)
 			}

@@ -135,17 +135,17 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	run := &OverlayRun{
 		Gen:         e.updGen,
 		Host:        hostName,
-		Entries:     v.assembleEntries(e),
-		LabelByHost: make(map[string]int32, len(v.rows)),
+		Entries:     v.resultEntries(e),
+		LabelByHost: make(map[string]int32, len(v.entries)),
 		Warm:        r.warm,
 		Relaxations: r.res.Relaxations,
 		Machine:     v.mc,
 		Snap:        snap,
 		Overlay:     ov,
 	}
-	for _, row := range v.rows {
-		if _, dup := run.LabelByHost[row.e.Host]; !dup {
-			run.LabelByHost[row.e.Host] = row.label
+	for i, en := range v.entries {
+		if _, dup := run.LabelByHost[en.Host]; !dup {
+			run.LabelByHost[en.Host] = v.meta[i].label
 		}
 	}
 	if len(r.res.Unreachable) > 0 {
@@ -175,6 +175,7 @@ func (v *vantage) scratch(e *core) *vantage {
 		frames:     slices.Clone(v.frames),
 		frameDirty: slices.Clone(v.frameDirty),
 		frameEpoch: v.frameEpoch,
-		rows:       slices.Clone(v.rows),
+		entries:    slices.Clone(v.entries),
+		meta:       slices.Clone(v.meta),
 	}
 }

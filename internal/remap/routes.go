@@ -5,14 +5,17 @@ package remap
 // one frame per label — the traversal state printer passes down its
 // recursion — and recomputes frames only for labels whose value changed,
 // plus their descendants (a route string depends on every ancestor's
-// frame). The resulting entries live in one array kept in printer's
-// output order, so an update is a sorted merge: drop the dirty labels'
-// old rows, merge in their new ones.
+// frame). The resulting rows are kept in printer's output order as two
+// parallel arrays: the entries themselves, which a Result hands out
+// as they are, and each row's label bookkeeping. An update is a sorted
+// merge into the spare pair of arrays: drop the dirty labels' old rows,
+// merge in their new ones, block-copying the runs in between.
 //
 // The frame rules are a transliteration of printer.extend/emit; the
 // randomized equivalence tests hold the two byte-identical.
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -34,19 +37,26 @@ type frame struct {
 	valid     bool
 }
 
-// entryRow is one output entry with the bookkeeping for patching.
-type entryRow struct {
-	e     printer.Entry
+// rowMeta is an output row's bookkeeping for patching, parallel to its
+// entry.
+type rowMeta struct {
 	label int32
 	odd   bool // printed under a name that is not the node's own (domain-qualified)
+}
+
+// entryRow is one output entry with its bookkeeping, as derived before
+// it is merged into the row arrays.
+type entryRow struct {
+	e printer.Entry
+	rowMeta
 }
 
 // rowLess is the canonical output order: host name, then main entries
 // before domain-qualified ones (the printer's merge rule), then name
 // rank for determinism among qualified collisions.
-func (v *vantage) rowLess(rank []int32, a, b entryRow) bool {
-	if a.e.Host != b.e.Host {
-		return a.e.Host < b.e.Host
+func (v *vantage) rowLess(rank []int32, ha string, a rowMeta, hb string, b rowMeta) bool {
+	if ha != hb {
+		return ha < hb
 	}
 	if a.odd != b.odd {
 		return !a.odd
@@ -57,6 +67,33 @@ func (v *vantage) rowLess(rank []int32, a, b entryRow) bool {
 		return ra < rb
 	}
 	return a.label < b.label
+}
+
+// sortRows sorts rows into the canonical order.
+func (v *vantage) sortRows(rank []int32, rows []entryRow) {
+	sort.Slice(rows, func(i, j int) bool {
+		return v.rowLess(rank, rows[i].e.Host, rows[i].rowMeta, rows[j].e.Host, rows[j].rowMeta)
+	})
+}
+
+// swapRows makes the given spare arrays the live ones: the
+// arrays handed out with the latest Result become the spare, which the
+// next change overwrites — why a Result's Entries stay valid only until
+// the second recompute of its vantage that changes a row.
+func (v *vantage) swapRows(entries []printer.Entry, meta []rowMeta) {
+	v.spareEntries, v.spareMeta = v.entries, v.meta
+	v.entries, v.meta = entries, meta
+}
+
+// spareRows returns the spare arrays with room for n rows, reallocated
+// with 25% headroom when short: the row count creeps up by a few
+// entries per host-add generation, and an exact fit would force the
+// allocation on every patch.
+func (v *vantage) spareRows(n int) ([]printer.Entry, []rowMeta) {
+	if cap(v.spareEntries) < n || cap(v.spareMeta) < n {
+		return make([]printer.Entry, n, n+n/4), make([]rowMeta, n, n+n/4)
+	}
+	return v.spareEntries[:n], v.spareMeta[:n]
 }
 
 // extendFrame computes a child's frame from its parent's —
@@ -145,15 +182,16 @@ func (v *vantage) rebuildRoutes(e *core) {
 		v.frameDirty = make([]uint32, nl)
 		v.frameEpoch = 0
 	}
-	v.rows = v.rows[:0]
 
 	root := 2 * v.mc.SourceID()
 	rootView := v.mc.Label(root)
 	if rootView.Node == nil || rootView.State != graph.Mapped {
+		v.swapRows(v.spareRows(0))
 		return
 	}
 	rank := e.snap.Rank
 	v.frames[root] = frame{route: "%s", name: rootView.Node.Name, valid: true}
+	var rows []entryRow
 	stack := []int32{root}
 	for len(stack) > 0 {
 		li := stack[len(stack)-1]
@@ -164,11 +202,16 @@ func (v *vantage) rebuildRoutes(e *core) {
 			v.frames[li] = extendFrame(p, lv, &v.frames[lv.Parent])
 		}
 		if en, ok := v.entryFor(e, li, &v.frames[li]); ok {
-			v.rows = append(v.rows, entryRow{e: en, label: li, odd: en.Host != lv.Node.Name})
+			rows = append(rows, entryRow{en, rowMeta{label: li, odd: en.Host != lv.Node.Name}})
 		}
 		stack = v.mc.AppendChildren(stack, li)
 	}
-	sort.Slice(v.rows, func(i, j int) bool { return v.rowLess(rank, v.rows[i], v.rows[j]) })
+	v.sortRows(rank, rows)
+	entries, meta := v.spareRows(len(rows))
+	for i, r := range rows {
+		entries[i], meta[i] = r.e, r.rowMeta
+	}
+	v.swapRows(entries, meta)
 }
 
 // patchRoutes recomputes frames and entries for the changed labels and
@@ -245,63 +288,61 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 			v.frames[li] = extendFrame(v.mc.Label(lv.Parent), lv, &v.frames[lv.Parent])
 		}
 		if en, ok := v.entryFor(e, li, &v.frames[li]); ok {
-			newRows = append(newRows, entryRow{e: en, label: li, odd: en.Host != lv.Node.Name})
+			newRows = append(newRows, entryRow{en, rowMeta{label: li, odd: en.Host != lv.Node.Name}})
 		}
 	}
-	sort.Slice(newRows, func(i, j int) bool { return v.rowLess(rank, newRows[i], newRows[j]) })
+	v.sortRows(rank, newRows)
 
-	// Merge: old rows minus dirty labels, plus the recomputed rows. The
-	// spare buffer ping-pongs with the live one to keep the merge
-	// allocation-free at steady state.
-	merged := v.rowsSpare[:0]
-	if need := len(v.rows) + len(newRows); cap(merged) < need {
-		// 25% headroom: the row count creeps up by a few entries per
-		// host-add generation, and an exact-fit spare would force this
-		// allocation every single patch.
-		merged = make([]entryRow, 0, need+need/4)
-	}
-	j := 0
-	for _, r := range v.rows {
-		if v.frameDirty[r.label] == epoch {
-			continue // superseded (or gone)
+	// Merge: old rows minus dirty labels, plus the recomputed rows, into
+	// the spare arrays. Each new row goes before the first old row it
+	// sorts below (dropped rows kept their place in the old order, so a
+	// binary search over all old rows finds it); the clean runs between
+	// those points and the dirty rows are block-copied.
+	old, oldMeta := v.entries, v.meta
+	entries, meta := v.spareRows(len(old) + len(newRows))
+	k, i := 0, 0 // write cursor; next old row
+	// copyClean copies the clean old rows in [i, end).
+	copyClean := func(end int) {
+		for i < end {
+			run := i
+			for run < end && v.frameDirty[oldMeta[run].label] != epoch {
+				run++
+			}
+			copy(entries[k:], old[i:run])
+			copy(meta[k:], oldMeta[i:run])
+			k += run - i
+			i = run
+			for i < end && v.frameDirty[oldMeta[i].label] == epoch {
+				i++ // superseded (or gone)
+			}
 		}
-		for j < len(newRows) && v.rowLess(rank, newRows[j], r) {
-			merged = append(merged, newRows[j])
-			j++
-		}
-		merged = append(merged, r)
 	}
-	merged = append(merged, newRows[j:]...)
-	v.rowsSpare = v.rows
-	v.rows = merged
-	return len(dirty) > 0
+	for _, r := range newRows {
+		at := i + sort.Search(len(old)-i, func(x int) bool {
+			return v.rowLess(rank, r.e.Host, r.rowMeta, old[i+x].Host, oldMeta[i+x])
+		})
+		copyClean(at)
+		entries[k], meta[k] = r.e, r.rowMeta
+		k++
+	}
+	copyClean(len(old))
+	v.swapRows(entries[:k], meta[:k])
+	return true
 }
 
-// assembleEntries renders the row array into the Result's entry slice.
-// The two entry buffers ping-pong: the one handed out with the previous
-// Result is reused for the next-but-one recompute, which is why a
-// Result's Entries are documented as valid only until the second
-// recompute of its vantage.
-func (v *vantage) assembleEntries(e *core) []printer.Entry {
-	out := v.entriesSpare[:0]
-	if cap(out) < len(v.rows) {
-		out = make([]printer.Entry, 0, len(v.rows)+len(v.rows)/4)
+// resultEntries returns the entries a Result hands out: the live row
+// array itself, or under SortByCost a by-cost copy, made once per route
+// generation.
+func (v *vantage) resultEntries(e *core) []printer.Entry {
+	if !e.opts.Printer.SortByCost {
+		return v.entries
 	}
-	for _, r := range v.rows {
-		out = append(out, r.e)
-	}
-	v.entriesSpare = v.entriesLast
-	v.entriesLast = out
-	if e.opts.Printer.SortByCost {
-		slices.SortFunc(out, func(a, b printer.Entry) int {
-			if a.Cost != b.Cost {
-				if a.Cost < b.Cost {
-					return -1
-				}
-				return 1
-			}
-			return strings.Compare(a.Host, b.Host)
+	if v.byCost == nil || v.byCostGen != v.routeGen {
+		v.byCost = slices.Clone(v.entries)
+		slices.SortFunc(v.byCost, func(a, b printer.Entry) int {
+			return cmp.Or(cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Host, b.Host))
 		})
+		v.byCostGen = v.routeGen
 	}
-	return out
+	return v.byCost
 }

@@ -43,20 +43,23 @@ type vantage struct {
 	last   *Result
 	err    error
 
-	// Route state (routes.go). routeGen counts recomputes that actually
-	// changed (or may have changed) the entry set, so consumers can skip
-	// rebuilding downstream artifacts on no-op updates.
-	frames     []frame
-	frameDirty []uint32
-	frameEpoch uint32
-	rows       []entryRow
-	rowsSpare  []entryRow
-	routeGen   uint64
-
-	// Entry output buffers, ping-ponged by assembleEntries: the slice in
-	// the latest Result and the one from the Result before it.
-	entriesLast  []printer.Entry
-	entriesSpare []printer.Entry
+	// Route state (routes.go). The rows in canonical order are two
+	// parallel arrays, entries (handed out as Result.Entries) and meta,
+	// plus a spare pair that the next change is merged into. routeGen
+	// counts recomputes that actually changed (or may have changed) the
+	// entry set, so consumers can skip rebuilding downstream artifacts
+	// on no-op updates; byCost is SortByCost's copy of entries, made at
+	// route generation byCostGen.
+	frames       []frame
+	frameDirty   []uint32
+	frameEpoch   uint32
+	entries      []printer.Entry
+	meta         []rowMeta
+	spareEntries []printer.Entry
+	spareMeta    []rowMeta
+	routeGen     uint64
+	byCost       []printer.Entry
+	byCostGen    uint64
 
 	// lastUsed is the Multi's LRU tick, atomic so cached reads under the
 	// shared read-lock can still touch it.
@@ -123,7 +126,7 @@ func (v *vantage) recompute(e *core) (*Result, error) {
 		out.LabelsChanged = run.changed
 	}
 	out.RouteGen = v.routeGen
-	out.Entries = v.assembleEntries(e)
+	out.Entries = v.resultEntries(e)
 	out.Warnings = e.warnings
 	for _, n := range run.res.Unreachable {
 		out.Unreachable = append(out.Unreachable, n.Name)

@@ -233,6 +233,9 @@ type EngineStats struct {
 	// StmtsReplayed counts the statements the engine applied plus those
 	// it undid, summed over the updates.
 	StmtsReplayed int
+	// RowsRebuilt counts the CSR snapshot rows rebuilt from the graph's
+	// adjacency lists rather than copied, summed over the updates.
+	RowsRebuilt int
 }
 
 // remapOptions translates public Options into the incremental engine's
