@@ -206,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		out = f
 	}
-	if err := printer.Write(out, rep.MapResult, cfg.Printer); err != nil {
+	if err := printer.Write(out, rep.Entries, cfg.Printer); err != nil {
 		fmt.Fprintf(stderr, "pathalias: writing output: %v\n", err)
 		return 1
 	}

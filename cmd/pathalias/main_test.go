@@ -240,6 +240,32 @@ trace:   path: a -> b
 	}
 }
 
+// TestTraceSecondBestPath: under -g a path may run through a node's
+// non-winning label. motown's winning route is b!caip!motown!%s, through
+// caip's clean label, while caip's own winning label is the domain one.
+func TestTraceSecondBestPath(t *testing.T) {
+	p := writeMap(t, `a	d1(50), b(100)
+.dom	= {caip}(50)
+d1	.dom(0)
+b	caip(50)
+caip	motown(25)
+`)
+	var out, errb strings.Builder
+	if code := run([]string{"-l", "a", "-g", "-t", "motown", p}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	want := `trace: motown (id 5, file "` + p + `")
+trace:   out-links (0):
+trace:   in-links:
+trace:     <- caip cost 25 op !/LEFT [tree]
+trace:   mapped at cost 175, 3 hops
+trace:   path: a -> b -> caip -> motown
+`
+	if errb.String() != want {
+		t.Errorf("-g -t motown:\n%s\nwant:\n%s", errb.String(), want)
+	}
+}
+
 func TestTraceUnmappedHost(t *testing.T) {
 	p := writeMap(t, "a b(10)\nisland\n")
 	var out, errb strings.Builder

@@ -36,8 +36,7 @@ func traceHost(w io.Writer, rep *core.Report, name string) {
 	}
 
 	flags := func(l *graph.Link) string {
-		tn := res.Winner(l.To)
-		return linkFlagText(l.Flags, tn != nil && tn.Via == l)
+		return linkFlagText(l.Flags, res.TreeEdge(l))
 	}
 
 	out := slices.Collect(res.Links(n))
@@ -63,20 +62,21 @@ func traceHost(w io.Writer, rep *core.Report, name string) {
 		fmt.Fprintf(w, "trace:   in-links: none\n")
 	}
 
-	tn := res.Winner(n)
-	if tn == nil {
+	mc := res.Machine
+	win := mc.Winner(n)
+	if win < 0 {
 		fmt.Fprintf(w, "trace:   not mapped (unmapped)\n")
 		return
 	}
-	fmt.Fprintf(w, "trace:   mapped at cost %v, %d hops\n", tn.Cost, tn.Hops)
+	lv := mc.Label(win)
+	fmt.Fprintf(w, "trace:   mapped at cost %v, %d hops\n", lv.Cost, lv.Hops)
+	// The path is the labels the route came through, parent by parent:
+	// under SecondBest a hop's label need not be its node's winner.
 	var path []string
-	for cur := tn; cur != nil; {
-		path = append([]string{cur.Node.Name}, path...)
-		if cur.Via == nil {
-			break
-		}
-		cur = res.Winner(cur.Via.From)
+	for li := win; li >= 0; li = mc.Label(li).Parent {
+		path = append(path, mc.Label(li).Node.Name)
 	}
+	slices.Reverse(path)
 	fmt.Fprintf(w, "trace:   path: %s\n", strings.Join(path, " -> "))
 }
 

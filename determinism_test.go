@@ -35,7 +35,7 @@ func routesBytes(t *testing.T, workers int, local string, inputs []parser.Input)
 		t.Fatalf("map: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := printer.Write(&buf, mres, printer.Options{Costs: true}); err != nil {
+	if err := printer.Write(&buf, printer.Routes(mres, printer.Options{Costs: true}), printer.Options{Costs: true}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

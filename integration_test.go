@@ -178,11 +178,12 @@ func TestTriangleInequalityWithoutHeuristics(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(l *graph.Link) {
-		wu, wv := mres.Winner(l.From), mres.Winner(l.To)
-		if !l.Usable() || wu == nil || wv == nil {
+		mc := mres.Machine
+		iu, iv := mc.Winner(l.From), mc.Winner(l.To)
+		if !l.Usable() || iu < 0 || iv < 0 {
 			return
 		}
-		if wv.Cost > wu.Cost.Add(l.Cost) {
+		if wu, wv := mc.Label(iu), mc.Label(iv); wv.Cost > wu.Cost.Add(l.Cost) {
 			t.Fatalf("triangle violated: cost(%s)=%v > cost(%s)=%v + w=%v",
 				l.To.Name, wv.Cost, l.From.Name, wu.Cost, l.Cost)
 		}

@@ -178,23 +178,25 @@ type RelayLoad struct {
 // leaves (load 0).
 func Relays(res *mapper.Result) []RelayLoad {
 	counts := map[*graph.Node]int{}
-	var walk func(tn *mapper.TreeNode) int
-	walk = func(tn *mapper.TreeNode) int {
+	mc := res.Machine
+	var walk func(li int32) int
+	walk = func(li int32) int {
 		below := 0
-		for _, c := range tn.Children {
+		for _, c := range mc.AppendChildren(nil, li) {
 			below += walk(c)
 		}
-		if tn.Via != nil && below > 0 {
-			counts[tn.Node] += below
+		lv := mc.Label(li)
+		if lv.Parent >= 0 && below > 0 {
+			counts[lv.Node] += below
 		}
 		carried := below
-		if tn.Winning {
+		if mc.Winner(lv.Node) == li {
 			carried++ // this node itself is a destination
 		}
 		return carried
 	}
-	if res.Tree != nil {
-		walk(res.Tree)
+	if root := mc.Root(); root >= 0 {
+		walk(root)
 	}
 	loads := make([]RelayLoad, 0, len(counts))
 	for n, c := range counts {
@@ -221,26 +223,22 @@ type HopStats struct {
 func Hops(res *mapper.Result) HopStats {
 	st := HopStats{ByHops: make([]int, HistogramCap+1)}
 	var total int64
-	var walk func(tn *mapper.TreeNode)
-	walk = func(tn *mapper.TreeNode) {
-		if tn.Winning && !tn.Node.IsNet() && !tn.Node.IsPrivate() {
-			st.Routes++
-			h := int(tn.Hops)
-			total += int64(h)
-			if h > st.MaxHop {
-				st.MaxHop = h
-			}
-			if h > HistogramCap {
-				h = HistogramCap
-			}
-			st.ByHops[h]++
+	mc := res.Machine
+	for li := range int32(mc.NumLabels()) {
+		lv := mc.Label(li)
+		if lv.Node == nil || mc.Winner(lv.Node) != li || lv.Node.IsNet() || lv.Node.IsPrivate() {
+			continue
 		}
-		for _, c := range tn.Children {
-			walk(c)
+		st.Routes++
+		h := int(lv.Hops)
+		total += int64(h)
+		if h > st.MaxHop {
+			st.MaxHop = h
 		}
-	}
-	if res.Tree != nil {
-		walk(res.Tree)
+		if h > HistogramCap {
+			h = HistogramCap
+		}
+		st.ByHops[h]++
 	}
 	if st.Routes > 0 {
 		st.MeanHop = float64(total) / float64(st.Routes)

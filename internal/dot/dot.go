@@ -68,7 +68,7 @@ func WriteGraph(w io.Writer, g *graph.Graph, res *mapper.Result, opts Options) e
 			if opts.Costs {
 				eattrs = append(eattrs, fmt.Sprintf("label=\"%v\"", l.Cost))
 			}
-			if tn := res.Winner(l.To); tn != nil && tn.Via == l {
+			if res.TreeEdge(l) {
 				eattrs = append(eattrs, "penwidth=2")
 			}
 			if l.Flags&graph.LBack != 0 {
@@ -117,31 +117,32 @@ func WriteTree(w io.Writer, res *mapper.Result) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "digraph routes {")
 	fmt.Fprintln(bw, "\trankdir=LR;")
-	var walk func(tn *mapper.TreeNode)
-	walk = func(tn *mapper.TreeNode) {
-		label := fmt.Sprintf("%s\\n%v", tn.Node.Name, tn.Cost)
+	mc := res.Machine
+	var walk func(li int32)
+	walk = func(li int32) {
+		lv := mc.Label(li)
 		style := ""
-		if !tn.Winning {
+		if mc.Winner(lv.Node) != li {
 			style = ", style=dashed"
 		}
-		fmt.Fprintf(bw, "\t%s [label=\"%s\"%s];\n", quote(id(tn)), label, style)
-		for _, c := range tn.Children {
-			fmt.Fprintf(bw, "\t%s -> %s;\n", quote(id(tn)), quote(id(c)))
+		fmt.Fprintf(bw, "\t%s [label=\"%s\\n%v\"%s];\n", quote(id(lv)), lv.Node.Name, lv.Cost, style)
+		for _, c := range mc.AppendChildren(nil, li) {
+			fmt.Fprintf(bw, "\t%s -> %s;\n", quote(id(lv)), quote(id(mc.Label(c))))
 			walk(c)
 		}
 	}
-	if res.Tree != nil {
-		walk(res.Tree)
+	if root := mc.Root(); root >= 0 {
+		walk(root)
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()
 }
 
-// id gives a tree node a unique DOT identity even when a graph node
-// appears twice (second-best mode).
-func id(tn *mapper.TreeNode) string {
-	if tn.InDomain {
-		return tn.Node.Name + "#tainted"
+// id gives a label a unique DOT identity even when a graph node has
+// two (second-best mode).
+func id(lv mapper.LabelView) string {
+	if lv.InDomain {
+		return lv.Node.Name + "#tainted"
 	}
-	return tn.Node.Name
+	return lv.Node.Name
 }

@@ -59,7 +59,7 @@ func TestWriteToRoundTripAtScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out strings.Builder
-		if err := printer.Write(&out, mres, printer.Options{Costs: true}); err != nil {
+		if err := printer.Write(&out, printer.Routes(mres, printer.Options{Costs: true}), printer.Options{Costs: true}); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()

@@ -159,9 +159,9 @@ func (mc *Machine) newQueue() {
 }
 
 // FullRun recomputes the complete shortest-path tree from source,
-// resetting all persistent state. Unlike Run it does not build the
-// Result's TreeNode tree (the engine reads labels directly): Result.Tree
-// is nil, and so are Result.Invented and every Winner.
+// resetting all persistent state. The tree is the machine's labels,
+// read through Label, Winner and AppendChildren; unlike Run's, the
+// Result carries no Invented list.
 func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	if source == nil {
 		return nil, fmt.Errorf("mapper: nil source")
@@ -184,8 +184,7 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	} else {
 		m.labels = make([]label, want)
 	}
-	m.res = &Result{Source: source}
-	m.res.NameRank = m.snap.Rank
+	m.res = &Result{Source: source, Machine: mc}
 	mc.newQueue()
 	mc.sourceID = int32(source.ID)
 
@@ -319,8 +318,7 @@ func (mc *Machine) BeginWarm() error {
 	m.changedEpoch++
 	m.changed = m.changed[:0]
 	m.changedOld = m.changedOld[:0]
-	m.res = &Result{Source: m.snap.Nodes[mc.sourceID]}
-	m.res.NameRank = m.snap.Rank
+	m.res = &Result{Source: m.snap.Nodes[mc.sourceID], Machine: mc}
 	mc.newQueue()
 	m.revRow, m.revFrom = m.snap.Reverse()
 	if m.revExtra == nil {
@@ -420,6 +418,36 @@ func (mc *Machine) Label(li int32) LabelView {
 		InDomain: lb.inDomain,
 	}
 }
+
+// Winner returns the index of n's winning label — its minimum-cost
+// mapped label, the one whose cost is reported for n — or -1 when n is
+// not mapped. Outside SecondBest a node has one label, 2*n.ID.
+func (mc *Machine) Winner(n *graph.Node) int32 {
+	if n == nil || 2*n.ID >= len(mc.mach.labels) {
+		return -1
+	}
+	if w := mc.mach.winner(n); w != nil {
+		return w.index()
+	}
+	return -1
+}
+
+// Root returns the label of the last run's source, the root of its
+// shortest-path tree, or -1 when the machine holds no tree.
+func (mc *Machine) Root() int32 {
+	if mc.sourceID < 0 {
+		return -1
+	}
+	if lb := &mc.mach.labels[2*mc.sourceID]; lb.node == nil || lb.state != graph.Mapped {
+		return -1
+	}
+	return 2 * mc.sourceID
+}
+
+// Rank returns the name ranks of the snapshot the machine runs over
+// (graph.Snapshot.Rank, shared read-only): node ID to the node name's
+// position in sorted name order.
+func (mc *Machine) Rank() []int32 { return mc.snapshot().Rank }
 
 // AppendChildren appends the label indices of li's children in the
 // current shortest-path tree to dst and returns the extended slice.

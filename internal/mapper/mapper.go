@@ -105,7 +105,12 @@ func (lb *label) hasPath() bool { return lb.node != nil && lb.state != graph.Unm
 // Result reports a mapping run.
 type Result struct {
 	Source *graph.Node
-	Tree   *TreeNode // root of the shortest-path tree (never nil)
+
+	// Machine holds the run's labels: the shortest-path tree is read
+	// through its Label, Winner and AppendChildren. They describe this
+	// run until the machine runs again; the machine Run and RunArray
+	// create never does.
+	Machine *Machine
 
 	Reached     int           // nodes with a finite-state label
 	Unreachable []*graph.Node // hosts never reached, even via back links
@@ -116,23 +121,14 @@ type Result struct {
 	Relaxations int64 // edge relaxations attempted
 	MaxQueue    int   // high-water mark of the queue
 
-	// NameRank maps node ID to the node name's position in sorted name
-	// order (graph.Snapshot.Rank, shared read-only). The printer uses it
-	// to order output by integer compares instead of string compares.
-	NameRank []int32
-
 	// Invented lists the back links the run invented, in invention
 	// order (set by Run and RunArray). They exist only here: the graph
 	// holds declared links alone.
 	Invented []*graph.Link
 
 	// inventedFrom indexes Invented by source node ID (the machine's
-	// overlay). tree backs Tree; winAt[node ID] is the slot of the
-	// node's winning TreeNode in tree, plus one (0 when the node is not
-	// mapped).
+	// overlay).
 	inventedFrom map[int32][]*graph.Link
-	tree         []TreeNode
-	winAt        []int32
 }
 
 // Links yields n's declared links, then the back links the run invented
@@ -156,29 +152,14 @@ func (r *Result) Links(n *graph.Node) iter.Seq[*graph.Link] {
 	}
 }
 
-// Winner returns n's winning appearance in the route tree — the one
-// whose cost is reported for n — or nil when n was not mapped. Only the
-// results of Run and RunArray carry a tree; a nil Result maps nothing.
-func (r *Result) Winner(n *graph.Node) *TreeNode {
-	if r == nil || n.ID >= len(r.winAt) || r.winAt[n.ID] == 0 {
-		return nil
+// TreeEdge reports whether l is the edge into its target's winning
+// label: a link on the run's winning paths. A nil Result has none.
+func (r *Result) TreeEdge(l *graph.Link) bool {
+	if r == nil {
+		return false
 	}
-	return &r.tree[r.winAt[n.ID]-1]
-}
-
-// TreeNode is one vertex of the produced route tree. In second-best mode a
-// graph node can appear twice (once per label) — Winning marks the
-// min-cost appearance, the one whose cost is reported for the node itself;
-// both appearances may carry children.
-type TreeNode struct {
-	Node     *graph.Node
-	Via      *graph.Link // edge into this node; nil at the root
-	ViaOp    graph.Op    // operator to use when splicing Via into a route
-	Cost     cost.Cost
-	Hops     int32
-	InDomain bool
-	Winning  bool
-	Children []*TreeNode
+	w := r.Machine.Winner(l.To)
+	return w >= 0 && r.Machine.Label(w).Via == l
 }
 
 // machine is the state of a mapping run. A Machine (see machine.go) keeps
@@ -460,23 +441,25 @@ func sameLink(a, b *graph.Link) bool {
 		a.Cost == b.Cost && a.Op == b.Op && a.Flags == b.Flags
 }
 
-// Run maps the graph from source with the given options and returns the
-// route tree: a fresh Machine's full run over the graph's snapshot, the
-// procedure every engine full run takes, plus the TreeNode tree. The
-// graph is left as it was, apart from the snapshot it memoizes.
+// Run maps the graph from source with the given options: a fresh
+// Machine's full run over the graph's snapshot, the procedure every
+// engine full run takes. The Result keeps the machine, whose labels are
+// the route tree. The graph is left as it was, apart from the snapshot
+// it memoizes.
 func Run(g *graph.Graph, source *graph.Node, opts Options) (*Result, error) {
 	return run(NewMachine(g, opts), source)
 }
 
 // run full-runs mc from source over the graph's snapshot and completes
-// the Result with the tree and the invented links; mc is not run again.
+// the Result with the invented links. mc is not run again, so its queue
+// goes now; its labels and child lists stay for the Result's readers.
 func run(mc *Machine, source *graph.Node) (*Result, error) {
 	mc.UseSnapshot(mc.g.Snapshot())
 	res, err := mc.FullRun(source)
 	if err != nil {
 		return nil, err
 	}
-	mc.mach.buildTree()
+	mc.mach.queue, mc.mach.scanQueue = nil, nil
 	res.Invented, res.inventedFrom = mc.mach.invented, mc.mach.overlay
 	return res, nil
 }
@@ -1060,102 +1043,4 @@ func (m *machine) writeBackDelta() {
 	}
 	m.wbDirty = m.wbDirty[:0]
 	m.wbGrownFrom = -1
-}
-
-// buildTree converts mapped labels into the TreeNode structure the printer
-// traverses. Children are ordered by (name rank, taint) for deterministic
-// output. The tree is built flat: one TreeNode backing array, one shared
-// children backing array carved into per-parent windows — a handful of
-// allocations total instead of one per node. The label→TreeNode table
-// is then recycled as the per-node winner table behind Result.Winner.
-func (m *machine) buildTree() {
-	// Collect mapped label indices in (rank, taint) order by walking the
-	// snapshot's rank-ordered node list — no sort needed here.
-	order := make([]int32, 0, m.res.Reached)
-	for _, id := range m.snap.ByRank {
-		for taint := int32(0); taint < 2; taint++ {
-			li := 2*id + taint
-			lb := &m.labels[li]
-			if lb.node != nil && lb.state == graph.Mapped {
-				order = append(order, li)
-			}
-		}
-	}
-
-	// tnAt maps a label index to its TreeNode slot (+1; 0 = none).
-	tns := make([]TreeNode, len(order))
-	tnAt := make([]int32, len(m.labels))
-	for k, li := range order {
-		lb := &m.labels[li]
-		tns[k] = TreeNode{
-			Node:     lb.node,
-			Via:      lb.via,
-			ViaOp:    lb.viaOp,
-			Cost:     lb.cost,
-			Hops:     lb.hops,
-			InDomain: lb.inDomain,
-			Winning:  lb == m.winner(lb.node),
-		}
-		tnAt[li] = int32(k) + 1
-	}
-
-	// Two passes over parents: count children, then fill windows carved
-	// from one backing slice.
-	counts := make([]int32, len(order)+1)
-	for _, li := range order {
-		lb := &m.labels[li]
-		if lb.parent >= 0 {
-			if p := tnAt[lb.parent]; p != 0 {
-				counts[p]++
-			}
-		}
-	}
-	total := int32(0)
-	for k := 1; k < len(counts); k++ {
-		total += counts[k]
-		counts[k] = total // end offset of parent k-1's window
-	}
-	backing := make([]*TreeNode, total)
-	fill := make([]int32, len(order)) // next write offset per parent slot
-	for k := 1; k < len(counts); k++ {
-		fill[k-1] = counts[k-1]
-	}
-	var root *TreeNode
-	for k, li := range order {
-		lb := &m.labels[li]
-		if lb.parent < 0 {
-			root = &tns[k]
-			continue
-		}
-		p := tnAt[lb.parent]
-		if p == 0 {
-			continue
-		}
-		backing[fill[p-1]] = &tns[k]
-		fill[p-1]++
-	}
-	winAt := tnAt[:len(m.snap.Nodes)]
-	clear(winAt)
-	for k := range tns {
-		if tns[k].Winning {
-			winAt[tns[k].Node.ID] = int32(k) + 1
-		}
-	}
-	m.res.tree, m.res.winAt = tns, winAt
-	for k := range tns {
-		start := int32(0)
-		if k > 0 {
-			start = counts[k]
-		}
-		end := counts[k+1]
-		if end > start {
-			tns[k].Children = backing[start:end]
-		}
-	}
-	if root == nil {
-		// Source could not be labeled (cannot happen, but never return a
-		// nil tree).
-		root = &TreeNode{Node: m.res.Source, Winning: true}
-	}
-	m.res.Tree = root
 }

@@ -41,28 +41,47 @@ func mapFromOpts(t *testing.T, g *graph.Graph, source string, opts Options) *Res
 	return res
 }
 
-// winnerNamed returns the winning tree node of the named node, failing
-// the test if the run did not map it.
-func winnerNamed(t *testing.T, res *Result, name string) *TreeNode {
+// winnerNamed returns the view of the named node's winning label,
+// failing the test if the run did not map it. It finds the node's
+// labels by walking the tree from the root, and checks that Winner
+// picks the cheapest of them.
+func winnerNamed(t *testing.T, res *Result, name string) LabelView {
 	t.Helper()
-	var found *TreeNode
-	var walk func(tn *TreeNode)
-	walk = func(tn *TreeNode) {
-		if tn.Node.Name == name && tn.Winning {
-			found = tn
+	mc := res.Machine
+	var seen []int32
+	var walk func(li int32)
+	walk = func(li int32) {
+		if mc.Label(li).Node.Name == name {
+			seen = append(seen, li)
 		}
-		for _, c := range tn.Children {
+		for _, c := range mc.AppendChildren(nil, li) {
 			walk(c)
 		}
 	}
-	walk(res.Tree)
-	if found == nil {
+	walk(mc.Root())
+	if len(seen) == 0 {
 		t.Fatalf("node %q not mapped", name)
 	}
-	if res.Winner(found.Node) != found {
-		t.Fatalf("Winner(%s) disagrees with the tree", name)
+	w := mc.Winner(mc.Label(seen[0]).Node)
+	if !slices.Contains(seen, w) {
+		t.Fatalf("Winner(%s) = %d, not one of its tree labels %v", name, w, seen)
 	}
-	return found
+	for _, li := range seen {
+		if mc.Label(li).Cost < mc.Label(w).Cost {
+			t.Fatalf("Winner(%s) is not its cheapest tree label", name)
+		}
+	}
+	return mc.Label(w)
+}
+
+// winnerOf returns the view of n's winning label; ok is false when n is
+// not mapped.
+func winnerOf(res *Result, n *graph.Node) (lv LabelView, ok bool) {
+	w := res.Machine.Winner(n)
+	if w < 0 {
+		return LabelView{}, false
+	}
+	return res.Machine.Label(w), true
 }
 
 // nodeCost returns the mapped cost of a node.
@@ -72,22 +91,18 @@ func nodeCost(t *testing.T, res *Result, name string) cost.Cost {
 }
 
 // pathTo reconstructs the node-name path from the source by following
-// each winner's tree edge back to its sender's winner.
+// the winning label's parents back to the root.
 func pathTo(t *testing.T, res *Result, name string) []string {
 	t.Helper()
 	var rev []string
-	for tn := winnerNamed(t, res, name); tn != nil; {
-		rev = append(rev, tn.Node.Name)
-		if tn.Via == nil {
+	for lv := winnerNamed(t, res, name); ; lv = res.Machine.Label(lv.Parent) {
+		rev = append(rev, lv.Node.Name)
+		if lv.Parent < 0 {
 			break
 		}
-		tn = res.Winner(tn.Via.From)
 	}
-	out := make([]string, len(rev))
-	for i, s := range rev {
-		out[len(rev)-1-i] = s
-	}
-	return out
+	slices.Reverse(rev)
+	return rev
 }
 
 const paper1981Map = `unc	duke(HOURLY), phs(HOURLY*4)
@@ -140,44 +155,53 @@ func TestTreeEdgesMarked(t *testing.T) {
 	res := mapFrom(t, g, "unc")
 	duke, _ := g.Lookup("duke")
 	unc, _ := g.Lookup("unc")
-	if l := g.FindLink(unc, duke); l == nil || res.Winner(duke).Via != l {
+	if l := g.FindLink(unc, duke); l == nil || winnerNamed(t, res, "duke").Via != l {
 		t.Error("unc->duke is not duke's tree edge")
 	}
 	// The unused direct unc->phs link must not be a tree edge.
 	phs, _ := g.Lookup("phs")
-	if l := g.FindLink(unc, phs); l == nil || res.Winner(phs).Via == l {
+	if l := g.FindLink(unc, phs); l == nil || winnerNamed(t, res, "phs").Via == l || res.TreeEdge(l) {
 		t.Error("unc->phs wrongly taken as phs's tree edge")
 	}
-	if w := res.Winner(unc); w != res.Tree || w.Via != nil {
-		t.Errorf("Winner(unc) = %+v, want the root", w)
+	if l := g.FindLink(unc, duke); !res.TreeEdge(l) {
+		t.Error("TreeEdge(unc->duke) = false")
+	}
+	if w := res.Machine.Winner(unc); w != res.Machine.Root() || res.Machine.Label(w).Via != nil {
+		t.Errorf("Winner(unc) = %d, want the root %d", w, res.Machine.Root())
 	}
 }
 
 func TestResultTreeShape(t *testing.T) {
 	g := buildGraph(t, paper1981Map)
 	res := mapFrom(t, g, "unc")
-	if res.Tree == nil || res.Tree.Node.Name != "unc" {
-		t.Fatalf("tree root = %v", res.Tree)
+	mc := res.Machine
+	root := mc.Root()
+	if root < 0 || mc.Label(root).Node.Name != "unc" {
+		t.Fatalf("tree root = %d", root)
 	}
-	if res.Tree.Cost != 0 || res.Tree.Via != nil || !res.Tree.Winning {
-		t.Errorf("root fields: %+v", res.Tree)
+	if rv := mc.Label(root); rv.Cost != 0 || rv.Via != nil || rv.Parent >= 0 || mc.Winner(rv.Node) != root {
+		t.Errorf("root fields: %+v", rv)
 	}
 	// Walk the tree; every child's Via.From must be the parent's node.
-	var walk func(tn *TreeNode)
-	walk = func(tn *TreeNode) {
-		for _, c := range tn.Children {
-			if c.Via == nil || c.Via.From != tn.Node || c.Via.To != c.Node {
-				t.Errorf("tree edge inconsistent at %s -> %s", tn.Node.Name, c.Node.Name)
+	labels := 0
+	var walk func(li int32)
+	walk = func(li int32) {
+		labels++
+		p := mc.Label(li)
+		for _, ci := range mc.AppendChildren(nil, li) {
+			c := mc.Label(ci)
+			if c.Parent != li || c.Via == nil || c.Via.From != p.Node || c.Via.To != c.Node {
+				t.Errorf("tree edge inconsistent at %s -> %s", p.Node.Name, c.Node.Name)
 			}
-			if c.Cost < tn.Cost {
-				t.Errorf("child %s cheaper than parent %s", c.Node.Name, tn.Node.Name)
+			if c.Cost < p.Cost {
+				t.Errorf("child %s cheaper than parent %s", c.Node.Name, p.Node.Name)
 			}
-			walk(c)
+			walk(ci)
 		}
 	}
-	walk(res.Tree)
-	if res.Reached != 8 {
-		t.Errorf("Reached = %d want 8", res.Reached)
+	walk(root)
+	if res.Reached != 8 || labels != 8 {
+		t.Errorf("Reached = %d, tree labels = %d, want 8", res.Reached, labels)
 	}
 }
 
@@ -373,7 +397,7 @@ func TestDeletedHostExcluded(t *testing.T) {
 		t.Errorf("c should be unreachable with b deleted; unreachable = %v", res.Unreachable)
 	}
 	b, _ := g.Lookup("b")
-	if res.Winner(b) != nil {
+	if res.Machine.Winner(b) >= 0 {
 		t.Error("deleted host was mapped")
 	}
 }
@@ -536,13 +560,17 @@ caip	motown(25)
 	// the clean label — and the WINNING motown must hang off the clean,
 	// non-winning caip.
 	caipCount := 0
-	var walk func(tn *TreeNode)
-	walk = func(tn *TreeNode) {
-		if tn.Node.Name == "caip" {
+	mc := res.Machine
+	var walk func(li int32)
+	walk = func(li int32) {
+		lv := mc.Label(li)
+		kids := mc.AppendChildren(nil, li)
+		if lv.Node.Name == "caip" {
 			caipCount++
-			for _, c := range tn.Children {
-				if c.Node.Name == "motown" && c.Winning {
-					if tn.Winning || tn.InDomain {
+			for _, ci := range kids {
+				c := mc.Label(ci)
+				if c.Node.Name == "motown" && mc.Winner(c.Node) == ci {
+					if mc.Winner(lv.Node) == li || lv.InDomain {
 						t.Error("winning motown hangs off the tainted caip label")
 					}
 					if c.Cost != 175 {
@@ -551,11 +579,11 @@ caip	motown(25)
 				}
 			}
 		}
-		for _, c := range tn.Children {
-			walk(c)
+		for _, ci := range kids {
+			walk(ci)
 		}
 	}
-	walk(res.Tree)
+	walk(mc.Root())
 	if caipCount != 2 {
 		t.Errorf("caip appears %d times in second-best tree, want 2", caipCount)
 	}
@@ -653,12 +681,13 @@ func TestHeapMatchesArrayBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range g.Nodes() {
-			hw, aw := heapRes.Winner(n), arrRes.Winner(n)
-			if (hw == nil) != (aw == nil) {
-				t.Errorf("seed %d: %s mapped by heap %v, by array %v", seed, n.Name, hw != nil, aw != nil)
+			hw, hok := winnerOf(heapRes, n)
+			aw, aok := winnerOf(arrRes, n)
+			if hok != aok {
+				t.Errorf("seed %d: %s mapped by heap %v, by array %v", seed, n.Name, hok, aok)
 				continue
 			}
-			if hw == nil {
+			if !hok {
 				continue
 			}
 			if hw.Cost != aw.Cost {
@@ -691,11 +720,12 @@ func TestDeterminism(t *testing.T) {
 	}
 	for i, n := range g1.Nodes() {
 		n2 := g2.Nodes()[i]
-		w1, w2 := r1.Winner(n), r2.Winner(n2)
-		if n.Name != n2.Name || (w1 == nil) != (w2 == nil) {
+		w1, ok1 := winnerOf(r1, n)
+		w2, ok2 := winnerOf(r2, n2)
+		if n.Name != n2.Name || ok1 != ok2 {
 			t.Fatalf("nondeterministic mapping at %s", n.Name)
 		}
-		if w1 == nil {
+		if !ok1 {
 			continue
 		}
 		if w1.Cost != w2.Cost || w1.Hops != w2.Hops {

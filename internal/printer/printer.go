@@ -9,11 +9,18 @@
 // nodes — the paper's memory argument for keeping the mapping and printing
 // phases separate.
 //
+// The tree is a mapper.Machine's labels and child lists. Extend (a
+// child's frame from its parent's) and Emit (a label's output line) are
+// the rules; Derive is the whole traversal, which batch runs (Routes)
+// and the incremental engine's full re-maps both take. The engine
+// re-derives a changed subtree through the same Extend and Emit.
+//
 // Special cases, all from the paper:
 //
 //   - Networks take the route of their parent and are not printed; the
 //     operator used for network→member edges is the one "encountered when
-//     entering the network" (the mapper precomputes this as TreeNode.ViaOp).
+//     entering the network" (the mapper precomputes this as the label's
+//     ViaOp).
 //   - Domains accrete names downward: caip under .rutgers under .edu is
 //     printed as caip.rutgers.edu. Subdomain routes are not printed; a
 //     top-level domain (parent not a domain) is printed with its parent's
@@ -26,6 +33,7 @@ package printer
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -60,57 +68,52 @@ type Entry struct {
 	Cost  cost.Cost
 }
 
-// frame is the traversal state passed down the recursion: the route to the
-// current tree node, the name it is known by (qualified for domain
-// members), the accreted domain suffix in force, and whether the node was
-// reached from inside a domain chain (making a domain a subdomain).
-type frame struct {
-	route       string
-	pct         int // byte offset of the "%s" marker within route
-	displayName string
-	suffix      string
-	subdomain   bool
-	firstHop    cost.Cost // cost of the first link out of the root
+// Row is an output entry's bookkeeping: the label it was printed for,
+// and whether it is printed under a name that is not its node's own (a
+// domain-qualified name, "odd" for the sort).
+type Row struct {
+	Label int32
+	Odd   bool
+}
+
+// Frame is the traversal state passed down the recursion, one per
+// label: the route to the label (with the byte offset of its "%s"
+// marker), the name it is known by (qualified for domain members), the
+// accreted domain suffix in force, whether the label was reached from
+// inside a domain chain (making a domain a subdomain), and the cost of
+// the first link out of the root. The incremental engine keeps every
+// label's frame to re-derive a changed subtree.
+type Frame struct {
+	Route     string
+	Pct       int32
+	Name      string
+	Suffix    string
+	Subdomain bool
+	FirstHop  cost.Cost
 }
 
 // Routes flattens the mapping result into output entries, applying the
-// paper's traversal rules.
+// paper's traversal rules to the labels of the run's machine.
 func Routes(res *mapper.Result, opts Options) []Entry {
-	p := &printCtx{opts: opts, entries: make([]Entry, 0, res.Reached)}
-	if res.NameRank != nil && !opts.SortByCost {
-		p.ranks = make([]int32, 0, res.Reached)
-		p.nameRank = res.NameRank
+	entries, _ := Derive(res.Machine, opts, nil, nil, nil)
+	if opts.SortByCost {
+		SortByCost(entries)
 	}
-	if res.Tree != nil {
-		root := frame{route: "%s", displayName: res.Tree.Node.Name}
-		p.visit(res.Tree, root)
-	}
-	switch {
-	case opts.SortByCost:
-		slices.SortFunc(p.entries, func(a, b Entry) int {
-			if a.Cost != b.Cost {
-				if a.Cost < b.Cost {
-					return -1
-				}
-				return 1
-			}
-			return strings.Compare(a.Host, b.Host)
-		})
-	case p.ranks != nil:
-		p.sortByRank()
-	default:
-		slices.SortFunc(p.entries, func(a, b Entry) int {
-			return strings.Compare(a.Host, b.Host)
-		})
-	}
-	return p.entries
+	return entries
 }
 
-// Write renders the routes to w, one per line: "host\troute" or, with
+// SortByCost orders entries by (cost, name), the paper's example order.
+func SortByCost(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Host, b.Host))
+	})
+}
+
+// Write renders entries to w, one per line: "host\troute" or, with
 // Costs, "cost\thost\troute".
-func Write(w io.Writer, res *mapper.Result, opts Options) error {
+func Write(w io.Writer, entries []Entry, opts Options) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range Routes(res, opts) {
+	for _, e := range entries {
 		var err error
 		if opts.Costs {
 			_, err = fmt.Fprintf(bw, "%d\t%s\t%s\n", int64(e.Cost), e.Host, e.Route)
@@ -124,163 +127,183 @@ func Write(w io.Writer, res *mapper.Result, opts Options) error {
 	return bw.Flush()
 }
 
-type printCtx struct {
+// Derive is the paper's preorder traversal over the labels and child
+// lists of mc's last run. It returns the printed rows in output order
+// (SortRows), written to dstE and dstR, which are reallocated when
+// short. With frames non-nil (one slot per label), it also stores each
+// reached label's frame there.
+func Derive(mc *mapper.Machine, opts Options, frames []Frame, dstE []Entry, dstR []Row) ([]Entry, []Row) {
+	entries, rows := traverse(mc, opts, frames)
+	if n := len(entries); cap(dstE) < n || cap(dstR) < n {
+		dstE, dstR = make([]Entry, n, n+n/4), make([]Row, n, n+n/4)
+	}
+	dstE, dstR = dstE[:len(entries)], dstR[:len(rows)]
+	SortRows(mc, entries, rows, dstE, dstR)
+	return dstE, dstR
+}
+
+// traverse walks mc's tree from the root, passing frames down, and
+// returns the rows printed in traversal order.
+func traverse(mc *mapper.Machine, opts Options, frames []Frame) ([]Entry, []Row) {
+	root := mc.Root()
+	if root < 0 {
+		return nil, nil
+	}
+	// A node prints at most once, under its winning label.
+	d := &deriver{mc: mc, opts: opts, frames: frames,
+		entries: make([]Entry, 0, mc.NumLabels()/2),
+		rows:    make([]Row, 0, mc.NumLabels()/2)}
+	rv := mc.Label(root)
+	d.visit(root, rv, Extend(mapper.LabelView{}, rv, nil))
+	return d.entries, d.rows
+}
+
+// deriver is the state of one traversal. The frames travel down the
+// recursion by value, as the paper's route strings do.
+type deriver struct {
+	mc      *mapper.Machine
 	opts    Options
+	frames  []Frame
 	entries []Entry
-
-	// Rank-assisted ordering (see sortByRank): nameRank maps node IDs to
-	// name-sorted positions, and ranks holds one key per entry — the
-	// node's rank when the printed name IS the node name, or -1 for the
-	// few entries printed under an accreted domain-qualified name.
-	nameRank []int32
-	ranks    []int32
+	rows    []Row
+	kids    []int32 // child lists of the labels on the recursion path
 }
 
-// sortByRank orders entries by Host using integer rank compares for the
-// overwhelming majority of entries (printed under their node's own name,
-// whose rank order IS name order) and a small string-sorted overflow for
-// domain-qualified names, merged with string compares. Equivalent to
-// sorting every Host as a string, at a fraction of the compare cost.
-func (p *printCtx) sortByRank() {
-	type ranked struct {
-		key int32
-		e   Entry
+func (d *deriver) visit(li int32, lv mapper.LabelView, f Frame) {
+	if d.frames != nil {
+		d.frames[li] = f
 	}
-	main := make([]ranked, 0, len(p.entries))
-	var odd []Entry
-	for i, e := range p.entries {
-		if k := p.ranks[i]; k >= 0 {
-			main = append(main, ranked{key: k, e: e})
-		} else {
-			odd = append(odd, e)
-		}
+	if e, r, ok := Emit(d.mc, li, &f, d.opts); ok {
+		d.entries, d.rows = append(d.entries, e), append(d.rows, r)
 	}
-	slices.SortFunc(main, func(a, b ranked) int {
-		if a.key < b.key {
-			return -1
-		}
-		if a.key > b.key {
-			return 1
-		}
-		return 0
-	})
-	slices.SortFunc(odd, func(a, b Entry) int {
-		return strings.Compare(a.Host, b.Host)
-	})
-	out := p.entries[:0]
-	i, j := 0, 0
-	for i < len(main) && j < len(odd) {
-		if strings.Compare(main[i].e.Host, odd[j].Host) <= 0 {
-			out = append(out, main[i].e)
-			i++
-		} else {
-			out = append(out, odd[j])
-			j++
-		}
+	// This label's children go on top of its ancestors' in kids; each
+	// child's visit leaves kids as it found it.
+	from := len(d.kids)
+	d.kids = d.mc.AppendChildren(d.kids, li)
+	to := len(d.kids)
+	for k := from; k < to; k++ {
+		c := d.mc.Label(d.kids[k])
+		d.visit(d.kids[k], c, Extend(lv, c, &f))
 	}
-	for ; i < len(main); i++ {
-		out = append(out, main[i].e)
-	}
-	out = append(out, odd[j:]...)
-	p.entries = out
+	d.kids = d.kids[:from]
 }
 
-func (p *printCtx) visit(tn *mapper.TreeNode, f frame) {
-	p.emit(tn, f)
-	atRoot := tn.Via == nil // root iff no incoming edge
-	for _, c := range tn.Children {
-		cf := p.extend(tn, c, f)
-		if atRoot && c.Via != nil {
-			cf.firstHop = c.Via.Cost
-		} else {
-			cf.firstHop = f.firstHop
-		}
-		p.visit(c, cf)
+// Extend computes label c's frame from its parent's label and frame pf,
+// implementing the paper's labeling rules; at the root (pf nil) the
+// route is "%s".
+func Extend(parent, c mapper.LabelView, pf *Frame) Frame {
+	if pf == nil {
+		return Frame{Route: "%s", Name: c.Node.Name}
 	}
-}
-
-// extend computes a child's frame from its parent's, implementing the
-// paper's labeling rules.
-func (p *printCtx) extend(parent, c *mapper.TreeNode, f frame) frame {
 	l := c.Via
+	nf := Frame{Route: pf.Route, Pct: pf.Pct, Name: c.Node.Name, FirstHop: pf.FirstHop}
+	if parent.Parent < 0 {
+		nf.FirstHop = l.Cost
+	}
 	switch {
-	case l == nil:
-		return frame{route: f.route, pct: f.pct, displayName: c.Node.Name}
-
 	case l.Flags&graph.LAlias != 0:
 		// Same machine, another name: identical route, own name.
-		return frame{route: f.route, pct: f.pct, displayName: c.Node.Name}
 
 	case c.Node.IsNet():
 		// Entering a network or domain: "the route to a network is
 		// identical to the route to its parent." A domain starts (or,
 		// under another domain, continues) a name-accretion chain.
-		nf := frame{route: f.route, pct: f.pct, displayName: c.Node.Name}
 		if c.Node.IsDomain() {
 			if l.Flags&graph.LNetMember != 0 && parent.Node.IsDomain() {
 				// Subdomain: .rutgers under .edu accretes to .rutgers.edu.
-				nf.suffix = c.Node.Name + f.suffix
-				nf.displayName = nf.suffix
-				nf.subdomain = true
+				nf.Suffix = c.Node.Name + pf.Suffix
+				nf.Name = nf.Suffix
+				nf.Subdomain = true
 			} else {
-				nf.suffix = c.Node.Name
+				nf.Suffix = c.Node.Name
 			}
 		}
-		return nf
 
 	case l.Flags&graph.LNetMember != 0 && parent.Node.IsDomain():
 		// Host member of a domain: splice its fully qualified name.
-		name := c.Node.Name + f.suffix
-		route, pct := Splice(f.route, f.pct, name, c.ViaOp)
-		return frame{route: route, pct: pct, displayName: name}
+		nf.Name = c.Node.Name + pf.Suffix
+		nf.splice(nf.Name, c.ViaOp)
 
 	default:
 		// Ordinary hop (including members of plain networks and plain
 		// links out of domains): splice the host's own name with the
 		// effective operator.
-		route, pct := Splice(f.route, f.pct, c.Node.Name, c.ViaOp)
-		return frame{route: route, pct: pct, displayName: c.Node.Name}
+		nf.splice(c.Node.Name, c.ViaOp)
 	}
+	return nf
 }
 
-// emit records an output line for tn if the paper's rules call for one.
-func (p *printCtx) emit(tn *mapper.TreeNode, f frame) {
-	if !tn.Winning {
-		return // second-best non-winning label: carries children only
-	}
-	n := tn.Node
-	if n.IsPrivate() || n.IsDeleted() {
-		return
-	}
-	c := tn.Cost
-	if p.opts.FirstHopCost {
-		c = f.firstHop
+// splice extends f's route by one hop to host.
+func (f *Frame) splice(host string, op graph.Op) {
+	route, pct := Splice(f.Route, int(f.Pct), host, op)
+	f.Route, f.Pct = route, int32(pct)
+}
+
+// Emit returns the output line for label li of mc, reached with frame
+// f, if the paper's rules call for one. Only a node's winning label is
+// printed: under SecondBest the other label carries children only.
+func Emit(mc *mapper.Machine, li int32, f *Frame, opts Options) (Entry, Row, bool) {
+	lv := mc.Label(li)
+	n := lv.Node
+	if lv.State != graph.Mapped || n.IsPrivate() || n.IsDeleted() || mc.Winner(n) != li {
+		return Entry{}, Row{}, false
 	}
 	if n.IsNet() {
 		// Networks are placeholders. Only a top-level domain — one whose
 		// parent is not a domain — is printed, with its parent's route.
-		if !n.IsDomain() || f.subdomain {
-			return
+		if !n.IsDomain() || f.Subdomain {
+			return Entry{}, Row{}, false
 		}
-		p.addEntry(n, f, c)
-		return
+	} else if opts.DomainsOnly {
+		return Entry{}, Row{}, false
 	}
-	if p.opts.DomainsOnly {
-		return
+	c := lv.Cost
+	if opts.FirstHopCost {
+		c = f.FirstHop
 	}
-	p.addEntry(n, f, c)
+	return Entry{Host: f.Name, Route: f.Route, Cost: c}, Row{Label: li, Odd: f.Name != n.Name}, true
 }
 
-// addEntry appends one output entry, recording its rank key when the
-// rank-assisted sort is active.
-func (p *printCtx) addEntry(n *graph.Node, f frame, c cost.Cost) {
-	p.entries = append(p.entries, Entry{Host: f.displayName, Route: f.route, Cost: c})
-	if p.ranks != nil {
-		k := int32(-1)
-		if f.displayName == n.Name {
-			k = p.nameRank[n.ID]
+// SortRows writes entries and their rows to dstE and dstR (of the same
+// length, not aliasing the input) in the canonical output order: by
+// host name; a name printed both as a node's own and domain-qualified
+// puts the node's own first, and qualified collisions go by name rank,
+// then label. Most rows are printed under their node's own name, whose
+// rank order IS name order, so they sort by integer rank keys; the few
+// domain-qualified rows sort by string and merge in.
+func SortRows(mc *mapper.Machine, entries []Entry, rows []Row, dstE []Entry, dstR []Row) {
+	rank := mc.Rank()
+	nodeRank := func(r Row) int32 { return rank[mc.Label(r.Label).Node.ID] }
+	keys := make([]uint64, 0, len(rows))
+	var odd []int32
+	for i, r := range rows {
+		if r.Odd {
+			odd = append(odd, int32(i))
+		} else {
+			keys = append(keys, uint64(nodeRank(r))<<32|uint64(i))
 		}
-		p.ranks = append(p.ranks, k)
+	}
+	slices.Sort(keys)
+	slices.SortFunc(odd, func(a, b int32) int {
+		return cmp.Or(strings.Compare(entries[a].Host, entries[b].Host),
+			cmp.Compare(nodeRank(rows[a]), nodeRank(rows[b])),
+			cmp.Compare(rows[a].Label, rows[b].Label))
+	})
+	k, j := 0, 0
+	put := func(i int32) {
+		dstE[k], dstR[k] = entries[i], rows[i]
+		k++
+	}
+	for _, key := range keys {
+		i := int32(uint32(key))
+		for j < len(odd) && entries[odd[j]].Host < entries[i].Host {
+			put(odd[j])
+			j++
+		}
+		put(i)
+	}
+	for ; j < len(odd); j++ {
+		put(odd[j])
 	}
 }
 

@@ -65,7 +65,8 @@ func TestPaperExampleOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Write(&sb, mres, Options{Costs: true, SortByCost: true}); err != nil {
+	opts := Options{Costs: true, SortByCost: true}
+	if err := Write(&sb, Routes(mres, opts), opts); err != nil {
 		t.Fatal(err)
 	}
 	want := `0	unc	%s
@@ -277,7 +278,7 @@ func TestWriteTerseFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Write(&sb, mres, Options{}); err != nil {
+	if err := Write(&sb, Routes(mres, Options{}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	want := "a\t%s\nb\tb!%s\n"

@@ -156,6 +156,49 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 	checkEquivalent(t, opts, inputs, res, "revert")
 }
 
+// e16Map is the map of the paper's PROBLEMS figure (TestExperiment16SecondBest):
+// under SecondBest, caip holds a winning domain-tainted label and a clean
+// one, and motown hangs off the clean one.
+const e16Map = `a	d1(50), b(100)
+.dom	= {caip}(50)
+d1	.dom(0)
+b	caip(50)
+caip	motown(25)
+`
+
+// TestEngineSecondBest holds the engine's SecondBest rows to a fresh
+// run's: a node with two labels prints once, under its winning label.
+// The non-winning caip and motown labels carry children only.
+func TestEngineSecondBest(t *testing.T) {
+	mopts := mapper.DefaultOptions()
+	mopts.SecondBest = true
+	opts := Options{LocalHost: "a", Mapper: &mopts}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `50	.dom	d1!%s
+0	a	%s
+100	b	b!%s
+50	caip.dom	d1!caip.dom!%s
+50	d1	d1!%s
+175	motown	b!caip!motown!%s
+`
+	for _, src := range []string{e16Map, strings.Replace(e16Map, "b(100)", "b(110)", 1)} {
+		inputs := []Input{{Name: "e16.map", Src: src}}
+		res, err := update(m, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEquivalent(t, opts, inputs, res, "e16")
+		if src == e16Map {
+			if got := renderEntries(res.Entries); got != want {
+				t.Errorf("e16 rows:\n%s\nwant:\n%s", got, want)
+			}
+		}
+	}
+}
+
 func TestEngineSmallMapgen(t *testing.T) {
 	pins, local := mapgen.Generate(mapgen.Small())
 	opts := Options{LocalHost: local}
@@ -454,56 +497,72 @@ func removeLoneHost(rng *rand.Rand, out []Input) bool {
 
 // TestEngineRandomizedEquivalence drives the engine through random edit
 // sequences — including root-adjacent edits and structural changes —
-// asserting byte-identical output against a fresh run at every step.
+// asserting byte-identical output against a fresh run at every step,
+// under the default printer options and each one that changes what a
+// row holds or where it sorts.
 func TestEngineRandomizedEquivalence(t *testing.T) {
 	steps := 40
 	if testing.Short() {
 		steps = 12
 	}
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			cfg := mapgen.Small()
-			cfg.Seed = seed
-			cfg.CoreFiles = 4
-			pins, local := mapgen.Generate(cfg)
-			// Workers > 1 exercises the parallel fragment re-scan under
-			// the race detector.
-			opts := Options{LocalHost: local, Workers: 4}
-			m, err := NewMulti(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := toInputs(pins)
-			res, err := update(m, inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEquivalent(t, opts, inputs, res, "initial")
-
-			var mu mutator
-			warm := 0
-			for step := 0; step < steps; step++ {
-				var addHost bool
-				inputs, addHost = mutateMap(rng, inputs, &mu)
-				fullBefore := m.Stats().FullRemaps
-				res, err = update(m, inputs)
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				if res.Incremental {
-					warm++
-				}
-				// Host-add edits must stay on the warm path: growth is a
-				// rank re-base, not a rebuild.
-				if addHost && (!res.Incremental || m.Stats().FullRemaps != fullBefore) {
-					t.Fatalf("step %d (seed %d): host-add edit re-mapped fully (stats %+v)",
-						step, seed, m.Stats())
-				}
-				checkEquivalent(t, opts, inputs, res, fmt.Sprintf("step %d (seed %d)", step, seed))
-			}
-			t.Logf("seed %d: %d/%d steps warm (stats %+v)", seed, warm, steps, m.Stats())
-		})
+	printOpts := []struct {
+		name string
+		opts printer.Options
+	}{
+		{"", printer.Options{}},
+		{"-firsthop", printer.Options{FirstHopCost: true}},
+		{"-domains", printer.Options{DomainsOnly: true}},
+		{"-bycost", printer.Options{SortByCost: true}},
 	}
+	for _, po := range printOpts {
+		for _, seed := range []int64{1, 7, 42} {
+			t.Run(fmt.Sprintf("seed%d%s", seed, po.name), func(t *testing.T) {
+				randomizedEquivalence(t, seed, steps, po.opts)
+			})
+		}
+	}
+}
+
+func randomizedEquivalence(t *testing.T, seed int64, steps int, popts printer.Options) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := mapgen.Small()
+	cfg.Seed = seed
+	cfg.CoreFiles = 4
+	pins, local := mapgen.Generate(cfg)
+	// Workers > 1 exercises the parallel fragment re-scan under
+	// the race detector.
+	opts := Options{LocalHost: local, Workers: 4, Printer: popts}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := toInputs(pins)
+	res, err := update(m, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, opts, inputs, res, "initial")
+
+	var mu mutator
+	warm := 0
+	for step := 0; step < steps; step++ {
+		var addHost bool
+		inputs, addHost = mutateMap(rng, inputs, &mu)
+		fullBefore := m.Stats().FullRemaps
+		res, err = update(m, inputs)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if res.Incremental {
+			warm++
+		}
+		// Host-add edits must stay on the warm path: growth is a
+		// rank re-base, not a rebuild.
+		if addHost && (!res.Incremental || m.Stats().FullRemaps != fullBefore) {
+			t.Fatalf("step %d (seed %d): host-add edit re-mapped fully (stats %+v)",
+				step, seed, m.Stats())
+		}
+		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("step %d (seed %d)", step, seed))
+	}
+	t.Logf("seed %d: %d/%d steps warm (stats %+v)", seed, warm, steps, m.Stats())
 }

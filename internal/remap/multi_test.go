@@ -11,6 +11,7 @@ import (
 
 	"pathalias/internal/mapgen"
 	"pathalias/internal/parser"
+	"pathalias/internal/printer"
 )
 
 // checkVantage asserts that one vantage of a Multi matches a fresh
@@ -393,17 +394,21 @@ func TestRouteGenChurnFree(t *testing.T) {
 // resident; after every step the patched CSR snapshot must equal a
 // fresh graph.Snapshot (graph.VerifySnapshot), and each vantage must be
 // byte-identical to a fresh single-source run — the oracle of
-// TestMultiRandomizedEquivalence.
+// TestMultiRandomizedEquivalence. The low 5 bits of steps count the
+// edits; the top 3 pick the printer options (none, FirstHopCost,
+// DomainsOnly, SortByCost, then the same four again), so an input
+// below 32 runs with the default options.
 //
 //	go test -run '^$' -fuzz FuzzMultiEdits -fuzztime 60s ./internal/remap/
 func FuzzMultiEdits(f *testing.F) {
+	printOpts := []printer.Options{{}, {FirstHopCost: true}, {DomainsOnly: true}, {SortByCost: true}}
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := mapgen.Small()
 		cfg.Seed = seed
 		cfg.CoreFiles = 3
 		pins, local := mapgen.Generate(cfg)
-		opts := Options{LocalHost: local}
+		opts := Options{LocalHost: local, Printer: printOpts[int(steps>>5)%len(printOpts)]}
 		m, err := NewMulti(opts)
 		if err != nil {
 			t.Fatal(err)

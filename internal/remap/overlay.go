@@ -145,7 +145,7 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	}
 	for i, en := range v.entries {
 		if _, dup := run.LabelByHost[en.Host]; !dup {
-			run.LabelByHost[en.Host] = v.meta[i].label
+			run.LabelByHost[en.Host] = v.meta[i].Label
 		}
 	}
 	if len(r.res.Unreachable) > 0 {

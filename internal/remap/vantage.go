@@ -50,13 +50,13 @@ type vantage struct {
 	// entry set, so consumers can skip rebuilding downstream artifacts
 	// on no-op updates; byCost is SortByCost's copy of entries, made at
 	// route generation byCostGen.
-	frames       []frame
+	frames       []printer.Frame
 	frameDirty   []uint32
 	frameEpoch   uint32
 	entries      []printer.Entry
-	meta         []rowMeta
+	meta         []printer.Row
 	spareEntries []printer.Entry
-	spareMeta    []rowMeta
+	spareMeta    []printer.Row
 	routeGen     uint64
 	byCost       []printer.Entry
 	byCostGen    uint64

@@ -76,34 +76,50 @@ func TestOverlayForcedFullRuns(t *testing.T) {
 	inputs := paperInputs(t)
 	sb := mapper.DefaultOptions()
 	sb.SecondBest = true
+	e16 := []remap.Input{{Name: "e16.map", Src: `a	d1(50), b(100)
+.dom	= {caip}(50)
+d1	.dom(0)
+b	caip(50)
+caip	motown(25)
+`}}
 	cases := []struct {
 		name     string
 		ropts    remap.Options
 		mopts    mapper.Options
 		edits    []overlayEdit
 		wantWarm bool
+		inputs   []remap.Input // the paper map from unc when nil
+		host     string
 	}{
 		// unc!phs carries none of unc's routes: nothing to invalidate.
 		{"warm control", remap.Options{}, mapper.DefaultOptions(),
-			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, true},
+			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, true, nil, ""},
 		// Every route from unc but phs's rides unc!duke.
 		{"past MaxDirtyFrac", remap.Options{}, mapper.DefaultOptions(),
-			[]overlayEdit{{op: OpDead, from: "unc", to: "duke"}}, false},
+			[]overlayEdit{{op: OpDead, from: "unc", to: "duke"}}, false, nil, ""},
 		// Any invalidation at all crosses a near-zero threshold.
 		{"tiny MaxDirtyFrac", remap.Options{MaxDirtyFrac: 1e-9}, mapper.DefaultOptions(),
-			[]overlayEdit{{op: OpDead, from: "duke", to: "research"}}, false},
+			[]overlayEdit{{op: OpDead, from: "duke", to: "research"}}, false, nil, ""},
 		{"SecondBest", remap.Options{Mapper: &sb}, sb,
-			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, false},
+			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, false, nil, ""},
+		// The E16 map: caip and motown hold two labels each, and only
+		// the winning one prints.
+		{"SecondBest E16", remap.Options{Mapper: &sb, LocalHost: "a"}, sb,
+			[]overlayEdit{{op: OpCost, from: "b", to: "caip", cost: 60}}, false, e16, "a"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ev := newEvalWith(t, inputs, tc.ropts, Options{}, "unc")
-			got := render(overlayEntries(t, ev, "unc", specOf(tc.edits)))
+			inputs, host := inputs, "unc"
+			if tc.inputs != nil {
+				inputs, host = tc.inputs, tc.host
+			}
+			_, ev := newEvalWith(t, inputs, tc.ropts, Options{}, host)
+			got := render(overlayEntries(t, ev, host, specOf(tc.edits)))
 			st := ev.Stats()
 			if warm := st.WarmRuns == 1; warm != tc.wantWarm || st.WarmRuns+st.FullRuns != 1 {
 				t.Errorf("runs = %d warm, %d full; want warm=%v", st.WarmRuns, st.FullRuns, tc.wantWarm)
 			}
-			want, _ := freshRun(t, inputs, "unc", tc.mopts, applyEdits(tc.edits))
+			want, _ := freshRun(t, inputs, host, tc.mopts, applyEdits(tc.edits))
 			if got != render(want) {
 				t.Errorf("overlay diverges from fresh run\ngot:\n%s\nwant:\n%s", got, render(want))
 			}

@@ -81,6 +81,44 @@ func TestMultiEngineMatchesRun(t *testing.T) {
 // TestMultiEngineResolvePairs covers the pair-wise batch API: routes
 // between arbitrary host pairs, grouped per vantage, with per-pair
 // errors for unknown hosts.
+// TestMultiEngineSecondBest: with SecondBest the engine's routes are
+// byte-identical to a fresh Run on the E16 map, where two nodes hold a
+// winning and a non-winning label each.
+func TestMultiEngineSecondBest(t *testing.T) {
+	const e16 = `a	d1(50), b(100)
+.dom	= {caip}(50)
+d1	.dom(0)
+b	caip(50)
+caip	motown(25)
+`
+	opts := Options{LocalHost: "a", SecondBest: true, PrintCosts: true}
+	eng, err := NewMultiEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Update(Input{Name: "e16.map", Text: e16}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.ResultFrom("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunString(opts, e16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gw, ww strings.Builder
+	if err := got.WriteRoutes(&gw); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteRoutes(&ww); err != nil {
+		t.Fatal(err)
+	}
+	if gw.String() != ww.String() || len(got.Routes) != 6 {
+		t.Errorf("engine and Run diverge (%d rows)\nengine:\n%s\nrun:\n%s", len(got.Routes), gw.String(), ww.String())
+	}
+}
+
 func TestMultiEngineResolvePairs(t *testing.T) {
 	eng, err := NewMultiEngine(Options{})
 	if err != nil {
