@@ -26,8 +26,7 @@ type Trace struct {
 	Wall  time.Duration `json:"wall_ns"`
 
 	// Path is how the engine brought the graph to the new input set:
-	// "incremental" (journal patch), "rebuild" (full journal rebuild),
-	// or "plain" (error-fallback merge).
+	// "incremental" (journal patch) or "rebuild" (full journal rebuild).
 	Path string `json:"path"`
 
 	Warm           int  `json:"warm_remaps"`     // vantage re-maps that took the warm path

@@ -15,14 +15,14 @@ import (
 // file — the flat replay log of fragment.go — together with the source it
 // was scanned from, so an engine can tell an unchanged input by comparing
 // bytes, replay cached fragments for those, and re-scan only the changed
-// statements of the rest (Rescan). MergeFragments then rebuilds a graph
-// from any fragment sequence exactly as a serial parse of the same files
-// would.
+// statements of the rest (Rescan). The engine journals its own replay of
+// error-free fragments (OpsRange); an input set with syntax errors it
+// rejects with the errors a parse would report (Errors).
 
-// Fragment is one scanned input, reusable across merges. It is immutable
-// after ScanFragment or Rescan returns and safe to merge any number of
-// times, into any number of graphs, from one goroutine at a time per
-// merge target. It keeps no source but its own alive.
+// Fragment is one scanned input, reusable across replays. It is
+// immutable after ScanFragment or Rescan returns and safe to replay any
+// number of times, into any number of graphs. It keeps no source but its
+// own alive.
 type Fragment struct {
 	frag     *fragment
 	foldCase bool
@@ -78,26 +78,15 @@ func ScanFragment(opts Options, in Input) *Fragment {
 	}
 }
 
-// MergeFragments replays the fragments in order into a fresh graph,
-// producing exactly what ParseWith would for the same inputs and options:
-// node creation order, duplicate-link folding, error budgets, and
-// diagnostics are all byte-identical to a serial parse. Fragments must
-// have been scanned with the same FoldCase the merge uses.
-func MergeFragments(opts Options, frags []*Fragment) (*Result, error) {
-	g := graphForMerge(opts, frags)
-	m := &merger{g: g}
+// Errors returns the syntax errors a parse of the fragments' inputs, in
+// order, reports: the Errors of the *ParseError that ParseWith returns
+// for the same inputs, or nil when every fragment scanned clean.
+func Errors(frags []*Fragment) []string {
+	var errs []string
 	for _, f := range frags {
-		if len(m.errors) >= MaxErrors {
-			break
-		}
-		m.merge(f.frag)
+		errs = appendErrors(errs, f.frag)
 	}
-	m.finish()
-	res := &Result{Graph: g, Warnings: m.warnings, StmtsReplayed: m.stmts}
-	if len(m.errors) > 0 {
-		return res, &ParseError{Errors: m.errors}
-	}
-	return res, nil
+	return errs
 }
 
 // ReplayKind tags one exported replay operation. The values mirror the
@@ -200,10 +189,10 @@ func (f *Fragment) SwitchesFile() bool { return f.frag.sawFile }
 // not retain it. It stops early if yield returns false. Common tells a
 // journaling engine which range to replay.
 //
-// OpsRange exposes the budget-free view: callers that need the
-// sequential parser's MaxErrors truncation (fragments with errors) must
-// use MergeFragments instead — the engine only journals error-free
-// fragments, where the two agree.
+// OpsRange exposes the budget-free view, which equals a sequential
+// parse only for error-free fragments: the MaxErrors truncation of a
+// fragment with errors is not applied. The engine journals only
+// error-free input sets.
 func (f *Fragment) OpsRange(lo, hi int, yield func(*ReplayOp) bool) {
 	var a action
 	var op ReplayOp
@@ -263,18 +252,4 @@ func (f *Fragment) WarningTexts() []string {
 		out[i] = n.text
 	}
 	return out
-}
-
-// graphForMerge builds an empty graph sized for the fragment set, using
-// the same source-volume heuristics as ParseWith.
-func graphForMerge(opts Options, frags []*Fragment) *graph.Graph {
-	g := graph.New()
-	g.SetFoldCase(opts.FoldCase)
-	total := 0
-	for _, f := range frags {
-		total += len(f.frag.src)
-	}
-	g.ReserveLinks(total / 30)
-	g.ReserveNames(total / 75)
-	return g
 }

@@ -232,44 +232,57 @@ func (m *merger) ref(name string) *graph.Node {
 }
 
 // merge replays one file's fragment into the graph, honoring the global
-// error budget exactly as the sequential parser did: a file is skipped
-// entirely once MaxErrors is reached, and within a file, statements that
-// began after the budget ran out are dropped along with their diagnostics.
+// error budget exactly as the sequential parser did (see budget).
 func (m *merger) merge(f *fragment) {
-	base := len(m.errors)
-	if base >= MaxErrors {
+	b := budget(len(m.errors))
+	if b <= 0 {
 		return
 	}
-	budget := int32(MaxErrors - base)
 	m.clearRefCache()
 	m.g.BeginFile(f.name)
 	var a action
 	for i := range f.stmts {
 		st := &f.stmts[i]
-		if st.errs >= budget {
+		if st.errs >= b {
 			break
 		}
 		f.action(st, &a)
 		m.apply(&a)
 	}
-	for _, n := range f.errors {
-		if n.errs >= budget {
-			break
-		}
-		m.errors = append(m.errors, n.text)
-	}
+	m.errors = appendErrors(m.errors, f)
 	for _, n := range f.warnings {
-		if n.errs >= budget {
+		if n.errs >= b {
 			break
 		}
 		m.warnings = append(m.warnings, n.text)
 	}
 	for _, p := range f.pending {
-		if p.errs >= budget {
+		if p.errs >= b {
 			break
 		}
 		m.pending = append(m.pending, p)
 	}
+}
+
+// budget is what remains of the MaxErrors budget for a file after nerrs
+// errors in the files before it. A sequential parse skips the file once
+// nothing remains, and within it drops every statement that began after
+// the budget ran out — those tagged errs >= budget — with its
+// diagnostics and pending items. A statement that began within the
+// budget keeps all of its errors, so the total may pass MaxErrors.
+func budget(nerrs int) int32 { return int32(MaxErrors - nerrs) }
+
+// appendErrors appends the errors a sequential parse reports for f to
+// errs, which holds those reported for the files before it.
+func appendErrors(errs []string, f *fragment) []string {
+	b := budget(len(errs))
+	for _, n := range f.errors {
+		if n.errs >= b {
+			break
+		}
+		errs = append(errs, n.text)
+	}
+	return errs
 }
 
 // apply performs one replay-log operation. The graph calls and their

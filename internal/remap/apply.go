@@ -573,7 +573,7 @@ func (e *core) reconcileLink(key uint64, from, to *graph.Node) {
 
 // apply replays f's whole fragment into the graph under a fresh
 // journal, its declarations keyed seqGap apart. The fragment must be
-// error-free (the engine falls back to a plain merge otherwise).
+// error-free (the engine rejects input sets with syntax errors).
 func (e *core) apply(f *fileState) {
 	n := f.frag.Stmts()
 	e.jw, e.jends = make([]jent, 0, n+n/8), make([]int32, 0, n)

@@ -47,6 +47,7 @@ package remap
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -73,10 +74,6 @@ type Options struct {
 	FoldCase bool
 	// Workers caps concurrent fragment scanning; 0 = one per CPU.
 	Workers int
-	// MaxDirtyFrac is the warm-run abandon threshold: when more than
-	// this fraction of labels is invalidated, a full re-map is cheaper
-	// than patching. 0 means 0.25.
-	MaxDirtyFrac float64
 	// MaxVantages caps how many vantage machines a Multi keeps resident
 	// (least-recently-used eviction; the LocalHost vantage is never
 	// evicted). 0 means 64.
@@ -118,7 +115,7 @@ type Result struct {
 	Extractions int64
 	Relaxations int64
 	// Incremental reports whether this update took the warm path (false
-	// for full re-maps and plain rebuilds) — observability only.
+	// for full re-maps) — observability only.
 	Incremental bool
 	// LabelsChanged counts the labels whose value this recompute changed:
 	// on the warm path only those that differ from the previous run; a
@@ -136,15 +133,6 @@ type Result struct {
 	// zero when the result was served from cache.
 	MapDur   time.Duration
 	RouteDur time.Duration
-}
-
-// plainState is the fallback world for input sets the journal cannot
-// represent (syntax errors, duplicate input names): a from-scratch merge
-// whose graph serves every vantage until a clean update arrives. Runs
-// over it use the one-shot mapper.Run, which memoizes the graph's
-// snapshot on first use, so they are serialized by the Multi lock.
-type plainState struct {
-	g *graph.Graph
 }
 
 // genChange is one journal generation's derived change set, kept so a
@@ -233,8 +221,7 @@ type core struct {
 	jgen     uint64
 	graphGen uint64
 	hist     []genChange
-	warnings []string    // current update's warnings, shared by vantages
-	plain    *plainState // non-nil while the last update took the plain path
+	warnings []string // current update's warnings, shared by vantages
 
 	touchedBuf []int32 // ch.touched as a list, for SnapshotPatched
 
@@ -251,7 +238,7 @@ type core struct {
 // Observability only; consumed via Multi.Timing.
 type UpdateTiming struct {
 	Scan     time.Duration // diff inputs, rescan the changed ones
-	Patch    time.Duration // journal patch / rebuild / plain merge
+	Patch    time.Duration // journal patch / rebuild
 	Snapshot time.Duration // CSR snapshot (with its reverse adjacency, when patched) + change history + warnings
 	Map      time.Duration // vantage mapping + route derivation, wall
 
@@ -266,11 +253,12 @@ type UpdateTiming struct {
 
 	// StmtsReplayed counts the statements the patch applied plus those
 	// it undid: a changed file's middle statements on the incremental
-	// path, every statement on a rebuild or plain merge.
+	// path, every statement on a rebuild.
 	StmtsReplayed int
 
 	// Path is how the graph reached the new input set: "incremental",
-	// "rebuild", "plain", or "unchanged".
+	// "rebuild", or "unchanged" (also for an input set rejected for its
+	// syntax errors: the graph stays at the last accepted one).
 	Path string
 
 	Rescanned      int // inputs re-parsed
@@ -294,7 +282,7 @@ type EngineStats struct {
 	Unchanged    int // Update calls with identical inputs
 	Incremental  int // warm-path vantage re-maps
 	FullRemaps   int // full vantage re-maps over the patched graph
-	Rebuilds     int // full journal rebuilds (first run, reorders, errors)
+	Rebuilds     int // full journal rebuilds (first run, reorders, file{} switches, repeated names)
 	Rescanned    int // inputs re-scanned
 	RangePatches int // changed files patched by statement range
 	// BytesRescanned sums UpdateTiming.BytesRescanned over the updates.
@@ -310,9 +298,6 @@ func newCore(opts Options) *core {
 	mopts := mapper.DefaultOptions()
 	if opts.Mapper != nil {
 		mopts = *opts.Mapper
-	}
-	if opts.MaxDirtyFrac == 0 {
-		opts.MaxDirtyFrac = 0.25
 	}
 	e := &core{
 		opts:   opts,
@@ -345,7 +330,9 @@ func (e *core) sync(inputs []Input) error {
 	e.timing = UpdateTiming{Path: "unchanged"}
 
 	// Phase 1: diff inputs against the sources their cached fragments
-	// were scanned from, and rescan the changed ones.
+	// were scanned from, and rescan the changed ones. An input whose name
+	// the previous set repeated may also match the copy at its own
+	// position.
 	type slot struct {
 		in    Input
 		reuse *fileState
@@ -355,7 +342,7 @@ func (e *core) sync(inputs []Input) error {
 	}
 	slots := make([]slot, len(inputs))
 	seen := make(map[string]bool, len(inputs))
-	dupNames := false
+	dupNames := len(e.byName) < len(e.files) // the previous set repeated a name
 	toScan := 0
 	for i, in := range inputs {
 		if seen[in.Name] {
@@ -363,7 +350,11 @@ func (e *core) sync(inputs []Input) error {
 		}
 		seen[in.Name] = true
 		slots[i] = slot{in: in}
-		if old := e.byName[in.Name]; old != nil && old.frag.Src() == in.Src {
+		old := e.byName[in.Name]
+		if i < len(e.files) && e.files[i] != old && e.files[i].name == in.Name && e.files[i].frag.Src() == in.Src {
+			old = e.files[i]
+		}
+		if old != nil && old.frag.Src() == in.Src {
 			slots[i].reuse = old
 		} else {
 			if old != nil {
@@ -373,11 +364,9 @@ func (e *core) sync(inputs []Input) error {
 		}
 	}
 
-	// Unchanged input set in unchanged order, and the last update was
-	// journaled: nothing to do — every vantage's cached result (keyed by
-	// updGen) stays valid. The plain guard keeps a plain update's
-	// generation from masquerading as the journaled one.
-	if e.journaled && e.plain == nil && !dupNames && toScan == 0 && len(inputs) == len(e.files) {
+	// Unchanged input set in unchanged order: nothing to do — every
+	// vantage's cached result (keyed by updGen) stays valid.
+	if e.journaled && toScan == 0 && len(inputs) == len(e.files) {
 		same := true
 		for i, s := range slots {
 			if e.files[i] != s.reuse {
@@ -428,31 +417,19 @@ func (e *core) sync(inputs []Input) error {
 	e.timing.Scan = time.Since(start)
 	e.timing.Rescanned = toScan
 
-	// Phase 2: pick the path. Fragments with syntax errors cannot be
-	// journaled (the MaxErrors budget couples files); serve a plain
-	// merge and leave the journaled state at its last clean input set.
-	anyErrors := false
+	// Phase 2: reject an input set with syntax errors, reporting what a
+	// parse of it would. The journaled state, the fragment cache and every
+	// cached result stay at the last accepted input set.
 	frags := make([]*parser.Fragment, len(slots))
-	for i := range slots {
-		if slots[i].frag != nil {
-			frags[i] = slots[i].frag
+	for i, s := range slots {
+		if s.frag != nil {
+			frags[i] = s.frag
 		} else {
-			frags[i] = slots[i].reuse.frag
-		}
-		if frags[i].ErrorCount() > 0 {
-			anyErrors = true
+			frags[i] = s.reuse.frag
 		}
 	}
-	if anyErrors || dupNames {
-		mark := time.Now()
-		err := e.plainSync(frags)
-		e.timing.Patch = time.Since(mark)
-		e.timing.Path = "plain"
-		if e.plain != nil {
-			e.timing.Nodes = e.plain.g.Len()
-			e.timing.NodesTouched = e.timing.Nodes
-		}
-		return err
+	if errs := parser.Errors(frags); errs != nil {
+		return &parser.ParseError{Errors: errs}
 	}
 
 	// Phase 3: bring the journaled graph to the new input set.
@@ -475,20 +452,24 @@ func (e *core) sync(inputs []Input) error {
 		}
 	}
 
+	// Each file gets its own state, whose journal is applied once: a
+	// repeated name whose copies diff against one cached file shares the
+	// fragment, not the state.
 	newStates := make([]*fileState, len(slots))
 	scopeSwitch := false
 	for i, s := range slots {
-		if s.reuse != nil {
+		if s.reuse != nil && !(dupNames && slices.Contains(newStates[:i], s.reuse)) {
 			newStates[i] = s.reuse
 			continue
 		}
+		frag := frags[i]
 		newStates[i] = &fileState{
 			id:            e.nextFileID,
 			name:          s.in.Name,
-			frag:          s.frag,
+			frag:          frag,
 			win:           s.win,
-			lastPrivate:   s.frag.LastPrivate(),
-			hasFileSwitch: s.frag.SwitchesFile(),
+			lastPrivate:   frag.LastPrivate(),
+			hasFileSwitch: frag.SwitchesFile(),
 		}
 		e.nextFileID++
 		if newStates[i].hasFileSwitch {
@@ -512,8 +493,12 @@ func (e *core) sync(inputs []Input) error {
 		}
 	}
 
+	// Repeated names rebuild too: the journal's per-name bookkeeping
+	// (byName, statement-range patches, undo) assumes one file per name,
+	// while a rebuild replays the copies in input order, all in the one
+	// private scope of their name, as a parse of the same inputs does.
 	mark := time.Now()
-	if !e.journaled || reorder || scopeSwitch {
+	if !e.journaled || reorder || scopeSwitch || dupNames {
 		e.rebuildAll(newStates)
 		e.timing.Path = "rebuild"
 	} else {
@@ -527,7 +512,6 @@ func (e *core) sync(inputs []Input) error {
 	// Phase 4: new generation — snapshot, change history, warnings.
 	e.jgen++
 	e.updGen++
-	e.plain = nil
 	e.recordHistory()
 	if e.ch.structural || e.snap == nil {
 		e.snap = e.g.Snapshot()
@@ -629,9 +613,10 @@ func (e *core) eventsSince(jgen uint64) mapEvents {
 }
 
 // rebuildAll reconstructs the journaled graph from scratch over the
-// (cached) fragments — the cold path: first update, input reorder, or
-// recovery after a plain run. The fresh graph obsoletes every vantage
-// machine (graphGen) and the retained change history.
+// (cached) fragments — the cold path: first update, input reorder, a
+// file{} scope switch, or a repeated input name. The fresh graph
+// obsoletes every vantage machine (graphGen) and the retained change
+// history.
 func (e *core) rebuildAll(states []*fileState) {
 	e.Stats.Rebuilds++
 	g := graph.New()
@@ -840,31 +825,4 @@ func (e *core) computeWarnings() []string {
 		}
 	}
 	return out
-}
-
-// plainSync serves input sets the journal cannot represent (syntax
-// errors, duplicate input names) with a from-scratch merge over the
-// scanned fragments, leaving the journaled state untouched. Vantage
-// results are then one-shot mapper runs over the merged graph.
-func (e *core) plainSync(frags []*parser.Fragment) error {
-	pres, err := parser.MergeFragments(e.popts, frags)
-	e.timing.StmtsReplayed = pres.StmtsReplayed
-	e.Stats.StmtsReplayed += pres.StmtsReplayed
-	if err != nil {
-		return err
-	}
-	g := pres.Graph
-	warnings := pres.Warnings
-	for _, a := range e.opts.Avoid {
-		n, ok := g.Lookup(a)
-		if !ok {
-			warnings = append(warnings, fmt.Sprintf("avoid: unknown host %q", a))
-			continue
-		}
-		g.AdjustNode(n, mapper.DefaultDeadPenalty)
-	}
-	e.plain = &plainState{g: g}
-	e.warnings = warnings
-	e.updGen++
-	return nil
 }

@@ -275,10 +275,10 @@ func TestEngineAvoid(t *testing.T) {
 	checkEquivalent(t, opts, in, res, "avoid back")
 }
 
-// TestEnginePlainRunDoesNotPoisonFastPath: after a duplicate-name (or
-// erroneous) input set forces a plain run, reverting to the journaled
-// input set must recompute, not serve the plain run's cached result.
-func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
+// TestEngineRepeatedNamesDoNotPoisonFastPath: after an input set that
+// repeats a name, reverting to the previous input set must recompute,
+// not serve the repeated-name run's cached result.
+func TestEngineRepeatedNamesDoNotPoisonFastPath(t *testing.T) {
 	opts := Options{LocalHost: "a"}
 	m, err := NewMulti(opts)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
 	if len(res.Entries) != 2 {
 		t.Fatalf("base entries = %d", len(res.Entries))
 	}
-	// Duplicate input name: plain-run path, extra host c.
+	// Repeated input name: the journal rebuilds, extra host c.
 	dup := []Input{{Name: "m", Src: "a\tb(10)\n"}, {Name: "m", Src: "b\tc(10)\n"}}
 	res, err = update(m, dup)
 	if err != nil {
@@ -301,12 +301,13 @@ func TestEnginePlainRunDoesNotPoisonFastPath(t *testing.T) {
 	if len(res.Entries) != 3 {
 		t.Fatalf("dup entries = %d", len(res.Entries))
 	}
+	checkEquivalent(t, opts, dup, res, "repeated name")
 	// Revert: must match a fresh run over base, not the dup result.
 	res, err = update(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEquivalent(t, opts, base, res, "revert after plain run")
+	checkEquivalent(t, opts, base, res, "revert after a repeated name")
 }
 
 // mutator carries mutateMap's state between steps: the counter naming
@@ -322,10 +323,12 @@ type mutator struct {
 // the next step, so the host turns into a ghost and returns), a new
 // statement appended to a file or inserted mid-file, a link line
 // duplicated elsewhere in its own file, file removal, file reorder, file
-// addition. The new statements cover every journal kind: links (new
-// host or between existing ones), adjust, alias, network, dead and
-// delete (host and link) and gateway declarations, so the edits reach
-// both statement-range patches and the whole-file path.
+// addition (every other time under an existing file's name, taken out
+// again on the next step: the engine rebuilds its journal for both). The
+// new statements cover every journal kind: links (new host or between
+// existing ones), adjust, alias, network, dead and delete (host and
+// link) and gateway declarations, so the edits reach both
+// statement-range patches and the whole-file path.
 // addHost reports that the edit only introduced a brand-new host (plus
 // its link) — an edit the engine must keep on the warm path.
 func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost bool) {
@@ -432,8 +435,13 @@ func mutateMap(rng *rand.Rand, inputs []Input, mu *mutator) (_ []Input, addHost 
 	default: // add a whole new file
 		id := mu.nextID
 		mu.nextID++
+		name := fmt.Sprintf("extra%d.map", id)
+		if rng.Intn(2) == 0 {
+			name = out[rng.Intn(len(out))].Name
+			mu.restore = inputs
+		}
 		out = append(out, Input{
-			Name: fmt.Sprintf("extra%d.map", id),
+			Name: name,
 			Src:  fmt.Sprintf("exhost%d\thost%d(%s)\n", id, rng.Intn(40), cost()),
 		})
 	}

@@ -66,9 +66,8 @@ func (m *Multi) Update(inputs []Input) error {
 }
 
 // recomputeAllLocked refreshes every stale resident vantage. Machines
-// only read the shared graph and snapshot, so on the journaled path the
-// vantages recompute in parallel; plain-mode runs stay sequential,
-// because mapper.Run memoizes the merged graph's snapshot on the graph.
+// only read the shared graph and snapshot, so the vantages recompute in
+// parallel.
 func (m *Multi) recomputeAllLocked() {
 	var stale []*vantage
 	for _, v := range m.vans {
@@ -80,7 +79,7 @@ func (m *Multi) recomputeAllLocked() {
 		return
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if m.e.plain != nil || workers < 2 || len(stale) < 2 {
+	if workers < 2 || len(stale) < 2 {
 		for _, v := range stale {
 			res, recomputed, err := v.resolve(m.e)
 			m.countRun(res, recomputed, err)
@@ -127,9 +126,6 @@ func (m *Multi) countRun(res *Result, recomputed bool, err error) {
 	m.e.timing.MapSum += res.MapDur
 	m.e.timing.RouteSum += res.RouteDur
 	m.e.timing.LabelsChanged += res.LabelsChanged
-	if m.e.plain != nil {
-		return
-	}
 	if res.Incremental {
 		m.e.Stats.Incremental++
 	} else {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"pathalias/internal/graph"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
@@ -223,10 +225,10 @@ func TestMultiLazyCatchUp(t *testing.T) {
 	}
 }
 
-// TestMultiPlainMode: input sets the journal cannot represent
-// (duplicate input names) serve every vantage from the plain-merge
-// fallback, and recover to the journaled path afterwards.
-func TestMultiPlainMode(t *testing.T) {
+// TestMultiRepeatedNames: input sets that repeat an input name take the
+// journal's rebuild path, serve every vantage like a fresh run, answer
+// what-if questions, and return to incremental patching afterwards.
+func TestMultiRepeatedNames(t *testing.T) {
 	opts := Options{}
 	m, err := NewMulti(opts)
 	if err != nil {
@@ -241,12 +243,21 @@ func TestMultiPlainMode(t *testing.T) {
 	}
 
 	dup := []Input{{Name: "m", Src: "a\tb(10)\n"}, {Name: "m", Src: "b\tc(10)\nc\td(5)\n"}}
+	full := m.Stats().FullRemaps
 	if err := m.Update(dup); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range []string{"a", "b", "d"} {
-		checkVantage(t, m, opts, dup, h, "plain")
+	if p := m.Timing().Path; p != "rebuild" {
+		t.Errorf("repeated name: path %q, want rebuild", p)
 	}
+	// The update re-mapped the three resident vantages, and counted them.
+	if got := m.Stats().FullRemaps; got != full+3 {
+		t.Errorf("repeated name: %d full re-maps counted, want 3", got-full)
+	}
+	for _, h := range []string{"a", "b", "d"} {
+		checkVantage(t, m, opts, dup, h, "repeated name")
+	}
+	checkDeleteOverlay(t, m, opts, dup, 1, "a", "c", "d", "repeated name")
 
 	if err := m.Update(base); err != nil {
 		t.Fatal(err)
@@ -254,11 +265,19 @@ func TestMultiPlainMode(t *testing.T) {
 	for _, h := range []string{"a", "b", "c"} {
 		checkVantage(t, m, opts, base, h, "revert")
 	}
+	edited := []Input{{Name: "m", Src: "a\tb(10)\nb\tc(20)\n"}}
+	if err := m.Update(edited); err != nil {
+		t.Fatal(err)
+	}
+	if p := m.Timing().Path; p != "incremental" {
+		t.Errorf("edit after the revert: path %q, want incremental", p)
+	}
+	checkVantage(t, m, opts, edited, "a", "edit after the revert")
 
-	// Plain-mode vantages map one merged graph, so one run's invented
-	// back links must not reach the next: from y, z is reached over an
-	// invented y->z; from a, queried after y in the same generation, a
-	// fresh run reaches z over q!r!z at 2010.
+	// Every vantage of the rebuilt journal maps its own machine, so one
+	// run's invented back links must not reach the next: from y, z is
+	// reached over an invented y->z; from a, queried after y in the same
+	// generation, a fresh run reaches z over q!r!z at 2010.
 	m, err = NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +287,94 @@ func TestMultiPlainMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range []string{"y", "a"} {
-		checkVantage(t, m, opts, leak, h, "plain back links")
+		checkVantage(t, m, opts, leak, h, "repeated name back links")
+	}
+}
+
+// TestMultiRepeatedNameSequence walks a fixed edit sequence through a
+// name listed twice. Two same-named inputs share one private scope, so a
+// private the first copy declares rebinds the name in the second copy
+// too, while another file keeps the global host. Every step must match
+// fresh runs from three vantages, and a what-if from the first must
+// match a fresh run over the edited source.
+func TestMultiRepeatedNameSequence(t *testing.T) {
+	m1 := Input{Name: "m", Src: "a\tb(10), x(200)\nb\tc(10)\n"}
+	n := Input{Name: "n", Src: "c\td(10), x(20)\nd\ta(10)\n"}
+	m2 := Input{Name: "m", Src: "x\ty(10)\nc\tx(30)\ny\tz(10)\n"}
+	priv := Input{Name: "m", Src: "private {x}\n" + m1.Src + "x\tw(5)\n"}
+	privEdited := Input{Name: "m", Src: strings.Replace(priv.Src, "c(10)", "c(50)", 1)}
+	m2Edited := Input{Name: "m", Src: strings.Replace(m2.Src, "x(30)", "x(3)", 1)}
+	steps := []struct {
+		label  string
+		inputs []Input
+		path   string
+	}{
+		{"base", []Input{m1, n}, "rebuild"},
+		{"identical copy added", []Input{m1, n, m1}, "rebuild"},
+		{"same-named copy added", []Input{m1, n, m2}, "rebuild"},
+		{"private in the first copy", []Input{priv, n, m2}, "rebuild"},
+		{"first copy edited", []Input{privEdited, n, m2}, "rebuild"},
+		{"second copy edited", []Input{privEdited, n, m2Edited}, "rebuild"},
+		{"first copy dropped", []Input{n, m2Edited}, "rebuild"},
+		{"copy restored", []Input{privEdited, n, m2Edited}, "rebuild"},
+		{"revert", []Input{m1, n}, "rebuild"},
+		{"edit after the revert", []Input{{Name: "m", Src: strings.Replace(m1.Src, "c(10)", "c(40)", 1)}, n}, "incremental"},
+	}
+	opts := Options{LocalHost: "a"}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range steps {
+		if err := m.Update(st.inputs); err != nil {
+			t.Fatalf("%s: %v", st.label, err)
+		}
+		if p := m.Timing().Path; p != st.path {
+			t.Errorf("%s: path %q, want %q", st.label, p, st.path)
+		}
+		for _, h := range []string{"a", "c", "x"} {
+			checkVantage(t, m, opts, st.inputs, h, st.label)
+		}
+		file := slices.IndexFunc(st.inputs, func(in Input) bool { return in.Name == "n" })
+		checkDeleteOverlay(t, m, opts, st.inputs, file, "a", "c", "d", st.label)
+	}
+}
+
+// checkDeleteOverlay asks m what routes from host would be if the link
+// from!to were deleted, and compares the answer with a fresh run over
+// inputs whose file at index file also declares delete {from!to}.
+func checkDeleteOverlay(t *testing.T, m *Multi, opts Options, inputs []Input, file int, host, from, to, label string) {
+	t.Helper()
+	run, err := m.EvalOverlay(host, func(c OverlayCtx) (*graph.Overlay, error) {
+		a, aok := c.Lookup(from)
+		b, bok := c.Lookup(to)
+		if !aok || !bok {
+			return nil, fmt.Errorf("no host %s or %s", from, to)
+		}
+		l := c.FindLink(a, b)
+		if l == nil {
+			return nil, fmt.Errorf("no link %s!%s", from, to)
+		}
+		ov := graph.NewOverlay()
+		ov.RemoveLink(l)
+		return ov, nil
+	})
+	if err != nil {
+		t.Fatalf("%s: what-if: %v", label, err)
+	}
+	edited := slices.Clone(inputs)
+	edited[file].Src = strings.TrimSuffix(edited[file].Src, "\n") + fmt.Sprintf("\ndelete {%s!%s}\n", from, to)
+	vopts := opts
+	vopts.LocalHost = host
+	want, err := freshRun(t, vopts, edited)
+	if err != nil {
+		t.Fatalf("%s: fresh run: %v", label, err)
+	}
+	if g, w := renderEntries(run.Entries), renderEntries(want.Entries); g != w {
+		t.Errorf("%s: what-if diverges from a fresh run\nfirst difference:\n%s", label, firstDiff(g, w))
+	}
+	if g, w := fmt.Sprint(run.Unreachable), fmt.Sprint(want.Unreachable); g != w {
+		t.Errorf("%s: what-if unreachable diverge\n got: %q\nwant: %q", label, g, w)
 	}
 }
 
@@ -421,7 +527,7 @@ func FuzzMultiEdits(f *testing.F) {
 		check := func(label string) {
 			// The patched snapshot (and its reverse adjacency, when
 			// patched) first, before the vantages' runs build anything.
-			if m.e.plain == nil && m.e.snap != nil {
+			if m.e.snap != nil {
 				if err := m.e.g.VerifySnapshot(m.e.snap); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

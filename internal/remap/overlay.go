@@ -32,8 +32,9 @@ import (
 // which is what lets internal/whatif cache evaluations across queries.
 
 // ErrOverlayUnavailable is returned when the engine cannot answer
-// what-if queries: no successful update yet, or the last update fell
-// back to a plain (non-journaled) merge because the sources had errors.
+// what-if queries: no update has been accepted yet. (An update rejected
+// for syntax errors leaves the last accepted map state serving, what-if
+// included.)
 var ErrOverlayUnavailable = errors.New("remap: what-if overlays unavailable (no clean journaled map state)")
 
 // OverlayCtx is the read-only graph view handed to an overlay builder.
@@ -99,7 +100,7 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	e := m.e
-	if e.updGen == 0 || !e.journaled || e.plain != nil || e.snap == nil {
+	if !e.journaled {
 		return nil, ErrOverlayUnavailable
 	}
 	hostName := e.foldName(host)

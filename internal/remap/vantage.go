@@ -26,6 +26,11 @@ import (
 	"pathalias/internal/printer"
 )
 
+// maxDirtyFrac is the warm-run abandon threshold: when more than this
+// fraction of labels is invalidated, a full re-map is cheaper than
+// patching.
+const maxDirtyFrac = 0.25
+
 type vantage struct {
 	host string // case-folded vantage host name
 
@@ -83,14 +88,10 @@ func (v *vantage) resolve(e *core) (res *Result, recomputed bool, err error) {
 			return v.last, false, nil
 		}
 	}
-	if e.plain == nil && !e.journaled {
+	if !e.journaled {
 		return nil, false, fmt.Errorf("remap: no inputs")
 	}
-	if e.plain != nil {
-		res, err = v.recomputePlain(e)
-	} else {
-		res, err = v.recompute(e)
-	}
+	res, err = v.recompute(e)
 	return res, true, err
 }
 
@@ -181,7 +182,7 @@ func (v *vantage) remap(e *core, local *graph.Node, snap *graph.Snapshot, ev map
 		// region's cost frontier; seeding the sources of added/changed
 		// edges covers possible improvements into still-mapped territory.
 		invalidated, rootHit := v.mc.SweepInvented()
-		maxDirty := int(float64(v.mc.NumLabels()) * e.opts.MaxDirtyFrac)
+		maxDirty := int(float64(v.mc.NumLabels()) * maxDirtyFrac)
 		for _, ed := range ev.edges {
 			lv := v.mc.Label(2 * ed.to)
 			if lv.Node != nil && lv.Via == ed.link {
@@ -256,40 +257,6 @@ func overlayEvents(ov *graph.Overlay) mapEvents {
 		ev.edges = append(ev.edges, edgeEvent{from: ed.From, to: ed.To, link: ed.Link, removed: ed.Removed})
 	}
 	return ev
-}
-
-// recomputePlain serves the vantage from the core's plain-merge world: a
-// one-shot mapper run over the merged graph. The journaled machine state
-// is left untouched, so warm mapping resumes when a clean update
-// arrives. mapper.Run memoizes the merged graph's snapshot on the graph,
-// so the core lock serializes these runs.
-func (v *vantage) recomputePlain(e *core) (*Result, error) {
-	start := time.Now()
-	local, ok := e.plain.g.Lookup(v.host)
-	if !ok {
-		return v.fail(e, fmt.Errorf("remap: local host %q not found in input", v.host))
-	}
-	mres, err := mapper.Run(e.plain.g, local, e.mopts)
-	if err != nil {
-		return v.fail(e, err)
-	}
-	routeMark := time.Now()
-	v.routeGen++
-	out := &Result{
-		Entries:  printer.Routes(mres, e.opts.Printer),
-		Warnings: e.warnings,
-		RouteGen: v.routeGen,
-		MapDur:   routeMark.Sub(start),
-	}
-	out.RouteDur = time.Since(routeMark)
-	fillMapStats(out, mres)
-	for _, n := range mres.Unreachable {
-		out.Unreachable = append(out.Unreachable, n.Name)
-	}
-	v.resGen = e.updGen
-	v.err = nil
-	v.last = out
-	return out, nil
 }
 
 // fillMapStats copies the mapping counters; a full run's LabelsChanged

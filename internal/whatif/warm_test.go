@@ -67,7 +67,7 @@ func applyEdits(eds []overlayEdit) func(tt testing.TB, g *graph.Graph) {
 
 // TestOverlayForcedFullRuns: from a resident vantage an overlay run
 // starts warm unless the procedure source edits take would also give
-// up — the edits invalidate more than MaxDirtyFrac of the labels, or
+// up — the edits invalidate more than a quarter of the labels, or
 // the engine maps SecondBest, which has no warm runs. (An overlay edit
 // cannot invalidate the root: edge events only reset labels riding the
 // edited link, and the root rides none.) Each case must still answer
@@ -97,9 +97,6 @@ caip	motown(25)
 		// Every route from unc but phs's rides unc!duke.
 		{"past MaxDirtyFrac", remap.Options{}, mapper.DefaultOptions(),
 			[]overlayEdit{{op: OpDead, from: "unc", to: "duke"}}, false, nil, ""},
-		// Any invalidation at all crosses a near-zero threshold.
-		{"tiny MaxDirtyFrac", remap.Options{MaxDirtyFrac: 1e-9}, mapper.DefaultOptions(),
-			[]overlayEdit{{op: OpDead, from: "duke", to: "research"}}, false, nil, ""},
 		{"SecondBest", remap.Options{Mapper: &sb}, sb,
 			[]overlayEdit{{op: OpCost, from: "unc", to: "phs", cost: 100}}, false, nil, ""},
 		// The E16 map: caip and motown hold two labels each, and only
