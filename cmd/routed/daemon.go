@@ -21,7 +21,6 @@ import (
 
 	"pathalias/internal/fswatch"
 	"pathalias/internal/obs"
-	"pathalias/internal/parser"
 	"pathalias/internal/rdb"
 	"pathalias/internal/routedb"
 	"pathalias/internal/whatif"
@@ -95,7 +94,8 @@ type daemon struct {
 	logLvl *slog.LevelVar
 
 	mu       sync.Mutex // guards reloads (watch loop + explicit reload)
-	hash     uint64     // content fingerprint of the last file reload read
+	lastText []byte     // text mode: the route file as the last reload read it
+	lastCRC  uint32     // binary mode: footer checksum of the image last served or rejected
 	loadedAt time.Time
 	swaps    atomic.Uint64
 }
@@ -160,28 +160,18 @@ func (d *daemon) noteSlow(surface, req string, dur time.Duration) {
 		"dur", dur.Round(time.Microsecond).String(), "threshold", d.slowThresh.String())
 }
 
-// contentHash fingerprints a route file (parser.HashInput's chunked FNV
-// over the raw bytes).
-func contentHash(data []byte) uint64 {
-	return parser.HashInput(parser.Input{Src: string(data)})
-}
-
-// unchangedLocked reports whether hash fingerprints the file the last
-// reload already read, so the watcher can call reload on every possible
-// change and only real ones rebuild. d.mu must be held.
-func (d *daemon) unchangedLocked(hash uint64) bool {
-	return d.swaps.Load() > 0 && hash == d.hash
-}
-
 // reload rebuilds the database from the route file and swaps it in,
-// unless the file's content is what the last reload read. Lookups
-// proceed against the old database until the swap. The content hash is
-// recorded even when parsing fails, so a persistently malformed file is
-// not re-parsed on every watch wake-up — only when it changes again.
+// unless the file holds the bytes the last reload read. Lookups proceed
+// against the old database until the swap. The bytes are kept even
+// when parsing fails, so a persistently malformed file is not
+// re-parsed on every watch wake-up — only when it changes again.
+// Comparing the bytes themselves, not a fingerprint, means no rewrite
+// can pass for the served content; the cost is one copy of the route
+// file kept in memory.
 //
 // In binary mode no parsing happens at all: the compiled file is
 // mapped, checksummed, and validated, and its own integrity checksum
-// doubles as the content hash. A superseded mapping is released by the
+// tells an unchanged image. A superseded mapping is released by the
 // garbage collector once no in-flight lookup can hold it (routedb ties
 // the munmap to the old DB's reachability).
 func (d *daemon) reload() error {
@@ -194,11 +184,10 @@ func (d *daemon) reload() error {
 	if err != nil {
 		return err
 	}
-	hash := contentHash(data)
-	if d.unchangedLocked(hash) {
+	if d.swaps.Load() > 0 && bytes.Equal(data, d.lastText) {
 		return nil
 	}
-	d.hash = hash
+	d.lastText = data
 	db, err := routedb.LoadWith(bytes.NewReader(data), d.opts)
 	if err != nil {
 		return err
@@ -221,7 +210,7 @@ func (d *daemon) reloadBinaryLocked() error {
 	// A footer that cannot be read (mid-replace, truncated) is never
 	// "unchanged": the open below reports what is wrong with the file.
 	crc, cerr := rdb.FileChecksum(d.path)
-	if cerr == nil && d.unchangedLocked(uint64(crc)) {
+	if cerr == nil && d.swaps.Load() > 0 && crc == d.lastCRC {
 		return nil
 	}
 	db, err := routedb.OpenBinary(d.path)
@@ -229,17 +218,16 @@ func (d *daemon) reloadBinaryLocked() error {
 		// Memoize the rejected image's checksum so a persistently
 		// corrupt file is re-probed by its footer, not re-opened, until
 		// it changes again.
-		d.hash = 0
+		d.lastCRC = 0
 		if cerr == nil {
-			d.hash = uint64(crc)
+			d.lastCRC = crc
 		}
 		return err
 	}
 	// Record the served image's own checksum — not the probe above,
 	// which could fingerprint a different image if the file was
 	// replaced between the two opens.
-	crc, _ = db.Binary()
-	d.hash = uint64(crc)
+	d.lastCRC, _ = db.Binary()
 	if got := db.Options(); got != d.opts {
 		d.logf("note: %s was compiled with FoldCase=%v; the file's setting wins over the -i flag", d.path, got.FoldCase)
 	}
@@ -282,7 +270,7 @@ func (d *daemon) auditImage(db, prev *routedb.DB, src string) {
 // watch hot-swaps the store when the route file changes, until ctx is
 // done. fswatch.Watch decides when the file may have changed (within
 // milliseconds where the kernel offers file events, every interval
-// regardless); reload's content hash decides whether it did. A vanished
+// regardless); reload's byte compare decides whether it did. A vanished
 // or malformed file is logged and the old database keeps serving.
 func (d *daemon) watch(ctx context.Context, interval time.Duration) {
 	fswatch.Watch(ctx, []string{d.path}, interval, func() {

@@ -220,7 +220,7 @@ func TestWatchHotSwapsOnChange(t *testing.T) {
 // TestWatchSameSecondRewrite is the staleness regression, end to end: a
 // rewrite that preserves the file's mtime AND size (the same-second
 // rewrite a coarse-granularity filesystem produces) must still be
-// served, via fswatch.Watch's settle window and reload's content hash.
+// served, via fswatch.Watch's settle window and reload's byte compare.
 // The detector's own cases live in internal/fswatch.
 func TestWatchSameSecondRewrite(t *testing.T) {
 	dir := t.TempDir()
@@ -259,7 +259,97 @@ func TestWatchSameSecondRewrite(t *testing.T) {
 	}
 }
 
+// TestReloadComparesBytes: reload tells an unchanged route file by its
+// bytes, not by a fingerprint. An in-place rewrite of the same length
+// reloads; an identical rewrite does not, and neither does a malformed
+// file read a second time.
+func TestReloadComparesBytes(t *testing.T) {
+	dir := t.TempDir()
+	path := writeRoutes(t, dir, testRoutes)
+	d, err := newDaemon(path, false, routedb.Options{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(content string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reload := func(wantSwaps uint64, wantErr bool) {
+		t.Helper()
+		if err := d.reload(); (err != nil) != wantErr {
+			t.Fatalf("reload error %v, want error %v", err, wantErr)
+		}
+		if got := d.swaps.Load(); got != wantSwaps {
+			t.Fatalf("swaps = %d, want %d", got, wantSwaps)
+		}
+	}
+
+	altered := strings.Replace(testRoutes, "duke!%s", "DUKE!%s", 1)
+	rewrite(altered)
+	reload(2, false)
+	if e, ok := d.store.Lookup("duke"); !ok || e.Route != "DUKE!%s" {
+		t.Fatalf("same-length rewrite not served: duke = %+v, %v", e, ok)
+	}
+	rewrite(altered)
+	reload(2, false)
+
+	broken := strings.Replace(altered, "500\t", "5x0\t", 1)
+	rewrite(broken)
+	reload(2, true)
+	reload(2, false) // the same malformed bytes: not parsed again
+	rewrite(testRoutes)
+	reload(3, false)
+	if e, ok := d.store.Lookup("duke"); !ok || e.Route != "duke!%s" {
+		t.Fatalf("restored file not served: duke = %+v, %v", e, ok)
+	}
+}
+
 const testMapSrc = "unc\tduke(HOURLY), phs(HOURLY*4)\nduke\tunc(DEMAND), research(DAILY/2), phs(DEMAND)\nphs\tunc(HOURLY*4), duke(HOURLY)\nresearch\tduke(DEMAND), ucbvax(DEMAND)\nucbvax\tresearch(DAILY)\n"
+
+// TestMapWatchLogsRepeatedErrorOnce: polls that re-read a map which
+// stays broken log its error once; it is logged again after a
+// successful re-map, and a different error is logged at once.
+func TestMapWatchLogsRepeatedErrorOnce(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "test.map")
+	write := func(src string) {
+		t.Helper()
+		if err := os.WriteFile(mapPath, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(testMapSrc)
+	var logBuf strings.Builder
+	d := newMapDaemon(routedb.Options{}, &logBuf)
+	w, err := newMapWatcher(d, "unc", 64, []string{mapPath}, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := func(want int) {
+		t.Helper()
+		if got := strings.Count(logBuf.String(), "remap: "); got != want {
+			t.Fatalf("%d remap errors logged, want %d; log:\n%s", got, want, logBuf.String())
+		}
+	}
+
+	broken := testMapSrc + "unc\tduke(HOURLY\n"
+	write(broken)
+	for range 3 {
+		w.poll()
+	}
+	logged(1)
+	write(testMapSrc)
+	w.poll()
+	write(broken)
+	w.poll()
+	w.poll()
+	logged(2)
+	write(testMapSrc + "duke\t{\n")
+	w.poll()
+	logged(3)
+}
 
 // TestMapModeServesAndHotRemaps drives the -map source-watch mode: an
 // in-process incremental engine computes the routes, and a source edit

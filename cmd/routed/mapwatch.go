@@ -77,6 +77,10 @@ type mapWatcher struct {
 	// d.mapReady reads this channel to gate the queries that need the
 	// live engine.
 	ready chan struct{}
+
+	// lastErr is the message of the last failed re-map poll logged,
+	// "" after a success; only the watch loop touches it.
+	lastErr string
 }
 
 // newMapWatcher builds the engine and performs the initial full map
@@ -429,10 +433,10 @@ func (w *mapWatcher) publish(gen uint64) (compile time.Duration, err error) {
 
 // watch re-maps whenever fswatch.Watch reports that a source may have
 // changed, until ctx is done; the engine's byte compare against the
-// sources it last scanned makes a re-map of identical sources a cheap
-// no-op. Errors (a mid-edit syntax error, a vanished file) are logged
-// and the previous databases keep serving — exactly like the -d
-// watcher.
+// sources it last scanned (or last rejected) makes a re-map of
+// identical sources a cheap no-op. Errors (a mid-edit syntax error, a
+// vanished file) are logged and the previous databases keep serving —
+// exactly like the -d watcher.
 func (w *mapWatcher) watch(ctx context.Context, interval time.Duration) {
 	// On a warm start the initial computation is still running in its own
 	// goroutine; it owns the watcher's state until ready closes.
@@ -441,9 +445,20 @@ func (w *mapWatcher) watch(ctx context.Context, interval time.Duration) {
 	case <-ctx.Done():
 		return
 	}
-	fswatch.Watch(ctx, w.paths, interval, func() {
-		if err := w.remap(); err != nil {
-			w.d.logf("remap: %v (still serving previous database)", err)
-		}
-	})
+	fswatch.Watch(ctx, w.paths, interval, w.poll)
+}
+
+// poll re-maps after a possible source change and logs a failure once:
+// a file that stays broken across the polls of fswatch's settle window
+// logs again only after a success or a different error.
+func (w *mapWatcher) poll() {
+	err := w.remap()
+	if err == nil {
+		w.lastErr = ""
+		return
+	}
+	if msg := err.Error(); msg != w.lastErr {
+		w.lastErr = msg
+		w.d.logf("remap: %v (still serving previous database)", err)
+	}
 }

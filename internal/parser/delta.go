@@ -37,32 +37,6 @@ func (f *Fragment) Src() string { return f.frag.src }
 // Stmts returns the number of replayable operations in the fragment.
 func (f *Fragment) Stmts() int { return len(f.frag.stmts) }
 
-// HashInput computes a 64-bit FNV-1a-style fingerprint over an input's
-// name, a separator, and its source text, folding eight bytes per
-// multiply. routed -d uses it to tell whether a route file it reloads
-// changed.
-func HashInput(in Input) uint64 {
-	const offset64 = 14695981039346656037
-	h := hashChunk(offset64, in.Name)
-	h = (h ^ 0xff) * hashPrime64 // separator outside both alphabets
-	return hashChunk(h, in.Src)
-}
-
-const hashPrime64 = 1099511628211
-
-func hashChunk(h uint64, s string) uint64 {
-	i := 0
-	for ; i+8 <= len(s); i += 8 {
-		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
-			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
-		h = (h ^ w) * hashPrime64
-	}
-	for ; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * hashPrime64
-	}
-	return h
-}
-
 // ScanFragment scans one input into a reusable fragment (phase one of the
 // parse, file-local and independent of every other input). Large inputs
 // scan in statement-boundary chunks across Options.Workers goroutines

@@ -81,8 +81,10 @@ type Row struct {
 // marker), the name it is known by (qualified for domain members), the
 // accreted domain suffix in force, whether the label was reached from
 // inside a domain chain (making a domain a subdomain), and the cost of
-// the first link out of the root. The incremental engine keeps every
-// label's frame to re-derive a changed subtree.
+// the first link out of the root. A frame is a function of its label
+// chain alone, so nothing needs to keep it: the incremental engine
+// rebuilds the frames a changed subtree needs, with Extend, from the
+// root down.
 type Frame struct {
 	Route     string
 	Pct       int32
@@ -131,7 +133,7 @@ func Write(w io.Writer, entries []Entry, opts Options) error {
 // lists of mc's last run. It returns the printed rows in output order
 // (SortRows), written to dstE and dstR, which are reallocated when
 // short. With frames non-nil (one slot per label), it also stores each
-// reached label's frame there.
+// reached label's frame there, for tests to compare with.
 func Derive(mc *mapper.Machine, opts Options, frames []Frame, dstE []Entry, dstR []Row) ([]Entry, []Row) {
 	entries, rows := traverse(mc, opts, frames)
 	if n := len(entries); cap(dstE) < n || cap(dstR) < n {

@@ -225,6 +225,13 @@ type core struct {
 
 	touchedBuf []int32 // ch.touched as a list, for SnapshotPatched
 
+	// rejected is the last input set sync rejected for syntax errors,
+	// and rejectedErr the error it got: the same set again (a watcher
+	// re-reading a file that is still broken) gets that error back
+	// without a scan.
+	rejected    []Input
+	rejectedErr error
+
 	// Stats counts engine activity for observability.
 	Stats EngineStats
 
@@ -326,6 +333,10 @@ func (e *core) sync(inputs []Input) error {
 	if len(inputs) == 0 {
 		return fmt.Errorf("remap: no inputs")
 	}
+	if e.rejectedErr != nil && slices.Equal(inputs, e.rejected) {
+		return e.rejectedErr
+	}
+	e.rejected, e.rejectedErr = nil, nil
 	start := time.Now()
 	e.timing = UpdateTiming{Path: "unchanged"}
 
@@ -429,7 +440,8 @@ func (e *core) sync(inputs []Input) error {
 		}
 	}
 	if errs := parser.Errors(frags); errs != nil {
-		return &parser.ParseError{Errors: errs}
+		e.rejected, e.rejectedErr = slices.Clone(inputs), &parser.ParseError{Errors: errs}
+		return e.rejectedErr
 	}
 
 	// Phase 3: bring the journaled graph to the new input set.

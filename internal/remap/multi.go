@@ -52,7 +52,10 @@ func NewMulti(opts Options) (*Multi, error) {
 // complete set, not a delta — and recomputes every resident vantage, so
 // serving layers can hot-swap their per-vantage stores immediately.
 // Per-vantage mapping failures (a vantage host edited out of the map)
-// do not fail the update; they surface on that vantage's ResultFor.
+// do not fail the update; they surface on that vantage's ResultFor. An
+// input set with syntax errors changes nothing and returns its
+// *parser.ParseError; the same set again (compared byte for byte)
+// returns that same error without a scan.
 func (m *Multi) Update(inputs []Input) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
@@ -22,7 +23,10 @@ import (
 // generation, so the copy starts from it and maps only what the edits
 // disturb, by the same warm procedure a source edit takes
 // (vantage.remap): labels riding a removed or re-costed link are
-// invalidated, sources of added or re-costed links seeded. A vantage
+// invalidated, sources of added or re-costed links seeded. The copy
+// clones the machine's labels but not the route rows: the warm patch
+// reads the resident rows and merges into fresh arrays, and only a run
+// that changes no row copies them. A vantage
 // that is not resident is mapped in full on a fresh machine, through
 // the same procedure, and stays non-resident — making it resident would
 // add its re-map to every later source edit.
@@ -64,14 +68,14 @@ func (c OverlayCtx) FindLink(from, to *graph.Node) *graph.Link {
 // OverlayRun is one evaluated what-if: the routing table a fresh run
 // over the edited map would produce, plus the machine and patched
 // snapshot needed to explain individual routes. Everything here is
-// private to the run (or immutable), so it may be cached and read after
-// later base-map updates without synchronization.
+// private to the run (or immutable) — no array is shared with the
+// resident vantage, which recycles its own — so it may be cached and
+// read after later base-map updates without synchronization.
 type OverlayRun struct {
 	Gen         uint64          // engine update generation the run is valid for
 	Host        string          // folded vantage host
 	Entries     []printer.Entry // full routing table under the overlay
 	Unreachable []string        // hosts with no route even after back links
-	LabelByHost map[string]int32
 
 	// Warm reports that the run started from the resident vantage's
 	// solved tree; Relaxations counts the edge relaxations it took.
@@ -81,6 +85,24 @@ type OverlayRun struct {
 	Machine *mapper.Machine // the run's private machine; labels index explain
 	Snap    *graph.Snapshot // the private patched view the machine ran on
 	Overlay *graph.Overlay  // nil for a base (no-edit) evaluation
+
+	// The rows in host order (Entries itself, unless the engine sorts by
+	// cost) and their labels, for LabelFor.
+	byHost []printer.Entry
+	rows   []printer.Row
+}
+
+// LabelFor returns the machine label printed for host — the node's own
+// name sorts before a domain-qualified one, so a name printed twice
+// gives the first — or false when no entry has that name.
+func (r *OverlayRun) LabelFor(host string) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(r.byHost, host, func(en printer.Entry, h string) int {
+		return strings.Compare(en.Host, h)
+	})
+	if !ok {
+		return -1, false
+	}
+	return r.rows[i].Label, true
 }
 
 // Generation returns the engine's current update generation. A cached
@@ -117,7 +139,10 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	}
 	// Always patch, even with zero edits: the patched snapshot is the
 	// run's private, stable copy of the edge arrays (the engine recycles
-	// the base snapshot's buffers on later updates).
+	// the base snapshot's buffers on later updates). The base's reverse
+	// adjacency is built once per generation, so every view patches its
+	// own from it instead of building one from scratch.
+	e.snap.Reverse()
 	var snap *graph.Snapshot
 	if ov != nil {
 		snap = ov.PatchSnapshot(e.snap)
@@ -133,21 +158,22 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 		return nil, fmt.Errorf("remap: overlay map run: %w", err)
 	}
 	v.mc.ReleaseRunState() // explain reads only labels; cached runs stay small
+	if v.routeGen == 0 {
+		// The run changed no row, so the rows are still the resident
+		// vantage's, which it overwrites on later updates.
+		v.entries, v.meta = slices.Clone(v.entries), slices.Clone(v.meta)
+	}
 	run := &OverlayRun{
 		Gen:         e.updGen,
 		Host:        hostName,
 		Entries:     v.resultEntries(e),
-		LabelByHost: make(map[string]int32, len(v.entries)),
 		Warm:        r.warm,
 		Relaxations: r.res.Relaxations,
 		Machine:     v.mc,
 		Snap:        snap,
 		Overlay:     ov,
-	}
-	for i, en := range v.entries {
-		if _, dup := run.LabelByHost[en.Host]; !dup {
-			run.LabelByHost[en.Host] = v.meta[i].Label
-		}
+		byHost:      v.entries,
+		rows:        v.meta,
 	}
 	if len(r.res.Unreachable) > 0 {
 		run.Unreachable = make([]string, len(r.res.Unreachable))
@@ -158,25 +184,25 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	return run, nil
 }
 
-// scratch returns a private copy of v — machine and route state — to
-// run a what-if overlay on, or nil when v is nil or does not hold the
-// solved tree for the core's current journal generation. The copy
-// shares no buffer either side writes (route strings are immutable), so
-// it may run under the read lock while v serves.
+// scratch returns a copy of v to run a what-if overlay on, or nil when
+// v is nil or does not hold the solved tree for the core's current
+// journal generation. The machine is cloned; the route rows are v's
+// own, which the copy only reads (patchRoutes merges into fresh arrays,
+// as the copy has no spare pair), and its route generation starts at
+// zero, so a run that leaves it there changed no row. Neither side
+// writes a buffer the other reads (route strings are immutable), so the
+// copy may run under the read lock while v serves.
 func (v *vantage) scratch(e *core) *vantage {
 	if v == nil || v.mc == nil || v.needFull || v.err != nil ||
 		v.graphGen != e.graphGen || v.jgen != e.jgen || v.resGen != e.updGen {
 		return nil
 	}
 	return &vantage{
-		host:       v.host,
-		mc:         v.mc.Clone(),
-		graphGen:   v.graphGen,
-		jgen:       v.jgen,
-		frames:     slices.Clone(v.frames),
-		frameDirty: slices.Clone(v.frameDirty),
-		frameEpoch: v.frameEpoch,
-		entries:    slices.Clone(v.entries),
-		meta:       slices.Clone(v.meta),
+		host:     v.host,
+		mc:       v.mc.Clone(),
+		graphGen: v.graphGen,
+		jgen:     v.jgen,
+		entries:  v.entries,
+		meta:     v.meta,
 	}
 }

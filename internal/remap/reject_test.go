@@ -12,7 +12,8 @@ import (
 
 // TestMultiRejectsSyntaxErrors: an input set with syntax errors is
 // rejected with the *parser.ParseError a parse of the same inputs
-// returns, MaxErrors cutoff included, and changes no served state: every
+// returns, MaxErrors cutoff included — the same set again returns that
+// error without a scan — and changes no served state: every
 // resident vantage keeps its Result and route generation, and the next
 // clean edit of one file still takes the warm path.
 func TestMultiRejectsSyntaxErrors(t *testing.T) {
@@ -74,6 +75,21 @@ func TestMultiRejectsSyntaxErrors(t *testing.T) {
 			}
 			if !slices.Equal(got.Errors, want.Errors) {
 				t.Fatalf("update errors\n%q\nwant\n%q", got.Errors, want.Errors)
+			}
+
+			// The same broken set again, read into fresh strings as a
+			// watcher re-reading the files would: the same error, and
+			// nothing scanned.
+			again := slices.Clone(tc.inputs)
+			for i := range again {
+				again[i].Src = strings.Clone(again[i].Src)
+			}
+			before := m.Stats()
+			if err := m.Update(again); err != uerr {
+				t.Fatalf("repeated update error %v, want the first rejection's %v", err, uerr)
+			}
+			if after := m.Stats(); after != before {
+				t.Fatalf("repeated rejected update did work: stats %+v, before %+v", after, before)
 			}
 
 			for _, h := range vantages {

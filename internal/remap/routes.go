@@ -1,16 +1,20 @@
 package remap
 
 // Incremental route derivation, per vantage. printer.Derive derives
-// every format string by a full traversal of the machine's tree; a
-// vantage keeps the frame it computed for each label, and after a warm
-// run recomputes frames only for labels whose value changed, plus their
-// descendants (a route string depends on every ancestor's frame),
-// through the printer's own Extend and Emit. The resulting rows are
-// kept in printer's output order as two parallel arrays: the entries
-// themselves, which a Result hands out as they are, and each row's
-// label bookkeeping. An update is a sorted merge into the spare pair of
-// arrays: drop the dirty labels' old rows, merge in their new ones,
-// block-copying the runs in between.
+// every format string by a full traversal of the machine's tree. A
+// route's text is a pure function of its label chain, so a vantage
+// stores no frames: after a warm run it recomputes frames only for the
+// labels whose value changed, plus their descendants (a route string
+// depends on every ancestor's frame), through the printer's own Extend
+// and Emit, in a table local to the pass. A recomputed label whose
+// parent is clean gets the parent's frame rebuilt down that parent's
+// label chain from the root, memoized within the pass. The resulting
+// rows are kept in printer's output order as two parallel arrays: the
+// entries themselves, which a Result hands out as they are, and each
+// row's label bookkeeping. An update is a sorted merge into the spare
+// pair of arrays (fresh ones when there is none): drop the dirty
+// labels' old rows, merge in their new ones, block-copying the runs in
+// between.
 
 import (
 	"slices"
@@ -51,54 +55,84 @@ func (v *vantage) swapRows(entries []printer.Entry, meta []printer.Row) {
 // spareRows returns the spare arrays with room for n rows, reallocated
 // with 25% headroom when short: the row count creeps up by a few
 // entries per host-add generation, and an exact fit would force the
-// allocation on every patch.
+// allocation on every patch. With no spare pair at all — a what-if
+// copy, which changes its rows once — the fresh arrays fit exactly.
 func (v *vantage) spareRows(n int) ([]printer.Entry, []printer.Row) {
-	if cap(v.spareEntries) < n || cap(v.spareMeta) < n {
-		return make([]printer.Entry, n, n+n/4), make([]printer.Row, n, n+n/4)
+	if cap(v.spareEntries) >= n && cap(v.spareMeta) >= n {
+		return v.spareEntries[:n], v.spareMeta[:n]
 	}
-	return v.spareEntries[:n], v.spareMeta[:n]
+	room := n / 4
+	if v.spareEntries == nil {
+		room = 0
+	}
+	return make([]printer.Entry, n, n+room), make([]printer.Row, n, n+room)
 }
 
-// rebuildRoutes derives every frame and entry from scratch (full-re-map
-// path).
+// rebuildRoutes derives every entry from scratch (full-re-map path).
 func (v *vantage) rebuildRoutes(e *core) {
-	nl := v.mc.NumLabels()
-	if cap(v.frames) >= nl {
-		v.frames = v.frames[:nl]
-		clear(v.frames)
-	} else {
-		v.frames = make([]printer.Frame, nl)
-	}
-	if cap(v.frameDirty) >= nl {
-		v.frameDirty = v.frameDirty[:nl]
-	} else {
-		v.frameDirty = make([]uint32, nl)
-		v.frameEpoch = 0
-	}
-	v.swapRows(printer.Derive(v.mc, e.opts.Printer, v.frames, v.spareEntries, v.spareMeta))
+	v.swapRows(printer.Derive(v.mc, e.opts.Printer, nil, v.spareEntries, v.spareMeta))
 }
 
-// patchRoutes recomputes frames and entries for the changed labels and
-// their descendants after a warm run. netFlips lists nodes whose IsNet
-// flag flipped across the replayed generations (a print-only effect the
+// routePass is the frame table of one patchRoutes pass: the frames of
+// the labels it recomputed and of the clean ancestors it rebuilt them
+// from. It lives only as long as the pass.
+type routePass struct {
+	mc     *mapper.Machine
+	frames map[int32]printer.Frame
+	chain  []int32
+}
+
+// frame returns label li's frame, which must be mapped: from the table,
+// or rebuilt with printer.Extend down li's label chain from the nearest
+// ancestor the table holds (from the root when none does), memoizing
+// every frame on the way.
+func (p *routePass) frame(li int32) printer.Frame {
+	if f, ok := p.frames[li]; ok {
+		return f
+	}
+	var f printer.Frame
+	var pf *printer.Frame
+	chain := p.chain[:0]
+	for x := li; ; {
+		chain = append(chain, x)
+		up := p.mc.Label(x).Parent
+		if up < 0 {
+			break
+		}
+		if g, ok := p.frames[up]; ok {
+			f, pf = g, &f
+			break
+		}
+		x = up
+	}
+	for k := len(chain) - 1; k >= 0; k-- {
+		lv := p.mc.Label(chain[k])
+		var pv mapper.LabelView
+		if lv.Parent >= 0 {
+			pv = p.mc.Label(lv.Parent)
+		}
+		f = printer.Extend(pv, lv, pf)
+		pf = &f
+		p.frames[chain[k]] = f
+	}
+	p.chain = chain
+	return f
+}
+
+// patchRoutes recomputes entries for the changed labels and their
+// descendants after a warm run. netFlips lists nodes whose IsNet flag
+// flipped across the replayed generations (a print-only effect the
 // label diff cannot see). It reports whether any entry may have changed
 // (false = the previous rows are provably still exact).
 func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
-	if nl := v.mc.NumLabels(); len(v.frames) < nl {
-		// The label array grew (rank re-basing): fresh labels start with
-		// no frame and clean dirty stamps. Existing frames stay valid —
-		// node IDs and label slots are stable under growth.
-		v.frames = append(v.frames, make([]printer.Frame, nl-len(v.frames))...)
-		v.frameDirty = append(v.frameDirty, make([]uint32, nl-len(v.frameDirty))...)
-	}
-	v.frameEpoch++
-	epoch := v.frameEpoch
+	isDirty := make([]uint64, (v.mc.NumLabels()+63)/64)
+	dirtyAt := func(li int32) bool { return isDirty[li>>6]&(1<<(li&63)) != 0 }
 	var dirty []int32
 	mark := func(li int32) bool {
-		if v.frameDirty[li] == epoch {
+		if dirtyAt(li) {
 			return false
 		}
-		v.frameDirty[li] = epoch
+		isDirty[li>>6] |= 1 << (li & 63)
 		dirty = append(dirty, li)
 		return true
 	}
@@ -133,25 +167,21 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 		return false // nothing changed: the previous rows are exact
 	}
 
-	// Recompute top-down: parents strictly precede children in hop count.
+	// Recompute top-down: parents strictly precede children in hop
+	// count, so a dirty label's dirty parent is already in the table.
 	slices.SortFunc(dirty, func(a, b int32) int {
 		return int(v.mc.Label(a).Hops) - int(v.mc.Label(b).Hops)
 	})
+	pass := routePass{mc: v.mc, frames: make(map[int32]printer.Frame, len(dirty))}
 	var found []printer.Entry
 	var foundRows []printer.Row
 	for _, li := range dirty {
 		lv := v.mc.Label(li)
 		if lv.Node == nil || lv.State != graph.Mapped {
-			v.frames[li] = printer.Frame{}
 			continue
 		}
-		var pv mapper.LabelView
-		var pf *printer.Frame
-		if lv.Parent >= 0 {
-			pv, pf = v.mc.Label(lv.Parent), &v.frames[lv.Parent]
-		}
-		v.frames[li] = printer.Extend(pv, lv, pf)
-		if en, r, ok := printer.Emit(v.mc, li, &v.frames[li], e.opts.Printer); ok {
+		f := pass.frame(li)
+		if en, r, ok := printer.Emit(v.mc, li, &f, e.opts.Printer); ok {
 			found, foundRows = append(found, en), append(foundRows, r)
 		}
 	}
@@ -160,10 +190,12 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 	printer.SortRows(v.mc, found, foundRows, newEntries, newMeta)
 
 	// Merge: old rows minus dirty labels, plus the recomputed rows, into
-	// the spare arrays. Each new row goes before the first old row it
-	// sorts below (dropped rows kept their place in the old order, so a
-	// binary search over all old rows finds it); the clean runs between
-	// those points and the dirty rows are block-copied.
+	// the spare arrays — never into the old ones, which a what-if copy
+	// shares with its resident vantage. Each new row goes before the
+	// first old row it sorts below (dropped rows kept their place in the
+	// old order, so a binary search over all old rows finds it); the
+	// clean runs between those points and the dirty rows are
+	// block-copied.
 	old, oldMeta := v.entries, v.meta
 	entries, meta := v.spareRows(len(old) + len(newEntries))
 	k, i := 0, 0 // write cursor; next old row
@@ -171,14 +203,14 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 	copyClean := func(end int) {
 		for i < end {
 			run := i
-			for run < end && v.frameDirty[oldMeta[run].Label] != epoch {
+			for run < end && !dirtyAt(oldMeta[run].Label) {
 				run++
 			}
 			copy(entries[k:], old[i:run])
 			copy(meta[k:], oldMeta[i:run])
 			k += run - i
 			i = run
-			for i < end && v.frameDirty[oldMeta[i].Label] == epoch {
+			for i < end && dirtyAt(oldMeta[i].Label) {
 				i++ // superseded (or gone)
 			}
 		}

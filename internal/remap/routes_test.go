@@ -64,8 +64,9 @@ func patchStatement(rng *rand.Rand, i int) string {
 
 // TestPatchMatchesFullDerivation: after every step of a fixed-seed edit
 // sequence over domain chains, subdomains, private hosts and aliases,
-// a vantage's patched rows and frames equal a full derivation over the
-// same machine, and its rows equal a fresh run's.
+// a vantage's patched rows, and the frames a patch rebuilds down label
+// chains, equal a full derivation over the same machine, and its rows
+// equal a fresh run's.
 func TestPatchMatchesFullDerivation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	opts := Options{LocalHost: "local"}
@@ -116,9 +117,16 @@ func TestPatchMatchesFullDerivation(t *testing.T) {
 		if !slices.Equal(rows, v.meta) {
 			t.Fatalf("%s: patched rows diverge from a full derivation\n got: %v\nwant: %v", label, v.meta, rows)
 		}
-		for li, f := range frames {
-			if f.Route != "" && f != v.frames[li] {
-				t.Fatalf("%s: label %d frame %+v, full derivation %+v", label, li, v.frames[li], f)
+		// Every mapped label's frame, as a patch's chain rebuild yields
+		// it, equals the full derivation's; later chains stop at frames
+		// the earlier ones memoized.
+		pass := routePass{mc: v.mc, frames: make(map[int32]printer.Frame)}
+		for li := int32(len(frames)) - 1; li >= 0; li-- {
+			if frames[li].Route == "" {
+				continue
+			}
+			if got := pass.frame(li); got != frames[li] {
+				t.Fatalf("%s: label %d chain-rebuilt frame %+v, full derivation %+v", label, li, got, frames[li])
 			}
 		}
 	}

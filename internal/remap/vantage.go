@@ -3,10 +3,11 @@ package remap
 // A vantage is the per-source half of the engine: everything that
 // depends on which LocalHost routes originate from. It owns a
 // mapper.Machine (private labels, queue, back-link overlay) over the
-// core's shared graph and CSR snapshot, the persistent route frames
-// (routes.go), and the latest Result. N vantages share one fragment
-// cache, one journaled graph, and one snapshot; each costs only its
-// labels and route strings.
+// core's shared graph and CSR snapshot, its route rows (routes.go), and
+// the latest Result. N vantages share one fragment cache, one journaled
+// graph, and one snapshot; each costs only its labels and route rows.
+// No route frame is stored: a route's text is a pure function of its
+// label chain, so a warm patch rebuilds the frames it needs.
 //
 // A vantage may fall behind the core by several updates (a Multi
 // recomputes lazily on query): recompute then replays the union of the
@@ -50,14 +51,13 @@ type vantage struct {
 
 	// Route state (routes.go). The rows in canonical order are two
 	// parallel arrays, entries (handed out as Result.Entries) and meta,
-	// plus a spare pair that the next change is merged into. routeGen
-	// counts recomputes that actually changed (or may have changed) the
-	// entry set, so consumers can skip rebuilding downstream artifacts
-	// on no-op updates; byCost is SortByCost's copy of entries, made at
+	// plus a spare pair that the next change is merged into. A what-if
+	// scratch copy starts with its resident vantage's rows and no spare,
+	// so its first change merges into fresh arrays. routeGen counts
+	// recomputes that actually changed (or may have changed) the entry
+	// set, so consumers can skip rebuilding downstream artifacts on
+	// no-op updates; byCost is SortByCost's copy of entries, made at
 	// route generation byCostGen.
-	frames       []printer.Frame
-	frameDirty   []uint32
-	frameEpoch   uint32
 	entries      []printer.Entry
 	meta         []printer.Row
 	spareEntries []printer.Entry

@@ -113,7 +113,7 @@ func explainOne(ent *cacheEntry, dest string) *Explanation {
 		Host:    res.Entry.Host,
 		Route:   res.Entry.Route,
 	}
-	li, ok := ent.run.LabelByHost[res.Entry.Host]
+	li, ok := ent.run.LabelFor(res.Entry.Host)
 	if !ok {
 		x.Reason = fmt.Sprintf("no label for entry host %q", res.Entry.Host)
 		return x

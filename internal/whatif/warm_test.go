@@ -217,6 +217,216 @@ func TestWarmOverlayRelaxesLess(t *testing.T) {
 	}
 }
 
+// TestWarmOverlayAllocs guards what a warm what-if question copies: on
+// the paper-scale map, questions asked from a resident vantage allocate
+// at most maxWarmAllocRatio of the bytes the same questions take mapped
+// in full on a fresh machine. The warm run clones the machine's labels
+// but neither route frames nor route rows; cloning either again would
+// push the ratio past the bound. It compares allocated bytes, not
+// times, so a loaded machine cannot flake it.
+func TestWarmOverlayAllocs(t *testing.T) {
+	const maxWarmAllocRatio = 0.78
+	inputs, local := default1986Inputs()
+	links := simnet.OrdinaryLinks(parseFresh(t, inputs))
+	var specs []*Spec
+	for i := range 8 {
+		l := links[(2*i+1)*len(links)/16]
+		sp, err := ParseSpec(fmt.Sprintf("cost %s %s %d", l.From, l.To, 1000+100*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
+	}
+	// bytesPerOp asks every spec once per op, straight from the engine
+	// (no evaluator cache), and counts the runs that started warm.
+	bytesPerOp := func(resident ...string) (int64, int) {
+		m, _ := newEvalWith(t, inputs, remap.Options{}, Options{}, resident...)
+		warm, fails := 0, 0
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			warm = 0
+			for range b.N {
+				for _, sp := range specs {
+					run, err := m.EvalOverlay(local, func(ctx remap.OverlayCtx) (*graph.Overlay, error) {
+						return compile(sp, ctx)
+					})
+					if err != nil {
+						fails++
+						continue
+					}
+					if run.Warm {
+						warm++
+					}
+				}
+			}
+			warm /= b.N
+		})
+		if fails > 0 {
+			t.Fatalf("%d overlay evaluations failed", fails)
+		}
+		return r.AllocedBytesPerOp(), warm
+	}
+	full, fullWarm := bytesPerOp()
+	res, resWarm := bytesPerOp(local)
+	if fullWarm != 0 || resWarm < len(specs)/2 {
+		t.Fatalf("%d of %d runs from a resident vantage and %d from a fresh one started warm", resWarm, len(specs), fullWarm)
+	}
+	ratio := float64(res) / float64(full)
+	t.Logf("%d questions: resident %d B, fresh %d B, ratio %.3f", len(specs), res, full, ratio)
+	if ratio > maxWarmAllocRatio {
+		t.Errorf("warm questions allocate %.3f of a full run's bytes, over %.2f", ratio, maxWarmAllocRatio)
+	}
+}
+
+// TestOverlaysLeaveResidentAlone: on the paper-scale map, cold what-if
+// questions from a resident vantage, interleaved with warm base edits,
+// leave the vantage as they found it, and a cached run stays valid
+// while the base moves on. Each step asks dead, cost and link questions
+// (among them some that change no row and one that forces a full run),
+// then checks that the vantage still serves the route generation and
+// entries it had, equal to a fresh run's; then edits the base and
+// checks the warm re-map against a fresh run too. Every run is
+// re-checked after two later base edits that changed rows: by then the
+// resident vantage has overwritten both of its row arrays.
+func TestOverlaysLeaveResidentAlone(t *testing.T) {
+	inputs, local := default1986Inputs()
+	m, ev := newEvalWith(t, inputs, remap.Options{}, Options{}, local)
+	g := parseFresh(t, inputs)
+	links := simnet.OrdinaryLinks(g)
+	var rootLinks []simnet.LinkRef
+	for _, l := range links {
+		if l.From == local {
+			rootLinks = append(rootLinks, l)
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	linked := make(map[[2]string]bool)
+	newPair := func() (string, string) {
+		for {
+			a, b := links[rng.Intn(len(links))].From, links[rng.Intn(len(links))].To
+			x, _ := g.Lookup(a)
+			y, _ := g.Lookup(b)
+			if a != b && g.FindLink(x, y) == nil && !linked[[2]string{a, b}] {
+				linked[[2]string{a, b}] = true
+				return a, b
+			}
+		}
+	}
+
+	type heldRun struct {
+		spec    string
+		run     *remap.OverlayRun
+		entries string
+		edits   int // row-changing base edits since the run
+	}
+	var held []heldRun
+	steps := 6
+	if testing.Short() {
+		steps = 2
+	}
+	noRow, forcedFull, warmEdits, questions := 0, 0, 0, 0
+	for step := 0; step < steps; step++ {
+		before, err := m.ResultFor(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := render(freshEntries(t, inputs, local, nil))
+		if got := render(before.Entries); got != want {
+			t.Fatalf("step %d: the resident vantage diverges from a fresh run", step)
+		}
+
+		firstHops := make(map[string]int)
+		for _, en := range before.Entries {
+			hop, _, _ := strings.Cut(en.Route, "!")
+			firstHops[hop]++
+		}
+		slices.SortFunc(rootLinks, func(a, b simnet.LinkRef) int { return firstHops[b.To] - firstHops[a.To] })
+		var eds [][]overlayEdit
+		for range 2 {
+			l := links[rng.Intn(len(links))]
+			eds = append(eds, []overlayEdit{{op: OpDead, from: l.From, to: l.To}})
+			l = links[rng.Intn(len(links))]
+			eds = append(eds, []overlayEdit{{op: OpCost, from: l.From, to: l.To, cost: []cost.Cost{10, 5000, 36000}[rng.Intn(3)]}})
+			a, b := newPair()
+			eds = append(eds, []overlayEdit{{op: OpLink, from: a, to: b, cost: []cost.Cost{25, 40000000}[rng.Intn(2)]}})
+		}
+		// The root's busiest links dead, until their routes make up a
+		// third of the table: more than a warm run may redo.
+		var cut []overlayEdit
+		for i, rows := 0, 0; i < len(rootLinks) && rows*3 < len(before.Entries); i++ {
+			l := rootLinks[i]
+			cut = append(cut, overlayEdit{op: OpDead, from: l.From, to: l.To})
+			rows += firstHops[l.To]
+		}
+		eds = append(eds, cut)
+		for _, ed := range eds {
+			spec := specOf(ed)
+			sp, err := ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ent, err := ev.eval(local, sp)
+			if err != nil {
+				t.Fatalf("step %d %s: %v", step, spec, err)
+			}
+			got := render(ent.run.Entries)
+			if got != render(freshEntries(t, inputs, local, applyEdits(ed))) {
+				t.Fatalf("step %d %s: overlay diverges from a fresh run over the edited map", step, spec)
+			}
+			if got == want {
+				noRow++
+			}
+			if !ent.run.Warm {
+				forcedFull++
+			}
+			held = append(held, heldRun{spec: spec, run: ent.run, entries: got})
+			questions++
+		}
+
+		after, err := m.ResultFor(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.RouteGen != before.RouteGen || render(after.Entries) != want {
+			t.Fatalf("step %d: questions moved the resident vantage (route generation %d, was %d)", step, after.RouteGen, before.RouteGen)
+		}
+
+		// A cheap new link: most such edits re-route someone.
+		a, b := newPair()
+		last := len(inputs) - 1
+		inputs[last].Src += fmt.Sprintf("%s\t%s(%d)\n", a, b, 10)
+		if err := m.Update(inputs); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.ResultFor(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Incremental {
+			warmEdits++
+		}
+		if render(res.Entries) != render(freshEntries(t, inputs, local, nil)) {
+			t.Fatalf("step %d: the base edit %s!%s diverges from a fresh run", step, a, b)
+		}
+		if res.RouteGen == after.RouteGen {
+			continue
+		}
+		kept := held[:0]
+		for _, h := range held {
+			if h.edits++; h.edits < 2 {
+				kept = append(kept, h)
+			} else if render(h.run.Entries) != h.entries {
+				t.Fatalf("step %d: the cached run of %q changed under two base edits", step, h.spec)
+			}
+		}
+		held = kept
+	}
+	t.Logf("%d steps, %d questions: %d changed no row, %d ran full; %d warm base edits", steps, questions, noRow, forcedFull, warmEdits)
+	if noRow == 0 || noRow == questions || forcedFull == 0 || warmEdits < steps/2 {
+		t.Errorf("the mix missed a case: %d of %d questions changed no row, %d ran full, %d warm base edits", noRow, questions, forcedFull, warmEdits)
+	}
+}
+
 // fuzzCosts are the costs fuzzed edits draw from: zero, the symbolic
 // grades, and the far end of the legal range.
 var fuzzCosts = []cost.Cost{0, 1, 10, 300, 500, 3000, 5000, 30000, 40000000}
