@@ -451,7 +451,7 @@ func e18DB(b *testing.B) {
 			e18.err = err
 			return
 		}
-		db := routedb.Build(printer.Routes(mres, printer.Options{}))
+		db := routedb.BuildWith(printer.Routes(mres, printer.Options{}), routedb.Options{})
 		if db.Len() < 50000 {
 			e18.err = fmt.Errorf("only %d routes in the E18 database", db.Len())
 			return

@@ -69,3 +69,27 @@ func BenchmarkRouteIndex(b *testing.B) {
 		}
 	})
 }
+
+// TestBuildWithAllocs guards that a route store indexes the engine's
+// rows in place: on the 50k edit map (~77k routes) building one
+// allocates only its slot table and suffix trie, under maxBuildBytes.
+// A copy of the entries alone would add ~3.7 MB. It compares allocated
+// bytes, not times, so a loaded machine cannot flake it.
+func TestBuildWithAllocs(t *testing.T) {
+	const maxBuildBytes = 3 << 19 // 1.5 MB
+	entries, err := editMapRoutes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			routedb.BuildWith(entries, routedb.Options{})
+		}
+	})
+	got := r.AllocedBytesPerOp()
+	t.Logf("BuildWith over %d routes: %d B/op", len(entries), got)
+	if got >= maxBuildBytes {
+		t.Errorf("BuildWith allocates %d B/op over %d routes, at or over %d: it copies the entries", got, len(entries), maxBuildBytes)
+	}
+}

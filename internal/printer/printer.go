@@ -42,6 +42,7 @@ import (
 	"pathalias/internal/cost"
 	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
+	"pathalias/internal/resolver"
 )
 
 // Options control output format.
@@ -61,12 +62,10 @@ type Options struct {
 	FirstHopCost bool
 }
 
-// Entry is one output line: a reachable name and the route to it.
-type Entry struct {
-	Host  string
-	Route string
-	Cost  cost.Cost
-}
+// Entry is one output line: a reachable name and the route to it. It
+// is the route index's entry type, so a derived table is indexed as it
+// is, never converted.
+type Entry = resolver.Entry
 
 // Row is an output entry's bookkeeping: the label it was printed for,
 // and whether it is printed under a name that is not its node's own (a
@@ -97,7 +96,7 @@ type Frame struct {
 // Routes flattens the mapping result into output entries, applying the
 // paper's traversal rules to the labels of the run's machine.
 func Routes(res *mapper.Result, opts Options) []Entry {
-	entries, _ := Derive(res.Machine, opts, nil, nil, nil)
+	entries, _ := Derive(res.Machine, opts, nil)
 	if opts.SortByCost {
 		SortByCost(entries)
 	}
@@ -131,15 +130,12 @@ func Write(w io.Writer, entries []Entry, opts Options) error {
 
 // Derive is the paper's preorder traversal over the labels and child
 // lists of mc's last run. It returns the printed rows in output order
-// (SortRows), written to dstE and dstR, which are reallocated when
-// short. With frames non-nil (one slot per label), it also stores each
-// reached label's frame there, for tests to compare with.
-func Derive(mc *mapper.Machine, opts Options, frames []Frame, dstE []Entry, dstR []Row) ([]Entry, []Row) {
+// (SortRows), in arrays of their own that fit exactly. With frames
+// non-nil (one slot per label), it also stores each reached label's
+// frame there, for tests to compare with.
+func Derive(mc *mapper.Machine, opts Options, frames []Frame) ([]Entry, []Row) {
 	entries, rows := traverse(mc, opts, frames)
-	if n := len(entries); cap(dstE) < n || cap(dstR) < n {
-		dstE, dstR = make([]Entry, n, n+n/4), make([]Row, n, n+n/4)
-	}
-	dstE, dstR = dstE[:len(entries)], dstR[:len(rows)]
+	dstE, dstR := make([]Entry, len(entries)), make([]Row, len(rows))
 	SortRows(mc, entries, rows, dstE, dstR)
 	return dstE, dstR
 }

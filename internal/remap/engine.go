@@ -92,11 +92,12 @@ type Input = parser.Input
 type Result struct {
 	// Entries are the routes, ordered exactly as printer.Routes would
 	// order them under the engine's printer options. The slice is the
-	// vantage's own row array, not a copy, and its backing array is
-	// recycled: it stays valid until the second recompute of the same
-	// vantage after this Result was returned that changes a row (one
-	// that changes none hands out the same slice again); callers that
-	// keep entries longer must copy them.
+	// vantage's own row array, not a copy, and it is immutable: the
+	// engine never writes it again (a recompute that changes a row
+	// merges into a fresh array; one that changes none hands out the
+	// same slice again), so it stays valid indefinitely and consumers
+	// share it — route stores index it in place. Callers must not
+	// write it.
 	Entries []printer.Entry
 	// Warnings in parse order, then pending-link and avoid warnings, as
 	// a fresh run would emit them. Warnings are vantage-independent; all

@@ -20,9 +20,9 @@ import (
 // Multi is a multi-vantage incremental engine. It is safe for
 // concurrent use: queries (ResultFor) may run from any number of
 // goroutines concurrently with each other; Update excludes them while
-// the shared state moves. A Result is immutable once returned, but its
-// Entries backing array is recycled by the second recompute of the same
-// vantage that changes a row (see Result.Entries).
+// the shared state moves. A Result is immutable once returned, its
+// Entries included: the engine never writes a row array it has handed
+// out, so a Result may be kept across any number of updates.
 type Multi struct {
 	mu   sync.RWMutex
 	e    *core

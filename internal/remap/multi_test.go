@@ -524,6 +524,9 @@ func FuzzMultiEdits(f *testing.F) {
 			t.Fatal(err)
 		}
 		vantages := []string{local, "host3", "host11"}
+		// Every earlier step's Results, and the stores built from them,
+		// must stay as they were returned.
+		var handed ownership
 		check := func(label string) {
 			// The patched snapshot (and its reverse adjacency, when
 			// patched) first, before the vantages' runs build anything.
@@ -537,6 +540,12 @@ func FuzzMultiEdits(f *testing.F) {
 			}
 			if t.Failed() {
 				t.FailNow()
+			}
+			handed.verify(t, label)
+			for _, h := range vantages {
+				if res, err := m.ResultFor(h); err == nil {
+					handed.keep(label+" ["+h+"]", res, opts)
+				}
 			}
 		}
 		check("initial")

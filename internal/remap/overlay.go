@@ -25,8 +25,8 @@ import (
 // (vantage.remap): labels riding a removed or re-costed link are
 // invalidated, sources of added or re-costed links seeded. The copy
 // clones the machine's labels but not the route rows: the warm patch
-// reads the resident rows and merges into fresh arrays, and only a run
-// that changes no row copies them. A vantage
+// reads the resident rows and merges into fresh arrays, and a run that
+// changes no row keeps the resident's, which nothing writes. A vantage
 // that is not resident is mapped in full on a fresh machine, through
 // the same procedure, and stays non-resident — making it resident would
 // add its re-map to every later source edit.
@@ -68,9 +68,10 @@ func (c OverlayCtx) FindLink(from, to *graph.Node) *graph.Link {
 // OverlayRun is one evaluated what-if: the routing table a fresh run
 // over the edited map would produce, plus the machine and patched
 // snapshot needed to explain individual routes. Everything here is
-// private to the run (or immutable) — no array is shared with the
-// resident vantage, which recycles its own — so it may be cached and
-// read after later base-map updates without synchronization.
+// private to the run or immutable — the row arrays may be the resident
+// vantage's, which the engine never writes once handed out — so it may
+// be cached and read after later base-map updates without
+// synchronization.
 type OverlayRun struct {
 	Gen         uint64          // engine update generation the run is valid for
 	Host        string          // folded vantage host
@@ -158,11 +159,6 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 		return nil, fmt.Errorf("remap: overlay map run: %w", err)
 	}
 	v.mc.ReleaseRunState() // explain reads only labels; cached runs stay small
-	if v.routeGen == 0 {
-		// The run changed no row, so the rows are still the resident
-		// vantage's, which it overwrites on later updates.
-		v.entries, v.meta = slices.Clone(v.entries), slices.Clone(v.meta)
-	}
 	run := &OverlayRun{
 		Gen:         e.updGen,
 		Host:        hostName,
@@ -187,11 +183,10 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 // scratch returns a copy of v to run a what-if overlay on, or nil when
 // v is nil or does not hold the solved tree for the core's current
 // journal generation. The machine is cloned; the route rows are v's
-// own, which the copy only reads (patchRoutes merges into fresh arrays,
-// as the copy has no spare pair), and its route generation starts at
-// zero, so a run that leaves it there changed no row. Neither side
-// writes a buffer the other reads (route strings are immutable), so the
-// copy may run under the read lock while v serves.
+// own, which no vantage writes (patchRoutes merges into fresh arrays),
+// so the copy shares them and a run that changes no row returns them.
+// Neither side writes a buffer the other reads, so the copy may run
+// under the read lock while v serves.
 func (v *vantage) scratch(e *core) *vantage {
 	if v == nil || v.mc == nil || v.needFull || v.err != nil ||
 		v.graphGen != e.graphGen || v.jgen != e.jgen || v.resGen != e.updGen {

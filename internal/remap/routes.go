@@ -11,10 +11,11 @@ package remap
 // label chain from the root, memoized within the pass. The resulting
 // rows are kept in printer's output order as two parallel arrays: the
 // entries themselves, which a Result hands out as they are, and each
-// row's label bookkeeping. An update is a sorted merge into the spare
-// pair of arrays (fresh ones when there is none): drop the dirty
-// labels' old rows, merge in their new ones, block-copying the runs in
-// between.
+// row's label bookkeeping. Once handed out, a row array is never
+// written again: Results, route stores and what-if runs share it as
+// long as they like. An update is a sorted merge into fresh arrays of
+// exactly the new row count: drop the dirty labels' old rows, merge in
+// their new ones, block-copying the runs in between.
 
 import (
 	"slices"
@@ -43,34 +44,9 @@ func (v *vantage) rowLess(rank []int32, ha string, a printer.Row, hb string, b p
 	return a.Label < b.Label
 }
 
-// swapRows makes the given spare arrays the live ones: the
-// arrays handed out with the latest Result become the spare, which the
-// next change overwrites — why a Result's Entries stay valid only until
-// the second recompute of its vantage that changes a row.
-func (v *vantage) swapRows(entries []printer.Entry, meta []printer.Row) {
-	v.spareEntries, v.spareMeta = v.entries, v.meta
-	v.entries, v.meta = entries, meta
-}
-
-// spareRows returns the spare arrays with room for n rows, reallocated
-// with 25% headroom when short: the row count creeps up by a few
-// entries per host-add generation, and an exact fit would force the
-// allocation on every patch. With no spare pair at all — a what-if
-// copy, which changes its rows once — the fresh arrays fit exactly.
-func (v *vantage) spareRows(n int) ([]printer.Entry, []printer.Row) {
-	if cap(v.spareEntries) >= n && cap(v.spareMeta) >= n {
-		return v.spareEntries[:n], v.spareMeta[:n]
-	}
-	room := n / 4
-	if v.spareEntries == nil {
-		room = 0
-	}
-	return make([]printer.Entry, n, n+room), make([]printer.Row, n, n+room)
-}
-
 // rebuildRoutes derives every entry from scratch (full-re-map path).
 func (v *vantage) rebuildRoutes(e *core) {
-	v.swapRows(printer.Derive(v.mc, e.opts.Printer, nil, v.spareEntries, v.spareMeta))
+	v.entries, v.meta = printer.Derive(v.mc, e.opts.Printer, nil)
 }
 
 // routePass is the frame table of one patchRoutes pass: the frames of
@@ -190,14 +166,20 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 	printer.SortRows(v.mc, found, foundRows, newEntries, newMeta)
 
 	// Merge: old rows minus dirty labels, plus the recomputed rows, into
-	// the spare arrays — never into the old ones, which a what-if copy
-	// shares with its resident vantage. Each new row goes before the
+	// fresh arrays — never into the old ones, which earlier Results,
+	// their stores and what-if runs share. Each new row goes before the
 	// first old row it sorts below (dropped rows kept their place in the
 	// old order, so a binary search over all old rows finds it); the
 	// clean runs between those points and the dirty rows are
 	// block-copied.
 	old, oldMeta := v.entries, v.meta
-	entries, meta := v.spareRows(len(old) + len(newEntries))
+	n := len(newEntries)
+	for _, r := range oldMeta {
+		if !dirtyAt(r.Label) {
+			n++
+		}
+	}
+	entries, meta := make([]printer.Entry, n), make([]printer.Row, n)
 	k, i := 0, 0 // write cursor; next old row
 	// copyClean copies the clean old rows in [i, end).
 	copyClean := func(end int) {
@@ -225,7 +207,7 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 		k++
 	}
 	copyClean(len(old))
-	v.swapRows(entries[:k], meta[:k])
+	v.entries, v.meta = entries, meta
 	return true
 }
 

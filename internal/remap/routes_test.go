@@ -110,7 +110,7 @@ func TestPatchMatchesFullDerivation(t *testing.T) {
 
 		v := m.vans[m.def]
 		frames := make([]printer.Frame, v.mc.NumLabels())
-		entries, rows := printer.Derive(v.mc, opts.Printer, frames, nil, nil)
+		entries, rows := printer.Derive(v.mc, opts.Printer, frames)
 		if !slices.Equal(entries, v.entries) {
 			t.Fatalf("%s: patched entries diverge from a full derivation\n got: %v\nwant: %v", label, v.entries, entries)
 		}

@@ -50,21 +50,20 @@ type vantage struct {
 	err    error
 
 	// Route state (routes.go). The rows in canonical order are two
-	// parallel arrays, entries (handed out as Result.Entries) and meta,
-	// plus a spare pair that the next change is merged into. A what-if
-	// scratch copy starts with its resident vantage's rows and no spare,
-	// so its first change merges into fresh arrays. routeGen counts
-	// recomputes that actually changed (or may have changed) the entry
-	// set, so consumers can skip rebuilding downstream artifacts on
-	// no-op updates; byCost is SortByCost's copy of entries, made at
-	// route generation byCostGen.
-	entries      []printer.Entry
-	meta         []printer.Row
-	spareEntries []printer.Entry
-	spareMeta    []printer.Row
-	routeGen     uint64
-	byCost       []printer.Entry
-	byCostGen    uint64
+	// parallel arrays, entries (handed out as Result.Entries) and meta.
+	// Neither is ever written once set: a change merges into fresh
+	// arrays, so every Result, route store and what-if run built from
+	// them may keep them. A what-if scratch copy starts with its
+	// resident vantage's arrays. routeGen counts recomputes that
+	// actually changed (or may have changed) the entry set, so
+	// consumers can skip rebuilding downstream artifacts on no-op
+	// updates; byCost is SortByCost's copy of entries, made at route
+	// generation byCostGen.
+	entries   []printer.Entry
+	meta      []printer.Row
+	routeGen  uint64
+	byCost    []printer.Entry
+	byCostGen uint64
 
 	// lastUsed is the Multi's LRU tick, atomic so cached reads under the
 	// shared read-lock can still touch it.

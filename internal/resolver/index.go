@@ -69,23 +69,24 @@ func hashSlots(es []Entry) []uint32 {
 	return slots
 }
 
-// canonicalize normalizes entry names in place (see normalizeKey) and
-// returns them sorted strictly ascending with duplicates removed,
-// keeping the cheapest route per name (ties keep the first seen). Input
-// that is already canonical — one pass decides — is returned as is,
-// with no sort and no dedupe.
-func canonicalize(es []Entry, fold bool) []Entry {
-	sorted := true
+// canonical reports whether es is canonical: every name normalized
+// (normalizeKey) and the names strictly ascending. It only reads es.
+func canonical(es []Entry, fold bool) bool {
 	for i := range es {
 		h := es[i].Host
-		if n := normalizeKey(h, fold); n != h {
-			es[i].Host, sorted = n, false
-		} else if sorted && i > 0 && es[i-1].Host >= h {
-			sorted = false
+		if normalizeKey(h, fold) != h || i > 0 && es[i-1].Host >= h {
+			return false
 		}
 	}
-	if sorted {
-		return es
+	return true
+}
+
+// canonicalize normalizes entry names in place (see normalizeKey) and
+// returns them sorted strictly ascending with duplicates removed,
+// keeping the cheapest route per name (ties keep the first seen).
+func canonicalize(es []Entry, fold bool) []Entry {
+	for i := range es {
+		es[i].Host = normalizeKey(es[i].Host, fold)
 	}
 	sort.SliceStable(es, func(i, j int) bool {
 		if es[i].Host != es[j].Host {

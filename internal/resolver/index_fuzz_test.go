@@ -2,6 +2,7 @@ package resolver_test
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -146,11 +147,15 @@ func checkAgainst(t *testing.T, what string, r *resolver.Resolver, ref *naiveInd
 // Lookup, Resolve, AppendResolve — exactly as a naive sorted slice
 // with a linear suffix walk does; the image must pass the deep
 // reachability audit; and compiling the built index must give the
-// same bytes as compiling the raw entries.
+// same bytes as compiling the raw entries. Neither New nor Compile may
+// write the entries they are given (the seeds hold unsorted, duplicate,
+// trailing-dot and, under FoldCase, upper-case names), and New indexes
+// canonical entries in place.
 func FuzzIndexBuild(f *testing.F) {
 	for _, seed := range []string{
 		"\x00",
 		"\x00\x05unc\n\x10duke\tduke!%s\n\x20.edu\tseismo!%s\n\x20.rutgers.edu\tseismo!ru!%s",
+		"\x00\x20.edu\tseismo!%s\n\x20.rutgers.edu\tseismo!ru!%s\n\x10duke\tduke!%s\n\x05unc",
 		"\x00\x01zeta\n\x02alpha\n\x03Alpha\n\x04beta.\n\x01beta\n\x05.EDU\n\x05.edu.\n",
 		"\x01\x01Gamma\tfirst!%s\n\x01gamma\tsecond!%s\n\xffMid\n\x00mid.\n\x02.A..B\n\x02x..b\n",
 		"\x00\x01.\n\x01..\n\x01...\n\x01a.\n\x01a\n",
@@ -163,15 +168,24 @@ func FuzzIndexBuild(f *testing.F) {
 		ref := newNaiveIndex(es, opts)
 		qs := queries(es)
 
+		orig := slices.Clone(es)
 		r := resolver.New(es, opts)
+		if !slices.Equal(es, orig) {
+			t.Fatalf("New wrote its input: %+v, was %+v", es, orig)
+		}
 		if got := r.Entries(); len(got) != len(ref.es) || (len(got) > 0 && !equalEntries(got, ref.es)) {
 			t.Fatalf("New entries %+v, want %+v", got, ref.es)
+		} else if len(es) > 0 && slices.Equal(es, ref.es) && &got[0] != &es[0] {
+			t.Fatal("New copied canonical entries instead of indexing them in place")
 		}
 		checkAgainst(t, "memory", r, ref, qs)
 
 		img, err := rdb.Compile(es, opts)
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
+		}
+		if !slices.Equal(es, orig) {
+			t.Fatalf("Compile wrote its input: %+v, was %+v", es, orig)
 		}
 		if fromIndex, err := rdb.CompileResolver(r); err != nil || !bytes.Equal(fromIndex, img) {
 			t.Fatalf("CompileResolver differs from Compile (err %v)", err)

@@ -33,6 +33,7 @@ package resolver
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -153,22 +154,21 @@ func newTrieNode() *trieNode {
 	return &trieNode{entry: -1}
 }
 
-// New builds a resolver from entries. The slice is not retained; entry
+// New builds a resolver from entries, which it never writes. Entry
 // names are normalized like query keys (one trailing dot dropped, case
 // folded under FoldCase), then sorted and deduplicated keeping the
 // cheapest route per name (ties keep the first seen, matching the
-// classic sort order). Entries that are already normalized and strictly
-// ascending — what the pipeline's producers emit — are indexed in one
-// linear pass with no sort.
+// classic sort order). Entries that are already canonical — normalized
+// and strictly ascending, what the pipeline's producers emit — are
+// indexed in place: one read-only pass decides, the slice is retained
+// as the index's storage, and the caller must not write it afterwards.
+// Anything else is copied, and the copy canonicalized.
 func New(entries []Entry, opts Options) *Resolver {
-	return Adopt(append([]Entry(nil), entries...), opts)
-}
-
-// Adopt is New for a caller that hands its entries over: the slice is
-// retained as the index's storage instead of copied, and may be
-// reordered and modified. The caller must not use it afterwards.
-func Adopt(entries []Entry, opts Options) *Resolver {
-	return NewBacked(newMemBacking(canonicalize(entries, opts.FoldCase)), opts)
+	es := entries
+	if !canonical(es, opts.FoldCase) {
+		es = canonicalize(slices.Clone(es), opts.FoldCase)
+	}
+	return NewBacked(newMemBacking(es), opts)
 }
 
 // NewBacked wraps an existing index — typically a mapped route database
@@ -275,7 +275,7 @@ func (r *Resolver) Entries() []Entry {
 // Index returns the canonical entries and the exact-match slot table
 // (package rdb's hash-section layout; see hashSlots) — everything an
 // image compiler needs besides the suffix trie. For an index built by
-// New or Adopt both come straight from it; for any other backing the
+// New both come straight from it; for any other backing the
 // slot table is built from Entries. Callers must not modify either.
 func (r *Resolver) Index() (entries []Entry, slots []uint32) {
 	if m, ok := r.b.(*memBacking); ok {

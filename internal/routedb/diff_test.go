@@ -107,7 +107,7 @@ func TestChangeKindString(t *testing.T) {
 // Property: Diff against an empty DB lists everything as added (or
 // removed, in the other direction), and diff is size-consistent.
 func TestDiffProperties(t *testing.T) {
-	empty := Build(nil)
+	empty := BuildWith(nil, Options{})
 	f := func(keys []uint8) bool {
 		var es []printer.Entry
 		for _, k := range keys {
@@ -117,7 +117,7 @@ func TestDiffProperties(t *testing.T) {
 				Cost:  10,
 			})
 		}
-		d := Build(es)
+		d := BuildWith(es, Options{})
 		adds := diffDBs(empty, d)
 		rems := diffDBs(d, empty)
 		if len(adds) != d.Len() || len(rems) != d.Len() {

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"pathalias/internal/cost"
-	"pathalias/internal/printer"
 	"pathalias/internal/rdb"
 	"pathalias/internal/resolver"
 )
@@ -45,7 +44,7 @@ type Stats = resolver.Stats
 
 // DB is an immutable route database: any number of goroutines may call
 // its query methods concurrently with no locking. It serves either
-// from an in-memory index (Build, Load) or directly off a compiled
+// from an in-memory index (BuildWith, Load) or directly off a compiled
 // file's mapped pages (OpenBinary; see binary.go).
 type DB struct {
 	r *resolver.Resolver
@@ -55,24 +54,12 @@ type DB struct {
 	cleanup runtime.Cleanup
 }
 
-// Build constructs a database from printer output entries.
-func Build(entries []printer.Entry) *DB {
-	return BuildWith(entries, Options{})
-}
-
-// BuildWith constructs a database from printer output entries with
-// explicit options (FoldCase for maps computed under -i).
-func BuildWith(entries []printer.Entry, opts Options) *DB {
-	es := make([]Entry, len(entries))
-	for i, e := range entries {
-		es[i] = Entry(e)
-	}
-	return fromEntries(es, opts)
-}
-
-// fromEntries indexes es, which the DB takes over (resolver.Adopt).
-func fromEntries(es []Entry, opts Options) *DB {
-	return &DB{r: resolver.Adopt(es, opts)}
+// BuildWith indexes printer output entries (FoldCase for maps computed
+// under -i). It never writes entries: canonical ones — every pipeline
+// producer's output — become the database's own storage, so the caller
+// must not write them afterwards; see resolver.New.
+func BuildWith(entries []Entry, opts Options) *DB {
+	return &DB{r: resolver.New(entries, opts)}
 }
 
 // Load reads a linear route file: either "host\troute" or
@@ -119,7 +106,7 @@ func LoadWith(r io.Reader, opts Options) (*DB, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("routedb: %w", err)
 	}
-	return fromEntries(es, opts), nil
+	return BuildWith(es, opts), nil
 }
 
 // Every query method ends with runtime.KeepAlive(db): a binary DB's
@@ -209,7 +196,7 @@ type Store struct {
 }
 
 // emptyDB is what a zero-value or nil-seeded Store serves.
-var emptyDB = fromEntries(nil, Options{})
+var emptyDB = BuildWith(nil, Options{})
 
 // NewStore returns a store serving db (an empty database if db is nil).
 func NewStore(db *DB) *Store {

@@ -172,13 +172,50 @@ func TestBuildFromPrinterEntries(t *testing.T) {
 		{Host: "z", Route: "z!%s", Cost: 30},
 		{Host: "a", Route: "a!%s", Cost: 10},
 	}
-	db := Build(entries)
+	db := BuildWith(entries, Options{})
 	if db.Len() != 2 {
 		t.Fatalf("Len = %d", db.Len())
 	}
 	es := db.Entries()
 	if es[0].Host != "a" || es[1].Host != "z" {
 		t.Errorf("not sorted: %v", es)
+	}
+}
+
+// TestBuildWithNeverWritesInput: BuildWith leaves its argument
+// byte-identical whether it indexes it in place (canonical input) or
+// copies it first (unsorted, duplicate, trailing-dot or upper-case
+// names under FoldCase), and answers from the canonical names.
+func TestBuildWithNeverWritesInput(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		entries []Entry
+		opts    Options
+		want    []string // the database's names, in order
+	}{
+		{"canonical", []Entry{{Host: ".edu", Route: "s!%s"}, {Host: "a", Route: "a!%s"}}, Options{}, []string{".edu", "a"}},
+		{"unsorted", []Entry{{Host: "z", Route: "z!%s"}, {Host: "a", Route: "a!%s"}}, Options{}, []string{"a", "z"}},
+		{"duplicates", []Entry{{Host: "a", Route: "b!a!%s", Cost: 9}, {Host: "a", Route: "a!%s", Cost: 1}}, Options{}, []string{"a"}},
+		{"trailing dot", []Entry{{Host: "a.", Route: "a!%s"}, {Host: "b", Route: "b!%s"}}, Options{}, []string{"a", "b"}},
+		{"upper case folded", []Entry{{Host: "A", Route: "a!%s"}, {Host: "b", Route: "b!%s"}}, Options{FoldCase: true}, []string{"a", "b"}},
+	} {
+		orig := append([]Entry(nil), tc.entries...)
+		db := BuildWith(tc.entries, tc.opts)
+		for i := range orig {
+			if tc.entries[i] != orig[i] {
+				t.Fatalf("%s: BuildWith wrote entry %d: %+v, was %+v", tc.name, i, tc.entries[i], orig[i])
+			}
+		}
+		var got []string
+		for _, e := range db.Entries() {
+			got = append(got, e.Host)
+			if _, ok := db.Lookup(e.Host); !ok {
+				t.Errorf("%s: Lookup(%q) misses", tc.name, e.Host)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: names %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -214,7 +251,7 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 				Cost:  10,
 			})
 		}
-		db := Build(es)
+		db := BuildWith(es, Options{})
 		target := fmt.Sprintf("h%d", probe%512)
 		_, got := db.Lookup(target)
 		want := false
@@ -230,7 +267,7 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// Property: entries are always sorted and unique after Build.
+// Property: entries are always sorted and unique after BuildWith.
 func TestBuildInvariants(t *testing.T) {
 	f := func(keys []uint8) bool {
 		var es []printer.Entry
@@ -241,7 +278,7 @@ func TestBuildInvariants(t *testing.T) {
 				Cost:  cost.Cost(i),
 			})
 		}
-		db := Build(es)
+		db := BuildWith(es, Options{})
 		names := make([]string, 0, db.Len())
 		for _, e := range db.Entries() {
 			names = append(names, e.Host)

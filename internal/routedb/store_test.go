@@ -174,9 +174,9 @@ func TestDBStatsSnapshot(t *testing.T) {
 // succeeds only while the faulty database is still current, so a
 // newer good swap can never be clobbered by a late-finishing audit.
 func TestStoreCompareAndSwap(t *testing.T) {
-	good := fromEntries([]Entry{{Host: "a", Route: "a!%s"}}, Options{})
-	faulty := fromEntries([]Entry{{Host: "b", Route: "b!%s"}}, Options{})
-	newer := fromEntries([]Entry{{Host: "c", Route: "c!%s"}}, Options{})
+	good := BuildWith([]Entry{{Host: "a", Route: "a!%s"}}, Options{})
+	faulty := BuildWith([]Entry{{Host: "b", Route: "b!%s"}}, Options{})
+	newer := BuildWith([]Entry{{Host: "c", Route: "c!%s"}}, Options{})
 
 	s := NewStore(good)
 	s.Swap(faulty)

@@ -24,9 +24,6 @@ import (
 	"sync"
 
 	"pathalias/internal/core"
-	"pathalias/internal/cost"
-	"pathalias/internal/mapper"
-	"pathalias/internal/printer"
 	"pathalias/internal/remap"
 )
 
@@ -38,9 +35,8 @@ import (
 // A MultiEngine is safe for concurrent use: ResultFrom, ResolvePairs,
 // Vantages, and Stats may run from any number of goroutines; Update
 // excludes them while the shared state moves. Results are immutable
-// snapshots and stable indefinitely: the public conversion copies the
-// engine's recycled entry buffers, so a Result may be retained across
-// any number of updates.
+// snapshots and stable indefinitely, as the engine's route rows are: a
+// Result may be retained across any number of updates.
 type MultiEngine struct {
 	opts Options
 	eng  *remap.Multi
@@ -241,30 +237,10 @@ type EngineStats struct {
 // remapOptions translates public Options into the incremental engine's
 // option set.
 func remapOptions(opts Options) remap.Options {
-	mopts := mapper.DefaultOptions()
-	mopts.SecondBest = opts.SecondBest
-	mopts.BackLinks = !opts.NoBackLinks
-	if opts.MixedPenalty != 0 {
-		mopts.MixedPenalty = cost.Cost(opts.MixedPenalty)
-	}
-	if opts.GatewayPenalty != 0 {
-		mopts.GatewayPenalty = cost.Cost(opts.GatewayPenalty)
-	}
-	if opts.DomainRelayPenalty != 0 {
-		mopts.DomainRelayPenalty = cost.Cost(opts.DomainRelayPenalty)
-	}
-	if opts.DeadPenalty != 0 {
-		mopts.DeadPenalty = cost.Cost(opts.DeadPenalty)
-	}
 	return remap.Options{
-		LocalHost: opts.LocalHost,
-		Mapper:    &mopts,
-		Printer: printer.Options{
-			Costs:        opts.PrintCosts,
-			SortByCost:   opts.SortByCost,
-			DomainsOnly:  opts.DomainsOnly,
-			FirstHopCost: opts.FirstHopCost,
-		},
+		LocalHost:   opts.LocalHost,
+		Mapper:      mapperOptions(opts),
+		Printer:     printerOptions(opts),
 		Avoid:       opts.Avoid,
 		FoldCase:    opts.IgnoreCase,
 		MaxVantages: opts.MaxVantages,
@@ -275,14 +251,11 @@ func remapOptions(opts Options) remap.Options {
 // shape.
 func convertResult(opts Options, r *remap.Result) *Result {
 	res := &Result{
+		Routes:      routes(r.Entries),
 		Warnings:    r.Warnings,
 		Unreachable: r.Unreachable,
 		RouteGen:    r.RouteGen,
 		opts:        opts,
-	}
-	res.Routes = make([]Route, len(r.Entries))
-	for i, en := range r.Entries {
-		res.Routes[i] = Route{Host: en.Host, Format: en.Route, Cost: int64(en.Cost)}
 	}
 	res.Stats.Reached = r.Reached
 	res.Stats.BackLinked = r.BackLinked

@@ -175,33 +175,12 @@ func buildConfig(opts Options, inputs []Input) (core.Config, error) {
 	if len(inputs) == 0 {
 		return core.Config{}, fmt.Errorf("pathalias: no inputs")
 	}
-	mopts := mapper.DefaultOptions()
-	mopts.SecondBest = opts.SecondBest
-	mopts.BackLinks = !opts.NoBackLinks
-	if opts.MixedPenalty != 0 {
-		mopts.MixedPenalty = cost.Cost(opts.MixedPenalty)
-	}
-	if opts.GatewayPenalty != 0 {
-		mopts.GatewayPenalty = cost.Cost(opts.GatewayPenalty)
-	}
-	if opts.DomainRelayPenalty != 0 {
-		mopts.DomainRelayPenalty = cost.Cost(opts.DomainRelayPenalty)
-	}
-	if opts.DeadPenalty != 0 {
-		mopts.DeadPenalty = cost.Cost(opts.DeadPenalty)
-	}
-
 	cfg := core.Config{
 		LocalHost: opts.LocalHost,
-		Mapper:    &mopts,
-		Printer: printer.Options{
-			Costs:        opts.PrintCosts,
-			SortByCost:   opts.SortByCost,
-			DomainsOnly:  opts.DomainsOnly,
-			FirstHopCost: opts.FirstHopCost,
-		},
-		Avoid:    opts.Avoid,
-		FoldCase: opts.IgnoreCase,
+		Mapper:    mapperOptions(opts),
+		Printer:   printerOptions(opts),
+		Avoid:     opts.Avoid,
+		FoldCase:  opts.IgnoreCase,
 	}
 	for _, in := range inputs {
 		cfg.Inputs = append(cfg.Inputs, parser.Input{Name: in.Name, Src: in.Text})
@@ -211,12 +190,10 @@ func buildConfig(opts Options, inputs []Input) (core.Config, error) {
 
 func buildResult(opts Options, rep *core.Report) *Result {
 	res := &Result{
+		Routes:      routes(rep.Entries),
 		Warnings:    rep.Warnings,
 		Unreachable: rep.Unreachable,
 		opts:        opts,
-	}
-	for _, e := range rep.Entries {
-		res.Routes = append(res.Routes, Route{Host: e.Host, Format: e.Route, Cost: int64(e.Cost)})
 	}
 	gs := rep.Graph.Stats()
 	res.Stats = Stats{
@@ -233,6 +210,46 @@ func buildResult(opts Options, rep *core.Report) *Result {
 		res.Stats.Relaxations = mr.Relaxations
 	}
 	return res
+}
+
+// mapperOptions translates public Options into the mapper's option set,
+// for batch runs and the incremental engine alike.
+func mapperOptions(opts Options) *mapper.Options {
+	mopts := mapper.DefaultOptions()
+	mopts.SecondBest = opts.SecondBest
+	mopts.BackLinks = !opts.NoBackLinks
+	if opts.MixedPenalty != 0 {
+		mopts.MixedPenalty = cost.Cost(opts.MixedPenalty)
+	}
+	if opts.GatewayPenalty != 0 {
+		mopts.GatewayPenalty = cost.Cost(opts.GatewayPenalty)
+	}
+	if opts.DomainRelayPenalty != 0 {
+		mopts.DomainRelayPenalty = cost.Cost(opts.DomainRelayPenalty)
+	}
+	if opts.DeadPenalty != 0 {
+		mopts.DeadPenalty = cost.Cost(opts.DeadPenalty)
+	}
+	return &mopts
+}
+
+// printerOptions translates public Options into the printer's.
+func printerOptions(opts Options) printer.Options {
+	return printer.Options{
+		Costs:        opts.PrintCosts,
+		SortByCost:   opts.SortByCost,
+		DomainsOnly:  opts.DomainsOnly,
+		FirstHopCost: opts.FirstHopCost,
+	}
+}
+
+// routes converts printer entries into the public Route shape.
+func routes(entries []printer.Entry) []Route {
+	rs := make([]Route, len(entries))
+	for i, e := range entries {
+		rs[i] = Route{Host: e.Host, Format: e.Route, Cost: int64(e.Cost)}
+	}
+	return rs
 }
 
 // Lookup finds the route for an exact host name in O(log n), using an
