@@ -164,6 +164,13 @@ type Link struct {
 	Cost  cost.Cost
 	Op    Op
 	Flags LinkFlags
+
+	// Decl is a slot for the owner of an ordinary link's declarations:
+	// the incremental engine (internal/remap) keeps the index of the
+	// first record of the link's declaration chain here, 0 for none. The
+	// graph never reads or writes it; it fills what would otherwise be
+	// padding, so a Link stays 40 bytes.
+	Decl int32
 }
 
 // IsNet reports whether n is a network or domain hub.

@@ -3,9 +3,22 @@ package graph
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pathalias/internal/cost"
 )
+
+// TestLinkSize: Link.Decl fills the padding after Flags, so a link stays
+// 40 bytes on 64-bit platforms (the parser allocates one per declared
+// pair).
+func TestLinkSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("32-bit platform")
+	}
+	if got := unsafe.Sizeof(Link{}); got != 40 {
+		t.Errorf("Link is %d bytes, want 40", got)
+	}
+}
 
 func TestRefCreatesOnce(t *testing.T) {
 	g := New()

@@ -125,8 +125,10 @@ func (ov *Overlay) FindLink(g *Graph, from, to *Node) *Link {
 // edges dropped, overridden edges re-costed (EdgeLink pointing at the
 // private shadow), and added edges appended at the end of their row —
 // the same position a link appended to the source would occupy in a
-// fresh parse. When base's reverse adjacency is built, the view's is
-// patched from it; otherwise the view builds its own on first use.
+// fresh parse. With reverse set and base's reverse adjacency built, the
+// view's is patched from it; otherwise the view builds its own on first
+// use. Only warm mapping runs read it: a full run on a fresh machine
+// passes reverse=false and never pays for it.
 //
 // Unlike Graph.Snapshot/SnapshotPatched this is a pure function: it
 // installs nothing in any cache and never reads the graph, so it is safe
@@ -139,7 +141,7 @@ func (ov *Overlay) FindLink(g *Graph, from, to *Node) *Link {
 // Only immutable-after-build data is shared: Nodes (names and IDs never
 // change), the rank arrays (replaced, never edited in place), and the
 // gateway map.
-func (ov *Overlay) PatchSnapshot(base *Snapshot) *Snapshot {
+func (ov *Overlay) PatchSnapshot(base *Snapshot, reverse bool) *Snapshot {
 	ids := slices.Sorted(maps.Keys(ov.touched))
 	var p rowPatch
 	for _, id := range ids {
@@ -166,6 +168,6 @@ func (ov *Overlay) PatchSnapshot(base *Snapshot) *Snapshot {
 		gateways: base.gateways,
 		gwEpoch:  base.gwEpoch,
 	}
-	s.patchFrom(base, len(base.Row)-1, &p)
+	s.patchFrom(base, len(base.Row)-1, &p, reverse)
 	return s
 }

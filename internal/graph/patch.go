@@ -153,22 +153,24 @@ func (g *Graph) AddAliasEdges(a, b *Node) (ab, ba *Link, created bool) {
 	return ab, ba, true
 }
 
-// AddLinkAt inserts an ordinary link with an explicit cost/op (the
-// engine's recomputed duplicate winner) and indexes it. The caller
-// guarantees no link exists for the pair. Self links are ignored.
-func (g *Graph) AddLinkAt(from, to *Node, c cost.Cost, op Op) *Link {
+// AddLinkAt returns the ordinary link from → to, inserting it with cost
+// c and operator op when the pair has none (created reports which), in
+// one probe of the duplicate-link index. An existing link is returned
+// as it is: the engine folds duplicates through its own declaration
+// chains. Self links are ignored (nil, false).
+func (g *Graph) AddLinkAt(from, to *Node, c cost.Cost, op Op) (l *Link, created bool) {
 	if from == to {
 		g.selfLinks++
-		return nil
+		return nil, false
 	}
 	key := linkKey(from, to)
 	i := g.linkIdx.slot(key)
 	if g.linkIdx.slots[i].key == key {
-		return g.linkIdx.slots[i].val // defensive: behave like a duplicate
+		return g.linkIdx.slots[i].val, false
 	}
-	l := g.appendLink(from, to, c, op, 0)
+	l = g.appendLink(from, to, c, op, 0)
 	g.linkIdx.putAt(i, key, l)
-	return l
+	return l, true
 }
 
 // CountSelfLink bumps the self-link statistic, for engine replays that
@@ -176,7 +178,7 @@ func (g *Graph) AddLinkAt(from, to *Node, c cost.Cost, op Op) *Link {
 func (g *Graph) CountSelfLink() { g.selfLinks++ }
 
 // CountDupLink bumps the duplicate-link statistic, for engine replays
-// that fold duplicates through their own declaration index.
+// that fold duplicates through their own declaration chains.
 func (g *Graph) CountDupLink() { g.dupLinks++ }
 
 // SnapshotPatched rebuilds the CSR snapshot after a set of in-place
@@ -230,7 +232,7 @@ func (g *Graph) SnapshotPatched(old *Snapshot, touched []int32) *Snapshot {
 		g.liveRow(p, int32(id))
 	}
 	s.Nodes = nodes
-	s.patchFrom(old, n, p)
+	s.patchFrom(old, n, p, true)
 
 	reread := func(id int32) {
 		s.NodeFlags[id] = nodes[id].Flags
@@ -356,12 +358,12 @@ func (p *rowPatch) bounds(i int) (lo, hi int32) {
 // copy per array (patchEdges), its row offsets shifted by one constant.
 // Node IDs from base's node count up are new; p must list those that
 // have edges. The node attribute arrays are copied from base (the
-// caller re-reads what changed and fills the new nodes'). When base's
-// reverse adjacency is built, s's is patched from it. s's arrays are
-// reused when they are large enough, so a fresh Snapshot gets fresh
-// arrays; s must not share any with base. Rank, ByRank, gateways and
-// gwEpoch are the caller's.
-func (s *Snapshot) patchFrom(base *Snapshot, n int, p *rowPatch) {
+// caller re-reads what changed and fills the new nodes'). With reverse
+// set and base's reverse adjacency built, s's is patched from it. s's
+// arrays are reused when they are large enough, so a fresh Snapshot
+// gets fresh arrays; s must not share any with base. Rank, ByRank,
+// gateways and gwEpoch are the caller's.
+func (s *Snapshot) patchFrom(base *Snapshot, n int, p *rowPatch, reverse bool) {
 	nOld := len(base.Row) - 1
 	edges := len(base.To) + len(p.to)
 	for _, id := range p.ids {
@@ -380,7 +382,7 @@ func (s *Snapshot) patchFrom(base *Snapshot, n int, p *rowPatch) {
 	s.rowsRebuilt = len(p.ids)
 	s.revOnce = sync.Once{}
 	s.revReady.Store(false)
-	s.revPatched = base.revReady.Load()
+	s.revPatched = reverse && base.revReady.Load()
 
 	// Every step reads only base and p and writes its own arrays, and
 	// each is a memory-bound block copy, so the link pointers and the

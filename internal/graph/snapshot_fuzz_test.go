@@ -166,7 +166,8 @@ func FuzzSnapshotPatch(f *testing.F) {
 
 // checkOverlay builds an overlay over base from data (two bytes per
 // edit) and holds PatchSnapshot to a naive row-by-row rebuild, and its
-// reverse adjacency, when patched, to a fresh build.
+// reverse adjacency, patched or built on first use, to a fresh build.
+// The parity of len(data) decides whether the view asks for the patch.
 func checkOverlay(t *testing.T, g *Graph, base *Snapshot, data []byte) {
 	t.Helper()
 	ov := NewOverlay()
@@ -185,7 +186,8 @@ func checkOverlay(t *testing.T, g *Graph, base *Snapshot, data []byte) {
 		}
 	}
 	hadRev := base.revReady.Load()
-	s := ov.PatchSnapshot(base)
+	reverse := len(data)%2 == 0
+	s := ov.PatchSnapshot(base, reverse)
 	want := naiveOverlay(base, ov)
 	for _, c := range []error{
 		firstDiff("overlay Row", s.Row, want.Row),
@@ -201,11 +203,8 @@ func checkOverlay(t *testing.T, g *Graph, base *Snapshot, data []byte) {
 			t.Fatal(c)
 		}
 	}
-	if _, patched := s.Rebuilt(); patched != hadRev {
-		t.Fatalf("overlay reverse patched = %v, base reverse built %v", patched, hadRev)
-	}
-	if !hadRev {
-		return
+	if _, patched := s.Rebuilt(); patched != (hadRev && reverse) {
+		t.Fatalf("overlay reverse patched = %v, base reverse built %v, patch asked %v", patched, hadRev, reverse)
 	}
 	row, from := s.Reverse()
 	want.buildReverse()
@@ -215,7 +214,7 @@ func checkOverlay(t *testing.T, g *Graph, base *Snapshot, data []byte) {
 	if err := firstDiff("overlay reverse from", from, want.revFrom); err != nil {
 		t.Fatal(err)
 	}
-	if &row[0] == &base.revRow[0] || (len(from) > 0 && len(base.revFrom) > 0 && &from[0] == &base.revFrom[0]) {
+	if hadRev && (&row[0] == &base.revRow[0] || (len(from) > 0 && len(base.revFrom) > 0 && &from[0] == &base.revFrom[0])) {
 		t.Fatal("overlay reverse adjacency shares the base's arrays")
 	}
 }

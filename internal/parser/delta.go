@@ -172,15 +172,10 @@ func (f *Fragment) OpsRange(lo, hi int, yield func(*ReplayOp) bool) {
 	var op ReplayOp
 	for i := lo; i < hi; i++ {
 		f.frag.action(&f.frag.stmts[i], &a)
-		op = ReplayOp{
-			Kind:    ReplayKind(a.op),
-			A:       a.a,
-			B:       a.b,
-			Cost:    a.cost,
-			LinkOp:  a.linkOp,
-			Dom:     a.dom,
-			Members: a.members,
-		}
+		// Field by field: a composite literal would build the whole
+		// operation aside and block-copy it, once per statement.
+		op.Kind, op.A, op.B, op.Cost = ReplayKind(a.op), a.a, a.b, a.cost
+		op.LinkOp, op.Dom, op.Members = a.linkOp, a.dom, a.members
 		if !yield(&op) {
 			return
 		}

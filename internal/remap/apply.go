@@ -5,17 +5,22 @@ package remap
 // graph exactly as the parser's merge phase would, while journaling
 // enough to take every effect back out again when the file changes:
 //
-//   - node references are counted per occurrence, so a node disappears
-//     (soft-deletes) exactly when no current statement names it;
-//   - ordinary link declarations go through a global declaration index
-//     keyed by (from, to), so undoing one contribution can recompute the
-//     surviving winner (first declaration achieving the minimum cost —
-//     AddLink's fold rule) or remove the link entirely;
+//   - node references are counted in one pass over each replayed range's
+//     journal entries, into a dense refcount per node, so a node
+//     disappears (soft-deletes) exactly when no current statement names
+//     it;
+//   - each ordinary link declaration is a record in one engine-owned
+//     array, chained to the other declarations of its (from, to) pair in
+//     global declaration order; the link holds the chain's head
+//     (graph.Link.Decl), so a declaration costs one probe of the graph's
+//     link table, and undoing one recomputes the surviving winner (first
+//     declaration achieving the minimum cost — AddLink's fold rule) from
+//     the chain or removes the link entirely;
 //   - alias pairs, gateway grants, and private bindings are refcounted;
 //     network memberships journal the exact edges they created;
-//   - dead/delete/gatewayed flags and cost adjustments are kept as
-//     counters/sums per node, and the node's flag word is recomputed
-//     from them.
+//   - dead/delete/gatewayed flags, network declarations and cost
+//     adjustments are kept as counters/sums in a per-node ledger, and the
+//     node's flag word is recomputed from them.
 //
 // A file's journal is one entry per effect, in statement order, plus one
 // offset per statement, so the effects of any statement range can be
@@ -49,23 +54,27 @@ import (
 	"pathalias/internal/parser"
 )
 
-// nodeState is the engine's per-node contribution ledger, indexed by
-// node ID.
+// nodeState is the engine's ledger of the statements that set a node's
+// attributes, indexed by node ID and grown on first use. References are
+// counted apart, in core.refs.
 type nodeState struct {
-	refs   int32     // current statements referencing the node
 	dead   int32     // dead{host} declarations
 	del    int32     // delete{host} declarations
 	gwReq  int32     // gatewayed{net} declarations
 	net    int32     // net = {...} declarations targeting the node
 	adjust cost.Cost // sum of adjust{} deltas
-	ghost  bool      // refs hit zero: invisible until re-referenced
 }
 
-// declRec is one ordinary link declaration in the declaration index.
+// declRec is one ordinary link declaration, a record in core.decls. The
+// declarations of one (from, to) pair form a chain through next, in
+// global declaration order (file position, then seq), whose first record
+// the link holds in graph.Link.Decl. Index 0 is no record; a freed
+// record's next links the free list.
 type declRec struct {
 	seq  uint64 // declaration order within the file (a gapped key)
 	cost cost.Cost
 	file int32 // stable file id; priority is posOf[file]
+	next int32 // the chain's next record, 0 at its end
 	op   graph.Op
 }
 
@@ -90,7 +99,7 @@ type jkind uint8
 
 const (
 	jRef       jkind = iota // references only
-	jDecl                   // ordinary link declaration a→b; x is its sequence key
+	jDecl                   // ordinary link declaration a→b; x is its record in core.decls
 	jGateway                // gateway contribution: a the net, b the host
 	jNet                    // net = {...} declaration targeting a
 	jNetEdge                // the edge pair between member a and network b; x is its ext slot
@@ -250,6 +259,15 @@ func (e *core) nstate(n *graph.Node) *nodeState {
 	return &e.nstates[n.ID]
 }
 
+// ghost reports whether node id is a ghost: no current statement names
+// it, so it stays invisible until a statement names it again. Only a
+// node older than the update can be one (the refcounts cover those); a
+// node this update created has its references counted once its
+// statements have replayed. Safe under the read lock.
+func (e *core) ghost(id int32) bool {
+	return id < e.firstNewNode && e.refs[id] == 0
+}
+
 // --- capture layer -----------------------------------------------------
 
 // captureLink records l's current state the first time an update touches
@@ -368,14 +386,15 @@ func (e *core) recomputeNode(n *graph.Node) {
 	if ns.dead > 0 {
 		fl |= graph.FDead
 	}
-	if ns.del > 0 || ns.ghost {
+	ghost := e.ghost(id32(n))
+	if ns.del > 0 || ghost {
 		fl |= graph.FDeleted
 	}
 	if ns.gwReq > 0 || len(n.Gateways()) > 0 {
 		fl |= graph.FGatewayed
 	}
 	adj := ns.adjust
-	if !ns.ghost && len(e.avoid) > 0 && e.avoid[n.Name] {
+	if !ghost && len(e.avoid) > 0 && e.avoid[n.Name] {
 		if gn, ok := e.g.Lookup(n.Name); ok && gn == n {
 			adj += mapper.DefaultDeadPenalty
 		}
@@ -390,61 +409,74 @@ func (e *core) recomputeNode(n *graph.Node) {
 
 // --- apply -------------------------------------------------------------
 
-// note counts one reference occurrence of n: refcount, ghost
-// resurrection, and new-node (grown) detection. The caller journals it
-// through the refs of the entry it records.
-func (e *core) note(n *graph.Node) {
-	ns := e.nstate(n)
-	ns.refs++
-	if ns.ghost {
-		ns.ghost = false
-		e.recomputeNode(n)
-	}
-	if int32(n.ID) >= e.firstNewNode {
-		// Created this update: new name, new rank. Node IDs only ever
-		// append, so existing labels and route frames stay valid — the
-		// vantage machines re-base their cached tie keys onto the new
-		// ranks (mapper.RebaseGrow) instead of falling back to a full
-		// re-map. A fresh node also needs its derived attributes
-		// initialized when the avoid list names it (nothing else
-		// triggers a recompute).
-		e.ch.grown = true
-		if len(e.avoid) > 0 && e.avoid[n.Name] {
-			e.recomputeNode(n)
+// count adds the references ents hold (jent.refs) to the refcounts, in
+// one pass once their statements have replayed. A patch counts its new
+// range before it undoes the old one, so a reference both versions hold
+// never passes through zero.
+func (e *core) count(ents []jent) {
+	e.growRefs()
+	for i := range ents {
+		en := &ents[i]
+		if en.refs > 0 {
+			e.addRef(en.a)
+		}
+		if en.refs > 1 {
+			e.addRef(en.b)
 		}
 	}
 }
 
-// unref drops one reference occurrence of node id; the node turns into
-// a ghost when no current statement names it.
+// growRefs extends the refcounts over every node.
+func (e *core) growRefs() {
+	if n := e.g.Len(); n > len(e.refs) {
+		e.refs = append(e.refs, make([]int32, n-len(e.refs))...)
+	}
+}
+
+// addRef counts one reference to node id.
+func (e *core) addRef(id int32) {
+	e.refs[id]++
+	if e.refs[id] == 1 {
+		e.firstRef(id)
+	}
+}
+
+// firstRef handles node id's refcount leaving zero. A node this update
+// created makes the update grown: node IDs only ever append, so existing
+// labels stay valid and the vantage machines re-base their cached tie
+// keys onto the new ranks (mapper.RebaseGrow) instead of falling back to
+// a full re-map. It also needs its derived attributes initialized when
+// the avoid list names it (nothing else triggers a recompute). An older
+// node was a ghost and comes back.
+func (e *core) firstRef(id int32) {
+	n := e.node(id)
+	if id >= e.firstNewNode {
+		e.ch.grown = true
+		if len(e.avoid) == 0 || !e.avoid[n.Name] {
+			return
+		}
+	}
+	e.recomputeNode(n)
+}
+
+// unref drops one reference to node id; the node turns into a ghost
+// when no current statement names it.
 func (e *core) unref(id int32) {
-	ns := &e.nstates[id]
-	ns.refs--
-	if ns.refs == 0 {
-		ns.ghost = true
+	e.refs[id]--
+	if e.refs[id] == 0 {
 		e.recomputeNode(e.node(id))
 	}
 }
 
-// ref resolves name in the graph's current file scope and counts the
-// reference, resurrecting ghosts.
-func (e *core) ref(name string) *graph.Node {
-	n := e.g.Ref(name)
-	e.note(n)
-	return n
-}
-
-// refFast is ref through a one-entry cache: consecutive operations
-// overwhelmingly name the same left-hand host (one opRef plus one opLink
-// per declared link), exactly like the merger's cache.
+// refFast resolves name through a one-entry cache: consecutive
+// operations overwhelmingly name the same left-hand host (one opRef plus
+// one opLink per declared link), exactly like the merger's cache.
 func (e *core) refFast(name string) *graph.Node {
 	if name == e.refName && e.refNode != nil {
-		e.note(e.refNode)
 		return e.refNode
 	}
 	n := e.g.Ref(name)
 	e.refName, e.refNode = name, n
-	e.note(n)
 	return n
 }
 
@@ -453,12 +485,10 @@ func (e *core) refFast(name string) *graph.Node {
 func (e *core) refDest(name string) *graph.Node {
 	s := &e.refDests[destSlot(name)]
 	if s.name == name && s.node != nil {
-		e.note(s.node)
 		return s.node
 	}
 	n := e.g.Ref(name)
 	s.name, s.node = name, n
-	e.note(n)
 	return n
 }
 
@@ -496,78 +526,85 @@ func (e *core) addGateway(net, host *graph.Node, refs uint8) {
 }
 
 // declare journals one ordinary link declaration under the next
-// sequence key and reconciles the surviving link with the declaration
-// index.
+// sequence key, chains its record into the link's declarations in global
+// order, and re-costs the link to the chain's winner.
 func (e *core) declare(f *fileState, from, to *graph.Node, c cost.Cost, op graph.Op) {
 	if from == to {
 		e.g.CountSelfLink()
 		e.rec(jent{kind: jRef, a: id32(from), b: id32(to), refs: 2})
 		return
 	}
-	seq := e.nextSeq
+	r := e.newDecl(declRec{seq: e.nextSeq, cost: c, file: f.id, op: op})
 	e.nextSeq += e.seqStep
-	e.rec(jent{kind: jDecl, a: id32(from), b: id32(to), x: seq, refs: 2})
+	e.rec(jent{kind: jDecl, a: id32(from), b: id32(to), x: uint64(r), refs: 2})
 
-	key := pairKey(id32(from), id32(to))
-	recs := e.declIdx[key]
-	rec := declRec{file: f.id, seq: seq, cost: c, op: op}
-	// Insert preserving global declaration order (file position, seq).
-	i := len(recs)
-	for i > 0 && e.declAfter(recs[i-1], rec) {
-		i--
+	l, created := e.g.AddLinkAt(from, to, c, op)
+	if created {
+		l.Decl = r
+		e.trackNewLink(l)
+		return
 	}
-	recs = append(recs, declRec{})
-	copy(recs[i+1:], recs[i:])
-	recs[i] = rec
-	e.declIdx[key] = recs
-
-	if len(recs) > 1 {
-		e.g.CountDupLink()
+	e.g.CountDupLink()
+	// After every record that does not come after it.
+	p := &l.Decl
+	for *p != 0 && !e.declAfter(*p, r) {
+		p = &e.decls[*p].next
 	}
-	e.reconcileLink(key, from, to)
+	e.decls[r].next, *p = *p, r
+	e.reconcile(l)
 }
 
-// declAfter reports whether a comes after b in global declaration order.
-func (e *core) declAfter(a, b declRec) bool {
-	pa, pb := e.posOf[a.file], e.posOf[b.file]
-	if pa != pb {
+// newDecl stores rec in a free record of core.decls and returns its index.
+func (e *core) newDecl(rec declRec) int32 {
+	if r := e.declFree; r != 0 {
+		e.declFree = e.decls[r].next
+		e.decls[r] = rec
+		return r
+	}
+	e.decls = append(e.decls, rec)
+	return int32(len(e.decls) - 1)
+}
+
+// undeclare unchains record r from l's declarations, frees it, and
+// reconciles l with the declarations left.
+func (e *core) undeclare(l *graph.Link, r int32) {
+	p := &l.Decl
+	for *p != r {
+		p = &e.decls[*p].next
+	}
+	*p = e.decls[r].next
+	e.decls[r] = declRec{next: e.declFree}
+	e.declFree = r
+	e.reconcile(l)
+}
+
+// declAfter reports whether record a comes after record b in global
+// declaration order.
+func (e *core) declAfter(a, b int32) bool {
+	ra, rb := &e.decls[a], &e.decls[b]
+	if pa, pb := e.posOf[ra.file], e.posOf[rb.file]; pa != pb {
 		return pa > pb
 	}
-	return a.seq > b.seq
+	return ra.seq > rb.seq
 }
 
-// declWinner returns the surviving (cost, op) for a declaration list:
-// the first declaration, in global order, achieving the minimum cost —
-// exactly AddLink's duplicate fold.
-func declWinner(recs []declRec) (cost.Cost, graph.Op) {
-	w := recs[0]
-	for _, r := range recs[1:] {
-		if r.cost < w.cost {
-			w = r
-		}
-	}
-	return w.cost, w.op
-}
-
-// reconcileLink makes the graph's link for (from, to) match the
-// declaration index: created, retargeted to a new winner, or removed.
-func (e *core) reconcileLink(key uint64, from, to *graph.Node) {
-	recs := e.declIdx[key]
-	l := e.g.FindLink(from, to)
-	if len(recs) == 0 {
-		delete(e.declIdx, key)
-		if l != nil {
-			e.removeLinkTracked(l)
-		}
+// reconcile makes l match its declaration chain: removed when the chain
+// is empty, else re-costed to the chain's winner — the first declaration
+// in global order achieving the minimum cost, exactly AddLink's
+// duplicate fold.
+func (e *core) reconcile(l *graph.Link) {
+	if l.Decl == 0 {
+		e.removeLinkTracked(l)
 		return
 	}
-	c, op := declWinner(recs)
-	if l == nil {
-		e.trackNewLink(e.g.AddLinkAt(from, to, c, op))
-		return
+	w := &e.decls[l.Decl]
+	for r := w.next; r != 0; r = e.decls[r].next {
+		if e.decls[r].cost < w.cost {
+			w = &e.decls[r]
+		}
 	}
-	if l.Cost != c || l.Op != op {
-		e.setLinkCostTracked(l, c, op)
+	if l.Cost != w.cost || l.Op != w.op {
+		e.setLinkCostTracked(l, w.cost, w.op)
 	}
 }
 
@@ -659,24 +696,25 @@ func (e *core) placeSeqs(ents []jent, lo, hi, n int) bool {
 	var below, above, first, last uint64
 	for i := lo - 1; i >= 0; i-- {
 		if ents[i].kind == jDecl {
-			below = ents[i].x
+			below = e.decls[ents[i].x].seq
 			break
 		}
 	}
 	bounded := false
 	for i := hi; i < len(ents); i++ {
 		if ents[i].kind == jDecl {
-			above, bounded = ents[i].x, true
+			above, bounded = e.decls[ents[i].x].seq, true
 			break
 		}
 	}
 	held := false
 	for i := lo; i < hi; i++ {
 		if ents[i].kind == jDecl {
+			seq := e.decls[ents[i].x].seq
 			if !held {
-				first, held = ents[i].x, true
+				first, held = seq, true
 			}
-			last = ents[i].x
+			last = seq
 		}
 	}
 	if held {
@@ -703,7 +741,8 @@ func (e *core) placeSeqs(ents []jent, lo, hi, n int) bool {
 
 // replay applies statements [lo, hi) of f's fragment to the graph,
 // journaling their effects to e.jw and each statement's end offset (in
-// e.jw) to e.jends. Declarations take keys from e.nextSeq on.
+// e.jw) to e.jends, then counts the references the entries hold.
+// Declarations take keys from e.nextSeq on.
 func (e *core) replay(f *fileState, lo, hi int) {
 	e.timing.StmtsReplayed += hi - lo
 	g := e.g
@@ -721,7 +760,7 @@ func (e *core) replay(f *fileState, lo, hi int) {
 			}
 			e.declare(f, from, to, op.Cost, op.LinkOp)
 		case parser.ReplayNet:
-			net := e.ref(op.A)
+			net := g.Ref(op.A)
 			e.rec(jent{kind: jNet, a: id32(net), refs: 1})
 			ns := e.nstate(net)
 			ns.net++
@@ -729,7 +768,7 @@ func (e *core) replay(f *fileState, lo, hi int) {
 				e.recomputeNode(net)
 			}
 			for _, name := range op.Members {
-				m := e.ref(name)
+				m := g.Ref(name)
 				if m == net {
 					g.CountSelfLink()
 					e.rec(jent{kind: jRef, a: id32(m), refs: 1})
@@ -749,8 +788,8 @@ func (e *core) replay(f *fileState, lo, hi int) {
 				}
 			}
 		case parser.ReplayAlias:
-			a := e.ref(op.A)
-			b := e.ref(op.B)
+			a := g.Ref(op.A)
+			b := g.Ref(op.B)
 			if a == b {
 				g.CountSelfLink()
 				e.rec(jent{kind: jRef, a: id32(a), b: id32(b), refs: 2})
@@ -772,12 +811,11 @@ func (e *core) replay(f *fileState, lo, hi int) {
 		case parser.ReplayPrivate:
 			e.clearRefCaches() // the private declaration rebinds its name
 			p := g.DeclarePrivate(op.A)
-			e.note(p)
 			file := g.CurrentFile()
 			e.rec(jent{kind: jPrivate, a: id32(p), x: f.j.addExt(jext{file: file}), refs: 1})
 			e.privCount[privKey(p.Name, file)]++
 		case parser.ReplayDeadHost:
-			n := e.ref(op.A)
+			n := g.Ref(op.A)
 			e.rec(jent{kind: jDead, a: id32(n), refs: 1})
 			ns := e.nstate(n)
 			ns.dead++
@@ -785,7 +823,7 @@ func (e *core) replay(f *fileState, lo, hi int) {
 				e.recomputeNode(n)
 			}
 		case parser.ReplayDeleteHost:
-			n := e.ref(op.A)
+			n := g.Ref(op.A)
 			e.rec(jent{kind: jDelete, a: id32(n), refs: 1})
 			ns := e.nstate(n)
 			ns.del++
@@ -795,7 +833,7 @@ func (e *core) replay(f *fileState, lo, hi int) {
 				e.ch.structural = true
 			}
 		case parser.ReplayGatewayed:
-			n := e.ref(op.A)
+			n := g.Ref(op.A)
 			e.rec(jent{kind: jGatewayed, a: id32(n), refs: 1})
 			ns := e.nstate(n)
 			ns.gwReq++
@@ -803,11 +841,11 @@ func (e *core) replay(f *fileState, lo, hi int) {
 				e.recomputeNode(n)
 			}
 		case parser.ReplayGateway:
-			net := e.ref(op.A)
-			host := e.ref(op.B)
+			net := g.Ref(op.A)
+			host := g.Ref(op.B)
 			e.addGateway(net, host, 2)
 		case parser.ReplayAdjust:
-			n := e.ref(op.A)
+			n := g.Ref(op.A)
 			e.rec(jent{kind: jAdjust, a: id32(n), x: uint64(op.Cost), refs: 1})
 			e.nstate(n).adjust += op.Cost
 			e.recomputeNode(n)
@@ -819,6 +857,7 @@ func (e *core) replay(f *fileState, lo, hi int) {
 		return true
 	})
 	e.clearRefCaches()
+	e.count(e.jw)
 }
 
 func aliasKey(a, b *graph.Node) uint64 {
@@ -843,8 +882,11 @@ func (e *core) refPendings(f *fileState) {
 		p.File = strings.Clone(p.File)
 		p.Pos = strings.Clone(p.Pos)
 		e.g.BeginFile(p.File)
-		from, to := e.ref(p.From), e.ref(p.To)
-		f.j.pendings[i] = pendJournal{PendingLink: p, from: id32(from), to: id32(to)}
+		from, to := id32(e.g.Ref(p.From)), id32(e.g.Ref(p.To))
+		e.growRefs()
+		e.addRef(from)
+		e.addRef(to)
+		f.j.pendings[i] = pendJournal{PendingLink: p, from: from, to: to}
 	}
 }
 
@@ -871,16 +913,7 @@ func (e *core) undoEnts(f *fileState, ents []jent) {
 		en := &ents[i]
 		switch en.kind {
 		case jDecl:
-			key := pairKey(en.a, en.b)
-			recs := e.declIdx[key]
-			for k, r := range recs {
-				if r.file == f.id && r.seq == en.x {
-					recs = append(recs[:k], recs[k+1:]...)
-					break
-				}
-			}
-			e.declIdx[key] = recs
-			e.reconcileLink(key, e.node(en.a), e.node(en.b))
+			e.undeclare(g.FindLink(e.node(en.a), e.node(en.b)), int32(en.x))
 		case jGateway:
 			key := pairKey(en.a, en.b)
 			e.gwPairs[key]--

@@ -170,13 +170,18 @@ type core struct {
 	posOf      []int32
 	nextFileID int32
 
-	// Journaled graph state (apply.go).
+	// Journaled graph state (apply.go): refcounts and the attribute
+	// ledger by node ID, the declaration records (decls[0] unused,
+	// declFree heading the free list), and the first node ID this update
+	// created.
 	journaled    bool
 	g            *graph.Graph
 	snap         *graph.Snapshot
+	refs         []int32
 	nstates      []nodeState
+	decls        []declRec
+	declFree     int32
 	firstNewNode int32
-	declIdx      map[uint64][]declRec
 	aliases      map[uint64]*aliasState
 	gwPairs      map[uint64]int32
 	privCount    map[string]int32
@@ -640,13 +645,15 @@ func (e *core) rebuildAll(states []*fileState) {
 	}
 	g.ReserveLinks(total / 30)
 	g.ReserveNames(total / 75)
+	e.refs = slices.Grow(e.refs[:0], total/75)
+	e.decls = append(slices.Grow(e.decls[:0], total/30+1), declRec{})
+	e.declFree = 0
 
 	e.g = g
 	e.graphGen++
 	e.hist = e.hist[:0]
 	e.snap = nil
 	e.nstates = e.nstates[:0]
-	e.declIdx = make(map[uint64][]declRec)
 	e.aliases = make(map[uint64]*aliasState)
 	e.gwPairs = make(map[uint64]int32)
 	e.privCount = make(map[string]int32)
@@ -677,6 +684,7 @@ func (e *core) rebuildAll(states []*fileState) {
 func (e *core) syncIncremental(states []*fileState) {
 	e.ch.reset()
 	e.firstNewNode = int32(e.g.Len())
+	e.growRefs() // ghost reads the refcount of every older node
 	e.capturing = true
 	if e.beforeLinks == nil {
 		e.beforeLinks = make(map[*graph.Link]linkSig)
@@ -812,7 +820,7 @@ func (e *core) applyPendings() {
 // fresh parse. The name must already be case-folded.
 func (e *core) localNodeFor(host string) (*graph.Node, error) {
 	n, ok := e.g.Lookup(host)
-	if ok && e.nstate(n).ghost {
+	if ok && e.ghost(id32(n)) {
 		ok = false
 	}
 	if !ok {
@@ -833,7 +841,7 @@ func (e *core) computeWarnings() []string {
 	out = append(out, e.pendingWarns...)
 	for _, a := range e.opts.Avoid {
 		n, ok := e.g.Lookup(a)
-		if !ok || e.nstate(n).ghost {
+		if !ok || e.ghost(id32(n)) {
 			out = append(out, fmt.Sprintf("avoid: unknown host %q", a))
 		}
 	}

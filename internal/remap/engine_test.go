@@ -571,6 +571,9 @@ func randomizedEquivalence(t *testing.T, seed int64, steps int, popts printer.Op
 				step, seed, m.Stats())
 		}
 		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("step %d (seed %d)", step, seed))
+		if err := m.e.verifyLedger(); err != nil {
+			t.Fatalf("step %d (seed %d): ledger: %v", step, seed, err)
+		}
 	}
 	t.Logf("seed %d: %d/%d steps warm (stats %+v)", seed, warm, steps, m.Stats())
 }

@@ -498,7 +498,8 @@ func TestRouteGenChurnFree(t *testing.T) {
 // seed draws a map and a sequence of steps random edits (mutateMap),
 // applied to a Multi with the default vantage and two from= vantages
 // resident; after every step the patched CSR snapshot must equal a
-// fresh graph.Snapshot (graph.VerifySnapshot), and each vantage must be
+// fresh graph.Snapshot (graph.VerifySnapshot), the journal's ledger
+// must hold its invariants (core.verifyLedger), and each vantage must be
 // byte-identical to a fresh single-source run — the oracle of
 // TestMultiRandomizedEquivalence. The low 5 bits of steps count the
 // edits; the top 3 pick the printer options (none, FirstHopCost,
@@ -534,6 +535,9 @@ func FuzzMultiEdits(f *testing.F) {
 				if err := m.e.g.VerifySnapshot(m.e.snap); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+			}
+			if err := m.e.verifyLedger(); err != nil {
+				t.Fatalf("%s: ledger: %v", label, err)
 			}
 			for _, h := range vantages {
 				checkVantage(t, m, opts, inputs, h, label)

@@ -52,9 +52,7 @@ func (c OverlayCtx) Lookup(name string) (*graph.Node, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Read-only ghost probe: nstate() grows the ledger for unseen IDs,
-	// which a read-locked path must not do.
-	if n.ID < len(c.e.nstates) && c.e.nstates[n.ID].ghost {
+	if c.e.ghost(id32(n)) {
 		return nil, false
 	}
 	return n, true
@@ -140,20 +138,22 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	}
 	// Always patch, even with zero edits: the patched snapshot is the
 	// run's private, stable copy of the edge arrays (the engine recycles
-	// the base snapshot's buffers on later updates). The base's reverse
-	// adjacency is built once per generation, so every view patches its
-	// own from it instead of building one from scratch.
-	e.snap.Reverse()
-	var snap *graph.Snapshot
-	if ov != nil {
-		snap = ov.PatchSnapshot(e.snap)
-	} else {
-		snap = graph.NewOverlay().PatchSnapshot(e.snap)
-	}
+	// the base snapshot's buffers on later updates). Only a warm run reads
+	// the reverse adjacency: the base's is built once per generation, and
+	// a warm view patches its own from it instead of building one from
+	// scratch. A full run on a fresh machine never reads it.
 	v := m.vans[hostName].scratch(e)
-	if v == nil {
+	warm := v != nil
+	if warm {
+		e.snap.Reverse()
+	} else {
 		v = newVantage(hostName)
 	}
+	edits := ov
+	if edits == nil {
+		edits = graph.NewOverlay()
+	}
+	snap := edits.PatchSnapshot(e.snap, warm)
 	r, err := v.remap(e, local, snap, overlayEvents(ov))
 	if err != nil {
 		return nil, fmt.Errorf("remap: overlay map run: %w", err)
