@@ -308,6 +308,119 @@ func TestReloadComparesBytes(t *testing.T) {
 
 const testMapSrc = "unc\tduke(HOURLY), phs(HOURLY*4)\nduke\tunc(DEMAND), research(DAILY/2), phs(DEMAND)\nphs\tunc(HOURLY*4), duke(HOURLY)\nresearch\tduke(DEMAND), ucbvax(DEMAND)\nucbvax\tresearch(DAILY)\n"
 
+// TestResidentLookupsDuringRemap: while a re-map's swap pass holds the
+// watcher's lock (blocked here in its test hook), a resident from=
+// vantage keeps answering, from its store of the previous generation,
+// and so does the default vantage; once the pass ends, the from=
+// store serves the edit.
+func TestResidentLookupsDuringRemap(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "test.map")
+	if err := os.WriteFile(mapPath, []byte(testMapSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newMapDaemon(routedb.Options{}, io.Discard)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fromQ, defQ = "from=duke ucbvax honey", "ucbvax honey"
+	before := map[string]string{}
+	for _, q := range []string{fromQ, defQ} {
+		if before[q], _ = askLine(d, q); !strings.HasPrefix(before[q], "ok ") {
+			t.Fatalf("%q = %q before the edit", q, before[q])
+		}
+	}
+	st, err := w.storeFor("duke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := st.DB()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	w.passHook = func() {
+		close(entered)
+		<-release
+	}
+	edited := strings.Replace(testMapSrc, "research(DAILY/2)", "research(WEEKLY)", 1)
+	if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.remap() }()
+	<-entered
+	answered := make(chan map[string]string, 1)
+	go func() {
+		during := map[string]string{}
+		for _, q := range []string{fromQ, defQ} {
+			during[q], _ = askLine(d, q)
+		}
+		answered <- during
+	}()
+	select {
+	case during := <-answered:
+		for q, want := range before {
+			if during[q] != want {
+				t.Errorf("%q = %q while the pass is blocked, want the previous answer %q", q, during[q], want)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("lookups waited on the blocked re-map pass")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st.DB() == old {
+		t.Error("the duke store was not swapped after the pass")
+	}
+}
+
+// TestRemapDropsEvictedStores: with room for one vantage besides the
+// default, spinning up a second evicts the first from the engine; the
+// next re-map drops the evicted vantage's store from the registry, and
+// a later query for it spins it up again.
+func TestRemapDropsEvictedStores(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "test.map")
+	if err := os.WriteFile(mapPath, []byte(testMapSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newMapDaemon(routedb.Options{}, io.Discard)
+	w, err := newMapWatcher(d, "unc", 2, []string{mapPath}, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duke, err := w.storeFor("duke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.storeFor("ucbvax"); err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(testMapSrc, "research(DAILY/2)", "research(WEEKLY)", 1)
+	if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.remap(); err != nil {
+		t.Fatal(err)
+	}
+	counts := w.residentCounts()
+	if _, ok := counts["duke"]; ok || len(counts) != 2 {
+		t.Errorf("resident stores after the re-map: %v, want unc and ucbvax only", counts)
+	}
+	again, err := w.storeFor("duke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == duke {
+		t.Error("the evicted vantage's store was served again instead of a new one")
+	}
+	if reply, _ := askLine(d, "from=duke ucbvax honey"); reply != "ok research!ucbvax!honey" {
+		t.Errorf("from=duke ucbvax honey = %q after the spin-up", reply)
+	}
+}
+
 // TestMapWatchLogsRepeatedErrorOnce: polls that re-read a map which
 // stays broken log its error once; it is logged again after a
 // successful re-map, and a different error is logged at once.

@@ -14,17 +14,21 @@ package main
 // Vantages beyond the default (-l) spin up lazily on the first
 // from=<host> query: the shared fragment cache, graph, and CSR snapshot
 // are already warm, so a new vantage costs one mapping run, not a
-// re-parse. Each vantage keeps its own hot-swappable store; a source
-// edit re-maps the resident vantages and swaps all their stores.
+// re-parse. Each vantage keeps its own hot-swappable store. A source
+// edit re-maps the default vantage and swaps its store first; only then
+// are the other resident vantages re-mapped and their stores swapped,
+// and the image published.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pathalias/internal/atomicfile"
@@ -47,14 +51,19 @@ type mapWatcher struct {
 	local string // folded default vantage name
 	paths []string
 
-	// mu guards stores and is held across a lazy store's compute+register
-	// and across remap's swap pass, so the two cannot interleave: without
-	// that, a store built from a pre-edit Result could register just
-	// after the swap pass skipped its (then absent) entry and pin stale
-	// routes until the next edit. Lock order is mu before the engine's
-	// internal lock (both paths call eng.ResultFor while holding mu).
-	mu     sync.Mutex
-	stores map[string]*routedb.Store
+	// stores is the registry of from= vantage stores, read without a
+	// lock: a query loads the map, and a spin-up or an eviction stores a
+	// changed copy. A resident vantage's store object stays the same for
+	// its life; a re-map swaps the database inside it.
+	stores atomic.Pointer[map[string]*routedb.Store]
+
+	// mu is held across a lazy store's compute+register and across
+	// remap's swap pass, so the two cannot interleave: without that, a
+	// store built from a pre-edit Result could register just after the
+	// swap pass skipped its (then absent) entry and pin stale routes
+	// until the next edit. Lock order is mu before the engine's internal
+	// lock (both paths call the engine while holding mu).
+	mu sync.Mutex
 
 	// gens records the RouteGen each store (the default under the local
 	// host's name) was last built from, so a re-map that did not change a
@@ -81,6 +90,10 @@ type mapWatcher struct {
 	// lastErr is the message of the last failed re-map poll logged,
 	// "" after a success; only the watch loop touches it.
 	lastErr string
+
+	// passHook, when set (by tests), runs at the start of remap's swap
+	// pass, with mu held.
+	passHook func()
 }
 
 // newMapWatcher builds the engine and performs the initial full map
@@ -104,15 +117,15 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 		return nil, err
 	}
 	w := &mapWatcher{
-		d:      d,
-		eng:    eng,
-		local:  localHost,
-		paths:  paths,
-		stores: make(map[string]*routedb.Store),
-		gens:   make(map[string]uint64),
-		odb:    odb,
-		ready:  make(chan struct{}),
+		d:     d,
+		eng:   eng,
+		local: localHost,
+		paths: paths,
+		gens:  make(map[string]uint64),
+		odb:   odb,
+		ready: make(chan struct{}),
 	}
+	w.stores.Store(&map[string]*routedb.Store{})
 	d.vantage = w.storeFor
 	wopts := whatif.Options{FoldCase: d.opts.FoldCase}
 	if d.metrics != nil {
@@ -163,11 +176,10 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 // /stats: the default store under the -l host's name plus every
 // lazily-registered vantage store.
 func (w *mapWatcher) residentCounts() map[string]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[string]int, len(w.stores)+1)
+	stores := *w.stores.Load()
+	out := make(map[string]int, len(stores)+1)
 	out[w.local] = w.d.store.Len()
-	for name, st := range w.stores {
+	for name, st := range stores {
 		out[name] = st.Len()
 	}
 	return out
@@ -183,25 +195,32 @@ func (w *mapWatcher) fold(host string) string {
 }
 
 // storeFor serves a from=<host> query: the default store for the -l
-// vantage, an existing per-vantage store, or a lazily created one (the
+// vantage, an existing per-vantage store (found without a lock, so a
+// re-map in progress never delays it), or a lazily created one (the
 // first query for a vantage computes it over the already-warm shared
-// engine state).
+// engine state). A new store is built With the default store's
+// database, whose index it shares when the host columns match.
 func (w *mapWatcher) storeFor(from string) (*routedb.Store, error) {
 	from = w.fold(from)
 	if from == w.local {
 		return w.d.store, nil
 	}
+	if st := (*w.stores.Load())[from]; st != nil {
+		return st, nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if st := w.stores[from]; st != nil {
-		return st, nil
+	if st := (*w.stores.Load())[from]; st != nil {
+		return st, nil // another query spun it up first
 	}
 	res, err := w.eng.ResultFor(from)
 	if err != nil {
 		return nil, fmt.Errorf("vantage %s: %w", from, err)
 	}
-	st := routedb.NewStore(routedb.BuildWith(res.Entries, w.d.opts))
-	w.stores[from] = st
+	st := routedb.NewStore(w.d.store.DB().With(res.Entries, w.d.opts))
+	stores := maps.Clone(*w.stores.Load())
+	stores[from] = st
+	w.stores.Store(&stores)
 	w.gens[from] = res.RouteGen
 	w.d.logf("vantage %s: %d routes (lazy spin-up)", from, st.Len())
 	return st, nil
@@ -210,10 +229,14 @@ func (w *mapWatcher) storeFor(from string) (*routedb.Store, error) {
 // remap runs the engine over the current file contents and swaps every
 // resident vantage's store. The engine compares each file with the
 // source it last scanned and rescans only the changed statements, so
-// calling this on suspicion is cheap. Every effective generation
+// calling this on suspicion is cheap. The default answer waits only for
+// its own work: the engine's Update maps the default vantage alone, and
+// its store swaps (the serve point) before the other resident vantages
+// are re-mapped (Refresh) and their stores swapped; the image is
+// published last. Each store is rebuilt With its predecessor, which
+// keeps the index when no host name moved. Every effective generation
 // records a stage trace (obs.Trace) in the daemon's ring: where the
-// wall time went — read, scan, patch, snapshot, map, store swaps,
-// publish — plus the shape of the change.
+// wall time went, plus the shape of the change.
 func (w *mapWatcher) remap() error {
 	start := time.Now()
 	ins, err := core.ReadInputs(w.paths)
@@ -225,10 +248,12 @@ func (w *mapWatcher) remap() error {
 	if err := w.eng.Update(ins); err != nil {
 		return err
 	}
-	stats := w.eng.Stats()
-	if w.d.swaps.Load() > 0 && stats.Unchanged > statsBefore.Unchanged {
+	if w.d.swaps.Load() > 0 && w.eng.Stats().Unchanged > statsBefore.Unchanged {
 		return nil // identical inputs: nothing to swap, no generation
 	}
+	// The scan-to-map stages are Update's alone; the Refresh below adds
+	// only LabelsChanged to the trace.
+	timing := w.eng.Timing()
 
 	// Swap the default store, then every resident vantage's — each
 	// vantage independently: one whose host vanished (including the
@@ -237,9 +262,10 @@ func (w *mapWatcher) remap() error {
 	// storeFor cannot register a pre-edit store the pass would miss.
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.passHook != nil {
+		w.passHook()
+	}
 	storeMark := time.Now()
-	var pubDur, compileDur time.Duration
-	published := false
 	routes := 0
 	skipped := 0
 	res, defErr := w.eng.ResultFor(w.local)
@@ -253,7 +279,7 @@ func (w *mapWatcher) remap() error {
 			routes = w.d.store.Len()
 			skipped++
 		} else {
-			db := routedb.BuildWith(res.Entries, w.d.opts)
+			db := w.d.store.DB().With(res.Entries, w.d.opts)
 			routes = db.Len()
 			w.d.store.Swap(db)
 			w.gens[w.local] = res.RouteGen
@@ -267,6 +293,49 @@ func (w *mapWatcher) remap() error {
 		w.d.warnf("vantage %s (default): %v (still serving previous database)", w.local, defErr)
 	}
 	defDur := time.Since(storeMark)
+
+	refreshMark := time.Now()
+	w.eng.Refresh()
+	refreshDur := time.Since(refreshMark)
+
+	vantMark := time.Now()
+	stores := *w.stores.Load()
+	kept := make(map[string]*routedb.Store, len(stores))
+	swapped := 0
+	for _, from := range w.eng.Vantages() {
+		st := stores[from]
+		if st == nil {
+			continue // default (has its own store above) or never queried
+		}
+		kept[from] = st
+		vres, err := w.eng.ResultFor(from)
+		if err != nil {
+			w.d.warnf("vantage %s: %v (still serving previous database)", from, err)
+			continue
+		}
+		if vres.RouteGen == w.gens[from] {
+			skipped++ // entries unchanged: the current store is exact
+			continue
+		}
+		st.Swap(st.DB().With(vres.Entries, w.d.opts))
+		w.gens[from] = vres.RouteGen
+		swapped++
+	}
+	// Stores of evicted vantages are dropped; a later query re-creates
+	// both the vantage and its store.
+	if len(kept) < len(stores) {
+		for name := range stores {
+			if kept[name] == nil {
+				delete(w.gens, name)
+			}
+		}
+		w.stores.Store(&kept)
+	}
+	vantDur := time.Since(vantMark)
+	storeDur := time.Since(storeMark)
+
+	var pubDur, compileDur time.Duration
+	published := false
 	if w.odb != "" && defErr == nil && (!w.pubOK || res.RouteGen != w.pubGen) {
 		pubMark := time.Now()
 		var err error
@@ -278,48 +347,17 @@ func (w *mapWatcher) remap() error {
 		pubDur = time.Since(pubMark)
 	}
 
-	vantMark := time.Now()
-	resident := w.eng.Vantages()
-	live := make(map[string]bool, len(resident))
-	swapped := 0
-	for _, from := range resident {
-		live[from] = true
-		st := w.stores[from]
-		if st == nil {
-			continue // default (has its own store above) or never queried
-		}
-		vres, err := w.eng.ResultFor(from)
-		if err != nil {
-			w.d.warnf("vantage %s: %v (still serving previous database)", from, err)
-			continue
-		}
-		if vres.RouteGen == w.gens[from] {
-			skipped++ // entries unchanged: the current store is exact
-			continue
-		}
-		st.Swap(routedb.BuildWith(vres.Entries, w.d.opts))
-		w.gens[from] = vres.RouteGen
-		swapped++
-	}
-	vantDur := time.Since(vantMark)
-	// Stores of evicted vantages are dropped; a later query re-creates
-	// both the vantage and its store.
-	for name := range w.stores {
-		if !live[name] {
-			delete(w.stores, name)
-			delete(w.gens, name)
-		}
-	}
-
+	// Read after the vantage pass, so the Refresh's runs count.
+	stats := w.eng.Stats()
+	timing.LabelsChanged = w.eng.Timing().LabelsChanged
 	warm := stats.Incremental - statsBefore.Incremental
 	full := stats.FullRemaps - statsBefore.FullRemaps
-	storeDur := time.Since(storeMark) - pubDur
 	wall := time.Since(start)
 	w.d.logf("mapped %d routes from %d files (+%d vantage stores, %d unchanged; %d warm/%d full re-maps) in %v",
 		routes, len(w.paths), swapped, skipped, warm, full, wall.Round(time.Millisecond))
-	storeStage := obs.Stage{Name: "store", Dur: storeDur, Note: fmt.Sprintf("default %v + %d vantage stores %v",
-		defDur.Round(time.Microsecond), swapped, vantDur.Round(time.Microsecond))}
-	pubStage := obs.Stage{Name: "publish", Dur: pubDur}
+	storeStage := obs.Stage{Name: obs.StageStore, Dur: storeDur, Note: fmt.Sprintf("default %v + vantages map %v + %d stores %v",
+		defDur.Round(time.Microsecond), refreshDur.Round(time.Microsecond), swapped, vantDur.Round(time.Microsecond))}
+	pubStage := obs.Stage{Name: obs.StagePublish, Dur: pubDur}
 	if pubDur > 0 {
 		pubStage.Note = fmt.Sprintf("compile %v + write/fsync %v",
 			compileDur.Round(time.Microsecond), (pubDur - compileDur).Round(time.Microsecond))
@@ -328,28 +366,28 @@ func (w *mapWatcher) remap() error {
 	for _, in := range ins {
 		srcBytes += len(in.Src)
 	}
-	w.recordTrace(start, wall, readDur, srcBytes, storeStage, pubStage, published, warm, full, routes, skipped)
+	w.recordTrace(start, wall, readDur, srcBytes, timing, storeStage, pubStage, published, warm, full, routes, skipped)
 	return defErr
 }
 
-// recordTrace assembles the generation's stage trace. The engine's
-// per-phase timing (scan/patch/snapshot/map) is read after the swap
-// pass so lazy vantage catch-ups count into the map sums; whatever the
-// named stages do not account for — scheduling, logging, bookkeeping —
-// is closed out as an explicit "other" stage, so the stages always sum
-// to the generation's wall time. store and publish are timed (and
-// annotated) by the caller; srcBytes is the size of all sources read.
-func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, srcBytes int, store, publish obs.Stage, published bool, warm, full, routes, storesUnchanged int) {
+// recordTrace assembles the generation's stage trace. timing is the
+// engine's per-phase timing of the Update (scan/patch/snapshot/map:
+// the default vantage's mapping), with LabelsChanged read after the
+// vantage pass; whatever the named stages do not account for —
+// scheduling, logging, bookkeeping — is closed out as an explicit
+// "other" stage, so the stages always sum to the generation's wall
+// time. store and publish are timed (and annotated) by the caller;
+// srcBytes is the size of all sources read.
+func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, srcBytes int, timing remap.UpdateTiming, store, publish obs.Stage, published bool, warm, full, routes, storesUnchanged int) {
 	if w.d.traces == nil {
 		return
 	}
-	timing := w.eng.Timing()
 	stages := []obs.Stage{
-		{Name: "read", Dur: readDur},
-		{Name: "scan", Dur: timing.Scan, Note: fmt.Sprintf("rescanned %d of %d bytes", timing.BytesRescanned, srcBytes)},
-		{Name: "patch", Dur: timing.Patch},
-		{Name: "snapshot", Dur: timing.Snapshot, Note: snapshotNote(timing)},
-		{Name: "map", Dur: timing.Map, Note: fmt.Sprintf("across vantages: mapping %v + route derivation %v",
+		{Name: obs.StageRead, Dur: readDur},
+		{Name: obs.StageScan, Dur: timing.Scan, Note: fmt.Sprintf("rescanned %d of %d bytes", timing.BytesRescanned, srcBytes)},
+		{Name: obs.StagePatch, Dur: timing.Patch},
+		{Name: obs.StageSnapshot, Dur: timing.Snapshot, Note: snapshotNote(timing)},
+		{Name: obs.StageMap, Dur: timing.Map, Note: fmt.Sprintf("default vantage: mapping %v + route derivation %v",
 			timing.MapSum.Round(time.Microsecond), timing.RouteSum.Round(time.Microsecond))},
 		store,
 		publish,
@@ -359,7 +397,7 @@ func (w *mapWatcher) recordTrace(start time.Time, wall, readDur time.Duration, s
 		accounted += s.Dur
 	}
 	if other := wall - accounted; other > 0 {
-		stages = append(stages, obs.Stage{Name: "other", Dur: other})
+		stages = append(stages, obs.Stage{Name: obs.StageOther, Dur: other})
 	}
 	tr := &obs.Trace{
 		Gen:             w.eng.Generation(),

@@ -252,8 +252,9 @@ func TestReadyzLifecycle(t *testing.T) {
 }
 
 // TestTraceStageNotes checks that the store and publish stages say
-// where their time went: the default store build against the vantage
-// store builds, and the image compile against the write and fsync.
+// where their time went: the default store build against the other
+// vantages' mapping and their store builds, and the image compile
+// against the write and fsync.
 func TestTraceStageNotes(t *testing.T) {
 	dir := t.TempDir()
 	mapPath := filepath.Join(dir, "test.map")
@@ -282,7 +283,7 @@ func TestTraceStageNotes(t *testing.T) {
 		t.Fatal("edit published no image")
 	}
 	notes := map[string]*regexp.Regexp{
-		"store":   regexp.MustCompile(`^default \S+ \+ 1 vantage stores \S+$`),
+		"store":   regexp.MustCompile(`^default \S+ \+ vantages map \S+ \+ 1 stores \S+$`),
 		"publish": regexp.MustCompile(`^compile \S+ \+ write/fsync \S+$`),
 	}
 	for _, s := range tr.Stages {

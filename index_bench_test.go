@@ -32,7 +32,8 @@ var editMapRoutes = sync.OnceValues(func() ([]printer.Entry, error) {
 
 // BenchmarkRouteIndex measures what one re-map costs per route table
 // after the routes are computed: indexing them into a serving store
-// (routedb.BuildWith), compiling that store into an rdb image
+// (routedb.BuildWith, or DB.With over the previous store when no host
+// name moved), compiling that store into an rdb image
 // (DB.WriteBinary), and validating the image at open
 // (routedb.OpenBinaryBytes). Recorded in BENCH_map.json.
 func BenchmarkRouteIndex(b *testing.B) {
@@ -50,6 +51,14 @@ func BenchmarkRouteIndex(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			routedb.BuildWith(entries, routedb.Options{})
+		}
+	})
+	b.Run("With", func(b *testing.B) {
+		moved := movedRoutes(entries)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			db.With(moved, routedb.Options{})
 		}
 	})
 	b.Run("WriteBinary", func(b *testing.B) {
@@ -91,5 +100,53 @@ func TestBuildWithAllocs(t *testing.T) {
 	t.Logf("BuildWith over %d routes: %d B/op", len(entries), got)
 	if got >= maxBuildBytes {
 		t.Errorf("BuildWith allocates %d B/op over %d routes, at or over %d: it copies the entries", got, len(entries), maxBuildBytes)
+	}
+}
+
+// movedRoutes returns a copy of entries with every route and cost
+// changed and the host column kept: what a re-map that moved routes
+// but no host name hands the stores.
+func movedRoutes(entries []printer.Entry) []printer.Entry {
+	out := make([]printer.Entry, len(entries))
+	for i, e := range entries {
+		out[i] = printer.Entry{Host: e.Host, Route: "x!" + e.Route, Cost: e.Cost + 1}
+	}
+	return out
+}
+
+// TestWithAllocs guards the store rebuild of a route-only edit: on the
+// 50k edit map (~77k routes), DB.With over the previous store with the
+// host column unchanged shares its slot table and suffix trie and
+// allocates under maxWithBytes, where an index build takes ~1 MB. The
+// new store answers and compiles exactly as BuildWith's. It compares
+// allocated bytes, not times, so a loaded machine cannot flake it.
+func TestWithAllocs(t *testing.T) {
+	const maxWithBytes = 64 << 10
+	entries, err := editMapRoutes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := routedb.BuildWith(entries, routedb.Options{})
+	moved := movedRoutes(entries)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			prev.With(moved, routedb.Options{})
+		}
+	})
+	got := r.AllocedBytesPerOp()
+	t.Logf("With over %d routes, host column unchanged: %d B/op", len(entries), got)
+	if got >= maxWithBytes {
+		t.Errorf("With allocates %d B/op over an unchanged host column of %d routes, at or over %d: it rebuilt the index", got, len(entries), maxWithBytes)
+	}
+	var a, b bytes.Buffer
+	if _, err := prev.With(moved, routedb.Options{}).WriteBinary(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := routedb.BuildWith(moved, routedb.Options{}).WriteBinary(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("the image of a store built With the previous one differs from BuildWith's")
 	}
 }

@@ -49,7 +49,7 @@ func (m *machine) popMin() *label {
 	}
 	best := 0
 	for i := 1; i < len(m.scanQueue); i++ {
-		if m.less(m.scanQueue[i], m.scanQueue[best]) {
+		if labelLess(m.scanQueue[i], m.scanQueue[best]) {
 			best = i
 		}
 	}

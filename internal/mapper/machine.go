@@ -60,6 +60,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 
 	"pathalias/internal/cost"
 	"pathalias/internal/graph"
@@ -134,6 +135,15 @@ func (mc *Machine) snapshot() *graph.Snapshot {
 // Options returns the options the machine runs with.
 func (mc *Machine) Options() Options { return mc.mach.opts }
 
+// queuePools recycles drained bucket queues between machines, one pool
+// per geometry, indexed by shift-bucketShift (bucketGeometry only halves
+// the bucket count, down to minBuckets, raising the shift to match). A
+// machine that gives up its run state (ReleaseRunState: a what-if run,
+// on a clone or a fresh machine) returns its queue here, and the next
+// machine without one of the same geometry takes it instead of
+// allocating hundreds of kilobytes of bucket headers.
+var queuePools [geometries]sync.Pool
+
 // newQueue builds (or recycles) a bucket queue sized for the current
 // graph. The queue drains completely every run, so between runs only
 // the monotone cursor needs rewinding. The array baseline (RunArray)
@@ -151,11 +161,16 @@ func (mc *Machine) newQueue() {
 		m.queue.Reset()
 		return
 	}
+	m.queueGeom = [2]int{buckets, int(shift)}
+	if q, ok := queuePools[shift-bucketShift].Get().(*pqueue.BucketQueue[*label]); ok {
+		q.Reset()
+		m.queue = q
+		return
+	}
 	m.queue = pqueue.NewBucketQueue[*label](buckets, shift,
-		m.less,
+		labelLess,
 		func(lb *label) int64 { return int64(lb.cost) },
 		func(lb *label, b, i int) { lb.qb, lb.qi = int32(b), int32(i) })
-	m.queueGeom = [2]int{buckets, int(shift)}
 }
 
 // FullRun recomputes the complete shortest-path tree from source,
@@ -507,6 +522,9 @@ func (mc *Machine) Clone() *Machine {
 func (mc *Machine) ReleaseRunState() {
 	m := &mc.mach
 	m.kin = nil
+	if m.queue != nil && m.queue.Len() == 0 {
+		queuePools[m.queueGeom[1]-bucketShift].Put(m.queue)
+	}
 	m.queue = nil
 	m.changed, m.changedOld, m.changedMark = nil, nil, nil
 	m.revExtra, m.invStack, m.cands = nil, nil, nil

@@ -60,6 +60,9 @@ import (
 const (
 	bucketShift = 5
 	bucketCount = 1 << 14
+	minBuckets  = 1 << 10 // bucketGeometry's floor
+	// geometries counts the queue shapes bucketGeometry can return.
+	geometries = 5 // log2(bucketCount/minBuckets) + 1
 )
 
 // bucketGeometry shrinks the bucket count for small graphs — allocating
@@ -67,7 +70,7 @@ const (
 // the per-bucket cost span while keeping the same total range.
 func bucketGeometry(n int) (buckets int, shift uint) {
 	buckets, shift = bucketCount, bucketShift
-	for buckets > 1024 && buckets > 4*n {
+	for buckets > minBuckets && buckets > 4*n {
 		buckets >>= 1
 		shift++
 	}
@@ -464,14 +467,15 @@ func run(mc *Machine, source *graph.Node) (*Result, error) {
 	return res, nil
 }
 
-// less orders the priority queue: cost, then the packed tie key — which
+// labelLess orders the priority queue: cost, then the packed tie key — which
 // encodes (hop count, name rank, taint) in one integer — fully
 // deterministic for identical inputs, and independent of input file order
 // (rank follows name order, not creation order). Ties are common: map
 // costs come from a small symbolic vocabulary, so many labels share a
 // cost, and one packed compare beats three field compares in the queue's
-// hottest loop.
-func (m *machine) less(a, b *label) bool {
+// hottest loop. It reads only the two labels, so a queue built for one
+// machine serves any other (see queuePools).
+func labelLess(a, b *label) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
@@ -867,7 +871,7 @@ func (m *machine) winner(n *graph.Node) *label {
 		if lb.node == nil || lb.state != graph.Mapped {
 			continue
 		}
-		if best == nil || m.less(lb, best) {
+		if best == nil || labelLess(lb, best) {
 			best = lb
 		}
 	}

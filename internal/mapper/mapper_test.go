@@ -759,3 +759,19 @@ func BenchmarkMapPaper1981(b *testing.B) {
 		}
 	}
 }
+
+// TestBucketGeometries: every graph size gets one of the geometries
+// queuePools has a pool for.
+func TestBucketGeometries(t *testing.T) {
+	seen := map[uint]bool{}
+	for n := 0; n <= 2*bucketCount; n = 2*n + 1 {
+		b, shift := bucketGeometry(n)
+		if i := int(shift) - bucketShift; i < 0 || i >= geometries || b<<shift != bucketCount<<bucketShift {
+			t.Fatalf("n=%d: %d buckets of shift %d, outside the %d pooled geometries", n, b, shift, geometries)
+		}
+		seen[shift] = true
+	}
+	if len(seen) != geometries {
+		t.Errorf("sizes reach %d geometries, want %d", len(seen), geometries)
+	}
+}

@@ -7,6 +7,23 @@ import (
 	"time"
 )
 
+// The stage names of a re-map generation's trace, in the order a
+// generation runs them. Map is the mapping that comes before the
+// default store swaps: the default vantage's alone. Store covers the
+// default store's build and swap, the other resident vantages' mapping
+// and their stores' builds and swaps. Other is what the named stages
+// leave of the wall time.
+const (
+	StageRead     = "read"
+	StageScan     = "scan"
+	StagePatch    = "patch"
+	StageSnapshot = "snapshot"
+	StageMap      = "map"
+	StageStore    = "store"
+	StagePublish  = "publish"
+	StageOther    = "other"
+)
+
 // Stage is one timed step of a re-map generation.
 type Stage struct {
 	Name string        `json:"name"`

@@ -253,10 +253,12 @@ type UpdateTiming struct {
 	Scan     time.Duration // diff inputs, rescan the changed ones
 	Patch    time.Duration // journal patch / rebuild
 	Snapshot time.Duration // CSR snapshot (with its reverse adjacency, when patched) + change history + warnings
-	Map      time.Duration // vantage mapping + route derivation, wall
+	Map      time.Duration // default vantage mapping + route derivation inside Update, wall
 
-	// MapSum and RouteSum split Map by work kind, summed across
-	// vantages — with parallel recomputes they can exceed the Map wall.
+	// MapSum and RouteSum split the mapping work by kind, summed across
+	// every vantage recomputed since the update began: the default in
+	// Update, the others in Refresh or a catching-up ResultFor. They
+	// can exceed the Map wall, which covers the default alone.
 	MapSum   time.Duration
 	RouteSum time.Duration
 

@@ -49,13 +49,15 @@ func NewMulti(opts Options) (*Multi, error) {
 }
 
 // Update brings the shared state to the given input set — always the
-// complete set, not a delta — and recomputes every resident vantage, so
-// serving layers can hot-swap their per-vantage stores immediately.
-// Per-vantage mapping failures (a vantage host edited out of the map)
-// do not fail the update; they surface on that vantage's ResultFor. An
-// input set with syntax errors changes nothing and returns its
-// *parser.ParseError; the same set again (compared byte for byte)
-// returns that same error without a scan.
+// complete set, not a delta — and recomputes the pinned default vantage
+// (Options.LocalHost), so a serving layer can swap its default store
+// as soon as Update returns. Other resident vantages fall stale: Refresh
+// recomputes them, and ResultFor catches up any that Refresh has not
+// reached. Per-vantage mapping failures (a vantage host edited out of
+// the map) do not fail the update; they surface on that vantage's
+// ResultFor. An input set with syntax errors changes nothing and
+// returns its *parser.ParseError; the same set again (compared byte for
+// byte) returns that same error without a scan.
 func (m *Multi) Update(inputs []Input) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -63,9 +65,23 @@ func (m *Multi) Update(inputs []Input) error {
 		return err
 	}
 	mark := time.Now()
-	m.recomputeAllLocked()
+	if v := m.vans[m.def]; v != nil && !m.cachedLocked(v) {
+		res, recomputed, err := v.resolve(m.e)
+		m.countRun(res, recomputed, err)
+	}
 	m.e.timing.Map = time.Since(mark)
 	return nil
+}
+
+// Refresh recomputes every resident vantage that the last Update left
+// stale, in parallel, so that each answers ResultFor from its cache.
+// Its mapping work adds to Timing's MapSum, RouteSum and LabelsChanged
+// and to the Stats counters, not to Timing's Map wall, which is
+// Update's alone.
+func (m *Multi) Refresh() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recomputeAllLocked()
 }
 
 // recomputeAllLocked refreshes every stale resident vantage. Machines

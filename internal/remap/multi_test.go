@@ -216,11 +216,79 @@ func TestMultiLazyCatchUp(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		// The default vantage tracks every update (Update recomputes
-		// resident vantages eagerly); host3 is only re-checked every
+		// it eagerly); host3 is only re-checked every
 		// fourth step and must catch up across the missed generations.
 		checkVantage(t, m, opts, inputs, local, fmt.Sprintf("step %d default", step))
 		if step%4 == 3 {
 			checkVantage(t, m, opts, inputs, "host3", fmt.Sprintf("step %d lazy", step))
+		}
+	}
+}
+
+// TestMultiUpdateThenRefresh: Update recomputes the default vantage
+// alone and leaves the other resident vantages stale; Refresh brings
+// every one of them to the current generation, each byte-identical to a
+// fresh run, so that ResultFor then answers from cache.
+func TestMultiUpdateThenRefresh(t *testing.T) {
+	cfg := mapgen.Small()
+	cfg.CoreFiles = 3
+	pins, local := mapgen.Generate(cfg)
+	opts := Options{LocalHost: local}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := toInputs(pins)
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	others := []string{"host3", "host5", "host8"}
+	for _, h := range others {
+		if _, err := m.ResultFor(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := func() []string {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		var out []string
+		for h, v := range m.vans {
+			if m.cachedLocked(v) {
+				out = append(out, h)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	runs := func() int { s := m.Stats(); return s.Incremental + s.FullRemaps }
+
+	rng := rand.New(rand.NewSource(7))
+	var mu mutator
+	for step := 0; step < 6; step++ {
+		inputs, _ = mutateMap(rng, inputs, &mu)
+		before := runs()
+		if err := m.Update(inputs); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got := fresh(); !slices.Equal(got, []string{local}) {
+			t.Fatalf("step %d: after Update the fresh vantages are %v, want only the default %s", step, got, local)
+		}
+		if got := runs() - before; got != 1 {
+			t.Fatalf("step %d: Update ran %d vantages, want 1", step, got)
+		}
+		m.Refresh()
+		if got := fresh(); len(got) != len(others)+1 {
+			t.Fatalf("step %d: after Refresh the fresh vantages are %v, want all %d", step, got, len(others)+1)
+		}
+		if got := runs() - before; got != len(others)+1 {
+			t.Fatalf("step %d: Update and Refresh ran %d vantages, want %d", step, got, len(others)+1)
+		}
+		after := runs()
+		for _, h := range append([]string{local}, others...) {
+			checkVantage(t, m, opts, inputs, h, fmt.Sprintf("step %d", step))
+		}
+		if got := runs(); got != after {
+			t.Fatalf("step %d: ResultFor after Refresh ran %d vantages, want none", step, got-after)
 		}
 	}
 }
@@ -247,10 +315,11 @@ func TestMultiRepeatedNames(t *testing.T) {
 	if err := m.Update(dup); err != nil {
 		t.Fatal(err)
 	}
+	m.Refresh()
 	if p := m.Timing().Path; p != "rebuild" {
 		t.Errorf("repeated name: path %q, want rebuild", p)
 	}
-	// The update re-mapped the three resident vantages, and counted them.
+	// The refresh re-mapped the three resident vantages, and counted them.
 	if got := m.Stats().FullRemaps; got != full+3 {
 		t.Errorf("repeated name: %d full re-maps counted, want 3", got-full)
 	}

@@ -10,11 +10,13 @@ import (
 // BenchmarkWarmEditVantages times the layers of a warm edit on the 50k
 // edit map with the default vantage and three from= vantages resident
 // (host23, host19, host28): alternating mid-file cost edits, as in
-// BenchmarkStmtPatchMidFile, each a warm re-map of all four vantages.
-// Per update it reports the snapshot stage (UpdateTiming.Snapshot: the
-// patched CSR snapshot and its patched reverse adjacency), the map
-// stage's wall time (UpdateTiming.Map), and the mapping and route
-// derivation work summed across the vantages (MapSum, RouteSum).
+// BenchmarkStmtPatchMidFile, each an Update (warm re-map of the
+// default) and a Refresh (warm re-map of the other three). Per edit it
+// reports the snapshot stage (UpdateTiming.Snapshot: the patched CSR
+// snapshot and its patched reverse adjacency), the map stage's wall
+// time (UpdateTiming.Map: the default's), the Refresh's wall time, and
+// the mapping and route derivation work summed across the four
+// vantages (MapSum, RouteSum).
 //
 //	go test -run '^$' -bench WarmEditVantages -benchtime 100x ./internal/remap/
 func BenchmarkWarmEditVantages(b *testing.B) {
@@ -39,11 +41,15 @@ func BenchmarkWarmEditVantages(b *testing.B) {
 			b.Fatal("no mid-file link to edit")
 		}
 	}
+	var refresh time.Duration
 	update := func(i int) UpdateTiming {
 		inputs[file].Src = srcs[i%2]
 		if err := m.Update(inputs); err != nil {
 			b.Fatal(err)
 		}
+		mark := time.Now()
+		m.Refresh()
+		refresh += time.Since(mark)
 		return m.Timing()
 	}
 	// Two edits before timing: the first warm runs build the reverse
@@ -51,6 +57,7 @@ func BenchmarkWarmEditVantages(b *testing.B) {
 	update(0)
 	update(1)
 	var snap, mapWall, mapSum, routeSum time.Duration
+	refresh = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm := update(i)
@@ -62,6 +69,7 @@ func BenchmarkWarmEditVantages(b *testing.B) {
 	per := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 	b.ReportMetric(per(snap), "snapshot-ms")
 	b.ReportMetric(per(mapWall), "map-ms")
+	b.ReportMetric(per(refresh), "refresh-ms")
 	b.ReportMetric(per(mapSum), "mapsum-ms")
 	b.ReportMetric(per(routeSum), "routesum-ms")
 }

@@ -115,3 +115,35 @@ func newMemBacking(es []Entry) *memBacking {
 	}
 	return m
 }
+
+// With returns an index over entries under opts. When r is an
+// in-memory index over canonical input, built under the same options,
+// and entries carry exactly its names in its order — what a re-map that
+// moved routes but no host produces — then entries are canonical too,
+// and the new index shares r's slot table and suffix trie: identical
+// names give identical slots and trie entry indices, so only one
+// read-only comparison pass is paid and an image compiled from either
+// index is the same. In every other case, a mapped backing included,
+// it is New(entries, opts). Like New, it never writes entries and
+// may retain them.
+func (r *Resolver) With(entries []Entry, opts Options) *Resolver {
+	m, ok := r.b.(*memBacking)
+	if !ok || !m.canon || r.opts != opts || !sameHosts(m.entries, entries) {
+		return New(entries, opts)
+	}
+	return NewBacked(&memBacking{entries: entries, slots: m.slots, suffix: m.suffix, canon: true}, opts)
+}
+
+// sameHosts reports whether a and b carry the same names in the same
+// order.
+func sameHosts(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Host != b[i].Host {
+			return false
+		}
+	}
+	return true
+}

@@ -150,7 +150,9 @@ func checkAgainst(t *testing.T, what string, r *resolver.Resolver, ref *naiveInd
 // same bytes as compiling the raw entries. Neither New nor Compile may
 // write the entries they are given (the seeds hold unsorted, duplicate,
 // trailing-dot and, under FoldCase, upper-case names), and New indexes
-// canonical entries in place.
+// canonical entries in place. With over a built index or an image
+// answers and compiles like New, and shares the index's slot table
+// exactly when the names and options match.
 func FuzzIndexBuild(f *testing.F) {
 	for _, seed := range []string{
 		"\x00",
@@ -202,7 +204,66 @@ func FuzzIndexBuild(f *testing.F) {
 		if again, err := rdb.CompileResolver(mapped); err != nil || !bytes.Equal(again, img) {
 			t.Fatalf("recompiling the image's index differs (err %v)", err)
 		}
+
+		// With over the built index and over the image: entries that
+		// keep the names of an index over canonical input (new routes
+		// and costs) share its slot table under the same options; other
+		// names or options, an index New had to canonicalize, and the
+		// image build afresh. Every result answers, and compiles, as New
+		// over the same entries.
+		prev := r.Entries()
+		inPlace := len(es) > 0 && &prev[0] == &es[0]
+		other := opts
+		other.FoldCase = !other.FoldCase
+		for _, v := range []struct {
+			what string
+			base *resolver.Resolver
+			es   []resolver.Entry
+			opts resolver.Options
+		}{
+			{"same names", r, rerouted(prev), opts},
+			{"same names, other options", r, rerouted(prev), other},
+			{"raw entries", r, es, opts},
+			{"one name fewer", r, rerouted(prev[min(1, len(prev)):]), opts},
+			{"image", mapped, rerouted(prev), opts},
+		} {
+			orig := slices.Clone(v.es)
+			w := v.base.With(v.es, v.opts)
+			if !slices.Equal(v.es, orig) {
+				t.Fatalf("With (%s) wrote its input", v.what)
+			}
+			checkAgainst(t, "With ("+v.what+")", w, newNaiveIndex(v.es, v.opts), queries(v.es))
+			want, err := rdb.CompileResolver(resolver.New(v.es, v.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := rdb.CompileResolver(w); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("With (%s) compiles unlike New (err %v)", v.what, err)
+			}
+			_, ws := w.Index()
+			_, rs := r.Index()
+			shared := len(ws) > 0 && len(rs) > 0 && &ws[0] == &rs[0]
+			wantShared := inPlace && v.base == r && v.opts == opts && sameHosts(v.es, prev)
+			if shared != wantShared {
+				t.Fatalf("With (%s) shares the slot table: %v, want %v", v.what, shared, wantShared)
+			}
+		}
 	})
+}
+
+// rerouted returns es with every route and cost changed and the names
+// kept.
+func rerouted(es []resolver.Entry) []resolver.Entry {
+	out := slices.Clone(es)
+	for i := range out {
+		out[i].Route = "via!" + out[i].Route
+		out[i].Cost++
+	}
+	return out
+}
+
+func sameHosts(a, b []resolver.Entry) bool {
+	return slices.EqualFunc(a, b, func(x, y resolver.Entry) bool { return x.Host == y.Host })
 }
 
 func equalEntries(a, b []resolver.Entry) bool {

@@ -141,6 +141,11 @@ type memBacking struct {
 	entries []Entry   // sorted by Host, unique
 	slots   []uint32  // exact-match table: entry index + 1, 0 = empty (see hashSlots)
 	suffix  *trieNode // reversed-label trie over leading-dot entries
+
+	// canon records that entries arrived canonical and are indexed in
+	// place. Names canonicalize made may not be: normalizeKey drops only
+	// one trailing dot, so "a.." becomes "a.", which is not normalized.
+	canon bool
 }
 
 // trieNode is one level of the reversed-label suffix trie. The entry
@@ -164,11 +169,12 @@ func newTrieNode() *trieNode {
 // as the index's storage, and the caller must not write it afterwards.
 // Anything else is copied, and the copy canonicalized.
 func New(entries []Entry, opts Options) *Resolver {
-	es := entries
-	if !canonical(es, opts.FoldCase) {
-		es = canonicalize(slices.Clone(es), opts.FoldCase)
+	if canonical(entries, opts.FoldCase) {
+		m := newMemBacking(entries)
+		m.canon = true
+		return NewBacked(m, opts)
 	}
-	return NewBacked(newMemBacking(es), opts)
+	return NewBacked(newMemBacking(canonicalize(slices.Clone(entries), opts.FoldCase)), opts)
 }
 
 // NewBacked wraps an existing index — typically a mapped route database

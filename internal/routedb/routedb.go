@@ -62,6 +62,16 @@ func BuildWith(entries []Entry, opts Options) *DB {
 	return &DB{r: resolver.New(entries, opts)}
 }
 
+// With indexes entries under opts like BuildWith, reusing db's
+// exact-match table and suffix trie when db is an in-memory database
+// built under opts and entries carry exactly its host names in its
+// order (see resolver.Resolver.With): a route edit that moved no host
+// name then costs one comparison pass, not an index build. The result
+// answers, and compiles to an image, exactly as BuildWith's would.
+func (db *DB) With(entries []Entry, opts Options) *DB {
+	return &DB{r: db.r.With(entries, opts)}
+}
+
 // Load reads a linear route file: either "host\troute" or
 // "cost\thost\troute" lines (the two pathalias output formats). Blank
 // lines and #-comments are ignored.

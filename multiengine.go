@@ -90,7 +90,7 @@ func (e *MultiEngine) Update(inputs ...Input) error {
 	for i, in := range inputs {
 		rins[i] = remap.Input{Name: in.Name, Src: in.Text}
 	}
-	return e.eng.Update(rins)
+	return e.update(rins)
 }
 
 // UpdateFiles reads the named files into memory and updates from them.
@@ -102,7 +102,17 @@ func (e *MultiEngine) UpdateFiles(paths ...string) error {
 	if err != nil {
 		return err
 	}
-	return e.eng.Update(ins)
+	return e.update(ins)
+}
+
+// update runs the engine's Update, which recomputes the default
+// vantage, then its Refresh, which recomputes the other resident ones.
+func (e *MultiEngine) update(ins []remap.Input) error {
+	if err := e.eng.Update(ins); err != nil {
+		return err
+	}
+	e.eng.Refresh()
+	return nil
 }
 
 // ResultFrom returns the routes originating at the given vantage host,

@@ -1,6 +1,9 @@
 package pathalias
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -189,5 +192,68 @@ func TestMultiEngineNoDefault(t *testing.T) {
 	}
 	if _, ok := res.Lookup("unc"); !ok {
 		t.Error("duke vantage should route to unc")
+	}
+}
+
+// TestMultiEngineUpdateRefreshesResident: Update and UpdateFiles leave
+// every resident vantage recomputed, not only the default, so the
+// ResultFrom calls after them run no mapping and answer like a fresh Run.
+func TestMultiEngineUpdateRefreshesResident(t *testing.T) {
+	opts := Options{LocalHost: "unc"}
+	eng, err := NewMultiEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vantages := []string{"unc", "duke", "ucbvax", "phs"}
+	if err := eng.Update(Input{Name: "m.map", Text: multiTestMap}); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range vantages {
+		if _, err := eng.ResultFrom(from); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := func() int { s := eng.Stats(); return s.Incremental + s.FullRemaps }
+	path := filepath.Join(t.TempDir(), "m.map")
+	edits := []string{
+		strings.Replace(multiTestMap, "duke(HOURLY)", "duke(WEEKLY)", 1),
+		strings.Replace(multiTestMap, "ucbvax(DEMAND)", "ucbvax(DAILY*3)", 1),
+	}
+	for i, text := range edits {
+		before := runs()
+		if i == 0 {
+			err = eng.Update(Input{Name: "m.map", Text: text})
+		} else if err = os.WriteFile(path, []byte(text), 0o644); err == nil {
+			err = eng.UpdateFiles(path)
+		}
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if got := runs() - before; got != len(vantages) {
+			t.Errorf("edit %d: the update ran %d vantages, want every resident one (%d)", i, got, len(vantages))
+		}
+		after := runs()
+		for _, from := range vantages {
+			got, err := eng.ResultFrom(from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vopts := opts
+			vopts.LocalHost = from
+			name := "m.map"
+			if i > 0 {
+				name = path
+			}
+			want, err := Run(vopts, Input{Name: name, Text: text})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprint(got.Routes), fmt.Sprint(want.Routes); g != w {
+				t.Errorf("edit %d [%s]: routes differ from a fresh Run\n got: %s\nwant: %s", i, from, g, w)
+			}
+		}
+		if got := runs() - after; got != 0 {
+			t.Errorf("edit %d: ResultFrom after the update ran %d vantages, want none", i, got)
+		}
 	}
 }
