@@ -45,47 +45,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	var db *routedb.DB
+	var err error
 	if fs.NArg() > 0 {
-		path := fs.Arg(0)
-		isBin, err := routedb.IsBinaryFile(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "mkdb: %v\n", err)
-			return 1
-		}
-		if isBin {
-			// Already compiled: load it (its header's fold option wins)
-			// so mkdb can convert back to text or re-emit. Conversion is
-			// the audit point, so run the deep checks the serving open
-			// path defers.
-			if db, err = routedb.OpenBinary(path); err != nil {
-				fmt.Fprintf(stderr, "mkdb: %v\n", err)
-				return 1
-			}
-			defer db.Close()
-			if err := db.DeepVerify(); err != nil {
-				fmt.Fprintf(stderr, "mkdb: %v\n", err)
-				return 1
-			}
-		} else {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintf(stderr, "mkdb: %v\n", err)
-				return 1
-			}
-			db, err = routedb.LoadWith(f, routedb.Options{FoldCase: *fold})
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "mkdb: %v\n", err)
-				return 1
-			}
-		}
+		db, err = routedb.Open(fs.Arg(0), routedb.Options{FoldCase: *fold})
 	} else {
-		var err error
 		db, err = routedb.LoadWith(stdin, routedb.Options{FoldCase: *fold})
-		if err != nil {
-			fmt.Fprintf(stderr, "mkdb: %v\n", err)
-			return 1
-		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "mkdb: %v\n", err)
+		return 1
+	}
+	defer db.Close()
+	// An image read back (its header's fold option wins) is the audit
+	// point: run the deep checks the serving open path defers.
+	if err := db.DeepVerify(); err != nil {
+		fmt.Fprintf(stderr, "mkdb: %v\n", err)
+		return 1
 	}
 
 	// Write the output, propagating every write AND close error: a full

@@ -175,7 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FoldCase:     *ignoreCase,
 		ParseWorkers: *workers,
 		Printer: printer.Options{
-			Costs:        *costs,
 			SortByCost:   *costs,
 			DomainsOnly:  *domainsOnly,
 			FirstHopCost: *firstHop,
@@ -206,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		out = f
 	}
-	if err := printer.Write(out, rep.Entries, cfg.Printer); err != nil {
+	if _, err := routedb.WriteText(out, rep.Entries, *costs); err != nil {
 		fmt.Fprintf(stderr, "pathalias: writing output: %v\n", err)
 		return 1
 	}

@@ -177,3 +177,57 @@ func TestBinaryWatchKeepsServingOnCorruption(t *testing.T) {
 		t.Errorf("old database not serving after failed reload: %v, %v", res, err)
 	}
 }
+
+// TestTextWatchServesEitherFormat: a -d daemon keeps serving while its
+// file is rewritten text → image → text → image, swapping in each
+// version whatever its format. Going back to a file the daemon read
+// before must still swap: each format's change memo counts only while
+// that format is the one last read.
+func TestTextWatchServesEitherFormat(t *testing.T) {
+	dir := t.TempDir()
+	path := writeRoutes(t, dir, testRoutes)
+	d, err := newDaemon(path, false, routedb.Options{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.audits.Wait)
+	stop := make(chan struct{})
+	reads := make(chan struct{})
+	go func() {
+		defer close(reads)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if res, err := d.store.Resolve("duke", "honey"); err != nil || res.Address() != "duke!honey" {
+				t.Errorf("read during rewrites: %v, %v", res, err)
+				return
+			}
+		}
+	}()
+	goWatch(t, func(ctx context.Context) { d.watch(ctx, 5*time.Millisecond) })
+	waitFor := func(what string, image bool, newhost bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			db := d.store.DB()
+			_, isImage := db.Binary()
+			if _, ok := db.Lookup("newhost"); isImage == image && ok == newhost {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never served", what)
+			}
+		}
+	}
+	image := testRoutes + "700\tnewhost\tduke!newhost!%s\n"
+	writeBinaryRoutes(t, dir, "routes.db", image)
+	waitFor("the image", true, true)
+	writeRoutes(t, dir, testRoutes)
+	waitFor("the original text", false, false)
+	writeBinaryRoutes(t, dir, "routes.db", image)
+	waitFor("the image again", true, true)
+	close(stop)
+	<-reads
+}

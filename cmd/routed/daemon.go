@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -32,8 +33,8 @@ import (
 // precompiled route file (-d) or by an incremental re-map engine over
 // map sources (-map; see mapwatch.go) — the serving side is identical.
 type daemon struct {
-	path   string // route file; "" in -map mode
-	binary bool   // path is a compiled rdb file (-db), mmap-served
+	path   string // route file, text or image (-d); "" in -map mode
+	binary bool   // path must be a compiled rdb image (-db)
 	opts   routedb.Options
 	store  *routedb.Store
 	logw   io.Writer
@@ -93,10 +94,16 @@ type daemon struct {
 	log    *slog.Logger
 	logLvl *slog.LevelVar
 
-	mu       sync.Mutex // guards reloads (watch loop + explicit reload)
-	lastText []byte     // text mode: the route file as the last reload read it
-	lastCRC  uint32     // binary mode: footer checksum of the image last served or rejected
-	loadedAt time.Time
+	// mu guards reloads (watch loop + explicit reload) and the memo of
+	// what the last one read: the text's bytes, or an image's footer
+	// checksum (served or rejected). lastImage says which memo holds.
+	mu        sync.Mutex
+	lastText  []byte
+	lastCRC   uint32
+	lastImage bool
+
+	// loadedAt and swaps record the default store's swaps (install).
+	loadedAt atomic.Pointer[time.Time]
 	swaps    atomic.Uint64
 }
 
@@ -104,11 +111,12 @@ type daemon struct {
 // for GET /lastmap?n= and post-hoc "why was that edit slow" questions.
 const traceRingSize = 64
 
-// newDaemon loads path into a fresh store. With binary, path is a
-// compiled route database (rdb): it is memory-mapped and served with no
-// parse — the instant-start mode — and hot reloads swap in a fresh
-// mapping, leaving old ones to the garbage collector once in-flight
-// lookups drain.
+// newDaemon loads path into a fresh store. A compiled route database
+// (rdb) is memory-mapped and served with no parse — the instant-start
+// mode — and hot reloads swap in a fresh mapping, leaving old ones to
+// the garbage collector once in-flight lookups drain. Without binary,
+// path may hold either format, and each reload tells which; with it,
+// path must hold an image.
 func newDaemon(path string, binary bool, opts routedb.Options, logw io.Writer) (*daemon, error) {
 	d := &daemon{path: path, binary: binary, opts: opts, store: routedb.NewStore(nil), logw: logw}
 	d.initTelemetry()
@@ -160,59 +168,79 @@ func (d *daemon) noteSlow(surface, req string, dur time.Duration) {
 		"dur", dur.Round(time.Microsecond).String(), "threshold", d.slowThresh.String())
 }
 
-// reload rebuilds the database from the route file and swaps it in,
-// unless the file holds the bytes the last reload read. Lookups proceed
-// against the old database until the swap. The bytes are kept even
-// when parsing fails, so a persistently malformed file is not
-// re-parsed on every watch wake-up — only when it changes again.
-// Comparing the bytes themselves, not a fingerprint, means no rewrite
-// can pass for the served content; the cost is one copy of the route
-// file kept in memory.
-//
-// In binary mode no parsing happens at all: the compiled file is
-// mapped, checksummed, and validated, and its own integrity checksum
-// tells an unchanged image. A superseded mapping is released by the
-// garbage collector once no in-flight lookup can hold it (routedb ties
-// the munmap to the old DB's reachability).
+// install swaps db in as the default database and records the swap:
+// the load time and swap count /stats reports, and the end of any
+// demotion. It returns the database db replaced.
+func (d *daemon) install(db *routedb.DB) (prev *routedb.DB) {
+	prev = d.store.Swap(db)
+	now := time.Now()
+	d.loadedAt.Store(&now)
+	d.swaps.Add(1)
+	d.demoted.Store(false)
+	return prev
+}
+
+// reload swaps in the route file's database, unless the file holds
+// what the last reload read. Lookups proceed against the old database
+// until the swap. The file's first bytes pick the format
+// (routedb.IsBinaryFile), unless -db already requires an image.
 func (d *daemon) reload() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.binary {
+	image := d.binary
+	if !image {
+		var err error
+		if image, err = routedb.IsBinaryFile(d.path); err != nil {
+			return err
+		}
+	}
+	if image {
 		return d.reloadBinaryLocked()
 	}
+	return d.reloadTextLocked()
+}
+
+// reloadTextLocked parses and indexes the linear route file and swaps
+// it in; d.mu must be held. The bytes are kept even when parsing
+// fails, so a persistently malformed file is not re-parsed on every
+// watch wake-up — only when it changes again. Comparing the bytes
+// themselves, not a fingerprint, means no rewrite can pass for the
+// served content; the cost is one copy of the route file kept in
+// memory.
+func (d *daemon) reloadTextLocked() error {
 	data, err := os.ReadFile(d.path)
 	if err != nil {
 		return err
 	}
-	if d.swaps.Load() > 0 && bytes.Equal(data, d.lastText) {
+	if !d.lastImage && d.swaps.Load() > 0 && bytes.Equal(data, d.lastText) {
 		return nil
 	}
-	d.lastText = data
+	d.lastText, d.lastImage = data, false
 	db, err := routedb.LoadWith(bytes.NewReader(data), d.opts)
 	if err != nil {
 		return err
 	}
-	d.store.Swap(db)
-	d.loadedAt = time.Now()
-	d.swaps.Add(1)
-	d.demoted.Store(false)
+	d.install(db)
 	d.logf("loaded %d routes from %s", db.Len(), d.path)
 	return nil
 }
 
 // reloadBinaryLocked opens the compiled database and swaps it in;
-// d.mu must be held. The image's footer checksum is probed first: an
+// d.mu must be held. No parsing happens: the image is mapped,
+// checksummed and validated. Its footer checksum is probed first: an
 // image the daemon already serves (or already rejected) is not
-// re-opened. Every open validates the whole image, and the audit-grade
-// verification the open path defers runs in the background after the
-// swap.
+// re-opened. The audit-grade verification the open path defers runs
+// in the background after the swap. A superseded mapping is released
+// by the garbage collector once no in-flight lookup can hold it
+// (routedb ties the munmap to the old DB's reachability).
 func (d *daemon) reloadBinaryLocked() error {
 	// A footer that cannot be read (mid-replace, truncated) is never
 	// "unchanged": the open below reports what is wrong with the file.
 	crc, cerr := rdb.FileChecksum(d.path)
-	if cerr == nil && d.swaps.Load() > 0 && crc == d.lastCRC {
+	if d.lastImage && cerr == nil && d.swaps.Load() > 0 && crc == d.lastCRC {
 		return nil
 	}
+	d.lastText, d.lastImage = nil, true
 	db, err := routedb.OpenBinary(d.path)
 	if err != nil {
 		// Memoize the rejected image's checksum so a persistently
@@ -231,10 +259,7 @@ func (d *daemon) reloadBinaryLocked() error {
 	if got := db.Options(); got != d.opts {
 		d.logf("note: %s was compiled with FoldCase=%v; the file's setting wins over the -i flag", d.path, got.FoldCase)
 	}
-	prev := d.store.Swap(db)
-	d.loadedAt = time.Now()
-	d.swaps.Add(1)
-	d.demoted.Store(false)
+	prev := d.install(db)
 	d.logf("mapped %d routes from %s (no parse)", db.Len(), d.path)
 	d.auditImage(db, prev, d.path)
 	return nil
@@ -760,21 +785,36 @@ func (d *daemon) handleLine(dst, line []byte, st *lineState, commands bool) (out
 	return out, false
 }
 
-// serveTCP accepts line-protocol connections until ctx is done.
+// Accept failures (EMFILE, say) back off between these bounds.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
+// serveTCP accepts line-protocol connections until ctx is done or the
+// listener closes. A failing Accept is retried after a pause that
+// starts at acceptBackoffMin and doubles up to acceptBackoffMax,
+// resetting on the next success, as net/http.Server does: a persistent
+// failure neither spins a core nor floods the log.
 func (d *daemon) serveTCP(ctx context.Context, ln net.Listener) {
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
+	var delay time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			d.warnf("accept: %v", err)
+			delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+			d.warnf("accept: %v (retrying in %v)", err, delay)
+			select {
+			case <-time.After(delay):
+			case <-ctx.Done():
+				return
+			}
 			continue
 		}
+		delay = 0
 		go func() {
 			defer conn.Close()
 			if err := d.serveConn(conn, conn); err != nil {
@@ -818,9 +858,10 @@ type statsSnapshot struct {
 func (d *daemon) snapshot() statsSnapshot {
 	db := d.store.DB()
 	s := db.Stats()
-	d.mu.Lock()
-	loadedAt := d.loadedAt
-	d.mu.Unlock()
+	var loadedAt time.Time
+	if t := d.loadedAt.Load(); t != nil {
+		loadedAt = *t
+	}
 	snap := statsSnapshot{
 		Routes:     db.Len(),
 		Swaps:      d.swaps.Load(),

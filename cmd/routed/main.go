@@ -12,20 +12,22 @@
 //	routed -d routes.db -stdin
 //	routed -map -l localhost [-o-db routes.rdb] [-vantages 64] [-tcp addr] [-http addr] [-watch 2s] [-i] file...
 //
-// With -d, routed serves a precompiled text route database and reloads
-// it when the file changes. With -db, it serves a compiled binary
-// database (`mkdb -binary` / `pathalias -o-db`): the file is
-// memory-mapped and served with no parsing and no per-entry allocation,
-// so a 200k-host daemon answers its first lookup tens of milliseconds
-// after exec instead of seconds — and several routed processes mapping
-// the same file share one physical copy in the page cache. Replacing
-// the file (atomically, via rename) hot-swaps the mapping under live
-// traffic. With -map, routed owns the whole pipeline: it
-// computes routes from the map sources in-process (the paper's three
-// phases), watches the sources, and on every edit re-scans only the
-// changed files and re-maps only the affected region of the network
-// through the incremental re-map engine — the serving index hot-swaps
-// in milliseconds, without a pathalias|mkdb round trip.
+// With -d, routed serves a precompiled route database of either
+// format, text or compiled image, told apart by the file's first bytes
+// on every reload, and reloads it when the file changes. A compiled
+// database (`mkdb -binary` / `pathalias -o-db`) is memory-mapped and
+// served with no parsing and no per-entry allocation, so a 200k-host
+// daemon answers its first lookup tens of milliseconds after exec
+// instead of seconds — and several routed processes mapping the same
+// file share one physical copy in the page cache. -db serves only such
+// an image and refuses a text file. Replacing the file (atomically,
+// via rename) hot-swaps the mapping under live traffic. With -map,
+// routed owns the whole pipeline: it computes routes from the map
+// sources in-process (the paper's three phases), watches the sources,
+// and on every edit re-scans only the changed files and re-maps only
+// the affected region of the network through the incremental re-map
+// engine — the serving index hot-swaps in milliseconds, without a
+// pathalias|mkdb round trip.
 //
 // With -map -o-db file, routed also keeps a compiled image of the
 // routes continuously published at file: every re-map that changes the
@@ -90,8 +92,8 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("routed", flag.ContinueOnError)
 	var (
-		dbPath   = fs.String("d", "", "route database file (precompiled mode)")
-		binPath  = fs.String("db", "", "compiled binary route database (rdb): mmap-served, instant start")
+		dbPath   = fs.String("d", "", "route database file, text or compiled image (precompiled mode)")
+		binPath  = fs.String("db", "", "compiled binary route database (rdb) only: mmap-served, instant start")
 		mapMode  = fs.Bool("map", false, "compute routes from map source files (args) with the incremental engine")
 		local    = fs.String("l", "", "local host name (required with -map)")
 		tcpAddr  = fs.String("tcp", "", "serve the line protocol on this TCP address (e.g. :7411)")
@@ -158,9 +160,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		warm := false
 		if *odb != "" {
 			if db, err := routedb.OpenBinary(*odb); err == nil {
-				d.store.Swap(db)
-				d.swaps.Add(1)
-				d.loadedAt = time.Now()
+				d.install(db)
 				d.logf("warm start: serving %d routes from %s while the first map computation runs", db.Len(), *odb)
 				d.auditImage(db, nil, *odb)
 				warm = true

@@ -12,6 +12,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -127,6 +130,102 @@ func TestTCPProtocol(t *testing.T) {
 	}
 	if got := ask("quit"); got != "ok bye" {
 		t.Errorf("quit = %q", got)
+	}
+}
+
+// flakyListener is a net.Listener whose Accept plays a script: an
+// error fails the call, nil hands out a connection whose peer has hung
+// up, and past the script the listener reports itself closed. It
+// records when each scripted call, and the first call past it, came.
+type flakyListener struct {
+	script []error
+	mu     sync.Mutex
+	calls  []time.Time
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := len(l.calls)
+	if i >= len(l.script) {
+		if i == len(l.script) {
+			l.calls = append(l.calls, time.Now())
+		}
+		return nil, net.ErrClosed
+	}
+	l.calls = append(l.calls, time.Now())
+	if err := l.script[i]; err != nil {
+		return nil, err
+	}
+	c, peer := net.Pipe()
+	peer.Close()
+	return c, nil
+}
+
+func (l *flakyListener) Close() error   { return nil }
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// acceptLogCounter counts the accept-failure warnings written to it,
+// keeping nothing else.
+type acceptLogCounter struct{ n atomic.Int64 }
+
+func (c *acceptLogCounter) Write(p []byte) (int, error) {
+	c.n.Add(int64(strings.Count(string(p), `msg="accept:`)))
+	return len(p), nil
+}
+
+// TestAcceptBacksOff: a failing Accept (EMFILE) is retried after a
+// pause that doubles from acceptBackoffMin, one warning per failure;
+// a success resets the pause; and a closed listener ends serveTCP.
+func TestAcceptBacksOff(t *testing.T) {
+	path := writeRoutes(t, t.TempDir(), testRoutes)
+	logs := &acceptLogCounter{}
+	d, err := newDaemon(path, false, routedb.Options{}, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emfile := &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	const rising = 6 // failures in a row: pauses 5, 10, 20, 40, 80, 160 ms
+	var script []error
+	for range rising {
+		script = append(script, emfile)
+	}
+	script = append(script, nil, emfile)
+	ln := &flakyListener{script: script}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.serveTCP(ctx, ln)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		cancel()
+		<-done
+		t.Fatal("serveTCP kept accepting from a closed listener")
+	}
+
+	ln.mu.Lock()
+	calls := ln.calls
+	ln.mu.Unlock()
+	if len(calls) != len(script)+1 {
+		t.Fatalf("%d Accept calls, want %d", len(calls), len(script)+1)
+	}
+	for i := range rising {
+		want := acceptBackoffMin << i
+		if gap := calls[i+1].Sub(calls[i]); gap < want {
+			t.Errorf("retry %d came %v after the failure, want at least %v", i+1, gap, want)
+		}
+	}
+	// The failure after the success pauses acceptBackoffMin again, not
+	// the next doubling (320 ms).
+	if gap := calls[rising+2].Sub(calls[rising+1]); gap >= 250*time.Millisecond {
+		t.Errorf("pause after a success = %v, want it reset to %v", gap, acceptBackoffMin)
+	}
+	if got := logs.n.Load(); got != rising+1 {
+		t.Errorf("%d accept warnings, want one per failure (%d)", got, rising+1)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"pathalias/internal/atomicfile"
 	"pathalias/internal/core"
 	"pathalias/internal/fswatch"
-	"pathalias/internal/mapper"
 	"pathalias/internal/obs"
 	"pathalias/internal/remap"
 	"pathalias/internal/routedb"
@@ -109,7 +108,6 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 	}
 	eng, err := remap.NewMulti(remap.Options{
 		LocalHost:   localHost,
-		Mapper:      func() *mapper.Options { o := mapper.DefaultOptions(); return &o }(),
 		FoldCase:    d.opts.FoldCase,
 		MaxVantages: maxVantages,
 	})
@@ -281,13 +279,8 @@ func (w *mapWatcher) remap() error {
 		} else {
 			db := w.d.store.DB().With(res.Entries, w.d.opts)
 			routes = db.Len()
-			w.d.store.Swap(db)
+			w.d.install(db)
 			w.gens[w.local] = res.RouteGen
-			w.d.mu.Lock()
-			w.d.loadedAt = time.Now()
-			w.d.mu.Unlock()
-			w.d.swaps.Add(1)
-			w.d.demoted.Store(false)
 		}
 	} else {
 		w.d.warnf("vantage %s (default): %v (still serving previous database)", w.local, defErr)

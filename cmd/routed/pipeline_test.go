@@ -283,7 +283,8 @@ func TestPipelinedMatchesSingleQuery(t *testing.T) {
 }
 
 // TestPipelinedMatchesSingleQueryBinary is the same check over a
-// compiled (mmap-served) database — the -db zero-copy path.
+// compiled (mmap-served) database — the -db zero-copy path — and over
+// the same image served by -d, which takes either format.
 func TestPipelinedMatchesSingleQueryBinary(t *testing.T) {
 	dir := t.TempDir()
 	textPath := writeRoutes(t, dir, testRoutes)
@@ -303,10 +304,19 @@ func TestPipelinedMatchesSingleQueryBinary(t *testing.T) {
 		f.store.DB().Close()
 	}()
 
+	dd, err := newDaemon(binPath, false, routedb.Options{}, io.Discard)
+	if err != nil {
+		t.Fatalf("-d over an image: %v", err)
+	}
+	defer dd.audits.Wait()
+
 	want := pipelineWant(t)
-	got := serveAll(t, f, strings.Join(pipelineQueries, "\n")+"\n")
-	if got != want {
+	input := strings.Join(pipelineQueries, "\n") + "\n"
+	if got := serveAll(t, f, input); got != want {
 		t.Errorf("binary pipelined replies diverge:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if got := serveAll(t, dd, input); got != want {
+		t.Errorf("-d image pipelined replies diverge:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

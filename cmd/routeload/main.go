@@ -216,20 +216,7 @@ func loadDests(dbPath, hostsPath string) ([]string, error) {
 		}
 		return dests, nil
 	}
-	isBin, err := routedb.IsBinaryFile(dbPath)
-	if err != nil {
-		return nil, err
-	}
-	var db *routedb.DB
-	if isBin {
-		db, err = routedb.OpenBinary(dbPath)
-	} else {
-		var f *os.File
-		if f, err = os.Open(dbPath); err == nil {
-			db, err = routedb.Load(f)
-			f.Close()
-		}
-	}
+	db, err := routedb.Open(dbPath, routedb.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -190,33 +190,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// openDB loads a route database of either format, sniffing the magic
-// bytes: a compiled binary database (mkdb -binary, pathalias -o-db) is
-// memory-mapped and served with no parse; anything else is parsed as
-// the linear text file. A binary file's own fold-case setting wins
-// over -i (with a note when they disagree).
+// openDB opens a route database of either format (routedb.Open). A
+// compiled image's own fold-case setting wins over -i, with a note
+// when they disagree.
 func openDB(path string, fold bool, stderr io.Writer) (*routedb.DB, error) {
-	isBin, err := routedb.IsBinaryFile(path)
+	db, err := routedb.Open(path, routedb.Options{FoldCase: fold})
 	if err != nil {
 		return nil, err
 	}
-	if isBin {
-		db, err := routedb.OpenBinary(path)
-		if err != nil {
-			return nil, err
-		}
-		if db.Options().FoldCase != fold {
-			fmt.Fprintf(stderr, "uupath: note: %s was compiled with FoldCase=%v; the file's setting wins\n",
-				path, db.Options().FoldCase)
-		}
-		return db, nil
+	if got := db.Options().FoldCase; got != fold {
+		fmt.Fprintf(stderr, "uupath: note: %s was compiled with FoldCase=%v; the file's setting wins\n", path, got)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return routedb.LoadWith(f, routedb.Options{FoldCase: fold})
+	return db, nil
 }
 
 // runClient queries a running routed daemon over the line protocol —

@@ -16,6 +16,7 @@ import (
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
+	"pathalias/internal/routedb"
 )
 
 // routesBytes runs the full pipeline (parse with the given worker count,
@@ -35,7 +36,7 @@ func routesBytes(t *testing.T, workers int, local string, inputs []parser.Input)
 		t.Fatalf("map: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := printer.Write(&buf, printer.Routes(mres, printer.Options{Costs: true}), printer.Options{Costs: true}); err != nil {
+	if _, err := routedb.WriteText(&buf, printer.Routes(mres, printer.Options{}), true); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -13,6 +13,7 @@ import (
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
+	"pathalias/internal/routedb"
 )
 
 // TestWriteToRoundTripAtScale: parse generated map → write → re-parse →
@@ -59,7 +60,7 @@ func TestWriteToRoundTripAtScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out strings.Builder
-		if err := printer.Write(&out, printer.Routes(mres, printer.Options{Costs: true}), printer.Options{Costs: true}); err != nil {
+		if _, err := routedb.WriteText(&out, printer.Routes(mres, printer.Options{}), true); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()

@@ -32,10 +32,7 @@
 package printer
 
 import (
-	"bufio"
 	"cmp"
-	"fmt"
-	"io"
 	"slices"
 	"strings"
 
@@ -45,11 +42,9 @@ import (
 	"pathalias/internal/resolver"
 )
 
-// Options control output format.
+// Options control which routes are printed, in what order, and with
+// which cost; routedb.WriteText renders them as text.
 type Options struct {
-	// Costs prepends the path cost column, the format of the paper's
-	// example output ("0 unc %s").
-	Costs bool
 	// SortByCost orders output by (cost, name) as in the paper's example;
 	// the default is by name, the useful order for database builds.
 	SortByCost bool
@@ -108,24 +103,6 @@ func SortByCost(entries []Entry) {
 	slices.SortFunc(entries, func(a, b Entry) int {
 		return cmp.Or(cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Host, b.Host))
 	})
-}
-
-// Write renders entries to w, one per line: "host\troute" or, with
-// Costs, "cost\thost\troute".
-func Write(w io.Writer, entries []Entry, opts Options) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range entries {
-		var err error
-		if opts.Costs {
-			_, err = fmt.Fprintf(bw, "%d\t%s\t%s\n", int64(e.Cost), e.Host, e.Route)
-		} else {
-			_, err = fmt.Fprintf(bw, "%s\t%s\n", e.Host, e.Route)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // Derive is the paper's preorder traversal over the labels and child

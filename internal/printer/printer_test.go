@@ -7,6 +7,7 @@ import (
 	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
+	"pathalias/internal/routedb"
 )
 
 // routesFor parses, maps from source, and returns the entries.
@@ -65,8 +66,7 @@ func TestPaperExampleOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	opts := Options{Costs: true, SortByCost: true}
-	if err := Write(&sb, Routes(mres, opts), opts); err != nil {
+	if _, err := routedb.WriteText(&sb, Routes(mres, Options{SortByCost: true}), true); err != nil {
 		t.Fatal(err)
 	}
 	want := `0	unc	%s
@@ -278,7 +278,7 @@ func TestWriteTerseFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Write(&sb, Routes(mres, Options{}), Options{}); err != nil {
+	if _, err := routedb.WriteText(&sb, Routes(mres, Options{}), false); err != nil {
 		t.Fatal(err)
 	}
 	want := "a\t%s\nb\tb!%s\n"

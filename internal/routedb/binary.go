@@ -10,9 +10,7 @@ package routedb
 // across processes, and nothing is allocated per entry.
 
 import (
-	"fmt"
 	"io"
-	"os"
 	"runtime"
 
 	"pathalias/internal/rdb"
@@ -117,27 +115,3 @@ func (db *DB) Binary() (checksum uint32, ok bool) {
 // Options returns the options the database was built with (for a
 // binary database, the ones recorded in the file header).
 func (db *DB) Options() Options { return db.r.Options() }
-
-// IsBinaryFile sniffs path's first bytes for the compiled-database
-// magic — how callers taking "a route database file" decide between
-// Load and OpenBinary without a flag.
-func IsBinaryFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var buf [8]byte
-	n, err := io.ReadFull(f, buf[:])
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return false, nil // too short to be binary
-	}
-	if err != nil {
-		return false, fmt.Errorf("routedb: %w", err)
-	}
-	return rdb.IsMagic(buf[:n]), nil
-}
-
-// IsBinaryData sniffs an in-memory image for the compiled-database
-// magic.
-func IsBinaryData(data []byte) bool { return rdb.IsMagic(data) }

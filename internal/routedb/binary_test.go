@@ -146,6 +146,65 @@ func TestBinarySniffing(t *testing.T) {
 	}
 }
 
+// TestOpenEitherFormat: Open tells the formats apart by their first
+// bytes, lets an image's header options win over the caller's, and
+// reports a damaged image as an image, never as a text-parse error.
+func TestOpenEitherFormat(t *testing.T) {
+	dir := t.TempDir()
+	image := func(fold bool) []byte {
+		db, err := LoadWith(strings.NewReader(binTestRoutes), Options{FoldCase: fold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := db.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	img := image(false)
+	for _, tc := range []struct {
+		name    string
+		data    []byte // nil: no file at all
+		opts    Options
+		routes  int    // want this many routes, or
+		errWant string // an error containing this
+		image   bool
+		fold    bool
+	}{
+		{name: "text", data: []byte(binTestRoutes), opts: Options{FoldCase: true}, routes: 6, fold: true},
+		{name: "image", data: img, routes: 6, image: true},
+		{name: "image compiled under -i", data: image(true), routes: 6, image: true, fold: true},
+		{name: "truncated image", data: img[:len(img)/2], errWant: "rdb: " + filepath.Join(dir, "truncated-image")},
+		{name: "missing", errWant: "no such file"},
+		{name: "shorter than the magic", data: []byte("x\t%s"), routes: 1},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-"))
+		if tc.data != nil {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := Open(path, tc.opts)
+		if tc.errWant != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errWant) || strings.Contains(err.Error(), "line ") {
+				t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.errWant)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		_, isImage := db.Binary()
+		if db.Len() != tc.routes || isImage != tc.image || db.Options().FoldCase != tc.fold {
+			t.Errorf("%s: %d routes, image %v, fold %v; want %d, %v, %v",
+				tc.name, db.Len(), isImage, db.Options().FoldCase, tc.routes, tc.image, tc.fold)
+		}
+		db.Close()
+	}
+}
+
 // TestBinaryInStore: a Store hot-swaps binary databases like any other,
 // and Binary() exposes the checksum fingerprint.
 func TestBinaryInStore(t *testing.T) {

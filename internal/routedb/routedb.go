@@ -3,9 +3,12 @@
 // The paper: "output from pathalias is a simple linear file, in the UNIX
 // tradition. If desired, a separate program may be used to convert this
 // file into a format appropriate for rapid database retrieval." This
-// package is that program's library: it loads the linear file (or takes
-// entries directly) and serves lookups from an immutable resolver index
-// (package resolver): a hash index for exact matches and a reversed-label
+// package is that program's library, and the one place that knows the
+// route-file formats: it writes and reads the linear text file
+// (WriteText, LoadWith), compiles and maps the binary image (binary.go),
+// and tells the two apart by their first bytes (IsBinaryFile, Open).
+// It serves lookups from an immutable resolver index (package
+// resolver): a hash index for exact matches and a reversed-label
 // suffix trie for the paper's domain resolution procedure — "a search for
 // .rutgers.edu, followed by a search for .edu, produces seismo!%s, the
 // route to the .edu gateway" — in a single trie descent.
@@ -19,6 +22,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -119,6 +123,75 @@ func LoadWith(r io.Reader, opts Options) (*DB, error) {
 	return BuildWith(es, opts), nil
 }
 
+// WriteText writes entries as a linear route file, one route per line:
+// "host\troute", or with costs "cost\thost\troute" — the two formats
+// pathalias prints and LoadWith reads. It returns the bytes written.
+func WriteText(w io.Writer, entries []Entry, costs bool) (int64, error) {
+	bw := bufio.NewWriter(w)
+	var total int64
+	for _, e := range entries {
+		b := bw.AvailableBuffer()
+		if costs {
+			b = strconv.AppendInt(b, int64(e.Cost), 10)
+			b = append(b, '\t')
+		}
+		b = append(b, e.Host...)
+		b = append(b, '\t')
+		b = append(b, e.Route...)
+		b = append(b, '\n')
+		n, err := bw.Write(b)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, bw.Flush()
+}
+
+// Open opens a route file of either format, told apart by its first
+// bytes (IsBinaryFile): a compiled image is served by OpenBinary, and
+// the options recorded in its header win over opts; anything else is
+// read as the linear text file under opts (LoadWith).
+func Open(path string, opts Options) (*DB, error) {
+	image, err := IsBinaryFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if image {
+		return OpenBinary(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadWith(f, opts)
+}
+
+// IsBinaryFile sniffs path's first bytes for the compiled-database
+// magic. It is the one place the text-or-image choice is made: Open
+// and a daemon reloading a route file of either format both ask it.
+func IsBinaryFile(path string) (bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	var buf [8]byte
+	n, err := io.ReadFull(f, buf[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return false, nil // too short to be binary
+	}
+	if err != nil {
+		return false, fmt.Errorf("routedb: %w", err)
+	}
+	return rdb.IsMagic(buf[:n]), nil
+}
+
+// IsBinaryData sniffs an in-memory image for the compiled-database
+// magic.
+func IsBinaryData(data []byte) bool { return rdb.IsMagic(data) }
+
 // Every query method ends with runtime.KeepAlive(db): a binary DB's
 // munmap is a GC cleanup keyed on the *DB, and without the keep-alive
 // the compiler may retire db after loading db.r while the resolver is
@@ -184,16 +257,7 @@ func (db *DB) Stats() Stats {
 
 // WriteTo emits the database as a linear route file with costs.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var total int64
-	for _, e := range db.Entries() {
-		n, err := fmt.Fprintf(bw, "%d\t%s\t%s\n", int64(e.Cost), e.Host, e.Route)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, bw.Flush()
+	return WriteText(w, db.Entries(), true)
 }
 
 // Store is an atomically swappable current database: the copy-on-write

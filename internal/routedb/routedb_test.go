@@ -1,13 +1,17 @@
 package routedb
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"pathalias/internal/core"
 	"pathalias/internal/cost"
+	"pathalias/internal/mapgen"
 	"pathalias/internal/printer"
 )
 
@@ -236,6 +240,39 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		e2, ok := db2.Lookup(e.Host)
 		if !ok || e2 != e {
 			t.Errorf("round-trip entry %v != %v", e2, e)
+		}
+	}
+}
+
+// TestWriteTextRoundTrip: LoadWith reads back exactly the entries
+// WriteText wrote, in both of pathalias's formats, over a generated
+// map's routes.
+func TestWriteTextRoundTrip(t *testing.T) {
+	inputs, local := mapgen.Generate(mapgen.Scaled(2000, 5))
+	rep, err := core.Run(core.Config{Inputs: inputs, LocalHost: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, costs := range []bool{false, true} {
+		want := rep.Entries
+		if !costs {
+			want = make([]Entry, len(rep.Entries))
+			for i, e := range rep.Entries {
+				e.Cost = 0
+				want[i] = e
+			}
+		}
+		var buf bytes.Buffer
+		n, err := WriteText(&buf, rep.Entries, costs)
+		if err != nil || n != int64(buf.Len()) {
+			t.Fatalf("costs=%v: WriteText = %d, %v; buffered %d bytes", costs, n, err, buf.Len())
+		}
+		db, err := LoadWith(&buf, Options{})
+		if err != nil {
+			t.Fatalf("costs=%v: %v", costs, err)
+		}
+		if got := db.Entries(); !slices.Equal(got, BuildWith(want, Options{}).Entries()) {
+			t.Errorf("costs=%v: %d entries read back differ from the %d written", costs, len(got), len(want))
 		}
 	}
 }

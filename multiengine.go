@@ -266,6 +266,7 @@ func convertResult(opts Options, r *remap.Result) *Result {
 		Unreachable: r.Unreachable,
 		RouteGen:    r.RouteGen,
 		opts:        opts,
+		entries:     r.Entries,
 	}
 	res.Stats.Reached = r.Reached
 	res.Stats.BackLinked = r.BackLinked

@@ -25,7 +25,6 @@ package pathalias
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -117,6 +116,8 @@ type Stats struct {
 // A Result is safe for concurrent readers once Run returns: Lookup,
 // WriteRoutes, and NewDatabase may be called from any number of
 // goroutines, provided no caller mutates the exported slices.
+// WriteRoutes and NewDatabase work from the routes as computed, not
+// from the Routes slice.
 type Result struct {
 	Routes      []Route
 	Warnings    []string
@@ -131,7 +132,8 @@ type Result struct {
 	// the batch Run, which has no generation to compare against.
 	RouteGen uint64
 
-	opts Options
+	opts    Options
+	entries []printer.Entry // what Routes was built from; never written
 
 	lookupOnce sync.Once
 	lookupIdx  []int // Routes indices ordered by Host, built on first Lookup
@@ -194,6 +196,7 @@ func buildResult(opts Options, rep *core.Report) *Result {
 		Warnings:    rep.Warnings,
 		Unreachable: rep.Unreachable,
 		opts:        opts,
+		entries:     rep.Entries,
 	}
 	gs := rep.Graph.Stats()
 	res.Stats = Stats{
@@ -236,7 +239,6 @@ func mapperOptions(opts Options) *mapper.Options {
 // printerOptions translates public Options into the printer's.
 func printerOptions(opts Options) printer.Options {
 	return printer.Options{
-		Costs:        opts.PrintCosts,
 		SortByCost:   opts.SortByCost,
 		DomainsOnly:  opts.DomainsOnly,
 		FirstHopCost: opts.FirstHopCost,
@@ -281,18 +283,8 @@ func (r *Result) Lookup(host string) (Route, bool) {
 // WriteRoutes emits the routes as the classic linear file: "host\tformat"
 // lines, or "cost\thost\tformat" when Options.PrintCosts is set.
 func (r *Result) WriteRoutes(w io.Writer) error {
-	for _, rt := range r.Routes {
-		var err error
-		if r.opts.PrintCosts {
-			_, err = fmt.Fprintf(w, "%d\t%s\t%s\n", rt.Cost, rt.Host, rt.Format)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\t%s\n", rt.Host, rt.Format)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := routedb.WriteText(w, r.entries, r.opts.PrintCosts)
+	return err
 }
 
 // Database is a queryable route database built from a run's routes, with
@@ -312,11 +304,7 @@ type Database struct {
 // computed with IgnoreCase yields a case-folding database, so queries in
 // any case hit the folded names.
 func (r *Result) NewDatabase() *Database {
-	es := make([]printer.Entry, len(r.Routes))
-	for i, rt := range r.Routes {
-		es[i] = printer.Entry{Host: rt.Host, Route: rt.Format, Cost: cost.Cost(rt.Cost)}
-	}
-	return &Database{db: routedb.BuildWith(es, routedb.Options{FoldCase: r.opts.IgnoreCase})}
+	return &Database{db: routedb.BuildWith(r.entries, routedb.Options{FoldCase: r.opts.IgnoreCase})}
 }
 
 // WriteDB compiles the result's routes straight into the binary route
@@ -472,23 +460,7 @@ func (d *Database) Close() error { return d.db.Close() }
 // applies); a linear text file is parsed and indexed. The returned
 // Database's mapping, if any, is released when it becomes unreachable.
 func OpenDatabase(path string) (*Database, error) {
-	isBin, err := routedb.IsBinaryFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if isBin {
-		db, err := routedb.OpenBinary(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Database{db: db}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	db, err := routedb.Load(f)
+	db, err := routedb.Open(path, routedb.Options{})
 	if err != nil {
 		return nil, err
 	}
