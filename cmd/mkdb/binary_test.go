@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pathalias"
+	"pathalias/internal/rdb"
 	"pathalias/internal/routedb"
 )
 
@@ -101,7 +102,7 @@ func TestBinaryStdout(t *testing.T) {
 	if code := run([]string{"-binary"}, in, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	if !routedb.IsBinaryData(out.Bytes()) {
+	if !rdb.IsMagic(out.Bytes()) {
 		t.Fatalf("stdout is not a compiled database (%d bytes)", out.Len())
 	}
 	db, err := routedb.OpenBinaryBytes(out.Bytes())

@@ -34,9 +34,9 @@
 //	-o-db file  also compile the routes into the binary route database
 //	            (rdb) at file, written atomically and durably — the
 //	            mmap-served format routed -db and uupath open with no
-//	            parsing. Combined with -watch, every regeneration that
-//	            changes the routes republishes the database (no-op
-//	            regenerations publish nothing)
+//	            parsing. Combined with -watch, it is republished, like
+//	            -o, only when the routes change (a comment edit or a
+//	            restart over unchanged sources writes neither file)
 //
 // Continuous regeneration:
 //

@@ -4,6 +4,11 @@ package main
 // incremental engine warm, and rewrites the output file whenever a map
 // source changes — the batch-compiler equivalent of routed's -map mode,
 // for deployments that still consume the classic linear route file.
+//
+// It shares routed -map's two policies: -o and -o-db each publish
+// through an atomicfile.Publisher keyed by RouteGen (every route and
+// cost), so an edit that changes no route, or a restart, writes neither
+// file; fswatch.Watch logs a broken or vanished source once.
 
 import (
 	"context"
@@ -71,37 +76,25 @@ func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
 	return 0
 }
 
-// watcher regenerates outPath from paths through one persistent engine.
+// watcher regenerates the route file (and the compiled database) from
+// paths through one persistent engine.
 type watcher struct {
-	eng     *pathalias.MultiEngine
-	paths   []string
-	outPath string
-	outDB   string
-	pubGen  uint64 // RouteGen of the last published compiled database
-	pubOK   bool   // outDB has been published at least once
-	// replayed is the last regeneration's stmts_replayed: statements
-	// the engine applied plus undid to bring its graph to the sources.
-	replayed int
-	// rescanned is its bytes_rescanned: the source bytes it re-scanned.
-	rescanned int
-	// rowsRebuilt is its rows_rebuilt: the CSR snapshot rows it rebuilt
-	// from the graph rather than copied.
-	rowsRebuilt int
-	stderr      io.Writer
-	log         *slog.Logger
+	eng    *pathalias.MultiEngine
+	paths  []string
+	text   *atomicfile.Publisher
+	db     *atomicfile.Publisher // Path "" without -o-db
+	stderr io.Writer
+	log    *slog.Logger
 }
 
 func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
-	return &watcher{eng: eng, paths: paths, outPath: outPath, outDB: outDB, stderr: stderr,
-		log: slog.New(slog.NewTextHandler(stderr, nil))}
+	return &watcher{eng: eng, paths: paths, stderr: stderr, log: slog.New(slog.NewTextHandler(stderr, nil)),
+		text: &atomicfile.Publisher{Path: outPath}, db: &atomicfile.Publisher{Path: outDB}}
 }
 
 // regenerate recomputes routes (incrementally when possible) and
-// rewrites the output file atomically and durably (see
-// internal/atomicfile). With -o-db it also republishes the compiled
-// database — but only when the result's route generation advanced, so
-// edits that cannot change routes (comments, whitespace, a re-touched
-// file) never emit a new image for downstream watchers to reload. It
+// republishes the route file, and with -o-db the compiled database,
+// when the result's route generation is not already on disk. It
 // reports whether anything was written; identical inputs (byte for byte
 // the sources the engine last scanned) write nothing, so it is cheap to
 // call on suspicion.
@@ -110,9 +103,6 @@ func (w *watcher) regenerate() (bool, error) {
 	if err := w.eng.UpdateFiles(w.paths...); err != nil {
 		return false, err
 	}
-	w.replayed = w.eng.Stats().StmtsReplayed - before.StmtsReplayed
-	w.rescanned = w.eng.Stats().BytesRescanned - before.BytesRescanned
-	w.rowsRebuilt = w.eng.Stats().RowsRebuilt - before.RowsRebuilt
 	res, err := w.eng.Result()
 	if err != nil {
 		return false, err
@@ -123,31 +113,37 @@ func (w *watcher) regenerate() (bool, error) {
 	for _, warn := range res.Warnings {
 		fmt.Fprintf(w.stderr, "pathalias: %s\n", warn)
 	}
-	if err := atomicfile.Publish(w.outPath, res.WriteRoutes); err != nil {
+	wrote, err := w.text.Publish(res.RouteGen, res.WriteRoutes)
+	if err != nil {
 		return false, err
 	}
-	if w.outDB != "" && (!w.pubOK || res.RouteGen != w.pubGen) {
-		if err := atomicfile.Publish(w.outDB, res.WriteDB); err != nil {
+	if w.db.Path != "" {
+		wroteDB, err := w.db.Publish(res.RouteGen, res.WriteDB)
+		if err != nil {
 			return false, err
 		}
-		w.pubGen, w.pubOK = res.RouteGen, true
+		wrote = wrote || wroteDB
 	}
 	for _, name := range res.Unreachable {
 		fmt.Fprintf(w.stderr, "pathalias: %s: no route\n", name)
 	}
-	return true, nil
+	return wrote, nil
 }
 
 // loop regenerates whenever fswatch.Watch reports a possible change,
-// until ctx is done. Transient errors (mid-edit syntax errors, vanished
-// files) are logged; the last good output file stays in place.
+// until ctx is done. A regeneration that wrote logs the statements the
+// engine applied plus undid, the source bytes it re-scanned, and the
+// snapshot rows it rebuilt rather than copied.
 func (w *watcher) loop(ctx context.Context, interval time.Duration) {
-	fswatch.Watch(ctx, w.paths, interval, func() {
-		if wrote, err := w.regenerate(); err != nil {
-			w.log.Warn("regenerate failed, keeping previous output", "err", err)
-		} else if wrote {
-			w.log.Info("regenerated", "out", w.outPath, "stmts_replayed", w.replayed,
-				"bytes_rescanned", w.rescanned, "rows_rebuilt", w.rowsRebuilt)
+	fswatch.Watch(ctx, w.paths, interval, func() error {
+		before := w.eng.Stats()
+		wrote, err := w.regenerate()
+		if st := w.eng.Stats(); wrote {
+			w.log.Info("regenerated", "out", w.text.Path, "stmts_replayed", st.StmtsReplayed-before.StmtsReplayed,
+				"bytes_rescanned", st.BytesRescanned-before.BytesRescanned, "rows_rebuilt", st.RowsRebuilt-before.RowsRebuilt)
 		}
+		return err
+	}, func(err error) {
+		w.log.Warn("regenerate failed, keeping previous output", "err", err)
 	})
 }

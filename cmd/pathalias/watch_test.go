@@ -241,7 +241,7 @@ func TestWatcherPartialBatchNotSkipped(t *testing.T) {
 
 // TestWatcherPublishesDB: with -o-db, a route-changing edit republishes
 // the compiled database, and an edit that cannot change routes (a
-// comment) rewrites the text output but publishes no new image.
+// comment) writes neither the image nor the text output.
 func TestWatcherPublishesDB(t *testing.T) {
 	dir := t.TempDir()
 	mapPath := filepath.Join(dir, "w.map")
@@ -262,25 +262,20 @@ func TestWatcherPublishesDB(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no database published: %v", err)
 	}
-	dbStat1, err := os.Stat(dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats1 := statAll(t, outPath, dbPath)
 
-	// A comment-only edit: routes cannot change, so the text output is
-	// rewritten but the image is not republished (same inode, same bytes).
+	// A comment-only edit: routes cannot change, so neither file is
+	// written (same inodes).
 	if err := os.WriteFile(mapPath, []byte("# tweak\n"+watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if wrote, err := w.regenerate(); err != nil || !wrote {
-		t.Fatalf("comment edit: wrote=%v err=%v", wrote, err)
+	if wrote, err := w.regenerate(); err != nil || wrote {
+		t.Fatalf("comment edit: wrote=%v err=%v, want nothing written", wrote, err)
 	}
-	dbStat2, err := os.Stat(dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !os.SameFile(dbStat1, dbStat2) {
-		t.Error("comment-only edit republished the database")
+	for i, st := range statAll(t, outPath, dbPath) {
+		if !os.SameFile(stats1[i], st) {
+			t.Errorf("comment-only edit rewrote %s", st.Name())
+		}
 	}
 
 	// A route-changing edit publishes a new image.
@@ -297,5 +292,51 @@ func TestWatcherPublishesDB(t *testing.T) {
 	}
 	if string(db1) == string(db2) {
 		t.Error("route-changing edit did not publish a new image")
+	}
+}
+
+// statAll stats each path.
+func statAll(t *testing.T, paths ...string) []os.FileInfo {
+	t.Helper()
+	var out []os.FileInfo
+	for _, p := range paths {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// TestWatcherRestartWritesNothing: a second watcher started over
+// unchanged sources adopts both outputs as they are on disk: it writes
+// neither the text route file nor the compiled database.
+func TestWatcherRestartWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "w.map")
+	outPath := filepath.Join(dir, "routes.out")
+	dbPath := filepath.Join(dir, "routes.rdb")
+	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	start := func() (bool, error) {
+		eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc", PrintCosts: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newWatcher(eng, []string{mapPath}, outPath, dbPath, io.Discard).regenerate()
+	}
+	if wrote, err := start(); err != nil || !wrote {
+		t.Fatalf("first watcher: wrote=%v err=%v", wrote, err)
+	}
+	before := statAll(t, outPath, dbPath)
+	if wrote, err := start(); err != nil || wrote {
+		t.Fatalf("restarted watcher: wrote=%v err=%v, want nothing written", wrote, err)
+	}
+	for i, st := range statAll(t, outPath, dbPath) {
+		if !os.SameFile(before[i], st) {
+			t.Errorf("the restarted watcher rewrote %s", st.Name())
+		}
 	}
 }

@@ -296,12 +296,11 @@ func (d *daemon) auditImage(db, prev *routedb.DB, src string) {
 // done. fswatch.Watch decides when the file may have changed (within
 // milliseconds where the kernel offers file events, every interval
 // regardless); reload's byte compare decides whether it did. A vanished
-// or malformed file is logged and the old database keeps serving.
+// or malformed file is logged once (fswatch.Watch's failure policy) and
+// the old database keeps serving.
 func (d *daemon) watch(ctx context.Context, interval time.Duration) {
-	fswatch.Watch(ctx, []string{d.path}, interval, func() {
-		if err := d.reload(); err != nil {
-			d.warnf("reload: %v (still serving previous database)", err)
-		}
+	fswatch.Watch(ctx, []string{d.path}, interval, d.reload, func(err error) {
+		d.warnf("reload: %v (still serving previous database)", err)
 	})
 }
 

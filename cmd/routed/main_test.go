@@ -165,13 +165,30 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 func (l *flakyListener) Close() error   { return nil }
 func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
 
-// acceptLogCounter counts the accept-failure warnings written to it,
-// keeping nothing else.
-type acceptLogCounter struct{ n atomic.Int64 }
+// logCounter counts the log messages written to it that begin with
+// prefix, keeping nothing else; it is safe to read while a loop logs.
+type logCounter struct {
+	prefix string
+	n      atomic.Int64
+}
 
-func (c *acceptLogCounter) Write(p []byte) (int, error) {
-	c.n.Add(int64(strings.Count(string(p), `msg="accept:`)))
+func (c *logCounter) Write(p []byte) (int, error) {
+	c.n.Add(int64(strings.Count(string(p), `msg="`+c.prefix)))
 	return len(p), nil
+}
+
+// waitCount waits until c has counted want messages, then for a few
+// dozen more watch wake-ups, and fails unless the count is still want.
+func waitCount(t *testing.T, c *logCounter, want int64, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.n.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := c.n.Load(); got != want {
+		t.Fatalf("%s: %d %q messages logged, want %d", what, got, c.prefix, want)
+	}
 }
 
 // TestAcceptBacksOff: a failing Accept (EMFILE) is retried after a
@@ -179,7 +196,7 @@ func (c *acceptLogCounter) Write(p []byte) (int, error) {
 // a success resets the pause; and a closed listener ends serveTCP.
 func TestAcceptBacksOff(t *testing.T) {
 	path := writeRoutes(t, t.TempDir(), testRoutes)
-	logs := &acceptLogCounter{}
+	logs := &logCounter{prefix: "accept:"}
 	d, err := newDaemon(path, false, routedb.Options{}, logs)
 	if err != nil {
 		t.Fatal(err)
@@ -520,47 +537,66 @@ func TestRemapDropsEvictedStores(t *testing.T) {
 	}
 }
 
-// TestMapWatchLogsRepeatedErrorOnce: polls that re-read a map which
-// stays broken log its error once; it is logged again after a
-// successful re-map, and a different error is logged at once.
+// TestMapWatchLogsRepeatedErrorOnce: the watch loop, which re-reads a
+// map that stays broken on every wake-up of the settle window, logs its
+// error once; it is logged again after a successful re-map, and a
+// different error is logged at once.
 func TestMapWatchLogsRepeatedErrorOnce(t *testing.T) {
 	dir := t.TempDir()
 	mapPath := filepath.Join(dir, "test.map")
-	write := func(src string) {
+	write := func(src string) { // whole, so no wake-up reads half a file
 		t.Helper()
-		if err := os.WriteFile(mapPath, []byte(src), 0o644); err != nil {
+		if err := os.WriteFile(mapPath+".tmp", []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(mapPath+".tmp", mapPath); err != nil {
 			t.Fatal(err)
 		}
 	}
 	write(testMapSrc)
-	var logBuf strings.Builder
-	d := newMapDaemon(routedb.Options{}, &logBuf)
+	logs := &logCounter{prefix: "remap: "}
+	d := newMapDaemon(routedb.Options{}, logs)
 	w, err := newMapWatcher(d, "unc", 64, []string{mapPath}, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged := func(want int) {
-		t.Helper()
-		if got := strings.Count(logBuf.String(), "remap: "); got != want {
-			t.Fatalf("%d remap errors logged, want %d; log:\n%s", got, want, logBuf.String())
-		}
-	}
+	goWatch(t, func(ctx context.Context) { w.watch(ctx, time.Millisecond) })
 
 	broken := testMapSrc + "unc\tduke(HOURLY\n"
 	write(broken)
-	for range 3 {
-		w.poll()
+	waitCount(t, logs, 1, "a map that stays broken")
+	// A success: a route edit, seen served.
+	write(strings.Replace(testMapSrc, "unc\tduke(HOURLY)", "unc\tduke(WEEKLY*10)", 1))
+	deadline := time.Now().Add(5 * time.Second)
+	for e, _ := d.store.Lookup("duke"); e.Route != "phs!duke!%s"; e, _ = d.store.Lookup("duke") {
+		if time.Now().After(deadline) {
+			t.Fatalf("the fixed map was never served; duke = %+v", e)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	logged(1)
-	write(testMapSrc)
-	w.poll()
 	write(broken)
-	w.poll()
-	w.poll()
-	logged(2)
+	waitCount(t, logs, 2, "the same break after a success")
 	write(testMapSrc + "duke\t{\n")
-	w.poll()
-	logged(3)
+	waitCount(t, logs, 3, "a different break")
+}
+
+// TestWatchLogsVanishedFileOnce: routed -d over a route file that is
+// deleted logs one reload failure, not one per watch wake-up.
+func TestWatchLogsVanishedFileOnce(t *testing.T) {
+	path := writeRoutes(t, t.TempDir(), testRoutes)
+	logs := &logCounter{prefix: "reload: "}
+	d, err := newDaemon(path, false, routedb.Options{}, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goWatch(t, func(ctx context.Context) { d.watch(ctx, time.Millisecond) })
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, logs, 1, "a deleted route file")
+	if e, ok := d.store.Lookup("duke"); !ok || e.Route != "duke!%s" {
+		t.Errorf("the previous database stopped serving: duke = %+v, %v", e, ok)
+	}
 }
 
 // TestMapModeServesAndHotRemaps drives the -map source-watch mode: an

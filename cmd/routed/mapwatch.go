@@ -17,15 +17,13 @@ package main
 // re-parse. Each vantage keeps its own hot-swappable store. A source
 // edit re-maps the default vantage and swaps its store first; only then
 // are the other resident vantages re-mapped and their stores swapped,
-// and the image published.
+// and, outside the watcher's lock, the image published.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"maps"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,13 +69,9 @@ type mapWatcher struct {
 	// store's rebuild and swap entirely.
 	gens map[string]uint64
 
-	// odb is the compiled database continuously republished from the
-	// default vantage ("" = none); pubGen/pubOK track the RouteGen of the
-	// last published image so no-op re-maps publish nothing. Guarded by
-	// mu (only remap, which holds it, touches them).
-	odb    string
-	pubGen uint64
-	pubOK  bool
+	// pub republishes the default vantage's compiled database under its
+	// RouteGen (Path "" without -o-db).
+	pub *atomicfile.Publisher
 
 	// ready is closed once the engine's first computation has landed (or
 	// definitively failed). On a warm start the initial re-map runs in the
@@ -86,13 +80,9 @@ type mapWatcher struct {
 	// live engine.
 	ready chan struct{}
 
-	// lastErr is the message of the last failed re-map poll logged,
-	// "" after a success; only the watch loop touches it.
-	lastErr string
-
-	// passHook, when set (by tests), runs at the start of remap's swap
-	// pass, with mu held.
-	passHook func()
+	// passHook and pubHook run at the start of remap's swap pass, with mu
+	// held, and of its publish, without; tests set them to hold either.
+	passHook, pubHook func()
 }
 
 // newMapWatcher builds the engine and performs the initial full map
@@ -120,8 +110,11 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 		local: localHost,
 		paths: paths,
 		gens:  make(map[string]uint64),
-		odb:   odb,
+		pub:   &atomicfile.Publisher{Path: odb},
 		ready: make(chan struct{}),
+
+		passHook: func() {},
+		pubHook:  func() {},
 	}
 	w.stores.Store(&map[string]*routedb.Store{})
 	d.vantage = w.storeFor
@@ -231,10 +224,11 @@ func (w *mapWatcher) storeFor(from string) (*routedb.Store, error) {
 // its own work: the engine's Update maps the default vantage alone, and
 // its store swaps (the serve point) before the other resident vantages
 // are re-mapped (Refresh) and their stores swapped; the image is
-// published last. Each store is rebuilt With its predecessor, which
-// keeps the index when no host name moved. Every effective generation
-// records a stage trace (obs.Trace) in the daemon's ring: where the
-// wall time went, plus the shape of the change.
+// published last, after the pass has released w.mu, so a lazy spin-up
+// never waits for a compile and an fsync. Each store is rebuilt With
+// its predecessor, which keeps the index when no host name moved.
+// Every effective generation records a stage trace (obs.Trace) in the
+// daemon's ring: where the wall time went, plus the shape of the change.
 func (w *mapWatcher) remap() error {
 	start := time.Now()
 	ins, err := core.ReadInputs(w.paths)
@@ -259,10 +253,7 @@ func (w *mapWatcher) remap() error {
 	// still pick up the edit. The lock covers the whole pass so a lazy
 	// storeFor cannot register a pre-edit store the pass would miss.
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.passHook != nil {
-		w.passHook()
-	}
+	w.passHook()
 	storeMark := time.Now()
 	routes := 0
 	skipped := 0
@@ -282,8 +273,6 @@ func (w *mapWatcher) remap() error {
 			w.d.install(db)
 			w.gens[w.local] = res.RouteGen
 		}
-	} else {
-		w.d.warnf("vantage %s (default): %v (still serving previous database)", w.local, defErr)
 	}
 	defDur := time.Since(storeMark)
 
@@ -326,23 +315,35 @@ func (w *mapWatcher) remap() error {
 	}
 	vantDur := time.Since(vantMark)
 	storeDur := time.Since(storeMark)
+	// Read after the vantage pass, so the Refresh's runs count, and
+	// before unlocking, so a lazy spin-up's run does not.
+	stats := w.eng.Stats()
+	timing.LabelsChanged = w.eng.Timing().LabelsChanged
+	w.mu.Unlock()
 
 	var pubDur, compileDur time.Duration
 	published := false
-	if w.odb != "" && defErr == nil && (!w.pubOK || res.RouteGen != w.pubGen) {
+	if w.pub.Path != "" && defErr == nil {
+		w.pubHook()
 		pubMark := time.Now()
+		db := w.d.store.DB() // only remap swaps it: it serves res
 		var err error
-		if compileDur, err = w.publish(res.RouteGen); err != nil {
-			w.d.warnf("publish %s: %v (previous image still intact)", w.odb, err)
-		} else {
-			published = true
+		published, err = w.pub.Publish(res.RouteGen, func(out io.Writer) error {
+			img, err := db.MarshalBinary()
+			compileDur = time.Since(pubMark)
+			if err == nil {
+				_, err = out.Write(img)
+			}
+			return err
+		})
+		if err != nil {
+			w.d.warnf("publish %s: %v (previous image still intact)", w.pub.Path, err)
+		} else if published {
+			w.d.logf("published %s (%d routes)", w.pub.Path, db.Len())
 		}
 		pubDur = time.Since(pubMark)
 	}
 
-	// Read after the vantage pass, so the Refresh's runs count.
-	stats := w.eng.Stats()
-	timing.LabelsChanged = w.eng.Timing().LabelsChanged
 	warm := stats.Incremental - statsBefore.Incremental
 	full := stats.FullRemaps - statsBefore.FullRemaps
 	wall := time.Since(start)
@@ -351,7 +352,7 @@ func (w *mapWatcher) remap() error {
 	storeStage := obs.Stage{Name: obs.StageStore, Dur: storeDur, Note: fmt.Sprintf("default %v + vantages map %v + %d stores %v",
 		defDur.Round(time.Microsecond), refreshDur.Round(time.Microsecond), swapped, vantDur.Round(time.Microsecond))}
 	pubStage := obs.Stage{Name: obs.StagePublish, Dur: pubDur}
-	if pubDur > 0 {
+	if compileDur > 0 {
 		pubStage.Note = fmt.Sprintf("compile %v + write/fsync %v",
 			compileDur.Round(time.Microsecond), (pubDur - compileDur).Round(time.Microsecond))
 	}
@@ -426,48 +427,12 @@ func snapshotNote(t remap.UpdateTiming) string {
 	return fmt.Sprintf("rebuilt %d of %d rows, reverse %s", t.RowsRebuilt, t.Nodes, rev)
 }
 
-// publish writes the default store's database — which at this point
-// serves exactly the entries of the route generation gen — to w.odb,
-// atomically and durably (see internal/atomicfile): a crash at any
-// point leaves either the previous image or the new one, never a torn
-// file. The caller has already established that gen differs from the
-// last published generation, so every call here is a route change —
-// except the first after a warm start, where the image on disk usually
-// IS the current routes: that case is detected by byte comparison and
-// adopted without a write, so a restart alone never churns the file.
-// w.mu must be held (pubGen/pubOK are guarded by it). It returns how
-// long compiling the image took, for the trace.
-func (w *mapWatcher) publish(gen uint64) (compile time.Duration, err error) {
-	mark := time.Now()
-	db := w.d.store.DB()
-	img, err := db.MarshalBinary()
-	if err != nil {
-		return time.Since(mark), err
-	}
-	compile = time.Since(mark)
-	if !w.pubOK {
-		if old, err := os.ReadFile(w.odb); err == nil && bytes.Equal(old, img) {
-			w.pubGen, w.pubOK = gen, true
-			return compile, nil // warm restart: the on-disk image is already exact
-		}
-	}
-	if err := atomicfile.Publish(w.odb, func(out io.Writer) error {
-		_, err := out.Write(img)
-		return err
-	}); err != nil {
-		return compile, err
-	}
-	w.pubGen, w.pubOK = gen, true
-	w.d.logf("published %s (%d routes)", w.odb, db.Len())
-	return compile, nil
-}
-
 // watch re-maps whenever fswatch.Watch reports that a source may have
 // changed, until ctx is done; the engine's byte compare against the
 // sources it last scanned (or last rejected) makes a re-map of
 // identical sources a cheap no-op. Errors (a mid-edit syntax error, a
-// vanished file) are logged and the previous databases keep serving —
-// exactly like the -d watcher.
+// vanished file) are logged once (fswatch.Watch's failure policy) and
+// the previous databases keep serving — exactly like the -d watcher.
 func (w *mapWatcher) watch(ctx context.Context, interval time.Duration) {
 	// On a warm start the initial computation is still running in its own
 	// goroutine; it owns the watcher's state until ready closes.
@@ -476,20 +441,7 @@ func (w *mapWatcher) watch(ctx context.Context, interval time.Duration) {
 	case <-ctx.Done():
 		return
 	}
-	fswatch.Watch(ctx, w.paths, interval, w.poll)
-}
-
-// poll re-maps after a possible source change and logs a failure once:
-// a file that stays broken across the polls of fswatch's settle window
-// logs again only after a success or a different error.
-func (w *mapWatcher) poll() {
-	err := w.remap()
-	if err == nil {
-		w.lastErr = ""
-		return
-	}
-	if msg := err.Error(); msg != w.lastErr {
-		w.lastErr = msg
+	fswatch.Watch(ctx, w.paths, interval, w.remap, func(err error) {
 		w.d.logf("remap: %v (still serving previous database)", err)
-	}
+	})
 }

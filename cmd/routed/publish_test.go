@@ -28,6 +28,8 @@ import (
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
+	"pathalias/internal/rdb"
+	"pathalias/internal/resolver"
 	"pathalias/internal/routedb"
 )
 
@@ -124,6 +126,103 @@ func TestMapPublishesImage(t *testing.T) {
 	defer db.Close()
 	if e, ok := db.Lookup("duke"); !ok || e.Route != "phs!duke!%s" {
 		t.Errorf("published image serves duke = %+v, %v", e, ok)
+	}
+}
+
+// TestHeldPublishBlocksNoLookup: while a re-map's image publish is held
+// (blocked here in its test hook), the default vantage, a resident
+// from= vantage and a from= vantage that spins up lazily all answer,
+// as a daemon started over the edited map does. Once released, the
+// edit lands as one new image, byte-identical to rdb.Compile of the
+// final routes.
+func TestHeldPublishBlocksNoLookup(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "test.map")
+	odb := filepath.Join(dir, "routes.rdb")
+	if err := os.WriteFile(mapPath, []byte(testMapSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logs := &logCounter{prefix: "published "}
+	d := newMapDaemon(routedb.Options{}, logs)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.storeFor("duke"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(odb)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	w.pubHook = func() {
+		close(entered)
+		<-release
+	}
+	edited := strings.Replace(testMapSrc, "unc\tduke(HOURLY)", "unc\tduke(WEEKLY*10)", 1)
+	if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.remap() }()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("the re-map ended (%v) without publishing", err)
+	}
+	queries := []string{"duke honey", "from=duke ucbvax honey", "from=research unc honey"}
+	answered := make(chan []string, 1)
+	go func() {
+		var during []string
+		for _, q := range queries {
+			reply, _ := askLine(d, q)
+			during = append(during, reply)
+		}
+		answered <- during
+	}()
+	select {
+	case during := <-answered:
+		fresh := newMapDaemon(routedb.Options{}, io.Discard)
+		if _, err := newMapWatcher(fresh, "unc", 8, []string{mapPath}, "", false); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			if want, _ := askLine(fresh, q); during[i] != want || !strings.HasPrefix(want, "ok ") {
+				t.Errorf("%q = %q while the publish is held, want %q", q, during[i], want)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("lookups waited on the held publish")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := os.Stat(odb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) || logs.n.Load() != 2 {
+		t.Fatalf("%d images published (new inode: %v), want the initial one and one for the edit",
+			logs.n.Load(), !os.SameFile(before, after))
+	}
+	ins, err := core.ReadInputs([]string{mapPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Run(core.Config{Inputs: ins, LocalHost: "unc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rdb.Compile(rep.Entries, resolver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(odb); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("published image (%d bytes, %v) differs from rdb.Compile of the final routes (%d bytes)", len(got), err, len(want))
 	}
 }
 

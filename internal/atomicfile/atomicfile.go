@@ -31,10 +31,12 @@ package atomicfile
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // writeBufSize buffers the write callback, so line-at-a-time producers
@@ -108,4 +110,44 @@ func syncDir(dir string) {
 	}
 	d.Sync()
 	d.Close()
+}
+
+// Publisher keeps the file at Path holding the newest generation of
+// its content. It guards its own state: calls are serialized, so
+// callers need no lock (and write must not call Publish).
+type Publisher struct {
+	Path string
+
+	mu  sync.Mutex
+	gen uint64 // the generation Path holds, once ok
+	ok  bool   // a generation was written or adopted
+}
+
+// Publish makes Path hold generation gen, whose bytes write produces,
+// and reports whether it wrote the file. It calls write only when Path
+// may not hold gen, and its first call adopts a file that already
+// holds exactly those bytes (a restart). It writes through Publish,
+// which keeps the previous file on failure.
+func (p *Publisher) Publish(gen uint64, write func(io.Writer) error) (bool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ok && p.gen == gen {
+		return false, nil
+	}
+	if !p.ok {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			return false, err
+		}
+		if old, err := os.ReadFile(p.Path); err == nil && bytes.Equal(old, buf.Bytes()) {
+			p.gen, p.ok = gen, true
+			return false, nil
+		}
+		write = func(w io.Writer) error { _, err := w.Write(buf.Bytes()); return err }
+	}
+	if err := Publish(p.Path, write); err != nil {
+		return false, err
+	}
+	p.gen, p.ok = gen, true
+	return true, nil
 }

@@ -195,3 +195,50 @@ func TestPublishMissingDir(t *testing.T) {
 		t.Fatal("publish into a missing directory succeeded")
 	}
 }
+
+// TestPublisherGenerations: a Publisher adopts a file that already
+// holds its first generation's bytes, builds and writes nothing for a
+// generation the file holds, writes a new one, and after a failure
+// keeps the previous file and retries.
+func TestPublisherGenerations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "routes.rdb")
+	if err := Publish(path, writeString("one")); err != nil {
+		t.Fatal(err)
+	}
+	p := &Publisher{Path: path}
+	built := 0
+	bytesOf := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { built++; return writeString(s)(w) }
+	}
+	step := func(gen uint64, data func(io.Writer) error, wantWrote bool, wantErr error, wantBuilt int, want string) {
+		t.Helper()
+		before, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrote, err := p.Publish(gen, data)
+		if wrote != wantWrote || !errors.Is(err, wantErr) || built != wantBuilt {
+			t.Fatalf("Publish(%d) = %v, %v with %d builds; want %v, %v with %d", gen, wrote, err, built, wantWrote, wantErr, wantBuilt)
+		}
+		after, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if os.SameFile(before, after) == wrote {
+			t.Errorf("Publish(%d): wrote=%v but the file's inode says otherwise", gen, wrote)
+		}
+		if got := readFile(t, path); got != want {
+			t.Errorf("after Publish(%d) the file holds %q, want %q", gen, got, want)
+		}
+	}
+	step(1, bytesOf("one"), false, nil, 1, "one") // adopted
+	step(1, bytesOf("one"), false, nil, 1, "one") // held: not even built
+	step(2, bytesOf("two"), true, nil, 2, "two")
+	boom := errors.New("compile failed")
+	step(3, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	}, false, boom, 2, "two")
+	step(3, bytesOf("three"), true, nil, 3, "three")
+	step(3, bytesOf("three"), false, nil, 3, "three")
+}

@@ -1,8 +1,9 @@
 // Package fswatch tells watch loops when a fixed set of files may have
 // changed. Watch is the one change detector every watcher here uses
 // (routed -d/-db/-map, pathalias -watch): it owns the (mtime, size)
-// comparison and the settle window, and wakes on kernel file events
-// where the platform has them, on a poll ticker everywhere.
+// comparison, the settle window and when a failure is reported, and
+// wakes on kernel file events where the platform has them, on a poll
+// ticker everywhere.
 //
 // Watch only says "maybe": the caller decides whether the bytes really
 // changed, by what it already keeps (a content hash or checksum, or the
@@ -70,8 +71,11 @@ type stat struct {
 // Watch starts knowing nothing, so it calls fn once at the start: an
 // edit between the caller's initial load and the watch is never lost.
 // fn runs on Watch's goroutine and should deduplicate by content (a
-// kick or a settle-window wake-up is not proof the bytes changed).
-func Watch(ctx context.Context, paths []string, interval time.Duration, fn func()) {
+// kick or a settle-window wake-up is not proof the bytes changed). A
+// failure of fn is passed to report unless it repeats the message
+// reported last; a success resets that, so a source that stays broken
+// through many wake-ups is reported once.
+func Watch(ctx context.Context, paths []string, interval time.Duration, fn func() error, report func(error)) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	var kicks <-chan struct{} // nil without event support: never ready
@@ -80,9 +84,14 @@ func Watch(ctx context.Context, paths []string, interval time.Duration, fn func(
 		kicks = w.Kicks()
 	}
 	seen := make([]stat, len(paths))
+	var last error // the failure reported last; nil after a success
 	for {
 		if restat(paths, seen) {
-			fn()
+			err := fn()
+			if err != nil && (last == nil || err.Error() != last.Error()) {
+				report(err)
+			}
+			last = err
 		}
 		select {
 		case <-ctx.Done():

@@ -2,8 +2,10 @@ package fswatch
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -199,12 +201,13 @@ func startWatch(t *testing.T, paths []string, interval time.Duration) <-chan str
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Watch(ctx, paths, interval, func() {
+		Watch(ctx, paths, interval, func() error {
 			select {
 			case calls <- struct{}{}:
 			default: // a call is already pending; tests ask "at least one?"
 			}
-		})
+			return nil
+		}, func(err error) { t.Errorf("report(%v) after a successful fn", err) })
 	}()
 	t.Cleanup(func() { cancel(); <-done })
 	expectCall(t, calls, "start")
@@ -315,4 +318,29 @@ func TestWatchRenameReplaceBeatsPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectCall(t, calls, "rename-replace")
+}
+
+// TestWatchReportsEachFailureOnce drives Watch's failure policy with a
+// scripted fn over a missing path, which every wake-up retries: a
+// repeated error is reported once, again after a success, and a
+// different error at once.
+func TestWatchReportsEachFailureOnce(t *testing.T) {
+	a, b := errors.New("a: broken"), errors.New("b: missing")
+	script := []error{a, a, a, nil, a, a, b, b, a, nil, nil}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var reported []error
+	calls := 0
+	missing := filepath.Join(t.TempDir(), "map")
+	Watch(ctx, []string{missing}, time.Millisecond, func() error {
+		if calls == len(script) {
+			cancel()
+			return nil
+		}
+		calls++
+		return script[calls-1]
+	}, func(err error) { reported = append(reported, err) })
+	if want := []error{a, a, b, a}; !reflect.DeepEqual(reported, want) {
+		t.Errorf("reported %v, want %v", reported, want)
+	}
 }

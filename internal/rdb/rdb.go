@@ -129,11 +129,13 @@ var le = binary.LittleEndian
 // CPUs, used for the integrity footer.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// IsMagic reports whether data begins with the rdb file magic. Eight
-// bytes suffice; shorter prefixes report false. This is how uupath and
-// friends auto-detect a compiled database versus a linear text file.
+// IsMagic reports whether data begins with the rdb file magic, or is a
+// non-empty head of it: an image cut short, which the reader reports
+// as such. This is how uupath and friends auto-detect a compiled
+// database versus a linear text file (no route text starts with 0x89).
 func IsMagic(data []byte) bool {
-	return len(data) >= len(magic) && string(data[:len(magic)]) == string(magic[:])
+	n := min(len(data), len(magic))
+	return n > 0 && string(data[:n]) == string(magic[:n])
 }
 
 // span is one section's (offset, length) within the file.

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pathalias/internal/rdb"
 )
 
 const binTestRoutes = `0	unc	%s
@@ -101,8 +103,9 @@ func TestBinaryDeterministic(t *testing.T) {
 	}
 }
 
-// TestBinarySniffing: IsBinaryFile and IsBinaryData tell the formats
-// apart, including the edge cases (empty and tiny files).
+// TestBinarySniffing: IsBinaryFile and rdb.IsMagic tell the formats
+// apart, including the edge cases: an empty file is text, and a file
+// cut inside the magic is an image whose truncation Open reports.
 func TestBinarySniffing(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Load(strings.NewReader(binTestRoutes))
@@ -127,7 +130,8 @@ func TestBinarySniffing(t *testing.T) {
 		{write("bin.rdb", img.Bytes()), true},
 		{write("text.db", []byte(binTestRoutes)), false},
 		{write("empty", nil), false},
-		{write("tiny", []byte{0x89}), false},
+		{write("tiny", []byte{0x89}), true},
+		{write("head6", img.Bytes()[:6]), true},
 	}
 	for _, c := range cases {
 		got, err := IsBinaryFile(c.path)
@@ -141,8 +145,11 @@ func TestBinarySniffing(t *testing.T) {
 	if _, err := IsBinaryFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("IsBinaryFile on missing file: no error")
 	}
-	if !IsBinaryData(img.Bytes()) || IsBinaryData([]byte(binTestRoutes)) {
-		t.Error("IsBinaryData misclassified")
+	if !rdb.IsMagic(img.Bytes()) || rdb.IsMagic([]byte(binTestRoutes)) {
+		t.Error("rdb.IsMagic misclassified")
+	}
+	if _, err := Open(filepath.Join(dir, "head6"), Options{}); err == nil || strings.Contains(err.Error(), "tab-separated") {
+		t.Errorf("Open of a 6-byte image head: %v, want an image error", err)
 	}
 }
 

@@ -169,7 +169,8 @@ func Open(path string, opts Options) (*DB, error) {
 }
 
 // IsBinaryFile sniffs path's first bytes for the compiled-database
-// magic. It is the one place the text-or-image choice is made: Open
+// magic (rdb.IsMagic), so an empty file is text and a cut image is an
+// image. It is the one place the text-or-image choice is made: Open
 // and a daemon reloading a route file of either format both ask it.
 func IsBinaryFile(path string) (bool, error) {
 	f, err := os.Open(path)
@@ -179,18 +180,11 @@ func IsBinaryFile(path string) (bool, error) {
 	defer f.Close()
 	var buf [8]byte
 	n, err := io.ReadFull(f, buf[:])
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return false, nil // too short to be binary
-	}
-	if err != nil {
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return false, fmt.Errorf("routedb: %w", err)
 	}
 	return rdb.IsMagic(buf[:n]), nil
 }
-
-// IsBinaryData sniffs an in-memory image for the compiled-database
-// magic.
-func IsBinaryData(data []byte) bool { return rdb.IsMagic(data) }
 
 // Every query method ends with runtime.KeepAlive(db): a binary DB's
 // munmap is a GC cleanup keyed on the *DB, and without the keep-alive
