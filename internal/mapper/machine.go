@@ -11,9 +11,10 @@ package mapper
 //	snap := g.SnapshotPatched(old, touched)   // or g.Snapshot()
 //	mc.UseSnapshot(snap)
 //	mc.BeginWarm()
-//	mc.SweepInvented()                        // the previous run's back links
 //	mc.InvalidateSubtree(v)                   // per worsened/removed path
+//	mc.LinkChanged(u, v)                      // per added/changed/removed link
 //	mc.Seed(u)                                // per possible improvement source
+//	mc.MarkNodeDirty(v)                       // per node-level change
 //	res, changed := mc.FinishWarm()
 //
 // InvalidateSubtree resets every label in the current tree below a node
@@ -22,25 +23,26 @@ package mapper
 // (graph.Snapshot.Reverse: built at most once per snapshot, on the
 // first warm run over it, and shared read-only by every machine); Seed
 // re-queues an untouched mapped label so its out-edges are re-relaxed.
-// FinishWarm drains the queue under the confluent acceptance rule (see
-// machine.better), re-runs the back-link pass, and publishes results.
-// Because the acceptance order is a total order — (cost, hops, parent
-// extraction key) — the final labeling is the unique relaxation
-// fixpoint, so a warm run that invalidates enough (every label whose
-// final value differs must be invalidated or improvable) lands on
-// exactly the labels a full run would compute.
+// LinkChanged and MarkNodeDirty name what the back-link check must look
+// at beside the labels that move. FinishWarm drains the queue under the
+// confluent acceptance rule (see machine.better), brings the back links
+// up to date, and publishes results. Because the acceptance order is a
+// total order — (phase, cost, hops, parent extraction key) — the final
+// labeling is the unique relaxation fixpoint, so a warm run that
+// invalidates enough (every label whose final value differs must be
+// invalidated or improvable) lands on exactly the labels a full run
+// would compute.
 //
 // A warm run's cost follows what changed, not the size of the graph.
-// The back-link pass walks only its candidates — nodes without a mapped
-// label when the previous run ended (deleted ones too: a ghost can be
-// restored without touching its label), nodes whose labels changed in
-// this one, and appended nodes — in node-ID order, which finds exactly
-// the hosts a full scan would. FinishWarm reports a label as changed only
+// The previous run's back links stay, with their overlay index and
+// reverse entries: the phase order makes a link's validity a local
+// property (warmBackLinks), so only the links at reported pairs and
+// nodes, and at nodes whose phase moved, are checked, dropped or
+// invented. FinishWarm reports a label as changed only
 // if its value differs from the one it had when the run began, with
 // tree edges compared by (From, To, Cost, Op, Flags), not by pointer:
-// the sweep re-invents most of the previous run's back links as fresh
-// *graph.Link values (and a re-applied network declaration re-creates
-// its member edges), which leaves those paths as they were. The tree's
+// a re-applied network declaration re-creates its member edges, which
+// leaves those paths as they were. The tree's
 // child lists are kept exact through the run, one O(1) relink per
 // parent change, instead of being rebuilt from every label at its end.
 // That also lets a label whose value got worse by re-derivation reset
@@ -58,6 +60,7 @@ package mapper
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"sync"
@@ -93,6 +96,7 @@ type LabelView struct {
 	State    graph.MapState
 	Cost     cost.Cost
 	Hops     int32
+	Phase    int32 // back links on the path: the back-link round that maps it
 	Parent   int32 // label index of the parent, -1 at the root
 	Via      *graph.Link
 	ViaOp    graph.Op
@@ -105,10 +109,7 @@ type LabelView struct {
 // first run; the caller must supply the current snapshot through
 // UseSnapshot before every run.
 func NewMachine(g *graph.Graph, opts Options) *Machine {
-	mc := &Machine{g: g, mach: machine{g: g, opts: opts, wbGrownFrom: -1}, sourceID: -1}
-	mc.mach.overlay = make(map[int32][]*graph.Link)
-	mc.mach.overlayIdx = make(map[uint64]*graph.Link)
-	return mc
+	return &Machine{g: g, mach: machine{g: g, opts: opts, wbGrownFrom: -1}, sourceID: -1}
 }
 
 // UseSnapshot hands the machine the graph's current CSR snapshot. It
@@ -119,9 +120,9 @@ func (mc *Machine) UseSnapshot(s *graph.Snapshot) { mc.extSnap = s }
 // UseEdits gives the machine a what-if overlay of link edits
 // (internal/whatif). The caller is responsible for running the machine
 // against a snapshot patched with the same overlay (UseSnapshot of
-// ov.PatchSnapshot); UseEdits only makes the back-link pass — which
-// walks the live adjacency lists rather than the snapshot — see the
-// identical edited view. Pass nil to clear.
+// ov.PatchSnapshot); UseEdits only makes the back-link check for an
+// existing link nb→n — a graph lookup, not a snapshot one — see the
+// overlay's added links too. Pass nil to clear.
 func (mc *Machine) UseEdits(ov *graph.Overlay) { mc.mach.edits = ov }
 
 // snapshot returns the snapshot supplied through UseSnapshot.
@@ -187,8 +188,9 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	m := &mc.mach
 	m.warm = false // a warm run abandoned mid-invalidation lands here
 	// A fresh run starts from declared links only.
-	clear(m.overlay)
-	clear(m.overlayIdx)
+	m.overlay = make(map[int32][]*graph.Link)
+	m.overlayIdx = make(map[uint64]*graph.Link)
+	m.revExtra = make(map[int32][]int32)
 	m.invented = m.invented[:0]
 	m.snap = mc.snapshot()
 
@@ -209,7 +211,7 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	m.push(src)
 	m.drain()
 	if m.opts.BackLinks {
-		m.unmapped = m.backLinkPass(m.unmappedNodes(m.unmapped))
+		m.backLinkPass()
 	}
 	m.writeBack()
 	mc.rebuildChildren()
@@ -262,13 +264,6 @@ func (mc *Machine) RebaseGrow() error {
 	if old < want {
 		m.labels = growClear(m.labels, want)
 		m.kin = growClear(m.kin, want)
-		if m.opts.BackLinks {
-			// The new nodes have no mapped label yet: back-link
-			// candidates, appended in ID order.
-			for id := int32(old / 2); id < int32(want/2); id++ {
-				m.unmapped = append(m.unmapped, id)
-			}
-		}
 		if m.wbValid {
 			m.wbNodeMark = growClear(m.wbNodeMark, mc.g.Len())
 			m.wbState = growClear(m.wbState, mc.g.Len())
@@ -301,9 +296,31 @@ func growClear[T any](s []T, want int) []T {
 // reconsider node id even if none of its labels change: node-level
 // effects — an IsNet flip, a changed attribute — alter a node's
 // result contribution (unreachable membership, penalty counting)
-// without touching its labels. Call between BeginWarm and FinishWarm.
+// without touching its labels. A deleted or restored node also changes
+// which back links it can take part in, so its links are checked
+// against their templates now and again after the drain. Call between
+// BeginWarm and FinishWarm.
 func (mc *Machine) MarkNodeDirty(id int32) {
-	mc.mach.markNodeDirty(id)
+	m := &mc.mach
+	m.markNodeDirty(id)
+	for _, nb := range slices.Clone(m.revExtra[id]) {
+		m.dropStale(nb, id)
+	}
+	for _, l := range slices.Clone(m.overlay[id]) {
+		m.dropStale(id, int32(l.To.ID))
+	}
+	m.evNodes = append(m.evNodes, id)
+}
+
+// LinkChanged tells the warm run that a link between from and to was
+// added, removed or changed: a back link on either pair that lost its
+// template, or that a new link blocks, is dropped now and its riders
+// reset, and the pair is checked again after the drain. It returns how
+// many labels were reset. Call between BeginWarm and FinishWarm.
+func (mc *Machine) LinkChanged(from, to int32) (count int) {
+	m := &mc.mach
+	m.evPairs = append(m.evPairs, [2]int32{from, to})
+	return m.dropStale(from, to)
 }
 
 // BeginWarm starts a warm run over the graph's current snapshot (which
@@ -333,14 +350,12 @@ func (mc *Machine) BeginWarm() error {
 	m.changedEpoch++
 	m.changed = m.changed[:0]
 	m.changedOld = m.changedOld[:0]
+	m.changedPh = m.changedPh[:0]
+	m.evPairs = m.evPairs[:0]
+	m.evNodes = m.evNodes[:0]
 	m.res = &Result{Source: m.snap.Nodes[mc.sourceID], Machine: mc}
 	mc.newQueue()
 	m.revRow, m.revFrom = m.snap.Reverse()
-	if m.revExtra == nil {
-		m.revExtra = make(map[int32][]int32)
-	} else {
-		clear(m.revExtra)
-	}
 	return nil
 }
 
@@ -368,17 +383,18 @@ func (mc *Machine) Seed(id int32) {
 	m.push(lb)
 }
 
-// FinishWarm drains the warm queue, re-runs the back-link pass, and
-// publishes results. It returns the run Result (Tree is nil) and the
-// indices of every label whose value changed — compared with its value
-// when the run began, so a label invalidated and re-derived to the same
-// path is not reported — for the engine's incremental route patching.
+// FinishWarm drains the warm queue, brings the back links up to date
+// (warmBackLinks), and publishes results. It returns the run Result
+// (Tree is nil) and the indices of every label whose value changed —
+// compared with its value when the run began, so a label invalidated
+// and re-derived to the same path is not reported — for the engine's
+// incremental route patching.
 // The returned slice is reused by the next warm run.
 func (mc *Machine) FinishWarm() (*Result, []int32) {
 	m := &mc.mach
 	m.drain()
 	if m.opts.BackLinks {
-		m.unmapped = m.backLinkPass(m.backLinkCandidates())
+		m.warmBackLinks()
 	}
 	m.dropUnchanged()
 	m.writeBack()
@@ -386,29 +402,18 @@ func (mc *Machine) FinishWarm() (*Result, []int32) {
 	return m.res, m.changed
 }
 
-// SweepInvented drops the previous run's invented back links from the
-// machine's private overlay and invalidates every label whose path still
-// rides one — a fresh parse starts from declared links only, so a warm
-// run must too. Call between BeginWarm (which fetches the reverse
-// adjacency the invalidation seeds from) and FinishWarm. It returns how
-// many labels were reset and whether the run's source was among them,
-// like InvalidateSubtree.
-func (mc *Machine) SweepInvented() (count int, hitRoot bool) {
-	m := &mc.mach
-	for _, l := range m.invented {
-		for taint := int32(0); taint < 2; taint++ {
-			li := 2*int32(l.To.ID) + taint
-			if m.labels[li].via == l {
-				n, hit := m.invalidateTree(li, -1)
-				count += n
-				hitRoot = hitRoot || hit
+// BackLinks yields the back links the machine holds — the edges its
+// relax loop reads beside the snapshot's — in no particular order.
+func (mc *Machine) BackLinks() iter.Seq[*graph.Link] {
+	return func(yield func(*graph.Link) bool) {
+		for _, sp := range mc.mach.overlay {
+			for _, l := range sp {
+				if !yield(l) {
+					return
+				}
 			}
 		}
 	}
-	m.invented = m.invented[:0]
-	clear(m.overlay)
-	clear(m.overlayIdx)
-	return count, hitRoot
 }
 
 // NumLabels returns the size of the label array (2 per node).
@@ -425,6 +430,7 @@ func (mc *Machine) Label(li int32) LabelView {
 		State:    lb.state,
 		Cost:     lb.cost,
 		Hops:     lb.hops,
+		Phase:    lb.phase,
 		Parent:   lb.parent,
 		Via:      lb.via,
 		ViaOp:    lb.viaOp,
@@ -476,11 +482,11 @@ func (mc *Machine) AppendChildren(dst []int32, li int32) []int32 {
 
 // Clone returns a copy of the machine that can run on from the same
 // labeling — warm, under its own snapshot and edits — while the
-// original is read or run: labels, child lists, invented back links,
-// the unmapped list and the batched write-back state are copied, down
+// original is read or run: labels, child lists, the back links with
+// their indexes and the batched write-back state are copied, down
 // to the epoch stamps, so the two share no slice or map that either
-// side writes. Per-run scratch (queue, changed lists, mid-run reverse
-// links) is left for the copy's next run to allocate. Only immutable
+// side writes. Per-run scratch (queue, changed lists, the back-link
+// check's lists) is left for the copy's next run to allocate. Only immutable
 // data is shared: the graph, the snapshot pointers and the *graph.Link
 // values labels ride.
 func (mc *Machine) Clone() *Machine {
@@ -493,10 +499,9 @@ func (mc *Machine) Clone() *Machine {
 		labels:       slices.Clone(src.labels),
 		changedMark:  slices.Clone(src.changedMark),
 		changedEpoch: src.changedEpoch,
-		invented:     slices.Clone(src.invented),
-		unmapped:     slices.Clone(src.unmapped),
-		overlay:      make(map[int32][]*graph.Link, len(src.overlay)),
+		overlay:      cloneLists(src.overlay),
 		overlayIdx:   maps.Clone(src.overlayIdx),
+		revExtra:     cloneLists(src.revExtra),
 		edits:        src.edits,
 		kin:          slices.Clone(src.kin),
 		wbValid:      src.wbValid,
@@ -508,17 +513,32 @@ func (mc *Machine) Clone() *Machine {
 		wbNodeMark:   slices.Clone(src.wbNodeMark),
 		wbGrownFrom:  src.wbGrownFrom,
 	}
-	for id, sp := range src.overlay {
-		c.mach.overlay[id] = slices.Clone(sp)
-	}
 	return c
 }
 
-// ReleaseRunState frees everything but the labels of a machine whose
-// callers now read only those, such as a cached what-if run once its
-// routes are derived: child lists, queue, warm-run stamps and the
-// write-back bookkeeping. AppendChildren and warm runs are unavailable
-// until the next FullRun.
+// cloneLists copies a map of slices into one backing array. Each copied
+// slice is capped at its length, so an append moves it out rather than
+// into its neighbor's elements.
+func cloneLists[T any](src map[int32][]T) map[int32][]T {
+	n := 0
+	for _, sp := range src {
+		n += len(sp)
+	}
+	back := make([]T, 0, n)
+	dst := make(map[int32][]T, len(src))
+	for id, sp := range src {
+		i := len(back)
+		back = append(back, sp...)
+		dst[id] = back[i:len(back):len(back)]
+	}
+	return dst
+}
+
+// ReleaseRunState frees everything but the labels and back links of a
+// machine whose callers now read only those, such as a cached what-if
+// run once its routes are derived: child lists, queue, warm-run stamps
+// and indexes, and the write-back bookkeeping. AppendChildren and warm
+// runs are unavailable until the next FullRun.
 func (mc *Machine) ReleaseRunState() {
 	m := &mc.mach
 	m.kin = nil
@@ -527,7 +547,8 @@ func (mc *Machine) ReleaseRunState() {
 	}
 	m.queue = nil
 	m.changed, m.changedOld, m.changedMark = nil, nil, nil
-	m.revExtra, m.invStack, m.cands = nil, nil, nil
+	m.changedPh, m.revExtra, m.invStack = nil, nil, nil
+	m.evPairs, m.evNodes, m.drops, m.adds = nil, nil, nil, nil
 	m.wbValid = false
 	m.wbState, m.wbUnreach, m.wbUnreachSp, m.wbDirty, m.wbNodeMark = nil, nil, nil, nil, nil
 	mc.ran = false

@@ -90,6 +90,7 @@ type label struct {
 	state   graph.MapState
 	cost    cost.Cost
 	hops    int32
+	phase   int32       // back-link round the path belongs to: 0 for declared links only, +1 per invented link
 	tie     uint64      // packed (hops, rank, taint) secondary sort key
 	parent  int32       // index in machine.labels of the label this path extends; -1 at the root
 	via     *graph.Link // edge from parent's node to node; nil at the root
@@ -104,6 +105,14 @@ func (lb *label) index() int32 { return lb.id*2 + int32(lb.taint) }
 
 // hasPath reports whether lb holds a path, mapped or queued.
 func (lb *label) hasPath() bool { return lb.node != nil && lb.state != graph.Unmapped }
+
+// pathPhase returns lb's phase, or -1 when it holds no path.
+func (lb *label) pathPhase() int32 {
+	if !lb.hasPath() {
+		return -1
+	}
+	return lb.phase
+}
 
 // Result reports a mapping run.
 type Result struct {
@@ -188,45 +197,42 @@ type machine struct {
 
 	// Warm-run bookkeeping (machine.go). warm enables label re-opening
 	// bookkeeping and changed-label tracking; both are inert in full
-	// runs. backlink marks the back-link phase, where full and warm runs
-	// alike keep the paper's committed-label rule (no re-opening):
-	// invented links break cost monotonicity, so a better late path
-	// through a back link CAN appear — and the production algorithm
-	// ignores it. The warm run must
-	// reproduce exactly that, staleness included; it can, because every
-	// label derived from a previous update's back links is invalidated
-	// up front (their subtrees hang below swept links). invented
-	// accumulates back links created by backLinkPass so the engine can
-	// sweep them out of the overlay before the next update.
+	// runs. changedPh holds each changed label's phase as of the last
+	// back-link check (-1 without a path), so the check re-examines only
+	// the nodes whose phase moved (warmBackLinks). invented lists, in
+	// invention order, the back links a full run invented (Result.
+	// Invented); warm runs keep the overlay below exact instead.
 	warm         bool
-	backlink     bool
 	changed      []int32  // label indices mutated this warm run; FinishWarm keeps the changed ones
 	changedOld   []label  // changed[i]'s value when the run began, until dropUnchanged filters changed
+	changedPh    []int32  // changed[i]'s phase at the last back-link check
 	changedMark  []uint32 // per-label epoch stamp backing changed
 	changedEpoch uint32
 	invented     []*graph.Link
 
-	// unmapped lists, in ascending order, the nodes left without a
-	// mapped label when the last Machine run ended (plus nodes appended
-	// since): with the changed labels' nodes, every node a warm run's
-	// back-link pass can find unmapped. Maintained with BackLinks only.
-	// cands is the candidate buffer, ping-ponged with unmapped.
-	unmapped []int32
-	cands    []int32
-
-	// overlay holds the invented back links by source node ID. overlayIdx
-	// indexes them by (from, to) pair: with the graph's FindLink, the
-	// check that no link from a neighbor back to the host exists yet.
+	// Back links stay across warm runs. overlay holds them by source
+	// node ID, overlayIdx by (from, to) pair — with the graph's
+	// FindLink, the check that no link from a neighbor back to the host
+	// exists yet — and revExtra by target: the source IDs seedInNeighbors
+	// re-queues beside the snapshot's reverse adjacency. A warm run's
+	// back-link check (backlink.go) starts from the (from, to) pairs of
+	// links the engine reported changed (evPairs, LinkChanged) and the
+	// nodes it marked dirty (evNodes, MarkNodeDirty), and collects its
+	// decisions in drops and adds.
 	overlay    map[int32][]*graph.Link
 	overlayIdx map[uint64]*graph.Link
+	revExtra   map[int32][]int32
+	evPairs    [][2]int32
+	evNodes    []int32
+	drops      []*graph.Link
+	adds       []backAdd
 
 	// edits is a what-if overlay of hypothetical link edits (Machine.
-	// UseEdits). The relax loop never consults it — the edits are baked
-	// into the patched snapshot the machine runs against — but the
-	// back-link pass walks the live adjacency lists, so it must see the
-	// same edited view: removed links don't donate back links, cost
-	// overrides carry into invented costs, and added links donate like
-	// any other.
+	// UseEdits). The edits are baked into the patched snapshot the
+	// machine runs against, back-link templates included (removed links
+	// donate none, cost overrides carry into invented costs, added links
+	// donate like any other), but whether a link nb→n blocks a back link
+	// is a graph lookup, which must see the overlay's added links too.
 	edits *graph.Overlay
 
 	// kin holds the shortest-path tree as intrusive child lists, one
@@ -238,10 +244,9 @@ type machine struct {
 	// (graph.Snapshot.Reverse), fetched per warm run: when a label is
 	// invalidated — before the drain or in its midst — every mapped
 	// in-neighbor is re-queued so the reset label receives all its
-	// offers again. revExtra holds back links invented mid-run.
+	// offers again, back-link sources (revExtra) included.
 	revRow   []int32
 	revFrom  []int32
-	revExtra map[int32][]int32
 	invStack []int32 // scratch for invalidateTree
 
 	// Batched write-back (persistent across runs): each node's result
@@ -376,6 +381,7 @@ func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bo
 			m.queue.Remove(int(lb.qb), int(lb.qi))
 		}
 		lb.state = graph.Unmapped
+		lb.phase = 0
 		lb.cost = 0
 		lb.hops = 0
 		lb.tie = 0
@@ -403,6 +409,7 @@ func (m *machine) markChanged(li int32) {
 		m.changedMark[li] = m.changedEpoch
 		m.changed = append(m.changed, li)
 		m.changedOld = append(m.changedOld, m.labels[li])
+		m.changedPh = append(m.changedPh, m.labels[li].pathPhase())
 	}
 }
 
@@ -432,10 +439,11 @@ func sameValue(a, b *label) bool {
 }
 
 // sameLink compares tree edges by value, (From, To, Cost, Op, Flags):
-// a warm run sweeps the previous run's invented back links and
-// re-invents them as fresh *graph.Link values, and the engine re-applies
-// a changed file's network declarations as fresh member edges, so an
-// unchanged path often arrives over a new pointer.
+// the engine re-applies a changed file's network declarations as fresh
+// member edges, and a back link dropped and invented again within a
+// warm run (its host lost its path, then got it back) is a fresh
+// *graph.Link value, so an unchanged path can arrive over a new
+// pointer.
 func sameLink(a, b *graph.Link) bool {
 	if a == b {
 		return true
@@ -594,8 +602,12 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 	cand := lb.cost.Add(edgeCost)
 	newInDomain := lb.inDomain || vFlags&graph.FDomain != 0
 	target := m.labelFor(v, newInDomain)
+	ph := lb.phase
+	if eFlags&graph.LBack != 0 {
+		ph++
+	}
 
-	if m.warm && !m.backlink && target.parent == lb.index() && target.via == el {
+	if m.warm && target.parent == lb.index() && target.via == el {
 		// Re-derivation of the committed tree edge: target's value was
 		// computed from lb's state at some earlier point of the warm run;
 		// if lb has changed since, target must track it exactly — the
@@ -603,14 +615,15 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 		// when the parent's path got worse (or changed syntax state).
 		// Never fires in a full run: a label relaxes its edges once,
 		// and its children's values already match that single offer.
-		if cand == target.cost && lb.hops+1 == target.hops && target.viaOp == effOp &&
-			newDir == target.lastDir && newMixes == target.mixes &&
-			newInDomain == target.inDomain {
+		if ph == target.phase && cand == target.cost && lb.hops+1 == target.hops &&
+			target.viaOp == effOp && newDir == target.lastDir &&
+			newMixes == target.mixes && newInDomain == target.inDomain {
 			return // consistent
 		}
-		worse := cand > target.cost || (cand == target.cost && lb.hops+1 > target.hops)
+		worse := ph > target.phase || ph == target.phase &&
+			(cand > target.cost || cand == target.cost && lb.hops+1 > target.hops)
 		st := target.state
-		m.setLabel(target, lb, el, effOp, cand, newDir, newMixes, newInDomain)
+		m.setLabel(target, lb, el, effOp, ph, cand, newDir, newMixes, newInDomain)
 		switch st {
 		case graph.Mapped:
 			target.state = graph.Queued
@@ -638,41 +651,53 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 	switch target.state {
 	case graph.Unmapped:
 		// setLabel first: markChanged must save the label as Unmapped.
-		m.setLabel(target, lb, el, effOp, cand, newDir, newMixes, newInDomain)
+		m.setLabel(target, lb, el, effOp, ph, cand, newDir, newMixes, newInDomain)
 		target.state = graph.Queued
 		m.push(target)
 	case graph.Queued:
-		if m.better(lb, cand, target) {
-			m.setLabel(target, lb, el, effOp, cand, newDir, newMixes, newInDomain)
+		if m.better(lb, ph, cand, target) {
+			m.setLabel(target, lb, el, effOp, ph, cand, newDir, newMixes, newInDomain)
 			m.fix(target)
 		}
 	case graph.Mapped:
 		// Re-opening: a mapped label accepts a strictly better offer and
-		// goes back on the queue. In the main phase of a full run
-		// this never fires — extraction order is monotone in (cost,
-		// tie), so no later offer can beat a mapped label — but in a
-		// warm run an improvement entering through a changed edge must
-		// propagate through labels that were mapped in a previous run.
-		// The back-link phase excludes it in both modes: see the
-		// machine.backlink comment.
-		if m.warm && !m.backlink && m.better(lb, cand, target) {
+		// goes back on the queue. A full run never needs it: each drain
+		// sees offers of one phase only, extraction order is monotone in
+		// (cost, tie) within it, and an offer into an earlier phase
+		// loses on the phase (see better). In a warm run an
+		// improvement entering through a changed edge must propagate
+		// through labels that were mapped in a previous run.
+		if m.warm && m.better(lb, ph, cand, target) {
 			target.state = graph.Queued
-			m.setLabel(target, lb, el, effOp, cand, newDir, newMixes, newInDomain)
+			m.setLabel(target, lb, el, effOp, ph, cand, newDir, newMixes, newInDomain)
 			m.push(target)
 		}
 	}
 }
 
-// better reports whether extending lb would improve target, under the
-// full deterministic order: path cost, then hop count, then — on a full
-// tie — the extraction order of the offering parent, (parent cost,
-// parent tie). The third key makes the final labeling confluent: it is
-// the unique fixpoint of the relaxation relation, independent of the
-// order relaxations run in. In a full run the parent-order key
-// changes nothing (offers arrive in parent extraction order, so the
-// first best offer already has the minimal key); for warm runs it is
-// what lets a partial re-relaxation land on byte-identical routes.
-func (m *machine) better(lb *label, cand cost.Cost, target *label) bool {
+// better reports whether extending lb into phase ph would improve
+// target, under the full deterministic order: phase, path cost, hop
+// count, then — on a full tie — the extraction order of the offering
+// parent, (parent cost, parent tie).
+//
+// The phase comes first. A path's phase counts the invented back links
+// on it, which is the back-link round in which a full run maps it: the
+// paper's production algorithm never revisits a label once mapped, so
+// a path through a back link never beats one found in an earlier round,
+// however cheap. Ordering by phase first makes that a property of the
+// order rather than a rule of the pass, and keeps the order strictly
+// increasing along every edge (a step never lowers the phase, and adds
+// a hop), so the final labeling is the unique fixpoint of the
+// relaxation relation, independent of the order relaxations run in,
+// back links included. In a full run the phase and parent-order keys
+// change nothing (a drain only sees offers of its own phase, in parent
+// extraction order, so the first best offer already has the minimal
+// key); for warm runs they are what let a partial re-relaxation land on
+// byte-identical routes.
+func (m *machine) better(lb *label, ph int32, cand cost.Cost, target *label) bool {
+	if ph != target.phase {
+		return ph < target.phase
+	}
 	if cand != target.cost {
 		return cand < target.cost
 	}
@@ -691,7 +716,7 @@ func (m *machine) better(lb *label, cand cost.Cost, target *label) bool {
 
 // setLabel fills target's path fields from the extension of lb along l.
 func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
-	cand cost.Cost, dir, mixes uint8, inDomain bool) {
+	ph int32, cand cost.Cost, dir, mixes uint8, inDomain bool) {
 	if m.warm {
 		// Track the mutation for the engine's incremental route patching,
 		// and move target to its new parent's child list.
@@ -709,6 +734,7 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 		// tracks the new state exactly. Whenever target's value changes
 		// it is (re-)queued, so that re-relaxation always happens.
 	}
+	target.phase = ph
 	target.cost = cand
 	target.hops = lb.hops + 1
 	target.tie = m.tieKey(target.hops, target.id, target.taint)
@@ -718,143 +744,6 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 	target.lastDir = dir
 	target.mixes = mixes
 	target.inDomain = inDomain
-}
-
-// backLinkPass invents reverse links for unreachable hosts and continues
-// mapping, iterating until no further host becomes reachable. Invented
-// links go into the machine's private overlay, so the relax loop sees
-// them without a CSR rebuild.
-//
-// The pass walks cands, node IDs in ascending order that must include
-// every node without a mapped label: unmappedNodes for a full run, the
-// candidates of backLinkCandidates for a warm one. Nodes that are
-// mapped (or deleted) are skipped exactly as a scan of every node
-// would skip them, so both find the same hosts in the same order. Each
-// sweep compacts cands in place to the nodes it found unmapped — a
-// node maps only in the drain between sweeps, never unmaps — so the
-// slice returned, a prefix of cands, holds the nodes still unmapped
-// when the pass ends. Deleted nodes stay in it: a later generation can
-// restore a ghost without touching its label, and the restored host
-// must then be a candidate.
-func (m *machine) backLinkPass(cands []int32) []int32 {
-	m.backlink = true
-	defer func() { m.backlink = false }()
-	for {
-		invented := false
-		k := 0
-		for _, id := range cands {
-			n := m.snap.Nodes[id]
-			if m.nodeMapped(n) {
-				continue
-			}
-			cands[k] = id
-			k++
-			if n.IsDeleted() {
-				continue
-			}
-			// Examine the connections out of the unreachable host.
-			for l := n.FirstLink(); l != nil; l = l.Next {
-				if !l.Usable() || l.Flags&(graph.LAlias|graph.LBack) != 0 {
-					continue
-				}
-				tmpl := l
-				if m.edits != nil {
-					if m.edits.Removed(l) {
-						continue
-					}
-					tmpl = m.edits.Shadow(l)
-				}
-				if m.inventBack(n, tmpl) {
-					invented = true
-				}
-			}
-			if m.edits != nil {
-				// Overlay-added links out of the unreachable host donate
-				// back links exactly like declared ones.
-				for _, l := range m.edits.AddedFrom(int32(n.ID)) {
-					if l.To.IsDeleted() {
-						continue
-					}
-					if m.inventBack(n, l) {
-						invented = true
-					}
-				}
-			}
-		}
-		cands = cands[:k]
-		if !invented {
-			return cands
-		}
-		m.drain()
-	}
-}
-
-// unmappedNodes fills buf with the IDs of the nodes without a mapped
-// label, in ascending order: a full run's back-link candidates.
-func (m *machine) unmappedNodes(buf []int32) []int32 {
-	buf = buf[:0]
-	for id, n := range m.snap.Nodes {
-		if !m.nodeMapped(n) {
-			buf = append(buf, int32(id))
-		}
-	}
-	return buf
-}
-
-// backLinkCandidates returns, in ascending order and without
-// duplicates, the nodes unmapped when the previous run ended (and nodes
-// appended since) together with the now-unmapped nodes of labels
-// mutated in this run: any other node had a mapped label then, and only
-// a mutation can have unmapped it. The candidates fill the cands
-// buffer, which swaps roles with unmapped once the pass returns.
-func (m *machine) backLinkCandidates() []int32 {
-	fresh := m.cands[:0]
-	for _, li := range m.changed {
-		if n := m.labels[li].node; n != nil && !m.nodeMapped(n) {
-			fresh = append(fresh, li/2)
-		}
-	}
-	fresh = append(fresh, m.unmapped...)
-	slices.Sort(fresh)
-	m.cands = m.unmapped
-	return slices.Compact(fresh)
-}
-
-// inventBack invents the reverse of template link l (a usable, ordinary
-// link out of unreachable host n) if l's far end is mapped and no
-// forward link back to n exists, and relaxes it from the far end's
-// mapped labels. Reports whether a link was invented.
-func (m *machine) inventBack(n *graph.Node, l *graph.Link) bool {
-	nb := l.To
-	if !m.nodeMapped(nb) {
-		return false
-	}
-	if m.edits != nil {
-		if m.edits.FindLink(m.g, nb, n) != nil {
-			return false // a forward link exists; nothing to invent
-		}
-	} else if m.g.FindLink(nb, n) != nil {
-		return false // a forward link exists; nothing to invent
-	}
-	key := uint64(uint32(nb.ID))<<32 | uint64(uint32(n.ID))
-	if m.overlayIdx[key] != nil {
-		return false // invented earlier in this run
-	}
-	back := &graph.Link{From: nb, To: n, Cost: l.Cost, Op: l.Op, Flags: graph.LBack}
-	m.overlayIdx[key] = back
-	m.overlay[int32(nb.ID)] = append(m.overlay[int32(nb.ID)], back)
-	m.invented = append(m.invented, back)
-	if m.warm {
-		m.revExtra[int32(n.ID)] = append(m.revExtra[int32(n.ID)], int32(nb.ID))
-	}
-	// Relax the new edge from the neighbor's mapped labels.
-	for taint := 0; taint < 2; taint++ {
-		nl := &m.labels[nb.ID*2+taint]
-		if nl.node != nil && nl.state == graph.Mapped {
-			m.relax(nl, int32(n.ID), back.Cost, back.Flags, back.Op, back)
-		}
-	}
-	return true
 }
 
 // nodeMapped reports whether any label of n is mapped.

@@ -2,8 +2,10 @@ package rdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -156,6 +158,29 @@ func TestOpenFile(t *testing.T) {
 	}
 	if err := r.Close(); err != nil { // idempotent
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestOpenErrorNamesPathOnce pins Open's error text: the package
+// prefix and the path once each, then the validation error, which it
+// wraps; and a missing file's error is still the file system's own to
+// errors.Is.
+func TestOpenErrorNamesPathOnce(t *testing.T) {
+	img := compileT(t, testEntries(), resolver.Options{})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cut.rdb")
+	if err := os.WriteFile(path, img[:6], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path)
+	if want := "rdb: " + path + ": corrupt database: file too short (6 bytes)"; err == nil || err.Error() != want {
+		t.Errorf("Open(6-byte head) = %v, want %q", err, want)
+	}
+	if inner := errors.Unwrap(err); inner == nil || inner.Error() != "corrupt database: file too short (6 bytes)" {
+		t.Errorf("Open error %v wraps %v, want the validation error", err, inner)
+	}
+	if _, err := Open(filepath.Join(dir, "missing.rdb")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Open(missing) = %v, want fs.ErrNotExist", err)
 	}
 }
 

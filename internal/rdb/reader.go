@@ -55,12 +55,11 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := OpenBytes(f.Data)
-	if err != nil {
+	r := &Reader{data: f.Data, src: f}
+	if err := r.verify(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("rdb: %s: %w", path, err)
 	}
-	r.src = f
 	return r, nil
 }
 
@@ -77,7 +76,7 @@ func Open(path string) (*Reader, error) {
 func OpenBytes(data []byte) (*Reader, error) {
 	r := &Reader{data: data}
 	if err := r.verify(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rdb: %w", err)
 	}
 	return r, nil
 }
@@ -122,9 +121,10 @@ func FileChecksum(path string) (uint32, error) {
 	return le.Uint32(foot[0:]), nil
 }
 
-// corrupt builds the uniform validation error.
+// corrupt builds the uniform validation error. Validation errors carry
+// no package prefix: Open names the path after it, OpenBytes nothing.
 func corrupt(format string, args ...any) error {
-	return fmt.Errorf("rdb: corrupt database: "+format, args...)
+	return fmt.Errorf("corrupt database: "+format, args...)
 }
 
 // verify performs the full structural validation described on
@@ -138,11 +138,11 @@ func (r *Reader) verify() error {
 		return corrupt("file too short (%d bytes)", len(data))
 	}
 	if !IsMagic(data) {
-		return fmt.Errorf("rdb: not a compiled route database (bad magic)")
+		return fmt.Errorf("not a compiled route database (bad magic)")
 	}
 	version := le.Uint32(data[8:])
 	if version != version1 && version != version2 {
-		return fmt.Errorf("rdb: unsupported format version %d (want %d or %d)", version, version1, version2)
+		return fmt.Errorf("unsupported format version %d (want %d or %d)", version, version1, version2)
 	}
 	r.version = version
 	hdrSize := uint64(headerSizeOf(version))
@@ -477,6 +477,13 @@ func (r *Reader) verifyHashPrecise() error {
 // random-access joins — run it when converting or auditing a database,
 // not on the serving cold path.
 func (r *Reader) VerifyReachable() error {
+	if err := r.verifyReachable(); err != nil {
+		return fmt.Errorf("rdb: %w", err)
+	}
+	return nil
+}
+
+func (r *Reader) verifyReachable() error {
 	if r.slots == 0 {
 		return nil
 	}

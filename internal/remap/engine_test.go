@@ -550,6 +550,9 @@ func randomizedEquivalence(t *testing.T, seed int64, steps int, popts printer.Op
 		t.Fatal(err)
 	}
 	checkEquivalent(t, opts, inputs, res, "initial")
+	if err := VerifyBackLinks(m); err != nil {
+		t.Fatalf("initial (seed %d): %v", seed, err)
+	}
 
 	var mu mutator
 	warm := 0
@@ -573,6 +576,9 @@ func randomizedEquivalence(t *testing.T, seed int64, steps int, popts printer.Op
 		checkEquivalent(t, opts, inputs, res, fmt.Sprintf("step %d (seed %d)", step, seed))
 		if err := m.e.verifyLedger(); err != nil {
 			t.Fatalf("step %d (seed %d): ledger: %v", step, seed, err)
+		}
+		if err := VerifyBackLinks(m); err != nil {
+			t.Fatalf("step %d (seed %d): %v", step, seed, err)
 		}
 	}
 	t.Logf("seed %d: %d/%d steps warm (stats %+v)", seed, warm, steps, m.Stats())

@@ -3,6 +3,7 @@ package remap
 import (
 	"fmt"
 
+	"pathalias/internal/certify"
 	"pathalias/internal/graph"
 )
 
@@ -131,6 +132,22 @@ func (e *core) verifyLedger() error {
 		}
 		if got != w {
 			return fmt.Errorf("node %s: refcount %d, journals hold %d references", e.node(int32(id)).Name, got, w)
+		}
+	}
+	return nil
+}
+
+// VerifyBackLinks certifies the phases and back links of every vantage
+// machine that holds the current generation's labels
+// (certify.BackLinks), for the package's tests.
+func VerifyBackLinks(m *Multi) error {
+	e := m.e
+	for h, v := range m.vans {
+		if v.mc == nil || v.needFull || v.err != nil || v.graphGen != e.graphGen || v.jgen != e.jgen {
+			continue
+		}
+		if err := certify.BackLinks(v.mc, e.snap, nil); err != nil {
+			return fmt.Errorf("vantage %s: %w", h, err)
 		}
 	}
 	return nil

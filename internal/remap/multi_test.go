@@ -614,6 +614,9 @@ func FuzzMultiEdits(f *testing.F) {
 			if t.Failed() {
 				t.FailNow()
 			}
+			if err := VerifyBackLinks(m); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 			handed.verify(t, label)
 			for _, h := range vantages {
 				if res, err := m.ResultFor(h); err == nil {

@@ -174,13 +174,15 @@ func (v *vantage) remap(e *core, local *graph.Node, snap *graph.Snapshot, ev map
 		warm = v.mc.BeginWarm() == nil
 	}
 	if warm {
-		// The previous run's invented back links vanish first (a fresh
-		// parse starts from declared links only), then every path riding
-		// a changed or removed edge, then every path through a node
-		// whose attributes changed. Invalidation re-queues the dirty
-		// region's cost frontier; seeding the sources of added/changed
-		// edges covers possible improvements into still-mapped territory.
-		invalidated, rootHit := v.mc.SweepInvented()
+		// Every path riding a changed or removed edge is invalidated,
+		// then every path through a node whose attributes changed.
+		// Invalidation re-queues the dirty region's cost frontier;
+		// seeding the sources of added/changed edges covers possible
+		// improvements into still-mapped territory. The back links the
+		// machine invented stay: each changed link's pair drops only
+		// those it unmakes, and the run checks the rest where labels
+		// move.
+		invalidated, rootHit := 0, false
 		maxDirty := int(float64(v.mc.NumLabels()) * maxDirtyFrac)
 		for _, ed := range ev.edges {
 			lv := v.mc.Label(2 * ed.to)
@@ -189,6 +191,7 @@ func (v *vantage) remap(e *core, local *graph.Node, snap *graph.Snapshot, ev map
 				invalidated += n
 				rootHit = rootHit || hit
 			}
+			invalidated += v.mc.LinkChanged(ed.from, ed.to)
 		}
 		for _, id := range ev.attrs {
 			n, hit := v.mc.InvalidateSubtree(id)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pathalias/internal/certify"
 	"pathalias/internal/cost"
 	"pathalias/internal/graph"
 	"pathalias/internal/mapgen"
@@ -506,6 +507,9 @@ func FuzzOverlayEquivalence(f *testing.F) {
 		}
 		if ent.run.Warm && !resident {
 			t.Errorf("%s from %s: a vantage that is not resident started warm", spec, from)
+		}
+		if err := certify.BackLinks(ent.run.Machine, ent.run.Snap, ent.run.Overlay); err != nil {
+			t.Fatalf("%s from %s (warm=%v): %v", spec, from, ent.run.Warm, err)
 		}
 		wantEntries, wantUnreach := freshRun(t, inputs, from, mapper.DefaultOptions(), applyEdits(eds))
 		if got, want := render(ent.run.Entries), render(wantEntries); got != want {
