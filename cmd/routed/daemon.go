@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,28 +40,9 @@ type daemon struct {
 	store  *routedb.Store
 	logw   io.Writer
 
-	// vantage resolves a from=<host> query to that vantage's store,
-	// lazily spinning the vantage up over the shared map engine. Nil in
-	// precompiled (-d) mode, where only the default store exists.
-	vantage func(from string) (*routedb.Store, error)
-
-	// whatif answers overlay queries (resolve-under-overlay, explain,
-	// impact) against the live map engine. Nil outside -map mode — the
-	// precompiled modes have no graph to hypothesize over.
-	whatif *whatif.Evaluator
-	// defaultVantage is the -l host what-if queries default to when the
-	// request carries no from=.
-	defaultVantage string
-	// residentVantages reports each resident vantage's route count for
-	// /stats. Nil outside -map mode.
-	residentVantages func() map[string]int
-
-	// mapReady reports whether the map engine has finished its first
-	// computation. Nil outside -map mode. During a warm start the daemon
-	// serves the last published image immediately; queries that need the
-	// live engine (from= vantages, what-if) are refused with a clear
-	// error until mapReady flips.
-	mapReady func() bool
+	// mw is the -map watcher: the live engine behind from= vantages
+	// and what-if. Nil in the precompiled modes; gate is the one way in.
+	mw *mapWatcher
 
 	// audits tracks in-flight background image verifications
 	// (auditImage); tests Wait on it.
@@ -69,23 +51,21 @@ type daemon struct {
 	// Telemetry (metrics.go). metrics feeds GET /metrics and the /stats
 	// latency summaries; it is nil only when a test clears it to measure
 	// instrumentation overhead. traces retains the most recent re-map
-	// generation traces (-map mode; GET /lastmap, `trace`). generation
-	// reads the engine's update generation (-map mode). demoted is set
-	// while the store serves a predecessor because the newest image
+	// generation traces (-map mode; GET /lastmap, `trace`). demoted is
+	// set while the store serves a predecessor because the newest image
 	// failed its background audit — /readyz reports it — and cleared by
 	// the next successful swap.
-	metrics    *serverMetrics
-	traces     *obs.TraceRing
-	generation func() uint64
-	demoted    atomic.Bool
-	started    time.Time
-	version    string
-	imagePath  string // compiled image served (-db) or published (-o-db)
+	metrics   *serverMetrics
+	traces    *obs.TraceRing
+	demoted   atomic.Bool
+	started   time.Time
+	version   string
+	imagePath string // compiled image served (-db) or published (-o-db)
 
 	// slowThresh is the slow-query log threshold (-slow); 0 disables.
 	// Only the surfaces that already read the clock per request check it
-	// (HTTP, what-if forms) — the pipelined line path is measured per
-	// batch and never individually.
+	// (GET /route, the what-if forms) — the pipelined line path is
+	// measured per batch and never individually.
 	slowThresh time.Duration
 
 	// log is the structured logger every daemon message goes through;
@@ -154,17 +134,26 @@ func (d *daemon) warnf(format string, args ...any) {
 	d.log.Warn(fmt.Sprintf(format, args...))
 }
 
-// noteSlow counts and logs a query that crossed the -slow threshold,
-// with enough of the request to name the culprit destination, vantage,
-// and overlay.
-func (d *daemon) noteSlow(surface, req string, dur time.Duration) {
+// observe times one request that arrived on surface at start: the
+// what-if forms ("line", "whatif") land in the what-if histogram, GET
+// /route ("http_route") in its own; past the -slow threshold the query
+// is counted and logged with raw, enough of the request to name the
+// culprit destination, vantage, and overlay.
+func (d *daemon) observe(surface, raw string, start time.Time) {
+	if d.metrics == nil {
+		return
+	}
+	dur := time.Since(start)
+	if surface == "http_route" {
+		d.metrics.httpRoute.Observe(dur)
+	} else {
+		d.metrics.whatifReq.Observe(dur)
+	}
 	if d.slowThresh <= 0 || dur < d.slowThresh {
 		return
 	}
-	if d.metrics != nil {
-		d.metrics.slow.Inc()
-	}
-	d.log.Warn("slow query", "surface", surface, "request", req,
+	d.metrics.slow.Inc()
+	d.log.Warn("slow query", "surface", surface, "request", raw,
 		"dur", dur.Round(time.Microsecond).String(), "threshold", d.slowThresh.String())
 }
 
@@ -308,7 +297,7 @@ func (d *daemon) watch(ctx context.Context, interval time.Duration) {
 // re-map generation's stage trace.
 func (d *daemon) traceReply() string {
 	if d.traces == nil {
-		return "err re-map traces require -map mode"
+		return "err " + errTraceMode.Error()
 	}
 	t := d.traces.Last()
 	if t == nil {
@@ -317,97 +306,115 @@ func (d *daemon) traceReply() string {
 	return "ok " + t.Line()
 }
 
-// whatifFrom maps an optional from= value to the vantage what-if
-// evaluates at: the -l default when empty.
-func (d *daemon) whatifFrom(from string) string {
-	if from == "" {
-		return d.defaultVantage
+// The refusals of the -map-only forms, each made here and nowhere else.
+var (
+	errFromMode   = errors.New("vantage queries (from=) require -map mode")
+	errWhatifMode = errors.New("what-if queries require -map mode")
+	errTraceMode  = errors.New("re-map traces require -map mode")
+	errWarming    = errors.New("map engine still warming up (serving the last published image)")
+)
+
+// gate is the one way to the live map engine: it returns the watcher
+// once the engine's first computation has landed, modeErr outside -map
+// mode, and errWarming during a warm start, while the daemon serves the
+// published image and the engine has no graph yet — engine-backed
+// queries are refused rather than left waiting behind that computation.
+func (d *daemon) gate(modeErr error) (*mapWatcher, error) {
+	if d.mw == nil {
+		return nil, modeErr
 	}
-	return from
+	select {
+	case <-d.mw.ready:
+		return d.mw, nil
+	default:
+		return nil, errWarming
+	}
 }
 
-// whatifLine answers the explain and impact commands.
-func (d *daemon) whatifLine(cmd string, fields []string) string {
-	wf, err := d.whatifEval()
+// A whatifReq is one what-if request, whichever surface carried it:
+// Op is "resolve", "explain" or "impact", From the vantage ("" for the
+// -l host), and Overlay, Dest and User the operands Op reads. It is
+// also POST /whatif's JSON body.
+type whatifReq struct {
+	Op      string `json:"op"`
+	From    string `json:"from"`
+	Overlay string `json:"overlay"`
+	Dest    string `json:"dest"`
+	User    string `json:"user"`
+}
+
+// whatif answers one what-if request for every surface. The gate comes
+// first, then usage (the surface's own parse error, if it found one),
+// then the evaluator; the time since start is observed for surface,
+// with raw naming the request in the slow-query log. The answer is the
+// address (a string), a *whatif.ExplainResult or a *whatif.Impact: the
+// surfaces only render it.
+func (d *daemon) whatif(surface, raw string, start time.Time, q whatifReq, usage error) (any, error) {
+	defer d.observe(surface, raw, start)
+	w, err := d.gate(errWhatifMode)
 	if err != nil {
-		return "err " + err.Error()
+		return nil, err
 	}
-	from, overlay := "", ""
+	if usage != nil {
+		return nil, usage
+	}
+	from := cmp.Or(q.From, w.local)
+	switch q.Op {
+	case "resolve":
+		return w.whatif.Resolve(from, q.Overlay, q.Dest, q.User)
+	case "explain":
+		return w.whatif.Explain(from, q.Overlay, q.Dest)
+	case "impact":
+		return w.whatif.ImpactOf(from, q.Overlay)
+	}
+	return nil, errors.New("op must be resolve, explain, or impact")
+}
+
+// whatifLine parses the explain and impact commands,
+// "explain|impact [from=host] [overlay=spec] [dest]", into a request
+// and the usage error the dispatcher reports once the gate has passed.
+func whatifLine(fields [][]byte) (q whatifReq, usage error) {
+	q.Op = string(fields[0])
 	hasOverlay := false
-	for len(fields) > 0 {
-		if v, ok := strings.CutPrefix(fields[0], "from="); ok {
-			from = v
-		} else if v, ok := strings.CutPrefix(fields[0], "overlay="); ok {
-			overlay, hasOverlay = v, true
+	for fields = fields[1:]; len(fields) > 0; fields = fields[1:] {
+		if v, ok := bytes.CutPrefix(fields[0], fromPrefix); ok {
+			q.From = string(v)
+		} else if v, ok := bytes.CutPrefix(fields[0], overlayPrefix); ok {
+			q.Overlay, hasOverlay = string(v), true
 		} else {
 			break
 		}
-		fields = fields[1:]
 	}
-	if hasOverlay && overlay == "" {
-		return "err whatif: empty overlay spec"
-	}
-	switch cmd {
-	case "explain":
-		if len(fields) != 1 {
-			return "err want: explain [from=host] [overlay=spec] dest"
-		}
-		res, err := wf.Explain(d.whatifFrom(from), overlay, fields[0])
-		if err != nil {
-			return "err " + err.Error()
-		}
-		if res.Under != nil {
-			return "ok base: " + res.Base.Line() + " || overlay: " + res.Under.Line()
-		}
-		return "ok " + res.Base.Line()
-	default: // impact
-		if overlay == "" || len(fields) != 0 {
-			return "err want: impact [from=host] overlay=spec"
-		}
-		imp, err := wf.ImpactOf(d.whatifFrom(from), overlay)
-		if err != nil {
-			return "err " + err.Error()
-		}
-		return "ok " + impactLine(imp)
-	}
-}
-
-// overlayResolve answers "[from=host] overlay=spec dest [user]"; fields
-// start at the overlay= token.
-func (d *daemon) overlayResolve(from string, fields []string) string {
-	spec, args := strings.TrimPrefix(fields[0], "overlay="), fields[1:]
 	switch {
-	case len(args) == 0:
-		return errEmptyRequest
-	case len(args) > 2:
-		return errWantResolve
+	case hasOverlay && q.Overlay == "":
+		return q, errors.New("whatif: empty overlay spec")
+	case q.Op == "impact" && (q.Overlay == "" || len(fields) != 0):
+		return q, errors.New("want: impact [from=host] overlay=spec")
+	case q.Op == "explain" && len(fields) != 1:
+		return q, errors.New("want: explain [from=host] [overlay=spec] dest")
+	case q.Op == "explain":
+		q.Dest = string(fields[0])
 	}
-	user := "%s"
-	if len(args) == 2 {
-		user = args[1]
-	}
-	wf, err := d.whatifEval()
-	if err != nil {
-		return "err " + err.Error()
-	}
-	addr, err := wf.Resolve(d.whatifFrom(from), spec, args[0], user)
-	if err != nil {
-		return "err " + err.Error()
-	}
-	return "ok " + addr
+	return q, nil
 }
 
-// observeWhatif records one what-if line's latency. What-if evaluation
-// maps a graph; one clock read per request is nothing next to that, so
-// this is where per-request latency (and the slow-query check) lives on
-// the line protocol.
-func (d *daemon) observeWhatif(line []byte, start time.Time) {
-	if d.metrics == nil {
-		return
+// lineReply renders a what-if answer, or its error, as a line-protocol
+// reply.
+func lineReply(ans any, err error) string {
+	if err != nil {
+		return "err " + err.Error()
 	}
-	dur := time.Since(start)
-	d.metrics.whatifReq.Observe(dur)
-	d.noteSlow("line", string(line), dur)
+	switch a := ans.(type) {
+	case string:
+		return "ok " + a
+	case *whatif.ExplainResult:
+		if a.Under != nil {
+			return "ok base: " + a.Base.Line() + " || overlay: " + a.Under.Line()
+		}
+		return "ok " + a.Base.Line()
+	default:
+		return "ok " + impactLine(ans.(*whatif.Impact))
+	}
 }
 
 // impactLineMax caps how many per-host changes the one-line impact reply
@@ -427,38 +434,6 @@ func impactLine(imp *whatif.Impact) string {
 		fmt.Fprintf(&b, " %s:%s", c.Host, c.Kind)
 	}
 	return b.String()
-}
-
-// storeFor picks the store answering a query: the default store for an
-// empty vantage, the per-vantage one otherwise. During a warm start
-// only the default store (the published image) exists; vantage queries
-// are refused until the engine's first computation lands rather than
-// blocking the connection behind it.
-func (d *daemon) storeFor(from string) (*routedb.Store, error) {
-	if from == "" {
-		return d.store, nil
-	}
-	if d.vantage == nil {
-		return nil, fmt.Errorf("vantage queries (from=) require -map mode")
-	}
-	if d.mapReady != nil && !d.mapReady() {
-		return nil, fmt.Errorf("map engine still warming up (serving the last published image)")
-	}
-	return d.vantage(from)
-}
-
-// whatifEval returns the what-if evaluator once it can answer: never
-// outside -map mode, and not during a warm start, where the daemon is
-// serving the published image before the engine has a graph to
-// hypothesize over.
-func (d *daemon) whatifEval() (*whatif.Evaluator, error) {
-	if d.whatif == nil {
-		return nil, fmt.Errorf("what-if queries require -map mode")
-	}
-	if d.mapReady != nil && !d.mapReady() {
-		return nil, fmt.Errorf("map engine still warming up (serving the last published image)")
-	}
-	return d.whatif, nil
 }
 
 // The serving hot path. A mailer that writes N requests back-to-back
@@ -661,16 +636,6 @@ func appendFields(dst [][]byte, line []byte) [][]byte {
 	return dst
 }
 
-// fieldStrings converts fields for the what-if forms, which work on
-// strings.
-func fieldStrings(fields [][]byte) []string {
-	out := make([]string, len(fields))
-	for i, f := range fields {
-		out[i] = string(f)
-	}
-	return out
-}
-
 var (
 	fromPrefix    = []byte("from=")
 	overlayPrefix = []byte("overlay=")
@@ -680,11 +645,6 @@ var (
 	explainWord   = []byte("explain")
 	impactWord    = []byte("impact")
 	defaultUser   = []byte("%s")
-)
-
-const (
-	errEmptyRequest = "err empty request"
-	errWantResolve  = "err want: [from=host] [overlay=spec] dest [user]"
 )
 
 // handleLine answers one request line of the line-oriented protocol,
@@ -723,49 +683,50 @@ const (
 // Fields split where strings.Fields splits. A resolve never becomes a
 // string: it is answered through the allocation-free AppendResolve
 // path, which copies the route straight into dst. The what-if forms
-// convert their fields to strings; they map a graph, so the conversion
-// is beside the point.
+// become a whatifReq of strings for the one what-if dispatcher; they map
+// a graph, so the conversion is beside the point.
 func (d *daemon) handleLine(dst, line []byte, st *lineState, commands bool) (out []byte, closing bool) {
 	st.fields = appendFields(st.fields[:0], line)
 	fields := st.fields
 	if len(fields) > 0 && (bytes.Equal(fields[0], explainWord) || bytes.Equal(fields[0], impactWord)) {
-		start := time.Now()
-		dst = append(dst, d.whatifLine(string(fields[0]), fieldStrings(fields[1:]))...)
-		d.observeWhatif(line, start)
-		return dst, false
+		q, usage := whatifLine(fields)
+		return append(dst, lineReply(d.whatif("line", string(line), time.Now(), q, usage))...), false
 	}
-	var from []byte
+	var from, overlay []byte
 	if len(fields) > 0 && bytes.HasPrefix(fields[0], fromPrefix) {
 		from = fields[0][len(fromPrefix):]
 		fields = fields[1:]
 	}
 	if len(fields) > 0 && bytes.HasPrefix(fields[0], overlayPrefix) {
-		start := time.Now()
-		dst = append(dst, d.overlayResolve(string(from), fieldStrings(fields))...)
-		d.observeWhatif(line, start)
-		return dst, false
+		overlay = fields[0][len(overlayPrefix):]
+		fields = fields[1:]
 	}
+	command := commands && len(fields) == 1 && len(from) == 0 && overlay == nil
 	switch {
 	case len(fields) == 0:
-		return append(dst, errEmptyRequest...), false
-	case commands && len(fields) == 1 && len(from) == 0 && bytes.Equal(fields[0], quitWord):
+		return append(dst, "err empty request"...), false
+	case command && bytes.Equal(fields[0], quitWord):
 		return append(dst, "ok bye"...), true
-	case commands && len(fields) == 1 && len(from) == 0 && bytes.Equal(fields[0], statsWord):
+	case command && bytes.Equal(fields[0], statsWord):
 		dst = append(dst, "ok "...)
 		return append(dst, d.statsLine()...), false
-	case commands && len(fields) == 1 && len(from) == 0 && bytes.Equal(fields[0], traceWord):
+	case command && bytes.Equal(fields[0], traceWord):
 		return append(dst, d.traceReply()...), false
 	case len(fields) > 2:
-		return append(dst, errWantResolve...), false
+		return append(dst, "err want: [from=host] [overlay=spec] dest [user]"...), false
 	}
 	user := defaultUser
 	if len(fields) == 2 {
 		user = fields[1]
 	}
 	dest := fields[0]
+	if overlay != nil {
+		q := whatifReq{Op: "resolve", From: string(from), Overlay: string(overlay), Dest: string(dest), User: string(user)}
+		return append(dst, lineReply(d.whatif("line", string(line), time.Now(), q, nil))...), false
+	}
 	store := d.store
 	if len(from) > 0 {
-		s, err := d.storeFor(string(from))
+		s, err := d.storeFor(from)
 		if err != nil {
 			dst = append(dst, "err "...)
 			return append(dst, err.Error()...), false
@@ -874,15 +835,11 @@ func (d *daemon) snapshot() statsSnapshot {
 		UptimeSecs: time.Since(d.started).Seconds(),
 		Image:      d.imagePath,
 	}
-	if d.generation != nil {
-		snap.Generation = d.generation()
-	}
-	if d.whatif != nil {
-		ws := d.whatif.Stats()
+	if w := d.mw; w != nil {
+		snap.Generation = w.eng.Generation()
+		ws := w.whatif.Stats()
 		snap.WhatIf = &ws
-	}
-	if d.residentVantages != nil {
-		snap.Vantages = d.residentVantages()
+		snap.Vantages = w.residentCounts()
 	}
 	if d.metrics != nil {
 		lat := make(map[string]latencySummary)
@@ -934,38 +891,25 @@ func (d *daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /route", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		defer func() {
-			dur := time.Since(start)
-			if d.metrics != nil {
-				d.metrics.httpRoute.Observe(dur)
-			}
-			d.noteSlow("http_route", r.URL.RawQuery, dur)
-		}()
-		dest := r.URL.Query().Get("dest")
-		if dest == "" {
-			http.Error(w, "missing dest parameter", http.StatusBadRequest)
-			return
-		}
-		user := r.URL.Query().Get("user")
-		if user == "" {
-			user = "%s"
-		}
-		if overlay := r.URL.Query().Get("overlay"); overlay != "" {
-			wf, err := d.whatifEval()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			addr, err := wf.Resolve(d.whatifFrom(r.URL.Query().Get("from")), overlay, dest, user)
+		q := r.URL.Query()
+		dest, user := q.Get("dest"), cmp.Or(q.Get("user"), "%s")
+		if overlay := q.Get("overlay"); overlay != "" && dest != "" {
+			req := whatifReq{Op: "resolve", From: q.Get("from"), Overlay: overlay, Dest: dest, User: user}
+			ans, err := d.whatif("http_route", r.URL.RawQuery, start, req, nil)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, addr)
+			fmt.Fprintln(w, ans)
 			return
 		}
-		store, err := d.storeFor(r.URL.Query().Get("from"))
+		defer d.observe("http_route", r.URL.RawQuery, start)
+		if dest == "" {
+			http.Error(w, "missing dest parameter", http.StatusBadRequest)
+			return
+		}
+		store, err := d.storeFor([]byte(q.Get("from")))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -987,57 +931,26 @@ func (d *daemon) handler() http.Handler {
 	//	 "dest": "host", "user": "lou"}
 	mux.HandleFunc("POST /whatif", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		desc := "" // filled after decode, for the slow-query log
-		defer func() {
-			dur := time.Since(start)
-			if d.metrics != nil {
-				d.metrics.whatifReq.Observe(dur)
-			}
-			d.noteSlow("whatif", desc, dur)
-		}()
-		if d.whatif == nil {
-			http.Error(w, "what-if queries require -map mode", http.StatusBadRequest)
-			return
+		var q whatifReq
+		var usage error
+		if err := json.NewDecoder(io.LimitReader(r.Body, maxLineLen)).Decode(&q); err != nil {
+			usage = fmt.Errorf("bad request body: %v", err)
 		}
-		var req struct {
-			Op      string `json:"op"`
-			From    string `json:"from"`
-			Overlay string `json:"overlay"`
-			Dest    string `json:"dest"`
-			User    string `json:"user"`
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxLineLen)).Decode(&req); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.User == "" {
-			req.User = "%s"
-		}
-		from := d.whatifFrom(req.From)
+		q.User = cmp.Or(q.User, "%s")
+		desc := "" // for the slow-query log
 		if d.slowThresh > 0 {
-			desc = fmt.Sprintf("op=%s from=%s overlay=%q dest=%s", req.Op, from, req.Overlay, req.Dest)
+			desc = fmt.Sprintf("op=%s from=%s overlay=%q dest=%s", q.Op, q.From, q.Overlay, q.Dest)
 		}
-		var out any
-		var err error
-		switch req.Op {
-		case "resolve":
-			var addr string
-			if addr, err = d.whatif.Resolve(from, req.Overlay, req.Dest, req.User); err == nil {
-				out = map[string]string{"address": addr}
-			}
-		case "explain":
-			out, err = d.whatif.Explain(from, req.Overlay, req.Dest)
-		case "impact":
-			out, err = d.whatif.ImpactOf(from, req.Overlay)
-		default:
-			err = fmt.Errorf("op must be resolve, explain, or impact")
-		}
+		ans, err := d.whatif("whatif", desc, start, q, usage)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		if addr, ok := ans.(string); ok {
+			ans = map[string]string{"address": addr}
+		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		json.NewEncoder(w).Encode(ans)
 	})
 	// POST /routes is the bulk/batch framing for HTTP clients: the body
 	// carries one request per line — "[from=host] dest [user]", the
@@ -1098,7 +1011,7 @@ func (d *daemon) handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if d.mapReady != nil && !d.mapReady() {
+		if _, err := d.gate(nil); err != nil { // only while warming up
 			http.Error(w, "warming up: serving the last published image while the first map computation runs",
 				http.StatusServiceUnavailable)
 			return
@@ -1115,7 +1028,7 @@ func (d *daemon) handler() http.Handler {
 	// array.
 	mux.HandleFunc("GET /lastmap", func(w http.ResponseWriter, r *http.Request) {
 		if d.traces == nil {
-			http.Error(w, "re-map traces require -map mode", http.StatusNotFound)
+			http.Error(w, errTraceMode.Error(), http.StatusNotFound)
 			return
 		}
 		if nStr := r.URL.Query().Get("n"); nStr != "" {

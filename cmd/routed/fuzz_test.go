@@ -13,40 +13,44 @@ import (
 	"pathalias/internal/routedb"
 )
 
-// FuzzLineProtocol serves arbitrary input through serveConn on a -d
-// daemon (FoldCase or not) and checks, against an oracle built from the
-// raw bytes alone: serveConn returns no error; exactly one reply line
-// per request line — too-long lines and a final unterminated line
-// included — up to and including a quit; every reply starts "ok " or
-// "err "; every resolve-shaped line answers exactly as store.Resolve;
+// FuzzLineProtocol serves arbitrary input through serveConn on one of
+// three daemons, picked by which%3: -d, -d under FoldCase (with a
+// non-ASCII host), and -map over the paper's example map, whose what-if
+// and from= forms run through the same dispatcher as every other
+// surface. It checks, against an oracle built from the raw bytes alone:
+// serveConn returns no error; exactly one reply line per request line —
+// too-long lines and a final unterminated line included — up to and
+// including a quit; every reply starts "ok " or "err "; every
+// resolve-shaped line answers exactly as the default store's Resolve;
 // and the byte field split agrees with strings.Fields. long%3 == 1
 // prepends a too-long line, == 2 appends an unterminated one (fuzzed
 // inputs alone never reach the 1 MiB cap).
 func FuzzLineProtocol(f *testing.F) {
 	dir := f.TempDir()
-	daemons := map[bool]*daemon{}
-	for fold, src := range map[bool]string{false: testRoutes, true: foldRoutes} {
+	var daemons []*daemon
+	for i, fold := range []bool{false, true} {
 		path := filepath.Join(dir, fmt.Sprintf("routes-%v.db", fold))
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte([]string{testRoutes, foldRoutes}[i]), 0o644); err != nil {
 			f.Fatal(err)
 		}
 		d, err := newDaemon(path, false, routedb.Options{FoldCase: fold}, io.Discard)
 		if err != nil {
 			f.Fatal(err)
 		}
-		daemons[fold] = d
+		daemons = append(daemons, d)
 	}
+	daemons = append(daemons, newTestMapDaemon(f))
 	for _, g := range goldenReplies {
-		if g.daemon != "map" {
-			f.Add([]byte(g.line+"\n"+g.line), g.daemon == "fold", uint8(0))
-		}
+		which := map[string]uint8{"d": 0, "fold": 1, "map": 2}[g.daemon]
+		f.Add([]byte(g.line+"\n"+g.line), which, uint8(0))
 	}
-	f.Add([]byte(strings.Join(pipelineQueries, "\r\n")), false, uint8(1))
-	f.Add([]byte("duke honey\nunc bye\nstats\nquit\nduke\n"), true, uint8(2))
+	f.Add([]byte(strings.Join(pipelineQueries, "\r\n")), uint8(0), uint8(1))
+	f.Add([]byte("duke honey\nunc bye\nstats\nquit\nduke\n"), uint8(1), uint8(2))
+	f.Add([]byte("from=duke ucbvax honey\ntrace\nexplain research\nstats\nquit\n"), uint8(2), uint8(2))
 
 	tooLong := bytes.Repeat([]byte("x"), maxLineLen+1)
-	f.Fuzz(func(t *testing.T, in []byte, fold bool, long uint8) {
-		d := daemons[fold]
+	f.Fuzz(func(t *testing.T, in []byte, which, long uint8) {
+		d := daemons[which%3]
 		switch long % 3 {
 		case 1:
 			in = slices.Concat(tooLong, []byte("\n"), in)
@@ -96,7 +100,11 @@ func FuzzLineProtocol(f *testing.F) {
 			line := trimEOL(raw)
 			fields := strings.Fields(string(line))
 			st.fields = appendFields(st.fields[:0], line)
-			if !slices.Equal(fieldStrings(st.fields), fields) {
+			split := make([]string, len(st.fields))
+			for j, fld := range st.fields {
+				split[j] = string(fld)
+			}
+			if !slices.Equal(split, fields) {
 				t.Fatalf("line %q: fields %q, strings.Fields %q", line, st.fields, fields)
 			}
 			if !resolveShaped(fields) {

@@ -49,7 +49,7 @@ func TestMapModeSurvivesInPlaceRewrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

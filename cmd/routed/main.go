@@ -150,25 +150,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// No background image audit outlives run: it reads the image file.
 		defer d.audits.Wait()
 		configureTelemetry(d, lvl, *slow, *odb)
-		// Warm start: if a previously published image exists, serve it
-		// immediately — lookups are answered from the mmap within
-		// milliseconds of exec — while the first map computation runs in
-		// the background; its database swaps in when it lands. The
-		// deferred audit-grade verification runs behind the swap, demoting
-		// to an empty store (all misses, never wrong answers) if the image
-		// turns out corrupt before the live engine supersedes it.
-		warm := false
-		if *odb != "" {
-			if db, err := routedb.OpenBinary(*odb); err == nil {
-				d.install(db)
-				d.logf("warm start: serving %d routes from %s while the first map computation runs", db.Len(), *odb)
-				d.auditImage(db, nil, *odb)
-				warm = true
-			} else if !os.IsNotExist(err) {
-				fmt.Fprintf(stderr, "routed: warm start from %s: %v (computing from sources instead)\n", *odb, err)
-			}
-		}
-		w, err := newMapWatcher(d, *local, *vantages, fs.Args(), *odb, warm)
+		w, err := newMapWatcher(d, *local, *vantages, fs.Args(), *odb)
 		if err != nil {
 			fmt.Fprintf(stderr, "routed: %v\n", err)
 			return 1

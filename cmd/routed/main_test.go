@@ -436,7 +436,7 @@ func TestResidentLookupsDuringRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestResidentLookupsDuringRemap(t *testing.T) {
 			t.Fatalf("%q = %q before the edit", q, before[q])
 		}
 	}
-	st, err := w.storeFor("duke")
+	st, err := d.storeFor([]byte("duke"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,15 +503,15 @@ func TestRemapDropsEvictedStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 2, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 2, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	duke, err := w.storeFor("duke")
+	duke, err := d.storeFor([]byte("duke"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.storeFor("ucbvax"); err != nil {
+	if _, err := d.storeFor([]byte("ucbvax")); err != nil {
 		t.Fatal(err)
 	}
 	edited := strings.Replace(testMapSrc, "research(DAILY/2)", "research(WEEKLY)", 1)
@@ -525,7 +525,7 @@ func TestRemapDropsEvictedStores(t *testing.T) {
 	if _, ok := counts["duke"]; ok || len(counts) != 2 {
 		t.Errorf("resident stores after the re-map: %v, want unc and ucbvax only", counts)
 	}
-	again, err := w.storeFor("duke")
+	again, err := d.storeFor([]byte("duke"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestMapWatchLogsRepeatedErrorOnce(t *testing.T) {
 	write(testMapSrc)
 	logs := &logCounter{prefix: "remap: "}
 	d := newMapDaemon(routedb.Options{}, logs)
-	w, err := newMapWatcher(d, "unc", 64, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 64, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +609,7 @@ func TestMapModeServesAndHotRemaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 64, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 64, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +687,7 @@ func TestVantageProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +765,7 @@ func TestVantageSwapSurvivesDefaultFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "a", 8, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "a", 8, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,20 @@ package main
 // edit re-maps the default vantage and swaps its store first; only then
 // are the other resident vantages re-mapped and their stores swapped,
 // and, outside the watcher's lock, the image published.
+//
+// The daemon reaches all of this through one pointer, daemon.mw, nil
+// outside -map mode, and through one gate, daemon.gate, which also
+// refuses the engine-backed queries while a warm start's first
+// computation runs. Two paths pass the gate: daemon.storeFor for from=
+// resolves (below) and daemon.whatif, the what-if dispatcher every
+// surface calls. newMapWatcher is the whole -map start, warm or cold.
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"maps"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,11 +81,15 @@ type mapWatcher struct {
 	// RouteGen (Path "" without -o-db).
 	pub *atomicfile.Publisher
 
+	// whatif evaluates overlay queries (resolve-under-overlay, explain,
+	// impact) against the engine, for daemon.whatif.
+	whatif *whatif.Evaluator
+
 	// ready is closed once the engine's first computation has landed (or
 	// definitively failed). On a warm start the initial re-map runs in the
 	// background while the daemon serves the last published image;
-	// d.mapReady reads this channel to gate the queries that need the
-	// live engine.
+	// daemon.gate reads this channel to refuse the queries that need the
+	// live engine until then.
 	ready chan struct{}
 
 	// passHook and pubHook run at the start of remap's swap pass, with mu
@@ -85,14 +97,19 @@ type mapWatcher struct {
 	passHook, pubHook func()
 }
 
-// newMapWatcher builds the engine and performs the initial full map
-// computation. Cold (warm=false), the computation is synchronous: the
-// daemon does not serve until the first database is swapped in, and an
-// initial-map error is fatal. Warm, the daemon is already serving the
-// last published image, so the initial computation runs in the
-// background and swaps the live engine's database in when it lands;
-// until then d.mapReady gates the engine-backed query forms.
-func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string, odb string, warm bool) (*mapWatcher, error) {
+// newMapWatcher builds the engine, sets it as d's -map watcher and
+// starts the initial full map computation. With an image already
+// published at odb it warm-starts: the image is served at once (lookups
+// are answered from the mmap within milliseconds of exec), its deferred
+// audit-grade verification runs behind it, demoting to an empty store
+// (all misses, never wrong answers) if the image turns out corrupt
+// before the live engine supersedes it, and the initial computation
+// runs in the background, swapping the live engine's database in when
+// it lands; until then d.gate refuses the engine-backed query forms.
+// Otherwise the computation is synchronous: the daemon does not serve
+// until the first database is swapped in, and an initial-map error is
+// fatal.
+func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string, odb string) (*mapWatcher, error) {
 	if d.opts.FoldCase {
 		localHost = strings.ToLower(localHost)
 	}
@@ -117,7 +134,6 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 		pubHook:  func() {},
 	}
 	w.stores.Store(&map[string]*routedb.Store{})
-	d.vantage = w.storeFor
 	wopts := whatif.Options{FoldCase: d.opts.FoldCase}
 	if d.metrics != nil {
 		// Every overlay evaluation lands in the cold or cached latency
@@ -132,19 +148,21 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 			}
 		}
 	}
-	d.whatif = whatif.New(eng, wopts)
-	d.defaultVantage = localHost
-	d.residentVantages = w.residentCounts
-	d.generation = eng.Generation
+	w.whatif = whatif.New(eng, wopts)
 	if d.metrics != nil {
-		d.metrics.registerMapMetrics(eng, d.whatif)
+		d.metrics.registerMapMetrics(eng, w.whatif)
 	}
-	d.mapReady = func() bool {
-		select {
-		case <-w.ready:
-			return true
-		default:
-			return false
+	d.mw = w
+
+	warm := false
+	if odb != "" {
+		if db, err := routedb.OpenBinary(odb); err == nil {
+			d.install(db)
+			d.logf("warm start: serving %d routes from %s while the first map computation runs", db.Len(), odb)
+			d.auditImage(db, nil, odb)
+			warm = true
+		} else if !os.IsNotExist(err) {
+			d.warnf("warm start from %s: %v (computing from sources instead)", odb, err)
 		}
 	}
 	if !warm {
@@ -185,35 +203,47 @@ func (w *mapWatcher) fold(host string) string {
 	return host
 }
 
-// storeFor serves a from=<host> query: the default store for the -l
-// vantage, an existing per-vantage store (found without a lock, so a
-// re-map in progress never delays it), or a lazily created one (the
-// first query for a vantage computes it over the already-warm shared
-// engine state). A new store is built With the default store's
-// database, whose index it shares when the host columns match.
-func (w *mapWatcher) storeFor(from string) (*routedb.Store, error) {
-	from = w.fold(from)
-	if from == w.local {
-		return w.d.store, nil
+// storeFor picks the store answering a resolve from vantage from: the
+// default store for no from= or the -l host; once the gate lets the
+// query through, a resident vantage's store, found without a lock (so a
+// re-map in progress never delays it, and a query spelled as registered
+// allocates nothing); or a lazily created one. The first query for a
+// vantage computes it over the already-warm shared engine state, With
+// the default store's database, whose index it shares when the host
+// columns match.
+func (d *daemon) storeFor(from []byte) (*routedb.Store, error) {
+	if len(from) == 0 {
+		return d.store, nil
 	}
-	if st := (*w.stores.Load())[from]; st != nil {
+	w, err := d.gate(errFromMode)
+	if err != nil {
+		return nil, err
+	}
+	if st := (*w.stores.Load())[string(from)]; st != nil {
+		return st, nil
+	}
+	name := w.fold(string(from))
+	if name == w.local {
+		return d.store, nil
+	}
+	if st := (*w.stores.Load())[name]; st != nil {
 		return st, nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if st := (*w.stores.Load())[from]; st != nil {
+	if st := (*w.stores.Load())[name]; st != nil {
 		return st, nil // another query spun it up first
 	}
-	res, err := w.eng.ResultFor(from)
+	res, err := w.eng.ResultFor(name)
 	if err != nil {
-		return nil, fmt.Errorf("vantage %s: %w", from, err)
+		return nil, fmt.Errorf("vantage %s: %w", name, err)
 	}
-	st := routedb.NewStore(w.d.store.DB().With(res.Entries, w.d.opts))
+	st := routedb.NewStore(d.store.DB().With(res.Entries, d.opts))
 	stores := maps.Clone(*w.stores.Load())
-	stores[from] = st
+	stores[name] = st
 	w.stores.Store(&stores)
-	w.gens[from] = res.RouteGen
-	w.d.logf("vantage %s: %d routes (lazy spin-up)", from, st.Len())
+	w.gens[name] = res.RouteGen
+	d.logf("vantage %s: %d routes (lazy spin-up)", name, st.Len())
 	return st, nil
 }
 

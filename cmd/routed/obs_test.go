@@ -114,7 +114,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(t, samples, "routed_whatif_cache_total", map[string]string{"event": "miss"}); got < 1 {
 		t.Errorf("whatif cache misses = %v, want >= 1 after an overlay eval", got)
 	}
-	ws := d.whatif.Stats()
+	ws := d.mw.whatif.Stats()
 	warm := metricValue(t, samples, "routed_whatif_runs_total", map[string]string{"start": "warm"})
 	full := metricValue(t, samples, "routed_whatif_runs_total", map[string]string{"start": "full"})
 	if warm != float64(ws.WarmRuns) || full != float64(ws.FullRuns) || warm+full != float64(ws.Misses) {
@@ -187,13 +187,14 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Fatalf("ready daemon: /readyz = %d, want 200", code)
 	}
 
-	// Warm-start window: the engine's first computation has not landed.
-	warming := true
-	d.mapReady = func() bool { return !warming }
+	// Warm-start window: the engine's first computation has not landed
+	// (pinned by an unclosed ready channel).
+	ready := d.mw.ready
+	d.mw.ready = make(chan struct{})
 	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "warming up") {
 		t.Fatalf("warming: /readyz = %d %q, want 503 warming up", code, body)
 	}
-	warming = false
+	d.mw.ready = ready
 	if code, _ := get("/readyz"); code != 200 {
 		t.Fatalf("warmed: /readyz = %d, want 200", code)
 	}
@@ -262,13 +263,13 @@ func TestTraceStageNotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, filepath.Join(dir, "routes.rdb"), false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, filepath.Join(dir, "routes.rdb"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A resident vantage whose routes the edit changes along with the
 	// default's: both reach ucbvax over the edited research link.
-	if _, err := w.storeFor("duke"); err != nil {
+	if _, err := d.storeFor([]byte("duke")); err != nil {
 		t.Fatal(err)
 	}
 	edited := strings.Replace(testMapSrc, "ucbvax(DEMAND)", "ucbvax(WEEKLY)", 1)
@@ -311,7 +312,7 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestTraceLifecycle(t *testing.T) {
 
 	// A resident from= vantage whose routes the edit below leaves alone:
 	// ucbvax reaches unc through duke and never uses unc's own links.
-	if _, err := w.storeFor("ucbvax"); err != nil {
+	if _, err := d.storeFor([]byte("ucbvax")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -567,7 +568,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	var logBuf strings.Builder
 	d := newMapDaemon(routedb.Options{}, &logBuf)
-	if _, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false); err != nil {
+	if _, err := newMapWatcher(d, "unc", 8, []string{mapPath}, ""); err != nil {
 		t.Fatal(err)
 	}
 	d.slowThresh = time.Nanosecond

@@ -580,7 +580,7 @@ func TestHTTPBulkVantage(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	if _, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false); err != nil {
+	if _, err := newMapWatcher(d, "unc", 8, []string{mapPath}, ""); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(d.handler())

@@ -61,7 +61,7 @@ func TestMapPublishesImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb, false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestHeldPublishBlocksNoLookup(t *testing.T) {
 	}
 	logs := &logCounter{prefix: "published "}
 	d := newMapDaemon(routedb.Options{}, logs)
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb, false)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.storeFor("duke"); err != nil {
+	if _, err := d.storeFor([]byte("duke")); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.Stat(odb)
@@ -185,7 +185,7 @@ func TestHeldPublishBlocksNoLookup(t *testing.T) {
 	select {
 	case during := <-answered:
 		fresh := newMapDaemon(routedb.Options{}, io.Discard)
-		if _, err := newMapWatcher(fresh, "unc", 8, []string{mapPath}, "", false); err != nil {
+		if _, err := newMapWatcher(fresh, "unc", 8, []string{mapPath}, ""); err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
@@ -246,11 +246,11 @@ func TestMapRouteNeutralEditKeepsStores(t *testing.T) {
 
 	odb := filepath.Join(dir, "routes.rdb")
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	w, err := newMapWatcher(d, local, 8, paths, odb, false)
+	w, err := newMapWatcher(d, local, 8, paths, odb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := w.storeFor(from)
+	st, err := d.storeFor([]byte(from))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,45 +346,48 @@ func TestMapWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The warm-start sequence main.go runs before the watcher exists.
-	var log strings.Builder
-	d := newMapDaemon(routedb.Options{}, &log)
-	t.Cleanup(d.audits.Wait)
-	db, err := routedb.OpenBinary(odb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.store.Swap(db)
-	d.swaps.Add(1)
-	d.auditImage(db, nil, odb)
-	if got, _ := askLine(d, "ucbvax honey"); got != "ok duke!research!ucbvax!honey" {
-		t.Fatalf("image-served answer = %q", got)
-	}
 	stat1, err := os.Stat(odb)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb, true)
+	var log strings.Builder
+	d := newMapDaemon(routedb.Options{}, &log)
+	t.Cleanup(d.audits.Wait)
+	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pin the not-ready state (the background computation may land any
-	// moment) to check the gating deterministically.
-	ready := d.mapReady
-	d.mapReady = func() bool { return false }
+	// moment) with an unclosed ready channel, to check the gate
+	// deterministically; the image serves the plain resolves throughout.
+	<-w.ready
+	if !strings.Contains(log.String(), "warm start: serving 5 routes") {
+		t.Fatalf("no warm start: %q", log.String())
+	}
+	ready := w.ready
+	w.ready = make(chan struct{})
+	if got, _ := askLine(d, "ucbvax honey"); got != "ok duke!research!ucbvax!honey" {
+		t.Fatalf("answer while warming = %q", got)
+	}
+	const warming = "map engine still warming up (serving the last published image)"
 	for _, line := range []string{"from=duke ucbvax honey", "explain ucbvax", "overlay=dead,duke,phs ucbvax"} {
-		if got, _ := askLine(d, line); !strings.Contains(got, "warming up") {
+		if got, _ := askLine(d, line); got != "err "+warming {
 			t.Errorf("not-ready %q = %q, want a warming-up error", line, got)
 		}
 	}
-	d.mapReady = ready
-	<-w.ready
+	// POST /whatif answers from the same gate.
+	rec := httptest.NewRecorder()
+	d.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/whatif",
+		strings.NewReader(`{"op":"resolve","overlay":"dead unc duke","dest":"research","user":"honey"}`)))
+	if rec.Code != 400 || strings.TrimSpace(rec.Body.String()) != warming {
+		t.Errorf("not-ready POST /whatif = %d %q, want 400 %q", rec.Code, rec.Body.String(), warming)
+	}
+	w.ready = ready
 	d.audits.Wait()
 
 	// The live engine's answers must be byte-identical to a cold start's.
 	cold := newMapDaemon(routedb.Options{}, io.Discard)
-	if _, err := newMapWatcher(cold, "unc", 8, []string{mapPath}, "", false); err != nil {
+	if _, err := newMapWatcher(cold, "unc", 8, []string{mapPath}, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
@@ -475,14 +478,17 @@ func TestMapAuditDemotesCorruptImage(t *testing.T) {
 	var log strings.Builder
 	d := newMapDaemon(routedb.Options{}, &log)
 	t.Cleanup(d.audits.Wait)
-	db, err := routedb.OpenBinary(odb)
+	// With no map source on disk the engine never supersedes the image:
+	// only the audit can take it down.
+	w, err := newMapWatcher(d, "unc", 8, []string{filepath.Join(dir, "missing.map")}, odb)
 	if err != nil {
-		t.Fatalf("shallow open of the crafted image must succeed: %v", err)
+		t.Fatal(err)
 	}
-	d.store.Swap(db)
-	d.swaps.Add(1)
-	d.auditImage(db, nil, odb)
+	<-w.ready
 	d.audits.Wait()
+	if !strings.Contains(log.String(), "warm start: serving") {
+		t.Fatalf("shallow open of the crafted image must succeed: %q", log.String())
+	}
 	if !strings.Contains(log.String(), "failed deep verification") {
 		t.Errorf("audit logged nothing: %q", log.String())
 	}

@@ -24,7 +24,7 @@ import (
 )
 
 // newTestMapDaemon spins a -map daemon over testMapSrc with vantage unc.
-func newTestMapDaemon(t *testing.T) *daemon {
+func newTestMapDaemon(t testing.TB) *daemon {
 	t.Helper()
 	dir := t.TempDir()
 	mapPath := filepath.Join(dir, "test.map")
@@ -32,7 +32,7 @@ func newTestMapDaemon(t *testing.T) *daemon {
 		t.Fatal(err)
 	}
 	d := newMapDaemon(routedb.Options{}, io.Discard)
-	if _, err := newMapWatcher(d, "unc", 8, []string{mapPath}, "", false); err != nil {
+	if _, err := newMapWatcher(d, "unc", 8, []string{mapPath}, ""); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -132,13 +132,13 @@ func TestWhatIfStatsShape(t *testing.T) {
 	d := newTestMapDaemon(t)
 	// Prime: one miss, one hit, one extra vantage. The miss starts warm
 	// from the resident unc vantage: unc!phs carries no route of unc's.
-	if _, err := d.whatif.Resolve("unc", "cost unc phs 100", "research", "h"); err != nil {
+	if _, err := d.mw.whatif.Resolve("unc", "cost unc phs 100", "research", "h"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.whatif.Resolve("unc", "cost unc phs 100", "research", "h"); err != nil {
+	if _, err := d.mw.whatif.Resolve("unc", "cost unc phs 100", "research", "h"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.storeFor("duke"); err != nil {
+	if _, err := d.storeFor([]byte("duke")); err != nil {
 		t.Fatal(err)
 	}
 

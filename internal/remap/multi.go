@@ -29,6 +29,12 @@ type Multi struct {
 	vans map[string]*vantage
 	def  string // pinned default vantage ("" if none)
 	tick atomic.Uint64
+
+	// gen and stats are e.updGen and e.Stats as the last write-locked
+	// section left them (publishLocked), so that Generation and Stats
+	// never wait for an Update or a Refresh.
+	gen   atomic.Uint64
+	stats atomic.Pointer[EngineStats]
 }
 
 // NewMulti returns a multi-vantage engine. Options.LocalHost, when set,
@@ -45,7 +51,17 @@ func NewMulti(opts Options) (*Multi, error) {
 		m.def = e.foldName(opts.LocalHost)
 		m.vans[m.def] = newVantage(m.def)
 	}
+	m.publishLocked()
 	return m, nil
+}
+
+// publishLocked makes the generation and counters the current locked
+// section moved visible to Generation and Stats. Every write-locked
+// section defers it, so it runs before the unlock.
+func (m *Multi) publishLocked() {
+	m.gen.Store(m.e.updGen)
+	st := m.e.Stats
+	m.stats.Store(&st)
 }
 
 // Update brings the shared state to the given input set — always the
@@ -61,6 +77,7 @@ func NewMulti(opts Options) (*Multi, error) {
 func (m *Multi) Update(inputs []Input) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.publishLocked()
 	if err := m.e.sync(inputs); err != nil {
 		return err
 	}
@@ -81,6 +98,7 @@ func (m *Multi) Update(inputs []Input) error {
 func (m *Multi) Refresh() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.publishLocked()
 	m.recomputeAllLocked()
 }
 
@@ -177,6 +195,7 @@ func (m *Multi) ResultFor(host string) (*Result, error) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.publishLocked()
 	v := m.vans[h]
 	if v == nil {
 		v = m.createVantageLocked(h)
@@ -229,11 +248,11 @@ func (m *Multi) Vantages() []string {
 	return out
 }
 
-// Stats returns a snapshot of the engine activity counters.
+// Stats returns a snapshot of the engine activity counters as of the
+// last completed Update, Refresh or ResultFor. It takes no lock, so it
+// never waits for one in progress.
 func (m *Multi) Stats() EngineStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.e.Stats
+	return *m.stats.Load()
 }
 
 // Timing returns the per-phase breakdown of the last effective update.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pathalias/internal/graph"
 	"pathalias/internal/mapgen"
@@ -290,6 +291,36 @@ func TestMultiUpdateThenRefresh(t *testing.T) {
 		if got := runs(); got != after {
 			t.Fatalf("step %d: ResultFor after Refresh ran %d vantages, want none", step, got-after)
 		}
+	}
+}
+
+// TestCountersDoNotWaitForLock: Generation and Stats answer while an
+// Update or Refresh holds the engine's write lock (held here by the
+// test), with the values the last completed section published.
+func TestCountersDoNotWaitForLock(t *testing.T) {
+	pins, local := mapgen.Generate(mapgen.Small())
+	m, err := NewMulti(Options{LocalHost: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(toInputs(pins)); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	type counters struct {
+		gen   uint64
+		stats EngineStats
+	}
+	got := make(chan counters, 1)
+	go func() { got <- counters{m.Generation(), m.Stats()} }()
+	select {
+	case c := <-got:
+		if c.gen != 1 || c.stats.Updates != 1 || c.stats.FullRemaps != 1 {
+			t.Errorf("generation %d, stats %+v; want generation 1, one update, one full run", c.gen, c.stats)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Generation/Stats still waiting for the engine's write lock after 10s")
 	}
 }
 

@@ -104,12 +104,11 @@ func (r *OverlayRun) LabelFor(host string) (int32, bool) {
 	return r.rows[i].Label, true
 }
 
-// Generation returns the engine's current update generation. A cached
-// OverlayRun is current iff its Gen matches.
+// Generation returns the engine's update generation as of the last
+// completed Update. A cached OverlayRun is current iff its Gen matches.
+// It takes no lock, so it never waits for an Update in progress.
 func (m *Multi) Generation() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.e.updGen
+	return m.gen.Load()
 }
 
 // EvalOverlay evaluates a hypothetical edit set from the given vantage
