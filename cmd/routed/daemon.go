@@ -134,26 +134,34 @@ func (d *daemon) warnf(format string, args ...any) {
 	d.log.Warn(fmt.Sprintf(format, args...))
 }
 
-// observe times one request that arrived on surface at start: the
-// what-if forms ("line", "whatif") land in the what-if histogram, GET
-// /route ("http_route") in its own; past the -slow threshold the query
-// is counted and logged with raw, enough of the request to name the
-// culprit destination, vantage, and overlay.
-func (d *daemon) observe(surface, raw string, start time.Time) {
+// A surface names where a request arrived, for the slow-query log, and
+// picks the latency histogram it lands in.
+type surface struct {
+	name string
+	hist func(*serverMetrics) *obs.Histogram
+}
+
+var (
+	surfaceLine   = surface{"line", func(m *serverMetrics) *obs.Histogram { return m.whatifReq }}
+	surfaceWhatif = surface{"whatif", func(m *serverMetrics) *obs.Histogram { return m.whatifReq }}
+	surfaceRoute  = surface{"http_route", func(m *serverMetrics) *obs.Histogram { return m.httpRoute }}
+)
+
+// observe times one request that arrived on s at start, in s's
+// histogram; past the -slow threshold the query is counted and logged
+// with raw, enough of the request to name the culprit destination,
+// vantage, and overlay.
+func (d *daemon) observe(s surface, raw string, start time.Time) {
 	if d.metrics == nil {
 		return
 	}
 	dur := time.Since(start)
-	if surface == "http_route" {
-		d.metrics.httpRoute.Observe(dur)
-	} else {
-		d.metrics.whatifReq.Observe(dur)
-	}
+	s.hist(d.metrics).Observe(dur)
 	if d.slowThresh <= 0 || dur < d.slowThresh {
 		return
 	}
 	d.metrics.slow.Inc()
-	d.log.Warn("slow query", "surface", surface, "request", raw,
+	d.log.Warn("slow query", "surface", s.name, "request", raw,
 		"dur", dur.Round(time.Microsecond).String(), "threshold", d.slowThresh.String())
 }
 
@@ -345,12 +353,12 @@ type whatifReq struct {
 
 // whatif answers one what-if request for every surface. The gate comes
 // first, then usage (the surface's own parse error, if it found one),
-// then the evaluator; the time since start is observed for surface,
+// then the evaluator; the time since start is observed for the surface,
 // with raw naming the request in the slow-query log. The answer is the
 // address (a string), a *whatif.ExplainResult or a *whatif.Impact: the
 // surfaces only render it.
-func (d *daemon) whatif(surface, raw string, start time.Time, q whatifReq, usage error) (any, error) {
-	defer d.observe(surface, raw, start)
+func (d *daemon) whatif(s surface, raw string, start time.Time, q whatifReq, usage error) (any, error) {
+	defer d.observe(s, raw, start)
 	w, err := d.gate(errWhatifMode)
 	if err != nil {
 		return nil, err
@@ -370,10 +378,10 @@ func (d *daemon) whatif(surface, raw string, start time.Time, q whatifReq, usage
 	return nil, errors.New("op must be resolve, explain, or impact")
 }
 
-// whatifLine parses the explain and impact commands,
+// parseWhatifCommand parses the explain and impact commands,
 // "explain|impact [from=host] [overlay=spec] [dest]", into a request
 // and the usage error the dispatcher reports once the gate has passed.
-func whatifLine(fields [][]byte) (q whatifReq, usage error) {
+func parseWhatifCommand(fields [][]byte) (q whatifReq, usage error) {
 	q.Op = string(fields[0])
 	hasOverlay := false
 	for fields = fields[1:]; len(fields) > 0; fields = fields[1:] {
@@ -689,8 +697,8 @@ func (d *daemon) handleLine(dst, line []byte, st *lineState, commands bool) (out
 	st.fields = appendFields(st.fields[:0], line)
 	fields := st.fields
 	if len(fields) > 0 && (bytes.Equal(fields[0], explainWord) || bytes.Equal(fields[0], impactWord)) {
-		q, usage := whatifLine(fields)
-		return append(dst, lineReply(d.whatif("line", string(line), time.Now(), q, usage))...), false
+		q, usage := parseWhatifCommand(fields)
+		return append(dst, lineReply(d.whatif(surfaceLine, string(line), time.Now(), q, usage))...), false
 	}
 	var from, overlay []byte
 	if len(fields) > 0 && bytes.HasPrefix(fields[0], fromPrefix) {
@@ -722,7 +730,7 @@ func (d *daemon) handleLine(dst, line []byte, st *lineState, commands bool) (out
 	dest := fields[0]
 	if overlay != nil {
 		q := whatifReq{Op: "resolve", From: string(from), Overlay: string(overlay), Dest: string(dest), User: string(user)}
-		return append(dst, lineReply(d.whatif("line", string(line), time.Now(), q, nil))...), false
+		return append(dst, lineReply(d.whatif(surfaceLine, string(line), time.Now(), q, nil))...), false
 	}
 	store := d.store
 	if len(from) > 0 {
@@ -895,7 +903,7 @@ func (d *daemon) handler() http.Handler {
 		dest, user := q.Get("dest"), cmp.Or(q.Get("user"), "%s")
 		if overlay := q.Get("overlay"); overlay != "" && dest != "" {
 			req := whatifReq{Op: "resolve", From: q.Get("from"), Overlay: overlay, Dest: dest, User: user}
-			ans, err := d.whatif("http_route", r.URL.RawQuery, start, req, nil)
+			ans, err := d.whatif(surfaceRoute, r.URL.RawQuery, start, req, nil)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -904,7 +912,7 @@ func (d *daemon) handler() http.Handler {
 			fmt.Fprintln(w, ans)
 			return
 		}
-		defer d.observe("http_route", r.URL.RawQuery, start)
+		defer d.observe(surfaceRoute, r.URL.RawQuery, start)
 		if dest == "" {
 			http.Error(w, "missing dest parameter", http.StatusBadRequest)
 			return
@@ -941,7 +949,7 @@ func (d *daemon) handler() http.Handler {
 		if d.slowThresh > 0 {
 			desc = fmt.Sprintf("op=%s from=%s overlay=%q dest=%s", q.Op, q.From, q.Overlay, q.Dest)
 		}
-		ans, err := d.whatif("whatif", desc, start, q, usage)
+		ans, err := d.whatif(surfaceWhatif, desc, start, q, usage)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -330,12 +331,71 @@ func routeNeutralEdit(t *testing.T, pins []parser.Input, vantages []string) (int
 	return i, src
 }
 
+// warmingDaemon returns a -map daemon warm-started from the batch image
+// of testMapSrc and held in its warm-up: its one source file does not
+// exist, so the engine's first computation fails and the image stays
+// installed, and the watcher's ready channel is then swapped for an
+// unclosed one, so the gate reads the engine as still warming up.
+func warmingDaemon(t *testing.T, log io.Writer) *daemon {
+	t.Helper()
+	dir := t.TempDir()
+	odb := filepath.Join(dir, "routes.rdb")
+	if err := os.WriteFile(odb, batchImage(t, testMapSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newMapDaemon(routedb.Options{}, log)
+	w, err := newMapWatcher(d, "unc", 8, []string{filepath.Join(dir, "missing.map")}, odb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-w.ready // the first computation has failed
+	d.audits.Wait()
+	w.ready = make(chan struct{})
+	return d
+}
+
 // TestMapWarmStart: with a published image on disk, a restarting daemon
 // serves it before the engine's first computation lands; engine-backed
-// query forms are refused with a clear error until then; once ready,
-// every answer is byte-identical to a cold-started daemon's, and the
-// unchanged image is not republished.
+// query forms are refused with the warm-up error on every surface until
+// then; once ready, every answer is byte-identical to a cold-started
+// daemon's, and the unchanged image is not republished.
 func TestMapWarmStart(t *testing.T) {
+	var wlog strings.Builder
+	wd := warmingDaemon(t, &wlog)
+	if !strings.Contains(wlog.String(), "warm start: serving 5 routes") {
+		t.Fatalf("no warm start: %q", wlog.String())
+	}
+	for line, want := range map[string]string{
+		"ucbvax honey": "ok duke!research!ucbvax!honey",
+		"duke honey":   "ok duke!honey",
+		"phs u":        "ok duke!phs!u",
+		"research":     "ok duke!research!%s",
+		"nowhere u":    `err routedb: no route to "nowhere"`,
+	} {
+		if got, _ := askLine(wd, line); got != want {
+			t.Errorf("%q while warming = %q, want %q (the image's answer)", line, got, want)
+		}
+	}
+	const warming = "map engine still warming up (serving the last published image)"
+	for _, line := range []string{"from=duke ucbvax honey", "explain ucbvax", "impact overlay=dead,duke,phs", "overlay=dead,duke,phs ucbvax"} {
+		if got, _ := askLine(wd, line); got != "err "+warming {
+			t.Errorf("not-ready %q = %q, want the warm-up error", line, got)
+		}
+	}
+	// POST /whatif and GET /route?overlay= answer from the same gate.
+	for _, req := range []*http.Request{
+		httptest.NewRequest("POST", "/whatif", strings.NewReader(`{"op":"resolve","overlay":"dead unc duke","dest":"research","user":"honey"}`)),
+		httptest.NewRequest("GET", "/route?dest=research&overlay=dead,unc,duke", nil),
+	} {
+		rec := httptest.NewRecorder()
+		wd.handler().ServeHTTP(rec, req)
+		if rec.Code != 400 || strings.TrimSpace(rec.Body.String()) != warming {
+			t.Errorf("not-ready %s %s = %d %q, want 400 %q", req.Method, req.URL, rec.Code, rec.Body.String(), warming)
+		}
+	}
+
+	// A warm start over readable sources: the engine's first computation
+	// lands in the background and supersedes the image.
 	dir := t.TempDir()
 	mapPath := filepath.Join(dir, "test.map")
 	odb := filepath.Join(dir, "routes.rdb")
@@ -345,45 +405,21 @@ func TestMapWarmStart(t *testing.T) {
 	if err := os.WriteFile(odb, batchImage(t, testMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	stat1, err := os.Stat(odb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var log strings.Builder
 	d := newMapDaemon(routedb.Options{}, &log)
-	t.Cleanup(d.audits.Wait)
 	w, err := newMapWatcher(d, "unc", 8, []string{mapPath}, odb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the not-ready state (the background computation may land any
-	// moment) with an unclosed ready channel, to check the gate
-	// deterministically; the image serves the plain resolves throughout.
 	<-w.ready
+	d.audits.Wait()
 	if !strings.Contains(log.String(), "warm start: serving 5 routes") {
 		t.Fatalf("no warm start: %q", log.String())
 	}
-	ready := w.ready
-	w.ready = make(chan struct{})
-	if got, _ := askLine(d, "ucbvax honey"); got != "ok duke!research!ucbvax!honey" {
-		t.Fatalf("answer while warming = %q", got)
-	}
-	const warming = "map engine still warming up (serving the last published image)"
-	for _, line := range []string{"from=duke ucbvax honey", "explain ucbvax", "overlay=dead,duke,phs ucbvax"} {
-		if got, _ := askLine(d, line); got != "err "+warming {
-			t.Errorf("not-ready %q = %q, want a warming-up error", line, got)
-		}
-	}
-	// POST /whatif answers from the same gate.
-	rec := httptest.NewRecorder()
-	d.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/whatif",
-		strings.NewReader(`{"op":"resolve","overlay":"dead unc duke","dest":"research","user":"honey"}`)))
-	if rec.Code != 400 || strings.TrimSpace(rec.Body.String()) != warming {
-		t.Errorf("not-ready POST /whatif = %d %q, want 400 %q", rec.Code, rec.Body.String(), warming)
-	}
-	w.ready = ready
-	d.audits.Wait()
 
 	// The live engine's answers must be byte-identical to a cold start's.
 	cold := newMapDaemon(routedb.Options{}, io.Discard)

@@ -79,16 +79,11 @@ func parseSurfaceLine(line string) (q whatifReq, hasOverlay bool) {
 
 // surfaceDaemons builds the three daemons of the cross-surface table,
 // all serving the routes of testMapSrc from unc: -d over the batch
-// image, -map, and -map warm-started from that image with the engine's
-// first computation pinned as not landed.
+// image, -map, and a -map daemon still warming up, serving that image
+// (warmingDaemon).
 func surfaceDaemons(t *testing.T) map[string]*daemon {
 	t.Helper()
-	dir := t.TempDir()
-	mapPath := filepath.Join(dir, "test.map")
-	odb := filepath.Join(dir, "routes.rdb")
-	if err := os.WriteFile(mapPath, []byte(testMapSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	odb := filepath.Join(t.TempDir(), "routes.rdb")
 	if err := os.WriteFile(odb, batchImage(t, testMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +92,7 @@ func surfaceDaemons(t *testing.T) map[string]*daemon {
 		t.Fatal(err)
 	}
 	t.Cleanup(dd.audits.Wait)
-	warm := newMapDaemon(routedb.Options{}, io.Discard)
-	t.Cleanup(warm.audits.Wait)
-	w, err := newMapWatcher(warm, "unc", 8, []string{mapPath}, odb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-w.ready
-	w.ready = make(chan struct{})
-	return map[string]*daemon{"d": dd, "map": newTestMapDaemon(t), "warming": warm}
+	return map[string]*daemon{"d": dd, "map": newTestMapDaemon(t), "warming": warmingDaemon(t, io.Discard)}
 }
 
 // TestSurfacesAgree runs surfaceLines on every daemon and surface. The
