@@ -27,7 +27,8 @@
 //	-B    disable back-link invention for unreachable hosts
 //	-f    report first-hop cost instead of full path cost
 //	-t    trace one host's links, attributes, and path on standard error
-//	-j    number of concurrent input-file scanners (0 = one per CPU)
+//	-o    write routes to file instead of stdout, atomically and durably
+//	      (see -o-db): a reader of the file never sees a partial one
 //
 // Compiled output:
 //
@@ -41,8 +42,7 @@
 // Continuous regeneration:
 //
 //	-watch 2s  stay resident and regenerate when a map file changes
-//	-o file    write routes to file instead of stdout (required with
-//	           -watch, where it is written atomically via rename)
+//	           (-o is required with -watch)
 //
 // With -watch, pathalias keeps the incremental re-map engine warm: each
 // regeneration re-scans only changed files and re-maps only the
@@ -89,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noBack      = fs.Bool("B", false, "disable back links")
 		firstHop    = fs.Bool("f", false, "report first-hop cost instead of path cost")
 		trace       = fs.String("t", "", "trace a host's links and mapping on stderr")
-		workers     = fs.Int("j", 0, "concurrent input-file scanners (0 = one per CPU)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to `file`")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to `file`")
 		watchEvery  = fs.Duration("watch", 0, "stay resident and regenerate when a map file changes")
@@ -169,11 +168,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mopts.BackLinks = !*noBack
 
 	cfg := core.Config{
-		Inputs:       inputs,
-		LocalHost:    *local,
-		Mapper:       &mopts,
-		FoldCase:     *ignoreCase,
-		ParseWorkers: *workers,
+		Inputs:    inputs,
+		LocalHost: *local,
+		Mapper:    &mopts,
+		FoldCase:  *ignoreCase,
 		Printer: printer.Options{
 			SortByCost:   *costs,
 			DomainsOnly:  *domainsOnly,
@@ -195,17 +193,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "pathalias: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		out = f
+	writeText := func(w io.Writer) error {
+		_, err := routedb.WriteText(w, rep.Entries, *costs)
+		return err
 	}
-	if _, err := routedb.WriteText(out, rep.Entries, *costs); err != nil {
+	if *outPath == "" {
+		err = writeText(stdout)
+	} else {
+		// Atomically and durably, like -o-db: a routed -d watcher of the
+		// file never loads a partial one.
+		err = atomicfile.Publish(*outPath, writeText)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: writing output: %v\n", err)
 		return 1
 	}

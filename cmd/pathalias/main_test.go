@@ -295,3 +295,38 @@ caip motown(25)
 		t.Errorf("second-best output = %q", out.String())
 	}
 }
+
+// TestOutputFileIsReplaced: -o publishes a new file in place of the old
+// one instead of rewriting it, so a reader that holds the old file (here
+// a hard link to it) keeps the old bytes; the new file holds exactly
+// what standard output would.
+func TestOutputFileIsReplaced(t *testing.T) {
+	p := writeMap(t, paperMap)
+	dir := t.TempDir()
+	outPath, held := filepath.Join(dir, "routes"), filepath.Join(dir, "held")
+	old := "previous routes\n"
+	if err := os.WriteFile(outPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(outPath, held); err != nil {
+		t.Skipf("no hard links here: %v", err)
+	}
+	args := []string{"-l", "unc", "-c", p}
+	var want, errb strings.Builder
+	if code := run(args, &want, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	var out strings.Builder
+	if code := run(append([]string{"-o", outPath}, args...), &out, &errb); code != 0 {
+		t.Fatalf("-o: exit %d, stderr: %s", code, errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("-o also wrote %q to stdout", out.String())
+	}
+	if got, err := os.ReadFile(outPath); err != nil || string(got) != want.String() {
+		t.Errorf("-o file = %q, %v; want the stdout output %q", got, err, want.String())
+	}
+	if got, err := os.ReadFile(held); err != nil || string(got) != old {
+		t.Errorf("the old file now reads %q, %v; want its old bytes %q", got, err, old)
+	}
+}

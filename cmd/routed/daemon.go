@@ -24,6 +24,7 @@ import (
 	"pathalias/internal/fswatch"
 	"pathalias/internal/obs"
 	"pathalias/internal/rdb"
+	"pathalias/internal/resolver"
 	"pathalias/internal/routedb"
 	"pathalias/internal/whatif"
 )
@@ -395,7 +396,7 @@ func parseWhatifCommand(fields [][]byte) (q whatifReq, usage error) {
 	}
 	switch {
 	case hasOverlay && q.Overlay == "":
-		return q, errors.New("whatif: empty overlay spec")
+		return q, whatif.ErrEmptySpec
 	case q.Op == "impact" && (q.Overlay == "" || len(fields) != 0):
 		return q, errors.New("want: impact [from=host] overlay=spec")
 	case q.Op == "explain" && len(fields) != 1:
@@ -905,7 +906,11 @@ func (d *daemon) handler() http.Handler {
 			req := whatifReq{Op: "resolve", From: q.Get("from"), Overlay: overlay, Dest: dest, User: user}
 			ans, err := d.whatif(surfaceRoute, r.URL.RawQuery, start, req, nil)
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+				code := http.StatusBadRequest
+				if errors.Is(err, resolver.ErrNoRoute) {
+					code = http.StatusNotFound
+				}
+				http.Error(w, err.Error(), code)
 				return
 			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -100,8 +100,9 @@ func surfaceDaemons(t *testing.T) map[string]*daemon {
 // /route and POST /whatif, where they can express the request, answer
 // the same address (or the same explain and impact, rendered from their
 // JSON) or the same error text. A status is 200 for an answer, 404 for a
-// GET /route plain or from= resolve that found no route, and 400 for
-// every other error. Plain resolves answer alike on all three daemons.
+// GET /route resolve that found no route, with or without an overlay,
+// and 400 for every other error. Plain resolves answer alike on all
+// three daemons.
 func TestSurfacesAgree(t *testing.T) {
 	plain := map[string]string{}
 	for name, d := range surfaceDaemons(t) {
@@ -154,7 +155,7 @@ func TestSurfacesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantHTTP("GET /route", resp.StatusCode, readBody(t, resp), !hasOverlay)
+				wantHTTP("GET /route", resp.StatusCode, readBody(t, resp), true)
 			}
 
 			if (q.Op == "resolve" && hasOverlay) || (q.Op == "explain" && (!hasOverlay || q.Overlay != "")) ||

@@ -10,6 +10,7 @@ package pathalias
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pathalias/internal/mapgen"
@@ -19,11 +20,13 @@ import (
 	"pathalias/internal/routedb"
 )
 
-// routesBytes runs the full pipeline (parse with the given worker count,
+// routesBytes runs the full pipeline (parse at the given GOMAXPROCS,
 // map, print) and renders the classic route file.
 func routesBytes(t *testing.T, workers int, local string, inputs []parser.Input) []byte {
 	t.Helper()
-	res, err := parser.ParseWith(parser.Options{Workers: workers}, inputs...)
+	prev := runtime.GOMAXPROCS(workers)
+	res, err := parser.ParseWith(parser.Options{}, inputs...)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatalf("parse (workers=%d): %v", workers, err)
 	}

@@ -37,9 +37,6 @@ type Config struct {
 	// FoldCase makes host names case-insensitive (-i). Cost symbols stay
 	// case-sensitive.
 	FoldCase bool
-	// ParseWorkers caps concurrent input scanning (parser.Options.Workers):
-	// 0 = one per CPU, 1 = serial. Output is identical either way.
-	ParseWorkers int
 }
 
 // PhaseTimes records wall-clock time per phase.
@@ -75,7 +72,7 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{}
 	start := time.Now()
-	pres, err := parser.ParseWith(parser.Options{FoldCase: cfg.FoldCase, Workers: cfg.ParseWorkers}, cfg.Inputs...)
+	pres, err := parser.ParseWith(parser.Options{FoldCase: cfg.FoldCase}, cfg.Inputs...)
 	rep.Times.Parse = time.Since(start)
 	if pres != nil {
 		rep.Graph = pres.Graph

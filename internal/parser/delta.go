@@ -1,23 +1,19 @@
 package parser
 
-// Exported fragment API for the incremental re-map engine (internal/remap).
-//
-import (
-	"runtime"
-	"slices"
-
-	"pathalias/internal/cost"
-	"pathalias/internal/graph"
-)
-
-// ParseWith scans and merges in one shot; the engine needs the two phases
-// separately so it can cache the expensive one. A Fragment is one scanned
-// file — the flat replay log of fragment.go — together with the source it
-// was scanned from, so an engine can tell an unchanged input by comparing
-// bytes, replay cached fragments for those, and re-scan only the changed
-// statements of the rest (Rescan). The engine journals its own replay of
-// error-free fragments (OpsRange); an input set with syntax errors it
+// Exported fragment API for the incremental re-map engine
+// (internal/remap). Every parse scans its inputs into fragments and
+// replays them: ParseWith merges them into a fresh graph in one shot,
+// and the engine keeps the two phases apart so it can cache the
+// expensive one. A Fragment is one scanned file — the flat replay log of
+// fragment.go — together with the source it was scanned from, so an
+// engine can tell an unchanged input by comparing bytes, replay cached
+// fragments for those, and re-scan only the changed statements of the
+// rest (Rescan). The engine journals its own replay of error-free
+// fragments through OpsRange, which spells statements out as the same
+// ReplayOps the merger applies; an input set with syntax errors it
 // rejects with the errors a parse would report (Errors).
+
+import "slices"
 
 // Fragment is one scanned input, reusable across replays. It is
 // immutable after ScanFragment or Rescan returns and safe to replay any
@@ -39,17 +35,10 @@ func (f *Fragment) Stmts() int { return len(f.frag.stmts) }
 
 // ScanFragment scans one input into a reusable fragment (phase one of the
 // parse, file-local and independent of every other input). Large inputs
-// scan in statement-boundary chunks across Options.Workers goroutines
-// (split.go); the fragment is identical either way.
+// scan in statement-boundary chunks, one goroutine per P (split.go); the
+// fragment is identical either way.
 func ScanFragment(opts Options, in Input) *Fragment {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Fragment{
-		frag:     scanFileParallel(opts, in, workers),
-		foldCase: opts.FoldCase,
-	}
+	return &Fragment{frag: scanFileParallel(opts, in), foldCase: opts.FoldCase}
 }
 
 // Errors returns the syntax errors a parse of the fragments' inputs, in
@@ -61,36 +50,6 @@ func Errors(frags []*Fragment) []string {
 		errs = appendErrors(errs, f.frag)
 	}
 	return errs
-}
-
-// ReplayKind tags one exported replay operation. The values mirror the
-// internal stmtOp vocabulary one to one (same order); Ops converts by
-// value, so the two lists must stay in sync.
-type ReplayKind uint8
-
-const (
-	ReplayRef        ReplayKind = iota // reference A (creates the node)
-	ReplayLink                         // link A -> B with Cost/LinkOp
-	ReplayNet                          // network A with Members
-	ReplayAlias                        // alias A = B
-	ReplayPrivate                      // private {A}
-	ReplayDeadHost                     // dead {A}
-	ReplayDeleteHost                   // delete {A}
-	ReplayGatewayed                    // gatewayed {A}
-	ReplayGateway                      // gateway {A!B}
-	ReplayAdjust                       // adjust {A(Cost)}
-	ReplayFile                         // file {A}: switch private scope
-)
-
-// ReplayOp is one graph operation of a fragment's replay log, in the
-// exported vocabulary the re-map engine journals.
-type ReplayOp struct {
-	Kind    ReplayKind
-	A, B    string
-	Cost    cost.Cost
-	LinkOp  graph.Op
-	Dom     bool     // ReplayLink: B names a domain (gateway side effect)
-	Members []string // ReplayNet: member names (reused by the next operation)
 }
 
 // Common returns the lengths of the longest common statement prefix and
@@ -147,7 +106,7 @@ func (f *Fragment) SamePending(old *Fragment) bool {
 // statement, or -1 if it declares none.
 func (f *Fragment) LastPrivate() int {
 	for i := len(f.frag.stmts) - 1; i >= 0; i-- {
-		if f.frag.stmts[i].op == opPrivate {
+		if f.frag.stmts[i].op == ReplayPrivate {
 			return i
 		}
 	}
@@ -168,14 +127,9 @@ func (f *Fragment) SwitchesFile() bool { return f.frag.sawFile }
 // fragment with errors is not applied. The engine journals only
 // error-free input sets.
 func (f *Fragment) OpsRange(lo, hi int, yield func(*ReplayOp) bool) {
-	var a action
 	var op ReplayOp
 	for i := lo; i < hi; i++ {
-		f.frag.action(&f.frag.stmts[i], &a)
-		// Field by field: a composite literal would build the whole
-		// operation aside and block-copy it, once per statement.
-		op.Kind, op.A, op.B, op.Cost = ReplayKind(a.op), a.a, a.b, a.cost
-		op.LinkOp, op.Dom, op.Members = a.linkOp, a.dom, a.members
+		f.frag.spell(&f.frag.stmts[i], &op)
 		if !yield(&op) {
 			return
 		}

@@ -14,10 +14,10 @@ func FragmentInternals(f *Fragment) any { return f.frag }
 func FragmentStrings(f *Fragment) (names, other []string) {
 	fr := f.frag
 	for i := range fr.stmts {
-		var a action
-		fr.action(&fr.stmts[i], &a)
-		names = append(names, a.a, a.b)
-		names = append(names, a.members...)
+		var op ReplayOp
+		fr.spell(&fr.stmts[i], &op)
+		names = append(names, op.A, op.B)
+		names = append(names, op.Members...)
 	}
 	for _, p := range fr.pending {
 		names = append(names, p.from, p.to)

@@ -2,8 +2,10 @@ package parser
 
 // Phase one of the parse: a file-local scanner that turns one map source
 // into a fragment — a flat replay log of graph operations plus tagged
-// diagnostics. Fragments contain no graph state, so any number of files
-// can scan concurrently; the merger replays them in input order.
+// diagnostics. A fragment is the only thing a scan produces: the merger
+// replays fragments in input order (ParseWith), and the re-map engine
+// replays and caches them (delta.go). Fragments contain no graph state,
+// so any number of files can scan concurrently.
 //
 // The scanner transliterates the sequential recursive-descent parser
 // statement for statement. Everything observable — which names get
@@ -25,33 +27,34 @@ import (
 // foldName normalizes a name the same way graph.Graph does under FoldCase.
 func foldName(s string) string { return strings.ToLower(s) }
 
-// stmtOp tags one replayable graph operation.
-type stmtOp uint8
+// ReplayKind tags one graph operation of a fragment's replay log.
+type ReplayKind uint8
 
 const (
-	opRef        stmtOp = iota // reference name a (creates the node)
-	opLink                     // link a -> b with cost/linkOp
-	opNet                      // network a with members[mlo:mhi]
-	opAlias                    // alias a = b
-	opPrivate                  // private {a}
-	opDeadHost                 // dead {a}
-	opDeleteHost               // delete {a}
-	opGatewayed                // gatewayed {a}
-	opGateway                  // gateway {a!b}
-	opAdjust                   // adjust {a(cost)}
-	opFile                     // file {a}: switch private scope
+	ReplayRef        ReplayKind = iota // reference A (creates the node)
+	ReplayLink                         // link A -> B with Cost/LinkOp
+	ReplayNet                          // network A with Members
+	ReplayAlias                        // alias A = B
+	ReplayPrivate                      // private {A}
+	ReplayDeadHost                     // dead {A}
+	ReplayDeleteHost                   // delete {A}
+	ReplayGatewayed                    // gatewayed {A}
+	ReplayGateway                      // gateway {A!B}
+	ReplayAdjust                       // adjust {A(Cost)}
+	ReplayFile                         // file {A}: switch private scope
 )
 
-// action is one replay operation with its names spelled out: what the
-// scanner emits and the merger applies. dom precomputes "b names a
-// domain" (opLink), so the merge loop need not consult node flags.
-type action struct {
-	op      stmtOp
-	dom     bool
-	linkOp  graph.Op
-	a, b    string
-	cost    cost.Cost
-	members []string // opNet
+// ReplayOp is one graph operation with its names spelled out: what the
+// scanner emits, the merger applies and the re-map engine journals.
+// Dom precomputes "B names a domain" (ReplayLink), so neither consumer
+// need consult node flags.
+type ReplayOp struct {
+	Kind    ReplayKind
+	A, B    string
+	Cost    cost.Cost
+	LinkOp  graph.Op
+	Dom     bool     // ReplayLink: B names a domain (gateway side effect)
+	Members []string // ReplayNet: member names (reused by the next operation)
 }
 
 // name is a name token of a fragment's source: n bytes from at bytes
@@ -61,7 +64,7 @@ type action struct {
 // source changes its offset alone.
 type name struct{ at, n int32 }
 
-// stmt is one entry of the replay log, an action as a fragment stores
+// stmt is one entry of the replay log, a ReplayOp as a fragment stores
 // it. errs is the file-local error count when the enclosing statement
 // began; the merger uses it to reproduce the sequential parser's
 // MaxErrors cutoff across files. off is the byte offset of the source
@@ -69,14 +72,14 @@ type name struct{ at, n int32 }
 // ending the statement before — where a fresh scanner behaves exactly
 // like the serial one; Rescan restarts there.
 type stmt struct {
-	op       stmtOp
+	op       ReplayKind
 	dom      bool
 	linkOp   graph.Op
 	errs     int32
 	off      int32
 	a, b     name
 	cost     cost.Cost
-	mlo, mhi int32 // opNet: member range in fragment.members
+	mlo, mhi int32 // ReplayNet: member range in fragment.members
 }
 
 // note is a diagnostic tagged with the same budget counter and
@@ -103,7 +106,7 @@ type fragment struct {
 	name     string
 	src      string // the scanned source, which stmts and members name bytes of
 	stmts    []stmt
-	members  []name // relative to the opNet statement holding them
+	members  []name // relative to the ReplayNet statement holding them
 	errors   []note
 	warnings []note
 	pending  []pendingLinkOp
@@ -116,25 +119,23 @@ func (f *fragment) str(st *stmt, n name) string {
 	return f.src[at : at+int(n.n)]
 }
 
-// action spells statement st out into a, reusing a's member slice.
-func (f *fragment) action(st *stmt, a *action) {
-	a.op, a.dom, a.linkOp, a.cost = st.op, st.dom, st.linkOp, st.cost
-	a.a, a.b = f.str(st, st.a), f.str(st, st.b)
-	a.members = a.members[:0]
+// spell spells statement st out into op, reusing op's member slice.
+// It sets field by field: a composite literal would build the whole
+// operation aside and block-copy it, once per statement.
+func (f *fragment) spell(st *stmt, op *ReplayOp) {
+	op.Kind, op.Dom, op.LinkOp, op.Cost = st.op, st.dom, st.linkOp, st.cost
+	op.A, op.B = f.str(st, st.a), f.str(st, st.b)
+	op.Members = op.Members[:0]
 	for _, m := range f.members[st.mlo:st.mhi] {
-		a.members = append(a.members, f.str(st, m))
+		op.Members = append(op.Members, f.str(st, m))
 	}
 }
 
-// fileScanner drives the lexer over one file. It has two sinks: in
-// fragment mode (parallel parsing) every operation and diagnostic is
-// recorded in frag for later replay; in streaming mode (serial parsing)
-// operations apply to the merger's graph immediately and nothing is
-// buffered. The control flow is identical either way, so both modes
-// produce byte-identical results.
+// fileScanner drives the lexer over one file (or one piece of one),
+// recording every operation and diagnostic in frag for the merger or
+// the re-map engine to replay.
 type fileScanner struct {
 	frag     *fragment
-	m        *merger // non-nil: streaming mode
 	opts     Options
 	sc       *lexer.Scanner
 	src      string // what sc scans
@@ -153,7 +154,7 @@ type fileScanner struct {
 	stopped bool
 }
 
-// scanFile scans one input into a fragment (parallel phase one).
+// scanFile scans one input into a fragment (phase one).
 func scanFile(opts Options, in Input) *fragment {
 	// Preallocate the replay log from the source size. Real map files run
 	// one statement per ~15-25 bytes; overshooting slightly beats paying
@@ -170,30 +171,14 @@ func scanFile(opts Options, in Input) *fragment {
 	return f
 }
 
-// scanStream scans one input, applying operations straight to the merger.
-// The error budget is the merger's global one, exactly as in a sequential
-// parse.
-func scanStream(opts Options, in Input, m *merger) {
-	s := &fileScanner{
-		m:       m,
-		opts:    opts,
-		sc:      lexer.NewScannerString(in.Name, in.Src),
-		src:     in.Src,
-		curFile: in.Name,
-	}
-	m.clearRefCache() // new file, new private scope
-	m.g.BeginFile(in.Name)
-	s.run()
-}
-
 func (s *fileScanner) run() {
 	s.next()
-	for s.tok.Kind != lexer.EOF && s.errCount() < MaxErrors {
+	for s.tok.Kind != lexer.EOF && len(s.frag.errors) < MaxErrors {
 		if s.until != nil && s.until(int(s.bound)) {
 			s.stopped = true
 			return
 		}
-		s.stmtErrs = int32(s.errCount())
+		s.stmtErrs = int32(len(s.frag.errors))
 		s.stmtOff = s.bound
 		switch s.tok.Kind {
 		case lexer.Newline:
@@ -207,26 +192,13 @@ func (s *fileScanner) run() {
 	}
 }
 
-// errCount returns the error total the statement loop budgets against:
-// file-local in fragment mode, global in streaming mode.
-func (s *fileScanner) errCount() int {
-	if s.m != nil {
-		return len(s.m.errors)
-	}
-	return len(s.frag.errors)
-}
-
-func (s *fileScanner) emit(a *action) {
-	if s.m != nil {
-		s.m.apply(a)
-		return
-	}
+func (s *fileScanner) emit(op *ReplayOp) {
 	f := s.frag
-	st := stmt{op: a.op, dom: a.dom, linkOp: a.linkOp, errs: s.stmtErrs, off: s.stmtOff,
-		a: s.name(a.a), b: s.name(a.b), cost: a.cost}
-	if a.op == opNet {
+	st := stmt{op: op.Kind, dom: op.Dom, linkOp: op.LinkOp, errs: s.stmtErrs, off: s.stmtOff,
+		a: s.name(op.A), b: s.name(op.B), cost: op.Cost}
+	if op.Kind == ReplayNet {
 		st.mlo = int32(len(f.members))
-		for _, m := range a.members {
+		for _, m := range op.Members {
 			f.members = append(f.members, s.name(m))
 		}
 		st.mhi = int32(len(f.members))
@@ -247,29 +219,16 @@ func (s *fileScanner) name(t string) name {
 
 func (s *fileScanner) errorf(format string, args ...any) {
 	text := fmt.Sprintf("%s: %s", s.tok.Pos(), fmt.Sprintf(format, args...))
-	if s.m != nil {
-		s.m.errors = append(s.m.errors, text)
-		return
-	}
 	s.frag.errors = append(s.frag.errors, note{text: text, errs: s.stmtErrs, off: s.stmtOff})
 }
 
 func (s *fileScanner) warnf(format string, args ...any) {
 	text := fmt.Sprintf("%s: %s", s.tok.Pos(), fmt.Sprintf(format, args...))
-	if s.m != nil {
-		s.m.warnings = append(s.m.warnings, text)
-		return
-	}
 	s.frag.warnings = append(s.frag.warnings, note{text: text, errs: s.stmtErrs, off: s.stmtOff})
 }
 
-// addPending records a deferred dead/delete link item through the active
-// sink.
+// addPending records a deferred dead/delete link item.
 func (s *fileScanner) addPending(p pendingLinkOp) {
-	if s.m != nil {
-		s.m.pending = append(s.m.pending, p)
-		return
-	}
 	p.errs, p.off = s.stmtErrs, s.stmtOff
 	s.frag.pending = append(s.frag.pending, p)
 }
@@ -297,11 +256,7 @@ func (s *fileScanner) next() {
 	}
 	file, line, col := s.tok.File, s.tok.Line, s.tok.Col
 	if err := s.sc.NextTok(&s.tok); err != nil {
-		if s.m != nil {
-			s.m.errors = append(s.m.errors, err.Error())
-		} else {
-			s.frag.errors = append(s.frag.errors, note{text: err.Error(), errs: s.stmtErrs, off: s.stmtOff})
-		}
+		s.frag.errors = append(s.frag.errors, note{text: err.Error(), errs: s.stmtErrs, off: s.stmtOff})
 		s.tok = lexer.Token{Kind: lexer.EOF, File: file, Line: line, Col: col}
 	}
 }
@@ -344,7 +299,7 @@ func (s *fileScanner) scanStatement() {
 	case lexer.Newline:
 		// A bare name declares the host with no links; harmless and
 		// present in real map data.
-		s.emit(&action{op: opRef, a: name})
+		s.emit(&ReplayOp{Kind: ReplayRef, A: name})
 		s.next()
 	default:
 		s.errorf("expected links, '=', or end of statement after %q, got %s", name, s.tok)
@@ -380,7 +335,7 @@ func (s *fileScanner) scanEqualsRest(name string) {
 
 // scanHostDecl scans "host link, link, ...".
 func (s *fileScanner) scanHostDecl(name string) {
-	s.emit(&action{op: opRef, a: name}) // the declaring host is created first
+	s.emit(&ReplayOp{Kind: ReplayRef, A: name}) // the declaring host is created first
 	for {
 		if !s.scanLink(name) {
 			s.skipStatement()
@@ -439,8 +394,8 @@ func (s *fileScanner) scanLink(from string) bool {
 		s.warnf("ignoring self link %q", toName)
 		return true
 	}
-	s.emit(&action{op: opLink, a: from, b: toName, cost: linkCost, linkOp: op,
-		dom: toName[0] == '.'})
+	s.emit(&ReplayOp{Kind: ReplayLink, A: from, B: toName, Cost: linkCost, LinkOp: op,
+		Dom: toName[0] == '.'})
 	return true
 }
 
@@ -484,13 +439,13 @@ func (s *fileScanner) scanNetDecl(name string, op graph.Op) {
 		s.next()
 	}
 
-	s.emit(&action{op: opNet, a: name, cost: netCost, linkOp: op, members: s.members})
+	s.emit(&ReplayOp{Kind: ReplayNet, A: name, Cost: netCost, LinkOp: op, Members: s.members})
 	s.expectNewline()
 }
 
 // scanAliasDecl scans "host = alias, alias, ...".
 func (s *fileScanner) scanAliasDecl(name string) {
-	s.emit(&action{op: opRef, a: name}) // the primary is created first
+	s.emit(&ReplayOp{Kind: ReplayRef, A: name}) // the primary is created first
 	for {
 		if s.tok.Kind != lexer.Name {
 			s.errorf("expected alias name, got %s", s.tok)
@@ -501,7 +456,7 @@ func (s *fileScanner) scanAliasDecl(name string) {
 		if s.foldEq(alias, name) {
 			s.warnf("ignoring self alias %q", alias)
 		} else {
-			s.emit(&action{op: opAlias, a: name, b: alias})
+			s.emit(&ReplayOp{Kind: ReplayAlias, A: name, B: alias})
 		}
 		s.next()
 		if s.tok.Kind == lexer.Comma {
@@ -567,7 +522,7 @@ func (s *fileScanner) scanCommandItem(word string) bool {
 			s.addPending(pendingLinkOp{
 				from: first, to: second, file: s.curFile, pos: pos, deadNot: true})
 		case "gateway":
-			s.emit(&action{op: opGateway, a: first, b: second})
+			s.emit(&ReplayOp{Kind: ReplayGateway, A: first, B: second})
 		default:
 			s.errorf("%s{...} does not accept link items", word)
 			return false
@@ -587,20 +542,20 @@ func (s *fileScanner) scanCommandItem(word string) bool {
 			return false
 		}
 		s.next()
-		s.emit(&action{op: opAdjust, a: first, cost: delta})
+		s.emit(&ReplayOp{Kind: ReplayAdjust, A: first, Cost: delta})
 		return true
 	}
 
 	// Bare name form.
 	switch word {
 	case "private":
-		s.emit(&action{op: opPrivate, a: first})
+		s.emit(&ReplayOp{Kind: ReplayPrivate, A: first})
 	case "dead":
-		s.emit(&action{op: opDeadHost, a: first})
+		s.emit(&ReplayOp{Kind: ReplayDeadHost, A: first})
 	case "delete":
-		s.emit(&action{op: opDeleteHost, a: first})
+		s.emit(&ReplayOp{Kind: ReplayDeleteHost, A: first})
 	case "gatewayed":
-		s.emit(&action{op: opGatewayed, a: first})
+		s.emit(&ReplayOp{Kind: ReplayGatewayed, A: first})
 	case "adjust":
 		s.errorf("adjust item %q needs a (cost) adjustment", first)
 		return false
@@ -611,7 +566,7 @@ func (s *fileScanner) scanCommandItem(word string) bool {
 		// Switch the private-scoping file boundary mid-stream, for
 		// concatenated input on stdin. The scanner tracks the scope too,
 		// so pending dead/delete items resolve in the right file.
-		s.emit(&action{op: opFile, a: first})
+		s.emit(&ReplayOp{Kind: ReplayFile, A: first})
 		s.curFile = first
 		if s.frag != nil {
 			s.frag.sawFile = true

@@ -29,7 +29,7 @@
 // fragments into one graph strictly in input order, reproducing the
 // sequential parse operation-for-operation — node creation order,
 // duplicate-link folding, private scoping, error budgets, and diagnostics
-// are byte-identical to a serial parse, whatever the worker count.
+// are byte-identical to a serial parse, whatever GOMAXPROCS is.
 package parser
 
 import (
@@ -81,11 +81,6 @@ type Options struct {
 	// FoldCase makes host names case-insensitive (the -i flag). Cost
 	// symbols remain case-sensitive; only names fold.
 	FoldCase bool
-
-	// Workers caps how many input files are scanned concurrently.
-	// 0 means one worker per CPU; 1 forces the serial path. Output is
-	// identical either way.
-	Workers int
 }
 
 // Parse parses the inputs in order into one graph. Syntax errors are
@@ -110,36 +105,17 @@ func ParseWith(opts Options, inputs ...Input) (*Result, error) {
 	g.ReserveLinks(total / 30)
 	g.ReserveNames(total / 75)
 	m := &merger{g: g}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case workers <= 1:
-		// Serial: stream each file straight into the graph — no replay
-		// log, no buffering. This is the sequential parse, verbatim.
-		for _, in := range inputs {
-			if len(m.errors) >= MaxErrors {
-				break
-			}
-			scanStream(opts, in, m)
-		}
-	case len(inputs) == 1:
+	if len(inputs) == 1 {
 		// One input: parallelism comes from splitting the file itself at
-		// statement boundaries (split.go). Small files stream serially.
-		if in := inputs[0]; len(in.Src) < 2*minChunkBytes {
-			scanStream(opts, in, m)
-		} else {
-			m.merge(scanFileParallel(opts, in, workers))
-		}
-	default:
-		// Parallel: files scan concurrently (private declarations are
+		// statement boundaries (split.go).
+		m.merge(scanFileParallel(opts, inputs[0]))
+	} else {
+		// Files scan concurrently, one per P (private declarations are
 		// file-scoped, so scans are independent); the merge consumes
 		// fragments strictly in input order as they complete.
 		frags := make([]*fragment, len(inputs))
 		done := make([]chan struct{}, len(inputs))
-		sem := make(chan struct{}, workers)
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		for i := range inputs {
 			done[i] = make(chan struct{})
 			go func(i int) {
@@ -174,61 +150,12 @@ func ParseString(name, src string) (*Result, error) {
 // merger applies fragments to the graph in input order (phase two).
 type merger struct {
 	g        *graph.Graph
+	refs     graph.RefCache
 	errors   []string
 	warnings []string
 	pending  []pendingLinkOp
 	nodes    []*graph.Node // scratch for network member lists
 	stmts    int           // statements applied
-
-	// One-entry reference cache: consecutive operations overwhelmingly
-	// name the same host (a declaration line emits one opRef plus one
-	// opLink per link, all with the same left-hand name), and a cache hit
-	// skips a hash probe. Scope changes invalidate it.
-	lastName string
-	lastNode *graph.Node
-
-	// Direct-mapped cache for link destinations: real maps concentrate
-	// links on a small set of hubs (the paper's backbone), so a tiny
-	// cache absorbs a large share of destination resolutions. Cleared on
-	// any scope change, like lastName.
-	dests [256]struct {
-		name string
-		node *graph.Node
-	}
-}
-
-// destSlot is a cheap direct-mapped hash over a host name.
-func destSlot(name string) int {
-	n := len(name)
-	return (n*131 + int(name[0])*7 + int(name[n-1])) & 255
-}
-
-// refDest resolves a link-destination name with the direct-mapped cache.
-func (m *merger) refDest(name string) *graph.Node {
-	s := &m.dests[destSlot(name)]
-	if s.name == name && s.node != nil {
-		return s.node
-	}
-	n := m.g.Ref(name)
-	s.name, s.node = name, n
-	return n
-}
-
-// clearRefCache drops both reference caches; called whenever the private
-// scope changes, since bindings may differ across scopes.
-func (m *merger) clearRefCache() {
-	m.lastNode = nil
-	clear(m.dests[:])
-}
-
-// ref resolves a name like graph.Ref, memoizing the last resolution.
-func (m *merger) ref(name string) *graph.Node {
-	if name == m.lastName && m.lastNode != nil {
-		return m.lastNode
-	}
-	n := m.g.Ref(name)
-	m.lastName, m.lastNode = name, n
-	return n
 }
 
 // merge replays one file's fragment into the graph, honoring the global
@@ -238,16 +165,16 @@ func (m *merger) merge(f *fragment) {
 	if b <= 0 {
 		return
 	}
-	m.clearRefCache()
+	m.refs.Reset() // new file, new private scope
 	m.g.BeginFile(f.name)
-	var a action
+	var op ReplayOp
 	for i := range f.stmts {
 		st := &f.stmts[i]
 		if st.errs >= b {
 			break
 		}
-		f.action(st, &a)
-		m.apply(&a)
+		f.spell(st, &op)
+		m.apply(&op)
 	}
 	m.errors = appendErrors(m.errors, f)
 	for _, n := range f.warnings {
@@ -287,16 +214,16 @@ func appendErrors(errs []string, f *fragment) []string {
 
 // apply performs one replay-log operation. The graph calls and their
 // order mirror the sequential parser's actions exactly.
-func (m *merger) apply(st *action) {
+func (m *merger) apply(op *ReplayOp) {
 	g := m.g
 	m.stmts++
-	switch st.op {
-	case opRef:
-		m.ref(st.a)
-	case opLink:
-		from := m.ref(st.a)
-		to := m.refDest(st.b)
-		if st.dom {
+	switch op.Kind {
+	case ReplayRef:
+		m.refs.Ref(g, op.A)
+	case ReplayLink:
+		from := m.refs.Ref(g, op.A)
+		to := m.refs.Dest(g, op.B)
+		if op.Dom {
 			// Declaring a direct link into a domain is the administrative
 			// act of offering entry: it makes the declarer a gateway of the
 			// domain (seismo's link to .edu makes seismo the .edu gateway).
@@ -305,38 +232,36 @@ func (m *merger) apply(st *action) {
 			// of a network name as a network may postdate this link.
 			g.AddGateway(to, from)
 		}
-		g.AddLink(from, to, st.cost, st.linkOp, 0)
-	case opNet:
-		net := m.ref(st.a)
+		g.AddLink(from, to, op.Cost, op.LinkOp, 0)
+	case ReplayNet:
+		net := m.refs.Ref(g, op.A)
 		m.nodes = m.nodes[:0]
-		for _, name := range st.members {
+		for _, name := range op.Members {
 			m.nodes = append(m.nodes, g.Ref(name))
 		}
-		g.AddNet(net, m.nodes, st.cost, st.linkOp)
-	case opAlias:
-		a := g.Ref(st.a)
-		b := g.Ref(st.b)
-		g.AddAlias(a, b)
-	case opPrivate:
-		m.clearRefCache() // the private declaration rebinds its name
-		g.DeclarePrivate(st.a)
-	case opDeadHost:
-		g.MarkDead(g.Ref(st.a))
-	case opDeleteHost:
-		g.Delete(g.Ref(st.a))
-	case opGatewayed:
-		g.MarkGatewayed(g.Ref(st.a))
-	case opGateway:
-		net := g.Ref(st.a)
-		host := g.Ref(st.b)
+		g.AddNet(net, m.nodes, op.Cost, op.LinkOp)
+	case ReplayAlias:
+		g.AddAlias(g.Ref(op.A), g.Ref(op.B))
+	case ReplayPrivate:
+		m.refs.Reset() // the private declaration rebinds its name
+		g.DeclarePrivate(op.A)
+	case ReplayDeadHost:
+		g.MarkDead(g.Ref(op.A))
+	case ReplayDeleteHost:
+		g.Delete(g.Ref(op.A))
+	case ReplayGatewayed:
+		g.MarkGatewayed(g.Ref(op.A))
+	case ReplayGateway:
+		net := g.Ref(op.A)
+		host := g.Ref(op.B)
 		g.AddGateway(net, host)
-	case opAdjust:
-		g.AdjustNode(g.Ref(st.a), st.cost)
-	case opFile:
+	case ReplayAdjust:
+		g.AdjustNode(g.Ref(op.A), op.Cost)
+	case ReplayFile:
 		// Switch the private-scoping file boundary mid-stream, for
 		// concatenated input on stdin.
-		m.clearRefCache() // private bindings differ across scopes
-		g.BeginFile(st.a)
+		m.refs.Reset() // private bindings differ across scopes
+		g.BeginFile(op.A)
 	}
 }
 

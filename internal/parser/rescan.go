@@ -137,7 +137,7 @@ func rescanWindow(opts Options, old *Fragment, in Input) (*Fragment, Window) {
 // fragment's member array: the first network's mlo, or end if none.
 func firstMember(stmts []stmt, end int32) int32 {
 	for i := range stmts {
-		if stmts[i].op == opNet {
+		if stmts[i].op == ReplayNet {
 			return stmts[i].mlo
 		}
 	}

@@ -16,10 +16,11 @@ package parser
 // switch in a non-final chunk (later chunks would have scanned their
 // pending dead/delete items under the wrong private scope). Error-free
 // fragments concatenate exactly: statement order is position order,
-// every budget counter is zero on both paths, and only opNet member
+// every budget counter is zero on both paths, and only ReplayNet member
 // ranges need re-basing onto the merged member array.
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 
@@ -30,15 +31,12 @@ import (
 // split pre-scan and concatenation overhead beat the parallel win.
 const minChunkBytes = 256 << 10
 
-// scanFileParallel scans one input with up to workers chunk scanners,
+// scanFileParallel scans one input with up to one chunk scanner per P,
 // returning a fragment byte-identical to scanFile's.
-func scanFileParallel(opts Options, in Input, workers int) *fragment {
-	if workers <= 1 || len(in.Src) < 2*minChunkBytes {
+func scanFileParallel(opts Options, in Input) *fragment {
+	chunks := min(runtime.GOMAXPROCS(0), len(in.Src)/minChunkBytes)
+	if chunks <= 1 {
 		return scanFile(opts, in)
-	}
-	chunks := workers
-	if m := len(in.Src) / minChunkBytes; chunks > m {
-		chunks = m
 	}
 	return scanFileChunks(opts, in, chunks)
 }
@@ -109,7 +107,7 @@ func scanFileChunks(opts Options, in Input, chunks int) *fragment {
 
 // appendFragment concatenates f, scanned from a piece of out's source
 // that begins at byte off, onto out: statement, warning and pending
-// offsets shift by off, and opNet member ranges, which index f's member
+// offsets shift by off, and ReplayNet member ranges, which index f's member
 // array from mlo on, re-base onto out's.
 func appendFragment(out, f *fragment, off, mlo int32) {
 	start := len(out.stmts)
@@ -118,7 +116,7 @@ func appendFragment(out, f *fragment, off, mlo int32) {
 		for j := start; j < len(out.stmts); j++ {
 			st := &out.stmts[j]
 			st.off += off
-			if st.op == opNet {
+			if st.op == ReplayNet {
 				st.mlo += base
 				st.mhi += base
 			}

@@ -1,12 +1,12 @@
 package parser_test
 
-// BenchmarkParseSingleFileParallel measures -j scaling within ONE input
-// file — the realistic published-map shape, which the per-file parallel
-// path cannot touch. The source is a mapgen 200k-host map concatenated
-// into a single file; Workers>1 engages the statement-boundary splitter
-// (split.go). On a single-vCPU machine the parallel path measures the
-// splitter's overhead rather than any win; scaling appears with
-// GOMAXPROCS>1. Numbers are recorded in BENCH_map.json.
+// BenchmarkParseSingleFileParallel measures scan-width scaling within ONE
+// input file — the realistic published-map shape, which the per-file
+// parallel path cannot touch. The source is a mapgen 200k-host map
+// concatenated into a single file; each sub-benchmark sets GOMAXPROCS to
+// its j, and j>1 engages the statement-boundary splitter (split.go). On
+// a single-vCPU machine the parallel path measures the splitter's
+// overhead rather than any win. Numbers are recorded in BENCH_map.json.
 
 import (
 	"fmt"
@@ -36,6 +36,7 @@ func BenchmarkParseSingleFileParallel(b *testing.B) {
 	in := parser.Input{Name: "big.map", Src: src}
 	for _, j := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("hosts200000/j%d", j), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(j))
 			// Each iteration retires a ~180MB graph; collect it now so
 			// the previous sub-benchmark's garbage isn't billed here.
 			runtime.GC()
@@ -43,7 +44,7 @@ func BenchmarkParseSingleFileParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := parser.ParseWith(parser.Options{Workers: j}, in); err != nil {
+				if _, err := parser.ParseWith(parser.Options{}, in); err != nil {
 					b.Fatal(err)
 				}
 			}

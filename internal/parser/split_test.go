@@ -12,6 +12,7 @@ package parser
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,12 +72,12 @@ func TestSplitNetAndAliasDecls(t *testing.T) {
 	f := checkSplitParity(t, "net = !{a, b,\nc, d}(LOCAL)\nh = ha, hb\nnet2 = {e,\nf}\nx y\n")
 	var nets int
 	for _, st := range f.stmts {
-		if st.op == opNet {
+		if st.op == ReplayNet {
 			nets++
 		}
 	}
 	if nets != 2 {
-		t.Fatalf("expected 2 opNet stmts, got %d", nets)
+		t.Fatalf("expected 2 ReplayNet stmts, got %d", nets)
 	}
 }
 
@@ -131,8 +132,12 @@ func TestParseWithSingleFileParallel(t *testing.T) {
 	src := sb.String()
 	in := Input{Name: "big", Src: src}
 
-	serial, serr := ParseWith(Options{Workers: 1}, in)
-	par, perr := ParseWith(Options{Workers: 4}, in)
+	parseAt := func(procs int) (*Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return ParseWith(Options{}, in)
+	}
+	serial, serr := parseAt(1)
+	par, perr := parseAt(4)
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("error mismatch: serial=%v parallel=%v", serr, perr)
 	}

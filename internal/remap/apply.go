@@ -468,45 +468,6 @@ func (e *core) unref(id int32) {
 	}
 }
 
-// refFast resolves name through a one-entry cache: consecutive
-// operations overwhelmingly name the same left-hand host (one opRef plus
-// one opLink per declared link), exactly like the merger's cache.
-func (e *core) refFast(name string) *graph.Node {
-	if name == e.refName && e.refNode != nil {
-		return e.refNode
-	}
-	n := e.g.Ref(name)
-	e.refName, e.refNode = name, n
-	return n
-}
-
-// refDest resolves a link destination through a small direct-mapped
-// cache (real maps concentrate destinations on hub nodes).
-func (e *core) refDest(name string) *graph.Node {
-	s := &e.refDests[destSlot(name)]
-	if s.name == name && s.node != nil {
-		return s.node
-	}
-	n := e.g.Ref(name)
-	s.name, s.node = name, n
-	return n
-}
-
-// destSlot is a cheap direct-mapped hash over a host name (the merger's,
-// widened to the engine's larger cache and salted with a middle byte so
-// numbered host names spread).
-func destSlot(name string) int {
-	n := len(name)
-	return (n*131 + int(name[0])*31 + int(name[n-1])*7 + int(name[n/2])) & 2047
-}
-
-// clearRefCaches drops both resolution caches; required whenever the
-// private scope changes, since bindings may differ across scopes.
-func (e *core) clearRefCaches() {
-	e.refName, e.refNode = "", nil
-	clear(e.refDests[:])
-}
-
 // rec journals one effect of the statement being replayed.
 func (e *core) rec(en jent) { e.jw = append(e.jw, en) }
 
@@ -747,14 +708,14 @@ func (e *core) replay(f *fileState, lo, hi int) {
 	e.timing.StmtsReplayed += hi - lo
 	g := e.g
 	g.BeginFile(f.name)
-	e.clearRefCaches()
+	e.names.Reset()
 	f.frag.OpsRange(lo, hi, func(op *parser.ReplayOp) bool {
 		switch op.Kind {
 		case parser.ReplayRef:
-			e.rec(jent{kind: jRef, a: id32(e.refFast(op.A)), refs: 1})
+			e.rec(jent{kind: jRef, a: id32(e.names.Ref(g, op.A)), refs: 1})
 		case parser.ReplayLink:
-			from := e.refFast(op.A)
-			to := e.refDest(op.B)
+			from := e.names.Ref(g, op.A)
+			to := e.names.Dest(g, op.B)
 			if op.Dom {
 				e.addGateway(to, from, 0)
 			}
@@ -809,7 +770,7 @@ func (e *core) replay(f *fileState, lo, hi int) {
 			}
 			st.count++
 		case parser.ReplayPrivate:
-			e.clearRefCaches() // the private declaration rebinds its name
+			e.names.Reset() // the private declaration rebinds its name
 			p := g.DeclarePrivate(op.A)
 			file := g.CurrentFile()
 			e.rec(jent{kind: jPrivate, a: id32(p), x: f.j.addExt(jext{file: file}), refs: 1})
@@ -850,13 +811,13 @@ func (e *core) replay(f *fileState, lo, hi int) {
 			e.nstate(n).adjust += op.Cost
 			e.recomputeNode(n)
 		case parser.ReplayFile:
-			e.clearRefCaches() // private bindings differ across scopes
+			e.names.Reset() // private bindings differ across scopes
 			g.BeginFile(op.A)
 		}
 		e.jends = append(e.jends, int32(len(e.jw)))
 		return true
 	})
-	e.clearRefCaches()
+	e.names.Reset()
 	e.count(e.jw)
 }
 

@@ -72,8 +72,6 @@ type Options struct {
 	Avoid []string
 	// FoldCase folds host names to lower case (-i).
 	FoldCase bool
-	// Workers caps concurrent fragment scanning; 0 = one per CPU.
-	Workers int
 	// MaxVantages caps how many vantage machines a Multi keeps resident
 	// (least-recently-used eviction; the LocalHost vantage is never
 	// evicted). 0 means 64.
@@ -206,18 +204,9 @@ type core struct {
 	beforeAttrs map[int32]attrSig
 	removedNow  map[*graph.Link]bool
 
-	// Name-resolution caches for the apply path (apply.go), mirroring
-	// the merger's: a one-entry left-hand cache plus a direct-mapped
-	// destination cache, cleared on every scope change. The destination
-	// cache is larger than the merger's 256 slots: the engine re-applies
-	// whole files whose destinations spread across the map, where the
-	// parse-time locality assumption is weaker.
-	refName  string
-	refNode  *graph.Node
-	refDests [2048]struct {
-		name string
-		node *graph.Node
-	}
+	// names resolves names for the apply path (apply.go), the cache the
+	// batch merge uses too; reset on every scope change.
+	names graph.RefCache
 
 	// Generations. updGen counts effective updates (anything that could
 	// change results); jgen counts journal patches; graphGen counts
@@ -317,7 +306,7 @@ func newCore(opts Options) *core {
 	e := &core{
 		opts:   opts,
 		mopts:  mopts,
-		popts:  parser.Options{FoldCase: opts.FoldCase, Workers: opts.Workers},
+		popts:  parser.Options{FoldCase: opts.FoldCase},
 		byName: make(map[string]*fileState),
 		avoid:  make(map[string]bool),
 	}
@@ -399,34 +388,22 @@ func (e *core) sync(inputs []Input) error {
 		}
 	}
 
-	// Scan changed inputs, in parallel when there are several.
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && toScan > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range slots {
-			if slots[i].reuse != nil {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				slots[i].frag, slots[i].win = parser.Rescan(e.popts, slots[i].old, slots[i].in)
-			}(i)
+	// Scan changed inputs, one per P at a time.
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range slots {
+		if slots[i].reuse != nil {
+			continue
 		}
-		wg.Wait()
-	} else {
-		for i := range slots {
-			if slots[i].reuse == nil {
-				slots[i].frag, slots[i].win = parser.Rescan(e.popts, slots[i].old, slots[i].in)
-			}
-		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			slots[i].frag, slots[i].win = parser.Rescan(e.popts, slots[i].old, slots[i].in)
+		}(i)
 	}
+	wg.Wait()
 	for _, s := range slots {
 		e.timing.BytesRescanned += s.win.Bytes
 	}

@@ -3,6 +3,7 @@ package remap
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func freshRun(t *testing.T, opts Options, inputs []Input) (*Result, error) {
 	for i, in := range inputs {
 		pins[i] = parser.Input{Name: in.Name, Src: in.Src}
 	}
-	popts := parser.Options{FoldCase: opts.FoldCase, Workers: opts.Workers}
+	popts := parser.Options{FoldCase: opts.FoldCase}
 	pres, err := parser.ParseWith(popts, pins...)
 	if err != nil {
 		return nil, err
@@ -537,9 +538,10 @@ func randomizedEquivalence(t *testing.T, seed int64, steps int, popts printer.Op
 	cfg.Seed = seed
 	cfg.CoreFiles = 4
 	pins, local := mapgen.Generate(cfg)
-	// Workers > 1 exercises the parallel fragment re-scan under
-	// the race detector.
-	opts := Options{LocalHost: local, Workers: 4, Printer: popts}
+	// Four Ps exercise the parallel fragment re-scan under the race
+	// detector.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	opts := Options{LocalHost: local, Printer: popts}
 	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)

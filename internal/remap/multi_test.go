@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -142,7 +143,8 @@ func TestMultiRandomizedEquivalence(t *testing.T) {
 			cfg.Seed = seed
 			cfg.CoreFiles = 4
 			pins, local := mapgen.Generate(cfg)
-			opts := Options{LocalHost: local, Workers: 4}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			opts := Options{LocalHost: local}
 			m, err := NewMulti(opts)
 			if err != nil {
 				t.Fatal(err)

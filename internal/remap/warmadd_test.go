@@ -8,6 +8,7 @@ package remap
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,7 +60,8 @@ func TestEngineHostAddWarm(t *testing.T) {
 	cfg.Seed = 5
 	cfg.CoreFiles = 3
 	pins, local := mapgen.Generate(cfg)
-	opts := Options{LocalHost: local, Workers: 2}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	opts := Options{LocalHost: local}
 	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +108,8 @@ func TestMultiHostAddWarm(t *testing.T) {
 	cfg.Seed = 9
 	cfg.CoreFiles = 3
 	pins, local := mapgen.Generate(cfg)
-	opts := Options{LocalHost: local, Workers: 2}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	opts := Options{LocalHost: local}
 	m, err := NewMulti(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -51,6 +52,9 @@ func TestAppendResolveMatchesResolve(t *testing.T) {
 				if !ok {
 					if len(out) != 0 {
 						t.Errorf("AppendResolve(%q, %q) miss appended %q", q.dest, q.user, out)
+					}
+					if want := fmt.Sprintf("routedb: no route to %q", q.dest); !errors.Is(err, ErrNoRoute) || err.Error() != want {
+						t.Errorf("Resolve(%q) miss: %v, want %q wrapping ErrNoRoute", q.dest, err, want)
 					}
 					continue
 				}

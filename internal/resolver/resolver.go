@@ -32,6 +32,7 @@ package resolver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -49,6 +50,10 @@ type Entry struct {
 	Route string    `json:"route"`
 	Cost  cost.Cost `json:"cost"`
 }
+
+// ErrNoRoute is the error Resolve wraps when neither dest nor any of its
+// domain suffixes has a route.
+var ErrNoRoute = errors.New("routedb: no route")
 
 // Options configure index construction.
 type Options struct {
@@ -392,7 +397,7 @@ func (r *Resolver) Resolve(dest, user string) (Resolution, error) {
 	var s Scratch
 	key, i, depth := r.find([]byte(dest), &s, true)
 	if i < 0 {
-		return Resolution{}, fmt.Errorf("routedb: no route to %q", dest)
+		return Resolution{}, fmt.Errorf("%w to %q", ErrNoRoute, dest)
 	}
 	if depth == 0 {
 		return Resolution{Entry: r.b.EntryAt(i), Matched: string(key), Argument: user}, nil

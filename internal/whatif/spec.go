@@ -11,6 +11,7 @@
 package whatif
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,6 +24,9 @@ import (
 // smuggling in an arbitrarily large edit script (each edit costs graph
 // lookups and a touched CSR row at evaluation time).
 const MaxEdits = 64
+
+// ErrEmptySpec is the error for an overlay spec that holds no edits.
+var ErrEmptySpec = errors.New("whatif: empty overlay spec")
 
 // EditOp is the kind of one hypothetical edit.
 type EditOp uint8
@@ -123,7 +127,7 @@ func ParseSpec(s string) (*Spec, error) {
 		spec.Edits = append(spec.Edits, ed)
 	}
 	if len(spec.Edits) == 0 {
-		return nil, fmt.Errorf("whatif: empty overlay spec")
+		return nil, ErrEmptySpec
 	}
 	return spec, nil
 }

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,9 @@ func TestParseSpecHostile(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not contain %q", err, tc.wantErr)
+			}
+			if errors.Is(err, ErrEmptySpec) != (tc.wantErr == "empty overlay spec") {
+				t.Errorf("error %q: errors.Is(err, ErrEmptySpec) = %v", err, errors.Is(err, ErrEmptySpec))
 			}
 		})
 	}
