@@ -48,6 +48,11 @@
 // regeneration re-scans only changed files and re-maps only the
 // affected region, so the output file tracks edits in milliseconds.
 //
+// The flags build one pipeline configuration (core.Config): a batch run
+// hands it to core.Run, -watch to the incremental engine, and both write
+// through the same route-file and image writers, so -watch's files equal
+// a batch run's byte for byte.
+//
 // Profiling (see DESIGN.md "Profiling the pipeline"):
 //
 //	-cpuprofile f  write a CPU profile of the run to f
@@ -64,7 +69,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"pathalias"
 	"pathalias/internal/atomicfile"
 	"pathalias/internal/core"
 	"pathalias/internal/mapper"
@@ -129,46 +133,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *ignoreCase {
-		*local = strings.ToLower(*local)
-	}
-	if *watchEvery > 0 {
-		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-			fmt.Fprintf(stderr, "pathalias: bad -log-level %q (want debug, info, warn or error)\n", *logLevel)
-			return 2
-		}
-		return runWatch(fs.Args(), watchConfig{
-			interval: *watchEvery,
-			outPath:  *outPath,
-			outDB:    *outDB,
-			logLevel: lvl,
-			opts: pathalias.Options{
-				LocalHost:    *local,
-				PrintCosts:   *costs,
-				SortByCost:   *costs,
-				DomainsOnly:  *domainsOnly,
-				SecondBest:   *secondBest,
-				NoBackLinks:  *noBack,
-				IgnoreCase:   *ignoreCase,
-				FirstHopCost: *firstHop,
-				Avoid:        avoidList(*avoid),
-			},
-		}, stderr)
-	}
-
-	inputs, err := core.ReadInputs(fs.Args())
-	if err != nil {
-		fmt.Fprintf(stderr, "pathalias: %v\n", err)
-		return 1
-	}
-
 	mopts := mapper.DefaultOptions()
 	mopts.SecondBest = *secondBest
 	mopts.BackLinks = !*noBack
-
 	cfg := core.Config{
-		Inputs:    inputs,
 		LocalHost: *local,
 		Mapper:    &mopts,
 		FoldCase:  *ignoreCase,
@@ -182,7 +150,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Avoid = strings.Split(*avoid, ",")
 	}
 
-	rep, err := core.Run(cfg)
+	if *watchEvery > 0 {
+		var lvl slog.Level
+		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+			fmt.Fprintf(stderr, "pathalias: bad -log-level %q (want debug, info, warn or error)\n", *logLevel)
+			return 2
+		}
+		return runWatch(fs.Args(), cfg, watchConfig{
+			interval: *watchEvery,
+			outPath:  *outPath,
+			outDB:    *outDB,
+			logLevel: lvl,
+		}, stderr)
+	}
+
+	inputs, err := core.ReadInputs(fs.Args())
+	if err != nil {
+		fmt.Fprintf(stderr, "pathalias: %v\n", err)
+		return 1
+	}
+	rep, err := core.Run(cfg, inputs...)
 	if rep != nil {
 		for _, w := range rep.Warnings {
 			fmt.Fprintf(stderr, "pathalias: %s\n", w)
@@ -193,23 +180,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	writeText := func(w io.Writer) error {
-		_, err := routedb.WriteText(w, rep.Entries, *costs)
-		return err
-	}
 	if *outPath == "" {
-		err = writeText(stdout)
+		err = routeText(cfg, rep.Entries)(stdout)
 	} else {
 		// Atomically and durably, like -o-db: a routed -d watcher of the
 		// file never loads a partial one.
-		err = atomicfile.Publish(*outPath, writeText)
+		err = atomicfile.Publish(*outPath, routeText(cfg, rep.Entries))
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: writing output: %v\n", err)
 		return 1
 	}
+	// The image is published durably and atomically too (see
+	// internal/atomicfile): a routed -db watcher of the target never
+	// observes a partial file, and a crash right after the rename cannot
+	// leave a torn new file behind.
 	if *outDB != "" {
-		if err := writeBinaryDB(*outDB, rep.Entries, *ignoreCase); err != nil {
+		if err := atomicfile.Publish(*outDB, routeImage(cfg, rep.Entries)); err != nil {
 			fmt.Fprintf(stderr, "pathalias: writing %s: %v\n", *outDB, err)
 			return 1
 		}
@@ -226,15 +213,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeBinaryDB compiles the run's routes straight into the mmap-served
-// binary database format (-o-db), durably and atomically (see
-// internal/atomicfile): a routed -db watcher of the target never
-// observes a partial file, and a crash right after the rename cannot
-// leave a torn new file behind.
-func writeBinaryDB(path string, entries []printer.Entry, fold bool) error {
-	db := routedb.BuildWith(entries, routedb.Options{FoldCase: fold})
-	return atomicfile.Publish(path, func(w io.Writer) error {
-		_, err := db.WriteBinary(w)
+// routeText writes routes as the classic linear route file, both for
+// a batch run and for every -watch regeneration. -c sets the printer's
+// SortByCost and asks for the cost column, so the one setting carries
+// both.
+func routeText(cfg core.Config, entries []printer.Entry) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := routedb.WriteText(w, entries, cfg.Printer.SortByCost)
 		return err
-	})
+	}
+}
+
+// routeImage compiles routes straight into the mmap-served binary
+// database format (-o-db), recording -i in its header, both for a batch
+// run and for every -watch regeneration.
+func routeImage(cfg core.Config, entries []printer.Entry) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := routedb.BuildWith(entries, routedb.Options{FoldCase: cfg.FoldCase}).WriteBinary(w)
+		return err
+	}
 }

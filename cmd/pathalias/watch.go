@@ -5,6 +5,11 @@ package main
 // source changes — the batch-compiler equivalent of routed's -map mode,
 // for deployments that still consume the classic linear route file.
 //
+// The engine (remap.Multi) takes the very core.Config a batch run
+// would, and serves the one -l vantage; each regeneration writes through
+// the batch's routeText and routeImage, so the files match a batch run
+// byte for byte.
+//
 // It shares routed -map's two policies: -o and -o-db each publish
 // through an atomicfile.Publisher keyed by RouteGen (every route and
 // cost), so an edit that changes no route, or a restart, writes neither
@@ -17,36 +22,27 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"pathalias"
 	"pathalias/internal/atomicfile"
+	"pathalias/internal/core"
 	"pathalias/internal/fswatch"
+	"pathalias/internal/remap"
 )
 
-// watchConfig carries the -watch invocation's parameters.
+// watchConfig carries the -watch invocation's own parameters.
 type watchConfig struct {
 	interval time.Duration
 	outPath  string
 	outDB    string // compiled database to republish on route changes ("" = none)
 	logLevel slog.Level
-	opts     pathalias.Options
-}
-
-// avoidList splits the -s flag's comma-separated host list.
-func avoidList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
 }
 
 // runWatch is the -watch entry point: initial generation, then the poll
 // loop until interrupted.
-func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
-	if cfg.outPath == "" {
+func runWatch(paths []string, cfg core.Config, wc watchConfig, stderr io.Writer) int {
+	if wc.outPath == "" {
 		fmt.Fprintln(stderr, "pathalias: -watch requires -o file")
 		return 2
 	}
@@ -54,32 +50,32 @@ func runWatch(paths []string, cfg watchConfig, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pathalias: -watch requires map files (stdin cannot be watched)")
 		return 2
 	}
-	eng, err := pathalias.NewMultiEngine(cfg.opts)
+	w, err := newWatcher(cfg, paths, wc.outPath, wc.outDB, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: %v\n", err)
 		return 1
 	}
-	w := newWatcher(eng, paths, cfg.outPath, cfg.outDB, stderr)
 	// Once resident, the watcher is a daemon: its progress and error
 	// reporting go through structured logging (-log-level), while CLI
 	// diagnostics — map warnings, unreachable hosts — keep the classic
 	// "pathalias:" stderr format scripts grep for.
-	w.log = slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: cfg.logLevel}))
+	w.log = slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: wc.logLevel}))
 	if _, err := w.regenerate(); err != nil {
 		fmt.Fprintf(stderr, "pathalias: %v\n", err)
 		return 1
 	}
-	w.log.Info("watching", "files", len(paths), "interval", cfg.interval, "out", cfg.outPath)
+	w.log.Info("watching", "files", len(paths), "interval", wc.interval, "out", wc.outPath)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	w.loop(ctx, cfg.interval)
+	w.loop(ctx, wc.interval)
 	return 0
 }
 
 // watcher regenerates the route file (and the compiled database) from
 // paths through one persistent engine.
 type watcher struct {
-	eng    *pathalias.MultiEngine
+	cfg    core.Config
+	eng    *remap.Multi
 	paths  []string
 	text   *atomicfile.Publisher
 	db     *atomicfile.Publisher // Path "" without -o-db
@@ -87,9 +83,13 @@ type watcher struct {
 	log    *slog.Logger
 }
 
-func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB string, stderr io.Writer) *watcher {
-	return &watcher{eng: eng, paths: paths, stderr: stderr, log: slog.New(slog.NewTextHandler(stderr, nil)),
-		text: &atomicfile.Publisher{Path: outPath}, db: &atomicfile.Publisher{Path: outDB}}
+func newWatcher(cfg core.Config, paths []string, outPath, outDB string, stderr io.Writer) (*watcher, error) {
+	eng, err := remap.NewMulti(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &watcher{cfg: cfg, eng: eng, paths: paths, stderr: stderr, log: slog.New(slog.NewTextHandler(stderr, nil)),
+		text: &atomicfile.Publisher{Path: outPath}, db: &atomicfile.Publisher{Path: outDB}}, nil
 }
 
 // regenerate recomputes routes (incrementally when possible) and
@@ -99,11 +99,15 @@ func newWatcher(eng *pathalias.MultiEngine, paths []string, outPath, outDB strin
 // the sources the engine last scanned) write nothing, so it is cheap to
 // call on suspicion.
 func (w *watcher) regenerate() (bool, error) {
-	before := w.eng.Stats()
-	if err := w.eng.UpdateFiles(w.paths...); err != nil {
+	ins, err := core.ReadInputs(w.paths)
+	if err != nil {
 		return false, err
 	}
-	res, err := w.eng.Result()
+	before := w.eng.Stats()
+	if err := w.eng.Update(ins); err != nil {
+		return false, err
+	}
+	res, err := w.eng.ResultFor(w.cfg.LocalHost)
 	if err != nil {
 		return false, err
 	}
@@ -113,12 +117,12 @@ func (w *watcher) regenerate() (bool, error) {
 	for _, warn := range res.Warnings {
 		fmt.Fprintf(w.stderr, "pathalias: %s\n", warn)
 	}
-	wrote, err := w.text.Publish(res.RouteGen, res.WriteRoutes)
+	wrote, err := w.text.Publish(res.RouteGen, routeText(w.cfg, res.Entries))
 	if err != nil {
 		return false, err
 	}
 	if w.db.Path != "" {
-		wroteDB, err := w.db.Publish(res.RouteGen, res.WriteDB)
+		wroteDB, err := w.db.Publish(res.RouteGen, routeImage(w.cfg, res.Entries))
 		if err != nil {
 			return false, err
 		}

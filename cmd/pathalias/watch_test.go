@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"pathalias"
+	"pathalias/internal/core"
+	"pathalias/internal/printer"
 )
 
 const watchMapSrc = "unc\tduke(HOURLY), phs(HOURLY*4)\nduke\tunc(DEMAND), research(DAILY/2)\nphs\tunc(HOURLY*4), duke(HOURLY)\nresearch\tduke(DEMAND)\n"
@@ -26,11 +28,10 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, outPath, "", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWatcher(eng, []string{mapPath}, outPath, "", io.Discard)
 	var logBuf bytes.Buffer // read only after the loop has been joined
 	w.log = slog.New(slog.NewTextHandler(&logBuf, nil))
 	if wrote, err := w.regenerate(); err != nil || !wrote {
@@ -79,7 +80,7 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	// every regeneration.
 	cancel()
 	<-done
-	if got := eng.Stats(); got.Incremental == 0 {
+	if got := w.eng.Stats(); got.Incremental == 0 {
 		t.Errorf("expected at least one incremental regeneration, stats %+v", got)
 	}
 	// The cost edit replayed one link declaration: applied once, undone once.
@@ -136,11 +137,10 @@ func TestWatcherSurvivesInPlaceRewrites(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(inPlaceMap(hosts, 0)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, outPath, "", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWatcher(eng, []string{mapPath}, outPath, "", io.Discard)
 	if _, err := w.regenerate(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +206,10 @@ func TestWatcherPartialBatchNotSkipped(t *testing.T) {
 	if err := os.WriteFile(b, []byte("duke\tresearch(DAILY)\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{a, b}, outPath, "", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWatcher(eng, []string{a, b}, outPath, "", io.Discard)
 	if wrote, err := w.regenerate(); err != nil || !wrote {
 		t.Fatalf("initial regenerate: wrote=%v err=%v", wrote, err)
 	}
@@ -250,11 +249,10 @@ func TestWatcherPublishesDB(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc"})
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, outPath, dbPath, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWatcher(eng, []string{mapPath}, outPath, dbPath, io.Discard)
 	if wrote, err := w.regenerate(); err != nil || !wrote {
 		t.Fatalf("initial regenerate: wrote=%v err=%v", wrote, err)
 	}
@@ -321,11 +319,11 @@ func TestWatcherRestartWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := func() (bool, error) {
-		eng, err := pathalias.NewMultiEngine(pathalias.Options{LocalHost: "unc", PrintCosts: true})
+		w, err := newWatcher(core.Config{LocalHost: "unc", Printer: printer.Options{SortByCost: true}}, []string{mapPath}, outPath, dbPath, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newWatcher(eng, []string{mapPath}, outPath, dbPath, io.Discard).regenerate()
+		return w.regenerate()
 	}
 	if wrote, err := start(); err != nil || !wrote {
 		t.Fatalf("first watcher: wrote=%v err=%v", wrote, err)

@@ -32,7 +32,6 @@ import (
 	"io"
 	"maps"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,9 +109,6 @@ type mapWatcher struct {
 // until the first database is swapped in, and an initial-map error is
 // fatal.
 func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string, odb string) (*mapWatcher, error) {
-	if d.opts.FoldCase {
-		localHost = strings.ToLower(localHost)
-	}
 	eng, err := remap.NewMulti(remap.Options{
 		LocalHost:   localHost,
 		FoldCase:    d.opts.FoldCase,
@@ -124,7 +120,7 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 	w := &mapWatcher{
 		d:     d,
 		eng:   eng,
-		local: localHost,
+		local: eng.Fold(localHost),
 		paths: paths,
 		gens:  make(map[string]uint64),
 		pub:   &atomicfile.Publisher{Path: odb},
@@ -134,7 +130,7 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 		pubHook:  func() {},
 	}
 	w.stores.Store(&map[string]*routedb.Store{})
-	wopts := whatif.Options{FoldCase: d.opts.FoldCase}
+	var wopts whatif.Options
 	if d.metrics != nil {
 		// Every overlay evaluation lands in the cold or cached latency
 		// histogram; the evaluator reports which path it actually took
@@ -194,15 +190,6 @@ func (w *mapWatcher) residentCounts() map[string]int {
 	return out
 }
 
-// fold normalizes a vantage name under the daemon's case policy, so the
-// store registry does not split on query spelling.
-func (w *mapWatcher) fold(host string) string {
-	if w.d.opts.FoldCase {
-		return strings.ToLower(host)
-	}
-	return host
-}
-
 // storeFor picks the store answering a resolve from vantage from: the
 // default store for no from= or the -l host; once the gate lets the
 // query through, a resident vantage's store, found without a lock (so a
@@ -222,7 +209,7 @@ func (d *daemon) storeFor(from []byte) (*routedb.Store, error) {
 	if st := (*w.stores.Load())[string(from)]; st != nil {
 		return st, nil
 	}
-	name := w.fold(string(from))
+	name := w.eng.Fold(string(from))
 	if name == w.local {
 		return d.store, nil
 	}

@@ -214,7 +214,7 @@ func TestHeldPublishBlocksNoLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Run(core.Config{Inputs: ins, LocalHost: "unc"})
+	rep, err := core.Run(core.Config{LocalHost: "unc"}, ins...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func routeNeutralEdit(t *testing.T, pins []parser.Input, vantages []string) (int
 	i, src, ok := mapgen.RouteNeutralEdit(pins, func(in []parser.Input) string {
 		var sb strings.Builder
 		for _, h := range vantages {
-			rep, err := core.Run(core.Config{Inputs: in, LocalHost: h})
+			rep, err := core.Run(core.Config{LocalHost: h}, in...)
 			if err != nil {
 				t.Fatalf("batch run from %s: %v", h, err)
 			}

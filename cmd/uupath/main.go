@@ -56,6 +56,7 @@ import (
 	"os"
 	"strings"
 
+	"pathalias/internal/core"
 	"pathalias/internal/mailer"
 	"pathalias/internal/remap"
 	"pathalias/internal/routedb"
@@ -291,21 +292,22 @@ func runClient(addr, from, overlayTok string, args []string, stdin io.Reader, st
 // map sources, through the multi-source engine (shared parse and graph,
 // one mapping run for the requested vantage).
 func vantageDB(paths []string, from string, fold bool) (*routedb.DB, error) {
-	eng, err := remap.NewMulti(remap.Options{FoldCase: fold})
+	var files []string
+	for _, p := range paths {
+		if p = strings.TrimSpace(p); p != "" {
+			files = append(files, p)
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("-maps names no file")
+	}
+	ins, err := core.ReadInputs(files)
 	if err != nil {
 		return nil, err
 	}
-	ins := make([]remap.Input, 0, len(paths))
-	for _, p := range paths {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		ins = append(ins, remap.Input{Name: p, Src: string(data)})
+	eng, err := remap.NewMulti(remap.Options{FoldCase: fold})
+	if err != nil {
+		return nil, err
 	}
 	if err := eng.Update(ins); err != nil {
 		return nil, err

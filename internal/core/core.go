@@ -19,11 +19,10 @@ import (
 	"pathalias/internal/printer"
 )
 
-// Config describes a pipeline run.
+// Config is the one configuration of the parse → map → print pipeline:
+// the batch Run and the incremental engine (remap.Options is an alias)
+// both take it, so a flag means the same thing in either.
 type Config struct {
-	// Inputs are the map sources, in order. File boundaries are semantic
-	// (private scoping, duplicate resolution).
-	Inputs []parser.Input
 	// LocalHost is the route source ("If run from unc ..."). It must be
 	// declared somewhere in the input.
 	LocalHost string
@@ -37,6 +36,11 @@ type Config struct {
 	// FoldCase makes host names case-insensitive (-i). Cost symbols stay
 	// case-sensitive.
 	FoldCase bool
+	// MaxVantages is for the incremental engine alone: it caps how many
+	// vantage machines it keeps resident (least-recently-used eviction;
+	// the LocalHost vantage is never evicted). 0 means 64. A batch run
+	// has one vantage and ignores it.
+	MaxVantages int
 }
 
 // PhaseTimes records wall-clock time per phase.
@@ -61,18 +65,19 @@ type Report struct {
 	StmtsReplayed int
 }
 
-// Run executes the pipeline.
-func Run(cfg Config) (*Report, error) {
+// Run executes the pipeline over the map sources, in order. File
+// boundaries are semantic (private scoping, duplicate resolution).
+func Run(cfg Config, inputs ...parser.Input) (*Report, error) {
 	if cfg.LocalHost == "" {
 		return nil, fmt.Errorf("core: no local host configured")
 	}
-	if len(cfg.Inputs) == 0 {
+	if len(inputs) == 0 {
 		return nil, fmt.Errorf("core: no inputs")
 	}
 
 	rep := &Report{}
 	start := time.Now()
-	pres, err := parser.ParseWith(parser.Options{FoldCase: cfg.FoldCase}, cfg.Inputs...)
+	pres, err := parser.ParseWith(parser.Options{FoldCase: cfg.FoldCase}, inputs...)
 	rep.Times.Parse = time.Since(start)
 	if pres != nil {
 		rep.Graph = pres.Graph

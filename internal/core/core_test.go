@@ -19,10 +19,7 @@ func inputs(srcs ...string) []parser.Input {
 }
 
 func TestRunPipeline(t *testing.T) {
-	rep, err := Run(Config{
-		Inputs:    inputs("a b(10)\nb c(20)\n"),
-		LocalHost: "a",
-	})
+	rep, err := Run(Config{LocalHost: "a"}, inputs("a b(10)\nb c(20)\n")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +35,16 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{LocalHost: "a"}); err == nil {
 		t.Error("no inputs accepted")
 	}
-	if _, err := Run(Config{Inputs: inputs("a b\n")}); err == nil {
+	if _, err := Run(Config{}, inputs("a b\n")...); err == nil {
 		t.Error("no local host accepted")
 	}
-	if _, err := Run(Config{Inputs: inputs("a b\n"), LocalHost: "zz"}); err == nil {
+	if _, err := Run(Config{LocalHost: "zz"}, inputs("a b\n")...); err == nil {
 		t.Error("unknown local host accepted")
 	}
 }
 
 func TestRunParseErrorKeepsReport(t *testing.T) {
-	rep, err := Run(Config{Inputs: inputs("a @@\n"), LocalHost: "a"})
+	rep, err := Run(Config{LocalHost: "a"}, inputs("a @@\n")...)
 	if err == nil {
 		t.Fatal("want parse error")
 	}
@@ -58,10 +55,9 @@ func TestRunParseErrorKeepsReport(t *testing.T) {
 
 func TestAvoid(t *testing.T) {
 	rep, err := Run(Config{
-		Inputs:    inputs("a b(10), c(10)\nb d(10)\nc d(10)\n"),
 		LocalHost: "a",
 		Avoid:     []string{"b", "nonexistent"},
-	})
+	}, inputs("a b(10), c(10)\nb d(10)\nc d(10)\n")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +83,9 @@ func TestAvoid(t *testing.T) {
 
 func TestPrinterOptionsPassThrough(t *testing.T) {
 	rep, err := Run(Config{
-		Inputs:    inputs("a b(10)\na .edu(95)\n.edu = {.sub}\n"),
 		LocalHost: "a",
 		Printer:   printer.Options{DomainsOnly: true},
-	})
+	}, inputs("a b(10)\na .edu(95)\n.edu = {.sub}\n")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +117,7 @@ func TestReadInputs(t *testing.T) {
 }
 
 func TestWriteReportStats(t *testing.T) {
-	rep, err := Run(Config{Inputs: inputs("a b(10)\n"), LocalHost: "a"})
+	rep, err := Run(Config{LocalHost: "a"}, inputs("a b(10)\n")...)
 	if err != nil {
 		t.Fatal(err)
 	}

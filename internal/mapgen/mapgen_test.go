@@ -48,7 +48,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestSmallMapsEndToEnd(t *testing.T) {
 	inputs, local := Generate(Small())
-	rep, err := core.Run(core.Config{Inputs: inputs, LocalHost: local})
+	rep, err := core.Run(core.Config{LocalHost: local}, inputs...)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}

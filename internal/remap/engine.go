@@ -52,31 +52,19 @@ import (
 	"sync"
 	"time"
 
+	pipeline "pathalias/internal/core"
 	"pathalias/internal/graph"
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
 )
 
-// Options configure an engine.
-type Options struct {
-	// LocalHost names the default vantage: created eagerly, recomputed
-	// on every Update, never evicted. Optional; other vantages are named
-	// per query.
-	LocalHost string
-	// Mapper options; nil means mapper.DefaultOptions().
-	Mapper *mapper.Options
-	// Printer options (cost column, sort order, domains-only, first-hop).
-	Printer printer.Options
-	// Avoid lists hosts to penalize, as in core.Config.
-	Avoid []string
-	// FoldCase folds host names to lower case (-i).
-	FoldCase bool
-	// MaxVantages caps how many vantage machines a Multi keeps resident
-	// (least-recently-used eviction; the LocalHost vantage is never
-	// evicted). 0 means 64.
-	MaxVantages int
-}
+// Options configure an engine: the batch pipeline's configuration, so
+// the engine and core.Run agree on every option by construction.
+// LocalHost names the default vantage: created eagerly, recomputed on
+// every Update, never evicted. It is optional; other vantages are named
+// per query. MaxVantages caps the resident vantages.
+type Options = pipeline.Config
 
 // Input is one named map source. The engine's cached fragments keep
 // substrings of Src until the content is superseded, so Src must be an

@@ -7,56 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	pipeline "pathalias/internal/core"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
 )
-
-// freshRun computes the ground truth: a from-scratch parse+map+print
-// over the same inputs and options, mirroring core.Run.
-func freshRun(t *testing.T, opts Options, inputs []Input) (*Result, error) {
-	t.Helper()
-	pins := make([]parser.Input, len(inputs))
-	for i, in := range inputs {
-		pins[i] = parser.Input{Name: in.Name, Src: in.Src}
-	}
-	popts := parser.Options{FoldCase: opts.FoldCase}
-	pres, err := parser.ParseWith(popts, pins...)
-	if err != nil {
-		return nil, err
-	}
-	warnings := pres.Warnings
-	local, ok := pres.Graph.Lookup(opts.LocalHost)
-	if !ok {
-		return nil, fmt.Errorf("local host %q not found", opts.LocalHost)
-	}
-	for _, a := range opts.Avoid {
-		n, ok := pres.Graph.Lookup(a)
-		if !ok {
-			warnings = append(warnings, fmt.Sprintf("avoid: unknown host %q", a))
-			continue
-		}
-		pres.Graph.AdjustNode(n, mapper.DefaultDeadPenalty)
-	}
-	mopts := mapper.DefaultOptions()
-	if opts.Mapper != nil {
-		mopts = *opts.Mapper
-	}
-	mres, err := mapper.Run(pres.Graph, local, mopts)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Entries:  printer.Routes(mres, opts.Printer),
-		Warnings: warnings,
-		Reached:  mres.Reached,
-	}
-	for _, n := range mres.Unreachable {
-		out.Unreachable = append(out.Unreachable, n.Name)
-	}
-	return out, nil
-}
 
 // renderEntries flattens entries for byte comparison.
 func renderEntries(es []printer.Entry) string {
@@ -67,10 +23,11 @@ func renderEntries(es []printer.Entry) string {
 	return sb.String()
 }
 
-// checkEquivalent asserts that the engine's result matches a fresh run.
+// checkEquivalent asserts that the engine's result matches the batch
+// pipeline's over the same inputs and options.
 func checkEquivalent(t *testing.T, opts Options, inputs []Input, got *Result, label string) {
 	t.Helper()
-	want, err := freshRun(t, opts, inputs)
+	want, err := pipeline.Run(opts, inputs...)
 	if err != nil {
 		t.Fatalf("%s: fresh run failed: %v", label, err)
 	}

@@ -236,6 +236,14 @@ func (m *Multi) evictLocked() bool {
 	return true
 }
 
+// Fold returns a host name as the engine keys it: lower-cased when
+// Options.FoldCase is set, unchanged otherwise. Callers that key their
+// own caches by host name fold through it.
+func (m *Multi) Fold(name string) string { return m.e.foldName(name) }
+
+// FoldCase reports the engine's Options.FoldCase setting.
+func (m *Multi) FoldCase() bool { return m.e.opts.FoldCase }
+
 // Vantages returns the resident vantage host names, sorted.
 func (m *Multi) Vantages() []string {
 	m.mu.RLock()

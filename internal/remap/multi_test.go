@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	pipeline "pathalias/internal/core"
 	"pathalias/internal/graph"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/parser"
@@ -26,7 +27,7 @@ func checkVantage(t *testing.T, m *Multi, opts Options, inputs []Input, host, la
 	vopts := opts
 	vopts.LocalHost = host
 	got, gerr := m.ResultFor(host)
-	want, werr := freshRun(t, vopts, inputs)
+	want, werr := pipeline.Run(vopts, inputs...)
 	// Errorf, not Fatalf: checkVantage runs on worker goroutines.
 	if (gerr != nil) != (werr != nil) {
 		t.Errorf("%s [%s]: error mismatch: multi=%v fresh=%v", label, host, gerr, werr)
@@ -468,7 +469,7 @@ func checkDeleteOverlay(t *testing.T, m *Multi, opts Options, inputs []Input, fi
 	edited[file].Src = strings.TrimSuffix(edited[file].Src, "\n") + fmt.Sprintf("\ndelete {%s!%s}\n", from, to)
 	vopts := opts
 	vopts.LocalHost = host
-	want, err := freshRun(t, vopts, edited)
+	want, err := pipeline.Run(vopts, edited...)
 	if err != nil {
 		t.Fatalf("%s: fresh run: %v", label, err)
 	}
@@ -526,7 +527,7 @@ func routeNeutralEdit(t *testing.T, inputs []Input, vantages []string) []Input {
 	i, src, ok := mapgen.RouteNeutralEdit(inputs, func(in []Input) string {
 		var sb strings.Builder
 		for _, h := range vantages {
-			res, err := freshRun(t, Options{LocalHost: h}, in)
+			res, err := pipeline.Run(Options{LocalHost: h}, in...)
 			if err != nil {
 				t.Fatalf("fresh run from %s: %v", h, err)
 			}

@@ -249,7 +249,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 // map's routes.
 func TestWriteTextRoundTrip(t *testing.T) {
 	inputs, local := mapgen.Generate(mapgen.Scaled(2000, 5))
-	rep, err := core.Run(core.Config{Inputs: inputs, LocalHost: local})
+	rep, err := core.Run(core.Config{LocalHost: local}, inputs...)
 	if err != nil {
 		t.Fatal(err)
 	}

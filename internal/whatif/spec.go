@@ -8,6 +8,10 @@
 // warm, on a copy of the vantage's solved tree when the vantage is
 // resident — and cached by (generation, vantage, canonical spec) so
 // repeating a what-if is a lookup, not a mapping run.
+//
+// The evaluator has no case policy of its own: the vantage name, the
+// spec's host names and the overlay's route index all fold as the
+// engine it wraps does (remap.Multi.Fold and FoldCase, set by -i).
 package whatif
 
 import (
@@ -132,12 +136,12 @@ func ParseSpec(s string) (*Spec, error) {
 	return spec, nil
 }
 
-// fold lower-cases every host name in place (for engines built with -i,
-// where the graph folds names; folding here keeps the cache canonical).
-func (s *Spec) fold() {
+// fold rewrites every host name in place with the engine's fold, so
+// that specs spelled in different cases share one cache entry.
+func (s *Spec) fold(f func(string) string) {
 	for i := range s.Edits {
-		s.Edits[i].From = strings.ToLower(s.Edits[i].From)
-		s.Edits[i].To = strings.ToLower(s.Edits[i].To)
+		s.Edits[i].From = f(s.Edits[i].From)
+		s.Edits[i].To = f(s.Edits[i].To)
 	}
 }
 

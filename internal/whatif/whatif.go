@@ -3,7 +3,6 @@ package whatif
 import (
 	"container/list"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,6 @@ type Options struct {
 	// MaxCached bounds the LRU of evaluated overlays (each holds a
 	// mapper machine and a route index). 0 means DefaultMaxCached.
 	MaxCached int
-	// FoldCase matches an engine built with pathalias -i: query host
-	// names and spec host names fold to lower case.
-	FoldCase bool
 	// Observe, when set, is called once per overlay evaluation with
 	// whether it missed the cache (cold — a private mapping run) and how
 	// long it took. The serving layer points this at its latency
@@ -116,22 +112,14 @@ func (ev *Evaluator) Stats() Stats {
 	}
 }
 
-func (ev *Evaluator) fold(s string) string {
-	if ev.opts.FoldCase {
-		return strings.ToLower(s)
-	}
-	return s
-}
-
-// parse parses and folds a non-empty spec.
+// parse parses a non-empty spec and folds its host names as the engine
+// does.
 func (ev *Evaluator) parse(spec string) (*Spec, error) {
 	sp, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	if ev.opts.FoldCase {
-		sp.fold()
-	}
+	sp.fold(ev.eng.Fold)
 	return sp, nil
 }
 
@@ -195,7 +183,7 @@ func (ev *Evaluator) eval(from string, sp *Spec) (*cacheEntry, error) {
 // (cold) rather than being answered from the cache or a concurrent
 // in-flight evaluation. A retry after a cross-update race stays cold.
 func (ev *Evaluator) evalCold(from string, sp *Spec) (ent *cacheEntry, cold bool, err error) {
-	from = ev.fold(from)
+	from = ev.eng.Fold(from)
 	canon := ""
 	if sp != nil {
 		canon = sp.Canonical()
@@ -266,7 +254,7 @@ func (ev *Evaluator) evalMiss(probe evalKey, from string, sp *Spec) (*cacheEntry
 	ent := &cacheEntry{
 		key: evalKey{gen: run.Gen, from: run.Host, spec: probe.spec},
 		run: run,
-		db:  routedb.BuildWith(run.Entries, routedb.Options{FoldCase: ev.opts.FoldCase}),
+		db:  routedb.BuildWith(run.Entries, routedb.Options{FoldCase: ev.eng.FoldCase()}),
 	}
 	ev.mu.Lock()
 	ev.insertLocked(ent)

@@ -20,7 +20,6 @@ package pathalias
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"pathalias/internal/core"
@@ -74,7 +73,7 @@ type convCache struct {
 // Hosts, Nets, Domains, Links — stay zero: restating the whole graph is
 // exactly the work a warm update avoids; use Run for a one-shot census.
 func NewMultiEngine(opts Options) (*MultiEngine, error) {
-	eng, err := remap.NewMulti(remapOptions(opts))
+	eng, err := remap.NewMulti(config(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +123,7 @@ func (e *MultiEngine) ResultFrom(from string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := from
-	if e.opts.IgnoreCase {
-		key = strings.ToLower(from)
-	}
+	key := e.eng.Fold(from)
 	e.convMu.Lock()
 	defer e.convMu.Unlock()
 	if c, ok := e.converted[key]; ok && c.src == r {
@@ -138,7 +134,7 @@ func (e *MultiEngine) ResultFrom(from string) (*Result, error) {
 	res := convertResult(opts, r)
 	if len(e.converted) >= convCacheMax {
 		// Drop conversions of vantages the engine has evicted (cache
-		// keys are folded exactly like engine vantage names).
+		// keys are the engine's own folded vantage names).
 		live := make(map[string]bool)
 		for _, v := range e.eng.Vantages() {
 			live[v] = true
@@ -242,19 +238,6 @@ type EngineStats struct {
 	// RowsRebuilt counts the CSR snapshot rows rebuilt from the graph's
 	// adjacency lists rather than copied, summed over the updates.
 	RowsRebuilt int
-}
-
-// remapOptions translates public Options into the incremental engine's
-// option set.
-func remapOptions(opts Options) remap.Options {
-	return remap.Options{
-		LocalHost:   opts.LocalHost,
-		Mapper:      mapperOptions(opts),
-		Printer:     printerOptions(opts),
-		Avoid:       opts.Avoid,
-		FoldCase:    opts.IgnoreCase,
-		MaxVantages: opts.MaxVantages,
-	}
 }
 
 // convertResult translates an incremental-engine result into the public

@@ -141,11 +141,17 @@ type Result struct {
 
 // Run parses the inputs and computes routes from opts.LocalHost.
 func Run(opts Options, inputs ...Input) (*Result, error) {
-	cfg, err := buildConfig(opts, inputs)
-	if err != nil {
-		return nil, err
+	if opts.LocalHost == "" {
+		return nil, fmt.Errorf("pathalias: Options.LocalHost is required")
 	}
-	rep, err := core.Run(cfg)
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("pathalias: no inputs")
+	}
+	pins := make([]parser.Input, len(inputs))
+	for i, in := range inputs {
+		pins[i] = parser.Input{Name: in.Name, Src: in.Text}
+	}
+	rep, err := core.Run(config(opts), pins...)
 	if err != nil {
 		return nil, err
 	}
@@ -168,26 +174,6 @@ func RunFiles(opts Options, paths ...string) (*Result, error) {
 		ginputs[i] = Input{Name: in.Name, Text: string(in.Src)}
 	}
 	return Run(opts, ginputs...)
-}
-
-func buildConfig(opts Options, inputs []Input) (core.Config, error) {
-	if opts.LocalHost == "" {
-		return core.Config{}, fmt.Errorf("pathalias: Options.LocalHost is required")
-	}
-	if len(inputs) == 0 {
-		return core.Config{}, fmt.Errorf("pathalias: no inputs")
-	}
-	cfg := core.Config{
-		LocalHost: opts.LocalHost,
-		Mapper:    mapperOptions(opts),
-		Printer:   printerOptions(opts),
-		Avoid:     opts.Avoid,
-		FoldCase:  opts.IgnoreCase,
-	}
-	for _, in := range inputs {
-		cfg.Inputs = append(cfg.Inputs, parser.Input{Name: in.Name, Src: in.Text})
-	}
-	return cfg, nil
 }
 
 func buildResult(opts Options, rep *core.Report) *Result {
@@ -215,9 +201,9 @@ func buildResult(opts Options, rep *core.Report) *Result {
 	return res
 }
 
-// mapperOptions translates public Options into the mapper's option set,
+// config translates public Options into the pipeline configuration,
 // for batch runs and the incremental engine alike.
-func mapperOptions(opts Options) *mapper.Options {
+func config(opts Options) core.Config {
 	mopts := mapper.DefaultOptions()
 	mopts.SecondBest = opts.SecondBest
 	mopts.BackLinks = !opts.NoBackLinks
@@ -233,15 +219,17 @@ func mapperOptions(opts Options) *mapper.Options {
 	if opts.DeadPenalty != 0 {
 		mopts.DeadPenalty = cost.Cost(opts.DeadPenalty)
 	}
-	return &mopts
-}
-
-// printerOptions translates public Options into the printer's.
-func printerOptions(opts Options) printer.Options {
-	return printer.Options{
-		SortByCost:   opts.SortByCost,
-		DomainsOnly:  opts.DomainsOnly,
-		FirstHopCost: opts.FirstHopCost,
+	return core.Config{
+		LocalHost: opts.LocalHost,
+		Mapper:    &mopts,
+		Printer: printer.Options{
+			SortByCost:   opts.SortByCost,
+			DomainsOnly:  opts.DomainsOnly,
+			FirstHopCost: opts.FirstHopCost,
+		},
+		Avoid:       opts.Avoid,
+		FoldCase:    opts.IgnoreCase,
+		MaxVantages: opts.MaxVantages,
 	}
 }
 
