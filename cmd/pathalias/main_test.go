@@ -91,6 +91,14 @@ func TestUnknownLocalHost(t *testing.T) {
 	if !strings.Contains(errb.String(), "ghost") {
 		t.Errorf("stderr = %q", errb.String())
 	}
+	// Under -i the message names the host as the map would spell it.
+	errb.Reset()
+	if code := run([]string{"-i", "-l", "Ghost", p}, &out, &errb); code != 1 {
+		t.Errorf("-i: exit %d want 1", code)
+	}
+	if want := "pathalias: core: local host \"ghost\" not found in input\n"; errb.String() != want {
+		t.Errorf("-i: stderr = %q, want %q", errb.String(), want)
+	}
 }
 
 func TestMissingFile(t *testing.T) {

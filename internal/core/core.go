@@ -90,7 +90,7 @@ func Run(cfg Config, inputs ...parser.Input) (*Report, error) {
 
 	local, ok := rep.Graph.Lookup(cfg.LocalHost)
 	if !ok {
-		return rep, fmt.Errorf("core: local host %q not found in input", cfg.LocalHost)
+		return rep, fmt.Errorf("core: local host %q not found in input", rep.Graph.Fold(cfg.LocalHost))
 	}
 	for _, name := range cfg.Avoid {
 		n, ok := rep.Graph.Lookup(name)

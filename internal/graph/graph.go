@@ -365,8 +365,9 @@ func (g *Graph) SetFoldCase(fold bool) {
 	g.foldCase = fold
 }
 
-// fold normalizes a name under the case-folding policy.
-func (g *Graph) fold(name string) string {
+// Fold returns name as the graph keys it under its case-folding
+// policy (SetFoldCase).
+func (g *Graph) Fold(name string) string {
 	if !g.foldCase {
 		return name
 	}
@@ -415,7 +416,7 @@ func (g *Graph) entryFor(name string) *nameEntry {
 // first reference. If the current file has declared the name private, the
 // private node is returned instead.
 func (g *Graph) Ref(name string) *Node {
-	name = g.fold(name)
+	name = g.Fold(name)
 	e := g.entryFor(name)
 	for _, p := range e.privates {
 		if p.File == g.curFile {
@@ -433,7 +434,7 @@ func (g *Graph) Ref(name string) *Node {
 // private node; references in other files do not. Declaring the same name
 // private twice in one file is idempotent.
 func (g *Graph) DeclarePrivate(name string) *Node {
-	name = g.fold(name)
+	name = g.Fold(name)
 	e := g.entryFor(name)
 	for _, p := range e.privates {
 		if p.File == g.curFile {
@@ -447,7 +448,7 @@ func (g *Graph) DeclarePrivate(name string) *Node {
 
 // Lookup returns the global node for name without creating one.
 func (g *Graph) Lookup(name string) (*Node, bool) {
-	e, ok := g.table.Lookup(g.fold(name))
+	e, ok := g.table.Lookup(g.Fold(name))
 	if !ok || e.global == nil {
 		return nil, false
 	}

@@ -99,7 +99,7 @@ func (g *Graph) RemoveGateway(net, host *Node) {
 // itself remains; references to the name in that file afterwards resolve
 // to the global node again.
 func (g *Graph) UndeclarePrivate(name, file string) *Node {
-	e, ok := g.table.Lookup(g.fold(name))
+	e, ok := g.table.Lookup(g.Fold(name))
 	if !ok {
 		return nil
 	}
