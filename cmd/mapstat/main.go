@@ -8,11 +8,12 @@
 //
 //	mapstat [-l localname] [-top n] [-dot out.dot] [-tree] [file ...]
 //
-// Without -l, only the graph structure is reported. With -l, routes are
-// computed from that host and route statistics are included. With -dot,
-// the graph is written in Graphviz format; with -l its tree edges are
-// drawn bold and the run's invented back links dotted, and -tree writes
-// the shortest-path tree instead.
+// With no file, the map is standard input. Without -l, only the graph
+// structure is reported. With -l, routes are computed from that host
+// and route statistics are included. With -dot, the graph is written in
+// Graphviz format; with -l its tree edges are drawn bold and the run's
+// invented back links dotted, and -tree writes the shortest-path tree
+// instead.
 package main
 
 import (
@@ -50,7 +51,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	inputs, err := core.ReadInputs(fs.Args())
+	paths := fs.Args()
+	if len(paths) == 0 {
+		paths = []string{"-"} // no files: the map is standard input
+	}
+	inputs, err := core.ReadInputs(paths)
 	if err != nil {
 		fmt.Fprintf(stderr, "mapstat: %v\n", err)
 		return 1

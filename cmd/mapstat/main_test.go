@@ -32,6 +32,30 @@ func TestGraphOnlyReport(t *testing.T) {
 	}
 }
 
+// TestStdinDefault: with no file named, mapstat reads the map from
+// standard input (mapstat -l a < map) and reports what it reports for
+// the file.
+func TestStdinDefault(t *testing.T) {
+	p := writeMap(t, statMap)
+	var fromFile, fromStdin, errb strings.Builder
+	if code := run([]string{"-l", "a", p}, &fromFile, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	in, err := os.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	defer func(old *os.File) { os.Stdin = old }(os.Stdin)
+	os.Stdin = in
+	if code := run([]string{"-l", "a"}, &fromStdin, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if fromStdin.String() != fromFile.String() || !strings.Contains(fromStdin.String(), "nodes: 5") {
+		t.Errorf("from standard input:\n%s\nfrom the file:\n%s", fromStdin.String(), fromFile.String())
+	}
+}
+
 func TestRouteReport(t *testing.T) {
 	p := writeMap(t, statMap)
 	var out, errb strings.Builder

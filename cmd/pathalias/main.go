@@ -17,7 +17,8 @@
 //
 // Flags:
 //
-//	-c    print costs and sort by cost (the paper's example format)
+//	-c    print costs and list routes cheapest first (the paper's
+//	      example format); -o-db writes the same image either way
 //	-D    print top-level domain routes only
 //	-g    second-best route selection (the paper's experimental feature)
 //	-i    ignore case in host names (folds input to lower case)
@@ -83,7 +84,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pathalias", flag.ContinueOnError)
 	var (
-		costs       = fs.Bool("c", false, "print costs and sort by cost")
+		costs       = fs.Bool("c", false, "print costs and list routes cheapest first")
 		domainsOnly = fs.Bool("D", false, "print domain routes only")
 		secondBest  = fs.Bool("g", false, "second-best (domain-aware) route selection")
 		ignoreCase  = fs.Bool("i", false, "ignore case in host names")
@@ -141,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mapper:    &mopts,
 		FoldCase:  *ignoreCase,
 		Printer: printer.Options{
-			SortByCost:   *costs,
 			DomainsOnly:  *domainsOnly,
 			FirstHopCost: *firstHop,
 		},
@@ -160,11 +160,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			interval: *watchEvery,
 			outPath:  *outPath,
 			outDB:    *outDB,
+			costs:    *costs,
 			logLevel: lvl,
 		}, stderr)
 	}
 
-	inputs, err := core.ReadInputs(fs.Args())
+	paths := fs.Args()
+	if len(paths) == 0 {
+		paths = []string{"-"} // no files: the map is standard input
+	}
+	inputs, err := core.ReadInputs(paths)
 	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: %v\n", err)
 		return 1
@@ -181,11 +186,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *outPath == "" {
-		err = routeText(cfg, rep.Entries)(stdout)
+		err = routeText(*costs, rep.Entries)(stdout)
 	} else {
 		// Atomically and durably, like -o-db: a routed -d watcher of the
 		// file never loads a partial one.
-		err = atomicfile.Publish(*outPath, routeText(cfg, rep.Entries))
+		err = atomicfile.Publish(*outPath, routeText(*costs, rep.Entries))
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: writing output: %v\n", err)
@@ -213,20 +218,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// routeText writes routes as the classic linear route file, both for
-// a batch run and for every -watch regeneration. -c sets the printer's
-// SortByCost and asks for the cost column, so the one setting carries
-// both.
-func routeText(cfg core.Config, entries []printer.Entry) func(io.Writer) error {
+// routeText writes name-ordered routes as the classic linear route
+// file, both for a batch run and for every -watch regeneration; -c
+// (costs) lists them cheapest first, with the cost column.
+func routeText(costs bool, entries []printer.Entry) func(io.Writer) error {
 	return func(w io.Writer) error {
-		_, err := routedb.WriteText(w, entries, cfg.Printer.SortByCost)
+		if costs {
+			entries = printer.ByCost(entries)
+		}
+		_, err := routedb.WriteText(w, entries, costs)
 		return err
 	}
 }
 
-// routeImage compiles routes straight into the mmap-served binary
-// database format (-o-db), recording -i in its header, both for a batch
-// run and for every -watch regeneration.
+// routeImage compiles name-ordered routes, indexed in place, into the
+// mmap-served binary database format (-o-db), recording -i in its
+// header, both for a batch run and for every -watch regeneration.
 func routeImage(cfg core.Config, entries []printer.Entry) func(io.Writer) error {
 	return func(w io.Writer) error {
 		_, err := routedb.BuildWith(entries, routedb.Options{FoldCase: cfg.FoldCase}).WriteBinary(w)

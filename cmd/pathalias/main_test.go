@@ -43,6 +43,30 @@ func TestPaperOutputViaCLI(t *testing.T) {
 	}
 }
 
+// TestStdinDefault: with no file named, pathalias reads the map from
+// standard input (pathalias -l unc -c < map) and lists what it lists
+// for the file.
+func TestStdinDefault(t *testing.T) {
+	p := writeMap(t, paperMap)
+	var fromFile, fromStdin, errb strings.Builder
+	if code := run([]string{"-l", "unc", "-c", p}, &fromFile, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	in, err := os.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	defer func(old *os.File) { os.Stdin = old }(os.Stdin)
+	os.Stdin = in
+	if code := run([]string{"-l", "unc", "-c"}, &fromStdin, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if fromStdin.String() != fromFile.String() {
+		t.Errorf("from standard input:\n%s\nfrom the file:\n%s", fromStdin.String(), fromFile.String())
+	}
+}
+
 func TestTerseDefault(t *testing.T) {
 	p := writeMap(t, "a b(10)\n")
 	var out, errb strings.Builder

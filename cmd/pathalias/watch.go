@@ -36,6 +36,7 @@ type watchConfig struct {
 	interval time.Duration
 	outPath  string
 	outDB    string // compiled database to republish on route changes ("" = none)
+	costs    bool   // -c: the route file lists costs, cheapest first
 	logLevel slog.Level
 }
 
@@ -50,7 +51,7 @@ func runWatch(paths []string, cfg core.Config, wc watchConfig, stderr io.Writer)
 		fmt.Fprintln(stderr, "pathalias: -watch requires map files (stdin cannot be watched)")
 		return 2
 	}
-	w, err := newWatcher(cfg, paths, wc.outPath, wc.outDB, stderr)
+	w, err := newWatcher(cfg, paths, wc, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "pathalias: %v\n", err)
 		return 1
@@ -77,19 +78,20 @@ type watcher struct {
 	cfg    core.Config
 	eng    *remap.Multi
 	paths  []string
+	costs  bool
 	text   *atomicfile.Publisher
 	db     *atomicfile.Publisher // Path "" without -o-db
 	stderr io.Writer
 	log    *slog.Logger
 }
 
-func newWatcher(cfg core.Config, paths []string, outPath, outDB string, stderr io.Writer) (*watcher, error) {
+func newWatcher(cfg core.Config, paths []string, wc watchConfig, stderr io.Writer) (*watcher, error) {
 	eng, err := remap.NewMulti(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &watcher{cfg: cfg, eng: eng, paths: paths, stderr: stderr, log: slog.New(slog.NewTextHandler(stderr, nil)),
-		text: &atomicfile.Publisher{Path: outPath}, db: &atomicfile.Publisher{Path: outDB}}, nil
+	return &watcher{cfg: cfg, eng: eng, paths: paths, costs: wc.costs, stderr: stderr, log: slog.New(slog.NewTextHandler(stderr, nil)),
+		text: &atomicfile.Publisher{Path: wc.outPath}, db: &atomicfile.Publisher{Path: wc.outDB}}, nil
 }
 
 // regenerate recomputes routes (incrementally when possible) and
@@ -117,7 +119,7 @@ func (w *watcher) regenerate() (bool, error) {
 	for _, warn := range res.Warnings {
 		fmt.Fprintf(w.stderr, "pathalias: %s\n", warn)
 	}
-	wrote, err := w.text.Publish(res.RouteGen, routeText(w.cfg, res.Entries))
+	wrote, err := w.text.Publish(res.RouteGen, routeText(w.costs, res.Entries))
 	if err != nil {
 		return false, err
 	}

@@ -16,7 +16,6 @@ import (
 
 	"pathalias"
 	"pathalias/internal/core"
-	"pathalias/internal/printer"
 )
 
 const watchMapSrc = "unc\tduke(HOURLY), phs(HOURLY*4)\nduke\tunc(DEMAND), research(DAILY/2)\nphs\tunc(HOURLY*4), duke(HOURLY)\nresearch\tduke(DEMAND)\n"
@@ -28,7 +27,7 @@ func TestWatcherRegeneratesOnChange(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, outPath, "", io.Discard)
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, watchConfig{outPath: outPath}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestWatcherSurvivesInPlaceRewrites(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(inPlaceMap(hosts, 0)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, outPath, "", io.Discard)
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, watchConfig{outPath: outPath}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestWatcherPartialBatchNotSkipped(t *testing.T) {
 	if err := os.WriteFile(b, []byte("duke\tresearch(DAILY)\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{a, b}, outPath, "", io.Discard)
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{a, b}, watchConfig{outPath: outPath}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestWatcherPublishesDB(t *testing.T) {
 	if err := os.WriteFile(mapPath, []byte(watchMapSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, outPath, dbPath, io.Discard)
+	w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, watchConfig{outPath: outPath, outDB: dbPath}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +318,7 @@ func TestWatcherRestartWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := func() (bool, error) {
-		w, err := newWatcher(core.Config{LocalHost: "unc", Printer: printer.Options{SortByCost: true}}, []string{mapPath}, outPath, dbPath, io.Discard)
+		w, err := newWatcher(core.Config{LocalHost: "unc"}, []string{mapPath}, watchConfig{outPath: outPath, outDB: dbPath, costs: true}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathalias/internal/core"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
@@ -79,27 +80,49 @@ func BenchmarkRouteIndex(b *testing.B) {
 	})
 }
 
-// TestBuildWithAllocs guards that a route store indexes the engine's
-// rows in place: on the 50k edit map (~77k routes) building one
+// TestBuildWithAllocs guards that a route store indexes the pipeline's
+// routes in place: on the 50k edit map (~77k routes) building one
 // allocates only its slot table and suffix trie, under maxBuildBytes.
-// A copy of the entries alone would add ~3.7 MB. It compares allocated
-// bytes, not times, so a loaded machine cannot flake it.
+// A copy of the entries alone would add ~3.7 MB. The routes come from
+// the engine's printer, from core.Run under the configuration
+// `pathalias -c` builds (-c orders only the text it writes, so its
+// image build must not copy and re-sort), and from a library Result
+// listed by cost. It compares allocated bytes, not times, so a loaded
+// machine cannot flake it.
 func TestBuildWithAllocs(t *testing.T) {
 	const maxBuildBytes = 3 << 19 // 1.5 MB
-	entries, err := editMapRoutes()
+	printed, err := editMapRoutes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for range b.N {
-			routedb.BuildWith(entries, routedb.Options{})
-		}
-	})
-	got := r.AllocedBytesPerOp()
-	t.Logf("BuildWith over %d routes: %d B/op", len(entries), got)
-	if got >= maxBuildBytes {
-		t.Errorf("BuildWith allocates %d B/op over %d routes, at or over %d: it copies the entries", got, len(entries), maxBuildBytes)
+	inputs, local := mapgen.Generate(mapgen.Scaled(50000, 1))
+	mopts := mapper.DefaultOptions()
+	rep, err := core.Run(core.Config{LocalHost: local, Mapper: &mopts}, inputs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := buildResult(Options{LocalHost: local, PrintCosts: true, SortByCost: true}, rep)
+	for _, src := range []struct {
+		name  string
+		build func()
+	}{
+		{"printer", func() { routedb.BuildWith(printed, routedb.Options{}) }},
+		{"core.Run", func() { routedb.BuildWith(rep.Entries, routedb.Options{}) }},
+		{"Result.NewDatabase", func() { res.NewDatabase() }},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					src.build()
+				}
+			})
+			got := r.AllocedBytesPerOp()
+			t.Logf("store over %d routes: %d B/op", len(rep.Entries), got)
+			if got >= maxBuildBytes {
+				t.Errorf("store build allocates %d B/op over %d routes, at or over %d: it copies the entries", got, len(rep.Entries), maxBuildBytes)
+			}
+		})
 	}
 }
 

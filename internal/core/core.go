@@ -52,7 +52,7 @@ type PhaseTimes struct {
 
 // Report is everything a run produced.
 type Report struct {
-	Entries     []printer.Entry
+	Entries     []printer.Entry // in name order under every option (printer.Routes)
 	Warnings    []string
 	Unreachable []string // names of hosts with no route even via back links
 
@@ -123,7 +123,7 @@ func Run(cfg Config, inputs ...parser.Input) (*Report, error) {
 }
 
 // ReadInputs loads the named files as parser inputs; "-" means standard
-// input. With no paths, standard input is read.
+// input, and no name at all is an error (a command picks its default).
 //
 // Each source is read into the heap once: the string takes over the
 // freshly read bytes without a second copy. Nothing aliases the file
@@ -132,7 +132,7 @@ func Run(cfg Config, inputs ...parser.Input) (*Report, error) {
 // file is later rewritten, truncated, or removed.
 func ReadInputs(paths []string) ([]parser.Input, error) {
 	if len(paths) == 0 {
-		paths = []string{"-"}
+		return nil, fmt.Errorf("core: no input files")
 	}
 	ins := make([]parser.Input, 0, len(paths))
 	for _, p := range paths {

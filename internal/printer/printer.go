@@ -15,6 +15,10 @@
 // and the incremental engine's full re-maps both take. The engine
 // re-derives a changed subtree through the same Extend and Emit.
 //
+// Entries are in name order (SortRows) under every option, the order
+// route indexes take in place; the paper's cheapest-first listing is a
+// copy that ByCost makes only where one is written.
+//
 // Special cases, all from the paper:
 //
 //   - Networks take the route of their parent and are not printed; the
@@ -33,6 +37,7 @@ package printer
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -42,12 +47,9 @@ import (
 	"pathalias/internal/resolver"
 )
 
-// Options control which routes are printed, in what order, and with
-// which cost; routedb.WriteText renders them as text.
+// Options control which routes are printed and with which cost;
+// routedb.WriteText renders them as text.
 type Options struct {
-	// SortByCost orders output by (cost, name) as in the paper's example;
-	// the default is by name, the useful order for database builds.
-	SortByCost bool
 	// DomainsOnly restricts output to top-level domains (-D).
 	DomainsOnly bool
 	// FirstHopCost reports the cost of the first hop out of the local
@@ -88,21 +90,40 @@ type Frame struct {
 	FirstHop  cost.Cost
 }
 
-// Routes flattens the mapping result into output entries, applying the
-// paper's traversal rules to the labels of the run's machine.
+// Routes flattens the mapping result into name-ordered output entries,
+// applying the paper's traversal rules to the labels of the run's machine.
 func Routes(res *mapper.Result, opts Options) []Entry {
 	entries, _ := Derive(res.Machine, opts, nil)
-	if opts.SortByCost {
-		SortByCost(entries)
-	}
 	return entries
 }
 
-// SortByCost orders entries by (cost, name), the paper's example order.
-func SortByCost(entries []Entry) {
-	slices.SortFunc(entries, func(a, b Entry) int {
-		return cmp.Or(cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Host, b.Host))
-	})
+// ByCost returns a copy of entries, which must be in name order (as
+// every producer hands them out), ordered by (cost, name): the paper's
+// example order, which -c lists. Index order is name order, so it sorts
+// packed (cost, index) keys and compares no strings; entries with the
+// same cost and name keep their name-order positions. It never writes
+// entries.
+func ByCost(entries []Entry) []Entry {
+	shift := bits.Len(uint(len(entries)))
+	keys := make([]uint64, len(entries))
+	var all uint64
+	for i, e := range entries {
+		all |= uint64(e.Cost)
+		keys[i] = uint64(e.Cost)<<shift | uint64(i)
+	}
+	if bits.Len64(all)+shift > 64 {
+		// A key cannot hold these costs (never the case for costs up to
+		// cost.Infinity and fewer than 2^23 entries).
+		out := slices.Clone(entries)
+		slices.SortStableFunc(out, func(a, b Entry) int { return cmp.Compare(a.Cost, b.Cost) })
+		return out
+	}
+	slices.Sort(keys)
+	out := make([]Entry, len(entries))
+	for k, key := range keys {
+		out[k] = entries[key&(1<<shift-1)]
+	}
+	return out
 }
 
 // Derive is the paper's preorder traversal over the labels and child

@@ -1,6 +1,8 @@
 package printer
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,7 +68,7 @@ func TestPaperExampleOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if _, err := routedb.WriteText(&sb, Routes(mres, Options{SortByCost: true}), true); err != nil {
+	if _, err := routedb.WriteText(&sb, ByCost(Routes(mres, Options{})), true); err != nil {
 		t.Fatal(err)
 	}
 	want := `0	unc	%s
@@ -100,6 +102,33 @@ func TestDefaultSortByName(t *testing.T) {
 		if entries[i-1].Host > entries[i].Host {
 			t.Errorf("not name-sorted: %q after %q", entries[i].Host, entries[i-1].Host)
 		}
+	}
+}
+
+// TestByCost: ByCost over name-ordered entries equals a stable
+// (cost, name) comparator sort of them, and leaves its argument as it
+// was. A cost of 2^62 leaves no room for the index in a packed key, so
+// that table takes the stable sort instead.
+func TestByCost(t *testing.T) {
+	base := routesFor(t, paper1981Map+"unc\tb(HOURLY), a(HOURLY)\n", "unc", Options{})
+	huge := slices.Clone(base)
+	huge[len(huge)/2].Cost = 1 << 62
+	for _, entries := range [][]Entry{base, huge, nil} {
+		before := slices.Clone(entries)
+		want := slices.Clone(entries)
+		slices.SortStableFunc(want, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Host, b.Host))
+		})
+		if got := ByCost(entries); !slices.Equal(got, want) {
+			t.Errorf("ByCost:\n got %v\nwant %v", got, want)
+		}
+		if !slices.Equal(entries, before) {
+			t.Errorf("ByCost wrote its argument")
+		}
+	}
+	// a, b and duke tie at HOURLY: the name order must decide.
+	if got := ByCost(base); got[1].Host != "a" || got[2].Host != "b" || got[3].Host != "duke" {
+		t.Errorf("ties not in name order: %v", got)
 	}
 }
 

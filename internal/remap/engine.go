@@ -76,8 +76,8 @@ type Input = parser.Input
 
 // Result is one update's complete output for one vantage.
 type Result struct {
-	// Entries are the routes, ordered exactly as printer.Routes would
-	// order them under the engine's printer options. The slice is the
+	// Entries are the routes in name order, exactly as printer.Routes
+	// orders them under every printer option. The slice is the
 	// vantage's own row array, not a copy, and it is immutable: the
 	// engine never writes it again (a recompute that changes a row
 	// merges into a fresh array; one that changes none hands out the

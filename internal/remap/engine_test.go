@@ -478,7 +478,7 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 		{"", printer.Options{}},
 		{"-firsthop", printer.Options{FirstHopCost: true}},
 		{"-domains", printer.Options{DomainsOnly: true}},
-		{"-bycost", printer.Options{SortByCost: true}},
+		{"-firsthop-domains", printer.Options{FirstHopCost: true, DomainsOnly: true}},
 	}
 	for _, po := range printOpts {
 		for _, seed := range []int64{1, 7, 42} {

@@ -73,7 +73,7 @@ func (c OverlayCtx) FindLink(from, to *graph.Node) *graph.Link {
 type OverlayRun struct {
 	Gen         uint64          // engine update generation the run is valid for
 	Host        string          // folded vantage host
-	Entries     []printer.Entry // full routing table under the overlay
+	Entries     []printer.Entry // full routing table under the overlay, in name order
 	Unreachable []string        // hosts with no route even after back links
 
 	// Warm reports that the run started from the resident vantage's
@@ -85,17 +85,14 @@ type OverlayRun struct {
 	Snap    *graph.Snapshot // the private patched view the machine ran on
 	Overlay *graph.Overlay  // nil for a base (no-edit) evaluation
 
-	// The rows in host order (Entries itself, unless the engine sorts by
-	// cost) and their labels, for LabelFor.
-	byHost []printer.Entry
-	rows   []printer.Row
+	rows []printer.Row // Entries' labels, for LabelFor
 }
 
 // LabelFor returns the machine label printed for host — the node's own
 // name sorts before a domain-qualified one, so a name printed twice
 // gives the first — or false when no entry has that name.
 func (r *OverlayRun) LabelFor(host string) (int32, bool) {
-	i, ok := slices.BinarySearchFunc(r.byHost, host, func(en printer.Entry, h string) int {
+	i, ok := slices.BinarySearchFunc(r.Entries, host, func(en printer.Entry, h string) int {
 		return strings.Compare(en.Host, h)
 	})
 	if !ok {
@@ -161,13 +158,12 @@ func (m *Multi) EvalOverlay(host string, build func(OverlayCtx) (*graph.Overlay,
 	run := &OverlayRun{
 		Gen:         e.updGen,
 		Host:        hostName,
-		Entries:     v.resultEntries(e),
+		Entries:     v.entries,
 		Warm:        r.warm,
 		Relaxations: r.res.Relaxations,
 		Machine:     v.mc,
 		Snap:        snap,
 		Overlay:     ov,
-		byHost:      v.entries,
 		rows:        v.meta,
 	}
 	if len(r.res.Unreachable) > 0 {

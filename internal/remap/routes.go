@@ -210,18 +210,3 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 	v.entries, v.meta = entries, meta
 	return true
 }
-
-// resultEntries returns the entries a Result hands out: the live row
-// array itself, or under SortByCost a by-cost copy, made once per route
-// generation.
-func (v *vantage) resultEntries(e *core) []printer.Entry {
-	if !e.opts.Printer.SortByCost {
-		return v.entries
-	}
-	if v.byCost == nil || v.byCostGen != v.routeGen {
-		v.byCost = slices.Clone(v.entries)
-		printer.SortByCost(v.byCost)
-		v.byCostGen = v.routeGen
-	}
-	return v.byCost
-}

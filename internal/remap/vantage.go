@@ -57,13 +57,10 @@ type vantage struct {
 	// resident vantage's arrays. routeGen counts recomputes that
 	// actually changed (or may have changed) the entry set, so
 	// consumers can skip rebuilding downstream artifacts on no-op
-	// updates; byCost is SortByCost's copy of entries, made at route
-	// generation byCostGen.
-	entries   []printer.Entry
-	meta      []printer.Row
-	routeGen  uint64
-	byCost    []printer.Entry
-	byCostGen uint64
+	// updates.
+	entries  []printer.Entry
+	meta     []printer.Row
+	routeGen uint64
 
 	// lastUsed is the Multi's LRU tick, atomic so cached reads under the
 	// shared read-lock can still touch it.
@@ -126,7 +123,7 @@ func (v *vantage) recompute(e *core) (*Result, error) {
 		out.LabelsChanged = run.changed
 	}
 	out.RouteGen = v.routeGen
-	out.Entries = v.resultEntries(e)
+	out.Entries = v.entries
 	out.Warnings = e.warnings
 	for _, n := range run.res.Unreachable {
 		out.Unreachable = append(out.Unreachable, n.Name)

@@ -1,7 +1,8 @@
 package resolver
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
@@ -88,11 +89,8 @@ func canonicalize(es []Entry, fold bool) []Entry {
 	for i := range es {
 		es[i].Host = normalizeKey(es[i].Host, fold)
 	}
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].Host != es[j].Host {
-			return es[i].Host < es[j].Host
-		}
-		return es[i].Cost < es[j].Cost
+	slices.SortStableFunc(es, func(a, b Entry) int {
+		return cmp.Or(strings.Compare(a.Host, b.Host), cmp.Compare(a.Cost, b.Cost))
 	})
 	out := es[:0]
 	for _, e := range es {

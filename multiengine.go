@@ -43,8 +43,7 @@ type MultiEngine struct {
 	// converted caches the public view of each vantage's latest engine
 	// result, keyed by the engine Result's identity (a recompute always
 	// allocates a fresh one), so cache-served queries — ResolvePairs
-	// batches above all — skip the O(routes) copy and the re-sorted
-	// lookup index.
+	// batches above all — skip the O(routes) copy.
 	convMu    sync.Mutex
 	converted map[string]convCache
 }
@@ -243,14 +242,8 @@ type EngineStats struct {
 // convertResult translates an incremental-engine result into the public
 // shape.
 func convertResult(opts Options, r *remap.Result) *Result {
-	res := &Result{
-		Routes:      routes(r.Entries),
-		Warnings:    r.Warnings,
-		Unreachable: r.Unreachable,
-		RouteGen:    r.RouteGen,
-		opts:        opts,
-		entries:     r.Entries,
-	}
+	res := newResult(opts, r.Entries, r.Warnings, r.Unreachable)
+	res.RouteGen = r.RouteGen
 	res.Stats.Reached = r.Reached
 	res.Stats.BackLinked = r.BackLinked
 	res.Stats.Penalized = r.Penalized

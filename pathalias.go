@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -52,7 +52,9 @@ type Options struct {
 	LocalHost string
 
 	// PrintCosts includes path costs in WriteRoutes output, and
-	// SortByCost orders routes by cost as in the paper's example output.
+	// SortByCost lists Routes and WriteRoutes cheapest first (ties by
+	// name), as in the paper's example output, not in name order; Lookup
+	// and NewDatabase are the same either way.
 	PrintCosts bool
 	SortByCost bool
 	// DomainsOnly restricts output to top-level domains.
@@ -133,10 +135,7 @@ type Result struct {
 	RouteGen uint64
 
 	opts    Options
-	entries []printer.Entry // what Routes was built from; never written
-
-	lookupOnce sync.Once
-	lookupIdx  []int // Routes indices ordered by Host, built on first Lookup
+	entries []printer.Entry // the routes in name order; never written
 }
 
 // Run parses the inputs and computes routes from opts.LocalHost.
@@ -177,13 +176,7 @@ func RunFiles(opts Options, paths ...string) (*Result, error) {
 }
 
 func buildResult(opts Options, rep *core.Report) *Result {
-	res := &Result{
-		Routes:      routes(rep.Entries),
-		Warnings:    rep.Warnings,
-		Unreachable: rep.Unreachable,
-		opts:        opts,
-		entries:     rep.Entries,
-	}
+	res := newResult(opts, rep.Entries, rep.Warnings, rep.Unreachable)
 	gs := rep.Graph.Stats()
 	res.Stats = Stats{
 		Hosts:   gs.Hosts,
@@ -223,7 +216,6 @@ func config(opts Options) core.Config {
 		LocalHost: opts.LocalHost,
 		Mapper:    &mopts,
 		Printer: printer.Options{
-			SortByCost:   opts.SortByCost,
 			DomainsOnly:  opts.DomainsOnly,
 			FirstHopCost: opts.FirstHopCost,
 		},
@@ -233,45 +225,47 @@ func config(opts Options) core.Config {
 	}
 }
 
-// routes converts printer entries into the public Route shape.
-func routes(entries []printer.Entry) []Route {
-	rs := make([]Route, len(entries))
-	for i, e := range entries {
-		rs[i] = Route{Host: e.Host, Format: e.Route, Cost: int64(e.Cost)}
+// listed returns name-ordered entries in the order Routes and
+// WriteRoutes list them: cheapest first under SortByCost.
+func listed(opts Options, entries []printer.Entry) []printer.Entry {
+	if opts.SortByCost {
+		return printer.ByCost(entries)
 	}
-	return rs
+	return entries
 }
 
-// Lookup finds the route for an exact host name in O(log n), using an
-// index built lazily on first use (so a Result that is only ever written
-// out pays nothing). When the run used IgnoreCase, the query is folded
-// the same way the map was.
+// newResult is the public view of a run's name-ordered entries, for Run
+// and MultiEngine alike: Routes lists them as WriteRoutes does.
+func newResult(opts Options, entries []printer.Entry, warnings, unreachable []string) *Result {
+	listing := listed(opts, entries)
+	rs := make([]Route, len(listing))
+	for i, e := range listing {
+		rs[i] = Route{Host: e.Host, Format: e.Route, Cost: int64(e.Cost)}
+	}
+	return &Result{Routes: rs, Warnings: warnings, Unreachable: unreachable, opts: opts, entries: entries}
+}
+
+// Lookup finds the route for an exact host name in O(log n), by binary
+// search over the routes in name order. When the run used IgnoreCase,
+// the query is folded the same way the map was.
 func (r *Result) Lookup(host string) (Route, bool) {
-	r.lookupOnce.Do(func() {
-		r.lookupIdx = make([]int, len(r.Routes))
-		for i := range r.lookupIdx {
-			r.lookupIdx[i] = i
-		}
-		sort.Slice(r.lookupIdx, func(a, b int) bool {
-			return r.Routes[r.lookupIdx[a]].Host < r.Routes[r.lookupIdx[b]].Host
-		})
-	})
 	if r.opts.IgnoreCase {
 		host = strings.ToLower(host)
 	}
-	i := sort.Search(len(r.lookupIdx), func(i int) bool {
-		return r.Routes[r.lookupIdx[i]].Host >= host
+	i, ok := slices.BinarySearchFunc(r.entries, host, func(e printer.Entry, h string) int {
+		return strings.Compare(e.Host, h)
 	})
-	if i < len(r.lookupIdx) && r.Routes[r.lookupIdx[i]].Host == host {
-		return r.Routes[r.lookupIdx[i]], true
+	if !ok {
+		return Route{}, false
 	}
-	return Route{}, false
+	e := r.entries[i]
+	return Route{Host: e.Host, Format: e.Route, Cost: int64(e.Cost)}, true
 }
 
 // WriteRoutes emits the routes as the classic linear file: "host\tformat"
 // lines, or "cost\thost\tformat" when Options.PrintCosts is set.
 func (r *Result) WriteRoutes(w io.Writer) error {
-	_, err := routedb.WriteText(w, r.entries, r.opts.PrintCosts)
+	_, err := routedb.WriteText(w, listed(r.opts, r.entries), r.opts.PrintCosts)
 	return err
 }
 

@@ -1,6 +1,8 @@
 package pathalias
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,38 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := RunString(Options{LocalHost: "nosuch"}, paperMap); err == nil {
 		t.Error("unknown local host accepted")
+	}
+}
+
+// TestNoPathsLeaveStdinUnread: RunFiles and UpdateFiles with no file
+// names are errors, and neither reads the process's standard input,
+// even when it holds a valid map.
+func TestNoPathsLeaveStdinUnread(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const piped = "a\tb(10)\n"
+	if _, err := w.WriteString(piped); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	defer func(old *os.File) { os.Stdin = old }(os.Stdin)
+	os.Stdin = r
+
+	if res, err := RunFiles(Options{LocalHost: "a"}); err == nil {
+		t.Errorf("RunFiles with no paths: %d routes and no error", len(res.Routes))
+	}
+	eng, err := NewMultiEngine(Options{LocalHost: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.UpdateFiles(); err == nil {
+		t.Error("UpdateFiles with no paths: no error")
+	}
+	if rest, err := io.ReadAll(r); err != nil || string(rest) != piped {
+		t.Errorf("standard input left %q (err %v), want %q unread", rest, err, piped)
 	}
 }
 
