@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -534,6 +535,52 @@ func TestRemapDropsEvictedStores(t *testing.T) {
 	}
 	if reply, _ := askLine(d, "from=duke ucbvax honey"); reply != "ok research!ucbvax!honey" {
 		t.Errorf("from=duke ucbvax honey = %q after the spin-up", reply)
+	}
+}
+
+// TestVantageEvictionFollowsUse: with room for two vantages besides the
+// default, a vantage that from= queries keep hitting outlives one that
+// nobody asked for since its spin-up, with or without a re-map in
+// between: spinning up a third evicts the unused one.
+func TestVantageEvictionFollowsUse(t *testing.T) {
+	for _, edit := range []bool{false, true} {
+		t.Run(fmt.Sprintf("edit=%v", edit), func(t *testing.T) {
+			dir := t.TempDir()
+			mapPath := filepath.Join(dir, "test.map")
+			if err := os.WriteFile(mapPath, []byte(testMapSrc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d := newMapDaemon(routedb.Options{}, io.Discard)
+			w, err := newMapWatcher(d, "unc", 3, []string{mapPath}, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []string{"duke", "ucbvax"} {
+				if _, err := d.storeFor([]byte(from)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				if reply, _ := askLine(d, "from=duke ucbvax honey"); !strings.HasPrefix(reply, "ok ") {
+					t.Fatalf("from=duke ucbvax honey = %q", reply)
+				}
+			}
+			if edit {
+				edited := strings.Replace(testMapSrc, "research(DAILY/2)", "research(WEEKLY)", 1)
+				if err := os.WriteFile(mapPath, []byte(edited), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.remap(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := d.storeFor([]byte("phs")); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := w.eng.Vantages(), []string{"duke", "phs", "unc"}; !slices.Equal(got, want) {
+				t.Errorf("resident vantages %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -15,9 +15,9 @@ package main
 // from=<host> query: the shared fragment cache, graph, and CSR snapshot
 // are already warm, so a new vantage costs one mapping run, not a
 // re-parse. Each vantage keeps its own hot-swappable store. A source
-// edit re-maps the default vantage and swaps its store first; only then
-// are the other resident vantages re-mapped and their stores swapped,
-// and, outside the watcher's lock, the image published.
+// edit re-maps the default vantage and swaps its store first; then each
+// other resident vantage is re-mapped and its store swapped, one at a
+// time; then, outside the watcher's lock, the image is published.
 //
 // The daemon reaches all of this through one pointer, daemon.mw, nil
 // outside -map mode, and through one gate, daemon.gate, which also
@@ -57,9 +57,9 @@ type mapWatcher struct {
 
 	// stores is the registry of from= vantage stores, read without a
 	// lock: a query loads the map, and a spin-up or an eviction stores a
-	// changed copy. A resident vantage's store object stays the same for
-	// its life; a re-map swaps the database inside it.
-	stores atomic.Pointer[map[string]*routedb.Store]
+	// changed copy. A resident vantage's entry stays the same for its
+	// life; a re-map swaps the database inside its store.
+	stores atomic.Pointer[map[string]*vstore]
 
 	// mu is held across a lazy store's compute+register and across
 	// remap's swap pass, so the two cannot interleave: without that, a
@@ -69,12 +69,12 @@ type mapWatcher struct {
 	// lock (both paths call the engine while holding mu).
 	mu sync.Mutex
 
-	// gens records the RouteGen each store (the default under the local
-	// host's name) was last built from, so a re-map that did not change a
-	// vantage's entries — a pure warm no-op for that source, the common
-	// case when one edit touches one corner of the network — skips that
-	// store's rebuild and swap entirely.
-	gens map[string]uint64
+	// defGen, like each vstore's gen, is the RouteGen the default store
+	// was last built from, so a re-map that did not change a vantage's
+	// entries — a pure warm no-op for that source, the common case when
+	// one edit touches one corner of the network — skips that store's
+	// rebuild and swap entirely. Guarded by mu.
+	defGen uint64
 
 	// pub republishes the default vantage's compiled database under its
 	// RouteGen (Path "" without -o-db).
@@ -94,6 +94,24 @@ type mapWatcher struct {
 	// passHook and pubHook run at the start of remap's swap pass, with mu
 	// held, and of its publish, without; tests set them to hold either.
 	passHook, pubHook func()
+}
+
+// vstore is a from= vantage's registry entry. used records a hit since
+// the last spin-up, which stamps the vantage's use in the engine before
+// that spin-up's run picks a vantage to evict.
+type vstore struct {
+	st   *routedb.Store
+	gen  uint64 // guarded by mapWatcher.mu
+	used atomic.Bool
+}
+
+// hit returns the store and marks the vantage used, writing the mark
+// only when clear so that a busy vantage's hits write nothing shared.
+func (vs *vstore) hit() *routedb.Store {
+	if !vs.used.Load() {
+		vs.used.Store(true)
+	}
+	return vs.st
 }
 
 // newMapWatcher builds the engine, sets it as d's -map watcher and
@@ -122,14 +140,13 @@ func newMapWatcher(d *daemon, localHost string, maxVantages int, paths []string,
 		eng:   eng,
 		local: eng.Fold(localHost),
 		paths: paths,
-		gens:  make(map[string]uint64),
 		pub:   &atomicfile.Publisher{Path: odb},
 		ready: make(chan struct{}),
 
 		passHook: func() {},
 		pubHook:  func() {},
 	}
-	w.stores.Store(&map[string]*routedb.Store{})
+	w.stores.Store(&map[string]*vstore{})
 	var wopts whatif.Options
 	if d.metrics != nil {
 		// Every overlay evaluation lands in the cold or cached latency
@@ -184,8 +201,8 @@ func (w *mapWatcher) residentCounts() map[string]int {
 	stores := *w.stores.Load()
 	out := make(map[string]int, len(stores)+1)
 	out[w.local] = w.d.store.Len()
-	for name, st := range stores {
-		out[name] = st.Len()
+	for name, vs := range stores {
+		out[name] = vs.st.Len()
 	}
 	return out
 }
@@ -206,32 +223,41 @@ func (d *daemon) storeFor(from []byte) (*routedb.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st := (*w.stores.Load())[string(from)]; st != nil {
-		return st, nil
+	if vs := (*w.stores.Load())[string(from)]; vs != nil {
+		return vs.hit(), nil
 	}
 	name := w.eng.Fold(string(from))
 	if name == w.local {
 		return d.store, nil
 	}
-	if st := (*w.stores.Load())[name]; st != nil {
-		return st, nil
+	if vs := (*w.stores.Load())[name]; vs != nil {
+		return vs.hit(), nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if st := (*w.stores.Load())[name]; st != nil {
-		return st, nil // another query spun it up first
+	stores := *w.stores.Load()
+	if vs := stores[name]; vs != nil {
+		return vs.hit(), nil // another query spun it up first
+	}
+	// ResultFor stamps a vantage's use, so the spin-up evicts one no
+	// query has hit. Only resident ones: ResultFor would spin an evicted
+	// vantage up again.
+	for _, h := range w.eng.Vantages() {
+		if vs := stores[h]; vs != nil && vs.used.Load() {
+			w.eng.ResultFor(h)
+			vs.used.Store(false)
+		}
 	}
 	res, err := w.eng.ResultFor(name)
 	if err != nil {
 		return nil, fmt.Errorf("vantage %s: %w", name, err)
 	}
-	st := routedb.NewStore(d.store.DB().With(res.Entries, d.opts))
-	stores := maps.Clone(*w.stores.Load())
-	stores[name] = st
+	vs := &vstore{st: routedb.NewStore(d.store.DB().With(res.Entries, d.opts)), gen: res.RouteGen}
+	stores = maps.Clone(stores)
+	stores[name] = vs
 	w.stores.Store(&stores)
-	w.gens[name] = res.RouteGen
-	d.logf("vantage %s: %d routes (lazy spin-up)", name, st.Len())
-	return st, nil
+	d.logf("vantage %s: %d routes (lazy spin-up)", name, vs.st.Len())
+	return vs.st, nil
 }
 
 // remap runs the engine over the current file contents and swaps every
@@ -239,11 +265,12 @@ func (d *daemon) storeFor(from []byte) (*routedb.Store, error) {
 // source it last scanned and rescans only the changed statements, so
 // calling this on suspicion is cheap. The default answer waits only for
 // its own work: the engine's Update maps the default vantage alone, and
-// its store swaps (the serve point) before the other resident vantages
-// are re-mapped (Refresh) and their stores swapped; the image is
-// published last, after the pass has released w.mu, so a lazy spin-up
-// never waits for a compile and an fsync. Each store is rebuilt With
-// its predecessor, which keeps the index when no host name moved.
+// its store swaps (the serve point) before the engine's Refresh re-maps
+// the other resident vantages one at a time, each from= store swapping
+// as soon as its own vantage has mapped; the image is published last,
+// after the pass has released w.mu, so a lazy spin-up never waits for a
+// compile and an fsync. Each store is rebuilt With its predecessor,
+// which keeps the index when no host name moved.
 // Every effective generation records a stage trace (obs.Trace) in the
 // daemon's ring: where the wall time went, plus the shape of the change.
 func (w *mapWatcher) remap() error {
@@ -279,7 +306,7 @@ func (w *mapWatcher) remap() error {
 		for _, warn := range res.Warnings {
 			w.d.logf("map: %s", warn)
 		}
-		if res.RouteGen == w.gens[w.local] && w.d.swaps.Load() > 0 {
+		if res.RouteGen == w.defGen && w.d.swaps.Load() > 0 {
 			// The edit re-mapped but this vantage's entries came out
 			// identical: the served database is already exact.
 			routes = w.d.store.Len()
@@ -288,49 +315,42 @@ func (w *mapWatcher) remap() error {
 			db := w.d.store.DB().With(res.Entries, w.d.opts)
 			routes = db.Len()
 			w.d.install(db)
-			w.gens[w.local] = res.RouteGen
+			w.defGen = res.RouteGen
 		}
 	}
 	defDur := time.Since(storeMark)
 
-	refreshMark := time.Now()
-	w.eng.Refresh()
-	refreshDur := time.Since(refreshMark)
-
-	vantMark := time.Now()
+	// A store fn does not see belongs to an evicted vantage: it is
+	// dropped, and a later query re-creates both vantage and store.
+	passMark := time.Now()
 	stores := *w.stores.Load()
-	kept := make(map[string]*routedb.Store, len(stores))
+	kept := make(map[string]*vstore, len(stores))
 	swapped := 0
-	for _, from := range w.eng.Vantages() {
-		st := stores[from]
-		if st == nil {
-			continue // default (has its own store above) or never queried
+	var swapDur time.Duration
+	w.eng.Refresh(func(from string, vres *remap.Result, err error) {
+		vs := stores[from]
+		if vs == nil {
+			return // resident but never served: a failed spin-up
 		}
-		kept[from] = st
-		vres, err := w.eng.ResultFor(from)
+		kept[from] = vs
 		if err != nil {
 			w.d.warnf("vantage %s: %v (still serving previous database)", from, err)
-			continue
+			return
 		}
-		if vres.RouteGen == w.gens[from] {
+		if vres.RouteGen == vs.gen {
 			skipped++ // entries unchanged: the current store is exact
-			continue
+			return
 		}
-		st.Swap(st.DB().With(vres.Entries, w.d.opts))
-		w.gens[from] = vres.RouteGen
+		mark := time.Now()
+		vs.st.Swap(vs.st.DB().With(vres.Entries, w.d.opts))
+		vs.gen = vres.RouteGen
 		swapped++
-	}
-	// Stores of evicted vantages are dropped; a later query re-creates
-	// both the vantage and its store.
+		swapDur += time.Since(mark)
+	})
 	if len(kept) < len(stores) {
-		for name := range stores {
-			if kept[name] == nil {
-				delete(w.gens, name)
-			}
-		}
 		w.stores.Store(&kept)
 	}
-	vantDur := time.Since(vantMark)
+	refreshDur := time.Since(passMark) - swapDur
 	storeDur := time.Since(storeMark)
 	// Read after the vantage pass, so the Refresh's runs count, and
 	// before unlocking, so a lazy spin-up's run does not.
@@ -367,7 +387,7 @@ func (w *mapWatcher) remap() error {
 	w.d.logf("mapped %d routes from %d files (+%d vantage stores, %d unchanged; %d warm/%d full re-maps) in %v",
 		routes, len(w.paths), swapped, skipped, warm, full, wall.Round(time.Millisecond))
 	storeStage := obs.Stage{Name: obs.StageStore, Dur: storeDur, Note: fmt.Sprintf("default %v + vantages map %v + %d stores %v",
-		defDur.Round(time.Microsecond), refreshDur.Round(time.Microsecond), swapped, vantDur.Round(time.Microsecond))}
+		defDur.Round(time.Microsecond), refreshDur.Round(time.Microsecond), swapped, swapDur.Round(time.Microsecond))}
 	pubStage := obs.Stage{Name: obs.StagePublish, Dur: pubDur}
 	if compileDur > 0 {
 		pubStage.Note = fmt.Sprintf("compile %v + write/fsync %v",

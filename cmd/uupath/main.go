@@ -58,7 +58,6 @@ import (
 
 	"pathalias/internal/core"
 	"pathalias/internal/mailer"
-	"pathalias/internal/remap"
 	"pathalias/internal/routedb"
 	"pathalias/internal/whatif"
 )
@@ -289,8 +288,8 @@ func runClient(addr, from, overlayTok string, args []string, stdin io.Reader, st
 }
 
 // vantageDB computes the route database for one vantage of the given
-// map sources, through the multi-source engine (shared parse and graph,
-// one mapping run for the requested vantage).
+// map sources with the batch pipeline: the routes pathalias -l from
+// prints.
 func vantageDB(paths []string, from string, fold bool) (*routedb.DB, error) {
 	var files []string
 	for _, p := range paths {
@@ -305,16 +304,9 @@ func vantageDB(paths []string, from string, fold bool) (*routedb.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := remap.NewMulti(remap.Options{FoldCase: fold})
+	rep, err := core.Run(core.Config{LocalHost: from, FoldCase: fold}, ins...)
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Update(ins); err != nil {
-		return nil, err
-	}
-	res, err := eng.ResultFor(from)
-	if err != nil {
-		return nil, err
-	}
-	return routedb.BuildWith(res.Entries, routedb.Options{FoldCase: fold}), nil
+	return routedb.BuildWith(rep.Entries, routedb.Options{FoldCase: fold}), nil
 }

@@ -137,19 +137,21 @@ func writeMap(t *testing.T) string {
 func TestVantageQueries(t *testing.T) {
 	mapPath := writeMap(t)
 	cases := []struct {
-		from, dest, want string
+		flag, from, dest, want string
 	}{
-		{"unc", "ucbvax", "duke!research!ucbvax!honey"},
-		{"duke", "ucbvax", "research!ucbvax!honey"},
-		{"ucbvax", "unc", "research!duke!unc!honey"},
+		{"-f", "unc", "ucbvax", "duke!research!ucbvax!honey"},
+		{"-f", "duke", "ucbvax", "research!ucbvax!honey"},
+		{"-f", "ucbvax", "unc", "research!duke!unc!honey"},
+		{"-i -f", "DUKE", "UCBVAX", "research!ucbvax!honey"},
 	}
 	for _, c := range cases {
 		var out, errb strings.Builder
-		if code := run([]string{"-maps", mapPath, "-f", c.from, c.dest, "honey"}, strings.NewReader(""), &out, &errb); code != 0 {
-			t.Fatalf("-f %s %s: exit %d, stderr %s", c.from, c.dest, code, errb.String())
+		args := append([]string{"-maps", mapPath}, strings.Fields(c.flag)...)
+		if code := run(append(args, c.from, c.dest, "honey"), strings.NewReader(""), &out, &errb); code != 0 {
+			t.Fatalf("%s %s %s: exit %d, stderr %s", c.flag, c.from, c.dest, code, errb.String())
 		}
 		if got := strings.TrimSpace(out.String()); got != c.want {
-			t.Errorf("-f %s %s = %q, want %q", c.from, c.dest, got, c.want)
+			t.Errorf("%s %s %s = %q, want %q", c.flag, c.from, c.dest, got, c.want)
 		}
 	}
 }

@@ -118,6 +118,34 @@ func TestDatabaseIgnoreCaseFolding(t *testing.T) {
 	}
 }
 
+// TestResultLookupMatchesDatabase: Result.Lookup normalizes a query as
+// the Database built from the same result does (one trailing dot
+// dropped, case folded under IgnoreCase, non-ASCII names included), so
+// the two answer every exact query alike.
+func TestResultLookupMatchesDatabase(t *testing.T) {
+	const src = "unc\tduke(HOURLY), Zürich(DAILY)\nduke\tunc(DEMAND)\n"
+	queries := []string{"duke", "duke.", "DUKE", "DUKE.", "Zürich", "Zürich.", "zürich", "ZÜRICH", "nowhere", "."}
+	for _, fold := range []bool{false, true} {
+		res, err := RunString(Options{LocalHost: "unc", IgnoreCase: fold}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := res.NewDatabase()
+		for _, q := range queries {
+			got, gotOK := res.Lookup(q)
+			want, wantOK := db.Lookup(q)
+			if got != want || gotOK != wantOK {
+				t.Errorf("IgnoreCase=%v: Result.Lookup(%q) = %+v, %v; Database.Lookup = %+v, %v", fold, q, got, gotOK, want, wantOK)
+			}
+		}
+		for _, q := range []string{"duke.", "Zürich."} {
+			if _, ok := res.Lookup(q); !ok {
+				t.Errorf("IgnoreCase=%v: Result.Lookup missed %q", fold, q)
+			}
+		}
+	}
+}
+
 // Result.Lookup's lazy index and the Database are safe for concurrent
 // first use (run under -race).
 func TestConcurrentResultAndDatabase(t *testing.T) {

@@ -10,7 +10,6 @@ package remap
 // retained change history).
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,68 +89,44 @@ func (m *Multi) Update(inputs []Input) error {
 	return nil
 }
 
-// Refresh recomputes every resident vantage that the last Update left
-// stale, in parallel, so that each answers ResultFor from its cache.
-// Its mapping work adds to Timing's MapSum, RouteSum and LabelsChanged
-// and to the Stats counters, not to Timing's Map wall, which is
-// Update's alone.
-func (m *Multi) Refresh() {
+// Refresh walks the resident vantages other than the default in host
+// order, on the calling goroutine, taking the engine lock for one
+// vantage at a time: it recomputes the vantage if the last Update left
+// it stale, unlocks, and calls fn with its result (or mapping error). A
+// vantage evicted since the walk began is skipped. Refresh stamps no
+// least-recently-used tick: eviction follows the queries. Its mapping
+// work adds to Timing's MapSum, RouteSum and LabelsChanged and to the
+// Stats counters, not to Timing's Map wall, which is Update's alone.
+func (m *Multi) Refresh(fn func(host string, res *Result, err error)) {
+	m.mu.RLock()
+	hosts := make([]string, 0, len(m.vans))
+	for n := range m.vans {
+		if n != m.def {
+			hosts = append(hosts, n)
+		}
+	}
+	m.mu.RUnlock()
+	sort.Strings(hosts)
+	for _, h := range hosts {
+		if res, ok, err := m.refreshOne(h); ok {
+			fn(h, res, err)
+		}
+	}
+}
+
+// refreshOne brings one vantage up to date under the write lock,
+// reporting false if it is no longer resident.
+func (m *Multi) refreshOne(host string) (res *Result, resident bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	defer m.publishLocked()
-	m.recomputeAllLocked()
-}
-
-// recomputeAllLocked refreshes every stale resident vantage. Machines
-// only read the shared graph and snapshot, so the vantages recompute in
-// parallel.
-func (m *Multi) recomputeAllLocked() {
-	var stale []*vantage
-	for _, v := range m.vans {
-		if !m.cachedLocked(v) {
-			stale = append(stale, v)
-		}
+	v := m.vans[host]
+	if v == nil {
+		return nil, false, nil
 	}
-	if len(stale) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 || len(stale) < 2 {
-		for _, v := range stale {
-			res, recomputed, err := v.resolve(m.e)
-			m.countRun(res, recomputed, err)
-		}
-		return
-	}
-	if workers > len(stale) {
-		workers = len(stale)
-	}
-	type runOut struct {
-		res        *Result
-		recomputed bool
-		err        error
-	}
-	outs := make([]runOut, len(stale))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(stale) {
-					return
-				}
-				res, recomputed, err := stale[i].resolve(m.e)
-				outs[i] = runOut{res, recomputed, err}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, o := range outs {
-		m.countRun(o.res, o.recomputed, o.err)
-	}
+	res, recomputed, err := v.resolve(m.e)
+	m.countRun(res, recomputed, err)
+	return res, true, err
 }
 
 // countRun aggregates one vantage mapping run into the engine stats

@@ -2,6 +2,7 @@ package remap
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
@@ -24,9 +25,16 @@ import (
 // when the vantage host is absent.
 func checkVantage(t *testing.T, m *Multi, opts Options, inputs []Input, host, label string) {
 	t.Helper()
+	got, gerr := m.ResultFor(host)
+	checkResult(t, got, gerr, opts, inputs, host, label)
+}
+
+// checkResult asserts that a vantage's result (or error) matches a
+// fresh single-source run with that LocalHost.
+func checkResult(t *testing.T, got *Result, gerr error, opts Options, inputs []Input, host, label string) {
+	t.Helper()
 	vopts := opts
 	vopts.LocalHost = host
-	got, gerr := m.ResultFor(host)
 	want, werr := pipeline.Run(vopts, inputs...)
 	// Errorf, not Fatalf: checkVantage runs on worker goroutines.
 	if (gerr != nil) != (werr != nil) {
@@ -280,7 +288,7 @@ func TestMultiUpdateThenRefresh(t *testing.T) {
 		if got := runs() - before; got != 1 {
 			t.Fatalf("step %d: Update ran %d vantages, want 1", step, got)
 		}
-		m.Refresh()
+		m.Refresh(func(string, *Result, error) {})
 		if got := fresh(); len(got) != len(others)+1 {
 			t.Fatalf("step %d: after Refresh the fresh vantages are %v, want all %d", step, got, len(others)+1)
 		}
@@ -293,6 +301,190 @@ func TestMultiUpdateThenRefresh(t *testing.T) {
 		}
 		if got := runs(); got != after {
 			t.Fatalf("step %d: ResultFor after Refresh ran %d vantages, want none", step, got-after)
+		}
+	}
+}
+
+// refreshCall is one call Refresh made to its fn.
+type refreshCall struct {
+	host string
+	res  *Result
+	err  error
+}
+
+// walk runs m.Refresh, recording each call to fn before it runs then.
+func walk(m *Multi, then func(host string)) []refreshCall {
+	var calls []refreshCall
+	m.Refresh(func(host string, res *Result, err error) {
+		calls = append(calls, refreshCall{host, res, err})
+		then(host)
+	})
+	return calls
+}
+
+func walkedHosts(calls []refreshCall) []string {
+	hosts := make([]string, len(calls))
+	for i, c := range calls {
+		hosts[i] = c.host
+	}
+	return hosts
+}
+
+// TestRefreshContract: Refresh calls fn once per resident non-default
+// vantage, in host order, with the result (or the error) ResultFor then
+// answers from cache; it maps exactly the vantages the Update left
+// stale, and fn runs outside the engine lock, so a query from fn may
+// evict a vantage the walk has not reached yet, which Refresh then
+// skips.
+func TestRefreshContract(t *testing.T) {
+	cfg := mapgen.Small()
+	cfg.CoreFiles = 3
+	pins, local := mapgen.Generate(cfg)
+	m, err := NewMulti(Options{LocalHost: local, MaxVantages: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := toInputs(pins)
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	// Used in reverse host order, so host8 is the least recently used;
+	// nohost is resident with its mapping error.
+	stamp := func() {
+		for _, h := range []string{"host8", "host5", "host3", "nohost"} {
+			m.ResultFor(h)
+		}
+	}
+	stamp()
+	stale := func() int {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		n := 0
+		for h, v := range m.vans {
+			if h != m.def && !m.cachedLocked(v) {
+				n++
+			}
+		}
+		return n
+	}
+	runs := func() int { s := m.Stats(); return s.Incremental + s.FullRemaps }
+	ticks := func() map[string]uint64 {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		out := make(map[string]uint64)
+		for h, v := range m.vans {
+			out[h] = v.lastUsed.Load()
+		}
+		return out
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	var mu mutator
+	inputs, _ = mutateMap(rng, inputs, &mu)
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	if n := stale(); n != 4 {
+		t.Fatalf("after Update %d vantages are stale, want the 4 besides the default", n)
+	}
+	for round, wantRuns := range []int{3, 0} { // nohost's failing run counts nothing
+		before, stamped := runs(), ticks()
+		calls := walk(m, func(string) {})
+		if got := ticks(); !maps.Equal(got, stamped) {
+			t.Errorf("round %d: Refresh moved the use ticks %v to %v", round, stamped, got)
+		}
+		if hosts, want := walkedHosts(calls), []string{"host3", "host5", "host8", "nohost"}; !slices.Equal(hosts, want) {
+			t.Fatalf("round %d: fn saw %v, want %v", round, hosts, want)
+		}
+		if got := runs() - before; got != wantRuns {
+			t.Errorf("round %d: Refresh counted %d runs, want %d", round, got, wantRuns)
+		}
+		after := runs()
+		for _, c := range calls {
+			res, err := m.ResultFor(c.host)
+			if res != c.res || fmt.Sprint(err) != fmt.Sprint(c.err) {
+				t.Errorf("round %d: fn got (%p, %v) for %s, ResultFor (%p, %v)", round, c.res, c.err, c.host, res, err)
+			}
+		}
+		if calls[3].err == nil {
+			t.Errorf("round %d: nohost mapped without an error", round)
+		}
+		if got := runs(); got != after {
+			t.Errorf("round %d: ResultFor after Refresh ran %d vantages", round, got-after)
+		}
+	}
+
+	// The query from fn spins up host9, which evicts host8 (its stamp is
+	// the oldest: Refresh stamps none) before the walk reaches it.
+	stamp()
+	inputs, _ = mutateMap(rng, inputs, &mu)
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	calls := walk(m, func(host string) {
+		if host == "host3" {
+			if _, err := m.ResultFor("host9"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if hosts, want := walkedHosts(calls), []string{"host3", "host5", "nohost"}; !slices.Equal(hosts, want) {
+		t.Errorf("with host8 evicted mid-walk, fn saw %v, want %v", hosts, want)
+	}
+	want := []string{"host3", "host5", "host9", local, "nohost"}
+	sort.Strings(want)
+	if got := m.Vantages(); !slices.Equal(got, want) {
+		t.Errorf("resident %v, want %v", got, want)
+	}
+}
+
+// TestRefreshBesideQueries: Refresh walks the vantages while two
+// goroutines query them, spinning vantages up and evicting others (run
+// under -race: the walk drops the engine lock between vantages). Every
+// result fn gets, in host order, is the fresh run's, and so is every
+// vantage resident afterwards.
+func TestRefreshBesideQueries(t *testing.T) {
+	cfg := mapgen.Small()
+	cfg.CoreFiles = 3
+	pins, local := mapgen.Generate(cfg)
+	opts := Options{LocalHost: local, MaxVantages: 4}
+	m, err := NewMulti(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := toInputs(pins)
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	hosts := []string{"host1", "host2", "host3", "host5", "host8", "host13"}
+	rng := rand.New(rand.NewSource(5))
+	var mu mutator
+	for step := 0; step < 6; step++ {
+		inputs, _ = mutateMap(rng, inputs, &mu)
+		if err := m.Update(inputs); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < 2*len(hosts); i += 2 {
+					m.ResultFor(hosts[(i+step)%len(hosts)])
+				}
+			}(g)
+		}
+		calls := walk(m, func(string) {})
+		wg.Wait()
+		label := fmt.Sprintf("step %d", step)
+		for i, c := range calls {
+			if i > 0 && calls[i-1].host >= c.host {
+				t.Errorf("%s: fn saw %s after %s", label, c.host, calls[i-1].host)
+			}
+			checkResult(t, c.res, c.err, opts, inputs, c.host, label+" walk")
+		}
+		for _, h := range m.Vantages() {
+			checkVantage(t, m, opts, inputs, h, label+" after")
 		}
 	}
 }
@@ -349,7 +541,7 @@ func TestMultiRepeatedNames(t *testing.T) {
 	if err := m.Update(dup); err != nil {
 		t.Fatal(err)
 	}
-	m.Refresh()
+	m.Refresh(func(string, *Result, error) {})
 	if p := m.Timing().Path; p != "rebuild" {
 		t.Errorf("repeated name: path %q, want rebuild", p)
 	}

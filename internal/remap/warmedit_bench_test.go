@@ -48,7 +48,7 @@ func BenchmarkWarmEditVantages(b *testing.B) {
 			b.Fatal(err)
 		}
 		mark := time.Now()
-		m.Refresh()
+		m.Refresh(func(string, *Result, error) {})
 		refresh += time.Since(mark)
 		return m.Timing()
 	}

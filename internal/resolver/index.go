@@ -71,23 +71,23 @@ func hashSlots(es []Entry) []uint32 {
 }
 
 // canonical reports whether es is canonical: every name normalized
-// (normalizeKey) and the names strictly ascending. It only reads es.
+// (NormalizeKey) and the names strictly ascending. It only reads es.
 func canonical(es []Entry, fold bool) bool {
 	for i := range es {
 		h := es[i].Host
-		if normalizeKey(h, fold) != h || i > 0 && es[i-1].Host >= h {
+		if NormalizeKey(h, fold) != h || i > 0 && es[i-1].Host >= h {
 			return false
 		}
 	}
 	return true
 }
 
-// canonicalize normalizes entry names in place (see normalizeKey) and
+// canonicalize normalizes entry names in place (see NormalizeKey) and
 // returns them sorted strictly ascending with duplicates removed,
 // keeping the cheapest route per name (ties keep the first seen).
 func canonicalize(es []Entry, fold bool) []Entry {
 	for i := range es {
-		es[i].Host = normalizeKey(es[i].Host, fold)
+		es[i].Host = NormalizeKey(es[i].Host, fold)
 	}
 	slices.SortStableFunc(es, func(a, b Entry) int {
 		return cmp.Or(strings.Compare(a.Host, b.Host), cmp.Compare(a.Cost, b.Cost))

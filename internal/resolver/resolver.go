@@ -148,7 +148,7 @@ type memBacking struct {
 	suffix  *trieNode // reversed-label trie over leading-dot entries
 
 	// canon records that entries arrived canonical and are indexed in
-	// place. Names canonicalize made may not be: normalizeKey drops only
+	// place. Names canonicalize made may not be: NormalizeKey drops only
 	// one trailing dot, so "a.." becomes "a.", which is not normalized.
 	canon bool
 }
@@ -299,11 +299,11 @@ func (r *Resolver) Index() (entries []Entry, slots []uint32) {
 // Options returns the options the resolver was built with.
 func (r *Resolver) Options() Options { return r.opts }
 
-// normalizeKey canonicalizes a name on both sides of the index — entry
+// NormalizeKey canonicalizes a name on both sides of the index — entry
 // names at build time and query keys at lookup time: one trailing dot is
 // dropped ("rutgers.edu." is the absolute spelling of "rutgers.edu"),
 // and case is folded if requested.
-func normalizeKey(name string, fold bool) string {
+func NormalizeKey(name string, fold bool) string {
 	if strings.HasSuffix(name, ".") && len(name) > 1 {
 		name = name[:len(name)-1]
 	}
@@ -315,7 +315,7 @@ func normalizeKey(name string, fold bool) string {
 
 // find is the paper's retrieval procedure, the one behind Lookup,
 // Resolve and AppendResolve. dest is normalized like an entry name
-// (normalizeKey) into s.key: one trailing dot dropped, and under
+// (NormalizeKey) into s.key: one trailing dot dropped, and under
 // FoldCase ASCII folded byte by byte — strings.ToLower only for
 // non-ASCII, where folding is not byte-local. The key is then looked
 // up exactly and, when resolve is set and that misses, the longest

@@ -104,12 +104,13 @@ func (e *MultiEngine) UpdateFiles(paths ...string) error {
 }
 
 // update runs the engine's Update, which recomputes the default
-// vantage, then its Refresh, which recomputes the other resident ones.
+// vantage, then its Refresh, which recomputes the other resident ones;
+// the results wait in the engine for ResultFrom.
 func (e *MultiEngine) update(ins []remap.Input) error {
 	if err := e.eng.Update(ins); err != nil {
 		return err
 	}
-	e.eng.Refresh()
+	e.eng.Refresh(func(string, *remap.Result, error) {})
 	return nil
 }
 

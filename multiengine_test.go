@@ -135,6 +135,7 @@ func TestMultiEngineResolvePairs(t *testing.T) {
 		{From: "unc", To: "ucbvax"},
 		{From: "ucbvax", To: "unc"},
 		{From: "duke", To: "mit-ai"},
+		{From: "duke", To: "mit-ai."}, // the absolute spelling
 		{From: "unc", To: "nosuchhost"},
 		{From: "nosuchvantage", To: "unc"},
 	}
@@ -142,7 +143,7 @@ func TestMultiEngineResolvePairs(t *testing.T) {
 	if len(out) != len(pairs) {
 		t.Fatalf("got %d results for %d pairs", len(out), len(pairs))
 	}
-	for i, pr := range out[:3] {
+	for i, pr := range out[:4] {
 		if pr.Err != nil {
 			t.Fatalf("pair %d (%s->%s): %v", i, pr.From, pr.To, pr.Err)
 		}
@@ -160,10 +161,10 @@ func TestMultiEngineResolvePairs(t *testing.T) {
 				pr.From, pr.To, pr.Route.Format, pr.Route.Cost, wrt.Format, wrt.Cost)
 		}
 	}
-	if out[3].Err == nil {
+	if out[4].Err == nil {
 		t.Error("expected error for unknown destination")
 	}
-	if out[4].Err == nil {
+	if out[5].Err == nil {
 		t.Error("expected error for unknown vantage")
 	}
 

@@ -35,6 +35,7 @@ import (
 	"pathalias/internal/mapper"
 	"pathalias/internal/parser"
 	"pathalias/internal/printer"
+	"pathalias/internal/resolver"
 	"pathalias/internal/routedb"
 )
 
@@ -246,12 +247,12 @@ func newResult(opts Options, entries []printer.Entry, warnings, unreachable []st
 }
 
 // Lookup finds the route for an exact host name in O(log n), by binary
-// search over the routes in name order. When the run used IgnoreCase,
-// the query is folded the same way the map was.
+// search over the routes in name order. The query is normalized as a
+// Database's Lookup normalizes it: one trailing dot dropped ("duke." is
+// the absolute spelling of "duke") and, when the run used IgnoreCase,
+// folded the same way the map was.
 func (r *Result) Lookup(host string) (Route, bool) {
-	if r.opts.IgnoreCase {
-		host = strings.ToLower(host)
-	}
+	host = resolver.NormalizeKey(host, r.opts.IgnoreCase)
 	i, ok := slices.BinarySearchFunc(r.entries, host, func(e printer.Entry, h string) int {
 		return strings.Compare(e.Host, h)
 	})
