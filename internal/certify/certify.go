@@ -35,7 +35,7 @@ import (
 func BackLinks(mc *mapper.Machine, snap *graph.Snapshot, ov *graph.Overlay) error {
 	n := len(snap.Nodes)
 	src := mc.SourceID()
-	if src < 0 || mc.NumLabels() != 2*n {
+	if src < 0 || mc.NumLabels() != int(mc.NodeLabel(int32(n))) {
 		return fmt.Errorf("certify: machine holds %d labels for %d nodes (source %d)", mc.NumLabels(), n, src)
 	}
 
@@ -109,7 +109,7 @@ func BackLinks(mc *mapper.Machine, snap *graph.Snapshot, ov *graph.Overlay) erro
 	// Phases against the strata, and along the tree.
 	for id := range n {
 		phase := int32(-1)
-		for li := int32(2 * id); li < int32(2*id+2); li++ {
+		for li := mc.NodeLabel(int32(id)); li < mc.NodeLabel(int32(id)+1); li++ {
 			lv := mc.Label(li)
 			if lv.Node == nil || lv.State != graph.Mapped {
 				continue
@@ -173,7 +173,7 @@ func BackLinks(mc *mapper.Machine, snap *graph.Snapshot, ov *graph.Overlay) erro
 				snap.Nodes[p.from].Name, snap.Nodes[p.to].Name, t)
 		}
 	}
-	for li := range int32(2 * n) {
+	for li := range int32(mc.NumLabels()) {
 		if lv := mc.Label(li); lv.Node != nil && lv.State == graph.Mapped &&
 			lv.Via != nil && lv.Via.Flags&graph.LBack != 0 && !have[lv.Via] {
 			return fmt.Errorf("certify: %s rides back link %v, which the machine no longer holds", lv.Node.Name, lv.Via)

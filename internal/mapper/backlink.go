@@ -68,8 +68,8 @@ func (m *machine) invent(nb, n, e int32) *graph.Link {
 	m.overlayIdx[pairKey(nb, n)] = back
 	m.overlay[nb] = append(m.overlay[nb], back)
 	m.revExtra[n] = append(m.revExtra[n], nb)
-	for taint := int32(0); taint < 2; taint++ {
-		if nl := &m.labels[2*nb+taint]; nl.node != nil && nl.state == graph.Mapped {
+	for li := m.slot(nb); li < m.slot(nb+1); li++ {
+		if nl := &m.labels[li]; nl.used && nl.state == graph.Mapped {
 			m.relax(nl, n, back.Cost, back.Flags, back.Op, back)
 		}
 	}
@@ -84,16 +84,16 @@ func (m *machine) invent(nb, n, e int32) *graph.Link {
 func (m *machine) backLinkPass() {
 	s := m.snap
 	var cands []int32
-	for id, n := range s.Nodes {
-		if !m.nodeMapped(n) {
-			cands = append(cands, int32(id))
+	for id := range int32(len(s.Nodes)) {
+		if !m.nodeMapped(id) {
+			cands = append(cands, id)
 		}
 	}
 	for {
 		invented := false
 		k := 0
 		for _, n := range cands {
-			if m.nodeMapped(s.Nodes[n]) {
+			if m.nodeMapped(n) {
 				continue
 			}
 			cands[k] = n
@@ -103,7 +103,7 @@ func (m *machine) backLinkPass() {
 			}
 			for e := s.Row[n]; e < s.Row[n+1]; e++ {
 				nb := s.To[e]
-				if !m.donates(e) || !m.nodeMapped(s.Nodes[nb]) ||
+				if !m.donates(e) || !m.nodeMapped(nb) ||
 					m.overlayIdx[pairKey(nb, n)] != nil || m.blocked(nb, n) {
 					continue
 				}
@@ -133,11 +133,11 @@ func (m *machine) stands(l *graph.Link) bool {
 // earlier one. Once a drain has relaxed an existing link, that holds
 // exactly when phase(n) = phase(nb) + 1.
 func (m *machine) wants(nb, n int32) bool {
-	f := &m.labels[2*nb]
+	f := &m.labels[m.slot(nb)]
 	if !f.hasPath() {
 		return false
 	}
-	t := &m.labels[2*n]
+	t := &m.labels[m.slot(n)]
 	return !t.hasPath() || t.phase > f.phase
 }
 
@@ -154,8 +154,8 @@ func (m *machine) dropBack(l *graph.Link) (count int) {
 	if len(m.revExtra[n]) == 0 {
 		delete(m.revExtra, n)
 	}
-	for li := 2 * n; li < 2*n+2; li++ {
-		if m.labels[li].via == l {
+	for li := m.slot(n); li < m.slot(n+1); li++ {
+		if m.via[li] == l {
 			c, _ := m.invalidateTree(li, -1)
 			count += c
 		}
@@ -204,7 +204,7 @@ func (m *machine) warmBackLinks() {
 		for i, li := range m.changed {
 			if ph := m.labels[li].pathPhase(); ph != m.changedPh[i] {
 				m.changedPh[i] = ph
-				m.decideNode(li/2, false)
+				m.decideNode(m.labels[li].id, false)
 			}
 		}
 		if len(m.drops) == 0 && len(m.adds) == 0 {
@@ -280,7 +280,7 @@ func (m *machine) decideNode(x int32, static bool) {
 		}
 	}
 	// Back links out of x, to the hosts with a template into it.
-	if m.labels[2*x].hasPath() {
+	if m.labels[m.slot(x)].hasPath() {
 		for i := m.revRow[x]; i < m.revRow[x+1]; i++ {
 			if y := m.revFrom[i]; m.overlayIdx[pairKey(x, y)] == nil && m.wants(x, y) {
 				m.propose(x, y)

@@ -109,7 +109,11 @@ type LabelView struct {
 // first run; the caller must supply the current snapshot through
 // UseSnapshot before every run.
 func NewMachine(g *graph.Graph, opts Options) *Machine {
-	return &Machine{g: g, mach: machine{g: g, opts: opts, wbGrownFrom: -1}, sourceID: -1}
+	stride := int32(1)
+	if opts.SecondBest {
+		stride = 2
+	}
+	return &Machine{g: g, mach: machine{g: g, opts: opts, stride: stride, wbGrownFrom: -1}, sourceID: -1}
 }
 
 // UseSnapshot hands the machine the graph's current CSR snapshot. It
@@ -171,7 +175,7 @@ func (mc *Machine) newQueue() {
 	m.queue = pqueue.NewBucketQueue[*label](buckets, shift,
 		labelLess,
 		func(lb *label) int64 { return int64(lb.cost) },
-		func(lb *label, b, i int) { lb.qb, lb.qi = int32(b), int32(i) })
+		func(lb *label, b, i int) { lb.qb, lb.qi = int16(b), int32(i) })
 }
 
 // FullRun recomputes the complete shortest-path tree from source,
@@ -194,13 +198,9 @@ func (mc *Machine) FullRun(source *graph.Node) (*Result, error) {
 	m.invented = m.invented[:0]
 	m.snap = mc.snapshot()
 
-	want := 2 * mc.g.Len()
-	if cap(m.labels) >= want {
-		m.labels = m.labels[:want]
-		clear(m.labels)
-	} else {
-		m.labels = make([]label, want)
-	}
+	want := int(m.stride) * mc.g.Len()
+	m.labels = cleared(m.labels, want)
+	m.via = cleared(m.via, want)
 	m.res = &Result{Source: source, Machine: mc}
 	mc.newQueue()
 	mc.sourceID = int32(source.ID)
@@ -238,14 +238,14 @@ func (mc *Machine) RebaseGrow() error {
 	if m.opts.SecondBest {
 		return fmt.Errorf("mapper: warm runs do not support SecondBest")
 	}
-	want := 2 * mc.g.Len()
+	want := int(m.stride) * mc.g.Len()
 	old := len(m.labels)
 	if old > want {
 		return fmt.Errorf("mapper: node set shrank (%d labels, %d nodes); full run required",
 			old, mc.g.Len())
 	}
 	snap := mc.snapshot()
-	if 2*len(snap.Rank) != want {
+	if len(snap.Rank) != mc.g.Len() {
 		return fmt.Errorf("mapper: snapshot covers %d nodes, graph has %d; full run required",
 			len(snap.Rank), mc.g.Len())
 	}
@@ -255,7 +255,7 @@ func (mc *Machine) RebaseGrow() error {
 	// need re-packing.
 	for i := range m.labels {
 		lb := &m.labels[i]
-		if lb.node == nil || lb.state != graph.Mapped {
+		if !lb.used || lb.state != graph.Mapped {
 			continue
 		}
 		lb.tie = uint64(uint32(lb.hops))<<32 |
@@ -263,12 +263,12 @@ func (mc *Machine) RebaseGrow() error {
 	}
 	if old < want {
 		m.labels = growClear(m.labels, want)
+		m.via = growClear(m.via, want)
 		m.kin = growClear(m.kin, want)
 		if m.wbValid {
-			m.wbNodeMark = growClear(m.wbNodeMark, mc.g.Len())
 			m.wbState = growClear(m.wbState, mc.g.Len())
 			if m.wbGrownFrom < 0 {
-				m.wbGrownFrom = int32(old / 2)
+				m.wbGrownFrom = int32(old) / m.stride
 			}
 		}
 	}
@@ -290,6 +290,17 @@ func growClear[T any](s []T, want int) []T {
 	ns := make([]T, want, want+want/4)
 	copy(ns, s)
 	return ns
+}
+
+// cleared returns s resized to n zeroed elements, reusing its array
+// when it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		s = s[:n]
+		clear(s)
+		return s
+	}
+	return make([]T, n)
 }
 
 // MarkNodeDirty tells the next FinishWarm's batched write-back to
@@ -336,18 +347,12 @@ func (mc *Machine) BeginWarm() error {
 	if m.opts.SecondBest {
 		return fmt.Errorf("mapper: warm runs do not support SecondBest")
 	}
-	if len(m.labels) != 2*mc.g.Len() {
+	if len(m.labels) != int(m.stride)*mc.g.Len() {
 		return fmt.Errorf("mapper: node set changed (%d labels, %d nodes); full run required",
 			len(m.labels), mc.g.Len())
 	}
 	m.snap = mc.snapshot()
 	m.warm = true
-	// The stamps are sized here, not by FullRun, so machines that never
-	// run warm never hold them. Stale stamps need no clearing:
-	// changedEpoch only grows.
-	n := len(m.labels)
-	m.changedMark = growClear(m.changedMark[:min(len(m.changedMark), n)], n)
-	m.changedEpoch++
 	m.changed = m.changed[:0]
 	m.changedOld = m.changedOld[:0]
 	m.changedPh = m.changedPh[:0]
@@ -366,7 +371,7 @@ func (mc *Machine) BeginWarm() error {
 // it reset and whether the run's source was among them (in which case
 // the caller must abandon the warm run and FullRun instead).
 func (mc *Machine) InvalidateSubtree(id int32) (count int, hitRoot bool) {
-	return mc.mach.invalidateTree(2*id, -1)
+	return mc.mach.invalidateTree(mc.mach.slot(id), -1)
 }
 
 // Seed re-queues the mapped label of node id so its out-edges are
@@ -375,8 +380,8 @@ func (mc *Machine) InvalidateSubtree(id int32) (count int, hitRoot bool) {
 // invalidated labels are skipped.
 func (mc *Machine) Seed(id int32) {
 	m := &mc.mach
-	lb := &m.labels[2*id]
-	if lb.node == nil || lb.state != graph.Mapped {
+	lb := &m.labels[m.slot(id)]
+	if !lb.used || lb.state != graph.Mapped {
 		return
 	}
 	lb.state = graph.Queued
@@ -416,23 +421,36 @@ func (mc *Machine) BackLinks() iter.Seq[*graph.Link] {
 	}
 }
 
-// NumLabels returns the size of the label array (2 per node).
+// NumLabels returns the size of the label array: one label per node,
+// two under SecondBest.
 func (mc *Machine) NumLabels() int { return len(mc.mach.labels) }
+
+// NodeLabel returns the index of node id's first label: its only one,
+// or under SecondBest its clean one. Node id's labels are the indices
+// from NodeLabel(id) up to NodeLabel(id+1), so a machine over n nodes
+// holds NodeLabel(n) labels.
+func (mc *Machine) NodeLabel(id int32) int32 { return mc.mach.slot(id) }
 
 // SourceID returns the node ID of the last run's source, -1 before any.
 func (mc *Machine) SourceID() int32 { return mc.sourceID }
 
-// Label returns the view of label li.
+// Label returns the view of label li. Node is nil while the slot holds
+// no label yet.
 func (mc *Machine) Label(li int32) LabelView {
-	lb := &mc.mach.labels[li]
+	m := &mc.mach
+	lb := &m.labels[li]
+	var n *graph.Node
+	if lb.used {
+		n = m.snap.Nodes[lb.id]
+	}
 	return LabelView{
-		Node:     lb.node,
+		Node:     n,
 		State:    lb.state,
 		Cost:     lb.cost,
 		Hops:     lb.hops,
 		Phase:    lb.phase,
 		Parent:   lb.parent,
-		Via:      lb.via,
+		Via:      m.via[li],
 		ViaOp:    lb.viaOp,
 		LastDir:  lb.lastDir,
 		Mixes:    lb.mixes,
@@ -442,15 +460,12 @@ func (mc *Machine) Label(li int32) LabelView {
 
 // Winner returns the index of n's winning label — its minimum-cost
 // mapped label, the one whose cost is reported for n — or -1 when n is
-// not mapped. Outside SecondBest a node has one label, 2*n.ID.
+// not mapped. Outside SecondBest a node has one label, NodeLabel(n.ID).
 func (mc *Machine) Winner(n *graph.Node) int32 {
-	if n == nil || 2*n.ID >= len(mc.mach.labels) {
+	if n == nil || n.ID*int(mc.mach.stride) >= len(mc.mach.labels) {
 		return -1
 	}
-	if w := mc.mach.winner(n); w != nil {
-		return w.index()
-	}
-	return -1
+	return mc.mach.winner(int32(n.ID))
 }
 
 // Root returns the label of the last run's source, the root of its
@@ -459,10 +474,11 @@ func (mc *Machine) Root() int32 {
 	if mc.sourceID < 0 {
 		return -1
 	}
-	if lb := &mc.mach.labels[2*mc.sourceID]; lb.node == nil || lb.state != graph.Mapped {
+	li := mc.mach.slot(mc.sourceID)
+	if lb := &mc.mach.labels[li]; !lb.used || lb.state != graph.Mapped {
 		return -1
 	}
-	return 2 * mc.sourceID
+	return li
 }
 
 // Rank returns the name ranks of the snapshot the machine runs over
@@ -482,36 +498,36 @@ func (mc *Machine) AppendChildren(dst []int32, li int32) []int32 {
 
 // Clone returns a copy of the machine that can run on from the same
 // labeling — warm, under its own snapshot and edits — while the
-// original is read or run: labels, child lists, the back links with
-// their indexes and the batched write-back state are copied, down
-// to the epoch stamps, so the two share no slice or map that either
-// side writes. Per-run scratch (queue, changed lists, the back-link
-// check's lists) is left for the copy's next run to allocate. Only immutable
+// original is read or run: labels, tree edges, child lists, the back
+// links with their indexes and the batched write-back state are copied,
+// so the two share no slice or map that either side writes. Outside
+// SecondBest that is one pointer-free label per node, copied without
+// write barriers, plus one tree-edge pointer per node. Per-run scratch (queue, changed lists, the back-link check's
+// lists) is left for the copy's next run to allocate. Only immutable
 // data is shared: the graph, the snapshot pointers and the *graph.Link
 // values labels ride.
 func (mc *Machine) Clone() *Machine {
 	src := &mc.mach
 	c := &Machine{g: mc.g, sourceID: mc.sourceID, ran: mc.ran, extSnap: mc.extSnap}
 	c.mach = machine{
-		g:            src.g,
-		snap:         src.snap,
-		opts:         src.opts,
-		labels:       slices.Clone(src.labels),
-		changedMark:  slices.Clone(src.changedMark),
-		changedEpoch: src.changedEpoch,
-		overlay:      cloneLists(src.overlay),
-		overlayIdx:   maps.Clone(src.overlayIdx),
-		revExtra:     cloneLists(src.revExtra),
-		edits:        src.edits,
-		kin:          slices.Clone(src.kin),
-		wbValid:      src.wbValid,
-		wbState:      slices.Clone(src.wbState),
-		wbUnreach:    slices.Clone(src.wbUnreach),
-		wbReached:    src.wbReached,
-		wbBack:       src.wbBack,
-		wbPenal:      src.wbPenal,
-		wbNodeMark:   slices.Clone(src.wbNodeMark),
-		wbGrownFrom:  src.wbGrownFrom,
+		g:           src.g,
+		snap:        src.snap,
+		opts:        src.opts,
+		stride:      src.stride,
+		labels:      slices.Clone(src.labels),
+		via:         slices.Clone(src.via),
+		overlay:     cloneLists(src.overlay),
+		overlayIdx:  maps.Clone(src.overlayIdx),
+		revExtra:    cloneLists(src.revExtra),
+		edits:       src.edits,
+		kin:         slices.Clone(src.kin),
+		wbValid:     src.wbValid,
+		wbState:     slices.Clone(src.wbState),
+		wbUnreach:   slices.Clone(src.wbUnreach),
+		wbReached:   src.wbReached,
+		wbBack:      src.wbBack,
+		wbPenal:     src.wbPenal,
+		wbGrownFrom: src.wbGrownFrom,
 	}
 	return c
 }
@@ -534,11 +550,11 @@ func cloneLists[T any](src map[int32][]T) map[int32][]T {
 	return dst
 }
 
-// ReleaseRunState frees everything but the labels and back links of a
-// machine whose callers now read only those, such as a cached what-if
-// run once its routes are derived: child lists, queue, warm-run stamps
-// and indexes, and the write-back bookkeeping. AppendChildren and warm
-// runs are unavailable until the next FullRun.
+// ReleaseRunState frees everything but the labels, their tree edges and
+// the back links of a machine whose callers now read only those, such
+// as a cached what-if run once its routes are derived: child lists,
+// queue, warm-run lists and indexes, and the write-back bookkeeping.
+// AppendChildren and warm runs are unavailable until the next FullRun.
 func (mc *Machine) ReleaseRunState() {
 	m := &mc.mach
 	m.kin = nil
@@ -546,11 +562,11 @@ func (mc *Machine) ReleaseRunState() {
 		queuePools[m.queueGeom[1]-bucketShift].Put(m.queue)
 	}
 	m.queue = nil
-	m.changed, m.changedOld, m.changedMark = nil, nil, nil
+	m.changed, m.changedOld = nil, nil
 	m.changedPh, m.revExtra, m.invStack = nil, nil, nil
 	m.evPairs, m.evNodes, m.drops, m.adds = nil, nil, nil, nil
 	m.wbValid = false
-	m.wbState, m.wbUnreach, m.wbUnreachSp, m.wbDirty, m.wbNodeMark = nil, nil, nil, nil, nil
+	m.wbState, m.wbUnreach, m.wbUnreachSp, m.wbDirty = nil, nil, nil, nil
 	mc.ran = false
 }
 
@@ -560,12 +576,7 @@ func (mc *Machine) ReleaseRunState() {
 func (mc *Machine) rebuildChildren() {
 	m := &mc.mach
 	nl := len(m.labels)
-	if cap(m.kin) >= nl {
-		m.kin = m.kin[:nl]
-		clear(m.kin)
-	} else {
-		m.kin = make([]kin, nl)
-	}
+	m.kin = cleared(m.kin, nl)
 	for i := nl - 1; i >= 0; i-- {
 		if p := treeParent(&m.labels[i]); p >= 0 {
 			m.linkChild(int32(i), p)

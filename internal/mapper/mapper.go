@@ -81,30 +81,41 @@ func bucketGeometry(n int) (buckets int, shift uint) {
 // path-dependent heuristic state needed to extend the path. In normal
 // mode each node has one label; in second-best mode each node has a clean
 // label and a tainted (entered-a-domain) label.
+//
+// A label holds no pointers: its node is the snapshot's Nodes[id], and
+// its tree edge sits beside it in machine.via. So a label array is
+// copied (Machine.Clone) and cleared (FullRun) without write barriers,
+// and the collector never scans it.
 type label struct {
-	node     *graph.Node
 	id       int32 // node ID, the snapshot index
 	inDomain bool  // path has entered a domain
 	taint    int8  // which label slot this is (0 clean/only, 1 tainted)
+	state    graph.MapState
+	used     bool // the slot holds this node's label (labelFor); false in a zeroed slot
 
-	state   graph.MapState
 	cost    cost.Cost
 	hops    int32
-	phase   int32       // back-link round the path belongs to: 0 for declared links only, +1 per invented link
-	tie     uint64      // packed (hops, rank, taint) secondary sort key
-	parent  int32       // index in machine.labels of the label this path extends; -1 at the root
-	via     *graph.Link // edge from parent's node to node; nil at the root
-	viaOp   graph.Op    // effective routing operator for via (member edges inherit)
-	lastDir uint8       // 0 none, 1 LEFT, 2 RIGHT: last syntax-bearing hop
-	mixes   uint8       // ambiguous alternations charged so far
-	qb, qi  int32       // bucket queue position (bucket, index)
+	phase   int32    // back-link round the path belongs to: 0 for declared links only, +1 per invented link
+	tie     uint64   // packed (hops, rank, taint) secondary sort key
+	parent  int32    // index in machine.labels of the label this path extends; -1 at the root
+	viaOp   graph.Op // effective routing operator for the tree edge (member edges inherit)
+	lastDir uint8    // 0 none, 1 LEFT, 2 RIGHT: last syntax-bearing hop
+	mixes   uint8    // ambiguous alternations charged so far
+	qb      int16    // bucket queue position: the bucket (< bucketCount, or negative off the buckets)
+	changed bool     // recorded in machine.changed this warm run; dropUnchanged clears it
+	qi      int32    // bucket queue position: the index in the bucket
 }
 
-// index returns the label's slot in machine.labels.
-func (lb *label) index() int32 { return lb.id*2 + int32(lb.taint) }
+// slot returns the index of node id's first label (its clean label,
+// the only one outside SecondBest); node id's labels are the indices
+// from slot(id) up to slot(id+1).
+func (m *machine) slot(id int32) int32 { return id * m.stride }
+
+// index returns lb's slot in machine.labels.
+func (m *machine) index(lb *label) int32 { return m.slot(lb.id) + int32(lb.taint) }
 
 // hasPath reports whether lb holds a path, mapped or queued.
-func (lb *label) hasPath() bool { return lb.node != nil && lb.state != graph.Unmapped }
+func (lb *label) hasPath() bool { return lb.used && lb.state != graph.Unmapped }
 
 // pathPhase returns lb's phase, or -1 when it holds no path.
 func (lb *label) pathPhase() int32 {
@@ -186,7 +197,9 @@ type machine struct {
 	g      *graph.Graph
 	snap   *graph.Snapshot
 	opts   Options
-	labels []label // node.ID*2 + taint
+	stride int32         // labels per node: 1, or 2 under SecondBest
+	labels []label       // node.ID*stride + taint
+	via    []*graph.Link // labels[i]'s tree edge, from its parent's node; nil at the root and in unmapped labels
 	queue  *pqueue.BucketQueue[*label]
 	res    *Result
 
@@ -202,13 +215,11 @@ type machine struct {
 	// the nodes whose phase moved (warmBackLinks). invented lists, in
 	// invention order, the back links a full run invented (Result.
 	// Invented); warm runs keep the overlay below exact instead.
-	warm         bool
-	changed      []int32  // label indices mutated this warm run; FinishWarm keeps the changed ones
-	changedOld   []label  // changed[i]'s value when the run began, until dropUnchanged filters changed
-	changedPh    []int32  // changed[i]'s phase at the last back-link check
-	changedMark  []uint32 // per-label epoch stamp backing changed
-	changedEpoch uint32
-	invented     []*graph.Link
+	warm       bool
+	changed    []int32 // label indices mutated this warm run (label.changed); FinishWarm keeps the changed ones
+	changedOld []saved // changed[i]'s value when the run began, until dropUnchanged filters changed
+	changedPh  []int32 // changed[i]'s phase at the last back-link check
+	invented   []*graph.Link
 
 	// Back links stay across warm runs. overlay holds them by source
 	// node ID, overlayIdx by (from, to) pair — with the graph's
@@ -255,8 +266,8 @@ type machine struct {
 	// once per vantage per update — the O(V·N) term that dominated when
 	// remap.Multi fanned an update out to hundreds of vantages.
 	// wbUnreach keeps the unreachable node IDs in (rank, id) order;
-	// wbDirty collects node-level dirt (MarkNodeDirty, RebaseGrow)
-	// stamped per run through wbNodeMark.
+	// wbDirty collects the run's dirty node IDs, duplicates included
+	// (the write-back sorts and compacts them).
 	wbValid     bool    // persistent state matches the labels (set by a full write-back)
 	wbState     []uint8 // per node: wbReachedBit | wbBackBit | wbPenalBit | wbUnreachBit
 	wbUnreach   []int32
@@ -265,7 +276,6 @@ type machine struct {
 	wbBack      int
 	wbPenal     int
 	wbDirty     []int32
-	wbNodeMark  []uint32
 	wbGrownFrom int32 // first node ID appended by RebaseGrow; -1 when none
 }
 
@@ -277,14 +287,9 @@ const (
 	wbUnreachBit
 )
 
-// markNodeDirty records node-level dirt for the batched write-back,
-// once per node per run (the epoch stamps are shared with changedMark).
+// markNodeDirty records node-level dirt for the batched write-back.
 func (m *machine) markNodeDirty(id int32) {
-	if int(id) >= len(m.wbNodeMark) {
-		return // no persistent write-back state to patch
-	}
-	if m.wbNodeMark[id] != m.changedEpoch {
-		m.wbNodeMark[id] = m.changedEpoch
+	if m.wbValid { // else the next write-back walks every node
 		m.wbDirty = append(m.wbDirty, id)
 	}
 }
@@ -336,8 +341,8 @@ func (m *machine) unlinkChild(c, p int32) {
 // a label reset to unmapped receives offers from its whole frontier.
 func (m *machine) seedInNeighbors(id int32, exclude int32) {
 	seed := func(u int32) {
-		lb := &m.labels[2*u]
-		if lb.node == nil || lb.state != graph.Mapped || lb.index() == exclude {
+		lb := &m.labels[m.slot(u)]
+		if !lb.used || lb.state != graph.Mapped || m.index(lb) == exclude {
 			return
 		}
 		lb.state = graph.Queued
@@ -357,7 +362,7 @@ func (m *machine) seedInNeighbors(id int32, exclude int32) {
 // It reports how many labels were reset and whether the run's root was
 // among them.
 func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bool) {
-	if m.labels[li].node == nil {
+	if !m.labels[li].used {
 		return 0, false
 	}
 	stack := append(m.invStack[:0], li)
@@ -365,7 +370,7 @@ func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bo
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		lb := &m.labels[cur]
-		if lb.node == nil || lb.state == graph.Unmapped {
+		if !lb.used || lb.state == graph.Unmapped {
 			continue
 		}
 		for c := m.kin[cur].first; c != 0; c = m.kin[c-1].next {
@@ -386,7 +391,7 @@ func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bo
 		lb.hops = 0
 		lb.tie = 0
 		lb.parent = -1
-		lb.via = nil
+		m.via[cur] = nil
 		lb.viaOp = graph.Op{}
 		lb.lastDir = 0
 		lb.mixes = 0
@@ -405,20 +410,25 @@ func (m *machine) invalidateTree(li int32, exclude int32) (count int, hitRoot bo
 // Unmapped; a saved Queued copy was re-queued for re-relaxation and
 // still holds its mapped value.
 func (m *machine) markChanged(li int32) {
-	if m.changedMark[li] != m.changedEpoch {
-		m.changedMark[li] = m.changedEpoch
+	if lb := &m.labels[li]; !lb.changed {
 		m.changed = append(m.changed, li)
-		m.changedOld = append(m.changedOld, m.labels[li])
-		m.changedPh = append(m.changedPh, m.labels[li].pathPhase())
+		m.changedOld = append(m.changedOld, saved{*lb, m.via[li]})
+		m.changedPh = append(m.changedPh, lb.pathPhase())
+		lb.changed = true
 	}
 }
 
-// dropUnchanged filters the warm run's mutated labels down to those
-// whose value differs from the one saved when the run began.
+// dropUnchanged ends the warm run's change tracking: it clears the
+// marks and filters the mutated labels down to those whose value
+// differs from the one saved when the run began. (A run abandoned
+// before it leaves its marks to the FullRun that follows, which zeroes
+// every label.)
 func (m *machine) dropUnchanged() {
 	k := 0
 	for i, li := range m.changed {
-		if !sameValue(&m.changedOld[i], &m.labels[li]) {
+		m.labels[li].changed = false
+		old := &m.changedOld[i]
+		if !sameValue(&old.lb, old.via, &m.labels[li], m.via[li]) {
 			m.changed[k] = li
 			k++
 		}
@@ -426,16 +436,16 @@ func (m *machine) dropUnchanged() {
 	m.changed = m.changed[:k]
 }
 
-// sameValue reports whether two copies of a label (saved at its first
-// mutation in a warm run, and final) carry the same value: both without
-// a mapped path, or the same path.
-func sameValue(a, b *label) bool {
+// sameValue reports whether two copies of a label with their tree edges
+// (saved at its first mutation in a warm run, and final) carry the same
+// value: both without a mapped path, or the same path.
+func sameValue(a *label, aVia *graph.Link, b *label, bVia *graph.Link) bool {
 	if !a.hasPath() || !b.hasPath() {
 		return a.hasPath() == b.hasPath()
 	}
 	return a.cost == b.cost && a.hops == b.hops && a.parent == b.parent &&
 		a.viaOp == b.viaOp && a.lastDir == b.lastDir && a.mixes == b.mixes &&
-		a.inDomain == b.inDomain && sameLink(a.via, b.via)
+		a.inDomain == b.inDomain && sameLink(aVia, bVia)
 }
 
 // sameLink compares tree edges by value, (From, To, Cost, Op, Flags):
@@ -450,6 +460,13 @@ func sameLink(a, b *graph.Link) bool {
 	}
 	return a != nil && b != nil && a.From == b.From && a.To == b.To &&
 		a.Cost == b.Cost && a.Op == b.Op && a.Flags == b.Flags
+}
+
+// saved is a label's value and tree edge as they were when a warm run
+// first changed it (markChanged).
+type saved struct {
+	lb  label
+	via *graph.Link
 }
 
 // Run maps the graph from source with the given options: a fresh
@@ -503,15 +520,15 @@ func (m *machine) tieKey(hops int32, id int32, taint int8) uint64 {
 // carried in the label itself (the committed-tree behavior of the paper's
 // production algorithm).
 func (m *machine) labelFor(id int32, inDomain bool) *label {
-	idx := id * 2
+	idx := m.slot(id)
 	taint := int8(0)
 	if m.opts.SecondBest && inDomain {
 		idx++
 		taint = 1
 	}
 	lb := &m.labels[idx]
-	if lb.node == nil {
-		lb.node = m.snap.Nodes[id]
+	if !lb.used {
+		lb.used = true
 		lb.id = id
 		lb.taint = taint
 		lb.parent = -1
@@ -607,7 +624,7 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 		ph++
 	}
 
-	if m.warm && target.parent == lb.index() && target.via == el {
+	if m.warm && target.parent == m.index(lb) && m.via[m.index(target)] == el {
 		// Re-derivation of the committed tree edge: target's value was
 		// computed from lb's state at some earlier point of the warm run;
 		// if lb has changed since, target must track it exactly — the
@@ -638,12 +655,13 @@ func (m *machine) relax(lb *label, v int32, eCost cost.Cost, eFlags graph.LinkFl
 			// path — a parent cycle that re-derives itself forever over
 			// zero-cost alias edges. Reset them; their in-neighbors
 			// offer again.
-			for c := m.kin[target.index()].first; c != 0; c = m.kin[target.index()].first {
+			ti := m.index(target)
+			for c := m.kin[ti].first; c != 0; c = m.kin[ti].first {
 				m.invalidateTree(c-1, -1)
 			}
 			// Offers previously beaten by the old, better value may win
 			// now: re-queue every other in-neighbor.
-			m.seedInNeighbors(target.id, lb.index())
+			m.seedInNeighbors(target.id, m.index(lb))
 		}
 		return
 	}
@@ -717,16 +735,16 @@ func (m *machine) better(lb *label, ph int32, cand cost.Cost, target *label) boo
 // setLabel fills target's path fields from the extension of lb along l.
 func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 	ph int32, cand cost.Cost, dir, mixes uint8, inDomain bool) {
+	li, pi := m.index(target), m.index(lb)
 	if m.warm {
 		// Track the mutation for the engine's incremental route patching,
 		// and move target to its new parent's child list.
-		li := target.index()
 		m.markChanged(li)
-		if p := treeParent(target); p != lb.index() {
+		if p := treeParent(target); p != pi {
 			if p >= 0 {
 				m.unlinkChild(li, p)
 			}
-			m.linkChild(li, lb.index())
+			m.linkChild(li, pi)
 		}
 		// Labels deriving their value from target's old state (its tree
 		// children) are repaired when target re-relaxes: the committed
@@ -738,30 +756,35 @@ func (m *machine) setLabel(target, lb *label, l *graph.Link, effOp graph.Op,
 	target.cost = cand
 	target.hops = lb.hops + 1
 	target.tie = m.tieKey(target.hops, target.id, target.taint)
-	target.parent = lb.index()
-	target.via = l
+	target.parent = pi
+	m.via[li] = l
 	target.viaOp = effOp
 	target.lastDir = dir
 	target.mixes = mixes
 	target.inDomain = inDomain
 }
 
-// nodeMapped reports whether any label of n is mapped.
-func (m *machine) nodeMapped(n *graph.Node) bool {
-	return m.labels[n.ID*2].state == graph.Mapped ||
-		m.labels[n.ID*2+1].state == graph.Mapped
+// nodeMapped reports whether any label of node id is mapped.
+func (m *machine) nodeMapped(id int32) bool {
+	for li := m.slot(id); li < m.slot(id+1); li++ {
+		if m.labels[li].state == graph.Mapped {
+			return true
+		}
+	}
+	return false
 }
 
-// winner returns n's minimum-cost mapped label, or nil.
-func (m *machine) winner(n *graph.Node) *label {
-	var best *label
-	for taint := 0; taint < 2; taint++ {
-		lb := &m.labels[n.ID*2+taint]
-		if lb.node == nil || lb.state != graph.Mapped {
+// winner returns the index of node id's minimum-cost mapped label, or
+// -1.
+func (m *machine) winner(id int32) int32 {
+	best := int32(-1)
+	for li := m.slot(id); li < m.slot(id+1); li++ {
+		lb := &m.labels[li]
+		if !lb.used || lb.state != graph.Mapped {
 			continue
 		}
-		if best == nil || labelLess(lb, best) {
-			best = lb
+		if best < 0 || labelLess(lb, &m.labels[best]) {
+			best = li
 		}
 	}
 	return best
@@ -784,18 +807,18 @@ func (m *machine) nodeContribution(n *graph.Node) uint8 {
 	if n.IsDeleted() {
 		return 0
 	}
-	w := m.winner(n)
-	if w == nil {
+	w := m.winner(int32(n.ID))
+	if w < 0 {
 		if !n.IsNet() {
 			return wbUnreachBit
 		}
 		return 0
 	}
 	bits := wbReachedBit
-	if w.via != nil && w.via.Flags&graph.LBack != 0 {
+	if via := m.via[w]; via != nil && via.Flags&graph.LBack != 0 {
 		bits |= wbBackBit
 	}
-	if w.mixes > 0 && !n.IsNet() {
+	if m.labels[w].mixes > 0 && !n.IsNet() {
 		bits |= wbPenalBit
 	}
 	return bits
@@ -808,14 +831,7 @@ func (m *machine) nodeContribution(n *graph.Node) uint8 {
 // identical lines.)
 func (m *machine) writeBackFull() {
 	n := len(m.snap.Nodes)
-	if cap(m.wbState) >= n {
-		m.wbState = m.wbState[:n]
-		clear(m.wbState)
-	} else {
-		m.wbState = make([]uint8, n)
-	}
-	// Stale mark stamps need no clearing: changedEpoch only grows.
-	m.wbNodeMark = growClear(m.wbNodeMark[:min(len(m.wbNodeMark), n)], n)
+	m.wbState = cleared(m.wbState, n)
 	m.wbUnreach = m.wbUnreach[:0]
 	for _, id := range m.snap.ByRank {
 		bits := m.nodeContribution(m.snap.Nodes[id])
@@ -861,15 +877,14 @@ func (m *machine) unreachLess(a, b int32) bool {
 // the cost is O(dirty + unreachable), not O(V).
 func (m *machine) writeBackDelta() {
 	for _, li := range m.changed {
-		m.markNodeDirty(li / 2)
+		m.markNodeDirty(m.labels[li].id)
 	}
 	if m.wbGrownFrom >= 0 {
 		for id := m.wbGrownFrom; id < int32(len(m.snap.Nodes)); id++ {
 			m.markNodeDirty(id)
 		}
 	}
-	dirty := m.wbDirty
-	slices.SortFunc(dirty, func(a, b int32) int {
+	slices.SortFunc(m.wbDirty, func(a, b int32) int {
 		if m.unreachLess(a, b) {
 			return -1
 		}
@@ -878,6 +893,7 @@ func (m *machine) writeBackDelta() {
 		}
 		return 1
 	})
+	dirty := slices.Compact(m.wbDirty)
 
 	btoi := func(b bool) int {
 		if b {
@@ -914,10 +930,10 @@ func (m *machine) writeBackDelta() {
 			}
 		}
 		for _, id := range m.wbUnreach {
-			if m.wbNodeMark[id] == m.changedEpoch {
+			appendDirty(id, true)
+			if j < len(dirty) && dirty[j] == id {
 				continue // dirty: re-merged from the recomputed side
 			}
-			appendDirty(id, true)
 			merged = append(merged, id)
 		}
 		appendDirty(0, false)

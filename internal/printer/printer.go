@@ -147,8 +147,8 @@ func traverse(mc *mapper.Machine, opts Options, frames []Frame) ([]Entry, []Row)
 	}
 	// A node prints at most once, under its winning label.
 	d := &deriver{mc: mc, opts: opts, frames: frames,
-		entries: make([]Entry, 0, mc.NumLabels()/2),
-		rows:    make([]Row, 0, mc.NumLabels()/2)}
+		entries: make([]Entry, 0, len(mc.Rank())),
+		rows:    make([]Row, 0, len(mc.Rank()))}
 	rv := mc.Label(root)
 	d.visit(root, rv, Extend(mapper.LabelView{}, rv, nil))
 	return d.entries, d.rows

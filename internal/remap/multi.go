@@ -153,11 +153,14 @@ func (m *Multi) cachedLocked(v *vantage) bool {
 
 // ResultFor returns the routes from the given vantage host, spinning up
 // (or catching up) its machine if needed. The Result is immutable;
-// concurrent callers may share it.
+// concurrent callers may share it. A host the map does not have is
+// refused before it is registered: it takes no vantage slot, so it
+// evicts none, and no later Refresh maps it.
 func (m *Multi) ResultFor(host string) (*Result, error) {
 	h := m.e.foldName(host)
 	m.mu.RLock()
-	if v := m.vans[h]; v != nil && m.cachedLocked(v) {
+	v := m.vans[h]
+	if v != nil && m.cachedLocked(v) {
 		res, err := v.last, v.err
 		v.lastUsed.Store(m.tick.Add(1))
 		m.mu.RUnlock()
@@ -166,19 +169,40 @@ func (m *Multi) ResultFor(host string) (*Result, error) {
 		}
 		return res, nil
 	}
+	if v == nil {
+		if err := m.unknownLocked(h); err != nil {
+			m.mu.RUnlock()
+			return nil, err
+		}
+	}
 	m.mu.RUnlock()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	defer m.publishLocked()
-	v := m.vans[h]
+	v = m.vans[h]
 	if v == nil {
+		if err := m.unknownLocked(h); err != nil {
+			return nil, err
+		}
 		v = m.createVantageLocked(h)
 	}
 	v.lastUsed.Store(m.tick.Add(1))
 	res, recomputed, err := v.resolve(m.e)
 	m.countRun(res, recomputed, err)
 	return res, err
+}
+
+// unknownLocked returns the error a vantage at host would fail with for
+// want of the host in the map, or nil. Before the first update every
+// host is let through: the vantage then reports that there are no
+// inputs.
+func (m *Multi) unknownLocked(host string) error {
+	if !m.e.journaled {
+		return nil
+	}
+	_, err := m.e.localNodeFor(host)
+	return err
 }
 
 // createVantageLocked registers a new vantage, evicting the

@@ -340,7 +340,7 @@ func TestRefreshContract(t *testing.T) {
 	cfg := mapgen.Small()
 	cfg.CoreFiles = 3
 	pins, local := mapgen.Generate(cfg)
-	m, err := NewMulti(Options{LocalHost: local, MaxVantages: 5})
+	m, err := NewMulti(Options{LocalHost: local, MaxVantages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +349,16 @@ func TestRefreshContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Used in reverse host order, so host8 is the least recently used;
-	// nohost is resident with its mapping error.
+	// nohost is refused and takes no slot.
 	stamp := func() {
 		for _, h := range []string{"host8", "host5", "host3", "nohost"} {
 			m.ResultFor(h)
 		}
 	}
 	stamp()
+	if _, err := m.ResultFor("nohost"); err == nil {
+		t.Error("nohost mapped without an error")
+	}
 	stale := func() int {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
@@ -384,16 +387,16 @@ func TestRefreshContract(t *testing.T) {
 	if err := m.Update(inputs); err != nil {
 		t.Fatal(err)
 	}
-	if n := stale(); n != 4 {
-		t.Fatalf("after Update %d vantages are stale, want the 4 besides the default", n)
+	if n := stale(); n != 3 {
+		t.Fatalf("after Update %d vantages are stale, want the 3 besides the default", n)
 	}
-	for round, wantRuns := range []int{3, 0} { // nohost's failing run counts nothing
+	for round, wantRuns := range []int{3, 0} {
 		before, stamped := runs(), ticks()
 		calls := walk(m, func(string) {})
 		if got := ticks(); !maps.Equal(got, stamped) {
 			t.Errorf("round %d: Refresh moved the use ticks %v to %v", round, stamped, got)
 		}
-		if hosts, want := walkedHosts(calls), []string{"host3", "host5", "host8", "nohost"}; !slices.Equal(hosts, want) {
+		if hosts, want := walkedHosts(calls), []string{"host3", "host5", "host8"}; !slices.Equal(hosts, want) {
 			t.Fatalf("round %d: fn saw %v, want %v", round, hosts, want)
 		}
 		if got := runs() - before; got != wantRuns {
@@ -405,9 +408,6 @@ func TestRefreshContract(t *testing.T) {
 			if res != c.res || fmt.Sprint(err) != fmt.Sprint(c.err) {
 				t.Errorf("round %d: fn got (%p, %v) for %s, ResultFor (%p, %v)", round, c.res, c.err, c.host, res, err)
 			}
-		}
-		if calls[3].err == nil {
-			t.Errorf("round %d: nohost mapped without an error", round)
 		}
 		if got := runs(); got != after {
 			t.Errorf("round %d: ResultFor after Refresh ran %d vantages", round, got-after)
@@ -428,13 +428,61 @@ func TestRefreshContract(t *testing.T) {
 			}
 		}
 	})
-	if hosts, want := walkedHosts(calls), []string{"host3", "host5", "nohost"}; !slices.Equal(hosts, want) {
+	if hosts, want := walkedHosts(calls), []string{"host3", "host5"}; !slices.Equal(hosts, want) {
 		t.Errorf("with host8 evicted mid-walk, fn saw %v, want %v", hosts, want)
 	}
-	want := []string{"host3", "host5", "host9", local, "nohost"}
+	want := []string{"host3", "host5", "host9", local}
 	sort.Strings(want)
 	if got := m.Vantages(); !slices.Equal(got, want) {
 		t.Errorf("resident %v, want %v", got, want)
+	}
+}
+
+// TestUnknownVantageTakesNoSlot: a query from a host the map does not
+// have fails without registering a vantage, so it evicts no resident
+// one and no later Refresh maps it. A resident vantage whose host the
+// map then deletes stays resident, and Refresh hands fn its error.
+func TestUnknownVantageTakesNoSlot(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/paper1981.map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []Input{{Name: "paper1981.map", Src: string(data)}}
+	m, err := NewMulti(Options{LocalHost: "unc", MaxVantages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	for range 10 {
+		if _, err := m.ResultFor("duke"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.ResultFor("nosuchhost"); err == nil {
+		t.Fatal("nosuchhost mapped without an error")
+	}
+	if got, want := m.Vantages(), []string{"duke", "unc"}; !slices.Equal(got, want) {
+		t.Fatalf("resident %v, want %v", got, want)
+	}
+	if hosts := walkedHosts(walk(m, func(string) {})); !slices.Equal(hosts, []string{"duke"}) {
+		t.Errorf("Refresh called fn for %v, want [duke]", hosts)
+	}
+
+	inputs = append(inputs, Input{Name: "gone.map", Src: "delete {duke}\n"})
+	if err := m.Update(inputs); err != nil {
+		t.Fatal(err)
+	}
+	calls := walk(m, func(string) {})
+	if len(calls) != 1 || calls[0].host != "duke" || calls[0].err == nil {
+		t.Fatalf("Refresh after deleting duke: %+v, want one call for duke with an error", calls)
+	}
+	if _, err := m.ResultFor("duke"); fmt.Sprint(err) != fmt.Sprint(calls[0].err) {
+		t.Errorf("ResultFor(duke) = %v, Refresh gave %v", err, calls[0].err)
+	}
+	if got, want := m.Vantages(), []string{"duke", "unc"}; !slices.Equal(got, want) {
+		t.Errorf("resident after the delete %v, want %v", got, want)
 	}
 }
 

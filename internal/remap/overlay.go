@@ -24,9 +24,10 @@ import (
 // disturb, by the same warm procedure a source edit takes
 // (vantage.remap): labels riding a removed or re-costed link are
 // invalidated, sources of added or re-costed links seeded. The copy
-// clones the machine's labels but not the route rows: the warm patch
-// reads the resident rows and merges into fresh arrays, and a run that
-// changes no row keeps the resident's, which nothing writes. A vantage
+// clones the machine (Machine.Clone: one pointer-free label per node,
+// its tree edge and child-list entry) but not the route rows: the warm
+// patch reads the resident rows and merges into fresh arrays, and a run
+// that changes no row keeps the resident's, which nothing writes. A vantage
 // that is not resident is mapped in full on a fresh machine, through
 // the same procedure, and stays non-resident — making it resident would
 // add its re-map to every later source edit.

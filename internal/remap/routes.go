@@ -119,7 +119,7 @@ func (v *vantage) patchRoutes(e *core, changed []int32, netFlips []int32) bool {
 		}
 	}
 	for _, id := range netFlips {
-		li := 2 * id
+		li := v.mc.NodeLabel(id)
 		if v.mc.Label(li).Node != nil && mark(li) {
 			stack = append(stack, li)
 		}

@@ -29,8 +29,9 @@ import (
 
 // maxDirtyFrac is the warm-run abandon threshold: when more than this
 // fraction of labels is invalidated, a full re-map is cheaper than
-// patching.
-const maxDirtyFrac = 0.25
+// patching. Warm runs exclude SecondBest, so there is one label per
+// node: the threshold is half of the nodes.
+const maxDirtyFrac = 0.5
 
 type vantage struct {
 	host string // case-folded vantage host name
@@ -182,7 +183,7 @@ func (v *vantage) remap(e *core, local *graph.Node, snap *graph.Snapshot, ev map
 		invalidated, rootHit := 0, false
 		maxDirty := int(float64(v.mc.NumLabels()) * maxDirtyFrac)
 		for _, ed := range ev.edges {
-			lv := v.mc.Label(2 * ed.to)
+			lv := v.mc.Label(v.mc.NodeLabel(ed.to))
 			if lv.Node != nil && lv.Via == ed.link {
 				n, hit := v.mc.InvalidateSubtree(ed.to)
 				invalidated += n

@@ -119,7 +119,8 @@ func explainOne(ent *cacheEntry, dest string) *Explanation {
 		return x
 	}
 	x.Found = true
-	x.Mixed = li&1 == 1
+	mc := ent.run.Machine
+	x.Mixed = li != mc.NodeLabel(int32(mc.Label(li).Node.ID)) // a node's second label is its tainted one
 	x.Cost, x.Hops = explainChain(ent.run, li)
 	return x
 }

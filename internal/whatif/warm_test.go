@@ -3,6 +3,7 @@ package whatif
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -12,7 +13,9 @@ import (
 	"pathalias/internal/graph"
 	"pathalias/internal/mapgen"
 	"pathalias/internal/mapper"
+	"pathalias/internal/printer"
 	"pathalias/internal/remap"
+	"pathalias/internal/routedb"
 	"pathalias/internal/simnet"
 )
 
@@ -68,7 +71,7 @@ func applyEdits(eds []overlayEdit) func(tt testing.TB, g *graph.Graph) {
 
 // TestOverlayForcedFullRuns: from a resident vantage an overlay run
 // starts warm unless the procedure source edits take would also give
-// up — the edits invalidate more than a quarter of the labels, or
+// up — the edits invalidate more than half of the labels, or
 // the engine maps SecondBest, which has no warm runs. (An overlay edit
 // cannot invalidate the root: edge events only reset labels riding the
 // edited link, and the root rides none.) Each case must still answer
@@ -277,6 +280,139 @@ func TestWarmOverlayAllocs(t *testing.T) {
 	if ratio > maxWarmAllocRatio {
 		t.Errorf("warm questions allocate %.3f of a full run's bytes, over %.2f", ratio, maxWarmAllocRatio)
 	}
+}
+
+// TestColdQuestionAllocs guards what a cold question copies: on the
+// paper-scale map, cost questions from the resident vantage on links
+// spread over the whole map allocate at most maxColdBytes each on
+// average. Each copies the machine's labels and child lists, patches
+// the snapshot, and indexes its routes (sharing the index of the
+// cached question before it); 3.10 MB each when every question
+// copied two 72-byte labels per node and built its own route index.
+// It counts bytes, not time, so a loaded machine cannot flake it.
+func TestColdQuestionAllocs(t *testing.T) {
+	const maxColdBytes = 2_000_000
+	const questions = 256
+	if raceEnabled {
+		t.Skip("the race detector drops pooled queues, so the byte count varies")
+	}
+	inputs, local := default1986Inputs()
+	links := simnet.OrdinaryLinks(parseFresh(t, inputs))
+	dest := links[len(links)/2].To
+	_, ev := newEvalWith(t, inputs, remap.Options{}, Options{MaxCached: 8}, local)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range questions {
+		l := links[i*len(links)/questions]
+		if _, err := ev.Resolve(local, fmt.Sprintf("cost %s %s %d", l.From, l.To, 1000+i), dest, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if st := ev.Stats(); st.Misses != questions || st.WarmRuns < questions/2 {
+		t.Fatalf("%d questions: %d misses, %d warm runs", questions, st.Misses, st.WarmRuns)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / questions
+	t.Logf("%d cold questions from the resident vantage: %d B each", questions, per)
+	if per > maxColdBytes {
+		t.Errorf("a cold question allocates %d B, over %d", per, maxColdBytes)
+	}
+}
+
+// storeQueries lists an exact query per entry, two suffix queries per
+// domain entry, and misses.
+func storeQueries(es []printer.Entry) []string {
+	qs := []string{"nosuchhost", "x.nosuchdomain", ""}
+	for _, e := range es {
+		qs = append(qs, e.Host)
+		if strings.HasPrefix(e.Host, ".") {
+			qs = append(qs, "x"+e.Host, "a.x"+e.Host)
+		}
+	}
+	return qs
+}
+
+// TestOverlayIndexShared: on the paper-scale map, a cold question from
+// the resident vantage whose routes carry the host names of a cached
+// question's builds its store With that question's, sharing the slot
+// table and suffix trie: the store build allocates under
+// maxSharedBytes, where an index build takes hundreds of kilobytes.
+// A dead edit that strands a host changes the host column, so With
+// falls back to a full build. Either store answers every exact, suffix
+// and miss query as routedb.BuildWith's over the same entries does.
+func TestOverlayIndexShared(t *testing.T) {
+	const maxSharedBytes = 64 << 10
+	inputs, local := default1986Inputs()
+	links := simnet.OrdinaryLinks(parseFresh(t, inputs))
+	m, ev := newEvalWith(t, inputs, remap.Options{}, Options{}, local)
+	ask := func(spec string) *remap.OverlayRun {
+		t.Helper()
+		sp, err := ev.parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := m.EvalOverlay(local, func(ctx remap.OverlayCtx) (*graph.Overlay, error) { return compile(sp, ctx) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	check := func(what string, run *remap.OverlayRun, shared bool) {
+		t.Helper()
+		got, want := ev.store(run), routedb.BuildWith(run.Entries, routedb.Options{FoldCase: m.FoldCase()})
+		for _, q := range storeQueries(run.Entries) {
+			gr, gerr := got.Resolve(q, "u")
+			wr, werr := want.Resolve(q, "u")
+			if gr != wr || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("%s: %q resolves to %+v, %v; BuildWith's store gives %+v, %v", what, q, gr, gerr, wr, werr)
+			}
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				ev.store(run)
+			}
+		})
+		n := r.AllocedBytesPerOp()
+		t.Logf("%s: %d routes, store build %d B", what, len(run.Entries), n)
+		if shared && n >= maxSharedBytes {
+			t.Errorf("%s: the store build allocates %d B, at or over %d: it rebuilt the index", what, n, maxSharedBytes)
+		}
+		if !shared && n < maxSharedBytes {
+			t.Errorf("%s: the store build allocates %d B, under %d: it shared an index over other names", what, n, maxSharedBytes)
+		}
+	}
+
+	l := links[0]
+	if _, err := ev.Resolve(local, fmt.Sprintf("cost %s %s 1000", l.From, l.To), l.To, "u"); err != nil {
+		t.Fatal(err)
+	}
+	second := ask(fmt.Sprintf("cost %s %s 1000", links[1].From, links[1].To))
+	check("a second cost question", second, true)
+
+	// A dead edit into a host that declares no links of its own can
+	// leave it without a route (no back link reaches it).
+	declares := make(map[string]bool)
+	for _, l := range links {
+		declares[l.From] = true
+	}
+	hosts := func(es []printer.Entry) []string {
+		out := make([]string, len(es))
+		for i, e := range es {
+			out[i] = e.Host
+		}
+		return out
+	}
+	for _, l := range links {
+		if declares[l.To] {
+			continue
+		}
+		if run := ask(fmt.Sprintf("dead %s %s", l.From, l.To)); !slices.Equal(hosts(run.Entries), hosts(second.Entries)) {
+			check("dead "+l.From+"!"+l.To, run, false)
+			return
+		}
+	}
+	t.Fatal("no dead edit changed the host column")
 }
 
 // TestOverlaysLeaveResidentAlone: on the paper-scale map, cold what-if

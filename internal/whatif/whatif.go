@@ -15,8 +15,10 @@ import (
 
 // Options configure an Evaluator.
 type Options struct {
-	// MaxCached bounds the LRU of evaluated overlays (each holds a
-	// mapper machine and a route index). 0 means DefaultMaxCached.
+	// MaxCached bounds the LRU of evaluated overlays. Each holds a
+	// mapper machine's labels and a route store; the stores of one
+	// generation and vantage share one route index while their host
+	// columns agree. 0 means DefaultMaxCached.
 	MaxCached int
 	// Observe, when set, is called once per overlay evaluation with
 	// whether it missed the cache (cold — a private mapping run) and how
@@ -254,12 +256,36 @@ func (ev *Evaluator) evalMiss(probe evalKey, from string, sp *Spec) (*cacheEntry
 	ent := &cacheEntry{
 		key: evalKey{gen: run.Gen, from: run.Host, spec: probe.spec},
 		run: run,
-		db:  routedb.BuildWith(run.Entries, routedb.Options{FoldCase: ev.eng.FoldCase()}),
+		db:  ev.store(run),
 	}
 	ev.mu.Lock()
 	ev.insertLocked(ent)
 	ev.mu.Unlock()
 	return ent, nil
+}
+
+// store indexes run's routes. Questions from one vantage at one
+// generation nearly always route the same hosts (an edit moves routes,
+// not names), so when the cache holds an entry of run's generation and
+// vantage, the store is built With that entry's and shares its slot
+// table and suffix trie. resolver.Resolver.With falls back to a full
+// build when the host names differ, so the store answers as
+// routedb.BuildWith's would either way.
+func (ev *Evaluator) store(run *remap.OverlayRun) *routedb.DB {
+	opts := routedb.Options{FoldCase: ev.eng.FoldCase()}
+	var sib *routedb.DB
+	ev.mu.Lock()
+	for el := ev.lru.Front(); el != nil; el = el.Next() {
+		if c := el.Value.(*cacheEntry); c.key.gen == run.Gen && c.key.from == run.Host {
+			sib = c.db
+			break
+		}
+	}
+	ev.mu.Unlock()
+	if sib == nil {
+		return routedb.BuildWith(run.Entries, opts)
+	}
+	return sib.With(run.Entries, opts)
 }
 
 // insertLocked adds ent, evicting LRU overflow and sweeping entries from
